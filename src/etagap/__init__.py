@@ -7,7 +7,7 @@ symmetric pencil, and verifies explicit eigenvalue-gap bounds and their
 auxiliary inequalities at desk scale.
 """
 
-from .assembly import OperatorPair, apply_discrete, assemble, project_function
+from .assembly import OperatorPair, assemble, project_function
 from .bounds import (
     GapConstant,
     GapReport,
@@ -73,7 +73,6 @@ __all__ = [
     "SpectrumResult",
     "TensorField",
     "a_nT",
-    "apply_discrete",
     "apply_operator_L",
     "assemble",
     "builtin_config",

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NonFiniteValue
 from .fields import ScalarField, TensorField, tensor_eigen_range
-from .geometry import GridDomain
+from .geometry import GridDomain, gauss_rule, inverse_metric_factor, volume_weight
 
 
 def _reference_elements(domain: GridDomain):
@@ -31,9 +31,7 @@ def _reference_elements(domain: GridDomain):
     (nq, nloc, n); nloc = 2^n corners in lexicographic bit order.
     """
     n = domain.dim
-    g = 0.5 / np.sqrt(3.0)
-    xi1 = np.array([0.5 - g, 0.5 + g])
-    qpts = np.array(list(itertools.product(xi1, repeat=n)))
+    qpts, _ = gauss_rule(n)
     corners = list(itertools.product((0, 1), repeat=n))
     nq, nloc = qpts.shape[0], len(corners)
     N = np.empty((nq, nloc))
@@ -59,29 +57,20 @@ class OperatorPair:
     domain: GridDomain
     field: TensorField
     drift: ScalarField
-    quadrature: str
 
     @property
     def ndof(self) -> int:
         return self.A.shape[0]
 
-    def dof_coords(self) -> np.ndarray:
-        return self.domain.interior_coords()
 
-
-def _quad_data(domain: GridDomain, drift: ScalarField):
+def quad_data(domain: GridDomain, drift: ScalarField):
     """Points, measure weights e^(-eta) W_g, and metric gradient factor."""
     pts, w = domain.quadrature()
     ncell, nq, n = pts.shape
     flat = pts.reshape(-1, n)
     eta = drift.value(flat).reshape(ncell, nq)
-    if domain.metric.is_hyperbolic:
-        xn = pts[..., -1]
-        wg = xn ** (-float(n))
-        grad_factor = xn**2
-    else:
-        wg = np.ones((ncell, nq))
-        grad_factor = np.ones((ncell, nq))
+    wg = volume_weight(domain.metric, flat).reshape(ncell, nq)
+    grad_factor = inverse_metric_factor(domain.metric, flat).reshape(ncell, nq)
     dm = w[None, :] * domain.cell_volume() * np.exp(-eta) * wg
     return pts, dm, grad_factor
 
@@ -89,7 +78,7 @@ def _quad_data(domain: GridDomain, drift: ScalarField):
 def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> OperatorPair:
     """Build the stiffness/mass pair over the interior DOFs."""
     n = domain.dim
-    pts, dm, grad_factor = _quad_data(domain, drift)
+    pts, dm, grad_factor = quad_data(domain, drift)
     ncell, nq, _ = pts.shape
     flat = pts.reshape(-1, n)
     tensor_eigen_range(field, flat)  # raises NotPositiveDefinite early
@@ -133,15 +122,7 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
 
     A = _mirror(np.concatenate(a_vals))
     B = _mirror(np.concatenate(b_vals))
-    return OperatorPair(A, B, domain, field, drift, quadrature="gauss2-tensor")
-
-
-def apply_discrete(pair: OperatorPair, u) -> np.ndarray:
-    """Matrix-vector product A u for solvers and residual checks."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != pair.ndof:
-        raise DimensionMismatch(f"expected {pair.ndof} entries, got {u.shape[0]}")
-    return pair.A @ u
+    return OperatorPair(A, B, domain, field, drift)
 
 
 def project_function(domain: GridDomain, f) -> np.ndarray:
@@ -171,16 +152,3 @@ def interpolate_at_quadrature(pair: OperatorPair, u) -> tuple[np.ndarray, np.nda
     grads = np.einsum("qad,ca->cqd", dN, corner_vals)
     return vals, grads
 
-
-def measure_weights(pair: OperatorPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(points, dm weights, metric gradient factor) at quadrature points."""
-    return _quad_data(pair.domain, pair.drift)
-
-
-def dump_matrix(mat: sp.spmatrix, path) -> None:
-    """Coordinate-format text dump (row, col, value) for external checks."""
-    coo = mat.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"% {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {float(v)!r}\n")

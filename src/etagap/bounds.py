@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import OperatorPair, interpolate_at_quadrature, measure_weights
+from .assembly import OperatorPair, interpolate_at_quadrature, quad_data
 from .errors import (
     HypothesisViolated,
     InsufficientSpectrum,
@@ -38,7 +38,8 @@ from .errors import (
     UnitGradientViolation,
 )
 from .fields import OperatorConstants, OperatorTestFunction, ScalarField, apply_operator_L
-from .spectral import MULTIPLET_REL_TOL, SpectrumResult
+from .geometry import gradient_norm
+from .spectral import SpectrumResult, multiplet_labels
 
 PASS_REL_TOL = 1e-12
 SCHEMA_VERSION = 1
@@ -411,14 +412,6 @@ class GapReport:
             fh.write("\n")
 
 
-def _multiplet_labels(lam: np.ndarray, rel_tol: float) -> np.ndarray:
-    labels = np.zeros(lam.size, dtype=int)
-    for j in range(1, lam.size):
-        scale = max(abs(lam[j]), abs(lam[j - 1]), 1e-300)
-        labels[j] = labels[j - 1] + (0 if abs(lam[j] - lam[j - 1]) <= rel_tol * scale else 1)
-    return labels
-
-
 def gap_check(
     spectrum,
     constant: float,
@@ -426,10 +419,8 @@ def gap_check(
     k_range: tuple | None = None,
     tag: str = "gap",
     h: float | None = None,
-    residuals=None,
     constants_used: dict | None = None,
     corollaries: dict | None = None,
-    multiplet_rel_tol: float = MULTIPLET_REL_TOL,
 ) -> GapReport:
     """Check lambda_{k+1} - lambda_k <= C k^exponent for k in k_range.
 
@@ -439,8 +430,7 @@ def gap_check(
     The k = 1 row is informational only.
     """
     lam = _eigs(spectrum)
-    if residuals is None and isinstance(spectrum, SpectrumResult):
-        residuals = spectrum.residuals
+    residuals = spectrum.residuals if isinstance(spectrum, SpectrumResult) else None
     if constant <= 0.0:
         raise ValueError("bound constant must be positive")
     kmax_avail = lam.size - 1
@@ -452,7 +442,7 @@ def gap_check(
     if klo < 2:
         raise ValueError("gap verification starts at k = 2; k = 1 is reported as info")
 
-    labels = _multiplet_labels(lam, multiplet_rel_tol)
+    labels = multiplet_labels(lam)
     rows = []
     for k in range(1, khi + 1):
         gap = 0.0 if labels[k] == labels[k - 1] else float(lam[k] - lam[k - 1])
@@ -504,7 +494,7 @@ class Cor32Row:
 
 
 def _quad_context(pair: OperatorPair):
-    pts, dm, grad_factor = measure_weights(pair)
+    pts, dm, grad_factor = quad_data(pair.domain, pair.drift)
     flat = pts.reshape(-1, pair.domain.dim)
     theta = pair.field.matrix(flat).reshape(pts.shape[0], pts.shape[1], pair.domain.dim, pair.domain.dim)
     return pts, flat, dm, grad_factor, theta
@@ -516,8 +506,6 @@ def cor32_check(
     test_fn: OperatorTestFunction,
     consts: OperatorConstants,
     j: int = 1,
-    k_values=None,
-    multiplet_rel_tol: float = MULTIPLET_REL_TOL,
 ) -> list:
     """Gap-squared and gap bounds from a unit-gradient test function.
 
@@ -536,9 +524,7 @@ def cor32_check(
     n = pair.domain.dim
 
     gf = test_fn.f.grad(flat)
-    norms = np.linalg.norm(gf, axis=1)
-    if pair.domain.metric.is_hyperbolic:
-        norms = norms * flat[:, -1]
+    norms = gradient_norm(pair.domain.metric, flat, gf)
     defect = float(np.max(np.abs(norms - 1.0)))
     if defect > 1e-10:
         raise UnitGradientViolation(f"|grad f|_g deviates from 1 by {defect:.3e}")
@@ -559,13 +545,9 @@ def cor32_check(
     lam_j = float(lam[j - 1])
     implication_base = i1 <= dlt * lam_j * (1.0 + 1e-10)
 
-    labels = _multiplet_labels(lam, multiplet_rel_tol)
-    if k_values is None:
-        k_values = range(1, lam.size - 1)
+    labels = multiplet_labels(lam)
     rows = []
-    for k in k_values:
-        if k + 2 > lam.size:
-            raise InsufficientSpectrum(f"need lambda_{k + 2}, have {lam.size}")
+    for k in range(1, lam.size - 1):
         l_k1, l_k2 = float(lam[k]), float(lam[k + 1])
         if labels[k] == labels[k + 1]:
             rows.append(
@@ -617,7 +599,6 @@ def lemma32_check(
     g: ScalarField,
     j: int,
     k: int,
-    multiplet_rel_tol: float = MULTIPLET_REL_TOL,
 ) -> Lemma32Result:
     """Real-test-function inequality over a full discrete spectrum.
 
@@ -630,7 +611,7 @@ def lemma32_check(
         raise InsufficientSpectrum("needs the full discrete spectrum of the pair")
     if k + 2 > lam.size:
         raise InsufficientSpectrum(f"need lambda_{k + 2}, have {lam.size}")
-    labels = _multiplet_labels(lam, multiplet_rel_tol)
+    labels = multiplet_labels(lam)
     lam_j, l_k1, l_k2 = float(lam[j - 1]), float(lam[k]), float(lam[k + 1])
     if not lam_j < l_k1 or labels[j - 1] == labels[k]:
         raise HypothesisViolated(f"need lambda_j < lambda_k+1 strictly (j={j}, k={k})")

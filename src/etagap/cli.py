@@ -4,33 +4,17 @@ Subcommands: ``spectrum`` (solve + validate, write the spectrum CSV),
 ``verify`` (full pipeline with selected checks), ``lemma31`` (seeded
 property run of the sequence inequality) and ``report`` (render a summary
 JSON).  Exit codes are the machine contract: 0 pass, 1 fail, 2
-inconclusive-only, 3 usage or config error.  ETAGAP_THREADS caps worker
-threads for the numerical kernels.
+inconclusive-only, 3 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("ETAGAP_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(int(cap))
-    except Exception:
-        pass
 
 
 def _log(msg: str) -> None:
@@ -61,23 +45,30 @@ def _overrides_from(args) -> dict:
     return ov
 
 
-def cmd_spectrum(args) -> int:
+def _run(args, adjust):
+    """Load, override, adjust and run the scenario; an int is a failure's exit code."""
     from .errors import ConfigError, DimensionMismatch, EtagapError
     from .scenario import apply_overrides, load_config, run_scenario
 
     try:
-        cfg = load_config(args.config)
-        cfg = apply_overrides(cfg, _overrides_from(args))
-        cfg.verify = []
-        cfg.theorems = []
-        cfg.oracle = None
-        report = run_scenario(cfg, output_dir=args.out)
+        cfg = apply_overrides(load_config(args.config), _overrides_from(args))
+        adjust(cfg)
+        return run_scenario(cfg, output_dir=args.out)
     except (ConfigError, DimensionMismatch, FileNotFoundError, json.JSONDecodeError) as exc:
         _log(f"config error: {exc}")
         return 3
     except EtagapError as exc:
         _log(f"run failed: {type(exc).__name__}: {exc}")
         return 1
+
+
+def cmd_spectrum(args) -> int:
+    def spectrum_only(cfg):
+        cfg.verify, cfg.theorems, cfg.oracle = [], [], None
+
+    report = _run(args, spectrum_only)
+    if isinstance(report, int):
+        return report
     for name, (ok, margin) in report.validation.checks.items():
         _log(f"{'PASS' if ok else 'FAIL'} {name} (margin {margin:.3e})")
     _log(f"wrote: {', '.join(report.written)}")
@@ -85,25 +76,20 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .errors import ConfigError, DimensionMismatch, EtagapError
-    from .scenario import CHECK_NAMES, apply_overrides, load_config, run_scenario
+    from .errors import ConfigError
+    from .scenario import CHECK_NAMES
 
-    try:
-        cfg = load_config(args.config)
-        cfg = apply_overrides(cfg, _overrides_from(args))
+    def select_checks(cfg):
         if args.checks:
             wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
             for c in wanted:
                 if c not in CHECK_NAMES:
                     raise ConfigError(f"unknown check {c!r}")
             cfg.verify = wanted
-        report = run_scenario(cfg, output_dir=args.out)
-    except (ConfigError, DimensionMismatch, FileNotFoundError, json.JSONDecodeError) as exc:
-        _log(f"config error: {exc}")
-        return 3
-    except EtagapError as exc:
-        _log(f"run failed: {type(exc).__name__}: {exc}")
-        return 1
+
+    report = _run(args, select_checks)
+    if isinstance(report, int):
+        return report
     counts = report.counts()
     _log(
         f"{report.name}: pass={counts['pass']} fail={counts['fail']} "
@@ -184,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

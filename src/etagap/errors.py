@@ -65,10 +65,6 @@ class UnitGradientViolation(EtagapError):
     """A test function does not have unit metric gradient on the domain."""
 
 
-class DegenerateGap(EtagapError):
-    """Two consecutive eigenvalues coincide where strict inequality is required."""
-
-
 class HypothesisViolated(EtagapError):
     """A check's hypothesis fails for the given inputs; the row is skipped."""
 

@@ -17,6 +17,7 @@ matrix, which keeps the half-space formulas below frame-free.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,65 +160,42 @@ class LogAxisScalar(ScalarField):
         return h
 
 
-class FiniteDifferenceScalar(ScalarField):
-    """Central-difference derivatives for a bare value callable."""
+def real(value) -> float:
+    """A number, or a decimal string such as "1e-9" or "inf", as a float.
 
-    def __init__(self, dim: int, func, h_fd: float = 1e-5):
-        self.dim = dim
-        self.func = func
-        self.h = float(h_fd)
-
-    def value(self, pts):
-        return np.asarray(self.func(pts), dtype=float)
-
-    def grad(self, pts):
-        m, n = pts.shape
-        g = np.empty((m, n))
-        for d in range(n):
-            e = np.zeros(n)
-            e[d] = self.h
-            g[:, d] = (self.func(pts + e) - self.func(pts - e)) / (2.0 * self.h)
-        return g
-
-    def hess(self, pts):
-        m, n = pts.shape
-        out = np.empty((m, n, n))
-        f0 = np.asarray(self.func(pts), dtype=float)
-        for a in range(n):
-            ea = np.zeros(n)
-            ea[a] = self.h
-            out[:, a, a] = (self.func(pts + ea) - 2.0 * f0 + self.func(pts - ea)) / self.h**2
-            for b in range(a + 1, n):
-                eb = np.zeros(n)
-                eb[b] = self.h
-                mixed = (
-                    self.func(pts + ea + eb)
-                    - self.func(pts + ea - eb)
-                    - self.func(pts - ea + eb)
-                    + self.func(pts - ea - eb)
-                ) / (4.0 * self.h**2)
-                out[:, a, b] = mixed
-                out[:, b, a] = mixed
-        return out
+    Bools are rejected although float(True) is 1.0.
+    """
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"bad decimal string {value!r}") from None
 
 
-# drift field: a scalar field used as the weight exponent
-DriftField = ScalarField
+def reals(values) -> list:
+    return [real(v) for v in values]
 
 
 def drift_preset(kind: str, dim: int, **params) -> ScalarField:
-    """Named drift families: constant, affine, quadratic, gaussian."""
+    """Named drift families: zero/constant, affine, quadratic, gaussian.
+
+    Numeric parameters are numbers or decimal strings; a malformed or
+    missing parameter raises ValueError, TypeError or KeyError.
+    """
     if kind == "constant" or kind == "zero":
-        return ConstantScalar(dim, params.get("c", 0.0))
+        return ConstantScalar(dim, real(params.get("c", 0.0)))
     if kind == "affine":
-        return AffineScalar(params["coeffs"], params.get("c0", 0.0))
+        return AffineScalar(reals(params["coeffs"]), real(params.get("c0", 0.0)))
     if kind == "quadratic":
-        quad = params.get("quad")
-        if quad is None:
-            quad = np.eye(dim) * params.get("scale", 1.0)
-        return QuadraticScalar(quad, params.get("coeffs"), params.get("c0", 0.0))
+        quad, coeffs = params.get("quad"), params.get("coeffs")
+        scale = real(params.get("scale", 1.0))
+        quad = np.eye(dim) * scale if quad is None else [reals(row) for row in quad]
+        coeffs = None if coeffs is None else reals(coeffs)
+        return QuadraticScalar(quad, coeffs, real(params.get("c0", 0.0)))
     if kind == "gaussian":
-        return GaussianScalar(dim, params["amplitude"], params["center"], params["width"])
+        center = reals(params["center"])
+        return GaussianScalar(dim, real(params["amplitude"]), center, real(params["width"]))
     raise ValueError(f"unknown drift preset {kind!r}")
 
 
@@ -226,40 +204,38 @@ def drift_preset(kind: str, dim: int, **params) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
+# profile phi -> (phi, phi', phi'') of one coordinate
+_PROFILES = {
+    "const": lambda x: (np.zeros_like(x),) * 3,
+    "linear": lambda x: (x, np.ones_like(x), np.zeros_like(x)),
+    "sin": lambda x: (np.sin(x), np.cos(x), -np.sin(x)),
+    "cos": lambda x: (np.cos(x), -np.sin(x), -np.cos(x)),
+    "sin2": lambda x: (np.sin(x) ** 2, np.sin(2.0 * x), 2.0 * np.cos(2.0 * x)),
+}
+
+
 class _Coef:
     """Univariate diagonal-entry profile c0 + c1 * phi(x_axis)."""
 
     def __init__(self, kind: str, c0: float, c1: float = 0.0, axis: int = 0):
+        if kind not in _PROFILES:
+            raise ValueError(f"unknown coefficient profile {kind!r}")
         self.kind = kind
         self.c0 = float(c0)
         self.c1 = float(c1)
         self.axis = int(axis)
 
-    def _phi(self, x, order: int):
-        k = self.kind
-        if k == "const":
-            return np.zeros_like(x)
-        if k == "linear":
-            return (x, np.ones_like(x), np.zeros_like(x))[order]
-        if k == "sin":
-            return (np.sin(x), np.cos(x), -np.sin(x))[order]
-        if k == "cos":
-            return (np.cos(x), -np.sin(x), -np.cos(x))[order]
-        if k == "sin2":
-            return (np.sin(x) ** 2, np.sin(2.0 * x), 2.0 * np.cos(2.0 * x))[order]
-        raise ValueError(f"unknown coefficient profile {k!r}")
+    def _phi(self, pts, order: int):
+        return _PROFILES[self.kind](pts[:, self.axis])[order]
 
     def value(self, pts):
-        x = pts[:, self.axis]
-        return self.c0 + self.c1 * self._phi(x, 0)
+        return self.c0 + self.c1 * self._phi(pts, 0)
 
     def d1(self, pts):
-        x = pts[:, self.axis]
-        return self.c1 * self._phi(x, 1)
+        return self.c1 * self._phi(pts, 1)
 
     def d2(self, pts):
-        x = pts[:, self.axis]
-        return self.c1 * self._phi(x, 2)
+        return self.c1 * self._phi(pts, 2)
 
 
 class TensorField:
@@ -271,7 +247,6 @@ class TensorField:
     """
 
     dim: int
-    analytic: bool = True
 
     def matrix(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -333,69 +308,28 @@ class DiagonalTensor(TensorField):
         return out
 
 
-class FiniteDifferenceTensor(TensorField):
-    """Central-difference derivatives for a bare matrix callable."""
-
-    analytic = False
-
-    def __init__(self, dim: int, func, h_fd: float = 1e-5):
-        self.dim = dim
-        self.func = func
-        self.h = float(h_fd)
-
-    def matrix(self, pts):
-        return np.asarray(self.func(pts), dtype=float)
-
-    def d_matrix(self, pts):
-        m, n = pts.shape
-        out = np.empty((m, n, n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = self.h
-            out[:, k] = (self.matrix(pts + e) - self.matrix(pts - e)) / (2.0 * self.h)
-        return out
-
-    def d2_matrix(self, pts):
-        m, n = pts.shape
-        out = np.empty((m, n, n, n, n))
-        t0 = self.matrix(pts)
-        for a in range(n):
-            ea = np.zeros(n)
-            ea[a] = self.h
-            out[:, a, a] = (self.matrix(pts + ea) - 2.0 * t0 + self.matrix(pts - ea)) / self.h**2
-            for b in range(a + 1, n):
-                eb = np.zeros(n)
-                eb[b] = self.h
-                mixed = (
-                    self.matrix(pts + ea + eb)
-                    - self.matrix(pts + ea - eb)
-                    - self.matrix(pts - ea + eb)
-                    + self.matrix(pts - ea - eb)
-                ) / (4.0 * self.h**2)
-                out[:, a, b] = mixed
-                out[:, b, a] = mixed
-        return out
-
-
 def tensor_preset(kind: str, dim: int, **params) -> TensorField:
-    """Named tensor families used by scenario configs."""
+    """Named tensor families used by scenario configs.
+
+    Numeric parameters are numbers or decimal strings; a malformed or
+    missing parameter raises ValueError, TypeError or KeyError.
+    """
     if kind == "identity":
-        return identity_tensor(dim, params.get("scale", 1.0))
+        return identity_tensor(dim, real(params.get("scale", 1.0)))
     if kind == "constant":
-        return ConstantTensor(params["matrix"])
+        return ConstantTensor([reals(row) for row in params["matrix"]])
     if kind == "constant_diag":
-        return ConstantTensor(np.diag(np.asarray(params["entries"], dtype=float)))
+        return ConstantTensor(np.diag(np.asarray(reals(params["entries"]), dtype=float)))
     if kind == "diag_profile":
-        coefs = []
-        for spec in params["entries"]:
-            coefs.append(
-                _Coef(
-                    spec.get("profile", "const"),
-                    spec.get("c0", 0.0),
-                    spec.get("c1", 0.0),
-                    spec.get("axis", 0),
-                )
+        coefs = [
+            _Coef(
+                spec.get("profile", "const"),
+                real(spec.get("c0", 0.0)),
+                real(spec.get("c1", 0.0)),
+                spec.get("axis", 0),
             )
+            for spec in params["entries"]
+        ]
         if len(coefs) != dim:
             raise ValueError("diag_profile needs one entry per axis")
         return DiagonalTensor(coefs)
@@ -480,19 +414,14 @@ def compute_C0(
     drift: ScalarField,
     metric: MetricModel,
     domain: GridDomain,
-    h_fd: float | None = None,
 ) -> float:
     """sup { 1/2 div(T(T(grad eta) - tr(nabla T))) - 1/4 |T(grad eta)|^2 }.
 
     Euclidean presets use fully analytic derivatives; the half-space model
     takes the outer divergence by central differences of the analytically
-    evaluated inner field.
+    evaluated inner field, with step 1e-5 times the box diagonal.
     """
     pts = domain.quad_points_flat()
-    n = metric.dim
-    if h_fd is None:
-        diag = float(np.linalg.norm([hi - lo for lo, hi in domain.bounds]))
-        h_fd = 1e-5 * diag
 
     if not metric.is_hyperbolic:
         theta = field.matrix(pts)
@@ -522,6 +451,7 @@ def compute_C0(
         v = np.einsum("qij,qj->qi", th, g_orth) - trace_nabla_T(field, metric, p)
         return np.einsum("qij,qj->qi", th, v)
 
+    h_fd = 1e-5 * float(np.linalg.norm([hi - lo for lo, hi in domain.bounds]))
     h_fd = min(h_fd, 0.25 * float(np.min(pts[:, -1])))  # stay inside x_n > 0
     div_w = _metric_divergence(metric, pts, w_orth, h_fd)
     theta = field.matrix(pts)
@@ -659,16 +589,8 @@ def log_axis_test_function(
     return OperatorTestFunction(f, lf, grad_lf)
 
 
-def fd_consistency_defect(drift: ScalarField, pts: np.ndarray, h: float = 1e-4) -> float:
-    """Worst defect between analytic and central-difference drift derivatives."""
-    fd = FiniteDifferenceScalar(drift.dim, drift.value, h)
-    dg = np.max(np.abs(drift.grad(pts) - fd.grad(pts)))
-    dh = np.max(np.abs(drift.hess(pts) - fd.hess(pts)))
-    return float(max(dg, dh))
-
-
-def validate_radially_constant(values_func, domain: GridDomain, tol: float = 1e-12) -> None:
-    """Reject half-space fields that vary along x_n (beyond tol).
+def validate_radially_constant(values_func, domain: GridDomain) -> None:
+    """Reject half-space fields that vary along x_n (beyond 1e-12).
 
     values_func maps an (m, n) point array to an (m, ...) value array.
     """
@@ -679,7 +601,7 @@ def validate_radially_constant(values_func, domain: GridDomain, tol: float = 1e-
     base = pts.copy()
     base[:, -1] = lo + (hi - lo) * 0.81
     defect = np.max(np.abs(np.asarray(values_func(shifted)) - np.asarray(values_func(base))))
-    if defect > tol:
+    if defect > 1e-12:
         raise OutOfDomain(
             f"field varies along x_n by {defect:.3e}; radially-constant hypothesis violated"
         )

@@ -81,6 +81,17 @@ def volume_weight(metric: MetricModel, p):
     return float(w[0]) if single else w
 
 
+def inverse_metric_factor(metric: MetricModel, p):
+    """Conformal factor of the inverse metric, g^ij = factor * delta^ij.
+
+    Euclidean: 1.  Hyperbolic half-space: x_n^2.
+    """
+    pts, single = _as_points(p)
+    _check_domain(metric, pts)
+    f = pts[:, -1] ** 2 if metric.is_hyperbolic else np.ones(pts.shape[0])
+    return float(f[0]) if single else f
+
+
 def raise_gradient(metric: MetricModel, p, coordinate_gradient):
     """Convert a coordinate covector df into the metric gradient vector.
 
@@ -88,14 +99,8 @@ def raise_gradient(metric: MetricModel, p, coordinate_gradient):
     so the metric norm of the result is x_n * |df|.
     """
     pts, single = _as_points(p)
-    _check_domain(metric, pts)
-    cov = np.asarray(coordinate_gradient, dtype=float)
-    if cov.ndim == 1:
-        cov = cov[None, :]
-    if metric.is_hyperbolic:
-        vec = cov * (pts[:, -1] ** 2)[:, None]
-    else:
-        vec = cov.copy()
+    cov = np.atleast_2d(np.asarray(coordinate_gradient, dtype=float))
+    vec = cov * inverse_metric_factor(metric, pts)[:, None]
     return vec[0] if single else vec
 
 
@@ -112,19 +117,20 @@ def gradient_norm(metric: MetricModel, p, coordinate_gradient):
     return float(norms[0]) if single else norms
 
 
-def geodesic_distance(metric: MetricModel, x, y) -> float:
-    """Geodesic distance between two points of the model."""
-    xs, _ = _as_points(x)
+def geodesic_distance(metric: MetricModel, x, y):
+    """Geodesic distance from x (a point or an (m, n) batch) to the point y."""
+    xs, single = _as_points(x)
     ys, _ = _as_points(y)
     _check_domain(metric, xs)
     _check_domain(metric, ys)
-    xv, yv = xs[0], ys[0]
     if metric.is_hyperbolic:
-        diff2 = float(np.sum((xv - yv) ** 2))
-        arg = 1.0 + diff2 / (2.0 * xv[-1] * yv[-1])
+        diff2 = np.sum((xs - ys) ** 2, axis=1)
+        arg = 1.0 + diff2 / (2.0 * xs[:, -1] * ys[:, -1])
         # clamp against roundoff just below 1
-        return float(np.arccosh(max(arg, 1.0)))
-    return float(np.linalg.norm(xv - yv))
+        d = np.arccosh(np.maximum(arg, 1.0))
+    else:
+        d = np.linalg.norm(xs - ys, axis=1)
+    return float(d[0]) if single else d
 
 
 def radial_unit_vector(metric: MetricModel, origin, p):
@@ -177,6 +183,17 @@ class OriginPoint:
 
     def array(self) -> np.ndarray:
         return np.asarray(self.coords, dtype=float)
+
+
+def gauss_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product 2-point Gauss rule on the unit cube [0, 1]^dim.
+
+    Returns (nodes, weights) with nodes of shape (2^dim, dim) in
+    lexicographic order and weights of shape (2^dim,) summing to 1.
+    """
+    g = 0.5 / np.sqrt(3.0)
+    nodes = np.array(list(itertools.product([0.5 - g, 0.5 + g], repeat=dim)))
+    return nodes, np.full(nodes.shape[0], 0.5**dim)
 
 
 class GridDomain:
@@ -273,11 +290,7 @@ class GridDomain:
         coordinate-measure integration.
         """
         if self._quad_cache is None:
-            n = self.dim
-            g = 0.5 / np.sqrt(3.0)
-            xi1 = np.array([0.5 - g, 0.5 + g])
-            nodes = np.array(list(itertools.product(xi1, repeat=n)))
-            w = np.full(nodes.shape[0], 0.5**n)
+            nodes, w = gauss_rule(self.dim)
             lo = np.array([b[0] for b in self.bounds])
             h = np.array(self.h)
             base = lo[None, :] + self.masked_cells * h[None, :]
@@ -305,8 +318,6 @@ def make_box_domain(bounds, resolution, metric: MetricModel, mask_rule=None) -> 
     """Build a masked box domain, evaluating the mask at cell centers."""
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     resolution = tuple(int(r) for r in resolution)
-    if metric.is_hyperbolic and bounds[-1][0] <= 0.0:
-        raise InvalidHalfPlane("hyperbolic box must satisfy x_n lower bound > 0")
     axes = [
         lo + (np.arange(r) + 0.5) * (hi - lo) / r for (lo, hi), r in zip(bounds, resolution)
     ]
@@ -336,13 +347,5 @@ def domain_origin_distance(domain: GridDomain, origin: OriginPoint) -> float:
     true distance.
     """
     validate_origin(domain, origin)
-    o = origin.array()
     nodes = np.unique(domain.cell_corner_nodes().ravel())
-    coords = domain.node_coords(nodes)
-    if domain.metric.is_hyperbolic:
-        diff2 = np.sum((coords - o[None, :]) ** 2, axis=1)
-        arg = 1.0 + diff2 / (2.0 * coords[:, -1] * o[-1])
-        d = np.arccosh(np.maximum(arg, 1.0))
-    else:
-        d = np.linalg.norm(coords - o[None, :], axis=1)
-    return float(np.min(d))
+    return float(np.min(geodesic_distance(domain.metric, domain.node_coords(nodes), origin.array())))

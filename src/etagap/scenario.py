@@ -9,9 +9,11 @@ one per bound family, so the acceptance story is "run all builtins".
 
 from __future__ import annotations
 
+import copy
 import json
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -29,24 +31,18 @@ THEOREM_TAGS = ("thm11", "thm12", "thm13")
 CHECK_NAMES = ("gap", "yang", "cor32", "lemma32", "parseval")
 
 
-def _num(value) -> float:
-    """Decimal-string (or numeric) scalar from a config field."""
-    if isinstance(value, bool):
-        raise ConfigError(f"expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            if value == "inf":
-                return float("inf")
-            return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"bad decimal string {value!r}") from exc
-    raise ConfigError(f"expected a number, got {value!r}")
+_num, _nums = fields.real, fields.reals
 
 
-def _nums(seq) -> list:
-    return [_num(v) for v in seq]
+@contextmanager
+def _config_errors():
+    """Report a malformed config value as ConfigError, the CLI's exit code 3."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"missing config key: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass
@@ -82,76 +78,59 @@ class ScenarioConfig:
     oracle: dict | None
     oracle_rtol: float | None
     output_dir: str | None
+    raw: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
-        try:
-            name = raw["name"]
-            metric_tag = raw["metric"]
-            domain = raw["domain"]
+        """Parse and validate a raw config dict (kept as ``raw``)."""
+        with _config_errors():
+            domain, solver = raw["domain"], raw.get("solver", {})
+            bounds_raw, consts = raw.get("bounds", {}), raw.get("constants", {})
             box = [(_num(lo), _num(hi)) for lo, hi in domain["bounds"]]
-            resolution = [int(r) for r in domain["resolution"]]
-            mask = domain.get("mask", {"kind": "all"})
-            tensor = raw["tensor"]
-            drift = raw.get("drift", {"kind": "zero"})
-            solver_raw = raw.get("solver", {})
-            bounds_raw = raw.get("bounds", {})
-            consts_raw = raw.get("constants", {})
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from exc
-        if metric_tag not in ("euclidean", "hyperbolic"):
-            raise ConfigError(f"metric must be euclidean|hyperbolic, got {metric_tag!r}")
-        dim = len(box)
-        if len(resolution) != dim:
-            raise ConfigError("resolution length must match bounds")
-        k_raw = solver_raw.get("k", 8)
-        solver = SolverSettings(
-            k="full" if k_raw == "full" else int(k_raw),
-            solve_tol=_num(solver_raw.get("solve_tol", "1e-9")),
-            ortho_tol=_num(solver_raw.get("ortho_tol", "1e-8")),
-            method=solver_raw.get("method", "auto"),
-            seed=int(solver_raw.get("seed", 0)),
-        )
-        theorems = list(bounds_raw.get("theorems", []))
-        for tag in theorems:
-            if tag not in THEOREM_TAGS:
-                raise ConfigError(f"unknown bound family {tag!r}")
-        k_range = bounds_raw.get("k_range")
-        if k_range is not None:
-            k_range = [int(k_range[0]), int(k_range[1])]
-        c_scale = _num(bounds_raw.get("c_scale", "1"))
-        verify = list(raw.get("verify", []))
-        for chk in verify:
-            if chk not in CHECK_NAMES:
-                raise ConfigError(f"unknown verification {chk!r}")
-        oracle = raw.get("oracle")
-        oracle_rtol = _num(oracle["rtol"]) if oracle and "rtol" in oracle else None
-        cfg = ScenarioConfig(
-            name=name,
-            metric_tag=metric_tag,
-            dim=dim,
-            box=box,
-            resolution=resolution,
-            mask=mask,
-            tensor=tensor,
-            drift=drift,
-            solver=solver,
-            theorems=theorems,
-            k_range=k_range,
-            c_scale=c_scale,
-            h0=_num(consts_raw["H0"]) if "H0" in consts_raw else None,
-            kappa1=_num(consts_raw["kappa1"]) if "kappa1" in consts_raw else None,
-            kappa2=_num(consts_raw["kappa2"]) if "kappa2" in consts_raw else None,
-            origin=_nums(consts_raw["origin"]) if "origin" in consts_raw else None,
-            verify=verify,
-            oracle=oracle,
-            oracle_rtol=oracle_rtol,
-            output_dir=raw.get("output_dir"),
-        )
+            k, k_range, oracle = solver.get("k", 8), bounds_raw.get("k_range"), raw.get("oracle")
+            cfg = ScenarioConfig(
+                name=raw["name"],
+                metric_tag=raw["metric"],
+                dim=len(box),
+                box=box,
+                resolution=[int(r) for r in domain["resolution"]],
+                mask=domain.get("mask", {"kind": "all"}),
+                tensor=raw["tensor"],
+                drift=raw.get("drift", {"kind": "zero"}),
+                solver=SolverSettings(
+                    k="full" if k == "full" else int(k),
+                    solve_tol=_num(solver.get("solve_tol", spectral.DEFAULT_SOLVE_TOL)),
+                    ortho_tol=_num(solver.get("ortho_tol", spectral.DEFAULT_ORTHO_TOL)),
+                    method=solver.get("method", "auto"),
+                    seed=int(solver.get("seed", 0)),
+                ),
+                theorems=list(bounds_raw.get("theorems", [])),
+                k_range=None if k_range is None else [int(k_range[0]), int(k_range[1])],
+                c_scale=_num(bounds_raw.get("c_scale", "1")),
+                h0=_num(consts["H0"]) if "H0" in consts else None,
+                kappa1=_num(consts["kappa1"]) if "kappa1" in consts else None,
+                kappa2=_num(consts["kappa2"]) if "kappa2" in consts else None,
+                origin=_nums(consts["origin"]) if "origin" in consts else None,
+                verify=list(raw.get("verify", [])),
+                oracle=oracle,
+                oracle_rtol=_num(oracle["rtol"]) if oracle and "rtol" in oracle else None,
+                output_dir=raw.get("output_dir"),
+                raw=raw,
+            )
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
+        if self.metric_tag not in ("euclidean", "hyperbolic"):
+            raise ConfigError(f"metric must be euclidean|hyperbolic, got {self.metric_tag!r}")
+        if len(self.resolution) != self.dim:
+            raise ConfigError("resolution length must match bounds")
+        for tag in self.theorems:
+            if tag not in THEOREM_TAGS:
+                raise ConfigError(f"unknown bound family {tag!r}")
+        for chk in self.verify:
+            if chk not in CHECK_NAMES:
+                raise ConfigError(f"unknown verification {chk!r}")
         euclid = self.metric_tag == "euclidean"
         if euclid:
             if self.h0 not in (None, 0.0):
@@ -180,50 +159,41 @@ class ScenarioConfig:
                     )
 
 
+# CLI override -> (section, key) of the raw config it replaces
+_OVERRIDES = {
+    "resolution": ("domain", "resolution"),
+    "k": ("solver", "k"),
+    "solve_tol": ("solver", "solve_tol"),
+    "ortho_tol": ("solver", "ortho_tol"),
+    "seed": ("solver", "seed"),
+    "method": ("solver", "method"),
+    "output_dir": (None, "output_dir"),
+}
+
+
 def apply_overrides(cfg: ScenarioConfig, overrides: dict | None) -> ScenarioConfig:
-    """Mutate a copy of the config with the CLI-allowed overrides."""
+    """A new config: the CLI-allowed overrides merged into the raw dict, parsed again."""
+    overrides = {key: val for key, val in (overrides or {}).items() if val is not None}
     if not overrides:
         return cfg
-    import copy
-
-    cfg = copy.deepcopy(cfg)
-    allowed = {"resolution", "k", "solve_tol", "ortho_tol", "seed", "method", "output_dir"}
+    raw = copy.deepcopy(cfg.raw)
     for key, val in overrides.items():
-        if val is None:
-            continue
-        if key not in allowed:
+        if key not in _OVERRIDES:
             raise ConfigError(f"override {key!r} not permitted")
         if key == "resolution":
-            res = [int(v) for v in (val if isinstance(val, (list, tuple)) else [val] * cfg.dim)]
-            if len(res) == 1 and cfg.dim > 1:
-                res = res * cfg.dim
-            if len(res) != cfg.dim:
+            val = list(val) if isinstance(val, (list, tuple)) else [val]
+            if len(val) == 1:
+                val = val * cfg.dim
+            if len(val) != cfg.dim:
                 raise ConfigError("resolution override length mismatch")
-            cfg.resolution = res
-        elif key == "k":
-            cfg.solver.k = "full" if val == "full" else int(val)
-        elif key == "solve_tol":
-            cfg.solver.solve_tol = _num(val)
-        elif key == "ortho_tol":
-            cfg.solver.ortho_tol = _num(val)
-        elif key == "seed":
-            cfg.solver.seed = int(val)
-        elif key == "method":
-            cfg.solver.method = str(val)
-        elif key == "output_dir":
-            cfg.output_dir = str(val)
-    return cfg
+        section, name = _OVERRIDES[key]
+        (raw.setdefault(section, {}) if section else raw)[name] = val
+    return ScenarioConfig.from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
 # construction from config
 # ---------------------------------------------------------------------------
-
-
-def _build_metric(cfg: ScenarioConfig) -> geometry.MetricModel:
-    if cfg.metric_tag == "euclidean":
-        return geometry.euclidean(cfg.dim)
-    return geometry.hyperbolic_half_plane(cfg.dim)
 
 
 def _mask_rule(mask: dict):
@@ -249,63 +219,10 @@ def _mask_rule(mask: dict):
     raise ConfigError(f"unknown mask kind {kind!r}")
 
 
-def _build_tensor(cfg: ScenarioConfig) -> fields.TensorField:
-    spec = dict(cfg.tensor)
-    kind = spec.pop("kind", None)
-    if kind is None:
-        raise ConfigError("tensor preset needs a 'kind'")
-    if kind == "identity":
-        scale = _num(spec.get("scale", "1"))
-        return fields.identity_tensor(cfg.dim, scale)
-    if kind == "constant_diag":
-        return fields.tensor_preset(kind, cfg.dim, entries=_nums(spec["entries"]))
-    if kind == "constant":
-        mat = [[_num(v) for v in row] for row in spec["matrix"]]
-        return fields.tensor_preset(kind, cfg.dim, matrix=mat)
-    if kind == "diag_profile":
-        entries = []
-        for ent in spec["entries"]:
-            entries.append(
-                {
-                    "profile": ent.get("profile", "const"),
-                    "c0": _num(ent.get("c0", "0")),
-                    "c1": _num(ent.get("c1", "0")),
-                    "axis": int(ent.get("axis", 0)),
-                }
-            )
-        return fields.tensor_preset(kind, cfg.dim, entries=entries)
-    raise ConfigError(f"unknown tensor preset {kind!r}")
-
-
-def _build_drift(cfg: ScenarioConfig) -> fields.ScalarField:
-    spec = dict(cfg.drift)
-    kind = spec.pop("kind", "zero")
-    if kind in ("zero", "constant"):
-        return fields.drift_preset("constant", cfg.dim, c=_num(spec.get("c", "0")))
-    if kind == "affine":
-        return fields.drift_preset(
-            "affine", cfg.dim, coeffs=_nums(spec["coeffs"]), c0=_num(spec.get("c0", "0"))
-        )
-    if kind == "quadratic":
-        quad = spec.get("quad")
-        quad = [[_num(v) for v in row] for row in quad] if quad is not None else None
-        return fields.drift_preset(
-            "quadratic",
-            cfg.dim,
-            quad=quad,
-            coeffs=_nums(spec["coeffs"]) if "coeffs" in spec else None,
-            c0=_num(spec.get("c0", "0")),
-            scale=_num(spec.get("scale", "1")),
-        )
-    if kind == "gaussian":
-        return fields.drift_preset(
-            "gaussian",
-            cfg.dim,
-            amplitude=_num(spec["amplitude"]),
-            center=_nums(spec["center"]),
-            width=_num(spec["width"]),
-        )
-    raise ConfigError(f"unknown drift preset {kind!r}")
+def _preset(build, spec: dict, dim: int, default_kind=None):
+    """A field from a config spec {"kind": ..., params}; fields parses the params."""
+    params = dict(spec)
+    return build(params.pop("kind", default_kind), dim, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +241,13 @@ class OracleSpectrum:
 
     @staticmethod
     def from_dict(raw: dict) -> "OracleSpectrum":
-        kind = raw["kind"]
-        if kind not in ("interval", "box", "anisotropic", "drifted_interval"):
-            raise ConfigError(f"unknown oracle kind {kind!r}")
-        lengths = tuple(_nums(raw.get("lengths", [])))
-        coeffs = tuple(_nums(raw.get("coeffs", [])))
-        slope = _num(raw.get("drift_slope", "0"))
+        with _config_errors():
+            kind = raw["kind"]
+            if kind not in ("interval", "box", "anisotropic", "drifted_interval"):
+                raise ConfigError(f"unknown oracle kind {kind!r}")
+            lengths = tuple(_nums(raw.get("lengths", [])))
+            coeffs = tuple(_nums(raw.get("coeffs", [])))
+            slope = _num(raw.get("drift_slope", "0"))
         return OracleSpectrum(kind, lengths, coeffs, slope)
 
 
@@ -438,14 +356,16 @@ class ScenarioReport:
 
 def build_problem(cfg: ScenarioConfig):
     """Metric, domain, tensor and drift objects for a validated config."""
-    metric = _build_metric(cfg)
-    domain = geometry.make_box_domain(cfg.box, cfg.resolution, metric, _mask_rule(cfg.mask))
-    tensor = _build_tensor(cfg)
-    drift = _build_drift(cfg)
+    hyperbolic = cfg.metric_tag == "hyperbolic"
+    with _config_errors():
+        metric = (geometry.hyperbolic_half_plane if hyperbolic else geometry.euclidean)(cfg.dim)
+        domain = geometry.make_box_domain(cfg.box, cfg.resolution, metric, _mask_rule(cfg.mask))
+        tensor = _preset(fields.tensor_preset, cfg.tensor, cfg.dim)
+        drift = _preset(fields.drift_preset, cfg.drift, cfg.dim, default_kind="zero")
     if metric.is_hyperbolic and ("thm12" in cfg.theorems or "thm13" in cfg.theorems):
         fields.validate_radially_constant(drift.value, domain)
         fields.validate_radially_constant(
-            lambda p: fields_matrix_flat(tensor, p), domain
+            lambda p: tensor.matrix(p).reshape(p.shape[0], -1), domain
         )
         # T must send the vertical direction to a multiple of itself
         pts = domain.quad_points_flat()[:16]
@@ -454,10 +374,6 @@ def build_problem(cfg: ScenarioConfig):
         if np.max(off) > 1e-12:
             raise ConfigError("hyperbolic bound families need T(d_n) parallel to d_n")
     return metric, domain, tensor, drift
-
-
-def fields_matrix_flat(tensor: fields.TensorField, pts: np.ndarray) -> np.ndarray:
-    return tensor.matrix(pts).reshape(pts.shape[0], -1)
 
 
 def collect_constants(cfg, metric, domain, tensor, drift) -> fields.OperatorConstants:
@@ -603,22 +519,8 @@ def run_scenario(
 
 
 def _consts_dict(consts: fields.OperatorConstants, lam1: float) -> dict:
-    return {
-        "n": consts.n,
-        "epsilon": consts.epsilon,
-        "delta": consts.delta,
-        "sigma": consts.sigma,
-        "t0": consts.t0,
-        "c0": consts.c0,
-        "h0": consts.h0,
-        "eta1": consts.eta1,
-        "eta_r": consts.eta_r,
-        "kappa1": consts.kappa1,
-        "kappa2": consts.kappa2,
-        "d": consts.d if consts.d != float("inf") else "inf",
-        "lambda1": lam1,
-        "provenance": consts.provenance,
-    }
+    d = consts.d if consts.d != float("inf") else "inf"
+    return {**asdict(consts), "sigma": consts.sigma, "d": d, "lambda1": lam1}
 
 
 # ---------------------------------------------------------------------------

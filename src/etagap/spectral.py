@@ -36,15 +36,21 @@ class SpectrumResult:
     def k(self) -> int:
         return int(self.eigenvalues.size)
 
-    def multiplicity_groups(self, rel_tol: float = MULTIPLET_REL_TOL) -> np.ndarray:
-        """Group label per eigenvalue; equal labels form one multiplet."""
-        lam = self.eigenvalues
-        labels = np.zeros(lam.size, dtype=int)
-        for j in range(1, lam.size):
-            scale = max(abs(lam[j]), abs(lam[j - 1]), 1e-300)
-            same = abs(lam[j] - lam[j - 1]) <= rel_tol * scale
-            labels[j] = labels[j - 1] if same else labels[j - 1] + 1
-        return labels
+    def multiplicity_groups(self) -> np.ndarray:
+        return multiplet_labels(self.eigenvalues)
+
+
+def multiplet_labels(lam: np.ndarray) -> np.ndarray:
+    """Group label per ascending eigenvalue; equal labels form one multiplet.
+
+    Neighbours within MULTIPLET_REL_TOL relative distance share a label.
+    """
+    labels = np.zeros(lam.size, dtype=int)
+    for j in range(1, lam.size):
+        scale = max(abs(lam[j]), abs(lam[j - 1]), 1e-300)
+        same = abs(lam[j] - lam[j - 1]) <= MULTIPLET_REL_TOL * scale
+        labels[j] = labels[j - 1] if same else labels[j - 1] + 1
+    return labels
 
 
 def _residuals(pair: OperatorPair, lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:

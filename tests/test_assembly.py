@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from etagap.assembly import (
-    apply_discrete,
-    assemble,
-    interpolate_at_quadrature,
-    measure_weights,
-    project_function,
-)
-from etagap.errors import DimensionMismatch, NonFiniteValue
+from etagap.assembly import assemble, interpolate_at_quadrature, project_function, quad_data
+from etagap.errors import NonFiniteValue
 from etagap.fields import AffineScalar, ConstantScalar, LogAxisScalar, identity_tensor, tensor_preset
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
 from etagap.spectral import solve_lowest
@@ -92,26 +86,9 @@ class TestDriftWeightedStiffness:
 
 
 class TestApplyDiscrete:
-    def test_zero_vector(self):
-        pair = interval_pair(8)
-        assert np.all(apply_discrete(pair, np.zeros(pair.ndof)) == 0.0)
-
     def test_single_dof_value(self):
         pair = interval_pair()
-        assert apply_discrete(pair, np.ones(1)) == pytest.approx([4.0 / np.pi])
-
-    def test_linearity(self):
-        rng = np.random.default_rng(0)
-        pair = interval_pair(16)
-        u, v = rng.standard_normal(pair.ndof), rng.standard_normal(pair.ndof)
-        lhs = apply_discrete(pair, u + v)
-        rhs = apply_discrete(pair, u) + apply_discrete(pair, v)
-        assert lhs == pytest.approx(rhs, abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        pair = interval_pair(8)
-        with pytest.raises(DimensionMismatch):
-            apply_discrete(pair, np.zeros(pair.ndof + 1))
+        assert pair.A @ np.ones(1) == pytest.approx([4.0 / np.pi])
 
 
 class TestProjectFunction:
@@ -154,7 +131,7 @@ class TestDiscreteBilinearForm:
         u, v = rng.standard_normal(pair.ndof), rng.standard_normal(pair.ndof)
         _, gu = interpolate_at_quadrature(pair, u)
         _, gv = interpolate_at_quadrature(pair, v)
-        pts, dm, factor = measure_weights(pair)
+        pts, dm, factor = quad_data(pair.domain, pair.drift)
         flat = pts.reshape(-1, 2)
         theta = field.matrix(flat).reshape(pts.shape[0], pts.shape[1], 2, 2)
         form = float(np.sum(factor * np.einsum("cqa,cqab,cqb->cq", gv, theta, gu) * dm))
@@ -167,22 +144,8 @@ class TestDiscreteBilinearForm:
         u, v = rng.standard_normal(pair.ndof), rng.standard_normal(pair.ndof)
         uu, _ = interpolate_at_quadrature(pair, u)
         vv, _ = interpolate_at_quadrature(pair, v)
-        _, dm, _ = measure_weights(pair)
+        _, dm, _ = quad_data(pair.domain, pair.drift)
         assert v @ (pair.B @ u) == pytest.approx(float(np.sum(vv * uu * dm)), rel=1e-12)
-
-
-class TestMatrixDump:
-    def test_coordinate_text_format(self, tmp_path):
-        from etagap.assembly import dump_matrix
-
-        pair = interval_pair(4)
-        path = tmp_path / "A.txt"
-        dump_matrix(pair.A, path)
-        lines = path.read_text().splitlines()
-        rows, cols, nnz = lines[0][2:].split()
-        assert (int(rows), int(cols), int(nnz)) == (3, 3, pair.A.nnz)
-        r, c, v = lines[1].split()
-        assert pair.A[int(r), int(c)] == float(v)
 
 
 class TestWeakFormConsistency:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from etagap.cli import main
 
 
@@ -119,6 +121,35 @@ class TestUsage:
     def test_unknown_flag_exit_3(self):
         assert main(["spectrum", "square_laplacian", "--frobnicate"]) == 3
 
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("ETAGAP_THREADS", "1")
-        assert main(["lemma31", "--trials", "50", "--seed", "2"]) == 0
+
+MALFORMED_CONFIGS = {
+    "constant_diag_without_entries": {"tensor": {"kind": "constant_diag"}},
+    "diag_profile_one_entry_in_2d": {
+        "tensor": {"kind": "diag_profile", "entries": [{"profile": "sin", "c0": "2", "c1": "0.5"}]}
+    },
+    "unknown_profile": {
+        "tensor": {
+            "kind": "diag_profile",
+            "entries": [{"profile": "tan", "c0": "2"}, {"profile": "const", "c0": "2"}],
+        }
+    },
+    "affine_without_coeffs": {"drift": {"kind": "affine"}},
+    "bool_scale": {"tensor": {"kind": "identity", "scale": True}},
+    "unknown_tensor_kind": {"tensor": {"kind": "wobbly"}},
+    "word_as_decimal": {"drift": {"kind": "constant", "c": "two"}},
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*MALFORMED_CONFIGS, "k_not_a_number", "resolution_one"],
+)
+def test_malformed_input_exit_3(tmp_path, capsys, case):
+    if case == "k_not_a_number":
+        argv = ["verify", "interval_laplacian", "--k", "abc"]
+    elif case == "resolution_one":
+        argv = ["verify", "square_laplacian", "--resolution", "1"]
+    else:
+        argv = ["verify", str(small_square_config(tmp_path, **MALFORMED_CONFIGS[case]))]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert "config error:" in capsys.readouterr().err

@@ -8,17 +8,16 @@ from etagap.fields import (
     AffineScalar,
     ConstantScalar,
     ConstantTensor,
-    FiniteDifferenceScalar,
-    FiniteDifferenceTensor,
     GaussianScalar,
     LogAxisScalar,
     QuadraticScalar,
+    ScalarField,
+    TensorField,
     apply_operator_L,
     compute_C0,
     compute_T0,
     compute_eta_radial_constants,
     coordinate_test_function,
-    fd_consistency_defect,
     identity_tensor,
     log_axis_test_function,
     tensor_bounds,
@@ -32,6 +31,103 @@ from etagap.geometry import (
     hyperbolic_half_plane,
     make_box_domain,
 )
+
+# ---------------------------------------------------------------------------
+# central-difference references for the analytic derivatives
+# ---------------------------------------------------------------------------
+
+
+class FiniteDifferenceScalar(ScalarField):
+    """Central-difference derivatives for a bare value callable."""
+
+    def __init__(self, dim: int, func, h_fd: float = 1e-5):
+        self.dim = dim
+        self.func = func
+        self.h = float(h_fd)
+
+    def value(self, pts):
+        return np.asarray(self.func(pts), dtype=float)
+
+    def grad(self, pts):
+        m, n = pts.shape
+        g = np.empty((m, n))
+        for d in range(n):
+            e = np.zeros(n)
+            e[d] = self.h
+            g[:, d] = (self.func(pts + e) - self.func(pts - e)) / (2.0 * self.h)
+        return g
+
+    def hess(self, pts):
+        m, n = pts.shape
+        out = np.empty((m, n, n))
+        f0 = np.asarray(self.func(pts), dtype=float)
+        for a in range(n):
+            ea = np.zeros(n)
+            ea[a] = self.h
+            out[:, a, a] = (self.func(pts + ea) - 2.0 * f0 + self.func(pts - ea)) / self.h**2
+            for b in range(a + 1, n):
+                eb = np.zeros(n)
+                eb[b] = self.h
+                mixed = (
+                    self.func(pts + ea + eb)
+                    - self.func(pts + ea - eb)
+                    - self.func(pts - ea + eb)
+                    + self.func(pts - ea - eb)
+                ) / (4.0 * self.h**2)
+                out[:, a, b] = mixed
+                out[:, b, a] = mixed
+        return out
+
+
+class FiniteDifferenceTensor(TensorField):
+    """Central-difference derivatives for a bare matrix callable."""
+
+    def __init__(self, dim: int, func, h_fd: float = 1e-5):
+        self.dim = dim
+        self.func = func
+        self.h = float(h_fd)
+
+    def matrix(self, pts):
+        return np.asarray(self.func(pts), dtype=float)
+
+    def d_matrix(self, pts):
+        m, n = pts.shape
+        out = np.empty((m, n, n, n))
+        for k in range(n):
+            e = np.zeros(n)
+            e[k] = self.h
+            out[:, k] = (self.matrix(pts + e) - self.matrix(pts - e)) / (2.0 * self.h)
+        return out
+
+    def d2_matrix(self, pts):
+        m, n = pts.shape
+        out = np.empty((m, n, n, n, n))
+        t0 = self.matrix(pts)
+        for a in range(n):
+            ea = np.zeros(n)
+            ea[a] = self.h
+            out[:, a, a] = (self.matrix(pts + ea) - 2.0 * t0 + self.matrix(pts - ea)) / self.h**2
+            for b in range(a + 1, n):
+                eb = np.zeros(n)
+                eb[b] = self.h
+                mixed = (
+                    self.matrix(pts + ea + eb)
+                    - self.matrix(pts + ea - eb)
+                    - self.matrix(pts - ea + eb)
+                    + self.matrix(pts - ea - eb)
+                ) / (4.0 * self.h**2)
+                out[:, a, b] = mixed
+                out[:, b, a] = mixed
+        return out
+
+
+def fd_consistency_defect(drift: ScalarField, pts: np.ndarray, h: float = 1e-4) -> float:
+    """Worst defect between analytic and central-difference drift derivatives."""
+    fd = FiniteDifferenceScalar(drift.dim, drift.value, h)
+    dg = np.max(np.abs(drift.grad(pts) - fd.grad(pts)))
+    dh = np.max(np.abs(drift.hess(pts) - fd.hess(pts)))
+    return float(max(dg, dh))
+
 
 EUC2 = euclidean(2)
 HYP2 = hyperbolic_half_plane(2)

@@ -174,27 +174,43 @@ def real(value) -> float:
 
 
 def reals(values) -> list:
+    if isinstance(values, str):  # a string would iterate as its characters
+        raise ValueError(f"expected a list of numbers, got {values!r}")
     return [real(v) for v in values]
+
+
+def _vector(values, dim: int, what: str) -> list:
+    """The decimal entries of a parameter that must have one per axis."""
+    vals = reals(values)
+    if len(vals) != dim:
+        raise ValueError(f"{what} needs {dim} entries, got {len(vals)}")
+    return vals
 
 
 def drift_preset(kind: str, dim: int, **params) -> ScalarField:
     """Named drift families: zero/constant, affine, quadratic, gaussian.
 
     Numeric parameters are numbers or decimal strings; a malformed or
-    missing parameter raises ValueError, TypeError or KeyError.
+    missing parameter, or a vector or matrix whose size is not ``dim``,
+    raises ValueError, TypeError or KeyError.
     """
     if kind == "constant" or kind == "zero":
         return ConstantScalar(dim, real(params.get("c", 0.0)))
     if kind == "affine":
-        return AffineScalar(reals(params["coeffs"]), real(params.get("c0", 0.0)))
+        return AffineScalar(_vector(params["coeffs"], dim, "affine coeffs"), real(params.get("c0", 0.0)))
     if kind == "quadratic":
         quad, coeffs = params.get("quad"), params.get("coeffs")
         scale = real(params.get("scale", 1.0))
-        quad = np.eye(dim) * scale if quad is None else [reals(row) for row in quad]
-        coeffs = None if coeffs is None else reals(coeffs)
+        if quad is None:
+            quad = np.eye(dim) * scale
+        elif len(quad) != dim:
+            raise ValueError(f"quadratic quad needs {dim} rows, got {len(quad)}")
+        else:
+            quad = [_vector(row, dim, "quadratic quad row") for row in quad]
+        coeffs = None if coeffs is None else _vector(coeffs, dim, "quadratic coeffs")
         return QuadraticScalar(quad, coeffs, real(params.get("c0", 0.0)))
     if kind == "gaussian":
-        center = reals(params["center"])
+        center = _vector(params["center"], dim, "gaussian center")
         return GaussianScalar(dim, real(params["amplitude"]), center, real(params["width"]))
     raise ValueError(f"unknown drift preset {kind!r}")
 

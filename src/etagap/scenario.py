@@ -75,7 +75,7 @@ class ScenarioConfig:
     kappa2: float | None
     origin: list | None
     verify: list
-    oracle: dict | None
+    oracle: OracleSpectrum | None
     oracle_rtol: float | None
     output_dir: str | None
     raw: dict = field(default_factory=dict, repr=False)
@@ -112,7 +112,7 @@ class ScenarioConfig:
                 kappa2=_num(consts["kappa2"]) if "kappa2" in consts else None,
                 origin=_nums(consts["origin"]) if "origin" in consts else None,
                 verify=list(raw.get("verify", [])),
-                oracle=oracle,
+                oracle=None if oracle is None else OracleSpectrum.from_dict(oracle),
                 oracle_rtol=_num(oracle["rtol"]) if oracle and "rtol" in oracle else None,
                 output_dir=raw.get("output_dir"),
                 raw=raw,
@@ -350,6 +350,7 @@ class ScenarioReport:
             "parseval_defect": self.parseval,
             "errors": self.errors,
             "gap_reports": {tag: rep.to_json_dict() for tag, rep in self.gap_reports.items()},
+            "solver": self.spectrum.meta,
             "elapsed_seconds": self.elapsed,
         }
 
@@ -492,8 +493,7 @@ def run_scenario(
         report.parseval = spectral.parseval_defect(spectrum, pair, f_vec)
 
     if cfg.oracle is not None:
-        oracle = OracleSpectrum.from_dict(cfg.oracle)
-        ref = oracle_eigenvalues(oracle, spectrum.k)
+        ref = oracle_eigenvalues(cfg.oracle, spectrum.k)
         report.oracle_error = float(
             np.max(np.abs(spectrum.eigenvalues - ref) / np.abs(ref))
         )

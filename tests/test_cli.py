@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from etagap import assembly
 from etagap.cli import main
 
 
@@ -64,6 +65,9 @@ class TestVerifyCommand:
         assert code == 0
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["counts"]["fail"] == 0
+        solver = summary["solver"]
+        assert solver["method"] == "shift_invert" and solver["ordering"] == "MMD_AT_PLUS_A"
+        assert solver["max_residual"] <= solver["solve_tol"]
 
     def test_negative_control_exit_one(self, tmp_path):
         cfg = small_square_config(
@@ -137,6 +141,14 @@ MALFORMED_CONFIGS = {
     "bool_scale": {"tensor": {"kind": "identity", "scale": True}},
     "unknown_tensor_kind": {"tensor": {"kind": "wobbly"}},
     "word_as_decimal": {"drift": {"kind": "constant", "c": "two"}},
+    "affine_coeffs_short": {"drift": {"kind": "affine", "coeffs": ["1"]}},
+    "gaussian_center_short": {
+        "drift": {"kind": "gaussian", "amplitude": "1", "center": ["1"], "width": "0.5"}
+    },
+    "quadratic_quad_one_row": {"drift": {"kind": "quadratic", "quad": [["1", "0"]]}},
+    "quadratic_quad_short_row": {"drift": {"kind": "quadratic", "quad": [["1", "0"], ["0"]]}},
+    "quadratic_coeffs_long": {"drift": {"kind": "quadratic", "coeffs": ["1", "0", "0"]}},
+    "affine_coeffs_as_string": {"drift": {"kind": "affine", "coeffs": "10"}},
 }
 
 
@@ -152,4 +164,14 @@ def test_malformed_input_exit_3(tmp_path, capsys, case):
     else:
         argv = ["verify", str(small_square_config(tmp_path, **MALFORMED_CONFIGS[case]))]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_malformed_oracle_exit_3_before_assembly(tmp_path, capsys, monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled although the oracle block is malformed")
+
+    monkeypatch.setattr(assembly, "assemble", no_assembly)
+    cfg = small_square_config(tmp_path, oracle={"kind": "box", "lengths": ["x", "y"]})
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "config error:" in capsys.readouterr().err

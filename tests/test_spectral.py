@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from etagap.assembly import assemble
 from etagap.errors import DimensionMismatch
-from etagap.fields import AffineScalar, ConstantScalar, identity_tensor
-from etagap.geometry import euclidean, make_box_domain
+from etagap.fields import AffineScalar, ConstantScalar, drift_preset, identity_tensor, tensor_preset
+from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
 from etagap.spectral import (
+    SpectrumResult,
+    _normalise,
+    _residuals,
     parseval_defect,
     solve_lowest,
     validate_spectrum,
@@ -98,6 +102,104 @@ class TestSolveLowest:
         b = solve_lowest(pair, 5, seed=42)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def halfspace_profile_pair(cells):
+    """diag_profile tensor and affine drift on a half-space box."""
+    tensor = tensor_preset(
+        "diag_profile",
+        2,
+        entries=[
+            {"profile": "sin", "c0": "3", "c1": "0.5", "axis": 0},
+            {"profile": "cos", "c0": "2", "c1": "0.7", "axis": 0},
+        ],
+    )
+    drift = drift_preset("affine", 2, coeffs=["0.8", "0"])
+    dom = make_box_domain([(0, 1), (1, 2)], [cells, cells], hyperbolic_half_plane(2))
+    return assemble(dom, tensor, drift)
+
+
+def ball_square_pair(cells):
+    """Euclidean square masked to the inscribed ball."""
+    dom = make_box_domain(
+        [(0, np.pi), (0, np.pi)],
+        [cells, cells],
+        EUC2,
+        mask_rule=lambda c: np.linalg.norm(c - np.pi / 2, axis=1) <= 1.4,
+    )
+    return assemble(dom, identity_tensor(2), ConstantScalar(2))
+
+
+def residuals_per_vector(pair, lam, vecs):
+    res = np.empty(lam.size)
+    for j in range(lam.size):
+        u = vecs[:, j]
+        r = pair.A @ u - lam[j] * (pair.B @ u)
+        res[j] = np.linalg.norm(r) / np.sqrt(abs(u @ (pair.B @ u)))
+    return res
+
+
+def normalise_per_vector(pair, vecs):
+    out = vecs.copy()
+    for j in range(vecs.shape[1]):
+        u = out[:, j] / np.sqrt(out[:, j] @ (pair.B @ out[:, j]))
+        out[:, j] = -u if u[np.argmax(np.abs(u))] < 0 else u
+    return out
+
+
+class TestShiftInvert:
+    @pytest.mark.parametrize("build", [halfspace_profile_pair, ball_square_pair])
+    def test_matches_dense(self, build):
+        pair = build(32)
+        dense = solve_lowest(pair, 8, method="dense")
+        sparse = solve_lowest(pair, 8, method="shift_invert")
+        rel = np.abs(sparse.eigenvalues - dense.eigenvalues) / dense.eigenvalues
+        assert np.max(rel) <= 1e-10
+
+    def test_batched_residuals_match_per_vector(self):
+        pair = halfspace_profile_pair(24)
+        res = solve_lowest(pair, 6, method="shift_invert")
+        rng = np.random.default_rng(3)
+        perturbed = res.eigenvectors + 1e-3 * rng.standard_normal(res.eigenvectors.shape)
+        for vecs in (res.eigenvectors, perturbed):
+            looped = residuals_per_vector(pair, res.eigenvalues, vecs)
+            assert np.allclose(_residuals(pair, res.eigenvalues, vecs), looped, rtol=1e-12, atol=0)
+
+    def test_batched_normalisation_matches_per_vector(self):
+        pair = ball_square_pair(24)
+        rng = np.random.default_rng(4)
+        vecs = rng.standard_normal((pair.ndof, 7)) * rng.choice([-3.0, 0.2], size=7)
+        expected = normalise_per_vector(pair, vecs)
+        assert np.allclose(_normalise(pair, vecs.copy()), expected, rtol=1e-13, atol=1e-15)
+
+    def test_batched_rayleigh_matches_per_vector(self):
+        pair = halfspace_profile_pair(24)
+        res = solve_lowest(pair, 6, method="shift_invert")
+        rng = np.random.default_rng(5)
+        vecs = res.eigenvectors + 1e-3 * rng.standard_normal(res.eigenvectors.shape)
+        lam = res.eigenvalues
+        looped = np.array([vecs[:, j] @ (pair.A @ vecs[:, j]) for j in range(lam.size)])
+        tampered = SpectrumResult(lam, vecs, res.residuals, dict(res.meta))
+        defect = validate_spectrum(tampered, pair).checks["rayleigh_identity"][1]
+        assert defect == pytest.approx(np.max(np.abs(looped - lam) / lam), rel=1e-10)
+
+    def test_meta_diagnostics(self):
+        pair = square_pair(64)
+        res = solve_lowest(pair, 6, method="shift_invert")
+        meta = res.meta
+        assert meta["method"] == "shift_invert"
+        assert meta["ordering"] == "MMD_AT_PLUS_A"
+        assert res.k < meta["ncv"] < pair.ndof
+        assert meta["op_applications"] >= meta["ncv"]
+        assert meta["max_residual"] == float(np.max(res.residuals))
+        colamd = spla.splu(pair.A.tocsc(), permc_spec="COLAMD")
+        assert 0 < meta["factor_nnz"] < colamd.L.nnz + colamd.U.nnz
+
+    def test_dense_meta_has_no_factor(self):
+        res = solve_lowest(square_pair(8), 4, method="dense")
+        assert res.meta["method"] == "dense"
+        assert "max_residual" in res.meta
+        assert not {"ordering", "factor_nnz", "ncv", "op_applications"} & set(res.meta)
 
 
 class TestValidateSpectrum:

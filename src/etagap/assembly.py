@@ -50,13 +50,21 @@ def _reference_elements(domain: GridDomain):
 
 @dataclass
 class OperatorPair:
-    """Assembled (A, B) with the DOF bookkeeping needed by later stages."""
+    """Assembled (A, B), the DOF bookkeeping, and the quadrature sample the
+    pair was built from (the quad_data triple, T there, and T's extreme
+    eigenvalues epsilon <= delta), which the constants and checks reuse."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     domain: GridDomain
     field: TensorField
     drift: ScalarField
+    pts: np.ndarray
+    dm: np.ndarray
+    grad_factor: np.ndarray
+    theta: np.ndarray
+    epsilon: float
+    delta: float
 
     @property
     def ndof(self) -> int:
@@ -80,39 +88,26 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
     n = domain.dim
     pts, dm, grad_factor = quad_data(domain, drift)
     ncell, nq, _ = pts.shape
-    flat = pts.reshape(-1, n)
-    tensor_eigen_range(field, flat)  # raises NotPositiveDefinite early
-    theta = field.matrix(flat).reshape(ncell, nq, n, n)
+    theta = field.matrix(pts.reshape(-1, n))
+    epsilon, delta = tensor_eigen_range(theta)  # raises NotPositiveDefinite early
+    theta = theta.reshape(ncell, nq, n, n)
 
     N, dN = _reference_elements(domain)
-    nloc = N.shape[1]
-    cA = dm * grad_factor
+    # every unordered local pair (i <= j) of every cell in one product with a
+    # constant table, scattered pair-major into the upper triangle:
+    # A_c[i, j] = sum_qab (dm grad_factor T)[c, q, a, b] dN[q, i, a] dN[q, j, b]
+    iu, ju = np.triu_indices(N.shape[1])
+    grad_pairs = np.einsum("qia,qjb->qabij", dN, dN)[..., iu, ju].reshape(nq * n * n, -1)
+    a_vals = ((dm * grad_factor)[:, :, None, None] * theta).reshape(ncell, -1) @ grad_pairs
+    b_vals = dm @ (N[:, iu] * N[:, ju])
 
-    corner_nodes = domain.cell_corner_nodes()
-    dof = domain.dof_index()[corner_nodes]
-
-    rows, cols, a_vals, b_vals = [], [], [], []
-    # theta applied to each local gradient once per (q, j); each unordered
-    # local pair is integrated once and scattered into the upper triangle
-    tg = np.einsum("cqab,qjb->cqja", theta, dN)
-    for i in range(nloc):
-        for j in range(i, nloc):
-            av = np.einsum("qa,cqa,cq->c", dN[:, i, :], tg[:, :, j, :], cA)
-            bv = ((N[:, i] * N[:, j])[None, :] * dm).sum(axis=1)
-            ri, rj = dof[:, i], dof[:, j]
-            keep = (ri >= 0) & (rj >= 0)
-            if not np.any(keep):
-                continue
-            lo = np.minimum(ri[keep], rj[keep])
-            hi = np.maximum(ri[keep], rj[keep])
-            rows.append(lo)
-            cols.append(hi)
-            a_vals.append(av[keep])
-            b_vals.append(bv[keep])
+    dof = domain.dof_index()[domain.cell_corner_nodes()]
+    ri, rj = dof[:, iu].T, dof[:, ju].T
+    keep = (ri >= 0) & (rj >= 0)
+    rows = np.minimum(ri, rj)[keep]
+    cols = np.maximum(ri, rj)[keep]
 
     nd = domain.n_interior
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
 
     def _mirror(vals):
         upper = sp.coo_matrix((vals, (rows, cols)), shape=(nd, nd)).tocsr()
@@ -120,9 +115,9 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
         full = upper + upper.T - sp.diags(upper.diagonal())
         return full.tocsr()
 
-    A = _mirror(np.concatenate(a_vals))
-    B = _mirror(np.concatenate(b_vals))
-    return OperatorPair(A, B, domain, field, drift)
+    A = _mirror(a_vals.T[keep])
+    B = _mirror(b_vals.T[keep])
+    return OperatorPair(A, B, domain, field, drift, pts, dm, grad_factor, theta, epsilon, delta)
 
 
 def project_function(domain: GridDomain, f) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import OperatorPair, interpolate_at_quadrature, quad_data
+from .assembly import OperatorPair, interpolate_at_quadrature
 from .errors import (
     HypothesisViolated,
     InsufficientSpectrum,
@@ -493,13 +493,6 @@ class Cor32Row:
     reason: str = ""
 
 
-def _quad_context(pair: OperatorPair):
-    pts, dm, grad_factor = quad_data(pair.domain, pair.drift)
-    flat = pts.reshape(-1, pair.domain.dim)
-    theta = pair.field.matrix(flat).reshape(pts.shape[0], pts.shape[1], pair.domain.dim, pair.domain.dim)
-    return pts, flat, dm, grad_factor, theta
-
-
 def cor32_check(
     spectrum: SpectrumResult,
     pair: OperatorPair,
@@ -520,8 +513,9 @@ def cor32_check(
     implication I1 <= delta * lambda_j that links the two.
     """
     lam = spectrum.eigenvalues
-    pts, flat, dm, grad_factor, theta = _quad_context(pair)
+    pts, dm, grad_factor, theta = pair.pts, pair.dm, pair.grad_factor, pair.theta
     n = pair.domain.dim
+    flat = pts.reshape(-1, n)
 
     gf = test_fn.f.grad(flat)
     norms = gradient_norm(pair.domain.metric, flat, gf)
@@ -618,8 +612,9 @@ def lemma32_check(
     if labels[k] == labels[k + 1]:
         raise HypothesisViolated("need lambda_{k+1} < lambda_{k+2} strictly")
 
-    pts, flat, dm, grad_factor, theta = _quad_context(pair)
+    pts, dm, grad_factor, theta = pair.pts, pair.dm, pair.grad_factor, pair.theta
     n = pair.domain.dim
+    flat = pts.reshape(-1, n)
     uj, guj = interpolate_at_quadrature(pair, spectrum.eigenvectors[:, j - 1])
     uk1, _ = interpolate_at_quadrature(pair, spectrum.eigenvectors[:, k])
     gv = g.value(flat).reshape(pts.shape[:2])

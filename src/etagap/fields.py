@@ -13,6 +13,9 @@ the extraction of every constant entering the bound formulas:
 Tensor entries are given in a metric-orthonormal frame; for the conformal
 half-space frame e_i = x_n d_i this coincides with the coordinate (1,1)
 matrix, which keeps the half-space formulas below frame-free.
+
+Every derivative is closed-form (preset partials, explicit half-space
+Christoffel symbols), so t0 and c0 are analytic in both metrics.
 """
 
 from __future__ import annotations
@@ -220,13 +223,13 @@ def drift_preset(kind: str, dim: int, **params) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-# profile phi -> (phi, phi', phi'') of one coordinate
+# profile phi -> (phi, phi', phi'') of one coordinate, one callable per order
 _PROFILES = {
-    "const": lambda x: (np.zeros_like(x),) * 3,
-    "linear": lambda x: (x, np.ones_like(x), np.zeros_like(x)),
-    "sin": lambda x: (np.sin(x), np.cos(x), -np.sin(x)),
-    "cos": lambda x: (np.cos(x), -np.sin(x), -np.cos(x)),
-    "sin2": lambda x: (np.sin(x) ** 2, np.sin(2.0 * x), 2.0 * np.cos(2.0 * x)),
+    "const": (np.zeros_like,) * 3,
+    "linear": (lambda x: x, np.ones_like, np.zeros_like),
+    "sin": (np.sin, np.cos, lambda x: -np.sin(x)),
+    "cos": (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x)),
+    "sin2": (lambda x: np.sin(x) ** 2, lambda x: np.sin(2.0 * x), lambda x: 2.0 * np.cos(2.0 * x)),
 }
 
 
@@ -242,7 +245,7 @@ class _Coef:
         self.axis = int(axis)
 
     def _phi(self, pts, order: int):
-        return _PROFILES[self.kind](pts[:, self.axis])[order]
+        return _PROFILES[self.kind][order](pts[:, self.axis])
 
     def value(self, pts):
         return self.c0 + self.c1 * self._phi(pts, 0)
@@ -282,7 +285,8 @@ class ConstantTensor(TensorField):
         self.dim = self.mat.shape[0]
 
     def matrix(self, pts):
-        return np.broadcast_to(self.mat, (pts.shape[0], self.dim, self.dim)).copy()
+        # a read-only view: one copy of T per quadrature point is never needed
+        return np.broadcast_to(self.mat, (pts.shape[0], self.dim, self.dim))
 
     def d_matrix(self, pts):
         return np.zeros((pts.shape[0], self.dim, self.dim, self.dim))
@@ -357,10 +361,9 @@ def tensor_preset(kind: str, dim: int, **params) -> TensorField:
 # ---------------------------------------------------------------------------
 
 
-def tensor_eigen_range(field: TensorField, pts: np.ndarray) -> tuple[float, float]:
-    mats = field.matrix(pts)
-    sym_defect = np.max(np.abs(mats - np.swapaxes(mats, 1, 2)))
-    if sym_defect != 0.0:
+def tensor_eigen_range(mats: np.ndarray) -> tuple[float, float]:
+    """(smallest, largest) eigenvalue over a stack of tensor matrices (m, n, n)."""
+    if np.any(mats != np.swapaxes(mats, 1, 2)):
         raise NotPositiveDefinite("tensor not symmetric at a sample point")
     eigs = np.linalg.eigvalsh(mats)
     lo = float(np.min(eigs[:, 0]))
@@ -372,7 +375,7 @@ def tensor_eigen_range(field: TensorField, pts: np.ndarray) -> tuple[float, floa
 
 def tensor_bounds(field: TensorField, domain: GridDomain) -> tuple[float, float]:
     """(epsilon, delta): extreme tensor eigenvalues over quadrature points."""
-    return tensor_eigen_range(field, domain.quad_points_flat())
+    return tensor_eigen_range(field.matrix(domain.quad_points_flat()))
 
 
 def _christoffel(pts: np.ndarray, n: int) -> np.ndarray:
@@ -386,7 +389,19 @@ def _christoffel(pts: np.ndarray, n: int) -> np.ndarray:
     return base[None, :, :, :] / pts[:, -1][:, None, None, None]
 
 
-def trace_nabla_T(field: TensorField, metric: MetricModel, pts) -> np.ndarray:
+def _christoffel_part(mats: np.ndarray) -> np.ndarray:
+    """x_n times the Christoffel part of tr(nabla T) for symmetric mats[..., i, j].
+
+    That part is sum_jm Gamma^a_jm T_mj - sum_m T_am sum_j Gamma^m_jj; with
+    the symbols of _christoffel, x_n times it is tr(T) e_n - n T e_n.
+    """
+    n = mats.shape[-1]
+    out = -n * mats[..., :, -1]
+    out[..., -1] += np.trace(mats, axis1=-2, axis2=-1)
+    return out
+
+
+def trace_nabla_T(field: TensorField, metric: MetricModel, pts, theta=None) -> np.ndarray:
     """tr(nabla T) = sum_j (nabla_{e_j} T)(e_j), orthonormal-frame components."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     try:
@@ -396,33 +411,17 @@ def trace_nabla_T(field: TensorField, metric: MetricModel, pts) -> np.ndarray:
     flat = np.einsum("qjij->qi", dT)
     if not metric.is_hyperbolic:
         return flat
-    theta = field.matrix(pts)
+    theta = field.matrix(pts) if theta is None else theta
     gamma = _christoffel(pts, metric.dim)
     corr1 = np.einsum("qajm,qmj->qa", gamma, theta)
     corr2 = np.einsum("qim,qm->qi", theta, np.einsum("qmjj->qm", gamma))
     return pts[:, -1][:, None] * (flat + corr1 - corr2)
 
 
-def compute_T0(field: TensorField, metric: MetricModel, domain: GridDomain) -> float:
-    """sup over quadrature points of |tr(nabla T)| in the metric norm."""
-    vec = trace_nabla_T(field, metric, domain.quad_points_flat())
+def compute_T0(field: TensorField, metric: MetricModel, domain: GridDomain, theta=None) -> float:
+    """sup over quadrature points of |tr(nabla T)| in the metric norm; theta as in compute_C0."""
+    vec = trace_nabla_T(field, metric, domain.quad_points_flat(), theta)
     return float(np.max(np.linalg.norm(vec, axis=1)))
-
-
-def _metric_divergence(metric, pts, vec_orth_func, h_fd):
-    """div of a vector field given by orthonormal components (half-space)."""
-    n = metric.dim
-    div = np.zeros(pts.shape[0])
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h_fd
-        vp = vec_orth_func(pts + e)
-        vm = vec_orth_func(pts - e)
-        # coordinate components are x_n * orthonormal components
-        div += ((pts[:, -1] + e[-1]) * vp[:, i] - (pts[:, -1] - e[-1]) * vm[:, i]) / (2.0 * h_fd)
-    v0 = vec_orth_func(pts)
-    div -= n * v0[:, -1]
-    return div
 
 
 def compute_C0(
@@ -430,48 +429,40 @@ def compute_C0(
     drift: ScalarField,
     metric: MetricModel,
     domain: GridDomain,
+    theta=None,
 ) -> float:
     """sup { 1/2 div(T(T(grad eta) - tr(nabla T))) - 1/4 |T(grad eta)|^2 }.
 
-    Euclidean presets use fully analytic derivatives; the half-space model
-    takes the outer divergence by central differences of the analytically
-    evaluated inner field, with step 1e-5 times the box diagonal.
+    Every derivative is analytic.  With d the coordinate partials, the
+    Euclidean inner field is V = T(d eta) - sum_j d_j T_.j.  In the
+    half-space the orthonormal components carry x_n: grad eta = x_n d eta
+    and tr(nabla T) = x_n sum_j d_j T_.j + tr(T) e_n - n T e_n, whose
+    Christoffel part has no x_n, so d_i V gains a term only for i = n.
+    There the divergence of W = T(V) is div W = x_n sum_i d_i W_i + (1 - n) W_n.
+    ``theta`` is T at domain.quad_points_flat(), when the caller has it.
     """
     pts = domain.quad_points_flat()
-
-    if not metric.is_hyperbolic:
-        theta = field.matrix(pts)
-        try:
-            dT = field.d_matrix(pts)
-            d2T = field.d2_matrix(pts)
-            ge = drift.grad(pts)
-            he = drift.hess(pts)
-        except NotImplementedError as exc:
-            raise DerivativeUnavailable("field derivatives unavailable") from exc
-        tge = np.einsum("qij,qj->qi", theta, ge)
-        trace = np.einsum("qjij->qi", dT)
-        v = tge - trace
-        # d_i V_j = sum_m (d_i T_jm dm eta + T_jm d2_im eta) - sum_m d2_im T_jm
-        dV = (
-            np.einsum("qijm,qm->qij", dT, ge)
-            + np.einsum("qjm,qim->qij", theta, he)
-            - np.einsum("qimjm->qij", d2T)
-        )
-        div_w = np.einsum("qiij,qj->q", dT, v) + np.einsum("qij,qij->q", theta, dV)
-        val = 0.5 * div_w - 0.25 * np.sum(tge * tge, axis=1)
-        return float(np.max(val))
-
-    def w_orth(p):
-        th = field.matrix(p)
-        g_orth = p[:, -1][:, None] * drift.grad(p)
-        v = np.einsum("qij,qj->qi", th, g_orth) - trace_nabla_T(field, metric, p)
-        return np.einsum("qij,qj->qi", th, v)
-
-    h_fd = 1e-5 * float(np.linalg.norm([hi - lo for lo, hi in domain.bounds]))
-    h_fd = min(h_fd, 0.25 * float(np.min(pts[:, -1])))  # stay inside x_n > 0
-    div_w = _metric_divergence(metric, pts, w_orth, h_fd)
-    theta = field.matrix(pts)
-    tge = np.einsum("qij,qj->qi", theta, pts[:, -1][:, None] * drift.grad(pts))
+    theta = field.matrix(pts) if theta is None else theta
+    try:
+        dT = field.d_matrix(pts)
+        # d_i V_j = sum_m (d_i T_jm dm eta + d2_im eta T_mj) - sum_m d2_im T_jm
+        dV = -np.einsum("qimjm->qij", field.d2_matrix(pts))
+        ge = drift.grad(pts)
+        dV += drift.hess(pts) @ theta
+    except NotImplementedError as exc:
+        raise DerivativeUnavailable("field derivatives unavailable") from exc
+    dV += np.einsum("qijm,qm->qij", dT, ge)
+    tge = np.einsum("qij,qj->qi", theta, ge)
+    v = tge - np.einsum("qjij->qi", dT)
+    if metric.is_hyperbolic:
+        xn = pts[:, -1]
+        dV = xn[:, None, None] * dV - _christoffel_part(dT)
+        dV[:, -1, :] += v
+        v = xn[:, None] * v - _christoffel_part(theta)
+        tge = xn[:, None] * tge
+    div_w = np.einsum("qiij,qj->q", dT, v) + np.einsum("qij,qij->q", theta, dV)
+    if metric.is_hyperbolic:
+        div_w = xn * div_w + (1 - metric.dim) * np.einsum("qj,qj->q", theta[:, -1, :], v)
     val = 0.5 * div_w - 0.25 * np.sum(tge * tge, axis=1)
     return float(np.max(val))
 

@@ -377,12 +377,15 @@ def build_problem(cfg: ScenarioConfig):
     return metric, domain, tensor, drift
 
 
-def collect_constants(cfg, metric, domain, tensor, drift) -> fields.OperatorConstants:
-    eps, dlt = fields.tensor_bounds(tensor, domain)
-    t0 = fields.compute_T0(tensor, metric, domain)
-    c0 = fields.compute_C0(tensor, drift, metric, domain)
+def collect_constants(cfg, pair: assembly.OperatorPair) -> fields.OperatorConstants:
+    """The bound constants, from the quadrature sample the pair was assembled on."""
+    domain, tensor, drift = pair.domain, pair.field, pair.drift
+    metric = domain.metric
+    theta = pair.theta.reshape(-1, metric.dim, metric.dim)
+    t0 = fields.compute_T0(tensor, metric, domain, theta)
+    c0 = fields.compute_C0(tensor, drift, metric, domain, theta)
     prov = {"epsilon": "computed", "delta": "computed", "t0": "computed", "c0": "computed"}
-    kwargs = {"n": metric.dim, "epsilon": eps, "delta": dlt, "t0": t0, "c0": c0}
+    kwargs = {"n": metric.dim, "epsilon": pair.epsilon, "delta": pair.delta, "t0": t0, "c0": c0}
     if metric.is_hyperbolic:
         kwargs["h0"] = cfg.h0 if cfg.h0 is not None else 0.0
         prov["h0"] = "config"
@@ -421,7 +424,7 @@ def run_scenario(
     report = ScenarioReport(cfg.name, cfg, spectrum, validation, None)
     consts = None
     if cfg.theorems or "yang" in cfg.verify or "cor32" in cfg.verify:
-        consts = collect_constants(cfg, metric, domain, tensor, drift)
+        consts = collect_constants(cfg, pair)
         report.constants = consts
 
     lam1 = float(spectrum.eigenvalues[0])

@@ -82,6 +82,9 @@ def solve_lowest(
     use_dense = method == "dense" or (method == "auto" and (ndof <= 128 or k >= ndof - 1))
     if method not in ("auto", "dense", "shift_invert"):
         raise ValueError(f"unknown method {method!r}")
+    if not use_dense and k >= ndof - 1:
+        # ARPACK needs k < ncv, and ncv is at most ndof - 1
+        raise DimensionMismatch(f"shift_invert needs k <= ndof - 2 = {ndof - 2}, got k={k}")
 
     if use_dense:
         if ndof > 2000:

@@ -154,13 +154,18 @@ MALFORMED_CONFIGS = {
 
 @pytest.mark.parametrize(
     "case",
-    [*MALFORMED_CONFIGS, "k_not_a_number", "resolution_one"],
+    [*MALFORMED_CONFIGS, "k_not_a_number", "resolution_one", "shift_invert_k_too_large"],
 )
 def test_malformed_input_exit_3(tmp_path, capsys, case):
     if case == "k_not_a_number":
         argv = ["verify", "interval_laplacian", "--k", "abc"]
     elif case == "resolution_one":
         argv = ["verify", "square_laplacian", "--resolution", "1"]
+    elif case == "shift_invert_k_too_large":
+        # 9 interior DOFs: ARPACK cannot take k = 8
+        domain = {"bounds": [["0", "3.141592653589793"]], "resolution": [10]}
+        solver = {"k": 8, "method": "shift_invert"}
+        argv = ["spectrum", str(small_square_config(tmp_path, domain=domain, solver=solver))]
     else:
         argv = ["verify", str(small_square_config(tmp_path, **MALFORMED_CONFIGS[case]))]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3

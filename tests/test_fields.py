@@ -129,6 +129,34 @@ def fd_consistency_defect(drift: ScalarField, pts: np.ndarray, h: float = 1e-4) 
     return float(max(dg, dh))
 
 
+def fd_hyperbolic_C0(field: TensorField, drift: ScalarField, metric, domain) -> float:
+    """Half-space c0 with the outer divergence taken by central differences.
+
+    The inner field W = T(T(grad eta) - tr(nabla T)) is evaluated
+    analytically in orthonormal components w; its coordinate components
+    are x_n w, so div W = sum_i d_i(x_n w_i) - n w_n.  The step is 1e-5
+    times the box diagonal, at most a quarter of the smallest x_n.
+    """
+    pts = domain.quad_points_flat()
+
+    def w_orth(p):
+        th = field.matrix(p)
+        v = np.einsum("qij,qj->qi", th, p[:, -1][:, None] * drift.grad(p)) - trace_nabla_T(field, metric, p)
+        return np.einsum("qij,qj->qi", th, v)
+
+    h = 1e-5 * float(np.linalg.norm([hi - lo for lo, hi in domain.bounds]))
+    h = min(h, 0.25 * float(np.min(pts[:, -1])))
+    n = metric.dim
+    div_w = -n * w_orth(pts)[:, -1]
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        wp, wm = w_orth(pts + e), w_orth(pts - e)
+        div_w += ((pts[:, -1] + e[-1]) * wp[:, i] - (pts[:, -1] - e[-1]) * wm[:, i]) / (2.0 * h)
+    tge = np.einsum("qij,qj->qi", field.matrix(pts), pts[:, -1][:, None] * drift.grad(pts))
+    return float(np.max(0.5 * div_w - 0.25 * np.sum(tge * tge, axis=1)))
+
+
 EUC2 = euclidean(2)
 HYP2 = hyperbolic_half_plane(2)
 
@@ -326,7 +354,30 @@ class TestComputeC0:
         pts = dom.quad_points_flat()
         oracle = float(np.max(pts[:, 1] ** 2 * (0.5 - 0.25 * pts[:, 0] ** 2)))
         val = compute_C0(identity_tensor(2), eta, HYP2, dom)
-        assert val == pytest.approx(oracle, rel=1e-6)
+        assert val == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "drift",
+        [
+            AffineScalar([0.8, 0.0]),
+            GaussianScalar(2, 0.7, [0.4, 1.6], 0.5),
+            QuadraticScalar([[1.0, 0.3], [0.3, 0.5]], [0.2, -0.4]),
+        ],
+        ids=["affine_x1", "gaussian", "quadratic"],
+    )
+    def test_hyperbolic_against_central_differences(self, drift):
+        dom = make_box_domain([(0, 1), (1, 2)], [16, 16], HYP2)
+        field = tensor_preset(
+            "diag_profile",
+            2,
+            entries=[
+                {"profile": "sin", "c0": 3.0, "c1": 0.6, "axis": 0},
+                {"profile": "sin", "c0": 2.5, "c1": 0.9, "axis": 0},
+            ],
+        )
+        val = compute_C0(field, drift, HYP2, dom)
+        ref = fd_hyperbolic_C0(field, drift, HYP2, dom)
+        assert abs(val - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
 class TestEtaRadialConstants:
@@ -469,6 +520,21 @@ class TestDerivativeConsistency:
 
     def test_fd_tensor_matches_analytic(self):
         field = diag_affine_tensor()
+        fd = FiniteDifferenceTensor(2, field.matrix, h_fd=1e-5)
+        pts = np.array([[0.4, 0.9], [2.0, 1.0]])
+        assert fd.d_matrix(pts) == pytest.approx(field.d_matrix(pts), abs=1e-9)
+        assert fd.d2_matrix(pts) == pytest.approx(field.d2_matrix(pts), abs=1e-5)
+
+    @pytest.mark.parametrize("profile", ["const", "linear", "sin", "cos", "sin2"])
+    def test_fd_profile_matches_analytic(self, profile):
+        field = tensor_preset(
+            "diag_profile",
+            2,
+            entries=[
+                {"profile": profile, "c0": 2.0, "c1": 0.7, "axis": 0},
+                {"profile": profile, "c0": 3.0, "c1": -0.4, "axis": 1},
+            ],
+        )
         fd = FiniteDifferenceTensor(2, field.matrix, h_fd=1e-5)
         pts = np.array([[0.4, 0.9], [2.0, 1.0]])
         assert fd.d_matrix(pts) == pytest.approx(field.d_matrix(pts), abs=1e-9)

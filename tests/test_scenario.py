@@ -192,6 +192,41 @@ class TestBuiltins:
                 if row.status == "checked":
                     assert row.ok_314 and row.ok_315 and row.implication_ok
 
+    def test_reported_constants_match_standalone_extraction(self):
+        # run_scenario takes the constants from the quadrature sample the
+        # pair was assembled on; a fresh evaluation must give the same floats
+        from etagap.fields import compute_C0, compute_T0, tensor_bounds
+        from etagap.scenario import build_problem
+
+        raw = {
+            "name": "hyp_ball",
+            "metric": "hyperbolic",
+            "domain": {
+                "bounds": [["0", "1"], ["1", "2"]],
+                "resolution": [24, 24],
+                "mask": {"kind": "ball", "center": ["0.5", "1.5"], "radius": "0.45"},
+            },
+            "tensor": {
+                "kind": "diag_profile",
+                "entries": [
+                    {"profile": "sin", "c0": "3", "c1": "0.7", "axis": 0},
+                    {"profile": "sin", "c0": "2.5", "c1": "0.4", "axis": 0},
+                ],
+            },
+            "drift": {"kind": "affine", "coeffs": ["0.9", "0"]},
+            "solver": {"k": 8, "seed": 1},
+            "bounds": {"theorems": ["thm12"], "k_range": [2, 6]},
+            "constants": {"H0": "1"},
+            "verify": ["gap", "yang", "cor32"],
+        }
+        cfg = ScenarioConfig.from_dict(raw)
+        consts = run_scenario(cfg, write=False).constants
+        metric, domain, tensor, drift = build_problem(cfg)
+        assert (consts.epsilon, consts.delta) == tensor_bounds(tensor, domain)
+        assert consts.t0 == compute_T0(tensor, metric, domain)
+        assert consts.c0 == compute_C0(tensor, drift, metric, domain)
+        assert consts.t0 > 0.0 and consts.c0 != 0.0
+
     def test_vertical_varying_tensor_rejected_for_thm12(self):
         raw = {
             "name": "hyp_bad",

@@ -268,6 +268,7 @@ class TensorField:
     dim: int
 
     def matrix(self, pts: np.ndarray) -> np.ndarray:
+        """T at pts; the result may be a read-only view, so callers do not write to it."""
         raise NotImplementedError
 
     def d_matrix(self, pts: np.ndarray) -> np.ndarray:
@@ -401,7 +402,7 @@ def _christoffel_part(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def trace_nabla_T(field: TensorField, metric: MetricModel, pts, theta=None) -> np.ndarray:
+def trace_nabla_T(field: TensorField, metric: MetricModel, pts) -> np.ndarray:
     """tr(nabla T) = sum_j (nabla_{e_j} T)(e_j), orthonormal-frame components."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     try:
@@ -411,16 +412,16 @@ def trace_nabla_T(field: TensorField, metric: MetricModel, pts, theta=None) -> n
     flat = np.einsum("qjij->qi", dT)
     if not metric.is_hyperbolic:
         return flat
-    theta = field.matrix(pts) if theta is None else theta
+    theta = field.matrix(pts)
     gamma = _christoffel(pts, metric.dim)
     corr1 = np.einsum("qajm,qmj->qa", gamma, theta)
     corr2 = np.einsum("qim,qm->qi", theta, np.einsum("qmjj->qm", gamma))
     return pts[:, -1][:, None] * (flat + corr1 - corr2)
 
 
-def compute_T0(field: TensorField, metric: MetricModel, domain: GridDomain, theta=None) -> float:
-    """sup over quadrature points of |tr(nabla T)| in the metric norm; theta as in compute_C0."""
-    vec = trace_nabla_T(field, metric, domain.quad_points_flat(), theta)
+def compute_T0(field: TensorField, metric: MetricModel, domain: GridDomain) -> float:
+    """sup over quadrature points of |tr(nabla T)| in the metric norm."""
+    vec = trace_nabla_T(field, metric, domain.quad_points_flat())
     return float(np.max(np.linalg.norm(vec, axis=1)))
 
 
@@ -429,7 +430,6 @@ def compute_C0(
     drift: ScalarField,
     metric: MetricModel,
     domain: GridDomain,
-    theta=None,
 ) -> float:
     """sup { 1/2 div(T(T(grad eta) - tr(nabla T))) - 1/4 |T(grad eta)|^2 }.
 
@@ -439,10 +439,9 @@ def compute_C0(
     and tr(nabla T) = x_n sum_j d_j T_.j + tr(T) e_n - n T e_n, whose
     Christoffel part has no x_n, so d_i V gains a term only for i = n.
     There the divergence of W = T(V) is div W = x_n sum_i d_i W_i + (1 - n) W_n.
-    ``theta`` is T at domain.quad_points_flat(), when the caller has it.
     """
     pts = domain.quad_points_flat()
-    theta = field.matrix(pts) if theta is None else theta
+    theta = field.matrix(pts)
     try:
         dT = field.d_matrix(pts)
         # d_i V_j = sum_m (d_i T_jm dm eta + d2_im eta T_mj) - sum_m d2_im T_jm

@@ -381,9 +381,8 @@ def collect_constants(cfg, pair: assembly.OperatorPair) -> fields.OperatorConsta
     """The bound constants, from the quadrature sample the pair was assembled on."""
     domain, tensor, drift = pair.domain, pair.field, pair.drift
     metric = domain.metric
-    theta = pair.theta.reshape(-1, metric.dim, metric.dim)
-    t0 = fields.compute_T0(tensor, metric, domain, theta)
-    c0 = fields.compute_C0(tensor, drift, metric, domain, theta)
+    t0 = fields.compute_T0(tensor, metric, domain)
+    c0 = fields.compute_C0(tensor, drift, metric, domain)
     prov = {"epsilon": "computed", "delta": "computed", "t0": "computed", "c0": "computed"}
     kwargs = {"n": metric.dim, "epsilon": pair.epsilon, "delta": pair.delta, "t0": t0, "c0": c0}
     if metric.is_hyperbolic:

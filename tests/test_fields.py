@@ -157,6 +157,28 @@ def fd_hyperbolic_C0(field: TensorField, drift: ScalarField, metric, domain) -> 
     return float(np.max(0.5 * div_w - 0.25 * np.sum(tge * tge, axis=1)))
 
 
+class CoupledQuadraticTensor(TensorField):
+    """3-D T(x) = M0 + (a.x) M1 + |x|^2 M2 with full symmetric M1, M2, analytic partials."""
+
+    dim = 3
+    M0 = np.diag([3.0, 2.5, 2.0])
+    M1 = np.array([[0.2, 0.1, 0.05], [0.1, -0.1, 0.15], [0.05, 0.15, 0.3]])
+    M2 = np.array([[0.1, 0.02, -0.03], [0.02, 0.05, 0.04], [-0.03, 0.04, 0.2]])
+    a = np.array([0.5, -0.3, 0.7])
+
+    def matrix(self, pts):
+        s1 = pts @ self.a
+        s2 = np.sum(pts * pts, axis=1)
+        return self.M0 + s1[:, None, None] * self.M1 + s2[:, None, None] * self.M2
+
+    def d_matrix(self, pts):
+        return self.a[None, :, None, None] * self.M1 + 2.0 * pts[:, :, None, None] * self.M2
+
+    def d2_matrix(self, pts):
+        d2 = 2.0 * np.einsum("kl,ij->klij", np.eye(3), self.M2)
+        return np.broadcast_to(d2, (pts.shape[0],) + d2.shape)
+
+
 EUC2 = euclidean(2)
 HYP2 = hyperbolic_half_plane(2)
 
@@ -357,26 +379,37 @@ class TestComputeC0:
         assert val == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "drift",
+        "case",
         [
-            AffineScalar([0.8, 0.0]),
-            GaussianScalar(2, 0.7, [0.4, 1.6], 0.5),
-            QuadraticScalar([[1.0, 0.3], [0.3, 0.5]], [0.2, -0.4]),
+            ("sin_x1", AffineScalar([0.8, 0.0])),
+            ("sin_x1", GaussianScalar(2, 0.7, [0.4, 1.6], 0.5)),
+            ("sin_x1", QuadraticScalar([[1.0, 0.3], [0.3, 0.5]], [0.2, -0.4])),
+            ("sin_x2", GaussianScalar(2, 0.7, [0.4, 1.6], 0.5)),
+            ("coupled_3d", GaussianScalar(3, 0.7, [0.4, 0.5, 1.6], 0.5)),
+            ("coupled_3d", QuadraticScalar([[1.0, 0.3, 0.0], [0.3, 0.5, 0.2], [0.0, 0.2, 0.8]], [0.2, 0.1, -0.4])),
         ],
-        ids=["affine_x1", "gaussian", "quadratic"],
+        ids=["affine_x1", "gaussian", "quadratic", "vertical_tensor", "gaussian_3d", "quadratic_3d"],
     )
-    def test_hyperbolic_against_central_differences(self, drift):
-        dom = make_box_domain([(0, 1), (1, 2)], [16, 16], HYP2)
-        field = tensor_preset(
-            "diag_profile",
-            2,
-            entries=[
-                {"profile": "sin", "c0": 3.0, "c1": 0.6, "axis": 0},
-                {"profile": "sin", "c0": 2.5, "c1": 0.9, "axis": 0},
-            ],
-        )
-        val = compute_C0(field, drift, HYP2, dom)
-        ref = fd_hyperbolic_C0(field, drift, HYP2, dom)
+    def test_hyperbolic_against_central_differences(self, case):
+        kind, drift = case
+        if kind == "coupled_3d":
+            metric = hyperbolic_half_plane(3)
+            dom = make_box_domain([(0, 1), (0, 1), (1, 2)], [6, 6, 6], metric)
+            field = CoupledQuadraticTensor()
+        else:
+            metric = HYP2
+            dom = make_box_domain([(0, 1), (1, 2)], [16, 16], metric)
+            axis = 0 if kind == "sin_x1" else 1
+            field = tensor_preset(
+                "diag_profile",
+                2,
+                entries=[
+                    {"profile": "sin", "c0": 3.0, "c1": 0.6, "axis": axis},
+                    {"profile": "sin", "c0": 2.5, "c1": 0.9, "axis": axis},
+                ],
+            )
+        val = compute_C0(field, drift, metric, dom)
+        ref = fd_hyperbolic_C0(field, drift, metric, dom)
         assert abs(val - ref) <= 1e-8 * max(1.0, abs(ref))
 
 

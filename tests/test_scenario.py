@@ -193,7 +193,7 @@ class TestBuiltins:
                     assert row.ok_314 and row.ok_315 and row.implication_ok
 
     def test_reported_constants_match_standalone_extraction(self):
-        # run_scenario takes the constants from the quadrature sample the
+        # run_scenario takes epsilon and delta from the quadrature sample the
         # pair was assembled on; a fresh evaluation must give the same floats
         from etagap.fields import compute_C0, compute_T0, tensor_bounds
         from etagap.scenario import build_problem

@@ -20,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .fields import ScalarField, TensorField, tensor_eigen_range
-from .geometry import GridDomain, gauss_rule, inverse_metric_factor, volume_weight
+from .fields import AffineScalar, ConstantScalar, ConstantTensor, ScalarField, TensorField, tensor_eigen_range
+from .geometry import GridDomain, euclidean, gauss_rule, inverse_metric_factor, make_box_domain, volume_weight
 
 
 def _reference_elements(domain: GridDomain):
@@ -118,6 +118,37 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
     A = _mirror(a_vals.T[keep])
     B = _mirror(b_vals.T[keep])
     return OperatorPair(A, B, domain, field, drift, pts, dm, grad_factor, theta, epsilon, delta)
+
+
+def separable_factors(pair: OperatorPair) -> list[OperatorPair] | None:
+    """The 1-D pairs whose Kronecker sum is the pencil, or None if it is not one.
+
+    On an unmasked Euclidean box with a constant diagonal T and a constant
+    or affine eta, the weight e^(-eta) and the 2-point Gauss rule split into
+    per-axis factors, so A = sum_a B_0 (x) .. (x) A_a (x) .. (x) B_{n-1} and
+    B = B_0 (x) .. (x) B_{n-1}, with axis 0 slowest as in the DOF numbering.
+    Axis a gets T_aa and the slope b_a; the constant of eta goes to axis 0.
+    """
+    domain, field, drift = pair.domain, pair.field, pair.drift
+    n = domain.dim
+    if n < 2 or domain.metric.is_hyperbolic or not domain.mask.all():
+        return None
+    if not isinstance(field, ConstantTensor) or not np.array_equal(field.mat, np.diag(np.diag(field.mat))):
+        return None
+    if isinstance(drift, ConstantScalar):
+        slopes, c0 = np.zeros(n), drift.c
+    elif isinstance(drift, AffineScalar):
+        slopes, c0 = drift.b, drift.c0
+    else:
+        return None
+    return [
+        assemble(
+            make_box_domain([domain.bounds[a]], [domain.resolution[a]], euclidean(1)),
+            ConstantTensor([[field.mat[a, a]]]),
+            AffineScalar([slopes[a]], c0 if a == 0 else 0.0),
+        )
+        for a in range(n)
+    ]
 
 
 def project_function(domain: GridDomain, f) -> np.ndarray:

@@ -525,8 +525,8 @@ def cor32_check(
 
     uj, guj = interpolate_at_quadrature(pair, spectrum.eigenvectors[:, j - 1])
     gf_c = gf.reshape(pts.shape[0], pts.shape[1], n)
-    lf = np.asarray(test_fn.lf(flat), dtype=float).reshape(pts.shape[:2])
-    glf = np.asarray(test_fn.grad_lf(flat), dtype=float).reshape(pts.shape[0], pts.shape[1], n)
+    lf, glf = test_fn.lf_and_grad(flat)
+    lf, glf = lf.reshape(pts.shape[:2]), glf.reshape(pts.shape[0], pts.shape[1], n)
 
     t_guj = np.einsum("cqab,cqb->cqa", theta, guj)
     pair_ujf = grad_factor * np.einsum("cqa,cqa->cq", t_guj, gf_c)

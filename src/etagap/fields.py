@@ -364,6 +364,8 @@ def tensor_preset(kind: str, dim: int, **params) -> TensorField:
 
 def tensor_eigen_range(mats: np.ndarray) -> tuple[float, float]:
     """(smallest, largest) eigenvalue over a stack of tensor matrices (m, n, n)."""
+    if mats.strides[0] == 0:
+        mats = mats[:1]  # a broadcast of one matrix, as ConstantTensor.matrix returns
     if np.any(mats != np.swapaxes(mats, 1, 2)):
         raise NotPositiveDefinite("tensor not symmetric at a sample point")
     eigs = np.linalg.eigvalsh(mats)
@@ -403,7 +405,10 @@ def _christoffel_part(mats: np.ndarray) -> np.ndarray:
 
 
 def trace_nabla_T(field: TensorField, metric: MetricModel, pts) -> np.ndarray:
-    """tr(nabla T) = sum_j (nabla_{e_j} T)(e_j), orthonormal-frame components."""
+    """tr(nabla T) = sum_j (nabla_{e_j} T)(e_j), orthonormal-frame components.
+
+    In the half-space this is x_n sum_j d_j T_.j + tr(T) e_n - n T e_n.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     try:
         dT = field.d_matrix(pts)
@@ -412,11 +417,7 @@ def trace_nabla_T(field: TensorField, metric: MetricModel, pts) -> np.ndarray:
     flat = np.einsum("qjij->qi", dT)
     if not metric.is_hyperbolic:
         return flat
-    theta = field.matrix(pts)
-    gamma = _christoffel(pts, metric.dim)
-    corr1 = np.einsum("qajm,qmj->qa", gamma, theta)
-    corr2 = np.einsum("qim,qm->qi", theta, np.einsum("qmjj->qm", gamma))
-    return pts[:, -1][:, None] * (flat + corr1 - corr2)
+    return pts[:, -1][:, None] * flat + _christoffel_part(field.matrix(pts))
 
 
 def compute_T0(field: TensorField, metric: MetricModel, domain: GridDomain) -> float:
@@ -517,11 +518,14 @@ def apply_operator_L(
 
 @dataclass(frozen=True)
 class OperatorTestFunction:
-    """A closed-form f bundled with analytic L f and grad(L f)."""
+    """A closed-form f bundled with analytic L f and grad(L f).
+
+    lf_and_grad(pts) returns (L f, grad(L f)) shaped (m,) and (m, n) from
+    one evaluation of T, its derivatives and the drift at pts.
+    """
 
     f: ScalarField
-    lf: object
-    grad_lf: object
+    lf_and_grad: object
 
 
 def coordinate_test_function(
@@ -533,26 +537,19 @@ def coordinate_test_function(
     n = metric.dim
     f = AffineScalar(np.eye(n)[axis])
 
-    def lf(pts):
-        dT = field.d_matrix(pts)
+    def lf_and_grad(pts):
         theta = field.matrix(pts)
-        ge = drift.grad(pts)
-        return np.einsum("qjj->q", dT[:, :, :, axis]) - np.einsum(
-            "qm,qm->q", theta[:, axis, :], ge
-        )
-
-    def grad_lf(pts):
+        dT = field.d_matrix(pts)
         d2T = field.d2_matrix(pts)
-        dT = field.d_matrix(pts)
-        theta = field.matrix(pts)
         ge = drift.grad(pts)
         he = drift.hess(pts)
+        lf = np.einsum("qjj->q", dT[:, :, :, axis]) - np.einsum("qm,qm->q", theta[:, axis, :], ge)
         term1 = np.einsum("qkjj->qk", d2T[:, :, :, :, axis])
         term2 = np.einsum("qkm,qm->qk", dT[:, :, axis, :], ge)
         term3 = np.einsum("qm,qkm->qk", theta[:, axis, :], he)
-        return term1 - term2 - term3
+        return lf, term1 - term2 - term3
 
-    return OperatorTestFunction(f, lf, grad_lf)
+    return OperatorTestFunction(f, lf_and_grad)
 
 
 def log_axis_test_function(
@@ -564,16 +561,7 @@ def log_axis_test_function(
     n = metric.dim
     f = LogAxisScalar(n)
 
-    def lf(pts):
-        theta = field.matrix(pts)
-        dT = field.d_matrix(pts)
-        ge = drift.grad(pts)
-        xn = pts[:, -1]
-        a = np.einsum("qii->q", dT[:, :, :, -1])
-        b = np.einsum("qi,qi->q", ge, theta[:, :, -1])
-        return xn * a - (n - 1) * theta[:, -1, -1] - xn * b
-
-    def grad_lf(pts):
+    def lf_and_grad(pts):
         theta = field.matrix(pts)
         dT = field.d_matrix(pts)
         d2T = field.d2_matrix(pts)
@@ -582,6 +570,7 @@ def log_axis_test_function(
         xn = pts[:, -1]
         a = np.einsum("qii->q", dT[:, :, :, -1])
         b = np.einsum("qi,qi->q", ge, theta[:, :, -1])
+        lf = xn * a - (n - 1) * theta[:, -1, -1] - xn * b
         out = np.zeros_like(pts)
         out[:, -1] = a - b
         out += xn[:, None] * np.einsum("qkii->qk", d2T[:, :, :, :, -1])
@@ -590,9 +579,9 @@ def log_axis_test_function(
             np.einsum("qki,qi->qk", he, theta[:, :, -1])
             + np.einsum("qi,qki->qk", ge, dT[:, :, :, -1])
         )
-        return out
+        return lf, out
 
-    return OperatorTestFunction(f, lf, grad_lf)
+    return OperatorTestFunction(f, lf_and_grad)
 
 
 def validate_radially_constant(values_func, domain: GridDomain) -> None:

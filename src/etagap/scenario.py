@@ -125,6 +125,8 @@ class ScenarioConfig:
             raise ConfigError(f"metric must be euclidean|hyperbolic, got {self.metric_tag!r}")
         if len(self.resolution) != self.dim:
             raise ConfigError("resolution length must match bounds")
+        if self.solver.method not in spectral.METHODS:
+            raise ConfigError(f"solver method must be {'|'.join(spectral.METHODS)}, got {self.solver.method!r}")
         for tag in self.theorems:
             if tag not in THEOREM_TAGS:
                 raise ConfigError(f"unknown bound family {tag!r}")

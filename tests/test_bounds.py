@@ -370,7 +370,7 @@ class TestCor32:
         bad = coordinate_test_function(pair.field, pair.drift, EUC2, 0)
         from etagap.fields import OperatorTestFunction
 
-        tampered = OperatorTestFunction(AffineScalar([2.0, 0.0]), bad.lf, bad.grad_lf)
+        tampered = OperatorTestFunction(AffineScalar([2.0, 0.0]), bad.lf_and_grad)
         with pytest.raises(UnitGradientViolation):
             cor32_check(spectrum, pair, tampered, consts, j=1)
 

@@ -66,6 +66,19 @@ class TestVerifyCommand:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["counts"]["fail"] == 0
         solver = summary["solver"]
+        assert solver["method"] == "separable" and solver["axis_ndof"] == [47, 47]
+        assert solver["max_residual"] <= solver["solve_tol"]
+
+    def test_masked_square_takes_shift_invert(self, tmp_path):
+        domain = {
+            "bounds": [["0", "3.141592653589793"], ["0", "3.141592653589793"]],
+            "resolution": [48, 48],
+            "mask": {"kind": "ball", "center": ["1.5707963267948966", "1.5707963267948966"], "radius": "1.4"},
+        }
+        cfg = small_square_config(tmp_path, domain=domain)
+        code = main(["verify", str(cfg), "--checks", "gap,yang", "--out", str(tmp_path / "o")])
+        assert code == 0
+        solver = json.loads((tmp_path / "o" / "summary.json").read_text())["solver"]
         assert solver["method"] == "shift_invert" and solver["ordering"] == "MMD_AT_PLUS_A"
         assert solver["max_residual"] <= solver["solve_tol"]
 
@@ -149,6 +162,7 @@ MALFORMED_CONFIGS = {
     "quadratic_quad_short_row": {"drift": {"kind": "quadratic", "quad": [["1", "0"], ["0"]]}},
     "quadratic_coeffs_long": {"drift": {"kind": "quadratic", "coeffs": ["1", "0", "0"]}},
     "affine_coeffs_as_string": {"drift": {"kind": "affine", "coeffs": "10"}},
+    "unknown_solver_method": {"solver": {"k": 10, "method": "lanczos"}},
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from etagap.errors import NotPositiveDefinite, OutOfDomain
 from etagap.fields import (
     AffineScalar,
+    _christoffel,
     ConstantScalar,
     ConstantTensor,
     GaussianScalar,
@@ -21,6 +22,7 @@ from etagap.fields import (
     identity_tensor,
     log_axis_test_function,
     tensor_bounds,
+    tensor_eigen_range,
     tensor_preset,
     trace_nabla_T,
     validate_radially_constant,
@@ -231,6 +233,20 @@ class TestTensorBounds:
         with pytest.raises(NotPositiveDefinite):
             tensor_bounds(ConstantTensor(np.diag([1.0, -0.5])), square_domain)
 
+    @pytest.mark.parametrize(
+        "mat", [[[2.0, 0.5], [0.5, 3.0]], [[1.0, 0.0], [0.0, -0.5]], [[2.0, 0.5], [0.4, 3.0]]]
+    )
+    def test_broadcast_stack_matches_copy(self, mat):
+        # a broadcast of one matrix is decided by that matrix alone
+        view = np.broadcast_to(np.array(mat), (50, 2, 2))
+        try:
+            expected = tensor_eigen_range(view.copy())
+        except NotPositiveDefinite:
+            with pytest.raises(NotPositiveDefinite):
+                tensor_eigen_range(view)
+        else:
+            assert tensor_eigen_range(view) == expected
+
     def test_rayleigh_quotient_bracketing(self, square_domain):
         rng = np.random.default_rng(17)
         field = diag_affine_tensor()
@@ -274,6 +290,34 @@ class TestTraceNablaT:
         pts = np.array([[0.3, 0.7], [0.1, 2.4]])
         out = trace_nabla_T(identity_tensor(2), HYP2, pts)
         assert np.max(np.abs(out)) < 1e-14
+
+    @pytest.mark.parametrize("kind", ["sin_x1", "sin_x2", "coupled_3d"])
+    def test_closed_form_matches_christoffel_contraction(self, kind):
+        # reference: the per-point contraction with the half-space symbols
+        if kind == "coupled_3d":
+            metric = hyperbolic_half_plane(3)
+            dom = make_box_domain([(0, 1), (0, 1), (1, 2)], [6, 6, 6], metric)
+            field = CoupledQuadraticTensor()
+        else:
+            metric = HYP2
+            dom = make_box_domain([(0, 1), (1, 2)], [16, 16], metric)
+            axis = 0 if kind == "sin_x1" else 1
+            field = tensor_preset(
+                "diag_profile",
+                2,
+                entries=[
+                    {"profile": "sin", "c0": 3.0, "c1": 0.6, "axis": axis},
+                    {"profile": "sin", "c0": 2.5, "c1": 0.9, "axis": axis},
+                ],
+            )
+        pts = dom.quad_points_flat()
+        theta = field.matrix(pts)
+        gamma = _christoffel(pts, metric.dim)
+        corr1 = np.einsum("qajm,qmj->qa", gamma, theta)
+        corr2 = np.einsum("qim,qm->qi", theta, np.einsum("qmjj->qm", gamma))
+        ref = pts[:, -1][:, None] * (np.einsum("qjij->qi", field.d_matrix(pts)) + corr1 - corr2)
+        got = trace_nabla_T(field, metric, pts)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_against_fd_christoffel_oracle(self):
         # independent oracle: Christoffels from finite differences of the
@@ -493,7 +537,7 @@ class TestTestFunctions:
         tf = coordinate_test_function(field, eta, EUC2, 0)
         pts = square_domain.quad_points_flat()[::37]
         direct = apply_operator_L(field, eta, EUC2, tf.f, pts)
-        assert tf.lf(pts) == pytest.approx(direct, abs=1e-12)
+        assert tf.lf_and_grad(pts)[0] == pytest.approx(direct, abs=1e-12)
 
     def test_coordinate_grad_lf_matches_fd(self, square_domain):
         field = diag_affine_tensor()
@@ -505,8 +549,8 @@ class TestTestFunctions:
         for d in range(2):
             e = np.zeros(2)
             e[d] = h
-            fd[:, d] = (tf.lf(pts + e) - tf.lf(pts - e)) / (2 * h)
-        assert tf.grad_lf(pts) == pytest.approx(fd, abs=1e-7)
+            fd[:, d] = (tf.lf_and_grad(pts + e)[0] - tf.lf_and_grad(pts - e)[0]) / (2 * h)
+        assert tf.lf_and_grad(pts)[1] == pytest.approx(fd, abs=1e-7)
 
     def test_log_grad_lf_matches_fd(self):
         dom = make_box_domain([(0, 1), (1, 2)], [10, 10], HYP2)
@@ -522,14 +566,14 @@ class TestTestFunctions:
         tf = log_axis_test_function(field, eta, HYP2)
         pts = dom.quad_points_flat()[::17]
         direct = apply_operator_L(field, eta, HYP2, tf.f, pts)
-        assert tf.lf(pts) == pytest.approx(direct, abs=1e-12)
+        assert tf.lf_and_grad(pts)[0] == pytest.approx(direct, abs=1e-12)
         h = 1e-6
         fd = np.empty((pts.shape[0], 2))
         for d in range(2):
             e = np.zeros(2)
             e[d] = h
-            fd[:, d] = (tf.lf(pts + e) - tf.lf(pts - e)) / (2 * h)
-        assert tf.grad_lf(pts) == pytest.approx(fd, abs=1e-7)
+            fd[:, d] = (tf.lf_and_grad(pts + e)[0] - tf.lf_and_grad(pts - e)[0]) / (2 * h)
+        assert tf.lf_and_grad(pts)[1] == pytest.approx(fd, abs=1e-7)
 
 
 class TestDerivativeConsistency:

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from etagap.assembly import assemble
-from etagap.errors import DimensionMismatch
-from etagap.fields import AffineScalar, ConstantScalar, drift_preset, identity_tensor, tensor_preset
+from etagap import spectral
+from etagap.assembly import assemble, separable_factors
+from etagap.errors import ConvergenceFailure, DimensionMismatch
+from etagap.fields import (
+    AffineScalar,
+    ConstantScalar,
+    ConstantTensor,
+    GaussianScalar,
+    drift_preset,
+    identity_tensor,
+    tensor_preset,
+)
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
 from etagap.spectral import (
     SpectrumResult,
@@ -200,6 +209,96 @@ class TestShiftInvert:
         assert res.meta["method"] == "dense"
         assert "max_residual" in res.meta
         assert not {"ordering", "factor_nnz", "ncv", "op_applications"} & set(res.meta)
+
+
+SEPARABLE_CASES = {
+    "unequal_box": ([(0, np.pi), (0, 2.0)], [12, 9], identity_tensor(2), ConstantScalar(2, 0.3)),
+    "diag_affine_drift": (
+        [(0, 1), (-0.5, 1.5)],
+        [14, 11],
+        tensor_preset("constant_diag", 2, entries=["2", "3"]),
+        drift_preset("affine", 2, coeffs=["0.7", "-1.3"], c0="0.4"),
+    ),
+    "box_3d": (
+        [(0, 1), (0, 1.5), (0, 2)],
+        [7, 8, 9],
+        tensor_preset("constant_diag", 3, entries=["2", "3", "1.5"]),
+        drift_preset("affine", 3, coeffs=["0.7", "-1.3", "0.2"], c0="-0.6"),
+    ),
+}
+
+
+def box_pair(bounds, resolution, tensor=None, drift=None, metric=None, mask_rule=None):
+    dim = len(resolution)
+    dom = make_box_domain(bounds, resolution, metric or euclidean(dim), mask_rule)
+    return assemble(dom, tensor or identity_tensor(dim), drift or ConstantScalar(dim))
+
+
+class TestSeparable:
+    @pytest.mark.parametrize("case", SEPARABLE_CASES)
+    def test_matches_dense(self, case):
+        bounds, resolution, tensor, drift = SEPARABLE_CASES[case]
+        pair = box_pair(bounds, resolution, tensor, drift)
+        sep = solve_lowest(pair, 15)
+        dense = solve_lowest(pair, 15, method="dense")
+        assert sep.meta["method"] == "separable"
+        assert sep.meta["axis_ndof"] == [r - 1 for r in resolution]
+        assert np.max(sep.residuals) <= sep.meta["solve_tol"]
+        rel = np.abs(sep.eigenvalues - dense.eigenvalues) / dense.eigenvalues
+        assert np.max(rel) <= 1e-10
+        assert validate_spectrum(sep, pair).ok
+
+    @pytest.mark.parametrize(
+        "case",
+        ["ball_mask", "half_space", "diag_profile", "gaussian_drift", "off_diagonal_tensor", "one_d"],
+    )
+    def test_other_pencils_fall_back(self, case):
+        square = [(0, np.pi), (0, np.pi)]
+        if case == "ball_mask":
+            pair = ball_square_pair(12)
+        elif case == "half_space":
+            pair = box_pair([(0, 1), (1, 2)], [12, 12], metric=hyperbolic_half_plane(2))
+        elif case == "diag_profile":
+            tensor = tensor_preset(
+                "diag_profile", 2, entries=[{"profile": "sin", "c0": 2, "c1": 0.5}, {"c0": 3}]
+            )
+            pair = box_pair(square, [12, 12], tensor=tensor)
+        elif case == "gaussian_drift":
+            pair = box_pair(square, [12, 12], drift=GaussianScalar(2, 0.5, [1.0, 1.0], 0.7))
+        elif case == "off_diagonal_tensor":
+            pair = box_pair(square, [12, 12], tensor=ConstantTensor([[2.0, 0.3], [0.3, 1.0]]))
+        else:
+            pair = interval_pair(12)
+        assert separable_factors(pair) is None
+        assert solve_lowest(pair, 4).meta["method"] == "dense"
+
+    @pytest.mark.parametrize("method", ["dense", "shift_invert"])
+    def test_explicit_method_honoured(self, method):
+        pair = square_pair(16)
+        res = solve_lowest(pair, 6, method=method)
+        assert res.meta["method"] == method
+        sep = solve_lowest(pair, 6)
+        assert np.max(np.abs(res.eigenvalues - sep.eigenvalues) / sep.eigenvalues) <= 1e-10
+
+    def test_degenerate_order_is_fixed(self):
+        # the square's doubled modes come out (1, 2) before (2, 1), every run:
+        # the first is even in x1 and odd in x2
+        res = solve_lowest(square_pair(20), 3)
+        first = res.eigenvectors[:, 1].reshape(19, 19)
+        assert np.allclose(first, first[::-1, :]) and np.allclose(first, -first[:, ::-1])
+        assert np.array_equal(res.eigenvectors, solve_lowest(square_pair(20), 3).eigenvectors)
+
+    def test_wrong_factors_fail_the_residual_gate(self, monkeypatch):
+        pair = square_pair(16)
+        stretched = box_pair([(0, np.pi), (0, 1.1 * np.pi)], [16, 16])
+        monkeypatch.setattr(spectral, "separable_factors", lambda p: separable_factors(stretched))
+        with pytest.raises(ConvergenceFailure):
+            solve_lowest(pair, 4)
+
+    def test_full_spectrum_limit_holds(self):
+        pair = square_pair(48)  # 2209 DOFs
+        with pytest.raises(DimensionMismatch):
+            solve_lowest(pair, pair.ndof)
 
 
 class TestValidateSpectrum:

@@ -23,6 +23,7 @@ from .bounds import (
     yang_check,
 )
 from .fields import (
+    FieldSample,
     OperatorConstants,
     ScalarField,
     TensorField,
@@ -42,7 +43,6 @@ from .geometry import (
     geodesic_distance,
     hyperbolic_half_plane,
     make_box_domain,
-    raise_gradient,
     volume_weight,
 )
 from .scenario import (
@@ -59,6 +59,7 @@ from .spectral import SpectrumResult, parseval_defect, solve_lowest, validate_sp
 __version__ = "0.1.0"
 
 __all__ = [
+    "FieldSample",
     "GapConstant",
     "GapReport",
     "GridDomain",
@@ -93,7 +94,6 @@ __all__ = [
     "oracle_eigenvalues",
     "parseval_defect",
     "project_function",
-    "raise_gradient",
     "run_scenario",
     "solve_lowest",
     "tensor_bounds",

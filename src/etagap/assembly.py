@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .fields import AffineScalar, ConstantScalar, ConstantTensor, ScalarField, TensorField, tensor_eigen_range
+from .fields import AffineScalar, ConstantScalar, ConstantTensor, FieldSample, ScalarField, TensorField, tensor_eigen_range
 from .geometry import GridDomain, euclidean, gauss_rule, inverse_metric_factor, make_box_domain, volume_weight
 
 
@@ -50,19 +50,18 @@ def _reference_elements(domain: GridDomain):
 
 @dataclass
 class OperatorPair:
-    """Assembled (A, B), the DOF bookkeeping, and the quadrature sample the
-    pair was built from (the quad_data triple, T there, and T's extreme
-    eigenvalues epsilon <= delta), which the constants and checks reuse."""
+    """Assembled (A, B), the DOF bookkeeping, and the quadrature data the
+    pair was built from: the quad_data triple, the field sample at those
+    points and T's extreme eigenvalues epsilon <= delta there.  The
+    constants and checks read the same sample."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     domain: GridDomain
-    field: TensorField
-    drift: ScalarField
+    sample: FieldSample
     pts: np.ndarray
     dm: np.ndarray
     grad_factor: np.ndarray
-    theta: np.ndarray
     epsilon: float
     delta: float
 
@@ -88,9 +87,9 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
     n = domain.dim
     pts, dm, grad_factor = quad_data(domain, drift)
     ncell, nq, _ = pts.shape
-    theta = field.matrix(pts.reshape(-1, n))
-    epsilon, delta = tensor_eigen_range(theta)  # raises NotPositiveDefinite early
-    theta = theta.reshape(ncell, nq, n, n)
+    sample = FieldSample(field, drift, domain.metric, pts.reshape(-1, n))
+    epsilon, delta = tensor_eigen_range(sample.theta)  # raises NotPositiveDefinite early
+    theta = sample.theta.reshape(ncell, nq, n, n)
 
     N, dN = _reference_elements(domain)
     # every unordered local pair (i <= j) of every cell in one product with a
@@ -117,7 +116,7 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
 
     A = _mirror(a_vals.T[keep])
     B = _mirror(b_vals.T[keep])
-    return OperatorPair(A, B, domain, field, drift, pts, dm, grad_factor, theta, epsilon, delta)
+    return OperatorPair(A, B, domain, sample, pts, dm, grad_factor, epsilon, delta)
 
 
 def separable_factors(pair: OperatorPair) -> list[OperatorPair] | None:
@@ -129,7 +128,7 @@ def separable_factors(pair: OperatorPair) -> list[OperatorPair] | None:
     B = B_0 (x) .. (x) B_{n-1}, with axis 0 slowest as in the DOF numbering.
     Axis a gets T_aa and the slope b_a; the constant of eta goes to axis 0.
     """
-    domain, field, drift = pair.domain, pair.field, pair.drift
+    domain, field, drift = pair.domain, pair.sample.field, pair.sample.drift
     n = domain.dim
     if n < 2 or domain.metric.is_hyperbolic or not domain.mask.all():
         return None
@@ -164,7 +163,9 @@ def interpolate_at_quadrature(pair: OperatorPair, u) -> tuple[np.ndarray, np.nda
     """Q1 interpolant of a DOF vector at the quadrature points.
 
     Returns (values, gradients) shaped (ncell, nq) and (ncell, nq, n);
-    gradients are coordinate partials.
+    gradients are coordinate partials.  Both come from one product of the
+    corner values with the (2^n, nq (1 + n)) table of shape values and
+    gradients.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[0] != pair.ndof:
@@ -174,7 +175,8 @@ def interpolate_at_quadrature(pair: OperatorPair, u) -> tuple[np.ndarray, np.nda
     full[domain.interior_flat] = u
     corner_vals = full[domain.cell_corner_nodes()]
     N, dN = _reference_elements(domain)
-    vals = np.einsum("qa,ca->cq", N, corner_vals)
-    grads = np.einsum("qad,ca->cqd", dN, corner_vals)
-    return vals, grads
+    nq, nloc, n = dN.shape
+    table = np.concatenate([N.T[:, :, None], dN.transpose(1, 0, 2)], axis=2).reshape(nloc, -1)
+    out = (corner_vals @ table).reshape(-1, nq, 1 + n)
+    return out[:, :, 0], out[:, :, 1:]
 

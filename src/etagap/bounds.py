@@ -493,6 +493,15 @@ class Cor32Row:
     reason: str = ""
 
 
+def _mode_at_quadrature(spectrum: SpectrumResult, pair: OperatorPair, j: int):
+    """(u_j, grad u_j, T grad u_j) at the pair's quadrature points, computed once per spectrum."""
+    hit = spectrum.at_quadrature.get(j)
+    if hit is None or hit[0] is not pair:
+        u, gu = interpolate_at_quadrature(pair, spectrum.eigenvectors[:, j - 1])
+        hit = spectrum.at_quadrature[j] = (pair, u, gu, pair.sample.apply_T(gu))
+    return hit[1:]
+
+
 def cor32_check(
     spectrum: SpectrumResult,
     pair: OperatorPair,
@@ -510,30 +519,30 @@ def cor32_check(
 
     with I1 = int <T grad u_j, grad f>^2 dm, I2 = int (Lf)^2 u_j^2 dm,
     I3 = int <grad(Lf), T grad f> u_j^2 dm, and asserts the row-wise
-    implication I1 <= delta * lambda_j that links the two.
+    implication I1 <= delta * lambda_j that links the two.  A structurally
+    zero L f or grad(L f) contributes 0 to I2 or I3.
     """
     lam = spectrum.eigenvalues
-    pts, dm, grad_factor, theta = pair.pts, pair.dm, pair.grad_factor, pair.theta
-    n = pair.domain.dim
-    flat = pts.reshape(-1, n)
+    pts, dm, grad_factor, sample = pair.pts, pair.dm, pair.grad_factor, pair.sample
+    cells = pts.shape[:2]
 
-    gf = test_fn.f.grad(flat)
-    norms = gradient_norm(pair.domain.metric, flat, gf)
+    gf = test_fn.f.grad(sample.pts)
+    norms = gradient_norm(pair.domain.metric, sample.pts, gf)
     defect = float(np.max(np.abs(norms - 1.0)))
     if defect > 1e-10:
         raise UnitGradientViolation(f"|grad f|_g deviates from 1 by {defect:.3e}")
 
-    uj, guj = interpolate_at_quadrature(pair, spectrum.eigenvectors[:, j - 1])
-    gf_c = gf.reshape(pts.shape[0], pts.shape[1], n)
-    lf, glf = test_fn.lf_and_grad(flat)
-    lf, glf = lf.reshape(pts.shape[:2]), glf.reshape(pts.shape[0], pts.shape[1], n)
+    uj, _, t_guj = _mode_at_quadrature(spectrum, pair, j)
+    gf_c = gf.reshape(pts.shape)
+    lf, glf = test_fn.lf_and_grad(sample)
 
-    t_guj = np.einsum("cqab,cqb->cqa", theta, guj)
     pair_ujf = grad_factor * np.einsum("cqa,cqa->cq", t_guj, gf_c)
     i1 = float(np.sum(pair_ujf**2 * dm))
-    i2 = float(np.sum(lf**2 * uj**2 * dm))
-    t_gf = np.einsum("cqab,cqb->cqa", theta, gf_c)
-    i3 = float(np.sum(grad_factor * np.einsum("cqa,cqa->cq", glf, t_gf) * uj**2 * dm))
+    i2 = 0.0 if lf is None else float(np.sum(lf.reshape(cells) ** 2 * uj**2 * dm))
+    i3 = 0.0
+    if glf is not None:
+        t_gf = sample.apply_T(gf_c)
+        i3 = float(np.sum(grad_factor * np.einsum("cqa,cqa->cq", glf.reshape(pts.shape), t_gf) * uj**2 * dm))
 
     sig, dlt = consts.sigma, consts.delta
     lam_j = float(lam[j - 1])
@@ -612,14 +621,13 @@ def lemma32_check(
     if labels[k] == labels[k + 1]:
         raise HypothesisViolated("need lambda_{k+1} < lambda_{k+2} strictly")
 
-    pts, dm, grad_factor, theta = pair.pts, pair.dm, pair.grad_factor, pair.theta
-    n = pair.domain.dim
-    flat = pts.reshape(-1, n)
-    uj, guj = interpolate_at_quadrature(pair, spectrum.eigenvectors[:, j - 1])
-    uk1, _ = interpolate_at_quadrature(pair, spectrum.eigenvectors[:, k])
-    gv = g.value(flat).reshape(pts.shape[:2])
-    gg = g.grad(flat).reshape(pts.shape[0], pts.shape[1], n)
-    lg = apply_operator_L(pair.field, pair.drift, pair.domain.metric, g, flat).reshape(pts.shape[:2])
+    pts, dm, grad_factor, sample = pair.pts, pair.dm, pair.grad_factor, pair.sample
+    cells = pts.shape[:2]
+    uj, _, t_guj = _mode_at_quadrature(spectrum, pair, j)
+    uk1, _, _ = _mode_at_quadrature(spectrum, pair, k + 1)
+    gv = g.value(sample.pts).reshape(cells)
+    gg = g.grad(sample.pts).reshape(pts.shape)
+    lg = apply_operator_L(sample, g).reshape(cells)
 
     cross = float(np.sum(gv * uj * uk1 * dm))
     if abs(cross) <= 1e-10:
@@ -636,9 +644,8 @@ def lemma32_check(
     if resid <= 1e-8:
         raise HypothesisViolated(f"g u_j lies in the span of u_1..u_{k + 1} (residual {resid:.2e})")
 
-    t_gg = np.einsum("cqab,cqb->cqa", theta, gg)
+    t_gg = sample.apply_T(gg)
     igg = float(np.sum(grad_factor * np.einsum("cqa,cqa->cq", gg, t_gg) * uj**2 * dm))
-    t_guj = np.einsum("cqab,cqb->cqa", theta, guj)
     cross_grad = grad_factor * np.einsum("cqa,cqa->cq", t_guj, gg)
     ib = float(np.sum((2.0 * cross_grad + uj * lg) ** 2 * dm))
     igu = float(np.sum((gv * uj) ** 2 * dm))

@@ -15,13 +15,18 @@ half-space frame e_i = x_n d_i this coincides with the coordinate (1,1)
 matrix, which keeps the half-space formulas below frame-free.
 
 Every derivative is closed-form (preset partials, explicit half-space
-Christoffel symbols), so t0 and c0 are analytic in both metrics.
+Christoffel symbols), so t0 and c0 are analytic in both metrics.  The
+constants, L f and the cor32 test functions read a FieldSample: T, its
+partials and the drift derivatives at one point set, each evaluated at
+most once.  A derivative that a field's declared degree makes zero is a
+structural zero (None), and the terms it multiplies are skipped.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +40,6 @@ from .geometry import (
     MetricModel,
     OriginPoint,
     radial_unit_vector,
-    validate_origin,
 )
 
 # ---------------------------------------------------------------------------
@@ -47,10 +51,13 @@ class ScalarField:
     """Closed-form scalar function with gradient and Hessian evaluators.
 
     Evaluators are vectorized: value (m,), grad (m, n), hess (m, n, n) for
-    an (m, n) array of points.
+    an (m, n) array of points.  ``degree`` is the polynomial degree when the
+    type fixes one; derivatives of higher order are structural zeros that
+    ``FieldSample`` never evaluates, so such a field need not implement them.
     """
 
     dim: int
+    degree: int | None = None
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -63,6 +70,8 @@ class ScalarField:
 
 
 class ConstantScalar(ScalarField):
+    degree = 0
+
     def __init__(self, dim: int, c: float = 0.0):
         self.dim = dim
         self.c = float(c)
@@ -70,15 +79,14 @@ class ConstantScalar(ScalarField):
     def value(self, pts):
         return np.full(pts.shape[0], self.c)
 
-    def grad(self, pts):
+    def grad(self, pts):  # read when a constant is the lemma32 test function g
         return np.zeros((pts.shape[0], self.dim))
-
-    def hess(self, pts):
-        return np.zeros((pts.shape[0], self.dim, self.dim))
 
 
 class AffineScalar(ScalarField):
     """c0 + <b, x>."""
+
+    degree = 1
 
     def __init__(self, coeffs, c0: float = 0.0):
         self.b = np.asarray(coeffs, dtype=float)
@@ -262,10 +270,13 @@ class TensorField:
 
     matrix(pts) -> (m, n, n); d_matrix -> (m, n, n, n) with [q, k, i, j] the
     partial d_k T_ij; d2_matrix -> (m, n, n, n, n) with [q, k, l, i, j] the
-    second partial.  Presets carry analytic derivatives.
+    second partial.  Presets carry analytic derivatives.  ``degree`` is as
+    for ScalarField: a tensor of degree 0 is constant, and its derivatives
+    are never evaluated.
     """
 
     dim: int
+    degree: int | None = None
 
     def matrix(self, pts: np.ndarray) -> np.ndarray:
         """T at pts; the result may be a read-only view, so callers do not write to it."""
@@ -279,6 +290,8 @@ class TensorField:
 
 
 class ConstantTensor(TensorField):
+    degree = 0
+
     def __init__(self, mat):
         self.mat = np.asarray(mat, dtype=float)
         if not np.array_equal(self.mat, self.mat.T):
@@ -288,12 +301,6 @@ class ConstantTensor(TensorField):
     def matrix(self, pts):
         # a read-only view: one copy of T per quadrature point is never needed
         return np.broadcast_to(self.mat, (pts.shape[0], self.dim, self.dim))
-
-    def d_matrix(self, pts):
-        return np.zeros((pts.shape[0], self.dim, self.dim, self.dim))
-
-    def d2_matrix(self, pts):
-        return np.zeros((pts.shape[0],) + (self.dim,) * 4)
 
 
 def identity_tensor(dim: int, scale: float = 1.0) -> ConstantTensor:
@@ -358,7 +365,7 @@ def tensor_preset(kind: str, dim: int, **params) -> TensorField:
 
 
 # ---------------------------------------------------------------------------
-# constant extraction
+# one sample of the fields, and the constants read from it
 # ---------------------------------------------------------------------------
 
 
@@ -381,22 +388,12 @@ def tensor_bounds(field: TensorField, domain: GridDomain) -> tuple[float, float]
     return tensor_eigen_range(field.matrix(domain.quad_points_flat()))
 
 
-def _christoffel(pts: np.ndarray, n: int) -> np.ndarray:
-    """Half-space symbols Gamma^k_ij = -(dki djn + dkj din - dij dkn)/x_n."""
-    eye = np.eye(n)
-    base = -(
-        np.einsum("ki,j->kij", eye, eye[-1])
-        + np.einsum("kj,i->kij", eye, eye[-1])
-        - np.einsum("ij,k->kij", eye, eye[-1])
-    )
-    return base[None, :, :, :] / pts[:, -1][:, None, None, None]
-
-
 def _christoffel_part(mats: np.ndarray) -> np.ndarray:
     """x_n times the Christoffel part of tr(nabla T) for symmetric mats[..., i, j].
 
     That part is sum_jm Gamma^a_jm T_mj - sum_m T_am sum_j Gamma^m_jj; with
-    the symbols of _christoffel, x_n times it is tr(T) e_n - n T e_n.
+    the half-space symbols Gamma^k_ij = -(d_ki d_jn + d_kj d_in - d_ij d_kn)/x_n,
+    x_n times it is tr(T) e_n - n T e_n.
     """
     n = mats.shape[-1]
     out = -n * mats[..., :, -1]
@@ -404,34 +401,93 @@ def _christoffel_part(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def trace_nabla_T(field: TensorField, metric: MetricModel, pts) -> np.ndarray:
+def _vanishes(f, order: int) -> bool:
+    """Whether the order-th derivatives of f are zero by its declared degree."""
+    return f.degree is not None and f.degree < order
+
+
+def _sum(*terms):
+    """Left-to-right sum of the terms that are not None; None if all are."""
+    out = None
+    for term in terms:
+        if term is not None:
+            out = term if out is None else out + term
+    return out
+
+
+class FieldSample:
+    """T, eta and their derivatives at one (m, n) point set, each evaluated at most once.
+
+    Every attribute is computed on its first read: theta (m, n, n), dT
+    (m, n, n, n), d2T (m, n, n, n, n), ge (m, n) and he (m, n, n), indexed as
+    TensorField and ScalarField document.  A derivative that the field's
+    degree makes zero is None, a structural zero, not an array: dT and d2T
+    of a constant tensor, ge of a constant drift, he of a constant or affine
+    one.  Every reader skips the terms with such a factor.
+    """
+
+    def __init__(self, field: TensorField, drift: ScalarField, metric: MetricModel, pts: np.ndarray):
+        self.field, self.drift, self.metric, self.pts = field, drift, metric, pts
+
+    def _derivative(self, f, order: int, evaluate):
+        if _vanishes(f, order):
+            return None
+        try:
+            return evaluate(self.pts)
+        except NotImplementedError as exc:
+            raise DerivativeUnavailable(f"{type(f).__name__} has no order-{order} derivatives") from exc
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        return self.field.matrix(self.pts)
+
+    @cached_property
+    def dT(self) -> np.ndarray | None:
+        return self._derivative(self.field, 1, self.field.d_matrix)
+
+    @cached_property
+    def d2T(self) -> np.ndarray | None:
+        return self._derivative(self.field, 2, self.field.d2_matrix)
+
+    @cached_property
+    def ge(self) -> np.ndarray | None:
+        return self._derivative(self.drift, 1, self.drift.grad)
+
+    @cached_property
+    def he(self) -> np.ndarray | None:
+        return self._derivative(self.drift, 2, self.drift.hess)
+
+    def apply_T(self, v: np.ndarray) -> np.ndarray:
+        """T v at every point, for v of shape (..., n) holding m vectors."""
+        flat = v.reshape(-1, self.pts.shape[1])
+        if self.field.degree == 0:
+            out = flat @ self.theta[0].T
+        else:
+            out = np.einsum("qab,qb->qa", self.theta, flat)
+        return out.reshape(v.shape)
+
+
+def trace_nabla_T(sample: FieldSample) -> np.ndarray | None:
     """tr(nabla T) = sum_j (nabla_{e_j} T)(e_j), orthonormal-frame components.
 
     In the half-space this is x_n sum_j d_j T_.j + tr(T) e_n - n T e_n.
+    None where it vanishes structurally: a constant T in Euclidean space.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    try:
-        dT = field.d_matrix(pts)
-    except NotImplementedError as exc:
-        raise DerivativeUnavailable("tensor derivatives unavailable") from exc
-    flat = np.einsum("qjij->qi", dT)
-    if not metric.is_hyperbolic:
+    dT = sample.dT
+    flat = None if dT is None else np.einsum("qjij->qi", dT)
+    if not sample.metric.is_hyperbolic:
         return flat
-    return pts[:, -1][:, None] * flat + _christoffel_part(field.matrix(pts))
+    part = _christoffel_part(sample.theta)
+    return part if flat is None else sample.pts[:, -1][:, None] * flat + part
 
 
-def compute_T0(field: TensorField, metric: MetricModel, domain: GridDomain) -> float:
-    """sup over quadrature points of |tr(nabla T)| in the metric norm."""
-    vec = trace_nabla_T(field, metric, domain.quad_points_flat())
-    return float(np.max(np.linalg.norm(vec, axis=1)))
+def compute_T0(sample: FieldSample) -> float:
+    """sup over the sample points of |tr(nabla T)| in the metric norm."""
+    vec = trace_nabla_T(sample)
+    return 0.0 if vec is None else float(np.max(np.linalg.norm(vec, axis=1)))
 
 
-def compute_C0(
-    field: TensorField,
-    drift: ScalarField,
-    metric: MetricModel,
-    domain: GridDomain,
-) -> float:
+def compute_C0(sample: FieldSample) -> float:
     """sup { 1/2 div(T(T(grad eta) - tr(nabla T))) - 1/4 |T(grad eta)|^2 }.
 
     Every derivative is analytic.  With d the coordinate partials, the
@@ -441,145 +497,153 @@ def compute_C0(
     Christoffel part has no x_n, so d_i V gains a term only for i = n.
     There the divergence of W = T(V) is div W = x_n sum_i d_i W_i + (1 - n) W_n.
     """
-    pts = domain.quad_points_flat()
-    theta = field.matrix(pts)
-    try:
-        dT = field.d_matrix(pts)
-        # d_i V_j = sum_m (d_i T_jm dm eta + d2_im eta T_mj) - sum_m d2_im T_jm
-        dV = -np.einsum("qimjm->qij", field.d2_matrix(pts))
-        ge = drift.grad(pts)
-        dV += drift.hess(pts) @ theta
-    except NotImplementedError as exc:
-        raise DerivativeUnavailable("field derivatives unavailable") from exc
-    dV += np.einsum("qijm,qm->qij", dT, ge)
-    tge = np.einsum("qij,qj->qi", theta, ge)
-    v = tge - np.einsum("qjij->qi", dT)
-    if metric.is_hyperbolic:
-        xn = pts[:, -1]
-        dV = xn[:, None, None] * dV - _christoffel_part(dT)
-        dV[:, -1, :] += v
-        v = xn[:, None] * v - _christoffel_part(theta)
-        tge = xn[:, None] * tge
-    div_w = np.einsum("qiij,qj->q", dT, v) + np.einsum("qij,qij->q", theta, dV)
-    if metric.is_hyperbolic:
-        div_w = xn * div_w + (1 - metric.dim) * np.einsum("qj,qj->q", theta[:, -1, :], v)
-    val = 0.5 * div_w - 0.25 * np.sum(tge * tge, axis=1)
-    return float(np.max(val))
+    theta, dT, d2T, ge, he = sample.theta, sample.dT, sample.d2T, sample.ge, sample.he
+    # d_i V_j = sum_m (d_i T_jm dm eta + d2_im eta T_mj) - sum_m d2_im T_jm
+    dV = _sum(
+        None if d2T is None else -np.einsum("qimjm->qij", d2T),
+        None if he is None else he @ theta,
+        None if dT is None or ge is None else np.einsum("qijm,qm->qij", dT, ge),
+    )
+    tge = None if ge is None else np.einsum("qij,qj->qi", theta, ge)
+    v = _sum(tge, None if dT is None else -np.einsum("qjij->qi", dT))
+    hyperbolic = sample.metric.is_hyperbolic
+    if hyperbolic:
+        xn = sample.pts[:, -1]
+        dV = _sum(
+            None if dV is None else xn[:, None, None] * dV,
+            None if dT is None else -_christoffel_part(dT),
+        )
+        if v is not None:
+            dV = np.zeros(theta.shape) if dV is None else dV
+            dV[:, -1, :] += v
+        v = _sum(None if v is None else xn[:, None] * v, -_christoffel_part(theta))
+        tge = None if tge is None else xn[:, None] * tge
+    div_w = _sum(
+        None if dT is None else np.einsum("qiij,qj->q", dT, v),
+        None if dV is None else np.einsum("qij,qij->q", theta, dV),
+    )
+    if hyperbolic:
+        div_w = _sum(
+            None if div_w is None else xn * div_w,
+            (1 - sample.metric.dim) * np.einsum("qj,qj->q", theta[:, -1, :], v),
+        )
+    val = _sum(
+        None if div_w is None else 0.5 * div_w,
+        None if tge is None else -0.25 * np.sum(tge * tge, axis=1),
+    )
+    # + 0.0: without its structurally zero terms an exactly zero sup could read -0.0
+    return 0.0 if val is None else float(np.max(val)) + 0.0
 
 
-def compute_eta_radial_constants(
-    drift: ScalarField,
-    metric: MetricModel,
-    domain: GridDomain,
-    origin: OriginPoint,
-) -> tuple[float, float]:
+def compute_eta_radial_constants(sample: FieldSample, origin: OriginPoint) -> tuple[float, float]:
     """(eta1, eta_r): radial Hessian and radial derivative bounds of eta.
 
-    eta1 = max |Hess eta (d_r, d_r)|, eta_r = max |<grad eta, d_r>| over
-    quadrature points, with d_r the metric-unit radial direction from the
-    origin.
+    eta1 = max |Hess eta (d_r, d_r)|, eta_r = max |<grad eta, d_r>| over the
+    sample points, with d_r the metric-unit radial direction from the
+    origin, which must lie outside the sampled domain (validate_origin).
     """
-    validate_origin(domain, origin)
-    pts = domain.quad_points_flat()
-    v = radial_unit_vector(metric, origin.array(), pts)
-    ge = drift.grad(pts)
-    he = drift.hess(pts)
-    if metric.is_hyperbolic:
-        gamma = _christoffel(pts, metric.dim)
-        he = he - np.einsum("qkij,qk->qij", gamma, ge)
-    eta1 = float(np.max(np.abs(np.einsum("qij,qi,qj->q", he, v, v))))
-    eta_r = float(np.max(np.abs(np.sum(ge * v, axis=1))))
+    pts, ge, he = sample.pts, sample.ge, sample.he
+    v = radial_unit_vector(sample.metric, origin.array(), pts)
+    if sample.metric.is_hyperbolic and ge is not None:
+        # the covariant Hessian he - Gamma(grad eta) = he + (d_in g_j + d_jn g_i - d_ij g_n)/x_n;
+        # each entry gets one term, the (n, n) entry +g_n/x_n
+        m, n = pts.shape
+        rg = (1.0 / pts[:, -1])[:, None] * ge
+        he = np.zeros((m, n, n)) if he is None else he.copy()
+        he[:, :-1, -1] += rg[:, :-1]
+        he[:, -1, :-1] += rg[:, :-1]
+        he[:, np.arange(n - 1), np.arange(n - 1)] -= rg[:, -1:]
+        he[:, -1, -1] += rg[:, -1]
+    eta1 = 0.0 if he is None else float(np.max(np.abs(np.einsum("qij,qi,qj->q", he, v, v))))
+    eta_r = 0.0 if ge is None else float(np.max(np.abs(np.sum(ge * v, axis=1))))
     return eta1, eta_r
 
 
-def apply_operator_L(
-    field: TensorField,
-    drift: ScalarField,
-    metric: MetricModel,
-    f: ScalarField,
-    pts,
-) -> np.ndarray:
-    """Pointwise L f = div(T(grad f)) - <grad eta, T(grad f)> in the metric."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    theta = field.matrix(pts)
-    dT = field.d_matrix(pts)
+def apply_operator_L(sample: FieldSample, f: ScalarField) -> np.ndarray:
+    """Pointwise L f = div(T(grad f)) - <grad eta, T(grad f)> at the sample points."""
+    pts, theta, dT, ge = sample.pts, sample.theta, sample.dT, sample.ge
     gf = f.grad(pts)
-    hf = f.hess(pts)
-    ge = drift.grad(pts)
-    flat_div = np.einsum("qiij,qj->q", dT, gf) + np.einsum("qij,qij->q", theta, hf)
-    if not metric.is_hyperbolic:
-        return flat_div - np.einsum("qi,qij,qj->q", ge, theta, gf)
-    xn = pts[:, -1]
-    tgf_n = np.einsum("qj,qj->q", theta[:, -1, :], gf)
-    div_g = xn**2 * flat_div - (metric.dim - 2) * xn * tgf_n
-    drift_term = xn**2 * np.einsum("qi,qij,qj->q", ge, theta, gf)
-    return div_g - drift_term
+    hf = None if _vanishes(f, 2) else f.hess(pts)
+    div = _sum(
+        None if dT is None else np.einsum("qiij,qj->q", dT, gf),
+        None if hf is None else np.einsum("qij,qij->q", theta, hf),
+    )
+    drift_term = None if ge is None else np.einsum("qi,qij,qj->q", ge, theta, gf)
+    if sample.metric.is_hyperbolic:
+        xn = pts[:, -1]
+        tgf_n = np.einsum("qj,qj->q", theta[:, -1, :], gf)
+        div = _sum(None if div is None else xn**2 * div, -((sample.metric.dim - 2) * xn * tgf_n))
+        drift_term = None if drift_term is None else xn**2 * drift_term
+    out = _sum(div, None if drift_term is None else -drift_term)
+    return np.zeros(pts.shape[0]) if out is None else out
 
 
 @dataclass(frozen=True)
 class OperatorTestFunction:
     """A closed-form f bundled with analytic L f and grad(L f).
 
-    lf_and_grad(pts) returns (L f, grad(L f)) shaped (m,) and (m, n) from
-    one evaluation of T, its derivatives and the drift at pts.
+    lf_and_grad(sample) returns (L f, grad(L f)) shaped (m,) and (m, n) at
+    the points of a FieldSample, with None for a structural zero.
     """
 
     f: ScalarField
     lf_and_grad: object
 
 
-def coordinate_test_function(
-    field: TensorField, drift: ScalarField, metric: MetricModel, axis: int
-) -> OperatorTestFunction:
+def coordinate_test_function(metric: MetricModel, axis: int) -> OperatorTestFunction:
     """f = x_axis in Euclidean space; |grad f| = 1."""
     if metric.is_hyperbolic:
         raise ValueError("coordinate test functions are Euclidean-only")
-    n = metric.dim
-    f = AffineScalar(np.eye(n)[axis])
+    f = AffineScalar(np.eye(metric.dim)[axis])
 
-    def lf_and_grad(pts):
-        theta = field.matrix(pts)
-        dT = field.d_matrix(pts)
-        d2T = field.d2_matrix(pts)
-        ge = drift.grad(pts)
-        he = drift.hess(pts)
-        lf = np.einsum("qjj->q", dT[:, :, :, axis]) - np.einsum("qm,qm->q", theta[:, axis, :], ge)
-        term1 = np.einsum("qkjj->qk", d2T[:, :, :, :, axis])
-        term2 = np.einsum("qkm,qm->qk", dT[:, :, axis, :], ge)
-        term3 = np.einsum("qm,qkm->qk", theta[:, axis, :], he)
-        return lf, term1 - term2 - term3
+    def lf_and_grad(s: FieldSample):
+        theta, dT, d2T, ge, he = s.theta, s.dT, s.d2T, s.ge, s.he
+        lf = _sum(
+            None if dT is None else np.einsum("qjj->q", dT[:, :, :, axis]),
+            None if ge is None else -np.einsum("qm,qm->q", theta[:, axis, :], ge),
+        )
+        grad = _sum(
+            None if d2T is None else np.einsum("qkjj->qk", d2T[:, :, :, :, axis]),
+            None if dT is None or ge is None else -np.einsum("qkm,qm->qk", dT[:, :, axis, :], ge),
+            None if he is None else -np.einsum("qm,qkm->qk", theta[:, axis, :], he),
+        )
+        return lf, grad
 
     return OperatorTestFunction(f, lf_and_grad)
 
 
-def log_axis_test_function(
-    field: TensorField, drift: ScalarField, metric: MetricModel
-) -> OperatorTestFunction:
+def log_axis_test_function(metric: MetricModel) -> OperatorTestFunction:
     """f = ln x_n in the half-space model; |grad f|_g = 1."""
     if not metric.is_hyperbolic:
         raise ValueError("log test function lives on the half-space model")
     n = metric.dim
     f = LogAxisScalar(n)
 
-    def lf_and_grad(pts):
-        theta = field.matrix(pts)
-        dT = field.d_matrix(pts)
-        d2T = field.d2_matrix(pts)
-        ge = drift.grad(pts)
-        he = drift.hess(pts)
-        xn = pts[:, -1]
-        a = np.einsum("qii->q", dT[:, :, :, -1])
-        b = np.einsum("qi,qi->q", ge, theta[:, :, -1])
-        lf = xn * a - (n - 1) * theta[:, -1, -1] - xn * b
-        out = np.zeros_like(pts)
-        out[:, -1] = a - b
-        out += xn[:, None] * np.einsum("qkii->qk", d2T[:, :, :, :, -1])
-        out -= (n - 1) * dT[:, :, -1, -1]
-        out -= xn[:, None] * (
-            np.einsum("qki,qi->qk", he, theta[:, :, -1])
-            + np.einsum("qi,qki->qk", ge, dT[:, :, :, -1])
+    def lf_and_grad(s: FieldSample):
+        theta, dT, d2T, ge, he = s.theta, s.dT, s.d2T, s.ge, s.he
+        xn = s.pts[:, -1]
+        a = None if dT is None else np.einsum("qii->q", dT[:, :, :, -1])
+        b = None if ge is None else np.einsum("qi,qi->q", ge, theta[:, :, -1])
+        lf = _sum(
+            None if a is None else xn * a,
+            -((n - 1) * theta[:, -1, -1]),
+            None if b is None else -(xn * b),
         )
-        return lf, out
+        grad = np.zeros_like(s.pts)
+        a_minus_b = _sum(a, None if b is None else -b)
+        if a_minus_b is not None:
+            grad[:, -1] = a_minus_b
+        if d2T is not None:
+            grad += xn[:, None] * np.einsum("qkii->qk", d2T[:, :, :, :, -1])
+        if dT is not None:
+            grad -= (n - 1) * dT[:, :, -1, -1]
+        inner = _sum(
+            None if he is None else np.einsum("qki,qi->qk", he, theta[:, :, -1]),
+            None if ge is None or dT is None else np.einsum("qi,qki->qk", ge, dT[:, :, :, -1]),
+        )
+        if inner is not None:
+            grad -= xn[:, None] * inner
+        return lf, grad
 
     return OperatorTestFunction(f, lf_and_grad)
 

@@ -92,18 +92,6 @@ def inverse_metric_factor(metric: MetricModel, p):
     return float(f[0]) if single else f
 
 
-def raise_gradient(metric: MetricModel, p, coordinate_gradient):
-    """Convert a coordinate covector df into the metric gradient vector.
-
-    Euclidean: identity.  Hyperbolic: multiply componentwise by x_n^2,
-    so the metric norm of the result is x_n * |df|.
-    """
-    pts, single = _as_points(p)
-    cov = np.atleast_2d(np.asarray(coordinate_gradient, dtype=float))
-    vec = cov * inverse_metric_factor(metric, pts)[:, None]
-    return vec[0] if single else vec
-
-
 def gradient_norm(metric: MetricModel, p, coordinate_gradient):
     """Metric norm |grad f|_g of the gradient raised from a covector."""
     pts, single = _as_points(p)

@@ -133,6 +133,13 @@ class ScenarioConfig:
         for chk in self.verify:
             if chk not in CHECK_NAMES:
                 raise ConfigError(f"unknown verification {chk!r}")
+        if self.h0 is not None and not self.h0 >= 0.0:
+            raise ConfigError(f"H0 bounds a norm and must be >= 0, got {self.h0}")
+        pins = [k for k in (self.kappa1, self.kappa2) if k is not None]
+        if not all(k >= 0.0 for k in pins):
+            raise ConfigError(f"curvature pins must be >= 0, got {pins}")
+        if len(pins) == 2 and self.kappa2 > self.kappa1:
+            raise ConfigError(f"need kappa2 <= kappa1, got kappa1={self.kappa1}, kappa2={self.kappa2}")
         euclid = self.metric_tag == "euclidean"
         if euclid:
             if self.h0 not in (None, 0.0):
@@ -147,6 +154,12 @@ class ScenarioConfig:
         else:
             if "thm11" in self.theorems:
                 raise ConfigError("thm11 requires the Euclidean metric")
+            # the pinching -kappa1^2 <= K <= -kappa2^2 must hold for K = -1
+            if pins and not max(pins) >= 1.0 >= min(pins):
+                raise ConfigError(
+                    f"curvature pins {pins} do not bracket the half-space curvature -1 "
+                    "(need kappa2 <= 1 <= kappa1)"
+                )
             needs_h0 = any(t in self.theorems for t in ("thm12", "thm13"))
             if needs_h0 and self.h0 is None:
                 raise ConfigError("hyperbolic bound families need the H0 config input")
@@ -381,10 +394,10 @@ def build_problem(cfg: ScenarioConfig):
 
 def collect_constants(cfg, pair: assembly.OperatorPair) -> fields.OperatorConstants:
     """The bound constants, from the quadrature sample the pair was assembled on."""
-    domain, tensor, drift = pair.domain, pair.field, pair.drift
+    domain, sample = pair.domain, pair.sample
     metric = domain.metric
-    t0 = fields.compute_T0(tensor, metric, domain)
-    c0 = fields.compute_C0(tensor, drift, metric, domain)
+    t0 = fields.compute_T0(sample)
+    c0 = fields.compute_C0(sample)
     prov = {"epsilon": "computed", "delta": "computed", "t0": "computed", "c0": "computed"}
     kwargs = {"n": metric.dim, "epsilon": pair.epsilon, "delta": pair.delta, "t0": t0, "c0": c0}
     if metric.is_hyperbolic:
@@ -398,7 +411,7 @@ def collect_constants(cfg, pair: assembly.OperatorPair) -> fields.OperatorConsta
             origin = geometry.OriginPoint(tuple(cfg.origin))
             kwargs["d"] = geometry.domain_origin_distance(domain, origin)
             prov["d"] = "computed (grid approximation from above)"
-            eta1, eta_r = fields.compute_eta_radial_constants(drift, metric, domain, origin)
+            eta1, eta_r = fields.compute_eta_radial_constants(sample, origin)
             kwargs["eta1"], kwargs["eta_r"] = eta1, eta_r
             prov["eta1"] = prov["eta_r"] = "computed"
     else:
@@ -466,12 +479,10 @@ def run_scenario(
         try:
             tfs = {}
             if metric.is_hyperbolic:
-                tfs["ln_xn"] = fields.log_axis_test_function(tensor, drift, metric)
+                tfs["ln_xn"] = fields.log_axis_test_function(metric)
             else:
                 for axis in range(metric.dim):
-                    tfs[f"x{axis + 1}"] = fields.coordinate_test_function(
-                        tensor, drift, metric, axis
-                    )
+                    tfs[f"x{axis + 1}"] = fields.coordinate_test_function(metric, axis)
             for label, tf in tfs.items():
                 report.cor32_rows[label] = bounds.cor32_check(spectrum, pair, tf, consts, j=1)
         except (EtagapError, ValueError) as exc:

@@ -41,6 +41,9 @@ class SpectrumResult:
     eigenvectors: np.ndarray
     residuals: np.ndarray
     meta: dict = field(default_factory=dict)
+    # column j -> (pair, u_j, grad u_j, T grad u_j) at the pair's quadrature
+    # points, filled on first use by the checks in bounds
+    at_quadrature: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def k(self) -> int:

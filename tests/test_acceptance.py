@@ -184,12 +184,12 @@ def test_criterion_8_hyperbolic_scenario(hyperbolic_run):
     norms = gradient_norm(metric, pts, f.grad(pts))
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     # L(ln x2) = -1 at every grid node
-    from etagap.fields import ConstantScalar, identity_tensor
+    from etagap.fields import ConstantScalar, FieldSample, identity_tensor
     from etagap.geometry import make_box_domain
 
     dom = make_box_domain([(0, 1), (1, 2)], [128, 128], metric)
     all_nodes = dom.node_coords(np.arange(int(np.prod(dom.node_shape))))
-    lf = apply_operator_L(identity_tensor(2), ConstantScalar(2), metric, f, all_nodes)
+    lf = apply_operator_L(FieldSample(identity_tensor(2), ConstantScalar(2), metric, all_nodes), f)
     assert np.max(np.abs(lf + 1.0)) < 1e-10
     # gap rows never hard-fail
     assert set(rep.gap_reports) == {"thm12", "thm13"}

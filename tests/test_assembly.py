@@ -131,7 +131,7 @@ class TestDiscreteBilinearForm:
         u, v = rng.standard_normal(pair.ndof), rng.standard_normal(pair.ndof)
         _, gu = interpolate_at_quadrature(pair, u)
         _, gv = interpolate_at_quadrature(pair, v)
-        pts, dm, factor = quad_data(pair.domain, pair.drift)
+        pts, dm, factor = quad_data(pair.domain, pair.sample.drift)
         flat = pts.reshape(-1, 2)
         theta = field.matrix(flat).reshape(pts.shape[0], pts.shape[1], 2, 2)
         form = float(np.sum(factor * np.einsum("cqa,cqab,cqb->cq", gv, theta, gu) * dm))
@@ -144,7 +144,7 @@ class TestDiscreteBilinearForm:
         u, v = rng.standard_normal(pair.ndof), rng.standard_normal(pair.ndof)
         uu, _ = interpolate_at_quadrature(pair, u)
         vv, _ = interpolate_at_quadrature(pair, v)
-        _, dm, _ = quad_data(pair.domain, pair.drift)
+        _, dm, _ = quad_data(pair.domain, pair.sample.drift)
         assert v @ (pair.B @ u) == pytest.approx(float(np.sum(vv * uu * dm)), rel=1e-12)
 
 
@@ -189,3 +189,83 @@ class TestRefinement:
         errs = [abs(t - exact) for t in totals]
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] / exact < 0.1
+
+
+def einsum_interpolant(pair, u):
+    """Reference: the Q1 interpolant contracted per shape function with einsum."""
+    from etagap.assembly import _reference_elements
+
+    domain = pair.domain
+    full = np.zeros(int(np.prod(domain.node_shape)))
+    full[domain.interior_flat] = u
+    corner_vals = full[domain.cell_corner_nodes()]
+    N, dN = _reference_elements(domain)
+    return np.einsum("qa,ca->cq", N, corner_vals), np.einsum("qad,ca->cqd", dN, corner_vals)
+
+
+class TestInterpolateAtQuadrature:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_einsum_reference(self, dim):
+        if dim == 2:
+            dom = make_box_domain(
+                [(0, 1), (1, 2)], [14, 11], HYP2, mask_rule=lambda c: np.linalg.norm(c - [0.5, 1.5], axis=1) < 0.45
+            )
+        else:
+            dom = make_box_domain([(0, 1), (0, 2), (1, 2)], [5, 6, 4], euclidean(3))
+        pair = assemble(dom, identity_tensor(dim), ConstantScalar(dim))
+        u = np.random.default_rng(dim).standard_normal(pair.ndof)
+        vals, grads = interpolate_at_quadrature(pair, u)
+        ref_vals, ref_grads = einsum_interpolant(pair, u)
+        assert vals.shape == ref_vals.shape and grads.shape == ref_grads.shape
+        assert np.max(np.abs(vals - ref_vals)) <= 1e-14 * np.max(np.abs(ref_vals))
+        assert np.max(np.abs(grads - ref_grads)) <= 1e-14 * np.max(np.abs(ref_grads))
+
+
+class TestModeCache:
+    def _config(self, **over):
+        from etagap.scenario import ScenarioConfig
+
+        raw = {
+            "name": "cache_square",
+            "metric": "euclidean",
+            "domain": {"bounds": [["0", "3.141592653589793"], ["0", "3.141592653589793"]], "resolution": [16, 16]},
+            "tensor": {"kind": "identity"},
+            "solver": {"k": 8, "seed": 1},
+            "verify": ["cor32"],
+        }
+        raw.update(over)
+        return ScenarioConfig.from_dict(raw)
+
+    def _count(self, monkeypatch):
+        from etagap import bounds
+
+        seen = []
+        inner = bounds.interpolate_at_quadrature
+
+        def counting(pair, u):
+            seen.append(np.asarray(u).tobytes())
+            return inner(pair, u)
+
+        monkeypatch.setattr(bounds, "interpolate_at_quadrature", counting)
+        return seen
+
+    def test_cor32_interpolates_u1_once(self, monkeypatch):
+        from etagap.scenario import run_scenario
+
+        seen = self._count(monkeypatch)
+        rep = run_scenario(self._config(), write=False)
+        assert set(rep.cor32_rows) == {"x1", "x2"}
+        assert seen == [rep.spectrum.eigenvectors[:, 0].tobytes()]
+
+    def test_lemma32_interpolates_each_vector_at_most_once(self, monkeypatch):
+        from etagap.scenario import run_scenario
+
+        seen = self._count(monkeypatch)
+        cfg = self._config(
+            domain={"bounds": [["0", "3.141592653589793"], ["0", "3.141592653589793"]], "resolution": [8, 8]},
+            solver={"k": "full", "method": "dense"},
+            verify=["lemma32"],
+        )
+        rep = run_scenario(cfg, write=False)
+        assert len(rep.lemma32_rows) > 2
+        assert len(seen) == len(set(seen)) > 2

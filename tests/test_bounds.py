@@ -340,7 +340,7 @@ class TestCor32:
         # gap <= 4 sqrt(lambda_1 lambda_{k+2})
         pair, spectrum = square_setup
         consts = trivial_consts(2)
-        tf = coordinate_test_function(pair.field, pair.drift, EUC2, 0)
+        tf = coordinate_test_function(EUC2, 0)
         rows = cor32_check(spectrum, pair, tf, consts, j=1)
         lam = spectrum.eigenvalues
         checked = [r for r in rows if r.status == "checked"]
@@ -357,7 +357,7 @@ class TestCor32:
     def test_square_k2_magnitudes(self, square_setup):
         pair, spectrum = square_setup
         consts = trivial_consts(2)
-        tf = coordinate_test_function(pair.field, pair.drift, EUC2, 1)
+        tf = coordinate_test_function(EUC2, 1)
         rows = {r.k: r for r in cor32_check(spectrum, pair, tf, consts, j=1)}
         row = rows[2]
         # analytic values: gap = 3, bound = 4 sqrt(2 * 8) = 16
@@ -367,7 +367,7 @@ class TestCor32:
     def test_unit_gradient_violation(self, square_setup):
         pair, spectrum = square_setup
         consts = trivial_consts(2)
-        bad = coordinate_test_function(pair.field, pair.drift, EUC2, 0)
+        bad = coordinate_test_function(EUC2, 0)
         from etagap.fields import OperatorTestFunction
 
         tampered = OperatorTestFunction(AffineScalar([2.0, 0.0]), bad.lf_and_grad)
@@ -379,7 +379,7 @@ class TestCor32:
         # a holding inequality
         pair, spectrum = square_setup
         consts = trivial_consts(2)
-        tf = coordinate_test_function(pair.field, pair.drift, EUC2, 0)
+        tf = coordinate_test_function(EUC2, 0)
         rows1 = cor32_check(spectrum, pair, tf, consts, j=1)
         scaled = SpectrumResult(
             spectrum.eigenvalues,
@@ -401,7 +401,7 @@ class TestCor32:
         pair = assemble(dom, identity_tensor(2), ConstantScalar(2))
         spectrum = solve_lowest(pair, 6)
         consts = trivial_consts(2)
-        tf = log_axis_test_function(pair.field, pair.drift, HYP2)
+        tf = log_axis_test_function(HYP2)
         rows = [r for r in cor32_check(spectrum, pair, tf, consts, j=1) if r.status == "checked"]
         assert rows
         lam = spectrum.eigenvalues

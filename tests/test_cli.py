@@ -139,6 +139,14 @@ class TestUsage:
         assert main(["spectrum", "square_laplacian", "--frobnicate"]) == 3
 
 
+# a valid thm13 config on the half-plane, whose curvature is -1
+HALF_PLANE_THM13 = {
+    "metric": "hyperbolic",
+    "domain": {"bounds": [["0", "1"], ["1", "2"]], "resolution": [16, 16]},
+    "bounds": {"theorems": ["thm12", "thm13"], "k_range": [2, 6]},
+}
+THM13_INPUTS = {"H0": "1", "kappa1": "1", "kappa2": "1", "origin": ["0", "4"]}
+
 MALFORMED_CONFIGS = {
     "constant_diag_without_entries": {"tensor": {"kind": "constant_diag"}},
     "diag_profile_one_entry_in_2d": {
@@ -163,6 +171,11 @@ MALFORMED_CONFIGS = {
     "quadratic_coeffs_long": {"drift": {"kind": "quadratic", "coeffs": ["1", "0", "0"]}},
     "affine_coeffs_as_string": {"drift": {"kind": "affine", "coeffs": "10"}},
     "unknown_solver_method": {"solver": {"k": 10, "method": "lanczos"}},
+    "kappa_pins_above_curvature": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa1": "0.2", "kappa2": "0.1"}},
+    "kappa_pins_below_curvature": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa1": "3", "kappa2": "3"}},
+    "kappa2_above_kappa1": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa1": "0.1", "kappa2": "0.2"}},
+    "negative_kappa2": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa2": "-1"}},
+    "negative_H0": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "H0": "-1"}},
 }
 
 
@@ -170,7 +183,13 @@ MALFORMED_CONFIGS = {
     "case",
     [*MALFORMED_CONFIGS, "k_not_a_number", "resolution_one", "shift_invert_k_too_large"],
 )
-def test_malformed_input_exit_3(tmp_path, capsys, case):
+def test_malformed_input_exit_3(tmp_path, capsys, monkeypatch, case):
+    if case in MALFORMED_CONFIGS:
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled although the config is malformed")
+
+        monkeypatch.setattr(assembly, "assemble", no_assembly)
     if case == "k_not_a_number":
         argv = ["verify", "interval_laplacian", "--k", "abc"]
     elif case == "resolution_one":

@@ -6,9 +6,9 @@ import pytest
 from etagap.errors import NotPositiveDefinite, OutOfDomain
 from etagap.fields import (
     AffineScalar,
-    _christoffel,
     ConstantScalar,
     ConstantTensor,
+    FieldSample,
     GaussianScalar,
     LogAxisScalar,
     QuadraticScalar,
@@ -32,7 +32,105 @@ from etagap.geometry import (
     euclidean,
     hyperbolic_half_plane,
     make_box_domain,
+    radial_unit_vector,
+    validate_origin,
 )
+
+
+def sample_at(field, drift, metric, where) -> FieldSample:
+    """A FieldSample at a domain's quadrature points or at an (m, n) point array."""
+    pts = where.quad_points_flat() if hasattr(where, "quad_points_flat") else np.asarray(where, float)
+    return FieldSample(field, drift, metric, pts)
+
+
+def zero(dim: int) -> ConstantScalar:
+    return ConstantScalar(dim)
+
+
+# ---------------------------------------------------------------------------
+# array-path references: every field and derivative as a full array, zeros
+# included, contracted as the constants were before the field sample
+# ---------------------------------------------------------------------------
+
+
+def _christoffel(pts: np.ndarray, n: int) -> np.ndarray:
+    """Half-space symbols Gamma^k_ij = -(dki djn + dkj din - dij dkn)/x_n, per point."""
+    eye = np.eye(n)
+    base = -(
+        np.einsum("ki,j->kij", eye, eye[-1])
+        + np.einsum("kj,i->kij", eye, eye[-1])
+        - np.einsum("ij,k->kij", eye, eye[-1])
+    )
+    return base[None, :, :, :] / pts[:, -1][:, None, None, None]
+
+
+def _array(evaluate, pts, shape):
+    """evaluate(pts), or zeros of the given trailing shape for a field without that derivative."""
+    try:
+        return evaluate(pts)
+    except NotImplementedError:
+        return np.zeros((pts.shape[0],) + shape)
+
+
+def _field_arrays(field, drift, pts):
+    n = pts.shape[1]
+    return (
+        field.matrix(pts),
+        _array(field.d_matrix, pts, (n,) * 3),
+        _array(field.d2_matrix, pts, (n,) * 4),
+        _array(drift.grad, pts, (n,)),
+        _array(drift.hess, pts, (n, n)),
+    )
+
+
+def _christoffel_part(mats):
+    n = mats.shape[-1]
+    out = -n * mats[..., :, -1]
+    out[..., -1] += np.trace(mats, axis1=-2, axis2=-1)
+    return out
+
+
+def ref_compute_T0(field, metric, domain) -> float:
+    pts = domain.quad_points_flat()
+    theta, dT, _, _, _ = _field_arrays(field, zero(metric.dim), pts)
+    vec = np.einsum("qjij->qi", dT)
+    if metric.is_hyperbolic:
+        vec = pts[:, -1][:, None] * vec + _christoffel_part(theta)
+    return float(np.max(np.linalg.norm(vec, axis=1)))
+
+
+def ref_compute_C0(field, drift, metric, domain) -> float:
+    pts = domain.quad_points_flat()
+    theta, dT, d2T, ge, he = _field_arrays(field, drift, pts)
+    dV = -np.einsum("qimjm->qij", d2T)
+    dV += he @ theta
+    dV += np.einsum("qijm,qm->qij", dT, ge)
+    tge = np.einsum("qij,qj->qi", theta, ge)
+    v = tge - np.einsum("qjij->qi", dT)
+    if metric.is_hyperbolic:
+        xn = pts[:, -1]
+        dV = xn[:, None, None] * dV - _christoffel_part(dT)
+        dV[:, -1, :] += v
+        v = xn[:, None] * v - _christoffel_part(theta)
+        tge = xn[:, None] * tge
+    div_w = np.einsum("qiij,qj->q", dT, v) + np.einsum("qij,qij->q", theta, dV)
+    if metric.is_hyperbolic:
+        div_w = xn * div_w + (1 - metric.dim) * np.einsum("qj,qj->q", theta[:, -1, :], v)
+    return float(np.max(0.5 * div_w - 0.25 * np.sum(tge * tge, axis=1)))
+
+
+def ref_compute_eta_radial_constants(drift, metric, domain, origin) -> tuple:
+    validate_origin(domain, origin)
+    pts = domain.quad_points_flat()
+    v = radial_unit_vector(metric, origin.array(), pts)
+    n = metric.dim
+    ge = _array(drift.grad, pts, (n,))
+    he = _array(drift.hess, pts, (n, n))
+    if metric.is_hyperbolic:
+        he = he - np.einsum("qkij,qk->qij", _christoffel(pts, n), ge)
+    eta1 = float(np.max(np.abs(np.einsum("qij,qi,qj->q", he, v, v))))
+    eta_r = float(np.max(np.abs(np.sum(ge * v, axis=1))))
+    return eta1, eta_r
 
 # ---------------------------------------------------------------------------
 # central-difference references for the analytic derivatives
@@ -143,7 +241,7 @@ def fd_hyperbolic_C0(field: TensorField, drift: ScalarField, metric, domain) -> 
 
     def w_orth(p):
         th = field.matrix(p)
-        v = np.einsum("qij,qj->qi", th, p[:, -1][:, None] * drift.grad(p)) - trace_nabla_T(field, metric, p)
+        v = np.einsum("qij,qj->qi", th, p[:, -1][:, None] * drift.grad(p)) - trace_nabla_T(sample_at(field, drift, metric, p))
         return np.einsum("qij,qj->qi", th, v)
 
     h = 1e-5 * float(np.linalg.norm([hi - lo for lo, hi in domain.bounds]))
@@ -279,16 +377,16 @@ class TestTensorBounds:
 class TestTraceNablaT:
     def test_constant_euclidean_zero(self):
         pts = np.array([[0.2, 0.4], [1.0, 2.0]])
-        out = trace_nabla_T(ConstantTensor(np.diag([2.0, 3.0])), EUC2, pts)
-        assert np.all(out == 0.0)
+        # a structural zero: no array is built
+        assert trace_nabla_T(sample_at(ConstantTensor(np.diag([2.0, 3.0])), zero(2), EUC2, pts)) is None
 
     def test_diag_affine(self):
-        out = trace_nabla_T(diag_affine_tensor(), EUC2, np.array([[0.5, 1.5]]))
+        out = trace_nabla_T(sample_at(diag_affine_tensor(), zero(2), EUC2, [[0.5, 1.5]]))
         assert out[0] == pytest.approx([1.0, 0.0], abs=1e-14)
 
     def test_hyperbolic_identity_parallel(self):
         pts = np.array([[0.3, 0.7], [0.1, 2.4]])
-        out = trace_nabla_T(identity_tensor(2), HYP2, pts)
+        out = trace_nabla_T(sample_at(identity_tensor(2), zero(2), HYP2, pts))
         assert np.max(np.abs(out)) < 1e-14
 
     @pytest.mark.parametrize("kind", ["sin_x1", "sin_x2", "coupled_3d"])
@@ -316,7 +414,7 @@ class TestTraceNablaT:
         corr1 = np.einsum("qajm,qmj->qa", gamma, theta)
         corr2 = np.einsum("qim,qm->qi", theta, np.einsum("qmjj->qm", gamma))
         ref = pts[:, -1][:, None] * (np.einsum("qjij->qi", field.d_matrix(pts)) + corr1 - corr2)
-        got = trace_nabla_T(field, metric, pts)
+        got = trace_nabla_T(sample_at(field, zero(metric.dim), metric, pts))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_against_fd_christoffel_oracle(self):
@@ -362,16 +460,16 @@ class TestTraceNablaT:
                 for m in range(2):
                     acc += gamma[i, j, m] * theta[m, j] - gamma[m, j, j] * theta[i, m]
             expected[i] = p[-1] * acc
-        got = trace_nabla_T(field, HYP2, p[None])[0]
+        got = trace_nabla_T(sample_at(field, zero(2), HYP2, p[None]))[0]
         assert got == pytest.approx(expected, abs=1e-8)
 
 
 class TestComputeT0:
     def test_constant_exact_zero(self, square_domain):
-        assert compute_T0(ConstantTensor(np.diag([2.0, 3.0])), EUC2, square_domain) == 0.0
+        assert compute_T0(sample_at(ConstantTensor(np.diag([2.0, 3.0])), zero(2), EUC2, square_domain)) == 0.0
 
     def test_diag_affine_is_one(self, square_domain):
-        assert compute_T0(diag_affine_tensor(), EUC2, square_domain) == pytest.approx(1.0, abs=1e-14)
+        assert compute_T0(sample_at(diag_affine_tensor(), zero(2), EUC2, square_domain)) == pytest.approx(1.0, abs=1e-14)
 
     def test_sin_profile_sup_cos(self, square_domain):
         field = tensor_preset(
@@ -385,17 +483,18 @@ class TestComputeT0:
         # oracle: sup |cos x1| over the same sample grid
         pts = square_domain.quad_points_flat()
         expected = float(np.max(np.abs(np.cos(pts[:, 0]))))
-        assert compute_T0(field, EUC2, square_domain) == pytest.approx(expected, abs=1e-14)
-        assert compute_T0(field, EUC2, square_domain) == pytest.approx(1.0, abs=1e-3)
+        t0 = compute_T0(sample_at(field, zero(2), EUC2, square_domain))
+        assert t0 == pytest.approx(expected, abs=1e-14)
+        assert t0 == pytest.approx(1.0, abs=1e-3)
 
 
 class TestComputeC0:
     def test_constant_everything_exact_zero(self, square_domain):
-        val = compute_C0(ConstantTensor(np.diag([2.0, 3.0])), ConstantScalar(2, 5.0), EUC2, square_domain)
+        val = compute_C0(sample_at(ConstantTensor(np.diag([2.0, 3.0])), ConstantScalar(2, 5.0), EUC2, square_domain))
         assert val == 0.0
 
     def test_affine_drift_quarter(self, square_domain):
-        val = compute_C0(identity_tensor(2), AffineScalar([1.0, 0.0]), EUC2, square_domain)
+        val = compute_C0(sample_at(identity_tensor(2), AffineScalar([1.0, 0.0]), EUC2, square_domain))
         assert val == pytest.approx(-0.25, abs=1e-14)
 
     def test_quadratic_drift_sup(self, square_domain):
@@ -403,13 +502,13 @@ class TestComputeC0:
         eta = QuadraticScalar(np.eye(2))
         pts = square_domain.quad_points_flat()
         oracle = float(np.max(1.0 - 0.25 * np.sum(pts * pts, axis=1)))
-        val = compute_C0(identity_tensor(2), eta, EUC2, square_domain)
+        val = compute_C0(sample_at(identity_tensor(2), eta, EUC2, square_domain))
         assert val == pytest.approx(oracle, abs=1e-12)
         assert 0.99 < val < 1.0
 
     def test_hyperbolic_identity_zero_drift(self):
         dom = make_box_domain([(0, 1), (1, 2)], [12, 12], HYP2)
-        val = compute_C0(identity_tensor(2), ConstantScalar(2), HYP2, dom)
+        val = compute_C0(sample_at(identity_tensor(2), ConstantScalar(2), HYP2, dom))
         assert val == 0.0
 
     def test_hyperbolic_radial_drift_against_closed_form(self):
@@ -419,7 +518,7 @@ class TestComputeC0:
         eta = QuadraticScalar(np.diag([1.0, 0.0]))
         pts = dom.quad_points_flat()
         oracle = float(np.max(pts[:, 1] ** 2 * (0.5 - 0.25 * pts[:, 0] ** 2)))
-        val = compute_C0(identity_tensor(2), eta, HYP2, dom)
+        val = compute_C0(sample_at(identity_tensor(2), eta, HYP2, dom))
         assert val == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -452,7 +551,7 @@ class TestComputeC0:
                     {"profile": "sin", "c0": 2.5, "c1": 0.9, "axis": axis},
                 ],
             )
-        val = compute_C0(field, drift, metric, dom)
+        val = compute_C0(sample_at(field, drift, metric, dom))
         ref = fd_hyperbolic_C0(field, drift, metric, dom)
         assert abs(val - ref) <= 1e-8 * max(1.0, abs(ref))
 
@@ -460,13 +559,13 @@ class TestComputeC0:
 class TestEtaRadialConstants:
     def test_constant_drift(self):
         dom = make_box_domain([(0, 1), (0, 1)], [20, 20], EUC2)
-        out = compute_eta_radial_constants(ConstantScalar(2, 3.0), EUC2, dom, OriginPoint((-1.0, 0.0)))
+        out = compute_eta_radial_constants(sample_at(identity_tensor(2), ConstantScalar(2, 3.0), EUC2, dom), OriginPoint((-1.0, 0.0)))
         assert out == (0.0, 0.0)
 
     def test_affine_drift_radial_slope(self):
         dom = make_box_domain([(0, 1), (0, 1)], [60, 60], EUC2)
         o = OriginPoint((-1.0, 0.0))
-        eta1, eta_r = compute_eta_radial_constants(AffineScalar([1.0, 0.0]), EUC2, dom, o)
+        eta1, eta_r = compute_eta_radial_constants(sample_at(identity_tensor(2), AffineScalar([1.0, 0.0]), EUC2, dom), o)
         # oracle: max of (x1 + 1)/|x - o| over the sample grid
         pts = dom.quad_points_flat()
         diff = pts - np.array([-1.0, 0.0])
@@ -478,18 +577,16 @@ class TestEtaRadialConstants:
     def test_quadratic_drift_unit_hessian(self):
         dom = make_box_domain([(0, 1), (0, 1)], [30, 30], EUC2)
         o = OriginPoint((-0.5, -0.5))
-        eta1, _ = compute_eta_radial_constants(QuadraticScalar(np.eye(2)), EUC2, dom, o)
+        eta1, _ = compute_eta_radial_constants(sample_at(identity_tensor(2), QuadraticScalar(np.eye(2)), EUC2, dom), o)
         assert eta1 == pytest.approx(1.0, abs=1e-12)
 
     def test_hyperbolic_log_hessian_identity(self):
         # Hess(ln x2) = -(g - d ln x2 (x) d ln x2), so along any unit v:
         # Hess(ln x2)(v, v) = -(1 - <grad ln x2, v>_g^2)
-        from etagap.geometry import radial_unit_vector
-
         dom = make_box_domain([(0, 1), (1, 2)], [24, 24], HYP2)
         o = OriginPoint((0.3, 4.0))
         eta = LogAxisScalar(2)
-        eta1, eta_r = compute_eta_radial_constants(eta, HYP2, dom, o)
+        eta1, eta_r = compute_eta_radial_constants(sample_at(identity_tensor(2), eta, HYP2, dom), o)
         pts = dom.quad_points_flat()
         v = radial_unit_vector(HYP2, o.array(), pts)
         slope = np.sum(eta.grad(pts) * v, axis=1)
@@ -502,31 +599,27 @@ class TestEtaRadialConstants:
 class TestApplyOperator:
     def test_harmonic_coordinate(self):
         pts = np.array([[0.2, 0.9], [1.5, 2.0]])
-        out = apply_operator_L(identity_tensor(2), ConstantScalar(2), EUC2, AffineScalar([1.0, 0.0]), pts)
+        out = apply_operator_L(sample_at(identity_tensor(2), ConstantScalar(2), EUC2, pts), AffineScalar([1.0, 0.0]))
         assert np.all(out == 0.0)
 
     def test_coordinate_squared(self):
         f = QuadraticScalar(np.diag([2.0, 0.0]))  # x1^2
-        out = apply_operator_L(identity_tensor(2), ConstantScalar(2), EUC2, f, np.array([[0.3, 0.4]]))
+        out = apply_operator_L(sample_at(identity_tensor(2), ConstantScalar(2), EUC2, [[0.3, 0.4]]), f)
         assert out[0] == pytest.approx(2.0)
 
     def test_half_plane_log(self):
-        out = apply_operator_L(
-            identity_tensor(2), ConstantScalar(2), HYP2, LogAxisScalar(2), np.array([[0.7, 1.3]])
-        )
+        out = apply_operator_L(sample_at(identity_tensor(2), ConstantScalar(2), HYP2, [[0.7, 1.3]]), LogAxisScalar(2))
         assert out[0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_half_plane_log_scaled_tensor(self):
         # T = psi * id gives L(ln x_n) = -(n-1) psi
-        out = apply_operator_L(
-            identity_tensor(2, 2.5), ConstantScalar(2), HYP2, LogAxisScalar(2), np.array([[0.7, 1.3]])
-        )
+        out = apply_operator_L(sample_at(identity_tensor(2, 2.5), ConstantScalar(2), HYP2, [[0.7, 1.3]]), LogAxisScalar(2))
         assert out[0] == pytest.approx(-2.5, abs=1e-14)
 
     def test_drift_term_euclidean(self):
         # L x1 = -d1 eta for T = id: eta = x1^2/2 -> -x1
         eta = QuadraticScalar(np.diag([1.0, 0.0]))
-        out = apply_operator_L(identity_tensor(2), eta, EUC2, AffineScalar([1.0, 0.0]), np.array([[0.4, 0.1]]))
+        out = apply_operator_L(sample_at(identity_tensor(2), eta, EUC2, [[0.4, 0.1]]), AffineScalar([1.0, 0.0]))
         assert out[0] == pytest.approx(-0.4)
 
 
@@ -534,23 +627,27 @@ class TestTestFunctions:
     def test_coordinate_lf_matches_apply(self, square_domain):
         field = diag_affine_tensor()
         eta = GaussianScalar(2, 0.7, [1.0, 1.5], 0.8)
-        tf = coordinate_test_function(field, eta, EUC2, 0)
+        tf = coordinate_test_function(EUC2, 0)
         pts = square_domain.quad_points_flat()[::37]
-        direct = apply_operator_L(field, eta, EUC2, tf.f, pts)
-        assert tf.lf_and_grad(pts)[0] == pytest.approx(direct, abs=1e-12)
+        direct = apply_operator_L(sample_at(field, eta, EUC2, pts), tf.f)
+        assert tf.lf_and_grad(sample_at(field, eta, EUC2, pts))[0] == pytest.approx(direct, abs=1e-12)
 
     def test_coordinate_grad_lf_matches_fd(self, square_domain):
         field = diag_affine_tensor()
         eta = GaussianScalar(2, 0.7, [1.0, 1.5], 0.8)
-        tf = coordinate_test_function(field, eta, EUC2, 1)
+        tf = coordinate_test_function(EUC2, 1)
+
+        def lf_and_grad(p):
+            return tf.lf_and_grad(sample_at(field, eta, EUC2, p))
+
         pts = square_domain.quad_points_flat()[::41]
         h = 1e-6
         fd = np.empty((pts.shape[0], 2))
         for d in range(2):
             e = np.zeros(2)
             e[d] = h
-            fd[:, d] = (tf.lf_and_grad(pts + e)[0] - tf.lf_and_grad(pts - e)[0]) / (2 * h)
-        assert tf.lf_and_grad(pts)[1] == pytest.approx(fd, abs=1e-7)
+            fd[:, d] = (lf_and_grad(pts + e)[0] - lf_and_grad(pts - e)[0]) / (2 * h)
+        assert lf_and_grad(pts)[1] == pytest.approx(fd, abs=1e-7)
 
     def test_log_grad_lf_matches_fd(self):
         dom = make_box_domain([(0, 1), (1, 2)], [10, 10], HYP2)
@@ -563,17 +660,21 @@ class TestTestFunctions:
             ],
         )
         eta = AffineScalar([0.3, 0.0])
-        tf = log_axis_test_function(field, eta, HYP2)
+        tf = log_axis_test_function(HYP2)
+
+        def lf_and_grad(p):
+            return tf.lf_and_grad(sample_at(field, eta, HYP2, p))
+
         pts = dom.quad_points_flat()[::17]
-        direct = apply_operator_L(field, eta, HYP2, tf.f, pts)
-        assert tf.lf_and_grad(pts)[0] == pytest.approx(direct, abs=1e-12)
+        direct = apply_operator_L(sample_at(field, eta, HYP2, pts), tf.f)
+        assert lf_and_grad(pts)[0] == pytest.approx(direct, abs=1e-12)
         h = 1e-6
         fd = np.empty((pts.shape[0], 2))
         for d in range(2):
             e = np.zeros(2)
             e[d] = h
-            fd[:, d] = (tf.lf_and_grad(pts + e)[0] - tf.lf_and_grad(pts - e)[0]) / (2 * h)
-        assert tf.lf_and_grad(pts)[1] == pytest.approx(fd, abs=1e-7)
+            fd[:, d] = (lf_and_grad(pts + e)[0] - lf_and_grad(pts - e)[0]) / (2 * h)
+        assert lf_and_grad(pts)[1] == pytest.approx(fd, abs=1e-7)
 
 
 class TestDerivativeConsistency:
@@ -650,3 +751,152 @@ class TestRadiallyConstantValidation:
         dom = make_box_domain([(0, 1), (1, 2)], [8, 8], HYP2)
         with pytest.raises(OutOfDomain):
             validate_radially_constant(AffineScalar([0.0, 1.0]).value, dom)
+
+
+# ---------------------------------------------------------------------------
+# the field sample: structural zeros, one evaluation each, and the same bits
+# as the array-path references
+# ---------------------------------------------------------------------------
+
+
+class StrictConstantTensor(TensorField):
+    """A constant tensor that fails the test if anything builds one of its derivatives."""
+
+    degree = 0
+
+    def __init__(self, mat):
+        self.mat = np.asarray(mat, dtype=float)
+        self.dim = self.mat.shape[0]
+
+    def matrix(self, pts):
+        return np.broadcast_to(self.mat, (pts.shape[0], self.dim, self.dim))
+
+    def d_matrix(self, pts):
+        raise AssertionError("built the first derivatives of a constant tensor")
+
+    def d2_matrix(self, pts):
+        raise AssertionError("built the second derivatives of a constant tensor")
+
+
+class Counting:
+    """Wraps a field and counts the calls of each evaluator."""
+
+    EVALUATORS = ("matrix", "d_matrix", "d2_matrix", "grad", "hess")
+
+    def __init__(self, inner):
+        self.inner, self.dim, self.degree = inner, inner.dim, inner.degree
+        self.calls = dict.fromkeys(self.EVALUATORS, 0)
+
+    def __getattr__(self, name):
+        evaluate = getattr(self.inner, name)
+        if name not in self.EVALUATORS:
+            return evaluate
+
+        def counted(pts):
+            self.calls[name] += 1
+            return evaluate(pts)
+
+        return counted
+
+
+SAMPLE_TENSORS = {
+    "identity": lambda: identity_tensor(2),
+    "constant_diag": lambda: ConstantTensor(np.diag([2.0, 3.0])),
+    "diag_profile": lambda: tensor_preset(
+        "diag_profile",
+        2,
+        entries=[
+            {"profile": "sin", "c0": 3.0, "c1": 0.6, "axis": 0},
+            {"profile": "cos", "c0": 2.5, "c1": 0.4, "axis": 0},
+        ],
+    ),
+    "coupled_3d": CoupledQuadraticTensor,
+}
+
+
+def sample_drift(kind: str, n: int) -> ScalarField:
+    if kind == "zero":
+        return ConstantScalar(n, 0.5)
+    if kind == "affine":
+        return AffineScalar([0.8, -0.3, 0.5][:n], 0.1)
+    if kind == "gaussian":
+        return GaussianScalar(n, 0.7, [0.4, 1.6, 1.2][:n], 0.5)
+    quad = np.array([[1.0, 0.3, 0.0], [0.3, 0.5, 0.2], [0.0, 0.2, 0.8]])[:n, :n]
+    return QuadraticScalar(quad, [0.2, 0.1, -0.4][:n])
+
+
+def sample_domain(metric):
+    if metric.dim == 3:
+        return make_box_domain([(0, 1), (0, 1), (1, 2)], [5, 5, 5], metric)
+    return make_box_domain([(0, 1), (1, 2)], [10, 10], metric)
+
+
+class TestFieldSample:
+    @pytest.mark.parametrize("hyperbolic", [False, True], ids=["euclidean", "hyperbolic"])
+    @pytest.mark.parametrize("drift_kind", ["zero", "affine", "gaussian", "quadratic"])
+    @pytest.mark.parametrize("tensor_kind", list(SAMPLE_TENSORS))
+    def test_constants_match_array_reference_bit_for_bit(self, tensor_kind, drift_kind, hyperbolic):
+        field = SAMPLE_TENSORS[tensor_kind]()
+        n = field.dim
+        metric = (hyperbolic_half_plane if hyperbolic else euclidean)(n)
+        dom = sample_domain(metric)
+        drift = sample_drift(drift_kind, n)
+        origin = OriginPoint((0.3,) * (n - 1) + (4.0,))
+        s = sample_at(field, drift, metric, dom)
+        # repr tells -0.0 from 0.0 and prints every bit of a float
+        assert repr(compute_T0(s)) == repr(ref_compute_T0(field, metric, dom))
+        assert repr(compute_C0(s)) == repr(ref_compute_C0(field, drift, metric, dom))
+        got = compute_eta_radial_constants(s, origin)
+        assert repr(got) == repr(ref_compute_eta_radial_constants(drift, metric, dom, origin))
+
+    def test_structural_zeros_are_none(self):
+        pts = np.array([[0.2, 1.3], [0.7, 1.9]])
+        const = sample_at(identity_tensor(2), ConstantScalar(2), EUC2, pts)
+        assert (const.dT, const.d2T, const.ge, const.he) == (None, None, None, None)
+        affine = sample_at(diag_affine_tensor(), AffineScalar([1.0, 2.0]), EUC2, pts)
+        assert affine.he is None
+        assert affine.dT.shape == (2, 2, 2, 2) and affine.d2T.shape == (2, 2, 2, 2, 2)
+        assert affine.ge.tolist() == [[1.0, 2.0], [1.0, 2.0]]
+        assert sample_at(identity_tensor(2), QuadraticScalar(np.eye(2)), EUC2, pts).he.shape == (2, 2, 2)
+
+    @pytest.mark.parametrize("metric", [EUC2, HYP2], ids=["euclidean", "hyperbolic"])
+    def test_constant_tensor_builds_no_derivative(self, metric):
+        mat = [[2.0, 0.5], [0.5, 3.0]]
+        dom = sample_domain(metric)
+        origin = OriginPoint((0.3, 4.0))
+        tfs = [log_axis_test_function(metric)] if metric.is_hyperbolic else [
+            coordinate_test_function(metric, axis) for axis in range(2)
+        ]
+        for drift in (ConstantScalar(2), AffineScalar([0.8, 0.0]), GaussianScalar(2, 0.7, [0.4, 1.6], 0.5)):
+            strict = sample_at(StrictConstantTensor(mat), drift, metric, dom)
+            plain = sample_at(ConstantTensor(mat), drift, metric, dom)
+            assert compute_T0(strict) == compute_T0(plain) == ref_compute_T0(ConstantTensor(mat), metric, dom)
+            assert compute_C0(strict) == compute_C0(plain) == ref_compute_C0(ConstantTensor(mat), drift, metric, dom)
+            assert compute_eta_radial_constants(strict, origin) == compute_eta_radial_constants(plain, origin)
+            assert np.array_equal(apply_operator_L(strict, LogAxisScalar(2)), apply_operator_L(plain, LogAxisScalar(2)))
+            for tf in tfs:
+                for got, want in zip(tf.lf_and_grad(strict), tf.lf_and_grad(plain)):
+                    assert (got is None and want is None) or np.array_equal(got, want)
+
+    def test_each_field_evaluated_at_most_once(self):
+        metric = hyperbolic_half_plane(3)
+        dom = sample_domain(metric)
+        field = Counting(CoupledQuadraticTensor())
+        drift = Counting(GaussianScalar(3, 0.7, [0.4, 0.5, 1.6], 0.5))
+        s = sample_at(field, drift, metric, dom)
+        compute_T0(s)
+        compute_C0(s)
+        compute_eta_radial_constants(s, OriginPoint((0.3, 0.3, 4.0)))
+        log_axis_test_function(metric).lf_and_grad(s)
+        apply_operator_L(s, LogAxisScalar(3))
+        s.apply_T(np.ones((dom.quad_points_flat().shape[0], 3)))
+        assert field.calls == {"matrix": 1, "d_matrix": 1, "d2_matrix": 1, "grad": 0, "hess": 0}
+        assert drift.calls == {"matrix": 0, "d_matrix": 0, "d2_matrix": 0, "grad": 1, "hess": 1}
+
+    @pytest.mark.parametrize("field", [ConstantTensor([[2.0, 0.5], [0.5, 3.0]]), diag_affine_tensor()], ids=["constant", "variable"])
+    def test_apply_T_matches_einsum(self, field):
+        pts = np.random.default_rng(4).uniform(0.5, 1.5, size=(12, 2))
+        v = np.random.default_rng(5).standard_normal((3, 4, 2))
+        got = sample_at(field, ConstantScalar(2), EUC2, pts).apply_T(v)
+        want = np.einsum("qab,qb->qa", field.matrix(pts), v.reshape(-1, 2)).reshape(v.shape)
+        assert np.allclose(got, want, rtol=1e-15, atol=0)

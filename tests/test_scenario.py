@@ -195,7 +195,7 @@ class TestBuiltins:
     def test_reported_constants_match_standalone_extraction(self):
         # run_scenario takes epsilon and delta from the quadrature sample the
         # pair was assembled on; a fresh evaluation must give the same floats
-        from etagap.fields import compute_C0, compute_T0, tensor_bounds
+        from etagap.fields import FieldSample, compute_C0, compute_T0, tensor_bounds
         from etagap.scenario import build_problem
 
         raw = {
@@ -223,8 +223,9 @@ class TestBuiltins:
         consts = run_scenario(cfg, write=False).constants
         metric, domain, tensor, drift = build_problem(cfg)
         assert (consts.epsilon, consts.delta) == tensor_bounds(tensor, domain)
-        assert consts.t0 == compute_T0(tensor, metric, domain)
-        assert consts.c0 == compute_C0(tensor, drift, metric, domain)
+        fresh = FieldSample(tensor, drift, metric, domain.quad_points_flat())
+        assert consts.t0 == compute_T0(fresh)
+        assert consts.c0 == compute_C0(fresh)
         assert consts.t0 > 0.0 and consts.c0 != 0.0
 
     def test_vertical_varying_tensor_rejected_for_thm12(self):

@@ -122,15 +122,15 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
 def separable_factors(pair: OperatorPair) -> list[OperatorPair] | None:
     """The 1-D pairs whose Kronecker sum is the pencil, or None if it is not one.
 
-    On an unmasked Euclidean box with a constant diagonal T and a constant
-    or affine eta, the weight e^(-eta) and the 2-point Gauss rule split into
+    On an unmasked box with rho = 1 (Euclidean), a constant diagonal T and a
+    constant or affine eta, the weight e^(-eta) and the 2-point Gauss rule split into
     per-axis factors, so A = sum_a B_0 (x) .. (x) A_a (x) .. (x) B_{n-1} and
     B = B_0 (x) .. (x) B_{n-1}, with axis 0 slowest as in the DOF numbering.
     Axis a gets T_aa and the slope b_a; the constant of eta goes to axis 0.
     """
     domain, field, drift = pair.domain, pair.sample.field, pair.sample.drift
     n = domain.dim
-    if n < 2 or domain.metric.is_hyperbolic or not domain.mask.all():
+    if n < 2 or domain.metric.grad_rho is not None or not domain.mask.all():
         return None
     if not isinstance(field, ConstantTensor) or not np.array_equal(field.mat, np.diag(np.diag(field.mat))):
         return None

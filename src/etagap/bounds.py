@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -329,6 +329,10 @@ def yang_check(spectrum, consts: OperatorConstants) -> YangReport:
 # ---------------------------------------------------------------------------
 
 
+# the CSV header and JSON row keys, one per GapRow field in order
+GAP_COLUMNS = ("k", "lambda_k", "lambda_k1", "gap", "bound", "margin", "status", "error_estimate")
+
+
 @dataclass(frozen=True)
 class GapRow:
     k: int
@@ -364,22 +368,9 @@ class GapReport:
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["k", "lambda_k", "lambda_k1", "gap", "bound", "margin", "status", "error_estimate"]
-            )
+            writer.writerow(GAP_COLUMNS)
             for r in self.rows:
-                writer.writerow(
-                    [
-                        r.k,
-                        repr(r.lam_k),
-                        repr(r.lam_k1),
-                        repr(r.gap),
-                        repr(r.bound),
-                        repr(r.margin),
-                        r.status,
-                        repr(r.error_estimate),
-                    ]
-                )
+                writer.writerow([v if isinstance(v, (int, str)) else repr(v) for v in astuple(r)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -391,19 +382,7 @@ class GapReport:
             "corollaries": self.corollaries,
             "notes": self.notes,
             "counts": self.counts(),
-            "rows": [
-                {
-                    "k": r.k,
-                    "lambda_k": r.lam_k,
-                    "lambda_k1": r.lam_k1,
-                    "gap": r.gap,
-                    "bound": r.bound,
-                    "margin": r.margin,
-                    "status": r.status,
-                    "error_estimate": r.error_estimate,
-                }
-                for r in self.rows
-            ],
+            "rows": [dict(zip(GAP_COLUMNS, astuple(r))) for r in self.rows],
         }
 
     def to_json(self, path) -> None:
@@ -437,10 +416,10 @@ def gap_check(
     if k_range is None:
         k_range = (2, kmax_avail)
     klo, khi = int(k_range[0]), int(k_range[1])
+    if not 2 <= klo <= khi:
+        raise ValueError(f"k_range needs 2 <= lo <= hi (k = 1 is info only), got ({klo}, {khi})")
     if khi + 1 > lam.size:
         raise InsufficientSpectrum(f"need lambda_{khi + 1}, have {lam.size} eigenvalues")
-    if klo < 2:
-        raise ValueError("gap verification starts at k = 2; k = 1 is reported as info")
 
     labels = multiplet_labels(lam)
     rows = []

@@ -132,15 +132,16 @@ def cmd_report(args) -> int:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         counts = data["counts"]
-    except (json.JSONDecodeError, KeyError) as exc:
+        lines = [f"{data.get('name', '?')}:"] + [f"  {key}: {counts[key]}" for key in sorted(counts)]
+        for tag, rep in data.get("gap_reports", {}).items():
+            lines.append(f"  {tag}: C = {rep['constant']:.6g}, exponent = {rep['exponent']:.4g}")
+        code = int(data.get("exit_code", 0))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         _log(f"malformed summary: {exc}")
         return 3
-    _log(f"{data.get('name', '?')}:")
-    for key in sorted(counts):
-        _log(f"  {key}: {counts[key]}")
-    for tag, rep in data.get("gap_reports", {}).items():
-        _log(f"  {tag}: C = {rep['constant']:.6g}, exponent = {rep['exponent']:.4g}")
-    return int(data.get("exit_code", 0))
+    for line in lines:
+        _log(line)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

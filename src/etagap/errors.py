@@ -10,7 +10,7 @@ class EmptyDomain(EtagapError):
 
 
 class InvalidHalfPlane(EtagapError):
-    """A hyperbolic box touches or crosses x_n <= 0."""
+    """A box touches or crosses rho <= 0 (x_n <= 0 in the half-space)."""
 
 
 class OutOfDomain(EtagapError):

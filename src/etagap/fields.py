@@ -10,16 +10,23 @@ the extraction of every constant entering the bound formulas:
     c0               sup { 1/2 div(T(T(grad eta) - tr(nabla T))) - 1/4 |T(grad eta)|^2 }
     eta1, eta_r      radial Hessian / radial derivative bounds of eta
 
-Tensor entries are given in a metric-orthonormal frame; for the conformal
-half-space frame e_i = x_n d_i this coincides with the coordinate (1,1)
-matrix, which keeps the half-space formulas below frame-free.
+Both metrics are g = rho^-2 delta with rho affine, so b = grad rho is
+constant (geometry.MetricModel); tensor entries are given in the orthonormal
+frame e_i = rho d_i, where they equal the coordinate matrix.  The symbols
+Gamma^k_ij = -(d_ki b_j + d_kj b_i - d_ij b_k)/rho give one formula each:
 
-Every derivative is closed-form (preset partials, explicit half-space
-Christoffel symbols), so t0 and c0 are analytic in both metrics.  The
-constants, L f and the cor32 test functions read a FieldSample: T, its
-partials and the drift derivatives at one point set, each evaluated at
-most once.  A derivative that a field's declared degree makes zero is a
-structural zero (None), and the terms it multiplies are skipped.
+    tr(nabla T)   rho sum_j d_j T_.j + tr(T) b - n T b
+    d_i(rho V)    rho d_i V + b_i V
+    div W         rho sum_i d_i W_i + (1 - n) <b, W>
+    Hess eta      he + (b_i g_j + b_j g_i - d_ij <b, g>)/rho, g = d eta
+    L f           rho^2 (div_0(T df) - <d eta, T df>) - (n - 2) rho <b, T df>
+
+with div_0 the coordinate divergence.  Every derivative is closed-form, so
+t0 and c0 are analytic in both metrics.  The constants, L f and the cor32
+test functions read a FieldSample: T, its partials, the drift derivatives
+and rho at one point set, each evaluated at most once.  A derivative that a
+field's declared degree makes zero is a structural zero (None), and the
+terms it multiplies are skipped; so is b where rho = 1 (Euclidean).
 """
 
 from __future__ import annotations
@@ -388,22 +395,26 @@ def tensor_bounds(field: TensorField, domain: GridDomain) -> tuple[float, float]
     return tensor_eigen_range(field.matrix(domain.quad_points_flat()))
 
 
-def _christoffel_part(mats: np.ndarray) -> np.ndarray:
-    """x_n times the Christoffel part of tr(nabla T) for symmetric mats[..., i, j].
+def _christoffel_part(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rho times the Christoffel part of tr(nabla T) for symmetric mats[..., i, j].
 
     That part is sum_jm Gamma^a_jm T_mj - sum_m T_am sum_j Gamma^m_jj; with
-    the half-space symbols Gamma^k_ij = -(d_ki d_jn + d_kj d_in - d_ij d_kn)/x_n,
-    x_n times it is tr(T) e_n - n T e_n.
+    the symbols of g = rho^-2 delta, rho times it is tr(T) b - n T b.
     """
     n = mats.shape[-1]
-    out = -n * mats[..., :, -1]
-    out[..., -1] += np.trace(mats, axis1=-2, axis2=-1)
-    return out
+    return np.tensordot(np.einsum("...ii->...", mats), b, axes=0) - n * np.tensordot(mats, b, axes=1)
 
 
 def _vanishes(f, order: int) -> bool:
     """Whether the order-th derivatives of f are zero by its declared degree."""
     return f.degree is not None and f.degree < order
+
+
+def _scaled(rho, x):
+    """rho x, with rho along the point axis; x itself where rho = 1 (None) or x vanishes."""
+    if rho is None or x is None:
+        return x
+    return rho.reshape(rho.shape + (1,) * (x.ndim - 1)) * x
 
 
 def _sum(*terms):
@@ -418,16 +429,19 @@ def _sum(*terms):
 class FieldSample:
     """T, eta and their derivatives at one (m, n) point set, each evaluated at most once.
 
-    Every attribute is computed on its first read: theta (m, n, n), dT
-    (m, n, n, n), d2T (m, n, n, n, n), ge (m, n) and he (m, n, n), indexed as
-    TensorField and ScalarField document.  A derivative that the field's
+    Every array is computed on its first read: theta (m, n, n), dT
+    (m, n, n, n), d2T (m, n, n, n, n), ge (m, n), he (m, n, n), indexed as
+    TensorField and ScalarField document, and the conformal factor rho (m,);
+    b = grad rho (n,) is the metric's.  A derivative that the field's
     degree makes zero is None, a structural zero, not an array: dT and d2T
     of a constant tensor, ge of a constant drift, he of a constant or affine
-    one.  Every reader skips the terms with such a factor.
+    one, and rho and b where rho = 1.  Every reader skips the terms with
+    such a factor.
     """
 
     def __init__(self, field: TensorField, drift: ScalarField, metric: MetricModel, pts: np.ndarray):
         self.field, self.drift, self.metric, self.pts = field, drift, metric, pts
+        self.b = metric.grad_rho
 
     def _derivative(self, f, order: int, evaluate):
         if _vanishes(f, order):
@@ -457,6 +471,10 @@ class FieldSample:
     def he(self) -> np.ndarray | None:
         return self._derivative(self.drift, 2, self.drift.hess)
 
+    @cached_property
+    def rho(self) -> np.ndarray | None:
+        return None if self.b is None else self.metric.rho(self.pts)
+
     def apply_T(self, v: np.ndarray) -> np.ndarray:
         """T v at every point, for v of shape (..., n) holding m vectors."""
         flat = v.reshape(-1, self.pts.shape[1])
@@ -470,15 +488,14 @@ class FieldSample:
 def trace_nabla_T(sample: FieldSample) -> np.ndarray | None:
     """tr(nabla T) = sum_j (nabla_{e_j} T)(e_j), orthonormal-frame components.
 
-    In the half-space this is x_n sum_j d_j T_.j + tr(T) e_n - n T e_n.
-    None where it vanishes structurally: a constant T in Euclidean space.
+    That is rho sum_j d_j T_.j + tr(T) b - n T b.  None where it vanishes
+    structurally: a constant T in Euclidean space.
     """
-    dT = sample.dT
-    flat = None if dT is None else np.einsum("qjij->qi", dT)
-    if not sample.metric.is_hyperbolic:
-        return flat
-    part = _christoffel_part(sample.theta)
-    return part if flat is None else sample.pts[:, -1][:, None] * flat + part
+    dT, b = sample.dT, sample.b
+    return _sum(
+        None if dT is None else _scaled(sample.rho, np.einsum("qjij->qi", dT)),
+        None if b is None else _christoffel_part(sample.theta, b),
+    )
 
 
 def compute_T0(sample: FieldSample) -> float:
@@ -490,43 +507,37 @@ def compute_T0(sample: FieldSample) -> float:
 def compute_C0(sample: FieldSample) -> float:
     """sup { 1/2 div(T(T(grad eta) - tr(nabla T))) - 1/4 |T(grad eta)|^2 }.
 
-    Every derivative is analytic.  With d the coordinate partials, the
-    Euclidean inner field is V = T(d eta) - sum_j d_j T_.j.  In the
-    half-space the orthonormal components carry x_n: grad eta = x_n d eta
-    and tr(nabla T) = x_n sum_j d_j T_.j + tr(T) e_n - n T e_n, whose
-    Christoffel part has no x_n, so d_i V gains a term only for i = n.
-    There the divergence of W = T(V) is div W = x_n sum_i d_i W_i + (1 - n) W_n.
+    Every derivative is analytic.  With d the coordinate partials and
+    v = T(d eta) - sum_j d_j T_.j, the orthonormal grad eta is rho d eta and
+    the inner field is V = rho v - (tr(T) b - n T b), so with b constant
+    d_i V = rho d_i v + b_i v - (tr(d_i T) b - n (d_i T) b) and W = T(V).
     """
     theta, dT, d2T, ge, he = sample.theta, sample.dT, sample.d2T, sample.ge, sample.he
-    # d_i V_j = sum_m (d_i T_jm dm eta + d2_im eta T_mj) - sum_m d2_im T_jm
-    dV = _sum(
+    rho, b, n = sample.rho, sample.b, sample.metric.dim
+    # d_i v_j = sum_m (d_i T_jm dm eta + d2_im eta T_mj) - sum_m d2_im T_jm
+    dv = _sum(
         None if d2T is None else -np.einsum("qimjm->qij", d2T),
         None if he is None else he @ theta,
         None if dT is None or ge is None else np.einsum("qijm,qm->qij", dT, ge),
     )
     tge = None if ge is None else np.einsum("qij,qj->qi", theta, ge)
     v = _sum(tge, None if dT is None else -np.einsum("qjij->qi", dT))
-    hyperbolic = sample.metric.is_hyperbolic
-    if hyperbolic:
-        xn = sample.pts[:, -1]
-        dV = _sum(
-            None if dV is None else xn[:, None, None] * dV,
-            None if dT is None else -_christoffel_part(dT),
-        )
-        if v is not None:
-            dV = np.zeros(theta.shape) if dV is None else dV
-            dV[:, -1, :] += v
-        v = _sum(None if v is None else xn[:, None] * v, -_christoffel_part(theta))
-        tge = None if tge is None else xn[:, None] * tge
+    dV = _sum(
+        _scaled(rho, dv),
+        None if b is None or dT is None else -_christoffel_part(dT, b),
+        None if b is None or v is None else np.tensordot(v, b, axes=0).swapaxes(1, 2),  # b_i v_j
+    )
+    V = _sum(_scaled(rho, v), None if b is None else -_christoffel_part(theta, b))
     div_w = _sum(
-        None if dT is None else np.einsum("qiij,qj->q", dT, v),
+        None if dT is None else np.einsum("qiij,qj->q", dT, V),
         None if dV is None else np.einsum("qij,qij->q", theta, dV),
     )
-    if hyperbolic:
-        div_w = _sum(
-            None if div_w is None else xn * div_w,
-            (1 - sample.metric.dim) * np.einsum("qj,qj->q", theta[:, -1, :], v),
-        )
+    # div W = rho sum_i d_i W_i + (1 - n) <b, W>, with <b, T V> = <T b, V>
+    div_w = _sum(
+        _scaled(rho, div_w),
+        None if b is None else (1 - n) * np.einsum("qj,qj->q", np.tensordot(theta, b, axes=1), V),
+    )
+    tge = _scaled(rho, tge)
     val = _sum(
         None if div_w is None else 0.5 * div_w,
         None if tge is None else -0.25 * np.sum(tge * tge, axis=1),
@@ -542,18 +553,13 @@ def compute_eta_radial_constants(sample: FieldSample, origin: OriginPoint) -> tu
     sample points, with d_r the metric-unit radial direction from the
     origin, which must lie outside the sampled domain (validate_origin).
     """
-    pts, ge, he = sample.pts, sample.ge, sample.he
+    pts, ge, he, b = sample.pts, sample.ge, sample.he, sample.b
     v = radial_unit_vector(sample.metric, origin.array(), pts)
-    if sample.metric.is_hyperbolic and ge is not None:
-        # the covariant Hessian he - Gamma(grad eta) = he + (d_in g_j + d_jn g_i - d_ij g_n)/x_n;
-        # each entry gets one term, the (n, n) entry +g_n/x_n
-        m, n = pts.shape
-        rg = (1.0 / pts[:, -1])[:, None] * ge
-        he = np.zeros((m, n, n)) if he is None else he.copy()
-        he[:, :-1, -1] += rg[:, :-1]
-        he[:, -1, :-1] += rg[:, :-1]
-        he[:, np.arange(n - 1), np.arange(n - 1)] -= rg[:, -1:]
-        he[:, -1, -1] += rg[:, -1]
+    if b is not None and ge is not None:
+        # covariant Hessian he - Gamma(d eta) = he + b_i g_j + b_j g_i - d_ij <b, g>, g = d eta / rho
+        g = (1.0 / sample.rho)[:, None] * ge
+        gb = np.tensordot(g, b, axes=0)
+        he = _sum(he, gb + gb.swapaxes(1, 2) - np.tensordot(g @ b, np.eye(b.size), axes=0))
     eta1 = 0.0 if he is None else float(np.max(np.abs(np.einsum("qij,qi,qj->q", he, v, v))))
     eta_r = 0.0 if ge is None else float(np.max(np.abs(np.sum(ge * v, axis=1))))
     return eta1, eta_r
@@ -561,7 +567,7 @@ def compute_eta_radial_constants(sample: FieldSample, origin: OriginPoint) -> tu
 
 def apply_operator_L(sample: FieldSample, f: ScalarField) -> np.ndarray:
     """Pointwise L f = div(T(grad f)) - <grad eta, T(grad f)> at the sample points."""
-    pts, theta, dT, ge = sample.pts, sample.theta, sample.dT, sample.ge
+    pts, theta, dT, ge, rho, b = sample.pts, sample.theta, sample.dT, sample.ge, sample.rho, sample.b
     gf = f.grad(pts)
     hf = None if _vanishes(f, 2) else f.hess(pts)
     div = _sum(
@@ -569,12 +575,14 @@ def apply_operator_L(sample: FieldSample, f: ScalarField) -> np.ndarray:
         None if hf is None else np.einsum("qij,qij->q", theta, hf),
     )
     drift_term = None if ge is None else np.einsum("qi,qij,qj->q", ge, theta, gf)
-    if sample.metric.is_hyperbolic:
-        xn = pts[:, -1]
-        tgf_n = np.einsum("qj,qj->q", theta[:, -1, :], gf)
-        div = _sum(None if div is None else xn**2 * div, -((sample.metric.dim - 2) * xn * tgf_n))
-        drift_term = None if drift_term is None else xn**2 * drift_term
-    out = _sum(div, None if drift_term is None else -drift_term)
+    rho2 = None if rho is None else rho**2
+    tgf_b = None if b is None else np.einsum("qj,qj->q", np.tensordot(theta, b, axes=1), gf)  # <b, T df>
+    # L f = rho^2 (div_0(T df) - <d eta, T df>) - (n - 2) rho <b, T df>
+    out = _sum(
+        _scaled(rho2, div),
+        None if b is None else -((sample.metric.dim - 2) * rho * tgf_b),
+        None if drift_term is None else -_scaled(rho2, drift_term),
+    )
     return np.zeros(pts.shape[0]) if out is None else out
 
 

@@ -1,9 +1,12 @@
 """Ambient metrics, masked box grids, and geometric primitives.
 
-Two metric models are supported: flat Euclidean space and the upper-half-space
-model of hyperbolic space (curvature -1, metric delta_ij / x_n^2 on x_n > 0).
-Domains are axis-aligned boxes carrying a per-cell inside-mask; curved shapes
-are approximated by staircase masks.  All objects are immutable after
+Both metric models are conformally flat, g = rho^-2 delta with an affine
+conformal factor rho: flat Euclidean space (rho = 1) and the upper-half-space
+model of hyperbolic space (curvature -1, rho = x_n on x_n > 0).  The volume
+weight, the inverse metric, gradient norms and the domain checks derive from
+rho alone; only the geodesics keep one closed form per model.  Domains are
+axis-aligned boxes carrying a per-cell inside-mask; curved shapes are
+approximated by staircase masks.  All objects are immutable after
 construction and safe for concurrent reads.
 """
 
@@ -30,7 +33,11 @@ class MetricKind(Enum):
 
 @dataclass(frozen=True)
 class MetricModel:
-    """Ambient metric: Euclidean R^n or the hyperbolic upper half-space."""
+    """Ambient metric g = rho^-2 delta: Euclidean R^n or the hyperbolic upper half-space.
+
+    rho is affine, so its gradient b is constant and Hess rho = 0; the
+    metric formulas in this module and in ``fields`` rely on that.
+    """
 
     kind: MetricKind
     dim: int
@@ -44,6 +51,16 @@ class MetricModel:
     @property
     def is_hyperbolic(self) -> bool:
         return self.kind is MetricKind.HYPERBOLIC
+
+    @property
+    def grad_rho(self) -> np.ndarray | None:
+        """b = grad rho: e_n in the half-space, None (a structural zero) where rho = 1."""
+        return np.eye(self.dim)[-1] if self.is_hyperbolic else None
+
+    def rho(self, pts: np.ndarray) -> np.ndarray:
+        """The conformal factor at an (m, n) point array: 1, or <b, x> (= x_n)."""
+        b = self.grad_rho
+        return np.ones(pts.shape[0]) if b is None else pts @ b
 
 
 def euclidean(dim: int) -> MetricModel:
@@ -62,46 +79,36 @@ def _as_points(p) -> tuple[np.ndarray, bool]:
     return arr, False
 
 
-def _check_domain(metric: MetricModel, pts: np.ndarray) -> None:
-    if metric.is_hyperbolic and np.any(pts[:, -1] <= 0.0):
-        raise OutOfDomain("hyperbolic model requires x_n > 0")
+def _rho(metric: MetricModel, pts: np.ndarray) -> np.ndarray:
+    """rho at the points, which must lie in the model's domain rho > 0."""
+    rho = metric.rho(pts)
+    if np.any(rho <= 0.0):
+        raise OutOfDomain("the metric needs rho > 0 (x_n > 0 in the half-space)")
+    return rho
 
 
 def volume_weight(metric: MetricModel, p):
-    """Riemannian volume density sqrt(det g) against coordinate measure.
-
-    Euclidean: 1.  Hyperbolic half-space: x_n^(-n).
-    """
+    """Riemannian volume density sqrt(det g) = rho^-n against coordinate measure."""
     pts, single = _as_points(p)
-    _check_domain(metric, pts)
-    if metric.is_hyperbolic:
-        w = pts[:, -1] ** (-float(metric.dim))
-    else:
-        w = np.ones(pts.shape[0])
+    w = _rho(metric, pts) ** (-float(metric.dim))
     return float(w[0]) if single else w
 
 
 def inverse_metric_factor(metric: MetricModel, p):
-    """Conformal factor of the inverse metric, g^ij = factor * delta^ij.
-
-    Euclidean: 1.  Hyperbolic half-space: x_n^2.
-    """
+    """Conformal factor of the inverse metric, g^ij = rho^2 delta^ij."""
     pts, single = _as_points(p)
-    _check_domain(metric, pts)
-    f = pts[:, -1] ** 2 if metric.is_hyperbolic else np.ones(pts.shape[0])
+    f = _rho(metric, pts) ** 2
     return float(f[0]) if single else f
 
 
 def gradient_norm(metric: MetricModel, p, coordinate_gradient):
-    """Metric norm |grad f|_g of the gradient raised from a covector."""
+    """Metric norm |grad f|_g = rho |df| of the gradient raised from a covector df."""
     pts, single = _as_points(p)
-    _check_domain(metric, pts)
+    rho = _rho(metric, pts)
     cov = np.asarray(coordinate_gradient, dtype=float)
     if cov.ndim == 1:
         cov = cov[None, :]
-    norms = np.linalg.norm(cov, axis=1)
-    if metric.is_hyperbolic:
-        norms = norms * pts[:, -1]
+    norms = np.linalg.norm(cov, axis=1) * rho
     return float(norms[0]) if single else norms
 
 
@@ -109,8 +116,8 @@ def geodesic_distance(metric: MetricModel, x, y):
     """Geodesic distance from x (a point or an (m, n) batch) to the point y."""
     xs, single = _as_points(x)
     ys, _ = _as_points(y)
-    _check_domain(metric, xs)
-    _check_domain(metric, ys)
+    _rho(metric, xs)
+    _rho(metric, ys)
     if metric.is_hyperbolic:
         diff2 = np.sum((xs - ys) ** 2, axis=1)
         arg = 1.0 + diff2 / (2.0 * xs[:, -1] * ys[:, -1])
@@ -129,9 +136,9 @@ def radial_unit_vector(metric: MetricModel, origin, p):
     """
     pts, single = _as_points(p)
     o = np.asarray(origin, dtype=float)
-    _check_domain(metric, pts)
+    _rho(metric, pts)
+    _rho(metric, o[None, :])
     if metric.is_hyperbolic:
-        _check_domain(metric, o[None, :])
         out = np.empty_like(pts)
         hdiff = pts[:, :-1] - o[:-1]
         s = np.linalg.norm(hdiff, axis=1)
@@ -203,8 +210,9 @@ class GridDomain:
         for r in resolution:
             if r < 2:
                 raise ValueError("resolution must be >= 2 per axis")
-        if metric.is_hyperbolic and bounds[-1][0] <= 0.0:
-            raise InvalidHalfPlane("hyperbolic box must satisfy x_n lower bound > 0")
+        # rho is affine, so it is positive on the closed box iff at every corner
+        if np.any(metric.rho(np.array(list(itertools.product(*bounds)))) <= 0.0):
+            raise InvalidHalfPlane("the metric needs rho > 0 on the closed box (x_n > 0 in the half-space)")
         mask = np.array(mask, dtype=bool, copy=True)
         if mask.shape != resolution:
             raise ValueError("mask shape must equal the resolution")
@@ -322,7 +330,7 @@ def validate_origin(domain: GridDomain, origin: OriginPoint) -> None:
     o = origin.array()
     if o.shape != (domain.dim,):
         raise ValueError("origin dimension mismatch")
-    _check_domain(domain.metric, o[None, :])
+    _rho(domain.metric, o[None, :])
     if domain.contains_point(o):
         raise OriginInsideDomain("origin lies in the closed masked region")
 

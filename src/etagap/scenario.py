@@ -105,7 +105,7 @@ class ScenarioConfig:
                     seed=int(solver.get("seed", 0)),
                 ),
                 theorems=list(bounds_raw.get("theorems", [])),
-                k_range=None if k_range is None else [int(k_range[0]), int(k_range[1])],
+                k_range=None if k_range is None else list(k_range),
                 c_scale=_num(bounds_raw.get("c_scale", "1")),
                 h0=_num(consts["H0"]) if "H0" in consts else None,
                 kappa1=_num(consts["kappa1"]) if "kappa1" in consts else None,
@@ -133,6 +133,9 @@ class ScenarioConfig:
         for chk in self.verify:
             if chk not in CHECK_NAMES:
                 raise ConfigError(f"unknown verification {chk!r}")
+        kr = self.k_range
+        if kr is not None and not (len(kr) == 2 and all(type(k) is int for k in kr) and 2 <= kr[0] <= kr[1]):
+            raise ConfigError(f"k_range must be two integers 2 <= lo <= hi, got {kr}")
         if self.h0 is not None and not self.h0 >= 0.0:
             raise ConfigError(f"H0 bounds a norm and must be >= 0, got {self.h0}")
         pins = [k for k in (self.kappa1, self.kappa2) if k is not None]
@@ -378,7 +381,7 @@ def build_problem(cfg: ScenarioConfig):
         domain = geometry.make_box_domain(cfg.box, cfg.resolution, metric, _mask_rule(cfg.mask))
         tensor = _preset(fields.tensor_preset, cfg.tensor, cfg.dim)
         drift = _preset(fields.drift_preset, cfg.drift, cfg.dim, default_kind="zero")
-    if metric.is_hyperbolic and ("thm12" in cfg.theorems or "thm13" in cfg.theorems):
+    if "thm12" in cfg.theorems or "thm13" in cfg.theorems:  # validate keeps them on the half-space
         fields.validate_radially_constant(drift.value, domain)
         fields.validate_radially_constant(
             lambda p: tensor.matrix(p).reshape(p.shape[0], -1), domain

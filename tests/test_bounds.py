@@ -324,6 +324,11 @@ class TestGapCheck:
         with pytest.raises(InsufficientSpectrum):
             gap_check(np.array([1.0, 2.0]), 1.0, 1.0, k_range=(2, 5))
 
+    @pytest.mark.parametrize("k_range", [(6, 2), (1, 5)], ids=["reversed", "from_one"])
+    def test_bad_k_range_raises(self, k_range):
+        with pytest.raises(ValueError, match="2 <= lo <= hi"):
+            gap_check(np.arange(1, 12, dtype=float) ** 2, 10.0, 1.0, k_range=k_range)
+
     def test_csv_roundtrip(self, tmp_path):
         lam = np.arange(1, 8, dtype=float) ** 2
         rep = gap_check(lam, 10.0, 1.0, k_range=(2, 5), tag="t")

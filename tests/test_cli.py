@@ -130,6 +130,24 @@ class TestReportCommand:
     def test_missing_summary_exit_3(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == 3
 
+    @pytest.mark.parametrize(
+        "summary",
+        [
+            [1, 2],
+            {"counts": {"pass": 1}, "gap_reports": {"thm11": {"exponent": 1.0}}},
+            {"counts": {"pass": 1}, "exit_code": "x"},
+            {"counts": 5},
+            {"counts": {"pass": 1}, "gap_reports": []},
+            "{not json",
+        ],
+        ids=["top_level_list", "gap_report_without_constant", "word_exit_code", "number_counts", "list_gap_reports", "bad_json"],
+    )
+    def test_malformed_summary_exit_3(self, tmp_path, capsys, summary):
+        path = tmp_path / "summary.json"
+        path.write_text(summary if isinstance(summary, str) else json.dumps(summary))
+        assert main(["report", str(path)]) == 3
+        assert "malformed summary" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_no_command_exit_3(self):
@@ -176,6 +194,18 @@ MALFORMED_CONFIGS = {
     "kappa2_above_kappa1": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa1": "0.1", "kappa2": "0.2"}},
     "negative_kappa2": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa2": "-1"}},
     "negative_H0": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "H0": "-1"}},
+    **{
+        f"k_range_{label}": {"bounds": {"theorems": ["thm11"], "k_range": k_range}}
+        for label, k_range in {
+            "reversed": [6, 2],
+            "one_entry": [2],
+            "empty": [],
+            "three_entries": [2, 5, 9],
+            "from_one": [1, 5],
+            "fraction": [2, 5.5],
+            "decimal_strings": ["2", "5"],
+        }.items()
+    },
 }
 
 

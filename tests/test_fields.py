@@ -26,6 +26,7 @@ from etagap.fields import (
     tensor_preset,
     trace_nabla_T,
     validate_radially_constant,
+    _sum,
 )
 from etagap.geometry import (
     OriginPoint,
@@ -131,6 +132,34 @@ def ref_compute_eta_radial_constants(drift, metric, domain, origin) -> tuple:
     eta1 = float(np.max(np.abs(np.einsum("qij,qi,qj->q", he, v, v))))
     eta_r = float(np.max(np.abs(np.sum(ge * v, axis=1))))
     return eta1, eta_r
+
+
+def ref_trace_nabla_T(s: FieldSample):
+    """trace_nabla_T written per metric model, x_n in the half-space."""
+    flat = None if s.dT is None else np.einsum("qjij->qi", s.dT)
+    if not s.metric.is_hyperbolic:
+        return flat
+    part = _christoffel_part(s.theta)
+    return part if flat is None else s.pts[:, -1][:, None] * flat + part
+
+
+def ref_apply_operator_L(s: FieldSample, f: ScalarField) -> np.ndarray:
+    """apply_operator_L written per metric model, x_n in the half-space."""
+    pts, theta, dT, ge = s.pts, s.theta, s.dT, s.ge
+    gf = f.grad(pts)
+    hf = None if f.degree is not None and f.degree < 2 else f.hess(pts)
+    div = _sum(
+        None if dT is None else np.einsum("qiij,qj->q", dT, gf),
+        None if hf is None else np.einsum("qij,qij->q", theta, hf),
+    )
+    drift_term = None if ge is None else np.einsum("qi,qij,qj->q", ge, theta, gf)
+    if s.metric.is_hyperbolic:
+        xn = pts[:, -1]
+        tgf_n = np.einsum("qj,qj->q", theta[:, -1, :], gf)
+        div = _sum(None if div is None else xn**2 * div, -((s.metric.dim - 2) * xn * tgf_n))
+        drift_term = None if drift_term is None else xn**2 * drift_term
+    out = _sum(div, None if drift_term is None else -drift_term)
+    return np.zeros(pts.shape[0]) if out is None else out
 
 # ---------------------------------------------------------------------------
 # central-difference references for the analytic derivatives
@@ -848,6 +877,10 @@ class TestFieldSample:
         assert repr(compute_C0(s)) == repr(ref_compute_C0(field, drift, metric, dom))
         got = compute_eta_radial_constants(s, origin)
         assert repr(got) == repr(ref_compute_eta_radial_constants(drift, metric, dom, origin))
+        trace, want = trace_nabla_T(s), ref_trace_nabla_T(s)
+        assert (trace is None and want is None) or np.array_equal(trace, want)
+        for f in (LogAxisScalar(n), AffineScalar([0.3, -0.7, 0.2][:n], 0.4)):
+            assert np.array_equal(apply_operator_L(s, f), ref_apply_operator_L(s, f))
 
     def test_structural_zeros_are_none(self):
         pts = np.array([[0.2, 1.3], [0.7, 1.9]])

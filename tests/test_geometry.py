@@ -11,6 +11,7 @@ from etagap.geometry import (
     geodesic_distance,
     gradient_norm,
     hyperbolic_half_plane,
+    inverse_metric_factor,
     make_box_domain,
     radial_unit_vector,
     volume_weight,
@@ -62,6 +63,36 @@ class TestVolumeWeight:
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             volume_weight(HYP2, [0.0, -1.0])
+
+
+class TestConformalFactor:
+    """Every metric quantity derives from rho, with g = rho^-2 delta."""
+
+    def test_grad_rho(self):
+        assert EUC2.grad_rho is None and euclidean(3).grad_rho is None
+        assert HYP2.grad_rho.tolist() == [0.0, 1.0]
+        assert HYP3.grad_rho.tolist() == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("metric", [EUC2, euclidean(3), HYP2, HYP3], ids=["euc2", "euc3", "hyp2", "hyp3"])
+    def test_quantities_from_rho(self, metric):
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(0.2, 3.0, size=(25, metric.dim))
+        rho = metric.rho(pts)
+        assert np.array_equal(rho, np.ones(25) if metric.grad_rho is None else pts[:, -1])
+        df = rng.standard_normal((25, metric.dim))
+        for got, want in (
+            (volume_weight(metric, pts), rho ** -float(metric.dim)),
+            (inverse_metric_factor(metric, pts), rho**2),
+            (gradient_norm(metric, pts, df), rho * np.linalg.norm(df, axis=1)),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    def test_rho_must_be_positive(self):
+        with pytest.raises(OutOfDomain):
+            inverse_metric_factor(HYP3, [0.5, 0.5, 0.0])
+        with pytest.raises(InvalidHalfPlane):
+            make_box_domain([(0, 1), (0, 1), (0, 2)], [2, 2, 2], HYP3)
+        assert inverse_metric_factor(EUC2, [0.5, -3.0]) == 1.0
 
 
 def raise_gradient(metric, p, coordinate_gradient):

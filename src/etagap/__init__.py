@@ -16,6 +16,7 @@ from .bounds import (
     cor32_check,
     gap_check,
     lemma31_check,
+    lemma31_suite,
     lemma32_check,
     theorem11_constant,
     theorem12_constant,
@@ -87,6 +88,7 @@ __all__ = [
     "geodesic_distance",
     "hyperbolic_half_plane",
     "lemma31_check",
+    "lemma31_suite",
     "lemma32_check",
     "list_builtin_scenarios",
     "load_config",

@@ -4,7 +4,8 @@ Everything here evaluates closed-form constants or checks inequalities
 against a spectrum (computed or analytic):
 
   * the sequence inequality for nondecreasing positive sequences
-    (``lemma31_check``) with a seeded random-instance generator;
+    (``lemma31_check``), with a seeded random-instance generator and a
+    chunked property suite (``lemma31_suite``) over both;
   * the three gap-constant families, tagged thm11 (Euclidean), thm12
     (hyperbolic half-space) and thm13 (pinched Cartan-Hadamard), each with
     its corollary specializations;
@@ -90,37 +91,101 @@ class Lemma31Result:
     conclusion_ok: bool
 
 
+LEMMA31_CHUNK = 4096  # trials per array pass, so memory stays bounded for any trial count
+LEMMA31_TOL = 1e-12  # absolute slack of the conclusion; tight two-level rows sit within it
+
+
+def _fsum_rows(x: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each row (``math.fsum``)."""
+    return np.fromiter(map(math.fsum, x.tolist()), dtype=float, count=x.shape[0])
+
+
+def _lemma31_rows(mu: np.ndarray, r: np.ndarray, m1: np.ndarray) -> tuple:
+    """(s, a, b, bound, hypothesis_ok, conclusion_ok) arrays, one entry per row.
+
+    Each row is one instance, padded on the right with r = 0: padding adds
+    exact zeros to every sum, so a padded row gives the unpadded result.
+    """
+    r2 = r * r
+    s, a, b = _fsum_rows(mu * r2), _fsum_rows(mu * mu * r2), _fsum_rows(r2)
+    rows = np.arange(mu.shape[0])
+    mu1, mu2 = mu[rows, m1 - 1], mu[rows, m1]
+    bound = (a + mu1 * mu2 * b) / (mu1 + mu2)
+    # sqrt(a)*sqrt(b) rather than sqrt(a*b): the product under/overflows first
+    hypothesis_ok = s < np.sqrt(a) * np.sqrt(b)
+    conclusion_ok = s <= bound + LEMMA31_TOL
+    return s, a, b, bound, hypothesis_ok, conclusion_ok
+
+
 def lemma31_check(inst: Lemma31Instance) -> Lemma31Result:
     """Weighted-mean bound: S <= (A + mu_m1 mu_{m1+1} B)/(mu_m1 + mu_{m1+1})."""
-    mu = np.asarray(inst.mu, dtype=float)
-    r = np.asarray(inst.r, dtype=float)
-    r2 = r * r
-    s = math.fsum(mu * r2)
-    a = math.fsum(mu * mu * r2)
-    b = math.fsum(r2)
-    m1 = inst.m1
-    mu1, mu2 = mu[m1 - 1], mu[m1]
-    bound = float((a + mu1 * mu2 * b) / (mu1 + mu2))
-    # sqrt(a)*sqrt(b) rather than sqrt(a*b): the product under/overflows first
-    hypothesis_ok = bool(s < math.sqrt(a) * math.sqrt(b))
-    conclusion_ok = bool(s <= bound + 1e-12)
-    return Lemma31Result(s, a, b, bound, hypothesis_ok, conclusion_ok)
+    mu, r = (np.asarray(v, dtype=float)[None] for v in (inst.mu, inst.r))
+    s, a, b, bound, hyp, concl = (v[0] for v in _lemma31_rows(mu, r, np.array([inst.m1])))
+    return Lemma31Result(float(s), float(a), float(b), float(bound), bool(hyp), bool(concl))
+
+
+def _draw_lemma31(rng: np.random.Generator, count: int) -> tuple:
+    """``count`` random instances as padded (count, 50) mu and r, their lengths and m1.
+
+    One bulk draw per variate: length ~ U{2..50}, mu_1 ~ U(0.1, 5), steps
+    ~ U(0, 0.2) each zeroed with probability 0.3 (real multiplicities), a
+    flat row lifted by 0.1 at its last entry, r ~ U(-1, 1) with r_{m1}
+    redrawn while 0.  Past its length a row repeats its last mu and has
+    r = 0, so mu never equals mu_1 there.
+    """
+    n = 50  # the longest instance; every row is padded to it
+    rows, cols = np.arange(count), np.arange(n)
+    length = rng.integers(2, n + 1, size=count)
+    padding = cols >= length[:, None]
+    mu1 = rng.uniform(0.1, 5.0, size=count)
+    steps = rng.uniform(0.0, 0.2, size=(count, n - 1))
+    steps[(rng.random((count, n - 1)) < 0.3) | padding[:, 1:]] = 0.0
+    mu = mu1[:, None] + np.cumsum(np.pad(steps, ((0, 0), (1, 0))), axis=1)
+    last = length - 1
+    flat = mu[rows, last] == mu1
+    mu[flat[:, None] & (cols >= last[:, None])] += 0.1
+    r = rng.uniform(-1.0, 1.0, size=(count, n))
+    r[padding] = 0.0
+    m1 = np.sum(mu == mu[:, :1], axis=1)
+    redraw = np.flatnonzero(r[rows, m1 - 1] == 0.0)
+    while redraw.size:
+        r[redraw, m1[redraw] - 1] = rng.uniform(-1.0, 1.0, size=redraw.size)
+        redraw = redraw[r[redraw, m1[redraw] - 1] == 0.0]
+    return mu, r, length, m1
+
+
+def _instance(mu: np.ndarray, r: np.ndarray, length: np.ndarray, i: int) -> Lemma31Instance:
+    """Row i of a padded draw, with the padding stripped."""
+    return Lemma31Instance(tuple(mu[i, : length[i]].tolist()), tuple(r[i, : length[i]].tolist()))
 
 
 def random_lemma31_instance(rng: np.random.Generator) -> Lemma31Instance:
     """Seeded random instance with moderate scales and real multiplicities."""
-    length = int(rng.integers(2, 51))
-    mu1 = float(rng.uniform(0.1, 5.0))
-    steps = rng.uniform(0.0, 0.2, size=length - 1)
-    steps[rng.random(length - 1) < 0.3] = 0.0
-    mu = mu1 + np.concatenate([[0.0], np.cumsum(steps)])
-    if np.all(mu == mu[0]):
-        mu[-1] = mu[0] + 0.1
-    r = rng.uniform(-1.0, 1.0, size=length)
-    m1 = int(np.sum(mu == mu[0]))
-    while r[m1 - 1] == 0.0:
-        r[m1 - 1] = float(rng.uniform(-1.0, 1.0))
-    return Lemma31Instance(tuple(mu), tuple(r))
+    return _instance(*_draw_lemma31(rng, 1)[:3], 0)
+
+
+@dataclass(frozen=True)
+class Lemma31Suite:
+    hypothesis_satisfied: int
+    counterexamples: list  # (Lemma31Instance, Lemma31Result) pairs, in trial order
+
+
+def lemma31_suite(rng: np.random.Generator, trials: int) -> Lemma31Suite:
+    """Check ``trials`` random instances, ``LEMMA31_CHUNK`` rows per array pass.
+
+    Which instances a seed gives depends on the chunk size.  A one-trial
+    suite checks the instance ``random_lemma31_instance`` draws from the
+    same generator state.
+    """
+    satisfied, counterexamples = 0, []
+    for start in range(0, trials, LEMMA31_CHUNK):
+        mu, r, length, m1 = _draw_lemma31(rng, min(LEMMA31_CHUNK, trials - start))
+        *sums, hyp, concl = _lemma31_rows(mu, r, m1)
+        satisfied += int(np.count_nonzero(hyp))
+        for i in np.flatnonzero(hyp & ~concl):
+            res = Lemma31Result(*(float(v[i]) for v in sums), True, False)
+            counterexamples.append((_instance(mu, r, length, i), res))
+    return Lemma31Suite(satisfied, counterexamples)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,21 @@ def _add_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
 
 
+def _k_override(text):
+    """``--k`` as "full" or a decimal integer; anything else is a config error."""
+    from .errors import ConfigError
+
+    if text is None or text == "full":
+        return text
+    if not (text.isascii() and text.isdigit()):
+        raise ConfigError(f"--k must be 'full' or a decimal integer, got {text!r}")
+    return int(text)
+
+
 def _overrides_from(args) -> dict:
     ov = {
         "resolution": args.resolution,
-        "k": args.k,
+        "k": _k_override(args.k),
         "solve_tol": args.solve_tol,
         "ortho_tol": args.ortho_tol,
         "seed": args.seed,
@@ -103,25 +114,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemma31(args) -> int:
-    from .bounds import lemma31_check, random_lemma31_instance
+    from .bounds import lemma31_suite
 
-    if args.trials < 1:
-        _log("trials must be >= 1")
+    if args.trials < 1 or args.seed < 0:
+        _log("usage error: lemma31 needs --trials >= 1 and --seed >= 0")
         return 3
-    rng = np.random.default_rng(args.seed)
-    checked = 0
-    counterexamples = []
-    for _ in range(args.trials):
-        inst = random_lemma31_instance(rng)
-        res = lemma31_check(inst)
-        if res.hypothesis_ok:
-            checked += 1
-            if not res.conclusion_ok:
-                counterexamples.append((inst, res))
-    _log(f"trials={args.trials} hypothesis_satisfied={checked} counterexamples={len(counterexamples)}")
-    for inst, res in counterexamples:
+    suite = lemma31_suite(np.random.default_rng(args.seed), args.trials)
+    _log(
+        f"trials={args.trials} hypothesis_satisfied={suite.hypothesis_satisfied} "
+        f"counterexamples={len(suite.counterexamples)}"
+    )
+    for inst, res in suite.counterexamples:
         print(json.dumps({"mu": list(inst.mu), "r": list(inst.r), "s": res.s, "bound": res.bound}))
-    return 0 if not counterexamples else 1
+    return 0 if not suite.counterexamples else 1
 
 
 def cmd_report(args) -> int:

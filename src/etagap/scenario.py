@@ -87,22 +87,22 @@ class ScenarioConfig:
             domain, solver = raw["domain"], raw.get("solver", {})
             bounds_raw, consts = raw.get("bounds", {}), raw.get("constants", {})
             box = [(_num(lo), _num(hi)) for lo, hi in domain["bounds"]]
-            k, k_range, oracle = solver.get("k", 8), bounds_raw.get("k_range"), raw.get("oracle")
+            k_range, oracle = bounds_raw.get("k_range"), raw.get("oracle")
             cfg = ScenarioConfig(
                 name=raw["name"],
                 metric_tag=raw["metric"],
                 dim=len(box),
                 box=box,
-                resolution=[int(r) for r in domain["resolution"]],
+                resolution=list(domain["resolution"]),
                 mask=domain.get("mask", {"kind": "all"}),
                 tensor=raw["tensor"],
                 drift=raw.get("drift", {"kind": "zero"}),
                 solver=SolverSettings(
-                    k="full" if k == "full" else int(k),
+                    k=solver.get("k", 8),
                     solve_tol=_num(solver.get("solve_tol", spectral.DEFAULT_SOLVE_TOL)),
                     ortho_tol=_num(solver.get("ortho_tol", spectral.DEFAULT_ORTHO_TOL)),
                     method=solver.get("method", "auto"),
-                    seed=int(solver.get("seed", 0)),
+                    seed=solver.get("seed", 0),
                 ),
                 theorems=list(bounds_raw.get("theorems", [])),
                 k_range=None if k_range is None else list(k_range),
@@ -125,6 +125,13 @@ class ScenarioConfig:
             raise ConfigError(f"metric must be euclidean|hyperbolic, got {self.metric_tag!r}")
         if len(self.resolution) != self.dim:
             raise ConfigError("resolution length must match bounds")
+        # type() is int, not int(): int() truncates 16.7 and accepts "16"; bool is an int subclass
+        if not all(type(r) is int for r in self.resolution):
+            raise ConfigError(f"resolution must be integers, got {self.resolution}")
+        if self.solver.k != "full" and not (type(self.solver.k) is int and self.solver.k >= 1):
+            raise ConfigError(f"solver k must be 'full' or an integer >= 1, got {self.solver.k!r}")
+        if type(self.solver.seed) is not int or self.solver.seed < 0:
+            raise ConfigError(f"solver seed must be an integer >= 0, got {self.solver.seed!r}")
         if self.solver.method not in spectral.METHODS:
             raise ConfigError(f"solver method must be {'|'.join(spectral.METHODS)}, got {self.solver.method!r}")
         for tag in self.theorems:
@@ -432,7 +439,7 @@ def run_scenario(
     t_start = time.perf_counter()
     metric, domain, tensor, drift = build_problem(cfg)
     pair = assembly.assemble(domain, tensor, drift)
-    k = pair.ndof if cfg.solver.k == "full" else int(cfg.solver.k)
+    k = pair.ndof if cfg.solver.k == "full" else cfg.solver.k
     spectrum = spectral.solve_lowest(
         pair, k, solve_tol=cfg.solver.solve_tol, method=cfg.solver.method, seed=cfg.solver.seed
     )

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from etagap import bounds
 from etagap.assembly import assemble
 from etagap.bounds import (
+    LEMMA31_CHUNK,
     Lemma31Instance,
     a_nT,
     cor32_check,
     gap_check,
     lemma31_check,
+    lemma31_suite,
     lemma32_check,
     random_lemma31_instance,
     theorem11_constant,
@@ -109,6 +112,56 @@ class TestLemma31:
         a = [random_lemma31_instance(np.random.default_rng(9)) for _ in range(5)]
         b = [random_lemma31_instance(np.random.default_rng(9)) for _ in range(5)]
         assert a == b
+
+    def test_two_level_rows_meet_the_bound(self):
+        # with two distinct values the bound holds with equality:
+        # sum (mu_i - mu1)(mu_i - mu2) r_i^2 = 0 gives S (mu1 + mu2) = A + mu1 mu2 B
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            m1, length = sorted(rng.choice(np.arange(1, 51), size=2, replace=False))
+            mu1 = rng.uniform(0.1, 5.0)
+            mu = (mu1,) * m1 + (mu1 + rng.uniform(0.01, 3.0),) * (length - m1)
+            r = rng.uniform(-1.0, 1.0, size=length)
+            r[m1 - 1] = r[m1 - 1] or 1.0
+            res = lemma31_check(Lemma31Instance(mu, tuple(r)))
+            assert res.conclusion_ok
+            assert abs(res.s - res.bound) <= 1e-12
+
+
+def _every_conclusion_fails(monkeypatch):
+    """Make every trial whose hypothesis holds a counterexample."""
+    monkeypatch.setattr(bounds, "LEMMA31_TOL", -np.inf)
+
+
+class TestLemma31Suite:
+    def test_one_trial_matches_the_single_instance_path(self, monkeypatch):
+        _every_conclusion_fails(monkeypatch)
+        for seed in range(20):
+            suite = lemma31_suite(np.random.default_rng(seed), 1)
+            inst = random_lemma31_instance(np.random.default_rng(seed))
+            res = lemma31_check(inst)
+            assert suite.hypothesis_satisfied == int(res.hypothesis_ok)
+            assert suite.counterexamples == ([(inst, res)] if res.hypothesis_ok else [])
+
+    def test_chunk_boundary_checks_every_trial_once(self, monkeypatch):
+        rows_checked = []
+        check_rows = bounds._lemma31_rows
+
+        def counting(mu, r, m1):
+            rows_checked.append(mu.shape[0])
+            return check_rows(mu, r, m1)
+
+        monkeypatch.setattr(bounds, "_lemma31_rows", counting)
+        _every_conclusion_fails(monkeypatch)
+        suite = lemma31_suite(np.random.default_rng(2), LEMMA31_CHUNK + 1)
+        assert rows_checked == [LEMMA31_CHUNK, 1]
+        assert len(suite.counterexamples) == suite.hypothesis_satisfied > 0.9 * LEMMA31_CHUNK
+
+    def test_no_counterexamples_on_seeded_runs(self):
+        for seed in range(3):
+            suite = lemma31_suite(np.random.default_rng(seed), 10_000)
+            assert suite.counterexamples == []
+            assert suite.hypothesis_satisfied > 9_000
 
 
 class TestTheorem11:

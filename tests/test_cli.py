@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from etagap import assembly
+from etagap import assembly, bounds
 from etagap.cli import main
 
 
@@ -44,6 +45,11 @@ class TestSpectrumCommand:
         csv = (tmp_path / "o" / "spectrum.csv").read_text().splitlines()
         assert csv[0] == "j,lambda,residual,multiplicity_group"
         assert len(csv) == 13
+
+    def test_decimal_k_override(self, tmp_path):
+        argv = ["spectrum", "square_laplacian", "--resolution", "48", "--k", "6", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert len((tmp_path / "o" / "spectrum.csv").read_text().splitlines()) == 7
 
     def test_missing_config_exit_3(self):
         assert main(["spectrum", "definitely_missing.json"]) == 3
@@ -105,8 +111,25 @@ class TestLemma31Command:
         out = capsys.readouterr()
         assert "counterexamples=0" in out.err
 
-    def test_zero_trials_exit_3(self):
+    def test_zero_trials_exit_3(self, capsys):
         assert main(["lemma31", "--trials", "0"]) == 3
+        assert "usage error:" in capsys.readouterr().err
+
+    def test_negative_seed_exit_3(self, capsys):
+        assert main(["lemma31", "--seed", "-1"]) == 3
+        assert "usage error:" in capsys.readouterr().err
+
+    def test_counterexample_lines_are_unpadded(self, capsys, monkeypatch):
+        monkeypatch.setattr(bounds, "LEMMA31_TOL", -np.inf)  # every conclusion fails
+        assert main(["lemma31", "--trials", "40", "--seed", "3"]) == 1
+        mu, r, length, m1 = bounds._draw_lemma31(np.random.default_rng(3), 40)
+        hypothesis_ok = bounds._lemma31_rows(mu, r, m1)[4]
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [len(line["mu"]) for line in lines] == list(length[hypothesis_ok])
+        assert [len(line["r"]) for line in lines] == list(length[hypothesis_ok])
+        for line in lines:
+            res = bounds.lemma31_check(bounds.Lemma31Instance(tuple(line["mu"]), tuple(line["r"])))
+            assert (res.s, res.bound) == (line["s"], line["bound"])
 
     def test_rerun_identical_stream(self, capsys):
         main(["lemma31", "--trials", "500", "--seed", "11"])
@@ -195,6 +218,20 @@ MALFORMED_CONFIGS = {
     "negative_kappa2": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa2": "-1"}},
     "negative_H0": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "H0": "-1"}},
     **{
+        f"resolution_{label}": {
+            "domain": {"bounds": [["0", "3.141592653589793"], ["0", "3.141592653589793"]], "resolution": resolution}
+        }
+        for label, resolution in {"fraction": [16.7, 16], "string": ["16", 16], "bool": [True, 16]}.items()
+    },
+    **{
+        f"solver_{key}_{label}": {"solver": {"k": 10, "seed": 1, key: value}}
+        for key, cases in {
+            "k": {"fraction": 8.9, "string": "8", "bool": True, "zero": 0},
+            "seed": {"fraction": 1.5, "string": "1", "bool": False, "negative": -1},
+        }.items()
+        for label, value in cases.items()
+    },
+    **{
         f"k_range_{label}": {"bounds": {"theorems": ["thm11"], "k_range": k_range}}
         for label, k_range in {
             "reversed": [6, 2],
@@ -209,19 +246,29 @@ MALFORMED_CONFIGS = {
 }
 
 
+# overrides of a builtin that must be refused before assembly
+MALFORMED_FLAGS = {
+    "k_not_a_number": ["--k", "abc"],
+    "k_flag_fraction": ["--k", "8.9"],
+    "k_flag_negative": ["--k", "-2"],
+    "k_flag_zero": ["--k", "0"],
+    "seed_flag_negative": ["--seed", "-1"],
+}
+
+
 @pytest.mark.parametrize(
     "case",
-    [*MALFORMED_CONFIGS, "k_not_a_number", "resolution_one", "shift_invert_k_too_large"],
+    [*MALFORMED_CONFIGS, *MALFORMED_FLAGS, "resolution_one", "shift_invert_k_too_large"],
 )
 def test_malformed_input_exit_3(tmp_path, capsys, monkeypatch, case):
-    if case in MALFORMED_CONFIGS:
+    if case in MALFORMED_CONFIGS or case in MALFORMED_FLAGS:
 
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled although the config is malformed")
 
         monkeypatch.setattr(assembly, "assemble", no_assembly)
-    if case == "k_not_a_number":
-        argv = ["verify", "interval_laplacian", "--k", "abc"]
+    if case in MALFORMED_FLAGS:
+        argv = ["verify", "hyperbolic_cy", *MALFORMED_FLAGS[case]]
     elif case == "resolution_one":
         argv = ["verify", "square_laplacian", "--resolution", "1"]
     elif case == "shift_invert_k_too_large":

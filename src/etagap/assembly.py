@@ -20,23 +20,31 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NonFiniteValue
-from .fields import AffineScalar, ConstantScalar, ConstantTensor, FieldSample, ScalarField, TensorField, tensor_eigen_range
-from .geometry import GridDomain, euclidean, gauss_rule, inverse_metric_factor, make_box_domain, volume_weight
+from .fields import (
+    AffineScalar,
+    ConstantScalar,
+    ConstantTensor,
+    DiagonalTensor,
+    FieldSample,
+    ScalarField,
+    TensorField,
+    tensor_eigen_range,
+)
+from .geometry import GridDomain, gauss_rule, inverse_metric_factor, volume_weight
 
 
-def _reference_elements(domain: GridDomain):
-    """Shape values and physical gradients at the Gauss points.
+def _reference_elements(n: int, h):
+    """Shape values and physical gradients at the Gauss points of a cell with sides h.
 
     Returns (N, dN) with N of shape (nq, nloc) and dN of shape
     (nq, nloc, n); nloc = 2^n corners in lexicographic bit order.
     """
-    n = domain.dim
     qpts, _ = gauss_rule(n)
     corners = list(itertools.product((0, 1), repeat=n))
     nq, nloc = qpts.shape[0], len(corners)
     N = np.empty((nq, nloc))
     dN = np.empty((nq, nloc, n))
-    h = np.array(domain.h)
+    h = np.array(h)
     for a, corner in enumerate(corners):
         basis = np.where(np.array(corner)[None, :] == 1, qpts, 1.0 - qpts)
         N[:, a] = np.prod(basis, axis=1)
@@ -91,7 +99,7 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
     epsilon, delta = tensor_eigen_range(sample.theta)  # raises NotPositiveDefinite early
     theta = sample.theta.reshape(ncell, nq, n, n)
 
-    N, dN = _reference_elements(domain)
+    N, dN = _reference_elements(domain.dim, domain.h)
     # every unordered local pair (i <= j) of every cell in one product with a
     # constant table, scattered pair-major into the upper triangle:
     # A_c[i, j] = sum_qab (dm grad_factor T)[c, q, a, b] dN[q, i, a] dN[q, j, b]
@@ -119,20 +127,68 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
     return OperatorPair(A, B, domain, sample, pts, dm, grad_factor, epsilon, delta)
 
 
-def separable_factors(pair: OperatorPair) -> list[OperatorPair] | None:
-    """The 1-D pairs whose Kronecker sum is the pencil, or None if it is not one.
+@dataclass
+class AxisFactors:
+    """Dense 1-D matrices on the interior nodes of each axis, axis 0 first.
 
-    On an unmasked box with rho = 1 (Euclidean), a constant diagonal T and a
-    constant or affine eta, the weight e^(-eta) and the 2-point Gauss rule split into
-    per-axis factors, so A = sum_a B_0 (x) .. (x) A_a (x) .. (x) B_{n-1} and
-    B = B_0 (x) .. (x) B_{n-1}, with axis 0 slowest as in the DOF numbering.
-    Axis a gets T_aa and the slope b_a; the constant of eta goes to axis 0.
+    Up to rounding, A = sum_a M_0 (x) .. (x) K_a (x) .. (x) M_{n-1} with
+    K_a = ``stiffness[a]`` and M_b = ``mass[b]``, and B = B_0 (x) .. (x)
+    B_{n-1} with B_b = ``b_mass[b]``; axis 0 is slowest, as in the DOF
+    numbering.  The pencil is ``separable`` when every B_b is M_b.
+    """
+
+    stiffness: list[np.ndarray]
+    mass: list[np.ndarray]
+    b_mass: list[np.ndarray]
+    separable: bool
+
+    @property
+    def axis_ndof(self) -> list[int]:
+        return [m.shape[0] for m in self.mass]
+
+
+def _line_matrix(h: float, weight: np.ndarray, stiffness: bool) -> np.ndarray:
+    """The 1-D Q1 stiffness or mass matrix of one axis on its interior nodes.
+
+    ``weight`` (ncell, 2) is the integrand weight times the Gauss measure at
+    each cell's two Gauss points.  The element values come from the same
+    reference tables and products as in ``assemble``.
+    """
+    N, dN = _reference_elements(1, (h,))
+    iu, ju = np.triu_indices(2)
+    table = dN[:, iu, 0] * dN[:, ju, 0] if stiffness else N[:, iu] * N[:, ju]
+    vals = weight @ table  # per cell: local pairs (0, 0), (0, 1), (1, 1)
+    off = vals[1:-1, 1]
+    return np.diag(vals[:-1, 2] + vals[1:, 0]) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _diagonal_entries(field: TensorField) -> list | None:
+    """T_aa for each axis a, as a float or as a profile along one axis; None unless T is so."""
+    if isinstance(field, ConstantTensor):
+        mat = field.mat
+        return [float(v) for v in np.diag(mat)] if np.array_equal(mat, np.diag(np.diag(mat))) else None
+    if isinstance(field, DiagonalTensor):
+        return [c.c0 if c.kind == "const" or c.c1 == 0.0 else c for c in field.coefs]
+    return None
+
+
+def axis_factors(pair: OperatorPair) -> AxisFactors | None:
+    """The per-axis factors of the pencil, or None if its weights do not split by axis.
+
+    On an unmasked box of dimension >= 2 with a diagonal T whose entries are
+    constants or profiles along one axis, a constant or affine eta and
+    rho = 1 or x_n, the stiffness weights e^(-eta) rho^(2-n) T_aa and the
+    mass weight e^(-eta) rho^-n are products of 1-D functions, and so is the
+    2-point Gauss rule.  Term a of the stiffness then has the 1-D stiffness
+    K_a on axis a and a 1-D mass on every other axis b.  The factors exist
+    when, on every axis b, the masses of all terms a != b agree; in 2-D
+    they always do.  The constant of eta goes to axis 0, a constant T_aa to
+    K_a and a profile to the axis it varies along.
     """
     domain, field, drift = pair.domain, pair.sample.field, pair.sample.drift
-    n = domain.dim
-    if n < 2 or domain.metric.grad_rho is not None or not domain.mask.all():
-        return None
-    if not isinstance(field, ConstantTensor) or not np.array_equal(field.mat, np.diag(np.diag(field.mat))):
+    n, metric = domain.dim, domain.metric
+    entries = _diagonal_entries(field)
+    if n < 2 or not domain.mask.all() or entries is None:
         return None
     if isinstance(drift, ConstantScalar):
         slopes, c0 = np.zeros(n), drift.c
@@ -140,14 +196,42 @@ def separable_factors(pair: OperatorPair) -> list[OperatorPair] | None:
         slopes, c0 = drift.b, drift.c0
     else:
         return None
-    return [
-        assemble(
-            make_box_domain([domain.bounds[a]], [domain.resolution[a]], euclidean(1)),
-            ConstantTensor([[field.mat[a, a]]]),
-            AffineScalar([slopes[a]], c0 if a == 0 else 0.0),
-        )
-        for a in range(n)
-    ]
+
+    nodes, w = gauss_rule(1)
+    lines, a_weight, b_weight = [], [], []
+    for ax in range(n):
+        (lo, _), h, r = domain.bounds[ax], domain.h[ax], domain.resolution[ax]
+        x = lo + np.arange(r)[:, None] * h + nodes[:, 0] * h  # (ncell, 2), as GridDomain.quadrature
+        line = np.zeros((x.size, n))
+        line[:, ax] = x.ravel()
+        dm = w * h * np.exp(-((c0 if ax == 0 else 0.0) + x * slopes[ax]))
+        gf = 1.0
+        if metric.grad_rho is not None and metric.grad_rho[ax]:  # rho = x_n varies along the last axis only
+            dm = dm * volume_weight(metric, line).reshape(r, 2)
+            gf = inverse_metric_factor(metric, line).reshape(r, 2)
+        lines.append(line)
+        a_weight.append(dm * gf)
+        b_weight.append(dm)
+
+    weights = [list(a_weight) for _ in range(n)]  # weights[a][b]: term a's weight on axis b
+    for a, entry in enumerate(entries):
+        if isinstance(entry, float):
+            weights[a][a] = weights[a][a] * entry
+        else:
+            weights[a][entry.axis] = weights[a][entry.axis] * entry.value(lines[entry.axis]).reshape(-1, 2)
+    mass_weight = []
+    for b in range(n):
+        first, *rest = (weights[a][b] for a in range(n) if a != b)
+        if not all(np.array_equal(first, other) for other in rest):
+            return None
+        mass_weight.append(first)
+
+    h = domain.h
+    stiffness = [_line_matrix(h[a], weights[a][a], True) for a in range(n)]
+    mass = [_line_matrix(h[b], mass_weight[b], False) for b in range(n)]
+    separable = all(np.array_equal(m, bw) for m, bw in zip(mass_weight, b_weight))
+    b_mass = mass if separable else [_line_matrix(h[b], b_weight[b], False) for b in range(n)]
+    return AxisFactors(stiffness, mass, b_mass, separable)
 
 
 def project_function(domain: GridDomain, f) -> np.ndarray:
@@ -174,7 +258,7 @@ def interpolate_at_quadrature(pair: OperatorPair, u) -> tuple[np.ndarray, np.nda
     full = np.zeros(int(np.prod(domain.node_shape)))
     full[domain.interior_flat] = u
     corner_vals = full[domain.cell_corner_nodes()]
-    N, dN = _reference_elements(domain)
+    N, dN = _reference_elements(domain.dim, domain.h)
     nq, nloc, n = dN.shape
     table = np.concatenate([N.T[:, :, None], dN.transpose(1, 0, 2)], axis=2).reshape(nloc, -1)
     out = (corner_vals @ table).reshape(-1, nq, 1 + n)

@@ -129,6 +129,35 @@ def cmd_lemma31(args) -> int:
     return 0 if not suite.counterexamples else 1
 
 
+def _integer(value) -> bool:
+    return type(value) is int
+
+
+# the "solver" keys that report renders after the method, in order: (key, type check, format)
+SOLVER_FIELDS = (
+    ("inverse", lambda v: type(v) is str, str),
+    ("ordering", lambda v: type(v) is str, str),
+    ("axis_ndof", lambda v: type(v) is list and all(map(_integer, v)), lambda v: " x ".join(map(str, v))),
+    ("factor_nnz", _integer, str),
+    ("ncv", _integer, str),
+    ("op_applications", _integer, str),
+    ("max_residual", lambda v: type(v) in (int, float), "{:.3e}".format),
+)
+
+
+def _solver_line(solver) -> str:
+    """The summary's "solver" block on one line; TypeError or KeyError if it is malformed."""
+    if type(solver) is not dict or type(solver["method"]) is not str:
+        raise TypeError("solver must be an object with a string method")
+    parts = [f"method = {solver['method']}"]
+    for key, valid, fmt in SOLVER_FIELDS:
+        if key in solver:
+            if not valid(solver[key]):
+                raise TypeError(f"solver {key} has the wrong type: {solver[key]!r}")
+            parts.append(f"{key} = {fmt(solver[key])}")
+    return "  solver: " + ", ".join(parts)
+
+
 def cmd_report(args) -> int:
     path = Path(args.summary)
     if not path.is_file():
@@ -140,6 +169,8 @@ def cmd_report(args) -> int:
         lines = [f"{data.get('name', '?')}:"] + [f"  {key}: {counts[key]}" for key in sorted(counts)]
         for tag, rep in data.get("gap_reports", {}).items():
             lines.append(f"  {tag}: C = {rep['constant']:.6g}, exponent = {rep['exponent']:.4g}")
+        if "solver" in data:
+            lines.append(_solver_line(data["solver"]))
         code = int(data.get("exit_code", 0))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         _log(f"malformed summary: {exc}")

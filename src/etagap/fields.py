@@ -382,9 +382,13 @@ def tensor_eigen_range(mats: np.ndarray) -> tuple[float, float]:
         mats = mats[:1]  # a broadcast of one matrix, as ConstantTensor.matrix returns
     if np.any(mats != np.swapaxes(mats, 1, 2)):
         raise NotPositiveDefinite("tensor not symmetric at a sample point")
-    eigs = np.linalg.eigvalsh(mats)
-    lo = float(np.min(eigs[:, 0]))
-    hi = float(np.max(eigs[:, -1]))
+    n = mats.shape[1]
+    if np.any(mats[:, ~np.eye(n, dtype=bool)]):
+        eigs = np.linalg.eigvalsh(mats)
+        lo, hi = float(np.min(eigs[:, 0])), float(np.max(eigs[:, -1]))
+    else:  # an exactly diagonal stack: its eigenvalues are the diagonal entries
+        diag = np.diagonal(mats, axis1=1, axis2=2)
+        lo, hi = float(np.min(diag)), float(np.max(diag))
     if lo <= 0.0:
         raise NotPositiveDefinite(f"smallest tensor eigenvalue {lo} <= 0")
     return lo, hi

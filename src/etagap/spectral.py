@@ -1,17 +1,19 @@
 """Lowest eigenpairs of the pencil A u = lambda B u and their validation.
 
-``method="auto"`` picks the solver from the pencil.  A separable pencil
-(an unmasked Euclidean box of dimension >= 2 with a constant diagonal
-tensor and a constant or affine drift, see ``assembly.separable_factors``)
-is a Kronecker sum of 1-D pencils, and its exact discrete eigenpairs are
-sums and tensor products of 1-D ones (fast diagonalization,
-Lynch-Rice-Thomas 1964).  Other pencils take dense LAPACK when small and
-ARPACK shift-invert around zero otherwise, with a seeded start vector and
-one SuperLU factor of A in the symmetric A + A^T minimum-degree ordering.
-``"dense"`` and ``"shift_invert"`` force their solver; the dense path
-doubles as the oracle for small problems.  Every path's vectors are
-B-normalised and checked against the assembled pair.  Eigenvectors are
-B-orthonormal, eigenvalues ascending with multiplicities repeated.
+``method="auto"`` picks the solver from the pencil.  Where the
+coefficients are products over the axes (see ``assembly.axis_factors``),
+A is a Kronecker sum of 1-D factors.  If B is the product of the same 1-D
+masses, the pencil is separable and its exact discrete eigenpairs are sums
+and tensor products of 1-D ones (fast diagonalization, Lynch-Rice-Thomas
+1964).  Other pencils take dense LAPACK when small and ARPACK shift-invert
+around zero otherwise, with a seeded start vector.  Shift-invert applies
+A^-1 by fast diagonalization of the 1-D factors where they exist, and
+otherwise through one SuperLU factor of A in the symmetric A + A^T
+minimum-degree ordering.  ``"dense"`` and ``"shift_invert"`` force their
+solver; the dense path doubles as the oracle for small problems.  Every
+path's vectors are B-normalised and checked against the assembled pair.
+Eigenvectors are B-orthonormal, eigenvalues ascending with multiplicities
+repeated.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .assembly import OperatorPair, separable_factors
+from .assembly import AxisFactors, OperatorPair, axis_factors
 from .errors import ConvergenceFailure, DimensionMismatch
 
 DEFAULT_SOLVE_TOL = 1e-9
@@ -80,17 +82,18 @@ def _normalise(pair: OperatorPair, vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _separable(factors: list[OperatorPair], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of the Kronecker sum of the 1-D pencils ``factors``.
+def _separable(factors: AxisFactors, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of the separable pencil with these factors.
 
-    Axis a needs at most its lowest min(k, ndof_a) pairs: each of its lower
-    modes gives a smaller sum.  A stable sort keeps the C order of the mode
-    tuples within ties, so multiplets come out in a fixed order.
+    Its eigenpairs are sums and tensor products of those of the 1-D
+    pencils (K_a, M_a).  Axis a needs at most its lowest min(k, ndof_a)
+    pairs: each of its lower modes gives a smaller sum.  A stable sort
+    keeps the C order of the mode tuples within ties, so multiplets come
+    out in a fixed order.
     """
     lams, vecs = [], []
-    for f in factors:
-        m = min(k, f.ndof)
-        lam, vec = sla.eigh(f.A.toarray(), f.B.toarray(), subset_by_index=[0, m - 1])
+    for K, M in zip(factors.stiffness, factors.mass):
+        lam, vec = sla.eigh(K, M, subset_by_index=[0, min(k, M.shape[0]) - 1])
         lams.append(lam)
         vecs.append(vec)
     sums = functools.reduce(np.add.outer, lams)
@@ -100,6 +103,35 @@ def _separable(factors: list[OperatorPair], k: int) -> tuple[np.ndarray, np.ndar
         # axis 0 slowest, the C order of the DOF numbering
         out = (out[:, None, :] * vec[None, :, modes]).reshape(-1, k)
     return sums.ravel()[order], out
+
+
+def _along_axes(mats, x: np.ndarray) -> np.ndarray:
+    """(mats[0] (x) .. (x) mats[n-1]) x for x in the C order of the grid, axis 0 slowest.
+
+    Each step multiplies the leading axis and moves it to the back, so the
+    result is a (N / m_{n-1}, m_{n-1}) array in the C order again.
+    """
+    for m in mats:
+        x = (m @ x.reshape(m.shape[1], -1)).T
+    return x
+
+
+def _fast_diagonalization(factors: AxisFactors):
+    """x -> A^-1 x from one dense eigh of each 1-D pencil (K_a, M_a).
+
+    With K_a V_a = M_a V_a D_a and V_a^T M_a V_a = I,
+    A^-1 = (V_0 (x) .. (x) V_{n-1}) (sum_a D_a)^-1 (V_0 (x) .. (x) V_{n-1})^T:
+    one small product per axis in each direction and no factor.
+    """
+    lams, vecs = zip(*(sla.eigh(K, M) for K, M in zip(factors.stiffness, factors.mass)))
+    inv = 1.0 / functools.reduce(np.add.outer, lams)
+    inv = inv.reshape(-1, inv.shape[-1])
+    vts = [v.T for v in vecs]
+
+    def solve(x):
+        return _along_axes(vecs, _along_axes(vts, x) * inv).ravel()
+
+    return solve
 
 
 def solve_lowest(
@@ -115,8 +147,8 @@ def solve_lowest(
         raise DimensionMismatch(f"k={k} outside 1..{ndof}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    factors = separable_factors(pair) if method == "auto" else None
-    if factors is not None:
+    factors = axis_factors(pair) if method != "dense" else None
+    if method == "auto" and factors is not None and factors.separable:
         path = "separable"
     elif method == "dense" or (method == "auto" and (ndof <= 128 or k >= ndof - 1)):
         path = "dense"
@@ -133,22 +165,33 @@ def solve_lowest(
 
     if path == "separable":
         lam, vecs = _separable(factors, k)
-        meta = {"method": path, "axis_ndof": [f.ndof for f in factors]}
+        meta = {"method": path, "axis_ndof": factors.axis_ndof}
     elif path == "dense":
         lam, vecs = sla.eigh(pair.A.toarray(), pair.B.toarray())
         lam, vecs = lam[:k], vecs[:, :k]
         meta = {"method": path}
     else:
-        # A is symmetric, so A.T is the CSC form of the CSR A without a copy;
-        # an ordering of A + A^T keeps the fill of the one factor small.
-        ordering = "MMD_AT_PLUS_A"
-        lu = spla.splu(pair.A.T, permc_spec=ordering)
+        if factors is not None:
+            inverse = _fast_diagonalization(factors)
+            meta = {"method": path, "inverse": "fast_diagonalization", "axis_ndof": factors.axis_ndof}
+        else:
+            # A is symmetric, so A.T is the CSC form of the CSR A without a copy;
+            # an ordering of A + A^T keeps the fill of the one factor small.
+            ordering = "MMD_AT_PLUS_A"
+            lu = spla.splu(pair.A.T, permc_spec=ordering)
+            inverse = lu.solve
+            meta = {
+                "method": path,
+                "inverse": "superlu",
+                "ordering": ordering,
+                "factor_nnz": int(lu.L.nnz + lu.U.nnz),
+            }
         applications = 0
 
         def solve(x):
             nonlocal applications
             applications += 1
-            return lu.solve(x)
+            return inverse(x)
 
         # k + 8 Lanczos vectors beyond the wanted k, at least 20.  On the
         # 256^2 square with k = 12, ncv 25, 32 and 68 take 74, 72 and 69
@@ -171,13 +214,7 @@ def solve_lowest(
             raise ConvergenceFailure(f"eigensolver stalled: {exc}") from exc
         order = np.argsort(lam)
         lam, vecs = lam[order], vecs[:, order]
-        meta = {
-            "method": path,
-            "ordering": ordering,
-            "factor_nnz": int(lu.L.nnz + lu.U.nnz),
-            "ncv": ncv,
-            "op_applications": applications,
-        }
+        meta.update(ncv=ncv, op_applications=applications)
 
     vecs = _normalise(pair, vecs)
     res = _residuals(pair, lam, vecs)

@@ -199,7 +199,7 @@ def einsum_interpolant(pair, u):
     full = np.zeros(int(np.prod(domain.node_shape)))
     full[domain.interior_flat] = u
     corner_vals = full[domain.cell_corner_nodes()]
-    N, dN = _reference_elements(domain)
+    N, dN = _reference_elements(domain.dim, domain.h)
     return np.einsum("qa,ca->cq", N, corner_vals), np.einsum("qad,ca->cqd", dN, corner_vals)
 
 

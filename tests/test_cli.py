@@ -85,7 +85,8 @@ class TestVerifyCommand:
         code = main(["verify", str(cfg), "--checks", "gap,yang", "--out", str(tmp_path / "o")])
         assert code == 0
         solver = json.loads((tmp_path / "o" / "summary.json").read_text())["solver"]
-        assert solver["method"] == "shift_invert" and solver["ordering"] == "MMD_AT_PLUS_A"
+        assert solver["method"] == "shift_invert" and solver["inverse"] == "superlu"
+        assert solver["ordering"] == "MMD_AT_PLUS_A"
         assert solver["max_residual"] <= solver["solve_tol"]
 
     def test_negative_control_exit_one(self, tmp_path):
@@ -150,6 +151,35 @@ class TestReportCommand:
         out = capsys.readouterr()
         assert "thm11" in out.err
 
+    @pytest.mark.parametrize(
+        "over, expected",
+        [
+            ({}, "solver: method = separable, axis_ndof = 47 x 47, max_residual = "),
+            (
+                {
+                    "domain": {
+                        "bounds": [["0", "3.141592653589793"], ["0", "3.141592653589793"]],
+                        "resolution": [32, 32],
+                        "mask": {"kind": "ball", "center": ["1.5707963267948966", "1.5707963267948966"], "radius": "1.4"},
+                    }
+                },
+                "solver: method = shift_invert, inverse = superlu, ordering = MMD_AT_PLUS_A, factor_nnz = ",
+            ),
+            (
+                {"metric": "hyperbolic", "domain": {"bounds": [["0", "1"], ["1", "2"]], "resolution": [24, 24]}},
+                "solver: method = shift_invert, inverse = fast_diagonalization, axis_ndof = 23 x 23, ncv = 28, op_applications = ",
+            ),
+        ],
+        ids=["separable", "superlu", "fast_diagonalization"],
+    )
+    def test_render_solver_block(self, tmp_path, capsys, over, expected):
+        cfg = small_square_config(tmp_path, bounds={}, **over)
+        assert main(["spectrum", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "o" / "summary.json")]) == 0
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith("  " + expected) and ", max_residual = " in line
+
     def test_missing_summary_exit_3(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.json")]) == 3
 
@@ -162,8 +192,27 @@ class TestReportCommand:
             {"counts": 5},
             {"counts": {"pass": 1}, "gap_reports": []},
             "{not json",
+            {"counts": {"pass": 1}, "solver": [1]},
+            {"counts": {"pass": 1}, "solver": {"ncv": 20}},
+            {"counts": {"pass": 1}, "solver": {"method": "shift_invert", "factor_nnz": "12"}},
+            {"counts": {"pass": 1}, "solver": {"method": "separable", "axis_ndof": [47, 4.5]}},
+            {"counts": {"pass": 1}, "solver": {"method": "dense", "max_residual": "small"}},
+            {"counts": {"pass": 1}, "solver": {"method": "shift_invert", "ncv": True}},
         ],
-        ids=["top_level_list", "gap_report_without_constant", "word_exit_code", "number_counts", "list_gap_reports", "bad_json"],
+        ids=[
+            "top_level_list",
+            "gap_report_without_constant",
+            "word_exit_code",
+            "number_counts",
+            "list_gap_reports",
+            "bad_json",
+            "list_solver",
+            "solver_without_method",
+            "word_factor_nnz",
+            "fractional_axis_ndof",
+            "word_max_residual",
+            "bool_ncv",
+        ],
     )
     def test_malformed_summary_exit_3(self, tmp_path, capsys, summary):
         path = tmp_path / "summary.json"

@@ -360,6 +360,22 @@ class TestTensorBounds:
         with pytest.raises(NotPositiveDefinite):
             tensor_bounds(ConstantTensor(np.diag([1.0, -0.5])), square_domain)
 
+    @pytest.mark.parametrize("off", [0.0, 1e-3, np.nan])
+    def test_diagonal_stack_matches_eigvalsh(self, off):
+        # an exactly diagonal stack is read off its diagonal, bit-identical to eigvalsh
+        mats = np.zeros((40, 3, 3))
+        mats[:, [0, 1, 2], [0, 1, 2]] = np.random.default_rng(8).uniform(0.5, 4.0, (40, 3))
+        mats[7, 0, 2] = mats[7, 2, 0] = off
+        if np.isnan(off):
+            with pytest.raises(NotPositiveDefinite):
+                tensor_eigen_range(mats)
+            return
+        eigs = np.linalg.eigvalsh(mats)
+        assert tensor_eigen_range(mats) == (float(np.min(eigs[:, 0])), float(np.max(eigs[:, -1])))
+        mats[3, 1, 1] = -0.5
+        with pytest.raises(NotPositiveDefinite):
+            tensor_eigen_range(mats)
+
     @pytest.mark.parametrize(
         "mat", [[[2.0, 0.5], [0.5, 3.0]], [[1.0, 0.0], [0.0, -0.5]], [[2.0, 0.5], [0.4, 3.0]]]
     )

@@ -1,11 +1,14 @@
 """Eigensolver: oracle spectra, validation identities, Parseval."""
 
+import functools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from etagap import spectral
-from etagap.assembly import assemble, separable_factors
+from etagap.assembly import assemble, axis_factors
 from etagap.errors import ConvergenceFailure, DimensionMismatch
 from etagap.fields import (
     AffineScalar,
@@ -193,10 +196,10 @@ class TestShiftInvert:
         assert defect == pytest.approx(np.max(np.abs(looped - lam) / lam), rel=1e-10)
 
     def test_meta_diagnostics(self):
-        pair = square_pair(64)
+        pair = ball_square_pair(64)
         res = solve_lowest(pair, 6, method="shift_invert")
         meta = res.meta
-        assert meta["method"] == "shift_invert"
+        assert meta["method"] == "shift_invert" and meta["inverse"] == "superlu"
         assert meta["ordering"] == "MMD_AT_PLUS_A"
         assert res.k < meta["ncv"] < pair.ndof
         assert meta["op_applications"] >= meta["ncv"]
@@ -224,6 +227,19 @@ SEPARABLE_CASES = {
         [7, 8, 9],
         tensor_preset("constant_diag", 3, entries=["2", "3", "1.5"]),
         drift_preset("affine", 3, coeffs=["0.7", "-1.3", "0.2"], c0="-0.6"),
+    ),
+    "own_axis_profiles": (
+        [(0, 1), (0, 2)],
+        [13, 10],
+        tensor_preset(
+            "diag_profile",
+            2,
+            entries=[
+                {"profile": "sin", "c0": "2", "c1": "0.5", "axis": 0},
+                {"profile": "cos", "c0": "3", "c1": "0.4", "axis": 1},
+            ],
+        ),
+        drift_preset("affine", 2, coeffs=["0.3", "0.9"]),
     ),
 }
 
@@ -259,8 +275,9 @@ class TestSeparable:
         elif case == "half_space":
             pair = box_pair([(0, 1), (1, 2)], [12, 12], metric=hyperbolic_half_plane(2))
         elif case == "diag_profile":
+            # T_11 varies along axis 1, so the axis-1 mass of A is not that of B
             tensor = tensor_preset(
-                "diag_profile", 2, entries=[{"profile": "sin", "c0": 2, "c1": 0.5}, {"c0": 3}]
+                "diag_profile", 2, entries=[{"profile": "sin", "c0": 2, "c1": 0.5, "axis": 1}, {"c0": 3}]
             )
             pair = box_pair(square, [12, 12], tensor=tensor)
         elif case == "gaussian_drift":
@@ -269,7 +286,8 @@ class TestSeparable:
             pair = box_pair(square, [12, 12], tensor=ConstantTensor([[2.0, 0.3], [0.3, 1.0]]))
         else:
             pair = interval_pair(12)
-        assert separable_factors(pair) is None
+        factors = axis_factors(pair)
+        assert factors is None or not factors.separable
         assert solve_lowest(pair, 4).meta["method"] == "dense"
 
     @pytest.mark.parametrize("method", ["dense", "shift_invert"])
@@ -291,14 +309,103 @@ class TestSeparable:
     def test_wrong_factors_fail_the_residual_gate(self, monkeypatch):
         pair = square_pair(16)
         stretched = box_pair([(0, np.pi), (0, 1.1 * np.pi)], [16, 16])
-        monkeypatch.setattr(spectral, "separable_factors", lambda p: separable_factors(stretched))
+        monkeypatch.setattr(spectral, "axis_factors", lambda p: axis_factors(stretched))
         with pytest.raises(ConvergenceFailure):
             solve_lowest(pair, 4)
+        with pytest.raises(ConvergenceFailure):  # the same factors as the shift-invert inverse
+            solve_lowest(pair, 4, method="shift_invert")
 
     def test_full_spectrum_limit_holds(self):
         pair = square_pair(48)  # 2209 DOFs
         with pytest.raises(DimensionMismatch):
             solve_lowest(pair, pair.ndof)
+
+
+def profile_tensor(*specs):
+    return tensor_preset("diag_profile", len(specs), entries=list(specs))
+
+
+FAST_DIAGONALIZATION_CASES = {
+    "halfspace_sweep_shape": lambda: halfspace_profile_pair(24),
+    "cross_axis_profiles": lambda: box_pair(
+        [(0, np.pi), (0, 2.0)],
+        [24, 21],
+        profile_tensor(
+            {"profile": "sin", "c0": "2", "c1": "0.5", "axis": 1},
+            {"profile": "cos", "c0": "3", "c1": "0.7", "axis": 0},
+        ),
+        drift_preset("affine", 2, coeffs=["0.4", "-0.8"], c0="0.2"),
+    ),
+    "hyperbolic_cy_shape": lambda: box_pair([(0, 1), (1, 2)], [24, 24], metric=hyperbolic_half_plane(2)),
+    "halfspace_3d": lambda: box_pair(
+        [(0, 1), (0, 1.5), (1, 2)],
+        [7, 8, 9],
+        tensor_preset("constant_diag", 3, entries=["2", "3", "1.5"]),
+        metric=hyperbolic_half_plane(3),
+    ),
+}
+
+
+def kronecker_rebuild(factors):
+    """The Kronecker sum of the stiffness factors and the product of B's masses, dense."""
+    kron = functools.partial(functools.reduce, np.kron)
+    n = len(factors.mass)
+    A = sum(kron([factors.stiffness[b] if b == a else factors.mass[b] for b in range(n)]) for a in range(n))
+    return A, kron(factors.b_mass)
+
+
+class TestFastDiagonalization:
+    @pytest.mark.parametrize("case", FAST_DIAGONALIZATION_CASES)
+    def test_matches_dense(self, case):
+        pair = FAST_DIAGONALIZATION_CASES[case]()
+        res = solve_lowest(pair, 8)
+        dense = solve_lowest(pair, 8, method="dense")
+        meta = res.meta
+        assert meta["method"] == "shift_invert" and meta["inverse"] == "fast_diagonalization"
+        assert meta["axis_ndof"] == [r - 1 for r in pair.domain.resolution]
+        assert not {"ordering", "factor_nnz"} & set(meta)
+        assert np.max(res.residuals) <= meta["solve_tol"]
+        rel = np.abs(res.eigenvalues - dense.eigenvalues) / dense.eigenvalues
+        assert np.max(rel) <= 1e-10
+
+    @pytest.mark.parametrize("case", FAST_DIAGONALIZATION_CASES)
+    def test_inverse_undoes_A(self, case):
+        pair = FAST_DIAGONALIZATION_CASES[case]()
+        solve = spectral._fast_diagonalization(axis_factors(pair))
+        x = np.random.default_rng(6).standard_normal(pair.ndof)
+        assert np.linalg.norm(solve(pair.A @ x) - x) <= 1e-10 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("case", [*FAST_DIAGONALIZATION_CASES, *SEPARABLE_CASES])
+    def test_kronecker_sum_rebuilds_the_pencil(self, case):
+        if case in SEPARABLE_CASES:
+            pair = box_pair(*SEPARABLE_CASES[case])
+        else:
+            pair = FAST_DIAGONALIZATION_CASES[case]()
+        factors = axis_factors(pair)
+        assert factors.separable == (case in SEPARABLE_CASES)
+        for rebuilt, assembled in zip(kronecker_rebuild(factors), (pair.A, pair.B)):
+            assembled = assembled.toarray()
+            assert np.max(np.abs(rebuilt - assembled)) <= 1e-14 * np.max(np.abs(assembled))
+
+    @pytest.mark.parametrize("case", ["ball_mask", "gaussian_drift", "unequal_masses_3d"])
+    def test_other_pencils_take_superlu(self, case):
+        if case == "ball_mask":
+            pair = ball_square_pair(24)
+        elif case == "gaussian_drift":
+            pair = box_pair([(0, np.pi), (0, np.pi)], [16, 16], drift=GaussianScalar(2, 0.5, [1.0, 1.0], 0.7))
+        else:
+            # T_11 and T_22 vary along axis 0 in different ways, so the masses on axis 0 differ
+            tensor = profile_tensor(
+                {"c0": "2"},
+                {"profile": "sin", "c0": "3", "c1": "0.5", "axis": 0},
+                {"profile": "cos", "c0": "2", "c1": "0.4", "axis": 0},
+            )
+            pair = box_pair([(0, 1), (0, 1.5), (0, 2)], [7, 8, 9], tensor)
+        assert axis_factors(pair) is None
+        res = solve_lowest(pair, 6)
+        assert res.meta["method"] == "shift_invert" and res.meta["inverse"] == "superlu"
+        assert res.meta["ordering"] == "MMD_AT_PLUS_A" and "axis_ndof" not in res.meta
+        assert np.max(res.residuals) <= res.meta["solve_tol"]
 
 
 class TestValidateSpectrum:

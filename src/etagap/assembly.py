@@ -7,8 +7,9 @@ The discrete problem is the generalized pencil A u = lambda B u with
 
 over multilinear (Q1) nodal elements on the masked-in cells, 2-point Gauss
 quadrature per axis, and Dirichlet conditions imposed by removing boundary
-rows/columns.  Both matrices are assembled symmetrically: each unordered
-index pair is computed once and mirrored, so A == A^T and B == B^T exactly.
+rows/columns.  Both are built straight into CSR from the grid's 3^n node
+stencil: each unordered index pair is summed once and read from both
+sides, so A == A^T and B == B^T exactly (see ``_stencil_csr``).
 """
 
 from __future__ import annotations
@@ -90,6 +91,42 @@ def quad_data(domain: GridDomain, drift: ScalarField):
     return pts, dm, grad_factor
 
 
+def _stencil_csr(domain: GridDomain, vals) -> list[sp.csr_matrix]:
+    """Symmetric CSR matrices over the interior DOFs from per-cell pair values.
+
+    Pair (i, j) of a cell joins nodes r and r + o, o a 3^n stencil offset
+    with flat offset >= 0.  Its values are added by slices over the cell
+    grid into o's node array at r; masked-out cells add zeros.  Entry
+    (r, r - o) reads that array at r - o, so the matrix equals its transpose
+    bit for bit.  A row takes the stencil in increasing flat offset, which
+    sorts its columns, as DOF numbers increase with the flat node index.
+    Dirichlet columns read an exact zero, dropped with the exact zeros.
+    """
+    n, res, nnode = domain.dim, domain.resolution, domain.dof_index().size
+    corners = np.array(list(itertools.product((0, 1), repeat=n)))
+    stencil = np.array(list(itertools.product((-1, 0, 1), repeat=n)))  # stencil[-1 - k] == -stencil[k]
+    half = len(stencil) // 2  # the zero offset
+    flat_off = stencil @ np.cumprod((1,) + domain.node_shape[:0:-1])[::-1]
+    rows = domain.interior_flat  # never on the box boundary, so every stencil node exists
+    cols = domain.dof_index()[rows[:, None] + flat_off]
+    # (r, r + o) in the node arrays stacked by |o| sits at r if o >= 0, else at r + o
+    src = rows[:, None] + np.abs(np.arange(len(stencil)) - half) * nnode + np.minimum(flat_off, 0)
+    src[cols < 0] = -1  # Dirichlet columns read the zero after the node arrays
+    out = []
+    for v in vals:
+        cell = np.zeros((v.shape[1],) + res)
+        cell.reshape(v.shape[1], -1)[:, np.flatnonzero(domain.mask)] = v.T
+        upper = np.zeros((half + 1) * nnode + 1)
+        node_arrays = upper[:-1].reshape((half + 1,) + domain.node_shape)
+        for p, (i, j) in enumerate(zip(*np.triu_indices(len(corners)))):
+            k = np.ravel_multi_index(corners[j] - corners[i] + 1, (3,) * n) - half
+            node_arrays[k][tuple(slice(c, c + r) for c, r in zip(corners[i], res))] += cell[p]
+        indptr = np.arange(0, cols.size + 1, len(stencil))
+        out.append(sp.csr_matrix((upper[src].ravel(), cols.clip(0).ravel(), indptr), shape=(rows.size,) * 2))
+        out[-1].eliminate_zeros()  # in place, on this matrix's own arrays
+    return out
+
+
 def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> OperatorPair:
     """Build the stiffness/mass pair over the interior DOFs."""
     n = domain.dim
@@ -101,29 +138,13 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
 
     N, dN = _reference_elements(domain.dim, domain.h)
     # every unordered local pair (i <= j) of every cell in one product with a
-    # constant table, scattered pair-major into the upper triangle:
+    # constant table, one column per pair in triu order:
     # A_c[i, j] = sum_qab (dm grad_factor T)[c, q, a, b] dN[q, i, a] dN[q, j, b]
     iu, ju = np.triu_indices(N.shape[1])
     grad_pairs = np.einsum("qia,qjb->qabij", dN, dN)[..., iu, ju].reshape(nq * n * n, -1)
     a_vals = ((dm * grad_factor)[:, :, None, None] * theta).reshape(ncell, -1) @ grad_pairs
     b_vals = dm @ (N[:, iu] * N[:, ju])
-
-    dof = domain.dof_index()[domain.cell_corner_nodes()]
-    ri, rj = dof[:, iu].T, dof[:, ju].T
-    keep = (ri >= 0) & (rj >= 0)
-    rows = np.minimum(ri, rj)[keep]
-    cols = np.maximum(ri, rj)[keep]
-
-    nd = domain.n_interior
-
-    def _mirror(vals):
-        upper = sp.coo_matrix((vals, (rows, cols)), shape=(nd, nd)).tocsr()
-        upper.sum_duplicates()
-        full = upper + upper.T - sp.diags(upper.diagonal())
-        return full.tocsr()
-
-    A = _mirror(a_vals.T[keep])
-    B = _mirror(b_vals.T[keep])
+    A, B = _stencil_csr(domain, (a_vals, b_vals))
     return OperatorPair(A, B, domain, sample, pts, dm, grad_factor, epsilon, delta)
 
 

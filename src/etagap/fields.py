@@ -356,6 +356,9 @@ def tensor_preset(kind: str, dim: int, **params) -> TensorField:
     if kind == "constant_diag":
         return ConstantTensor(np.diag(np.asarray(reals(params["entries"]), dtype=float)))
     if kind == "diag_profile":
+        axes = [spec.get("axis", 0) for spec in params["entries"]]
+        if not all(type(a) is int and 0 <= a < dim for a in axes):  # int() would take 1.7, "1" and True
+            raise ValueError(f"diag_profile axes must be integers in 0..{dim - 1}, got {axes}")
         coefs = [
             _Coef(
                 spec.get("profile", "const"),

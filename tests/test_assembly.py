@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse as sp
 
 from etagap.assembly import assemble, interpolate_at_quadrature, project_function, quad_data
 from etagap.errors import NonFiniteValue
@@ -219,6 +220,112 @@ class TestInterpolateAtQuadrature:
         assert vals.shape == ref_vals.shape and grads.shape == ref_grads.shape
         assert np.max(np.abs(vals - ref_vals)) <= 1e-14 * np.max(np.abs(ref_vals))
         assert np.max(np.abs(grads - ref_grads)) <= 1e-14 * np.max(np.abs(ref_grads))
+
+
+def coo_mirror_reference(pair):
+    """Reference: (A, B) scattered as COO into the upper triangle, summed and mirrored.
+
+    This is the build the stencil CSR replaced.  It recomputes the element
+    values from the pair's own quadrature data with the same products.
+    """
+    from etagap.assembly import _reference_elements
+
+    domain = pair.domain
+    n = domain.dim
+    ncell, nq = pair.dm.shape
+    theta = pair.sample.theta.reshape(ncell, nq, n, n)
+    N, dN = _reference_elements(n, domain.h)
+    iu, ju = np.triu_indices(N.shape[1])
+    grad_pairs = np.einsum("qia,qjb->qabij", dN, dN)[..., iu, ju].reshape(nq * n * n, -1)
+    a_vals = ((pair.dm * pair.grad_factor)[:, :, None, None] * theta).reshape(ncell, -1) @ grad_pairs
+    b_vals = pair.dm @ (N[:, iu] * N[:, ju])
+
+    dof = domain.dof_index()[domain.cell_corner_nodes()]
+    ri, rj = dof[:, iu].T, dof[:, ju].T
+    keep = (ri >= 0) & (rj >= 0)
+    rows, cols = np.minimum(ri, rj)[keep], np.maximum(ri, rj)[keep]
+    nd = domain.n_interior
+
+    def mirror(vals):
+        upper = sp.coo_matrix((vals, (rows, cols)), shape=(nd, nd)).tocsr()
+        upper.sum_duplicates()
+        return (upper + upper.T - sp.diags(upper.diagonal())).tocsr()
+
+    return mirror(a_vals.T[keep]), mirror(b_vals.T[keep])
+
+
+def _ball(center, radius):
+    return lambda c: np.linalg.norm(c - np.asarray(center), axis=1) < radius
+
+
+STENCIL_CASES = {
+    "interval_drift": lambda: (
+        make_box_domain([(0, np.pi)], [40], EUC1), identity_tensor(1), AffineScalar([0.7])
+    ),
+    "box_euclidean": lambda: (
+        make_box_domain([(0, np.pi), (0, 2)], [23, 17], EUC2),
+        tensor_preset("constant", 2, matrix=[[2.0, 0.3], [0.3, 1.0]]),
+        AffineScalar([0.3, -0.2]),
+    ),
+    "box_hyperbolic": lambda: (
+        make_box_domain([(0, 1), (1, 2)], [19, 21], HYP2),
+        tensor_preset(
+            "diag_profile",
+            2,
+            entries=[{"profile": "sin", "c0": 2.0, "c1": 0.5, "axis": 1}, {"profile": "const", "c0": 3.0}],
+        ),
+        AffineScalar([0.3, 0.0]),
+    ),
+    "ball_euclidean": lambda: (
+        make_box_domain([(-1, 1), (-1, 1)], [32, 32], EUC2, _ball([0, 0], 0.95)),
+        identity_tensor(2),
+        ConstantScalar(0),
+    ),
+    "ball_hyperbolic": lambda: (
+        make_box_domain([(-1, 1), (1, 3)], [30, 30], HYP2, _ball([0, 2], 0.9)),
+        identity_tensor(2),
+        AffineScalar([0.4, 0.0]),
+    ),
+    # the edge couplings of this T cancel to exact zeros in A, which both builds drop
+    "box_exact_zeros": lambda: (
+        make_box_domain([(0, 1), (0, 1)], [4, 4], EUC2),
+        tensor_preset("constant", 2, matrix=[[1.5, 1.5], [1.5, 3.0]]),
+        ConstantScalar(0),
+    ),
+    "box_3d": lambda: (
+        make_box_domain([(0, 1), (0, 1), (0, 1)], [7, 6, 5], euclidean(3)),
+        tensor_preset(
+            "diag_profile",
+            3,
+            entries=[
+                {"profile": "sin", "c0": 2.0, "c1": 0.5, "axis": 2},
+                {"profile": "const", "c0": 3.0},
+                {"profile": "const", "c0": 1.0},
+            ],
+        ),
+        AffineScalar([0.3, 0.1, -0.2]),
+    ),
+}
+
+
+class TestStencilBuild:
+    @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+    def test_matches_coo_mirror_reference(self, case):
+        pair = assemble(*STENCIL_CASES[case]())
+        for mat, ref in zip((pair.A, pair.B), coo_mirror_reference(pair)):
+            assert mat.nnz == ref.nnz
+            assert np.array_equal(mat.indptr, ref.indptr) and np.array_equal(mat.indices, ref.indices)
+            if pair.domain.dim < 3:
+                assert np.array_equal(mat.data, ref.data)
+            else:  # the reference sums duplicates in the order of an unstable sort
+                assert np.max(np.abs(mat.data - ref.data)) <= 1e-15 * np.max(np.abs(ref.data))
+            assert (mat != mat.T).nnz == 0
+            starts = np.zeros(mat.nnz, dtype=bool)
+            starts[mat.indptr[:-1][np.diff(mat.indptr) > 0]] = True
+            assert np.all((np.diff(mat.indices) > 0) | starts[1:])  # sorted, no duplicates
+            assert np.all(mat.data != 0.0)
+        if case == "box_exact_zeros":
+            assert pair.A.nnz < pair.B.nnz
 
 
 class TestModeCache:

@@ -281,6 +281,18 @@ MALFORMED_CONFIGS = {
         for label, value in cases.items()
     },
     **{
+        f"diag_profile_axis_{label}": {
+            "tensor": {
+                "kind": "diag_profile",
+                "entries": [
+                    {"profile": "sin", "c0": "2", "c1": "0.5", "axis": axis},
+                    {"profile": "const", "c0": "2"},
+                ],
+            }
+        }
+        for label, axis in {"too_large": 5, "negative": -1, "fraction": 1.7, "string": "1", "bool": True}.items()
+    },
+    **{
         f"k_range_{label}": {"bounds": {"theorems": ["thm11"], "k_range": k_range}}
         for label, k_range in {
             "reversed": [6, 2],

@@ -5,17 +5,20 @@ import json
 import numpy as np
 import pytest
 
+from etagap.assembly import assemble
 from etagap.errors import ConfigError
 from etagap.scenario import (
     OracleSpectrum,
     ScenarioConfig,
     apply_overrides,
+    build_problem,
     builtin_config,
     list_builtin_scenarios,
     load_config,
     oracle_eigenvalues,
     run_scenario,
 )
+from etagap.spectral import solve_lowest
 
 
 def minimal_config(**over):
@@ -116,6 +119,19 @@ class TestOracles:
         assert np.all(np.diff(out) >= 0.0)
 
 
+# the eigensolver path of each builtin: the CI runs of the builtins are the only
+# end-to-end coverage of each path, so a builtin that moves path must say so here
+BUILTIN_SOLVER_PATHS = {
+    "anisotropic_square": "separable",
+    "disk_laplacian": "superlu",
+    "drifted_interval": "superlu",
+    "hyperbolic_cy": "fast_diagonalization",
+    "interval_laplacian": "superlu",
+    "lemma32_square": "dense",
+    "square_laplacian": "separable",
+}
+
+
 class TestBuiltins:
     def test_all_builtins_listed(self):
         names = list_builtin_scenarios()
@@ -126,8 +142,21 @@ class TestBuiltins:
             "drifted_interval",
             "hyperbolic_cy",
             "lemma32_square",
+            "disk_laplacian",
         ):
             assert expected in names
+
+    def test_every_solver_path_pinned(self):
+        assert sorted(BUILTIN_SOLVER_PATHS) == sorted(list_builtin_scenarios())
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SOLVER_PATHS))
+    def test_builtin_solver_path(self, name):
+        cfg = builtin_config(name)
+        pair = assemble(*build_problem(cfg)[1:])
+        k = pair.ndof if cfg.solver.k == "full" else cfg.solver.k
+        solver = cfg.solver
+        meta = solve_lowest(pair, k, solve_tol=solver.solve_tol, method=solver.method, seed=solver.seed).meta
+        assert meta.get("inverse", meta["method"]) == BUILTIN_SOLVER_PATHS[name]
 
     def test_load_by_name_and_by_path(self, tmp_path):
         cfg = load_config("interval_laplacian")

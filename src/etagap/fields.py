@@ -356,7 +356,10 @@ def tensor_preset(kind: str, dim: int, **params) -> TensorField:
     if kind == "constant_diag":
         return ConstantTensor(np.diag(np.asarray(reals(params["entries"]), dtype=float)))
     if kind == "diag_profile":
-        axes = [spec.get("axis", 0) for spec in params["entries"]]
+        entries = params["entries"]
+        if not (isinstance(entries, list) and all(isinstance(spec, dict) for spec in entries)):
+            raise TypeError(f"diag_profile entries must be a list of JSON objects, got {entries!r}")
+        axes = [spec.get("axis", 0) for spec in entries]
         if not all(type(a) is int and 0 <= a < dim for a in axes):  # int() would take 1.7, "1" and True
             raise ValueError(f"diag_profile axes must be integers in 0..{dim - 1}, got {axes}")
         coefs = [
@@ -366,7 +369,7 @@ def tensor_preset(kind: str, dim: int, **params) -> TensorField:
                 real(spec.get("c1", 0.0)),
                 spec.get("axis", 0),
             )
-            for spec in params["entries"]
+            for spec in entries
         ]
         if len(coefs) != dim:
             raise ValueError("diag_profile needs one entry per axis")

@@ -45,6 +45,14 @@ def _config_errors():
         raise ConfigError(str(exc)) from exc
 
 
+def _block(raw: dict, key: str, kind: type = dict, default=None):
+    """raw[key] (or ``default`` when absent), which must be a JSON object or, for kind list, an array."""
+    value = raw[key] if default is None else raw.get(key, default)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key} must be a JSON {'object' if kind is dict else 'array'}, got {value!r}")
+    return value
+
+
 @dataclass
 class SolverSettings:
     k: int | str = 8
@@ -84,8 +92,8 @@ class ScenarioConfig:
     def from_dict(raw: dict) -> "ScenarioConfig":
         """Parse and validate a raw config dict (kept as ``raw``)."""
         with _config_errors():
-            domain, solver = raw["domain"], raw.get("solver", {})
-            bounds_raw, consts = raw.get("bounds", {}), raw.get("constants", {})
+            domain, solver = _block(raw, "domain"), _block(raw, "solver", default={})
+            bounds_raw, consts = _block(raw, "bounds", default={}), _block(raw, "constants", default={})
             box = [(_num(lo), _num(hi)) for lo, hi in domain["bounds"]]
             k_range, oracle = bounds_raw.get("k_range"), raw.get("oracle")
             cfg = ScenarioConfig(
@@ -94,9 +102,9 @@ class ScenarioConfig:
                 dim=len(box),
                 box=box,
                 resolution=list(domain["resolution"]),
-                mask=domain.get("mask", {"kind": "all"}),
-                tensor=raw["tensor"],
-                drift=raw.get("drift", {"kind": "zero"}),
+                mask=_block(domain, "mask", default={"kind": "all"}),
+                tensor=_block(raw, "tensor"),
+                drift=_block(raw, "drift", default={"kind": "zero"}),
                 solver=SolverSettings(
                     k=solver.get("k", 8),
                     solve_tol=_num(solver.get("solve_tol", spectral.DEFAULT_SOLVE_TOL)),
@@ -104,15 +112,15 @@ class ScenarioConfig:
                     method=solver.get("method", "auto"),
                     seed=solver.get("seed", 0),
                 ),
-                theorems=list(bounds_raw.get("theorems", [])),
+                theorems=_block(bounds_raw, "theorems", list, default=[]),
                 k_range=None if k_range is None else list(k_range),
                 c_scale=_num(bounds_raw.get("c_scale", "1")),
                 h0=_num(consts["H0"]) if "H0" in consts else None,
                 kappa1=_num(consts["kappa1"]) if "kappa1" in consts else None,
                 kappa2=_num(consts["kappa2"]) if "kappa2" in consts else None,
                 origin=_nums(consts["origin"]) if "origin" in consts else None,
-                verify=list(raw.get("verify", [])),
-                oracle=None if oracle is None else OracleSpectrum.from_dict(oracle),
+                verify=_block(raw, "verify", list, default=[]),
+                oracle=None if oracle is None else OracleSpectrum.from_dict(_block(raw, "oracle")),
                 oracle_rtol=_num(oracle["rtol"]) if oracle and "rtol" in oracle else None,
                 output_dir=raw.get("output_dir"),
                 raw=raw,

@@ -6,14 +6,18 @@ A is a Kronecker sum of 1-D factors.  If B is the product of the same 1-D
 masses, the pencil is separable and its exact discrete eigenpairs are sums
 and tensor products of 1-D ones (fast diagonalization, Lynch-Rice-Thomas
 1964).  Other pencils take dense LAPACK when small and ARPACK shift-invert
-around zero otherwise, with a seeded start vector.  Shift-invert applies
-A^-1 by fast diagonalization of the 1-D factors where they exist, and
-otherwise through one SuperLU factor of A in the symmetric A + A^T
-minimum-degree ordering.  ``"dense"`` and ``"shift_invert"`` force their
-solver; the dense path doubles as the oracle for small problems.  Every
-path's vectors are B-normalised and checked against the assembled pair.
-Eigenvectors are B-orthonormal, eigenvalues ascending with multiplicities
-repeated.
+around zero otherwise, with a seeded start vector.  Where the 1-D factors
+exist, B = C C^T with C the Kronecker product of the Cholesky factors of
+the 1-D masses, and shift-invert runs standard-mode Lanczos on the
+symmetric S = C^T A^-1 C, applied by fast diagonalization: its largest
+eigenvalues are 1 / lambda, and ARPACK needs no product with B (the
+spectral transformation of Ericsson-Ruhe 1980, whitened by C).  Otherwise
+it runs generalized mode 3 on (A, B) with one SuperLU factor of A in the
+symmetric A + A^T minimum-degree ordering.  ``"dense"`` and
+``"shift_invert"`` force their solver; the dense path doubles as the
+oracle for small problems.  Every path's vectors are B-normalised and
+checked against the assembled pair.  Eigenvectors are B-orthonormal,
+eigenvalues ascending with multiplicities repeated.
 """
 
 from __future__ import annotations
@@ -116,22 +120,66 @@ def _along_axes(mats, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fast_diagonalization(factors: AxisFactors):
-    """x -> A^-1 x from one dense eigh of each 1-D pencil (K_a, M_a).
+def _whitened_inverse(factors: AxisFactors):
+    """S = C^T A^-1 C and the back map w -> A^-1 C w, with B = C C^T.
 
-    With K_a V_a = M_a V_a D_a and V_a^T M_a V_a = I,
-    A^-1 = (V_0 (x) .. (x) V_{n-1}) (sum_a D_a)^-1 (V_0 (x) .. (x) V_{n-1})^T:
-    one small product per axis in each direction and no factor.
+    C = C_0 (x) .. (x) C_{n-1} holds the Cholesky factors B_a = C_a C_a^T
+    of the 1-D masses.  With K_a V_a = M_a V_a D_a and V_a^T M_a V_a = I,
+    A^-1 = V (sum_a D_a)^-1 V^T for V = V_0 (x) .. (x) V_{n-1}, so
+    S = W^T (sum_a D_a)^-1 W with W = (x)_a V_a^T C_a: one small product
+    per axis in each direction and no factor.  S w = w / lambda exactly
+    when u = A^-1 C w solves A u = lambda B u.  The back map takes an
+    (N, k) block of vectors.
     """
     lams, vecs = zip(*(sla.eigh(K, M) for K, M in zip(factors.stiffness, factors.mass)))
-    inv = 1.0 / functools.reduce(np.add.outer, lams)
-    inv = inv.reshape(-1, inv.shape[-1])
-    vts = [v.T for v in vecs]
+    inv = 1.0 / functools.reduce(np.add.outer, lams).ravel()
+    ws = [v.T @ np.linalg.cholesky(B) for v, B in zip(vecs, factors.b_mass)]
+    wts = [w.T for w in ws]
 
-    def solve(x):
-        return _along_axes(vecs, _along_axes(vts, x) * inv).ravel()
+    def apply(x):
+        return _along_axes(wts, _along_axes(ws, x).ravel() * inv).ravel()
 
-    return solve
+    def back(w):
+        # a trailing block axis ends up leading after _along_axes
+        k = w.shape[1]
+        y = _along_axes(ws, w).reshape(k, -1) * inv
+        return _along_axes(vecs, y.T).reshape(k, -1).T
+
+    return apply, back
+
+
+def _lanczos(apply, ndof: int, k: int, seed: int, shift_invert: OperatorPair | None = None):
+    """ARPACK's k extreme eigenpairs of the operator x -> apply(x), and its diagnostics.
+
+    Standard mode, largest algebraic eigenvalues, when ``shift_invert`` is
+    None; otherwise generalized mode 3 around zero on that pencil, with
+    ``apply`` as A^-1.  Either way from a seeded start vector and to
+    machine precision.
+    """
+    applications = 0
+
+    def counted(x):
+        nonlocal applications
+        applications += 1
+        return apply(x)
+
+    op = spla.LinearOperator((ndof, ndof), matvec=counted, dtype=float)
+    # k + 8 Lanczos vectors beyond the wanted k, at least 20.  On the
+    # 256^2 square with k = 12, ncv 25, 32 and 68 take 74, 72 and 69
+    # operator applications: a larger basis only adds memory.
+    ncv = min(ndof - 1, max(2 * k + 8, 20))
+    v0 = np.random.default_rng(seed).standard_normal(ndof)
+    common = dict(k=k, v0=v0, tol=0, ncv=ncv)
+    try:
+        if shift_invert is None:
+            vals, vecs = spla.eigsh(op, which="LA", **common)
+        else:
+            vals, vecs = spla.eigsh(
+                shift_invert.A, M=shift_invert.B, sigma=0.0, which="LM", OPinv=op, **common
+            )
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceFailure(f"eigensolver stalled: {exc}") from exc
+    return vals, vecs, {"ncv": ncv, "op_applications": applications}
 
 
 def solve_lowest(
@@ -172,49 +220,25 @@ def solve_lowest(
         meta = {"method": path}
     else:
         if factors is not None:
-            inverse = _fast_diagonalization(factors)
+            apply, back = _whitened_inverse(factors)
+            theta, w, diag = _lanczos(apply, ndof, k, seed)
+            lam, vecs = 1.0 / theta, back(w)
             meta = {"method": path, "inverse": "fast_diagonalization", "axis_ndof": factors.axis_ndof}
         else:
             # A is symmetric, so A.T is the CSC form of the CSR A without a copy;
             # an ordering of A + A^T keeps the fill of the one factor small.
             ordering = "MMD_AT_PLUS_A"
             lu = spla.splu(pair.A.T, permc_spec=ordering)
-            inverse = lu.solve
+            lam, vecs, diag = _lanczos(lu.solve, ndof, k, seed, shift_invert=pair)
             meta = {
                 "method": path,
                 "inverse": "superlu",
                 "ordering": ordering,
                 "factor_nnz": int(lu.L.nnz + lu.U.nnz),
             }
-        applications = 0
-
-        def solve(x):
-            nonlocal applications
-            applications += 1
-            return inverse(x)
-
-        # k + 8 Lanczos vectors beyond the wanted k, at least 20.  On the
-        # 256^2 square with k = 12, ncv 25, 32 and 68 take 74, 72 and 69
-        # operator applications: a larger basis only adds memory.
-        ncv = min(ndof - 1, max(2 * k + 8, 20))
-        v0 = np.random.default_rng(seed).standard_normal(ndof)
-        try:
-            lam, vecs = spla.eigsh(
-                pair.A,
-                k=k,
-                M=pair.B,
-                sigma=0.0,
-                which="LM",
-                v0=v0,
-                tol=0,
-                ncv=ncv,
-                OPinv=spla.LinearOperator((ndof, ndof), matvec=solve, dtype=float),
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceFailure(f"eigensolver stalled: {exc}") from exc
         order = np.argsort(lam)
         lam, vecs = lam[order], vecs[:, order]
-        meta.update(ncv=ncv, op_applications=applications)
+        meta.update(diag)
 
     vecs = _normalise(pair, vecs)
     res = _residuals(pair, lam, vecs)

@@ -307,6 +307,32 @@ MALFORMED_CONFIGS = {
 }
 
 
+# a block of the wrong JSON type -> (the name the error must give, config override);
+# none may reach an attribute lookup or be iterated as a string
+WRONG_TYPE_BLOCKS = {
+    "diag_profile_entries_not_objects": ("entries", {"tensor": {"kind": "diag_profile", "entries": ["x", "y"]}}),
+    "diag_profile_entries_string": ("entries", {"tensor": {"kind": "diag_profile", "entries": "xy"}}),
+    "mask_string": (
+        "mask",
+        {
+            "domain": {
+                "bounds": [["0", "3.141592653589793"], ["0", "3.141592653589793"]],
+                "resolution": [48, 48],
+                "mask": "all",
+            }
+        },
+    ),
+    "solver_array": ("solver", {"solver": [4]}),
+    "bounds_array": ("bounds", {"bounds": []}),
+    "verify_string": ("verify", {"verify": "gap"}),
+    "constants_array": ("constants", {"constants": []}),
+    "theorems_string": ("theorems", {"bounds": {"theorems": "thm11", "k_range": [2, 8]}}),
+    "tensor_string": ("tensor", {"tensor": "identity"}),
+    "drift_array": ("drift", {"drift": []}),
+    "oracle_string": ("oracle", {"oracle": "box"}),
+}
+
+
 # overrides of a builtin that must be refused before assembly
 MALFORMED_FLAGS = {
     "k_not_a_number": ["--k", "abc"],
@@ -319,10 +345,10 @@ MALFORMED_FLAGS = {
 
 @pytest.mark.parametrize(
     "case",
-    [*MALFORMED_CONFIGS, *MALFORMED_FLAGS, "resolution_one", "shift_invert_k_too_large"],
+    [*MALFORMED_CONFIGS, *WRONG_TYPE_BLOCKS, *MALFORMED_FLAGS, "resolution_one", "shift_invert_k_too_large"],
 )
 def test_malformed_input_exit_3(tmp_path, capsys, monkeypatch, case):
-    if case in MALFORMED_CONFIGS or case in MALFORMED_FLAGS:
+    if case in MALFORMED_CONFIGS or case in WRONG_TYPE_BLOCKS or case in MALFORMED_FLAGS:
 
         def no_assembly(*args, **kwargs):
             raise AssertionError("assembled although the config is malformed")
@@ -337,10 +363,15 @@ def test_malformed_input_exit_3(tmp_path, capsys, monkeypatch, case):
         domain = {"bounds": [["0", "3.141592653589793"]], "resolution": [10]}
         solver = {"k": 8, "method": "shift_invert"}
         argv = ["spectrum", str(small_square_config(tmp_path, domain=domain, solver=solver))]
+    elif case in WRONG_TYPE_BLOCKS:
+        argv = ["verify", str(small_square_config(tmp_path, **WRONG_TYPE_BLOCKS[case][1]))]
     else:
         argv = ["verify", str(small_square_config(tmp_path, **MALFORMED_CONFIGS[case]))]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    if case in WRONG_TYPE_BLOCKS:
+        assert f"{WRONG_TYPE_BLOCKS[case][0]} must be a" in err
 
 
 def test_malformed_oracle_exit_3_before_assembly(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -343,6 +344,13 @@ FAST_DIAGONALIZATION_CASES = {
         tensor_preset("constant_diag", 3, entries=["2", "3", "1.5"]),
         metric=hyperbolic_half_plane(3),
     ),
+    # symmetric under x1 <-> x2: double eigenvalues, and lambda_9 = lambda_10
+    "halfspace_3d_multiplets": lambda: box_pair(
+        [(0, 1), (0, 1), (1, 2)],
+        [10, 10, 9],
+        tensor_preset("constant_diag", 3, entries=["2", "2", "1.5"]),
+        metric=hyperbolic_half_plane(3),
+    ),
 }
 
 
@@ -358,8 +366,8 @@ class TestFastDiagonalization:
     @pytest.mark.parametrize("case", FAST_DIAGONALIZATION_CASES)
     def test_matches_dense(self, case):
         pair = FAST_DIAGONALIZATION_CASES[case]()
-        res = solve_lowest(pair, 8)
-        dense = solve_lowest(pair, 8, method="dense")
+        res = solve_lowest(pair, 10)
+        dense = solve_lowest(pair, 10, method="dense")
         meta = res.meta
         assert meta["method"] == "shift_invert" and meta["inverse"] == "fast_diagonalization"
         assert meta["axis_ndof"] == [r - 1 for r in pair.domain.resolution]
@@ -367,13 +375,24 @@ class TestFastDiagonalization:
         assert np.max(res.residuals) <= meta["solve_tol"]
         rel = np.abs(res.eigenvalues - dense.eigenvalues) / dense.eigenvalues
         assert np.max(rel) <= 1e-10
+        assert np.array_equal(res.multiplicity_groups(), dense.multiplicity_groups())
 
     @pytest.mark.parametrize("case", FAST_DIAGONALIZATION_CASES)
     def test_inverse_undoes_A(self, case):
+        """S = C^T A^-1 C is symmetric and inverts C^-1 A C^-T; the back map solves A u = C w."""
         pair = FAST_DIAGONALIZATION_CASES[case]()
-        solve = spectral._fast_diagonalization(axis_factors(pair))
-        x = np.random.default_rng(6).standard_normal(pair.ndof)
-        assert np.linalg.norm(solve(pair.A @ x) - x) <= 1e-10 * np.linalg.norm(x)
+        factors = axis_factors(pair)
+        apply, back = spectral._whitened_inverse(factors)
+        C = functools.reduce(np.kron, [np.linalg.cholesky(B) for B in factors.b_mass])
+        A = pair.A.toarray()
+        S = np.column_stack([apply(e) for e in np.eye(pair.ndof)])
+        assert np.max(np.abs(S - S.T)) <= 1e-10 * np.max(np.abs(S))
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(pair.ndof)
+        whitened_A_x = sla.solve_triangular(C, A @ sla.solve_triangular(C.T, x), lower=True)
+        assert np.linalg.norm(apply(whitened_A_x) - x) <= 1e-10 * np.linalg.norm(x)
+        w = rng.standard_normal((pair.ndof, 3))
+        assert np.linalg.norm(A @ back(w) - C @ w) <= 1e-10 * np.linalg.norm(C @ w)
 
     @pytest.mark.parametrize("case", [*FAST_DIAGONALIZATION_CASES, *SEPARABLE_CASES])
     def test_kronecker_sum_rebuilds_the_pencil(self, case):

@@ -563,8 +563,9 @@ def cor32_check(
 
     with I1 = int <T grad u_j, grad f>^2 dm, I2 = int (Lf)^2 u_j^2 dm,
     I3 = int <grad(Lf), T grad f> u_j^2 dm, and asserts the row-wise
-    implication I1 <= delta * lambda_j that links the two.  A structurally
-    zero L f or grad(L f) contributes 0 to I2 or I3.
+    implication I1 <= delta * lambda_j that links the two.  The pipeline's
+    f is fields.axis_test_function, df = e_a / rho, whose L f and grad(L f)
+    are closed-form; a structurally zero one contributes 0 to I2 or I3.
     """
     lam = spectrum.eigenvalues
     pts, dm, grad_factor, sample = pair.pts, pair.dm, pair.grad_factor, pair.sample

@@ -20,11 +20,13 @@ Gamma^k_ij = -(d_ki b_j + d_kj b_i - d_ij b_k)/rho give one formula each:
     div W         rho sum_i d_i W_i + (1 - n) <b, W>
     Hess eta      he + (b_i g_j + b_j g_i - d_ij <b, g>)/rho, g = d eta
     L f           rho^2 (div_0(T df) - <d eta, T df>) - (n - 2) rho <b, T df>
+    L f_a         rho u - (n - 1)(T b)_a, u = sum_j d_j T_ja - (T d eta)_a
 
-with div_0 the coordinate divergence.  Every derivative is closed-form, so
-t0 and c0 are analytic in both metrics.  The constants, L f and the cor32
-test functions read a FieldSample: T, its partials, the drift derivatives
-and rho at one point set, each evaluated at most once.  A derivative that a
+with div_0 the coordinate divergence and df_a = e_a / rho for the cor32
+test function f_a.  Every derivative is closed-form, so t0 and c0 are
+analytic in both metrics.  The constants, L f and f_a read a FieldSample:
+T, its partials, the drift derivatives and rho at one point set, each
+evaluated at most once.  A derivative that a
 field's declared degree makes zero is a structural zero (None), and the
 terms it multiplies are skipped; so is b where rho = 1 (Euclidean).
 """
@@ -197,7 +199,7 @@ def reals(values) -> list:
     return [real(v) for v in values]
 
 
-def _vector(values, dim: int, what: str) -> list:
+def axis_reals(values, dim: int, what: str) -> list:
     """The decimal entries of a parameter that must have one per axis."""
     vals = reals(values)
     if len(vals) != dim:
@@ -215,7 +217,7 @@ def drift_preset(kind: str, dim: int, **params) -> ScalarField:
     if kind == "constant" or kind == "zero":
         return ConstantScalar(dim, real(params.get("c", 0.0)))
     if kind == "affine":
-        return AffineScalar(_vector(params["coeffs"], dim, "affine coeffs"), real(params.get("c0", 0.0)))
+        return AffineScalar(axis_reals(params["coeffs"], dim, "affine coeffs"), real(params.get("c0", 0.0)))
     if kind == "quadratic":
         quad, coeffs = params.get("quad"), params.get("coeffs")
         scale = real(params.get("scale", 1.0))
@@ -224,11 +226,11 @@ def drift_preset(kind: str, dim: int, **params) -> ScalarField:
         elif len(quad) != dim:
             raise ValueError(f"quadratic quad needs {dim} rows, got {len(quad)}")
         else:
-            quad = [_vector(row, dim, "quadratic quad row") for row in quad]
-        coeffs = None if coeffs is None else _vector(coeffs, dim, "quadratic coeffs")
+            quad = [axis_reals(row, dim, "quadratic quad row") for row in quad]
+        coeffs = None if coeffs is None else axis_reals(coeffs, dim, "quadratic coeffs")
         return QuadraticScalar(quad, coeffs, real(params.get("c0", 0.0)))
     if kind == "gaussian":
-        center = _vector(params["center"], dim, "gaussian center")
+        center = axis_reals(params["center"], dim, "gaussian center")
         return GaussianScalar(dim, real(params["amplitude"]), center, real(params["width"]))
     raise ValueError(f"unknown drift preset {kind!r}")
 
@@ -608,59 +610,37 @@ class OperatorTestFunction:
     lf_and_grad: object
 
 
-def coordinate_test_function(metric: MetricModel, axis: int) -> OperatorTestFunction:
-    """f = x_axis in Euclidean space; |grad f| = 1."""
-    if metric.is_hyperbolic:
-        raise ValueError("coordinate test functions are Euclidean-only")
-    f = AffineScalar(np.eye(metric.dim)[axis])
+def axis_test_function(metric: MetricModel, axis: int) -> OperatorTestFunction:
+    """f with df = e_a / rho (a = axis), so |grad f|_g = 1: x_a where rho = 1, ln x_n in the half-space.
+
+    It exists where rho varies along axis a alone (b = None or e_a).  With
+    u = sum_j d_j T_ja - (T d eta)_a, L f = rho u - (n - 1)(T b)_a and
+    d_k L f = b_k u + rho d_k u - (n - 1) sum_m d_k T_am b_m.
+    """
+    n, b, unit = metric.dim, metric.grad_rho, np.eye(metric.dim)[axis]
+    if b is not None and not np.array_equal(b, unit):
+        raise ValueError(f"no unit-gradient test function along axis {axis}: rho varies along another axis")
+    f = AffineScalar(unit) if b is None else LogAxisScalar(n, axis)
 
     def lf_and_grad(s: FieldSample):
-        theta, dT, d2T, ge, he = s.theta, s.dT, s.d2T, s.ge, s.he
-        lf = _sum(
+        theta, dT, d2T, ge, he, rho = s.theta, s.dT, s.d2T, s.ge, s.he, s.rho
+        row = theta[:, axis, :]
+        u = _sum(
             None if dT is None else np.einsum("qjj->q", dT[:, :, :, axis]),
-            None if ge is None else -np.einsum("qm,qm->q", theta[:, axis, :], ge),
+            None if ge is None else -np.einsum("qm,qm->q", row, ge),
         )
-        grad = _sum(
+        du = _sum(
             None if d2T is None else np.einsum("qkjj->qk", d2T[:, :, :, :, axis]),
             None if dT is None or ge is None else -np.einsum("qkm,qm->qk", dT[:, :, axis, :], ge),
-            None if he is None else -np.einsum("qm,qkm->qk", theta[:, axis, :], he),
+            None if he is None else -np.einsum("qm,qkm->qk", row, he),
         )
-        return lf, grad
-
-    return OperatorTestFunction(f, lf_and_grad)
-
-
-def log_axis_test_function(metric: MetricModel) -> OperatorTestFunction:
-    """f = ln x_n in the half-space model; |grad f|_g = 1."""
-    if not metric.is_hyperbolic:
-        raise ValueError("log test function lives on the half-space model")
-    n = metric.dim
-    f = LogAxisScalar(n)
-
-    def lf_and_grad(s: FieldSample):
-        theta, dT, d2T, ge, he = s.theta, s.dT, s.d2T, s.ge, s.he
-        xn = s.pts[:, -1]
-        a = None if dT is None else np.einsum("qii->q", dT[:, :, :, -1])
-        b = None if ge is None else np.einsum("qi,qi->q", ge, theta[:, :, -1])
-        lf = _sum(
-            None if a is None else xn * a,
-            -((n - 1) * theta[:, -1, -1]),
-            None if b is None else -(xn * b),
+        lf = _sum(_scaled(rho, u), None if b is None else (1 - n) * (row @ b))
+        grad = _sum(
+            None if b is None or u is None else np.tensordot(u, b, axes=0),
+            _scaled(rho, du),
+            # an einsum, not @: dT[:, :, axis, :] is a strided view
+            None if b is None or dT is None else (1 - n) * np.einsum("qkm,m->qk", dT[:, :, axis, :], b),
         )
-        grad = np.zeros_like(s.pts)
-        a_minus_b = _sum(a, None if b is None else -b)
-        if a_minus_b is not None:
-            grad[:, -1] = a_minus_b
-        if d2T is not None:
-            grad += xn[:, None] * np.einsum("qkii->qk", d2T[:, :, :, :, -1])
-        if dT is not None:
-            grad -= (n - 1) * dT[:, :, -1, -1]
-        inner = _sum(
-            None if he is None else np.einsum("qki,qi->qk", he, theta[:, :, -1]),
-            None if ge is None or dT is None else np.einsum("qi,qki->qk", ge, dT[:, :, :, -1]),
-        )
-        if inner is not None:
-            grad -= xn[:, None] * inner
         return lf, grad
 
     return OperatorTestFunction(f, lf_and_grad)

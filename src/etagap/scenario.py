@@ -158,6 +158,12 @@ class ScenarioConfig:
             raise ConfigError(f"curvature pins must be >= 0, got {pins}")
         if len(pins) == 2 and self.kappa2 > self.kappa1:
             raise ConfigError(f"need kappa2 <= kappa1, got kappa1={self.kappa1}, kappa2={self.kappa2}")
+        if self.oracle is not None:
+            if self.oracle.kind in ("interval", "drifted_interval") and self.dim != 1:
+                raise ConfigError(f"{self.oracle.kind} oracle needs a 1-D domain, got {self.dim}-D")
+            for name, given in (("lengths", self.oracle.lengths), ("coeffs", self.oracle.coeffs)):
+                if given and len(given) != self.dim:
+                    raise ConfigError(f"oracle {name} needs {self.dim} entries, got {len(given)}")
         euclid = self.metric_tag == "euclidean"
         if euclid:
             if self.h0 not in (None, 0.0):
@@ -229,12 +235,12 @@ def apply_overrides(cfg: ScenarioConfig, overrides: dict | None) -> ScenarioConf
 # ---------------------------------------------------------------------------
 
 
-def _mask_rule(mask: dict):
+def _mask_rule(mask: dict, dim: int):
     kind = mask.get("kind", "all")
     if kind == "all":
         return None
     if kind == "ball":
-        center = np.asarray(_nums(mask["center"]))
+        center = np.asarray(fields.axis_reals(mask["center"], dim, "ball mask center"))
         radius = _num(mask["radius"])
 
         def rule(centers):
@@ -242,8 +248,8 @@ def _mask_rule(mask: dict):
 
         return rule
     if kind == "box":
-        lo = np.asarray(_nums(mask["lo"]))
-        hi = np.asarray(_nums(mask["hi"]))
+        lo = np.asarray(fields.axis_reals(mask["lo"], dim, "box mask lo"))
+        hi = np.asarray(fields.axis_reals(mask["hi"], dim, "box mask hi"))
 
         def rule(centers):
             return np.all((centers >= lo[None, :]) & (centers <= hi[None, :]), axis=1)
@@ -284,8 +290,8 @@ class OracleSpectrum:
         return OracleSpectrum(kind, lengths, coeffs, slope)
 
 
-def oracle_eigenvalues(oracle: OracleSpectrum, k: int) -> np.ndarray:
-    """First k closed-form eigenvalues, ascending with multiplicity."""
+def oracle_eigenvalues(oracle: OracleSpectrum, k: int, dim: int) -> np.ndarray:
+    """First k closed-form eigenvalues in dim dimensions, ascending with multiplicity; lengths default to pi."""
     if k < 1:
         raise ValueError("k must be >= 1")
     pi = np.pi
@@ -299,8 +305,7 @@ def oracle_eigenvalues(oracle: OracleSpectrum, k: int) -> np.ndarray:
         modes = np.arange(1, k + 1)
         return (modes * pi / length) ** 2 + oracle.drift_slope**2 / 4.0
     if oracle.kind in ("box", "anisotropic"):
-        lengths = oracle.lengths if oracle.lengths else (pi, pi)
-        dim = len(lengths)
+        lengths = oracle.lengths if oracle.lengths else (pi,) * dim
         coeffs = oracle.coeffs if oracle.coeffs else (1.0,) * dim
         per_axis = int(np.ceil(np.sqrt(k) )) + k  # generous mode cap
         grids = np.meshgrid(*[np.arange(1, per_axis + 1)] * dim, indexing="ij")
@@ -393,7 +398,7 @@ def build_problem(cfg: ScenarioConfig):
     hyperbolic = cfg.metric_tag == "hyperbolic"
     with _config_errors():
         metric = (geometry.hyperbolic_half_plane if hyperbolic else geometry.euclidean)(cfg.dim)
-        domain = geometry.make_box_domain(cfg.box, cfg.resolution, metric, _mask_rule(cfg.mask))
+        domain = geometry.make_box_domain(cfg.box, cfg.resolution, metric, _mask_rule(cfg.mask, cfg.dim))
         tensor = _preset(fields.tensor_preset, cfg.tensor, cfg.dim)
         drift = _preset(fields.drift_preset, cfg.drift, cfg.dim, default_kind="zero")
     if "thm12" in cfg.theorems or "thm13" in cfg.theorems:  # validate keeps them on the half-space
@@ -495,13 +500,10 @@ def run_scenario(
 
     if "cor32" in cfg.verify:
         try:
-            tfs = {}
-            if metric.is_hyperbolic:
-                tfs["ln_xn"] = fields.log_axis_test_function(metric)
-            else:
-                for axis in range(metric.dim):
-                    tfs[f"x{axis + 1}"] = fields.coordinate_test_function(metric, axis)
-            for label, tf in tfs.items():
+            n = metric.dim
+            labels = {n - 1: "ln_xn"} if metric.is_hyperbolic else {axis: f"x{axis + 1}" for axis in range(n)}
+            for axis, label in labels.items():
+                tf = fields.axis_test_function(metric, axis)
                 report.cor32_rows[label] = bounds.cor32_check(spectrum, pair, tf, consts, j=1)
         except (EtagapError, ValueError) as exc:
             report.errors.append(f"cor32: {type(exc).__name__}: {exc}")
@@ -526,7 +528,7 @@ def run_scenario(
         report.parseval = spectral.parseval_defect(spectrum, pair, f_vec)
 
     if cfg.oracle is not None:
-        ref = oracle_eigenvalues(cfg.oracle, spectrum.k)
+        ref = oracle_eigenvalues(cfg.oracle, spectrum.k, cfg.dim)
         report.oracle_error = float(
             np.max(np.abs(spectrum.eigenvalues - ref) / np.abs(ref))
         )

@@ -34,9 +34,8 @@ from etagap.fields import (
     ConstantScalar,
     OperatorConstants,
     QuadraticScalar,
-    coordinate_test_function,
+    axis_test_function,
     identity_tensor,
-    log_axis_test_function,
 )
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
 from etagap.spectral import SpectrumResult, solve_lowest
@@ -398,7 +397,7 @@ class TestCor32:
         # gap <= 4 sqrt(lambda_1 lambda_{k+2})
         pair, spectrum = square_setup
         consts = trivial_consts(2)
-        tf = coordinate_test_function(EUC2, 0)
+        tf = axis_test_function(EUC2, 0)
         rows = cor32_check(spectrum, pair, tf, consts, j=1)
         lam = spectrum.eigenvalues
         checked = [r for r in rows if r.status == "checked"]
@@ -415,7 +414,7 @@ class TestCor32:
     def test_square_k2_magnitudes(self, square_setup):
         pair, spectrum = square_setup
         consts = trivial_consts(2)
-        tf = coordinate_test_function(EUC2, 1)
+        tf = axis_test_function(EUC2, 1)
         rows = {r.k: r for r in cor32_check(spectrum, pair, tf, consts, j=1)}
         row = rows[2]
         # analytic values: gap = 3, bound = 4 sqrt(2 * 8) = 16
@@ -425,7 +424,7 @@ class TestCor32:
     def test_unit_gradient_violation(self, square_setup):
         pair, spectrum = square_setup
         consts = trivial_consts(2)
-        bad = coordinate_test_function(EUC2, 0)
+        bad = axis_test_function(EUC2, 0)
         from etagap.fields import OperatorTestFunction
 
         tampered = OperatorTestFunction(AffineScalar([2.0, 0.0]), bad.lf_and_grad)
@@ -437,7 +436,7 @@ class TestCor32:
         # a holding inequality
         pair, spectrum = square_setup
         consts = trivial_consts(2)
-        tf = coordinate_test_function(EUC2, 0)
+        tf = axis_test_function(EUC2, 0)
         rows1 = cor32_check(spectrum, pair, tf, consts, j=1)
         scaled = SpectrumResult(
             spectrum.eigenvalues,
@@ -459,7 +458,7 @@ class TestCor32:
         pair = assemble(dom, identity_tensor(2), ConstantScalar(2))
         spectrum = solve_lowest(pair, 6)
         consts = trivial_consts(2)
-        tf = log_axis_test_function(HYP2)
+        tf = axis_test_function(HYP2, 1)
         rows = [r for r in cor32_check(spectrum, pair, tf, consts, j=1) if r.status == "checked"]
         assert rows
         lam = spectrum.eigenvalues

@@ -304,6 +304,23 @@ MALFORMED_CONFIGS = {
             "decimal_strings": ["2", "5"],
         }.items()
     },
+    # an oracle must match the domain: one length and coefficient per axis, intervals in 1-D only
+    "anisotropic_oracle_one_coeff": {"oracle": {"kind": "anisotropic", "coeffs": ["2"], "rtol": "0.01"}},
+    "box_oracle_one_length": {"oracle": {"kind": "box", "lengths": ["3.141592653589793"], "rtol": "0.01"}},
+    "interval_oracle_on_square": {"oracle": {"kind": "interval", "rtol": "0.01"}},
+    **{
+        f"{label}_mask_short": {
+            "domain": {
+                "bounds": [["0", "3.141592653589793"], ["0", "3.141592653589793"]],
+                "resolution": [48, 48],
+                "mask": mask,
+            }
+        }
+        for label, mask in {
+            "ball": {"kind": "ball", "center": ["0"], "radius": "1"},
+            "box": {"kind": "box", "lo": ["-0.5"], "hi": ["0.5"]},
+        }.items()
+    },
 }
 
 

@@ -15,12 +15,11 @@ from etagap.fields import (
     ScalarField,
     TensorField,
     apply_operator_L,
+    axis_test_function,
     compute_C0,
     compute_T0,
     compute_eta_radial_constants,
-    coordinate_test_function,
     identity_tensor,
-    log_axis_test_function,
     tensor_bounds,
     tensor_eigen_range,
     tensor_preset,
@@ -668,58 +667,54 @@ class TestApplyOperator:
         assert out[0] == pytest.approx(-0.4)
 
 
+def diag_profile_tensor(n: int) -> TensorField:
+    """diag(3 + 0.6 sin x1, ..., 2.5 + 0.4 cos x_n): the last entry varies along x_n."""
+    entries = [{"profile": "sin", "c0": 3.0, "c1": 0.6, "axis": 0}] * (n - 1)
+    return tensor_preset("diag_profile", n, entries=entries + [{"profile": "cos", "c0": 2.5, "c1": 0.4, "axis": n - 1}])
+
+
+# (model, n, axis, tensor, drift) for the axis test function: every tensor
+# of each dimension (the coupled one is 3-D) against three drifts
+AXIS_CASES = [
+    pytest.param(model, n, axis, tensor, drift, id=f"{model}{n}d-axis{axis}-{tensor}-{drift}")
+    for model, n, axis in (("euclidean", 2, 0), ("euclidean", 2, 1), ("euclidean", 3, 2), ("hyperbolic", 2, 1), ("hyperbolic", 3, 2))
+    for tensor in ("diag_profile", "coupled")
+    if tensor != "coupled" or n == 3
+    for drift in ("affine", "gaussian", "quadratic")
+]
+
+
+def axis_case(model, n, axis, tensor, drift):
+    """(test function, field sample builder, points) for one AXIS_CASES entry."""
+    metric = (hyperbolic_half_plane if model == "hyperbolic" else euclidean)(n)
+    field = CoupledQuadraticTensor() if tensor == "coupled" else diag_profile_tensor(n)
+    eta = sample_drift(drift, n)
+    pts = sample_domain(metric).quad_points_flat()[::7]
+    return axis_test_function(metric, axis), lambda p: sample_at(field, eta, metric, p), pts
+
+
 class TestTestFunctions:
-    def test_coordinate_lf_matches_apply(self, square_domain):
-        field = diag_affine_tensor()
-        eta = GaussianScalar(2, 0.7, [1.0, 1.5], 0.8)
-        tf = coordinate_test_function(EUC2, 0)
-        pts = square_domain.quad_points_flat()[::37]
-        direct = apply_operator_L(sample_at(field, eta, EUC2, pts), tf.f)
-        assert tf.lf_and_grad(sample_at(field, eta, EUC2, pts))[0] == pytest.approx(direct, abs=1e-12)
+    @pytest.mark.parametrize("model, n, axis, tensor, drift", AXIS_CASES)
+    def test_lf_matches_apply(self, model, n, axis, tensor, drift):
+        tf, sample, pts = axis_case(model, n, axis, tensor, drift)
+        direct = apply_operator_L(sample(pts), tf.f)
+        assert tf.lf_and_grad(sample(pts))[0] == pytest.approx(direct, abs=1e-12)
 
-    def test_coordinate_grad_lf_matches_fd(self, square_domain):
-        field = diag_affine_tensor()
-        eta = GaussianScalar(2, 0.7, [1.0, 1.5], 0.8)
-        tf = coordinate_test_function(EUC2, 1)
-
-        def lf_and_grad(p):
-            return tf.lf_and_grad(sample_at(field, eta, EUC2, p))
-
-        pts = square_domain.quad_points_flat()[::41]
+    @pytest.mark.parametrize("model, n, axis, tensor, drift", AXIS_CASES)
+    def test_grad_lf_matches_fd(self, model, n, axis, tensor, drift):
+        tf, sample, pts = axis_case(model, n, axis, tensor, drift)
         h = 1e-6
-        fd = np.empty((pts.shape[0], 2))
-        for d in range(2):
-            e = np.zeros(2)
+        fd = np.empty((pts.shape[0], n))
+        for d in range(n):
+            e = np.zeros(n)
             e[d] = h
-            fd[:, d] = (lf_and_grad(pts + e)[0] - lf_and_grad(pts - e)[0]) / (2 * h)
-        assert lf_and_grad(pts)[1] == pytest.approx(fd, abs=1e-7)
+            fd[:, d] = (tf.lf_and_grad(sample(pts + e))[0] - tf.lf_and_grad(sample(pts - e))[0]) / (2 * h)
+        assert tf.lf_and_grad(sample(pts))[1] == pytest.approx(fd, abs=1e-7)
 
-    def test_log_grad_lf_matches_fd(self):
-        dom = make_box_domain([(0, 1), (1, 2)], [10, 10], HYP2)
-        field = tensor_preset(
-            "diag_profile",
-            2,
-            entries=[
-                {"profile": "sin", "c0": 3.0, "c1": 0.5, "axis": 0},
-                {"profile": "sin", "c0": 3.0, "c1": 0.5, "axis": 0},
-            ],
-        )
-        eta = AffineScalar([0.3, 0.0])
-        tf = log_axis_test_function(HYP2)
-
-        def lf_and_grad(p):
-            return tf.lf_and_grad(sample_at(field, eta, HYP2, p))
-
-        pts = dom.quad_points_flat()[::17]
-        direct = apply_operator_L(sample_at(field, eta, HYP2, pts), tf.f)
-        assert lf_and_grad(pts)[0] == pytest.approx(direct, abs=1e-12)
-        h = 1e-6
-        fd = np.empty((pts.shape[0], 2))
-        for d in range(2):
-            e = np.zeros(2)
-            e[d] = h
-            fd[:, d] = (lf_and_grad(pts + e)[0] - lf_and_grad(pts - e)[0]) / (2 * h)
-        assert lf_and_grad(pts)[1] == pytest.approx(fd, abs=1e-7)
+    def test_needs_rho_constant_off_the_axis(self):
+        # rho = x_2 varies along axis 1 only, so f = x_1 has no unit-gradient counterpart
+        with pytest.raises(ValueError):
+            axis_test_function(HYP2, 0)
 
 
 class TestDerivativeConsistency:
@@ -913,9 +908,7 @@ class TestFieldSample:
         mat = [[2.0, 0.5], [0.5, 3.0]]
         dom = sample_domain(metric)
         origin = OriginPoint((0.3, 4.0))
-        tfs = [log_axis_test_function(metric)] if metric.is_hyperbolic else [
-            coordinate_test_function(metric, axis) for axis in range(2)
-        ]
+        tfs = [axis_test_function(metric, axis) for axis in ((1,) if metric.is_hyperbolic else (0, 1))]
         for drift in (ConstantScalar(2), AffineScalar([0.8, 0.0]), GaussianScalar(2, 0.7, [0.4, 1.6], 0.5)):
             strict = sample_at(StrictConstantTensor(mat), drift, metric, dom)
             plain = sample_at(ConstantTensor(mat), drift, metric, dom)
@@ -936,7 +929,7 @@ class TestFieldSample:
         compute_T0(s)
         compute_C0(s)
         compute_eta_radial_constants(s, OriginPoint((0.3, 0.3, 4.0)))
-        log_axis_test_function(metric).lf_and_grad(s)
+        axis_test_function(metric, 2).lf_and_grad(s)
         apply_operator_L(s, LogAxisScalar(3))
         s.apply_T(np.ones((dom.quad_points_flat().shape[0], 3)))
         assert field.calls == {"matrix": 1, "d_matrix": 1, "d2_matrix": 1, "grad": 0, "hess": 0}

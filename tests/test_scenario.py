@@ -97,25 +97,29 @@ class TestConfigValidation:
 
 class TestOracles:
     def test_interval(self):
-        out = oracle_eigenvalues(OracleSpectrum("interval"), 4)
+        out = oracle_eigenvalues(OracleSpectrum("interval"), 4, 1)
         assert out == pytest.approx([1.0, 4.0, 9.0, 16.0])
 
     def test_box_with_multiplicity(self):
-        out = oracle_eigenvalues(OracleSpectrum("box", (np.pi, np.pi)), 5)
+        out = oracle_eigenvalues(OracleSpectrum("box", (np.pi, np.pi)), 5, 2)
         assert out == pytest.approx([2.0, 5.0, 5.0, 8.0, 10.0])
 
     def test_drifted_interval(self):
-        out = oracle_eigenvalues(OracleSpectrum("drifted_interval", (np.pi,), (), 1.0), 3)
+        out = oracle_eigenvalues(OracleSpectrum("drifted_interval", (np.pi,), (), 1.0), 3, 1)
         assert out == pytest.approx([1.25, 4.25, 9.25])
 
     def test_anisotropic(self):
         out = oracle_eigenvalues(
-            OracleSpectrum("anisotropic", (np.pi, np.pi), (2.0, 3.0)), 5
+            OracleSpectrum("anisotropic", (np.pi, np.pi), (2.0, 3.0)), 5, 2
         )
         assert out == pytest.approx([5.0, 11.0, 14.0, 20.0, 21.0])
 
+    def test_box_without_lengths_takes_pi_on_every_axis(self):
+        out = oracle_eigenvalues(OracleSpectrum("box"), 4, 3)
+        assert out == pytest.approx([3.0, 6.0, 6.0, 6.0])
+
     def test_ascending(self):
-        out = oracle_eigenvalues(OracleSpectrum("box", (np.pi, 1.0)), 30)
+        out = oracle_eigenvalues(OracleSpectrum("box", (np.pi, 1.0)), 30, 2)
         assert np.all(np.diff(out) >= 0.0)
 
 

@@ -295,15 +295,13 @@ def oracle_eigenvalues(oracle: OracleSpectrum, k: int, dim: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     pi = np.pi
-    if oracle.kind == "interval":
+    if oracle.kind in ("interval", "drifted_interval"):
+        # T = c and drift slope s: u = e^(s x / 2) v turns the drift into a
+        # shift of s^2 / 4 before the coefficient scales both terms
         length = oracle.lengths[0] if oracle.lengths else pi
         coeff = oracle.coeffs[0] if oracle.coeffs else 1.0
         modes = np.arange(1, k + 1)
-        return coeff * (modes * pi / length) ** 2
-    if oracle.kind == "drifted_interval":
-        length = oracle.lengths[0] if oracle.lengths else pi
-        modes = np.arange(1, k + 1)
-        return (modes * pi / length) ** 2 + oracle.drift_slope**2 / 4.0
+        return coeff * ((modes * pi / length) ** 2 + oracle.drift_slope**2 / 4.0)
     if oracle.kind in ("box", "anisotropic"):
         lengths = oracle.lengths if oracle.lengths else (pi,) * dim
         coeffs = oracle.coeffs if oracle.coeffs else (1.0,) * dim

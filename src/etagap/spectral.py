@@ -15,9 +15,13 @@ spectral transformation of Ericsson-Ruhe 1980, whitened by C).  Otherwise
 it runs generalized mode 3 on (A, B) with one SuperLU factor of A in the
 symmetric A + A^T minimum-degree ordering.  ``"dense"`` and
 ``"shift_invert"`` force their solver; the dense path doubles as the
-oracle for small problems.  Every path's vectors are B-normalised and
-checked against the assembled pair.  Eigenvectors are B-orthonormal,
-eigenvalues ascending with multiplicities repeated.
+oracle for small problems.  It runs LAPACK's sygvd in place on
+Fortran-order copies of A and B, so it holds four ndof x ndof arrays
+(A, B and the 2 ndof^2 workspace) and, for a full spectrum, at most three
+after it: the residuals and the Gram defect are formed in place.  Every
+path's vectors are B-normalised and checked against the assembled pair.
+Eigenvectors are B-orthonormal, eigenvalues ascending with multiplicities
+repeated.
 """
 
 from __future__ import annotations
@@ -73,16 +77,24 @@ def multiplet_labels(lam: np.ndarray) -> np.ndarray:
 
 
 def _residuals(pair: OperatorPair, lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """||A u - lambda B u|| / ||u||_B for every column u at once."""
+    """||A u - lambda B u|| / ||u||_B for every column u at once.
+
+    In place on two blocks the size of ``vecs``: the same IEEE operations
+    as ``np.linalg.norm(A @ vecs - bv * lam, axis=0)``, so the same bits.
+    """
     bv = pair.B @ vecs
     bnorm = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs, bv)))
-    return np.linalg.norm(pair.A @ vecs - bv * lam, axis=0) / bnorm
+    r = pair.A @ vecs
+    bv *= lam
+    r -= bv
+    np.square(r, out=r)
+    return np.sqrt(np.add.reduce(r, axis=0)) / bnorm
 
 
 def _normalise(pair: OperatorPair, vecs: np.ndarray) -> np.ndarray:
     """Scale every column in place to unit B-norm with its largest-magnitude entry positive."""
     vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, pair.B @ vecs))
-    vecs[:, vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0] *= -1.0
+    vecs *= np.where(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
     return vecs
 
 
@@ -206,7 +218,9 @@ def solve_lowest(
         # ARPACK needs k < ncv, and ncv is at most ndof - 1
         raise DimensionMismatch(f"shift_invert needs k <= ndof - 2 = {ndof - 2}, got k={k}")
     if ndof > 2000 and (path == "dense" or k >= ndof - 1):
-        # an ndof x ndof array either way: dense A and B, or every eigenvector
+        # dense: four ndof x ndof arrays in eigh (A, B and sygvd's 2 ndof^2
+        # workspace), 122 MiB and about 2 s at 2000 DOFs; a full spectrum on
+        # any path: the eigenvectors, then three such arrays in the checks
         raise DimensionMismatch(
             f"{path} solve of k={k} limited to 2000 DOFs (have {ndof}); lower k or refine less"
         )
@@ -215,8 +229,17 @@ def solve_lowest(
         lam, vecs = _separable(factors, k)
         meta = {"method": path, "axis_ndof": factors.axis_ndof}
     elif path == "dense":
-        lam, vecs = sla.eigh(pair.A.toarray(), pair.B.toarray())
-        lam, vecs = lam[:k], vecs[:, :k]
+        # Fortran-order inputs with the overwrite flags reach sygvd uncopied,
+        # and the eigenvectors land in A's array
+        lam, vecs = sla.eigh(
+            pair.A.toarray(order="F"),
+            pair.B.toarray(order="F"),
+            overwrite_a=True,
+            overwrite_b=True,
+            check_finite=False,
+        )
+        # C order once, so that no later sparse-times-dense product copies it
+        lam, vecs = lam[:k], np.ascontiguousarray(vecs[:, :k])
         meta = {"method": path}
     else:
         if factors is not None:
@@ -273,8 +296,10 @@ def validate_spectrum(
     ray_defect = float(np.max(np.abs(rayleigh - lam) / np.maximum(lam, 1e-300)))
     ray_ok = bool(np.all(np.abs(rayleigh - lam) <= 10.0 * solve_tol * lam))
 
+    # |gram - I| in place: one k x k array
     gram = vecs.T @ (pair.B @ vecs)
-    ortho_defect = float(np.max(np.abs(gram - np.eye(lam.size))))
+    gram.flat[:: lam.size + 1] -= 1.0
+    ortho_defect = float(np.max(np.abs(gram, out=gram)))
     ortho_ok = ortho_defect <= ortho_tol
 
     ascending = bool(np.all(np.diff(lam) >= -1e-12 * np.abs(lam[:-1])))

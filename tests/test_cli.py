@@ -89,6 +89,21 @@ class TestVerifyCommand:
         assert solver["ordering"] == "MMD_AT_PLUS_A"
         assert solver["max_residual"] <= solver["solve_tol"]
 
+    def test_scaled_drifted_interval_matches_its_oracle(self, tmp_path):
+        interval = {"bounds": [["0", "3.141592653589793"]], "resolution": [2000]}
+        oracle = {"kind": "drifted_interval", "coeffs": ["2"], "drift_slope": "1", "rtol": "0.002"}
+        cfg = small_square_config(
+            tmp_path,
+            domain=interval,
+            tensor={"kind": "identity", "scale": "2"},
+            drift={"kind": "affine", "coeffs": ["1"]},
+            bounds={"theorems": ["thm11"], "k_range": [2, 9]},
+            oracle=oracle,
+        )
+        assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["oracle_error"] <= 1e-4
+
     def test_negative_control_exit_one(self, tmp_path):
         cfg = small_square_config(
             tmp_path,

@@ -108,6 +108,11 @@ class TestOracles:
         out = oracle_eigenvalues(OracleSpectrum("drifted_interval", (np.pi,), (), 1.0), 3, 1)
         assert out == pytest.approx([1.25, 4.25, 9.25])
 
+    def test_drifted_interval_scales_with_the_coefficient(self):
+        # T = 2 scales the shifted modes k^2 + 1/4 as a whole
+        out = oracle_eigenvalues(OracleSpectrum("drifted_interval", (np.pi,), (2.0,), 1.0), 3, 1)
+        assert out == pytest.approx([2.5, 8.5, 18.5])
+
     def test_anisotropic(self):
         out = oracle_eigenvalues(
             OracleSpectrum("anisotropic", (np.pi, np.pi), (2.0, 3.0)), 5, 2

@@ -1,6 +1,7 @@
 """Eigensolver: oracle spectra, validation identities, Parseval."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from etagap.fields import (
     tensor_preset,
 )
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
+from etagap.scenario import build_problem, builtin_config
 from etagap.spectral import (
     SpectrumResult,
     _normalise,
@@ -488,3 +490,99 @@ class TestParseval:
         res = solve_lowest(pair, 2, method="dense")
         with pytest.raises(DimensionMismatch):
             parseval_defect(res, pair, np.zeros(pair.ndof + 2))
+
+
+# The out-of-place forms of the residual, normalisation and defect formulas,
+# kept as bitwise references for the in-place ones in spectral.
+def residuals_reference(pair, lam, vecs):
+    bv = pair.B @ vecs
+    bnorm = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs, bv)))
+    return np.linalg.norm(pair.A @ vecs - bv * lam, axis=0) / bnorm
+
+
+def normalise_reference(pair, vecs):
+    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, pair.B @ vecs))
+    vecs[:, vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0] *= -1.0
+    return vecs
+
+
+def defects_reference(result, pair):
+    """(Rayleigh defect, Gram defect) as validate_spectrum reports them."""
+    lam, vecs = result.eigenvalues, result.eigenvectors
+    rayleigh = np.einsum("ij,ij->j", vecs, pair.A @ vecs)
+    gram = vecs.T @ (pair.B @ vecs)
+    return (
+        float(np.max(np.abs(rayleigh - lam) / np.maximum(lam, 1e-300))),
+        float(np.max(np.abs(gram - np.eye(lam.size)))),
+    )
+
+
+# a pencil and the solver path it takes
+PATH_CASES = {
+    "dense": (ball_square_pair, 16, "dense"),
+    "separable": (square_pair, 20, "auto"),
+    "fast_diagonalization": (halfspace_profile_pair, 24, "auto"),
+    "superlu": (ball_square_pair, 24, "auto"),
+}
+
+
+@pytest.fixture(scope="module", params=PATH_CASES)
+def path_result(request):
+    build, cells, method = PATH_CASES[request.param]
+    pair = build(cells)
+    res = solve_lowest(pair, 8, method=method)
+    assert res.meta.get("inverse", res.meta["method"]) == request.param
+    return pair, res
+
+
+class TestInPlaceBitwise:
+    def test_residuals(self, path_result):
+        pair, res = path_result
+        perturbed = res.eigenvectors + 1e-3 * np.random.default_rng(7).standard_normal(res.eigenvectors.shape)
+        for vecs in (res.eigenvectors, perturbed, np.asfortranarray(perturbed)):
+            expected = residuals_reference(pair, res.eigenvalues, vecs)
+            assert np.array_equal(_residuals(pair, res.eigenvalues, vecs), expected)
+        assert np.array_equal(res.residuals, residuals_reference(pair, res.eigenvalues, res.eigenvectors))
+
+    def test_normalise(self, path_result):
+        pair, res = path_result
+        rng = np.random.default_rng(8)
+        scaled = res.eigenvectors * rng.choice([-3.0, 0.2], size=res.k)
+        for order in "CF":
+            expected = normalise_reference(pair, np.array(scaled, order=order))
+            assert np.array_equal(_normalise(pair, np.array(scaled, order=order)), expected)
+
+    def test_validate_defects_and_inputs_untouched(self, path_result):
+        pair, res = path_result
+        vecs, residuals = res.eigenvectors.copy(), res.residuals.copy()
+        checks = validate_spectrum(res, pair).checks
+        ray_defect, ortho_defect = defects_reference(res, pair)
+        assert checks["rayleigh_identity"][1] == ray_defect
+        assert checks["b_orthonormal"][1] == ortho_defect
+        assert np.array_equal(res.eigenvectors, vecs) and np.array_equal(res.residuals, residuals)
+
+
+def test_dense_working_set():
+    """sygvd needs A, B and 2 ndof^2 of workspace; each check after it, three ndof^2 blocks with the eigenvectors."""
+    cfg = builtin_config("lemma32_square")
+    _, domain, tensor, drift = build_problem(cfg)
+    pair = assemble(domain, tensor, drift)
+    unit = 8.0 * pair.ndof**2
+    tracemalloc.start()
+    try:
+        res = solve_lowest(pair, pair.ndof, method="dense", solve_tol=cfg.solver.solve_tol)
+        peaks = [tracemalloc.get_traced_memory()[1] / unit]
+        checks = (
+            lambda: _residuals(pair, res.eigenvalues, res.eigenvectors),
+            lambda: validate_spectrum(res, pair),
+        )
+        for check in checks:
+            tracemalloc.reset_peak()
+            check()
+            peaks.append(tracemalloc.get_traced_memory()[1] / unit)
+    finally:
+        tracemalloc.stop()
+    solve_peak, residuals_peak, validate_peak = peaks
+    assert solve_peak <= 4.5
+    assert residuals_peak <= 3.5
+    assert validate_peak <= 3.5

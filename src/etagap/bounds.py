@@ -25,11 +25,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .assembly import OperatorPair, interpolate_at_quadrature
+from .assembly import OperatorPair, interpolate_at_quadrature, project_function
 from .errors import (
     HypothesisViolated,
     InsufficientSpectrum,
@@ -44,6 +44,11 @@ from .spectral import SpectrumResult, multiplet_labels
 
 PASS_REL_TOL = 1e-12
 SCHEMA_VERSION = 1
+
+
+def holds(lhs: float, rhs: float) -> bool:
+    """The pass rule of every inequality check: lhs <= rhs up to PASS_REL_TOL (False for a nan side)."""
+    return bool(lhs <= rhs * (1.0 + PASS_REL_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -211,44 +216,50 @@ def a_nT(n: int, epsilon: float, delta: float) -> float:
     return max(0.0, 2.0 * (n - 1) * delta**2 - (n - 1) ** 2 * epsilon**2)
 
 
-def _safe_sqrt_product(*factors) -> float:
-    prod = 1.0
-    for f in factors:
-        prod *= f
-    return math.nan if prod <= 0.0 or any(f <= 0.0 for f in factors) else math.sqrt(prod)
+# the constants each corollary fixes: T = I gives epsilon = delta = 1 and
+# t0 = 0, a divergence-free (Cheng-Yau) tensor t0 = 0, no drift c0 = eta = 0
+COROLLARIES = {
+    "drifted_cheng_yau": {"t0": 0.0},
+    "cheng_yau": {"t0": 0.0, "c0": 0.0, "eta1": 0.0, "eta_r": 0.0},
+    "drifted_laplacian": {"epsilon": 1.0, "delta": 1.0, "t0": 0.0},
+    "laplacian": {"epsilon": 1.0, "delta": 1.0, "t0": 0.0, "c0": 0.0, "eta1": 0.0, "eta_r": 0.0},
+}
+
+
+def _gap_constant(tag, formula, lambda1, consts, corollaries=tuple(COROLLARIES)) -> GapConstant:
+    """formula(lambda1, consts) -> (value, details), and the formula on each corollary's constants.
+
+    A corollary whose radicand is nonpositive reads nan.
+    """
+    value, details = formula(lambda1, consts)
+    cor = {}
+    for name in corollaries:
+        try:
+            cor[name] = formula(lambda1, replace(consts, **COROLLARIES[name]))[0]
+        except NonpositiveRadicand:
+            cor[name] = math.nan
+    return GapConstant(tag, value, consts.exponent, cor, details)
+
+
+def _theorem11(lambda1: float, consts: OperatorConstants) -> tuple:
+    n, eps, dlt = consts.n, consts.epsilon, consts.delta
+    shifted = lambda1 + (4.0 * consts.c0 + consts.t0**2) / (4.0 * dlt)
+    if shifted <= 0.0:
+        raise NonpositiveRadicand(f"lambda1 + (4c0 + t0^2)/(4 delta) = {shifted} <= 0")
+    root = math.sqrt(dlt / (consts.sigma * n) * (1.0 + 4.0 * dlt / (n * eps)))
+    return 4.0 * shifted * root, {"lambda1": lambda1, "shifted": shifted, "root": root}
 
 
 def theorem11_constant(lambda1: float, consts: OperatorConstants) -> GapConstant:
     """Euclidean gap constant 4(l1 + (4c0+t0^2)/(4d)) sqrt(d/(sn)(1+4d/(ne)))."""
-    n, eps, dlt = consts.n, consts.epsilon, consts.delta
-    sig, t0, c0 = consts.sigma, consts.t0, consts.c0
-    shifted = lambda1 + (4.0 * c0 + t0**2) / (4.0 * dlt)
-    if shifted <= 0.0:
-        raise NonpositiveRadicand(f"lambda1 + (4c0 + t0^2)/(4 delta) = {shifted} <= 0")
-    root = math.sqrt(dlt / (sig * n) * (1.0 + 4.0 * dlt / (n * eps)))
-    flat_root = math.sqrt((1.0 / n) * (1.0 + 4.0 / n))
-    cor = {
-        "drifted_cheng_yau": 4.0 * (lambda1 + c0 / dlt) * root,
-        "cheng_yau": 4.0 * lambda1 * root,
-        "drifted_laplacian": 4.0 * (lambda1 + c0) * flat_root,
-        "laplacian": 4.0 * lambda1 * flat_root,
-    }
-    return GapConstant(
-        "thm11",
-        4.0 * shifted * root,
-        consts.exponent,
-        cor,
-        {"lambda1": lambda1, "shifted": shifted, "root": root},
-    )
+    return _gap_constant("thm11", _theorem11, lambda1, consts)
 
 
-def theorem12_constant(lambda1: float, consts: OperatorConstants) -> GapConstant:
-    """Half-space gap constant with the (n-1)^2/4 ground-level subtraction."""
+def _theorem12(lambda1: float, consts: OperatorConstants) -> tuple:
     n, eps, dlt = consts.n, consts.epsilon, consts.delta
-    sig, t0, c0, h0 = consts.sigma, consts.t0, consts.c0, consts.h0
     fac = 1.0 + 4.0 * dlt / (n * eps)
     rad1 = dlt * lambda1 - (eps**2 / 4.0) * (n - 1) ** 2
-    rad2 = lambda1 + (n**2 * h0**2 + 4.0 * c0 + t0**2) / (4.0 * dlt)
+    rad2 = lambda1 + (n**2 * consts.h0**2 + 4.0 * consts.c0 + consts.t0**2) / (4.0 * dlt)
     if rad1 <= 0.0:
         raise NonpositiveRadicand(
             f"delta*lambda1 - (eps^2/4)(n-1)^2 = {rad1} <= 0: "
@@ -256,88 +267,46 @@ def theorem12_constant(lambda1: float, consts: OperatorConstants) -> GapConstant
         )
     if rad2 <= 0.0:
         raise NonpositiveRadicand(f"shifted lambda1 factor {rad2} <= 0")
-    value = 4.0 / math.sqrt(sig) * math.sqrt(fac * rad1 * rad2)
-    rad1_flat = lambda1 - (n - 1) ** 2 / 4.0
-    fac_flat = 1.0 + 4.0 / n
-    cor = {
-        "drifted_cheng_yau": 4.0
-        / math.sqrt(sig)
-        * _safe_sqrt_product(fac, rad1, lambda1 + (n**2 * h0**2 + 4.0 * c0) / (4.0 * dlt)),
-        "cheng_yau": 4.0
-        / math.sqrt(sig)
-        * _safe_sqrt_product(fac, rad1, lambda1 + n**2 * h0**2 / (4.0 * dlt)),
-        "drifted_laplacian": 4.0
-        * _safe_sqrt_product(fac_flat, rad1_flat, lambda1 + (n**2 * h0**2 + 4.0 * c0) / 4.0),
-        "laplacian": 4.0
-        * _safe_sqrt_product(fac_flat, rad1_flat, lambda1 + n**2 * h0**2 / 4.0),
-    }
-    return GapConstant(
-        "thm12",
-        value,
-        consts.exponent,
-        cor,
-        {"lambda1": lambda1, "rad1": rad1, "rad2": rad2, "factor": fac},
-    )
+    value = 4.0 / math.sqrt(consts.sigma) * math.sqrt(fac * rad1 * rad2)
+    return value, {"lambda1": lambda1, "rad1": rad1, "rad2": rad2, "factor": fac}
 
 
-def theorem13_constant(lambda1: float, consts: OperatorConstants) -> GapConstant:
-    """Pinched-curvature gap constant with radial drift and distance terms."""
+def theorem12_constant(lambda1: float, consts: OperatorConstants) -> GapConstant:
+    """Half-space gap constant with the (n-1)^2/4 ground-level subtraction."""
+    return _gap_constant("thm12", _theorem12, lambda1, consts)
+
+
+def _theorem13(lambda1: float, consts: OperatorConstants) -> tuple:
     n, eps, dlt = consts.n, consts.epsilon, consts.delta
-    sig, c0, h0 = consts.sigma, consts.c0, consts.h0
     k1, k2, d = consts.kappa1, consts.kappa2, consts.d
-    eta1, eta_r = consts.eta1, consts.eta_r
     a = a_nT(n, eps, dlt)
     curv = (2.0 * (n - 1) * dlt**2 - (2 * n - 3) * eps**2) * k1**2
     curv -= (n**2 - 2 * n + 2) * eps**2 * k2**2
     inner = (
         dlt * lambda1
-        + (curv + 2.0 * dlt**2 * eta1) / 4.0
-        + dlt**2 * eta_r * (n - 1) * (k1 + 1.0 / d) / 2.0
+        + (curv + 2.0 * dlt**2 * consts.eta1) / 4.0
+        + dlt**2 * consts.eta_r * (n - 1) * (k1 + 1.0 / d) / 2.0
         + a / (4.0 * d**2)
     )
-    last = lambda1 + (n**2 * h0**2 + 4.0 * c0) / (4.0 * dlt)
+    last = lambda1 + (n**2 * consts.h0**2 + 4.0 * consts.c0) / (4.0 * dlt)
     fac = 1.0 + 4.0 * dlt / (n * eps)
     if inner <= 0.0:
         raise NonpositiveRadicand(f"curvature radicand {inner} <= 0")
     if last <= 0.0:
         raise NonpositiveRadicand(f"shifted lambda1 factor {last} <= 0")
-    value = 4.0 / math.sqrt(sig) * math.sqrt(inner) * math.sqrt(fac) * math.sqrt(last)
-
-    a_flat = max(0.0, (n - 1) * (3.0 - n))
-    fac_flat = 1.0 + 4.0 / n
-    curv_flat = k1**2 - (n**2 - 2 * n + 2) * k2**2
-    inner_b = dlt * lambda1 + curv / 4.0 + a / (4.0 * d**2)
-    inner_c = (
-        lambda1
-        + (curv_flat + 2.0 * eta1) / 4.0
-        + eta_r * (n - 1) * (k1 + 1.0 / d) / 2.0
-        + a_flat / (4.0 * d**2)
-    )
-    inner_d = lambda1 + curv_flat / 4.0 + a_flat / (4.0 * d**2)
-    cor = {
-        "cheng_yau": 4.0
-        / math.sqrt(sig)
-        * _safe_sqrt_product(inner_b, fac, lambda1 + n**2 * h0**2 / (4.0 * dlt)),
-        "drifted_laplacian": 4.0
-        * _safe_sqrt_product(inner_c, fac_flat, lambda1 + (n**2 * h0**2 + 4.0 * c0) / 4.0),
-        "laplacian": 4.0
-        * _safe_sqrt_product(inner_d, fac_flat, lambda1 + n**2 * h0**2 / 4.0),
+    value = 4.0 / math.sqrt(consts.sigma) * math.sqrt(inner) * math.sqrt(fac) * math.sqrt(last)
+    return value, {
+        "lambda1": lambda1, "inner": inner, "last": last, "factor": fac, "a_nT": a, "d": d, "d_is_grid_approximation": True
     }
-    return GapConstant(
-        "thm13",
-        value,
-        consts.exponent,
-        cor,
-        {
-            "lambda1": lambda1,
-            "inner": inner,
-            "last": last,
-            "factor": fac,
-            "a_nT": a,
-            "d": d,
-            "d_is_grid_approximation": True,
-        },
-    )
+
+
+def theorem13_constant(lambda1: float, consts: OperatorConstants) -> GapConstant:
+    """Pinched-curvature gap constant with radial drift and distance terms."""
+    return _gap_constant("thm13", _theorem13, lambda1, consts, ("cheng_yau", "drifted_laplacian", "laplacian"))
+
+
+# the gap-constant builder of each bound family a config can name
+THEOREMS = {"thm11": theorem11_constant, "thm12": theorem12_constant, "thm13": theorem13_constant}
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +354,7 @@ def yang_check(spectrum, consts: OperatorConstants) -> YangReport:
     rows = []
     for k in range(1, lam.size):
         rhs = fac * k**expo * ups[0]
-        rows.append(YangRow(k, float(ups[k]), float(rhs), bool(ups[k] <= rhs * (1.0 + PASS_REL_TOL))))
+        rows.append(YangRow(k, float(ups[k]), float(rhs), holds(ups[k], rhs)))
     return YangReport(shift, float(ups[0]), tuple(rows))
 
 
@@ -498,7 +467,7 @@ def gap_check(
             err += float(residuals[k]) + float(residuals[k - 1])
         if k < klo:
             status = "info"
-        elif gap <= bound * (1.0 + PASS_REL_TOL):
+        elif holds(gap, bound):
             status = "pass"
         elif gap - bound <= 3.0 * err:
             status = "inconclusive"
@@ -535,6 +504,10 @@ class Cor32Row:
     implication_ok: bool
     status: str  # checked | skipped
     reason: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.ok_314 and self.ok_315 and self.implication_ok
 
 
 def _mode_at_quadrature(spectrum: SpectrumResult, pair: OperatorPair, j: int):
@@ -617,12 +590,9 @@ def cor32_check(
             if bracket_315 > 0.0
             else math.nan
         )
-        ok_314 = lhs_314 <= rhs_314 * (1.0 + PASS_REL_TOL)
-        ok_315 = (not math.isnan(rhs_315)) and lhs_315 <= rhs_315 * (1.0 + PASS_REL_TOL)
+        ok_314, ok_315 = holds(lhs_314, rhs_314), holds(lhs_315, rhs_315)
         implication_ok = implication_base and (not ok_314 or ok_315)
-        rows.append(
-            Cor32Row(k, lhs_314, rhs_314, lhs_315, rhs_315, bool(ok_314), bool(ok_315), bool(implication_ok), "checked")
-        )
+        rows.append(Cor32Row(k, lhs_314, rhs_314, lhs_315, rhs_315, ok_314, ok_315, bool(implication_ok), "checked"))
     return rows
 
 
@@ -638,7 +608,7 @@ class Lemma32Result:
 
     @property
     def ok(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + PASS_REL_TOL)
+        return holds(self.lhs, self.rhs)
 
 
 def lemma32_check(
@@ -679,8 +649,6 @@ def lemma32_check(
         raise HypothesisViolated(f"cross term int g u_j u_k+1 dm = {cross:.2e} vanishes")
 
     # span check on the nodal product vector, in the B inner product
-    from .assembly import project_function
-
     w = project_function(pair.domain, g) * spectrum.eigenvectors[:, j - 1]
     bw = pair.B @ w
     coeffs = spectrum.eigenvectors[:, : k + 1].T @ bw

@@ -27,7 +27,6 @@ from .errors import (
     InsufficientSpectrum,
 )
 
-THEOREM_TAGS = ("thm11", "thm12", "thm13")
 CHECK_NAMES = ("gap", "yang", "cor32", "lemma32", "parseval")
 
 
@@ -143,7 +142,7 @@ class ScenarioConfig:
         if self.solver.method not in spectral.METHODS:
             raise ConfigError(f"solver method must be {'|'.join(spectral.METHODS)}, got {self.solver.method!r}")
         for tag in self.theorems:
-            if tag not in THEOREM_TAGS:
+            if tag not in bounds.THEOREMS:
                 raise ConfigError(f"unknown bound family {tag!r}")
         for chk in self.verify:
             if chk not in CHECK_NAMES:
@@ -350,11 +349,7 @@ class ScenarioReport:
                 out["pass" if row.ok else "fail"] += 1
         for rows in self.cor32_rows.values():
             for row in rows:
-                if row.status == "skipped":
-                    out["skipped"] += 1
-                else:
-                    ok = row.ok_314 and row.ok_315 and row.implication_ok
-                    out["pass" if ok else "fail"] += 1
+                out["skipped" if row.status == "skipped" else "pass" if row.ok else "fail"] += 1
         for row in self.lemma32_rows:
             if isinstance(row, str):
                 out["skipped"] += 1
@@ -467,12 +462,7 @@ def run_scenario(
     if "gap" in cfg.verify:
         for tag in cfg.theorems:
             try:
-                if tag == "thm11":
-                    gc = bounds.theorem11_constant(lam1, consts)
-                elif tag == "thm12":
-                    gc = bounds.theorem12_constant(lam1, consts)
-                else:
-                    gc = bounds.theorem13_constant(lam1, consts)
+                gc = bounds.THEOREMS[tag](lam1, consts)
                 k_range = cfg.k_range or (2, spectrum.k - 1)
                 rep = bounds.gap_check(
                     spectrum,

@@ -318,14 +318,14 @@ def validate_spectrum(
 
 
 def parseval_defect(result: SpectrumResult, pair: OperatorPair, f) -> float:
-    """||f||_B^2 minus the captured energy sum of squared B-coefficients."""
+    """(||f||_B^2 minus the captured energy sum of squared B-coefficients) / ||f||_B^2; 0.0 for f = 0."""
     f = np.asarray(f, dtype=float)
     if f.shape[0] != pair.ndof:
         raise DimensionMismatch(f"expected {pair.ndof} entries, got {f.shape[0]}")
     bf = pair.B @ f
     total = float(f @ bf)
     coeffs = result.eigenvectors.T @ bf
-    return total - float(np.sum(coeffs**2))
+    return (total - float(np.sum(coeffs**2))) / total if total > 0.0 else 0.0
 
 
 def export_spectrum_csv(result: SpectrumResult, path) -> None:

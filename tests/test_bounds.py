@@ -232,6 +232,13 @@ class TestTheorem12:
         )
         assert res.corollaries["cheng_yau"] == pytest.approx(4.0 * math.sqrt(fac * rad1 * 4.0))
 
+    def test_laplacian_corollaries(self):
+        # epsilon = delta = 1 in the corollaries: factor 3, rad1 = 3 - 1/4
+        consts = OperatorConstants(n=2, epsilon=1.0, delta=2.0, t0=1.0, c0=0.5, h0=1.0)
+        res = theorem12_constant(3.0, consts)
+        assert res.corollaries["drifted_laplacian"] == pytest.approx(4.0 * math.sqrt(3.0 * 2.75 * 4.5), rel=1e-15)
+        assert res.corollaries["laplacian"] == pytest.approx(4.0 * math.sqrt(33.0), rel=1e-15)
+
 
 class TestTheorem13:
     def test_unit_example(self):
@@ -255,11 +262,167 @@ class TestTheorem13:
         inner_d = with_d.details["inner"]
         assert inner_d - inner_base == pytest.approx(1.0, abs=1e-14)
 
+    def test_corollaries(self):
+        consts = OperatorConstants(
+            n=2, epsilon=1.0, delta=2.0, c0=0.5, h0=1.0, eta1=0.5, eta_r=0.25, kappa1=1.0, kappa2=1.0, d=1.0
+        )
+        res = theorem13_constant(3.0, consts)
+        assert set(res.corollaries) == {"cheng_yau", "drifted_laplacian", "laplacian"}
+        # cheng_yau: a_nT = 7, curv = 7 - 2, inner = 6 + 5/4 + 7/4, factor 5, last = 3 + 4/8, sigma 3
+        assert res.corollaries["cheng_yau"] == pytest.approx(4.0 / math.sqrt(3.0) * math.sqrt(9.0 * 5.0 * 3.5), rel=1e-15)
+        # epsilon = delta = 1: a_nT = 1, curv = 1 - 2, inner = 3 + 0 + 1/4 + 1/4, factor 3, last = 3 + 6/4
+        assert res.corollaries["drifted_laplacian"] == pytest.approx(4.0 * math.sqrt(3.5 * 3.0 * 4.5), rel=1e-15)
+        assert res.corollaries["laplacian"] == pytest.approx(24.0, rel=1e-15)
+
     def test_curvature_radicand_error(self):
         consts = OperatorConstants(n=3, epsilon=1.0, delta=1.0, kappa1=1.0, kappa2=1.0, d=1.0)
         # n=3, eps=delta=1: curv = (4-3) k1^2 - 5 k2^2 = -4, inner = l1 - 1
         with pytest.raises(NonpositiveRadicand):
             theorem13_constant(0.5, consts)
+
+
+@pytest.mark.parametrize(
+    "theorem, lambda1, consts, nan_names",
+    [
+        # main: 1 + (-8 + 9)/4 > 0; with t0 = 0 the shifted factor is 1 - 2
+        (theorem11_constant, 1.0, trivial_consts(2, t0=3.0, c0=-2.0), {"drifted_cheng_yau", "drifted_laplacian"}),
+        (theorem12_constant, 1.0, trivial_consts(2, t0=3.0, c0=-2.0), {"drifted_cheng_yau", "drifted_laplacian"}),
+        # last = 1.5 - 2/2 with delta = 2, but 1.5 - 2 with delta = 1
+        (theorem13_constant, 1.5, OperatorConstants(n=2, epsilon=1.0, delta=2.0, c0=-2.0), {"drifted_laplacian"}),
+    ],
+    ids=["thm11", "thm12", "thm13"],
+)
+def test_nonpositive_corollary_radicand_reads_nan(theorem, lambda1, consts, nan_names):
+    res = theorem(lambda1, consts)
+    assert math.isfinite(res.value)
+    assert {name for name, v in res.corollaries.items() if math.isnan(v)} == nan_names
+    assert all(math.isfinite(v) for name, v in res.corollaries.items() if name not in nan_names)
+
+
+# Hand-written main and corollary expressions, one set per theorem, kept as
+# references for the corollaries bounds derives by fixing constants in the
+# theorem formulas.  nan stands for a nonpositive radicand, also in thm11.
+def _safe_sqrt_product(*factors):
+    prod = math.prod(factors)
+    return math.nan if prod <= 0.0 or any(f <= 0.0 for f in factors) else math.sqrt(prod)
+
+
+def _positive(x):
+    return x if x > 0.0 else math.nan
+
+
+def theorem11_reference(lambda1, c):
+    n, eps, dlt, sig, c0 = c.n, c.epsilon, c.delta, c.sigma, c.c0
+    root = math.sqrt(dlt / (sig * n) * (1.0 + 4.0 * dlt / (n * eps)))
+    flat_root = math.sqrt((1.0 / n) * (1.0 + 4.0 / n))
+    return {
+        "value": 4.0 * _positive(lambda1 + (4.0 * c0 + c.t0**2) / (4.0 * dlt)) * root,
+        "drifted_cheng_yau": 4.0 * _positive(lambda1 + c0 / dlt) * root,
+        "cheng_yau": 4.0 * _positive(lambda1) * root,
+        "drifted_laplacian": 4.0 * _positive(lambda1 + c0) * flat_root,
+        "laplacian": 4.0 * _positive(lambda1) * flat_root,
+    }
+
+
+def theorem12_reference(lambda1, c):
+    n, eps, dlt, sig, c0, h0 = c.n, c.epsilon, c.delta, c.sigma, c.c0, c.h0
+    fac, rad1 = 1.0 + 4.0 * dlt / (n * eps), dlt * lambda1 - (eps**2 / 4.0) * (n - 1) ** 2
+    fac_flat, rad1_flat = 1.0 + 4.0 / n, lambda1 - (n - 1) ** 2 / 4.0
+    rad2 = lambda1 + (n**2 * h0**2 + 4.0 * c0 + c.t0**2) / (4.0 * dlt)
+    return {
+        "value": 4.0 / math.sqrt(sig) * _safe_sqrt_product(fac, rad1, rad2),
+        "drifted_cheng_yau": 4.0
+        / math.sqrt(sig)
+        * _safe_sqrt_product(fac, rad1, lambda1 + (n**2 * h0**2 + 4.0 * c0) / (4.0 * dlt)),
+        "cheng_yau": 4.0 / math.sqrt(sig) * _safe_sqrt_product(fac, rad1, lambda1 + n**2 * h0**2 / (4.0 * dlt)),
+        "drifted_laplacian": 4.0 * _safe_sqrt_product(fac_flat, rad1_flat, lambda1 + (n**2 * h0**2 + 4.0 * c0) / 4.0),
+        "laplacian": 4.0 * _safe_sqrt_product(fac_flat, rad1_flat, lambda1 + n**2 * h0**2 / 4.0),
+    }
+
+
+def theorem13_reference(lambda1, c):
+    n, eps, dlt, sig, c0, h0 = c.n, c.epsilon, c.delta, c.sigma, c.c0, c.h0
+    k1, k2, d, eta1, eta_r = c.kappa1, c.kappa2, c.d, c.eta1, c.eta_r
+    a = a_nT(n, eps, dlt)
+    curv = (2.0 * (n - 1) * dlt**2 - (2 * n - 3) * eps**2) * k1**2 - (n**2 - 2 * n + 2) * eps**2 * k2**2
+    fac = 1.0 + 4.0 * dlt / (n * eps)
+    a_flat, fac_flat = max(0.0, (n - 1) * (3.0 - n)), 1.0 + 4.0 / n
+    curv_flat = k1**2 - (n**2 - 2 * n + 2) * k2**2
+    inner = (
+        dlt * lambda1
+        + (curv + 2.0 * dlt**2 * eta1) / 4.0
+        + dlt**2 * eta_r * (n - 1) * (k1 + 1.0 / d) / 2.0
+        + a / (4.0 * d**2)
+    )
+    last = lambda1 + (n**2 * h0**2 + 4.0 * c0) / (4.0 * dlt)
+    inner_b = dlt * lambda1 + curv / 4.0 + a / (4.0 * d**2)
+    inner_c = (
+        lambda1 + (curv_flat + 2.0 * eta1) / 4.0 + eta_r * (n - 1) * (k1 + 1.0 / d) / 2.0 + a_flat / (4.0 * d**2)
+    )
+    inner_d = lambda1 + curv_flat / 4.0 + a_flat / (4.0 * d**2)
+    return {
+        "value": 4.0 / math.sqrt(sig) * math.sqrt(_positive(inner)) * math.sqrt(fac) * math.sqrt(_positive(last)),
+        "cheng_yau": 4.0 / math.sqrt(sig) * _safe_sqrt_product(inner_b, fac, lambda1 + n**2 * h0**2 / (4.0 * dlt)),
+        "drifted_laplacian": 4.0 * _safe_sqrt_product(inner_c, fac_flat, lambda1 + (n**2 * h0**2 + 4.0 * c0) / 4.0),
+        "laplacian": 4.0 * _safe_sqrt_product(inner_d, fac_flat, lambda1 + n**2 * h0**2 / 4.0),
+    }
+
+
+def random_constants(rng):
+    eps = rng.uniform(0.2, 3.0)
+    k2 = rng.uniform(0.0, 2.0)
+    consts = OperatorConstants(
+        n=int(rng.integers(2, 5)),
+        epsilon=eps,
+        delta=eps * rng.uniform(1.0, 2.0),
+        t0=rng.uniform(0.0, 2.0),
+        c0=rng.uniform(-3.0, 3.0),
+        h0=rng.uniform(0.0, 1.5),
+        eta1=rng.uniform(0.0, 1.0),
+        eta_r=rng.uniform(0.0, 1.0),
+        kappa1=k2 + rng.uniform(0.0, 1.0),
+        kappa2=k2,
+        d=float("inf") if rng.random() < 0.2 else rng.uniform(0.2, 5.0),
+    )
+    return rng.uniform(0.1, 10.0), consts
+
+
+@pytest.mark.parametrize(
+    "theorem, reference, rtol",
+    [
+        (theorem11_constant, theorem11_reference, 0.0),
+        (theorem12_constant, theorem12_reference, 0.0),
+        (theorem13_constant, theorem13_reference, 2e-15),
+    ],
+    ids=["thm11", "thm12", "thm13"],
+)
+def test_corollaries_match_hand_written_reference(theorem, reference, rtol):
+    # main values are equal; thm13 corollaries multiply three roots where the
+    # reference takes one root of the product
+    rng = np.random.default_rng(20)
+    checked = nans = 0
+    for _ in range(3000):
+        lambda1, consts = random_constants(rng)
+        expect = reference(lambda1, consts)
+        main = expect.pop("value")
+        if math.isnan(main):
+            with pytest.raises(NonpositiveRadicand):
+                theorem(lambda1, consts)
+            continue
+        res = theorem(lambda1, consts)
+        checked += 1
+        assert res.value == main, (lambda1, consts)
+        assert res.corollaries.keys() == expect.keys()
+        for name, want in expect.items():
+            got = res.corollaries[name]
+            if math.isnan(want):
+                nans += 1
+                assert math.isnan(got), (name, lambda1, consts)
+            elif rtol:
+                assert abs(got - want) <= rtol * abs(want), (name, lambda1, consts)
+            else:
+                assert got == want, (name, lambda1, consts)
+    assert checked > 1000 and nans > 0
 
 
 class TestANT:

@@ -120,6 +120,21 @@ class TestVerifyCommand:
         cfg = small_square_config(tmp_path, verify=["gap", "cor32"])
         assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("resolution", [22, 26])
+    def test_parseval_on_a_large_box_exit_zero(self, tmp_path, resolution):
+        # ||x_1||_B^2 ~ 3.3e7 on [0, 100]^2; the gate reads the defect relative
+        # to it, so a box's scale alone cannot turn rounding into a failure
+        cfg = small_square_config(
+            tmp_path,
+            domain={"bounds": [["0", "100"], ["0", "100"]], "resolution": [resolution] * 2},
+            solver={"k": "full"},
+            bounds={},
+            verify=["parseval"],
+        )
+        assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert abs(summary["parseval_defect"]) <= 1e-10
+
 
 class TestLemma31Command:
     def test_seeded_run_exit_zero(self, capsys):

@@ -466,16 +466,14 @@ class TestParseval:
         res = solve_lowest(pair, pair.ndof, method="dense")
         rng = np.random.default_rng(1)
         f = rng.standard_normal(pair.ndof)
-        norm2 = float(f @ (pair.B @ f))
-        assert abs(parseval_defect(res, pair, f)) <= 1e-10 * norm2
+        assert abs(parseval_defect(res, pair, f)) <= 1e-10
 
     def test_orthogonal_function_full_defect(self):
         pair = interval_pair(30)
         res = solve_lowest(pair, pair.ndof, method="dense")
-        f = res.eigenvectors[:, 3]  # B-orthogonal to u_1
+        f = 7.0 * res.eigenvectors[:, 3]  # B-orthogonal to u_1
         one = solve_lowest(pair, 1, method="dense")
-        defect = parseval_defect(one, pair, f)
-        assert defect == pytest.approx(float(f @ (pair.B @ f)), abs=1e-10)
+        assert parseval_defect(one, pair, f) == pytest.approx(1.0, abs=1e-10)
 
     def test_nonnegative_for_random_vectors(self):
         pair = interval_pair(50)
@@ -483,7 +481,14 @@ class TestParseval:
         rng = np.random.default_rng(2)
         for _ in range(25):
             f = rng.standard_normal(pair.ndof)
-            assert parseval_defect(res, pair, f) >= -1e-10 * float(f @ (pair.B @ f))
+            assert parseval_defect(res, pair, f) >= -1e-10
+
+    def test_relative_to_the_norm(self):
+        pair = interval_pair(30)
+        res = solve_lowest(pair, 3, method="dense")
+        f = np.random.default_rng(3).standard_normal(pair.ndof)
+        assert parseval_defect(res, pair, 1e4 * f) == pytest.approx(parseval_defect(res, pair, f), rel=1e-12)
+        assert parseval_defect(res, pair, np.zeros(pair.ndof)) == 0.0
 
     def test_dimension_error(self):
         pair = interval_pair(30)

@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
-from .assembly import OperatorPair, interpolate_at_quadrature, project_function
+from . import assembly
 from .errors import (
     HypothesisViolated,
     InsufficientSpectrum,
@@ -510,18 +510,18 @@ class Cor32Row:
         return self.ok_314 and self.ok_315 and self.implication_ok
 
 
-def _mode_at_quadrature(spectrum: SpectrumResult, pair: OperatorPair, j: int):
+def _mode_at_quadrature(spectrum: SpectrumResult, pair: assembly.OperatorPair, j: int):
     """(u_j, grad u_j, T grad u_j) at the pair's quadrature points, computed once per spectrum."""
     hit = spectrum.at_quadrature.get(j)
     if hit is None or hit[0] is not pair:
-        u, gu = interpolate_at_quadrature(pair, spectrum.eigenvectors[:, j - 1])
+        u, gu = assembly.interpolate_at_quadrature(pair, spectrum.eigenvectors[:, j - 1])
         hit = spectrum.at_quadrature[j] = (pair, u, gu, pair.sample.apply_T(gu))
     return hit[1:]
 
 
 def cor32_check(
     spectrum: SpectrumResult,
-    pair: OperatorPair,
+    pair: assembly.OperatorPair,
     test_fn: OperatorTestFunction,
     consts: OperatorConstants,
     j: int = 1,
@@ -613,7 +613,7 @@ class Lemma32Result:
 
 def lemma32_check(
     spectrum: SpectrumResult,
-    pair: OperatorPair,
+    pair: assembly.OperatorPair,
     g: ScalarField,
     j: int,
     k: int,
@@ -649,7 +649,7 @@ def lemma32_check(
         raise HypothesisViolated(f"cross term int g u_j u_k+1 dm = {cross:.2e} vanishes")
 
     # span check on the nodal product vector, in the B inner product
-    w = project_function(pair.domain, g) * spectrum.eigenvectors[:, j - 1]
+    w = assembly.project_function(pair.domain, g) * spectrum.eigenvectors[:, j - 1]
     bw = pair.B @ w
     coeffs = spectrum.eigenvectors[:, : k + 1].T @ bw
     resid_vec = w - spectrum.eigenvectors[:, : k + 1] @ coeffs

@@ -19,16 +19,16 @@ Gamma^k_ij = -(d_ki b_j + d_kj b_i - d_ij b_k)/rho give one formula each:
     d_i(rho V)    rho d_i V + b_i V
     div W         rho sum_i d_i W_i + (1 - n) <b, W>
     Hess eta      he + (b_i g_j + b_j g_i - d_ij <b, g>)/rho, g = d eta
-    L f           rho^2 (div_0(T df) - <d eta, T df>) - (n - 2) rho <b, T df>
-    L f_a         rho u - (n - 1)(T b)_a, u = sum_j d_j T_ja - (T d eta)_a
+    L f           rho^2 (T : Hess_0 f - <v, df>) - (n - 2) rho <b, T df>
+    L f_a         rho u - (n - 1)(T b)_a, u = -v_a
 
-with div_0 the coordinate divergence and df_a = e_a / rho for the cor32
-test function f_a.  Every derivative is closed-form, so t0 and c0 are
-analytic in both metrics.  The constants, L f and f_a read a FieldSample:
-T, its partials, the drift derivatives and rho at one point set, each
-evaluated at most once.  A derivative that a
-field's declared degree makes zero is a structural zero (None), and the
-terms it multiplies are skipped; so is b where rho = 1 (Euclidean).
+with v = T(d eta) - div T, div T = sum_j d_j T_.j, Hess_0 the coordinate
+Hessian and df_a = e_a / rho for the cor32 test function f_a.  Every
+derivative is closed-form; grad div T is the only second one of T read.
+The constants, L f and f_a read a FieldSample: T, its partials, the drift
+derivatives, rho and their shared contractions at one point set, each
+evaluated at most once.  A structural zero (None), a derivative that a field's
+degree makes zero or b where rho = 1 (Euclidean), skips the terms it multiplies.
 """
 
 from __future__ import annotations
@@ -207,6 +207,13 @@ def axis_reals(values, dim: int, what: str) -> list:
     return vals
 
 
+def axis_matrix(rows, dim: int, what: str) -> list:
+    """The decimal rows of a parameter that must be a dim x dim matrix."""
+    if len(rows) != dim:
+        raise ValueError(f"{what} needs {dim} rows, got {len(rows)}")
+    return [axis_reals(row, dim, f"{what} row") for row in rows]
+
+
 def drift_preset(kind: str, dim: int, **params) -> ScalarField:
     """Named drift families: zero/constant, affine, quadratic, gaussian.
 
@@ -221,12 +228,7 @@ def drift_preset(kind: str, dim: int, **params) -> ScalarField:
     if kind == "quadratic":
         quad, coeffs = params.get("quad"), params.get("coeffs")
         scale = real(params.get("scale", 1.0))
-        if quad is None:
-            quad = np.eye(dim) * scale
-        elif len(quad) != dim:
-            raise ValueError(f"quadratic quad needs {dim} rows, got {len(quad)}")
-        else:
-            quad = [axis_reals(row, dim, "quadratic quad row") for row in quad]
+        quad = np.eye(dim) * scale if quad is None else axis_matrix(quad, dim, "quadratic quad")
         coeffs = None if coeffs is None else axis_reals(coeffs, dim, "quadratic coeffs")
         return QuadraticScalar(quad, coeffs, real(params.get("c0", 0.0)))
     if kind == "gaussian":
@@ -278,10 +280,10 @@ class TensorField:
     """Symmetric positive-definite coefficient tensor, orthonormal-frame entries.
 
     matrix(pts) -> (m, n, n); d_matrix -> (m, n, n, n) with [q, k, i, j] the
-    partial d_k T_ij; d2_matrix -> (m, n, n, n, n) with [q, k, l, i, j] the
-    second partial.  Presets carry analytic derivatives.  ``degree`` is as
-    for ScalarField: a tensor of degree 0 is constant, and its derivatives
-    are never evaluated.
+    partial d_k T_ij; grad_div -> (m, n, n) with [q, k, i] = d_k sum_j d_j T_ij.
+    No formula reads another second derivative.  Presets carry analytic
+    derivatives.  ``degree`` is as for ScalarField: a tensor of degree 0 is
+    constant, and its derivatives are never evaluated.
     """
 
     dim: int
@@ -294,7 +296,7 @@ class TensorField:
     def d_matrix(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def d2_matrix(self, pts: np.ndarray) -> np.ndarray:
+    def grad_div(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -337,26 +339,26 @@ class DiagonalTensor(TensorField):
             out[:, c.axis, i, i] = c.d1(pts)
         return out
 
-    def d2_matrix(self, pts):
-        m = pts.shape[0]
-        out = np.zeros((m,) + (self.dim,) * 4)
+    def grad_div(self, pts):
+        out = np.zeros((pts.shape[0], self.dim, self.dim))
         for i, c in enumerate(self.coefs):
-            out[:, c.axis, c.axis, i, i] = c.d2(pts)
+            if c.axis == i:  # sum_j d_j T_ij = d_i T_ii: an entry along another axis drops out
+                out[:, i, i] = c.d2(pts)
         return out
 
 
 def tensor_preset(kind: str, dim: int, **params) -> TensorField:
     """Named tensor families used by scenario configs.
 
-    Numeric parameters are numbers or decimal strings; a malformed or
-    missing parameter raises ValueError, TypeError or KeyError.
+    Parameters are checked as for drift_preset: a matrix or entry list whose
+    size is not ``dim`` raises ValueError like any malformed parameter.
     """
     if kind == "identity":
         return identity_tensor(dim, real(params.get("scale", 1.0)))
     if kind == "constant":
-        return ConstantTensor([reals(row) for row in params["matrix"]])
+        return ConstantTensor(axis_matrix(params["matrix"], dim, "constant matrix"))
     if kind == "constant_diag":
-        return ConstantTensor(np.diag(np.asarray(reals(params["entries"]), dtype=float)))
+        return ConstantTensor(np.diag(axis_reals(params["entries"], dim, "constant_diag entries")))
     if kind == "diag_profile":
         entries = params["entries"]
         if not (isinstance(entries, list) and all(isinstance(spec, dict) for spec in entries)):
@@ -442,13 +444,13 @@ class FieldSample:
     """T, eta and their derivatives at one (m, n) point set, each evaluated at most once.
 
     Every array is computed on its first read: theta (m, n, n), dT
-    (m, n, n, n), d2T (m, n, n, n, n), ge (m, n), he (m, n, n), indexed as
-    TensorField and ScalarField document, and the conformal factor rho (m,);
-    b = grad rho (n,) is the metric's.  A derivative that the field's
-    degree makes zero is None, a structural zero, not an array: dT and d2T
-    of a constant tensor, ge of a constant drift, he of a constant or affine
-    one, and rho and b where rho = 1.  Every reader skips the terms with
-    such a factor.
+    (m, n, n, n), grad_div (m, n, n), ge (m, n), he (m, n, n), rho (m,) and the
+    shared contractions div (m, n), tge = T d eta, v = tge - div and dv with
+    [q, i, j] = d_i v_j; b = grad rho (n,) is the metric's.  A derivative that
+    the field's degree makes zero is None, a structural zero, not an array: dT
+    and grad_div of a constant tensor, ge of a constant drift, he of a constant
+    or affine one, rho and b where rho = 1, and a contraction of such zeros.
+    Every reader skips the terms with such a factor.
     """
 
     def __init__(self, field: TensorField, drift: ScalarField, metric: MetricModel, pts: np.ndarray):
@@ -472,8 +474,8 @@ class FieldSample:
         return self._derivative(self.field, 1, self.field.d_matrix)
 
     @cached_property
-    def d2T(self) -> np.ndarray | None:
-        return self._derivative(self.field, 2, self.field.d2_matrix)
+    def grad_div(self) -> np.ndarray | None:
+        return self._derivative(self.field, 2, self.field.grad_div)
 
     @cached_property
     def ge(self) -> np.ndarray | None:
@@ -486,6 +488,27 @@ class FieldSample:
     @cached_property
     def rho(self) -> np.ndarray | None:
         return None if self.b is None else self.metric.rho(self.pts)
+
+    @cached_property
+    def div(self) -> np.ndarray | None:
+        return None if self.dT is None else np.einsum("qjij->qi", self.dT)
+
+    @cached_property
+    def tge(self) -> np.ndarray | None:
+        return None if self.ge is None else np.einsum("qij,qj->qi", self.theta, self.ge)
+
+    @cached_property
+    def v(self) -> np.ndarray | None:
+        return _sum(self.tge, None if self.div is None else -self.div)
+
+    @cached_property
+    def dv(self) -> np.ndarray | None:
+        # d_i v_j = -d_i div_j + sum_m (d2_im eta T_mj + d_i T_jm dm eta)
+        return _sum(
+            None if self.grad_div is None else -self.grad_div,
+            None if self.he is None else self.he @ self.theta,
+            None if self.dT is None or self.ge is None else np.einsum("qijm,qm->qij", self.dT, self.ge),
+        )
 
     def apply_T(self, v: np.ndarray) -> np.ndarray:
         """T v at every point, for v of shape (..., n) holding m vectors."""
@@ -503,10 +526,9 @@ def trace_nabla_T(sample: FieldSample) -> np.ndarray | None:
     That is rho sum_j d_j T_.j + tr(T) b - n T b.  None where it vanishes
     structurally: a constant T in Euclidean space.
     """
-    dT, b = sample.dT, sample.b
     return _sum(
-        None if dT is None else _scaled(sample.rho, np.einsum("qjij->qi", dT)),
-        None if b is None else _christoffel_part(sample.theta, b),
+        _scaled(sample.rho, sample.div),
+        None if sample.b is None else _christoffel_part(sample.theta, sample.b),
     )
 
 
@@ -520,20 +542,12 @@ def compute_C0(sample: FieldSample) -> float:
     """sup { 1/2 div(T(T(grad eta) - tr(nabla T))) - 1/4 |T(grad eta)|^2 }.
 
     Every derivative is analytic.  With d the coordinate partials and
-    v = T(d eta) - sum_j d_j T_.j, the orthonormal grad eta is rho d eta and
+    v = T(d eta) - div T as sampled, the orthonormal grad eta is rho d eta and
     the inner field is V = rho v - (tr(T) b - n T b), so with b constant
     d_i V = rho d_i v + b_i v - (tr(d_i T) b - n (d_i T) b) and W = T(V).
     """
-    theta, dT, d2T, ge, he = sample.theta, sample.dT, sample.d2T, sample.ge, sample.he
+    theta, dT, div, v, dv = sample.theta, sample.dT, sample.div, sample.v, sample.dv
     rho, b, n = sample.rho, sample.b, sample.metric.dim
-    # d_i v_j = sum_m (d_i T_jm dm eta + d2_im eta T_mj) - sum_m d2_im T_jm
-    dv = _sum(
-        None if d2T is None else -np.einsum("qimjm->qij", d2T),
-        None if he is None else he @ theta,
-        None if dT is None or ge is None else np.einsum("qijm,qm->qij", dT, ge),
-    )
-    tge = None if ge is None else np.einsum("qij,qj->qi", theta, ge)
-    v = _sum(tge, None if dT is None else -np.einsum("qjij->qi", dT))
     dV = _sum(
         _scaled(rho, dv),
         None if b is None or dT is None else -_christoffel_part(dT, b),
@@ -541,7 +555,7 @@ def compute_C0(sample: FieldSample) -> float:
     )
     V = _sum(_scaled(rho, v), None if b is None else -_christoffel_part(theta, b))
     div_w = _sum(
-        None if dT is None else np.einsum("qiij,qj->q", dT, V),
+        None if div is None else np.einsum("qj,qj->q", div, V),
         None if dV is None else np.einsum("qij,qij->q", theta, dV),
     )
     # div W = rho sum_i d_i W_i + (1 - n) <b, W>, with <b, T V> = <T b, V>
@@ -549,7 +563,7 @@ def compute_C0(sample: FieldSample) -> float:
         _scaled(rho, div_w),
         None if b is None else (1 - n) * np.einsum("qj,qj->q", np.tensordot(theta, b, axes=1), V),
     )
-    tge = _scaled(rho, tge)
+    tge = _scaled(rho, sample.tge)
     val = _sum(
         None if div_w is None else 0.5 * div_w,
         None if tge is None else -0.25 * np.sum(tge * tge, axis=1),
@@ -579,21 +593,20 @@ def compute_eta_radial_constants(sample: FieldSample, origin: OriginPoint) -> tu
 
 def apply_operator_L(sample: FieldSample, f: ScalarField) -> np.ndarray:
     """Pointwise L f = div(T(grad f)) - <grad eta, T(grad f)> at the sample points."""
-    pts, theta, dT, ge, rho, b = sample.pts, sample.theta, sample.dT, sample.ge, sample.rho, sample.b
+    pts, theta, v, rho, b = sample.pts, sample.theta, sample.v, sample.rho, sample.b
     gf = f.grad(pts)
     hf = None if _vanishes(f, 2) else f.hess(pts)
-    div = _sum(
-        None if dT is None else np.einsum("qiij,qj->q", dT, gf),
+    # div_0(T df) - <d eta, T df> = <div T, df> + T : Hess_0 f - <T d eta, df> = T : Hess_0 f - <v, df>
+    flat = _sum(
         None if hf is None else np.einsum("qij,qij->q", theta, hf),
+        None if v is None else -np.einsum("qi,qi->q", v, gf),
     )
-    drift_term = None if ge is None else np.einsum("qi,qij,qj->q", ge, theta, gf)
     rho2 = None if rho is None else rho**2
     tgf_b = None if b is None else np.einsum("qj,qj->q", np.tensordot(theta, b, axes=1), gf)  # <b, T df>
     # L f = rho^2 (div_0(T df) - <d eta, T df>) - (n - 2) rho <b, T df>
     out = _sum(
-        _scaled(rho2, div),
+        _scaled(rho2, flat),
         None if b is None else -((sample.metric.dim - 2) * rho * tgf_b),
-        None if drift_term is None else -_scaled(rho2, drift_term),
     )
     return np.zeros(pts.shape[0]) if out is None else out
 
@@ -614,8 +627,8 @@ def axis_test_function(metric: MetricModel, axis: int) -> OperatorTestFunction:
     """f with df = e_a / rho (a = axis), so |grad f|_g = 1: x_a where rho = 1, ln x_n in the half-space.
 
     It exists where rho varies along axis a alone (b = None or e_a).  With
-    u = sum_j d_j T_ja - (T d eta)_a, L f = rho u - (n - 1)(T b)_a and
-    d_k L f = b_k u + rho d_k u - (n - 1) sum_m d_k T_am b_m.
+    u = sum_j d_j T_ja - (T d eta)_a = -v_a, L f = rho u - (n - 1)(T b)_a and
+    d_k L f = b_k u + rho d_k u - (n - 1) sum_m d_k T_am b_m, d_k u = -d_k v_a.
     """
     n, b, unit = metric.dim, metric.grad_rho, np.eye(metric.dim)[axis]
     if b is not None and not np.array_equal(b, unit):
@@ -623,23 +636,14 @@ def axis_test_function(metric: MetricModel, axis: int) -> OperatorTestFunction:
     f = AffineScalar(unit) if b is None else LogAxisScalar(n, axis)
 
     def lf_and_grad(s: FieldSample):
-        theta, dT, d2T, ge, he, rho = s.theta, s.dT, s.d2T, s.ge, s.he, s.rho
-        row = theta[:, axis, :]
-        u = _sum(
-            None if dT is None else np.einsum("qjj->q", dT[:, :, :, axis]),
-            None if ge is None else -np.einsum("qm,qm->q", row, ge),
-        )
-        du = _sum(
-            None if d2T is None else np.einsum("qkjj->qk", d2T[:, :, :, :, axis]),
-            None if dT is None or ge is None else -np.einsum("qkm,qm->qk", dT[:, :, axis, :], ge),
-            None if he is None else -np.einsum("qm,qkm->qk", row, he),
-        )
-        lf = _sum(_scaled(rho, u), None if b is None else (1 - n) * (row @ b))
+        u = None if s.v is None else -s.v[:, axis]
+        du = None if s.dv is None else -s.dv[:, :, axis]
+        lf = _sum(_scaled(s.rho, u), None if b is None else (1 - n) * (s.theta[:, axis, :] @ b))
         grad = _sum(
             None if b is None or u is None else np.tensordot(u, b, axes=0),
-            _scaled(rho, du),
+            _scaled(s.rho, du),
             # an einsum, not @: dT[:, :, axis, :] is a strided view
-            None if b is None or dT is None else (1 - n) * np.einsum("qkm,m->qk", dT[:, :, axis, :], b),
+            None if b is None or s.dT is None else (1 - n) * np.einsum("qkm,m->qk", s.dT[:, :, axis, :], b),
         )
         return lf, grad
 

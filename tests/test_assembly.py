@@ -344,16 +344,16 @@ class TestModeCache:
         return ScenarioConfig.from_dict(raw)
 
     def _count(self, monkeypatch):
-        from etagap import bounds
+        from etagap import assembly
 
         seen = []
-        inner = bounds.interpolate_at_quadrature
+        inner = assembly.interpolate_at_quadrature
 
         def counting(pair, u):
             seen.append(np.asarray(u).tobytes())
             return inner(pair, u)
 
-        monkeypatch.setattr(bounds, "interpolate_at_quadrature", counting)
+        monkeypatch.setattr(assembly, "interpolate_at_quadrature", counting)
         return seen
 
     def test_cor32_interpolates_u1_once(self, monkeypatch):

@@ -286,6 +286,9 @@ MALFORMED_CONFIGS = {
     "gaussian_center_short": {
         "drift": {"kind": "gaussian", "amplitude": "1", "center": ["1"], "width": "0.5"}
     },
+    "constant_matrix_3x3_in_2d": {"tensor": {"kind": "constant", "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}},
+    "constant_matrix_2x3": {"tensor": {"kind": "constant", "matrix": [["1", "0", "0"], ["0", "1", "0"]]}},
+    "constant_diag_three_entries_in_2d": {"tensor": {"kind": "constant_diag", "entries": ["1", "2", "3"]}},
     "quadratic_quad_one_row": {"drift": {"kind": "quadratic", "quad": [["1", "0"]]}},
     "quadratic_quad_short_row": {"drift": {"kind": "quadratic", "quad": [["1", "0"], ["0"]]}},
     "quadratic_coeffs_long": {"drift": {"kind": "quadratic", "coeffs": ["1", "0", "0"]}},

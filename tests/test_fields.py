@@ -8,6 +8,7 @@ from etagap.fields import (
     AffineScalar,
     ConstantScalar,
     ConstantTensor,
+    DiagonalTensor,
     FieldSample,
     GaussianScalar,
     LogAxisScalar,
@@ -49,7 +50,8 @@ def zero(dim: int) -> ConstantScalar:
 
 # ---------------------------------------------------------------------------
 # array-path references: every field and derivative as a full array, zeros
-# included, contracted as the constants were before the field sample
+# included, the second partials of T too; the divergence is contracted first,
+# as the field sample does
 # ---------------------------------------------------------------------------
 
 
@@ -72,12 +74,26 @@ def _array(evaluate, pts, shape):
         return np.zeros((pts.shape[0],) + shape)
 
 
+def dense_d2T(field, pts) -> np.ndarray:
+    """Every second partial d_k d_l T_ij as an (m, n, n, n, n) array [q, k, l, i, j], zeros included."""
+    n = pts.shape[1]
+    out = np.zeros((pts.shape[0],) + (n,) * 4)
+    if isinstance(field, DiagonalTensor):
+        for i, c in enumerate(field.coefs):
+            out[:, c.axis, c.axis, i, i] = c.d2(pts)
+    elif isinstance(field, CoupledQuadraticTensor):
+        out[:] = 2.0 * np.einsum("kl,ij->klij", np.eye(n), field.M2)
+    elif field.degree != 0:
+        raise TypeError(f"no dense second partials for {type(field).__name__}")
+    return out
+
+
 def _field_arrays(field, drift, pts):
     n = pts.shape[1]
     return (
         field.matrix(pts),
         _array(field.d_matrix, pts, (n,) * 3),
-        _array(field.d2_matrix, pts, (n,) * 4),
+        dense_d2T(field, pts),
         _array(drift.grad, pts, (n,)),
         _array(drift.hess, pts, (n, n)),
     )
@@ -102,18 +118,19 @@ def ref_compute_T0(field, metric, domain) -> float:
 def ref_compute_C0(field, drift, metric, domain) -> float:
     pts = domain.quad_points_flat()
     theta, dT, d2T, ge, he = _field_arrays(field, drift, pts)
-    dV = -np.einsum("qimjm->qij", d2T)
+    div = np.einsum("qjij->qi", dT)
+    dV = -np.einsum("qkmim->qki", d2T)  # d_k sum_m d_m T_im
     dV += he @ theta
     dV += np.einsum("qijm,qm->qij", dT, ge)
     tge = np.einsum("qij,qj->qi", theta, ge)
-    v = tge - np.einsum("qjij->qi", dT)
+    v = tge - div
     if metric.is_hyperbolic:
         xn = pts[:, -1]
         dV = xn[:, None, None] * dV - _christoffel_part(dT)
         dV[:, -1, :] += v
         v = xn[:, None] * v - _christoffel_part(theta)
         tge = xn[:, None] * tge
-    div_w = np.einsum("qiij,qj->q", dT, v) + np.einsum("qij,qij->q", theta, dV)
+    div_w = np.einsum("qj,qj->q", div, v) + np.einsum("qij,qij->q", theta, dV)
     if metric.is_hyperbolic:
         div_w = xn * div_w + (1 - metric.dim) * np.einsum("qj,qj->q", theta[:, -1, :], v)
     return float(np.max(0.5 * div_w - 0.25 * np.sum(tge * tge, axis=1)))
@@ -143,21 +160,23 @@ def ref_trace_nabla_T(s: FieldSample):
 
 
 def ref_apply_operator_L(s: FieldSample, f: ScalarField) -> np.ndarray:
-    """apply_operator_L written per metric model, x_n in the half-space."""
+    """apply_operator_L written per metric model, x_n in the half-space.
+
+    div_0(T df) - <d eta, T df> is T : Hess_0 f - <v, df> with v = T d eta - div T.
+    """
     pts, theta, dT, ge = s.pts, s.theta, s.dT, s.ge
     gf = f.grad(pts)
     hf = None if f.degree is not None and f.degree < 2 else f.hess(pts)
-    div = _sum(
-        None if dT is None else np.einsum("qiij,qj->q", dT, gf),
+    tge = None if ge is None else np.einsum("qij,qj->qi", theta, ge)
+    v = _sum(tge, None if dT is None else -np.einsum("qjij->qi", dT))
+    out = _sum(
         None if hf is None else np.einsum("qij,qij->q", theta, hf),
+        None if v is None else -np.einsum("qi,qi->q", v, gf),
     )
-    drift_term = None if ge is None else np.einsum("qi,qij,qj->q", ge, theta, gf)
     if s.metric.is_hyperbolic:
         xn = pts[:, -1]
         tgf_n = np.einsum("qj,qj->q", theta[:, -1, :], gf)
-        div = _sum(None if div is None else xn**2 * div, -((s.metric.dim - 2) * xn * tgf_n))
-        drift_term = None if drift_term is None else xn**2 * drift_term
-    out = _sum(div, None if drift_term is None else -drift_term)
+        out = _sum(None if out is None else xn**2 * out, -((s.metric.dim - 2) * xn * tgf_n))
     return np.zeros(pts.shape[0]) if out is None else out
 
 # ---------------------------------------------------------------------------
@@ -227,26 +246,23 @@ class FiniteDifferenceTensor(TensorField):
             out[:, k] = (self.matrix(pts + e) - self.matrix(pts - e)) / (2.0 * self.h)
         return out
 
-    def d2_matrix(self, pts):
-        m, n = pts.shape
-        out = np.empty((m, n, n, n, n))
-        t0 = self.matrix(pts)
-        for a in range(n):
-            ea = np.zeros(n)
-            ea[a] = self.h
-            out[:, a, a] = (self.matrix(pts + ea) - 2.0 * t0 + self.matrix(pts - ea)) / self.h**2
-            for b in range(a + 1, n):
-                eb = np.zeros(n)
-                eb[b] = self.h
-                mixed = (
-                    self.matrix(pts + ea + eb)
-                    - self.matrix(pts + ea - eb)
-                    - self.matrix(pts - ea + eb)
-                    + self.matrix(pts - ea - eb)
-                ) / (4.0 * self.h**2)
-                out[:, a, b] = mixed
-                out[:, b, a] = mixed
-        return out
+    def grad_div(self, pts):
+        return central_grad_div(self, pts, self.h)
+
+
+def central_grad_div(field: TensorField, pts: np.ndarray, h: float) -> np.ndarray:
+    """d_k sum_j d_j T_ij by central differences of einsum("qjij->qi", field.d_matrix)."""
+    m, n = pts.shape
+
+    def div(p):
+        return np.einsum("qjij->qi", field.d_matrix(p))
+
+    out = np.empty((m, n, n))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = h
+        out[:, k] = (div(pts + e) - div(pts - e)) / (2.0 * h)
+    return out
 
 
 def fd_consistency_defect(drift: ScalarField, pts: np.ndarray, h: float = 1e-4) -> float:
@@ -302,9 +318,9 @@ class CoupledQuadraticTensor(TensorField):
     def d_matrix(self, pts):
         return self.a[None, :, None, None] * self.M1 + 2.0 * pts[:, :, None, None] * self.M2
 
-    def d2_matrix(self, pts):
-        d2 = 2.0 * np.einsum("kl,ij->klij", np.eye(3), self.M2)
-        return np.broadcast_to(d2, (pts.shape[0],) + d2.shape)
+    def grad_div(self, pts):
+        # sum_j d_j T_ij = (M1 a)_i + 2 (M2 x)_i
+        return np.broadcast_to(2.0 * self.M2.T, (pts.shape[0], 3, 3))
 
 
 EUC2 = euclidean(2)
@@ -736,27 +752,31 @@ class TestDerivativeConsistency:
         d2 = np.max(np.abs(FiniteDifferenceScalar(2, f.value, 5e-4).grad(pts) - f.grad(pts)))
         assert d1 / d2 == pytest.approx(4.0, rel=0.2)
 
-    def test_fd_tensor_matches_analytic(self):
-        field = diag_affine_tensor()
-        fd = FiniteDifferenceTensor(2, field.matrix, h_fd=1e-5)
-        pts = np.array([[0.4, 0.9], [2.0, 1.0]])
+    @pytest.mark.parametrize("field", [diag_affine_tensor(), CoupledQuadraticTensor()], ids=["diag_affine", "coupled_3d"])
+    def test_fd_tensor_matches_analytic(self, field):
+        fd = FiniteDifferenceTensor(field.dim, field.matrix, h_fd=1e-5)
+        pts = np.array([[0.4, 0.9, 0.3], [2.0, 1.0, 1.4]])[:, : field.dim]
         assert fd.d_matrix(pts) == pytest.approx(field.d_matrix(pts), abs=1e-9)
-        assert fd.d2_matrix(pts) == pytest.approx(field.d2_matrix(pts), abs=1e-5)
+        assert fd.grad_div(pts) == pytest.approx(field.grad_div(pts), abs=1e-5)
 
+    # the second entry varies along its own axis, or along axis 0 as in the half-space shape
+    @pytest.mark.parametrize("second_axis", [1, 0], ids=["own_axis", "other_axis"])
     @pytest.mark.parametrize("profile", ["const", "linear", "sin", "cos", "sin2"])
-    def test_fd_profile_matches_analytic(self, profile):
+    def test_fd_profile_matches_analytic(self, profile, second_axis):
         field = tensor_preset(
             "diag_profile",
             2,
             entries=[
                 {"profile": profile, "c0": 2.0, "c1": 0.7, "axis": 0},
-                {"profile": profile, "c0": 3.0, "c1": -0.4, "axis": 1},
+                {"profile": profile, "c0": 3.0, "c1": -0.4, "axis": second_axis},
             ],
         )
         fd = FiniteDifferenceTensor(2, field.matrix, h_fd=1e-5)
         pts = np.array([[0.4, 0.9], [2.0, 1.0]])
         assert fd.d_matrix(pts) == pytest.approx(field.d_matrix(pts), abs=1e-9)
-        assert fd.d2_matrix(pts) == pytest.approx(field.d2_matrix(pts), abs=1e-5)
+        assert central_grad_div(field, pts, 1e-6) == pytest.approx(field.grad_div(pts), abs=1e-8)
+        if second_axis == 0:  # T_22 varies along x_1 only, so it adds nothing to div T
+            assert not field.grad_div(pts)[:, :, 1].any()
 
 
 class TestOperatorConstants:
@@ -814,14 +834,14 @@ class StrictConstantTensor(TensorField):
     def d_matrix(self, pts):
         raise AssertionError("built the first derivatives of a constant tensor")
 
-    def d2_matrix(self, pts):
+    def grad_div(self, pts):
         raise AssertionError("built the second derivatives of a constant tensor")
 
 
 class Counting:
     """Wraps a field and counts the calls of each evaluator."""
 
-    EVALUATORS = ("matrix", "d_matrix", "d2_matrix", "grad", "hess")
+    EVALUATORS = ("matrix", "d_matrix", "grad_div", "grad", "hess")
 
     def __init__(self, inner):
         self.inner, self.dim, self.degree = inner, inner.dim, inner.degree
@@ -896,10 +916,12 @@ class TestFieldSample:
     def test_structural_zeros_are_none(self):
         pts = np.array([[0.2, 1.3], [0.7, 1.9]])
         const = sample_at(identity_tensor(2), ConstantScalar(2), EUC2, pts)
-        assert (const.dT, const.d2T, const.ge, const.he) == (None, None, None, None)
+        assert (const.dT, const.grad_div, const.ge, const.he) == (None, None, None, None)
+        assert (const.div, const.tge, const.v, const.dv) == (None, None, None, None)
         affine = sample_at(diag_affine_tensor(), AffineScalar([1.0, 2.0]), EUC2, pts)
         assert affine.he is None
-        assert affine.dT.shape == (2, 2, 2, 2) and affine.d2T.shape == (2, 2, 2, 2, 2)
+        assert affine.dT.shape == (2, 2, 2, 2) and affine.grad_div.shape == (2, 2, 2)
+        assert affine.div.shape == affine.tge.shape == affine.v.shape == (2, 2) and affine.dv.shape == (2, 2, 2)
         assert affine.ge.tolist() == [[1.0, 2.0], [1.0, 2.0]]
         assert sample_at(identity_tensor(2), QuadraticScalar(np.eye(2)), EUC2, pts).he.shape == (2, 2, 2)
 
@@ -932,8 +954,19 @@ class TestFieldSample:
         axis_test_function(metric, 2).lf_and_grad(s)
         apply_operator_L(s, LogAxisScalar(3))
         s.apply_T(np.ones((dom.quad_points_flat().shape[0], 3)))
-        assert field.calls == {"matrix": 1, "d_matrix": 1, "d2_matrix": 1, "grad": 0, "hess": 0}
-        assert drift.calls == {"matrix": 0, "d_matrix": 0, "d2_matrix": 0, "grad": 1, "hess": 1}
+        assert field.calls == {"matrix": 1, "d_matrix": 1, "grad_div": 1, "grad": 0, "hess": 0}
+        assert drift.calls == {"matrix": 0, "d_matrix": 0, "grad_div": 0, "grad": 1, "hess": 1}
+
+    @pytest.mark.parametrize("metric", [euclidean(3), hyperbolic_half_plane(3)], ids=["euclidean", "hyperbolic"])
+    def test_no_cached_array_has_more_than_four_axes(self, metric):
+        # T's derivatives are dT (m, n, n, n) and grad div T (m, n, n), never the (m, n, n, n, n) second partials
+        s = sample_at(diag_profile_tensor(3), sample_drift("quadratic", 3), metric, sample_domain(metric))
+        compute_T0(s)
+        compute_C0(s)
+        axis_test_function(metric, 2).lf_and_grad(s)
+        cached = {name: a for name, a in vars(s).items() if isinstance(a, np.ndarray)}
+        assert {"dT", "grad_div", "div", "v", "dv"} <= set(cached)
+        assert max(a.ndim for a in cached.values()) <= 4
 
     @pytest.mark.parametrize("field", [ConstantTensor([[2.0, 0.5], [0.5, 3.0]]), diag_affine_tensor()], ids=["constant", "variable"])
     def test_apply_T_matches_einsum(self, field):

@@ -134,6 +134,7 @@ BUILTIN_SOLVER_PATHS = {
     "anisotropic_square": "separable",
     "disk_laplacian": "superlu",
     "drifted_interval": "superlu",
+    "halfspace_profile": "fast_diagonalization",
     "hyperbolic_cy": "fast_diagonalization",
     "interval_laplacian": "superlu",
     "lemma32_square": "dense",
@@ -152,6 +153,7 @@ class TestBuiltins:
             "hyperbolic_cy",
             "lemma32_square",
             "disk_laplacian",
+            "halfspace_profile",
         ):
             assert expected in names
 
@@ -229,6 +231,14 @@ class TestBuiltins:
             for row in rows:
                 if row.status == "checked":
                     assert row.ok_314 and row.ok_315 and row.implication_ok
+
+    def test_halfspace_profile_builtin(self):
+        # the builtin with a variable tensor: t0 and c0 read dT, div T, grad div T and dv
+        rep = run_scenario(builtin_config("halfspace_profile"), write=False)
+        counts = rep.counts()
+        assert (counts["pass"], counts["fail"], counts["inconclusive"]) == (23, 0, 0) and not rep.errors
+        assert rep.constants.t0 == pytest.approx(1.12761, rel=1e-5)
+        assert rep.constants.c0 == pytest.approx(-1.75736, rel=1e-5)
 
     def test_reported_constants_match_standalone_extraction(self):
         # run_scenario takes epsilon and delta from the quadrature sample the

@@ -65,9 +65,5 @@ class UnitGradientViolation(EtagapError):
     """A test function does not have unit metric gradient on the domain."""
 
 
-class HypothesisViolated(EtagapError):
-    """A check's hypothesis fails for the given inputs; the row is skipped."""
-
-
 class ConfigError(EtagapError):
     """Scenario configuration is malformed or inconsistent."""

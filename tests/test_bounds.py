@@ -23,7 +23,6 @@ from etagap.bounds import (
     yang_check,
 )
 from etagap.errors import (
-    HypothesisViolated,
     InsufficientSpectrum,
     InvalidInstance,
     NonpositiveRadicand,
@@ -38,6 +37,7 @@ from etagap.fields import (
     identity_tensor,
 )
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
+from etagap.scenario import lemma32_test_function
 from etagap.spectral import SpectrumResult, solve_lowest
 
 EUC2 = euclidean(2)
@@ -631,39 +631,82 @@ class TestCor32:
             assert r.rhs_315 == pytest.approx(expect, rel=1e-10)
 
 
+def _by_k(rows):
+    return {r.k: r for r in rows}
+
+
+def _rel(a, b):
+    return abs(a - b) / abs(b)
+
+
 class TestLemma32:
     def test_coordinate_g_positive_margin(self, lemma32_setup):
         pair, spectrum = lemma32_setup
-        res = lemma32_check(spectrum, pair, AffineScalar([1.0, 0.0]), j=1, k=2)
-        assert res.ok
-        assert res.margin > 0.0
+        rows = lemma32_check(spectrum, pair, AffineScalar([1.0, 0.0]))
+        assert [r.k for r in rows] == list(range(1, 9))
+        row = _by_k(rows)[2]
+        assert row.status == "checked" and row.ok and row.rhs > row.lhs
+        # x1 keeps the box's symmetry in x2: every other row is degenerate or has no cross term
+        assert {r.k for r in rows if r.status == "checked"} == {2}
 
     def test_constant_g_hypothesis_violated(self, lemma32_setup):
         pair, spectrum = lemma32_setup
-        with pytest.raises(HypothesisViolated):
-            lemma32_check(spectrum, pair, ConstantScalar(2, 1.0), j=1, k=2)
+        rows = lemma32_check(spectrum, pair, ConstantScalar(2, 1.0))
+        assert rows and all(r.status == "skipped" for r in rows)
+        assert {r.reason for r in rows} == {"degenerate gap", "cross term int g u_j u_{k+1} dm vanishes"}
 
     def test_j_equal_kplus1_skipped(self, lemma32_setup):
         pair, spectrum = lemma32_setup
-        with pytest.raises(HypothesisViolated):
-            lemma32_check(spectrum, pair, AffineScalar([1.0, 0.0]), j=3, k=2)
-
-    def test_partial_spectrum_rejected(self, lemma32_setup):
-        pair, _ = lemma32_setup
-        small = solve_lowest(pair, 5)
-        with pytest.raises(InsufficientSpectrum):
-            lemma32_check(small, pair, AffineScalar([1.0, 0.0]), j=1, k=2)
+        row = _by_k(lemma32_check(spectrum, pair, AffineScalar([1.0, 0.0]), j=3))[2]  # lambda_3 = lambda_2
+        assert (row.status, row.reason) == ("skipped", "lambda_j >= lambda_{k+1}")
 
     def test_quadratic_g_rows(self, lemma32_setup):
         # a second, asymmetric test function to exercise more admissible rows
         pair, spectrum = lemma32_setup
         g = QuadraticScalar(np.diag([1.0, 0.4]), [0.3, 0.0])
-        checked = 0
-        for k in range(1, 8):
-            try:
-                res = lemma32_check(spectrum, pair, g, j=1, k=k)
-            except HypothesisViolated:
+        checked = [r for r in lemma32_check(spectrum, pair, g) if r.status == "checked"]
+        assert len(checked) >= 2 and all(r.ok for r in checked)
+
+    def test_rows_reach_k_equal_K_minus_2(self, lemma32_setup):
+        pair, _ = lemma32_setup
+        rows = lemma32_check(solve_lowest(pair, 8), pair, lemma32_test_function(2))
+        assert [r.k for r in rows] == [1, 2, 3, 4, 5, 6]
+        assert lemma32_check(solve_lowest(pair, 2), pair, lemma32_test_function(2)) == []
+
+    def test_statuses_invariant_under_scaling_g(self, lemma32_setup):
+        pair, spectrum = lemma32_setup
+        g = lemma32_test_function(2)
+        base = lemma32_check(spectrum, pair, g)
+        assert sum(r.status == "checked" for r in base) >= 2
+        for s in (1e-11, 1e6):
+            scaled = lemma32_check(spectrum, pair, QuadraticScalar(s * g.Q, s * g.b))
+            assert [r.status for r in scaled] == [r.status for r in base]
+            for a, b in zip(scaled, base):
+                if b.status == "checked":
+                    assert a.lhs / a.rhs == pytest.approx(b.lhs / b.rhs, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "box, res, mask, path",
+        [
+            ([(0, np.pi), (0, np.pi)], 20, None, "separable"),
+            ([(-1, 1), (-1, 1)], 24, lambda centers: np.linalg.norm(centers, axis=1) <= 1.0, "superlu"),
+        ],
+        ids=["square", "disk"],
+    )
+    def test_partial_spectrum_rows_match_full(self, box, res, mask, path):
+        dom = make_box_domain(box, [res, res], EUC2, mask)
+        pair = assemble(dom, identity_tensor(2), ConstantScalar(2))
+        partial = solve_lowest(pair, 12)
+        assert partial.meta.get("inverse", partial.meta["method"]) == path
+        full = solve_lowest(pair, pair.ndof, method="dense")
+        g = lemma32_test_function(2)
+        rows, ref = lemma32_check(partial, pair, g), lemma32_check(full, pair, g)
+        assert [(r.k, r.status) for r in rows] == [(r.k, r.status) for r in ref]
+        assert [r.k for r in rows] == list(range(1, 9))
+        assert any(r.status == "checked" for r in rows)
+        for a, b in zip(rows, ref):
+            if b.rhs == 0.0:  # skipped on the eigenvalues alone, before any integral
                 continue
-            checked += 1
-            assert res.ok
-        assert checked >= 2
+            # u_{k+1} is fixed only up to a rotation in its multiplet, so the cross term is not compared
+            for x, y in ((a.lhs, b.lhs), (a.rhs, b.rhs), (a.projection_residual, b.projection_residual)):
+                assert _rel(x, y) <= 1e-12

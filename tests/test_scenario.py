@@ -232,11 +232,20 @@ class TestBuiltins:
                 if row.status == "checked":
                     assert row.ok_314 and row.ok_315 and row.implication_ok
 
+    @pytest.mark.parametrize("k", ["full", 12])
+    def test_lemma32_square_checks_two_rows(self, k):
+        # the dense full spectrum and the separable partial one give the same row statuses
+        rep = run_scenario(apply_overrides(builtin_config("lemma32_square"), {"k": k}), write=False)
+        assert not rep.errors and rep.exit_code() == 0
+        checked = [r.k for r in rep.lemma32_rows if r.status == "checked"]
+        assert checked == [2, 3] and all(r.ok for r in rep.lemma32_rows if r.status == "checked")
+
     def test_halfspace_profile_builtin(self):
         # the builtin with a variable tensor: t0 and c0 read dT, div T, grad div T and dv
         rep = run_scenario(builtin_config("halfspace_profile"), write=False)
         counts = rep.counts()
-        assert (counts["pass"], counts["fail"], counts["inconclusive"]) == (23, 0, 0) and not rep.errors
+        assert (counts["pass"], counts["fail"], counts["inconclusive"]) == (29, 0, 0) and not rep.errors
+        assert [(r.k, r.status) for r in rep.lemma32_rows] == [(k, "checked") for k in range(1, 7)]
         assert rep.constants.t0 == pytest.approx(1.12761, rel=1e-5)
         assert rep.constants.c0 == pytest.approx(-1.75736, rel=1e-5)
 

@@ -80,14 +80,21 @@ class OperatorPair:
 
 
 def quad_data(domain: GridDomain, drift: ScalarField):
-    """Points, measure weights e^(-eta) W_g, and metric gradient factor."""
+    """Points, measure weights e^(-eta) W_g, and metric gradient factor.
+
+    Raises NonFiniteValue unless every weight is finite and positive.
+    """
     pts, w = domain.quadrature()
     ncell, nq, n = pts.shape
     flat = pts.reshape(-1, n)
     eta = drift.value(flat).reshape(ncell, nq)
     wg = volume_weight(domain.metric, flat).reshape(ncell, nq)
     grad_factor = inverse_metric_factor(domain.metric, flat).reshape(ncell, nq)
-    dm = w[None, :] * domain.cell_volume() * np.exp(-eta) * wg
+    with np.errstate(over="ignore"):
+        dm = w[None, :] * domain.cell_volume() * np.exp(-eta) * wg
+    # an under- or overflowing weight would leave B singular or non-finite
+    if not np.all((dm > 0.0) & np.isfinite(dm)):
+        raise NonFiniteValue("measure weight e^(-eta) W_g is not finite and positive at every quadrature point")
     return pts, dm, grad_factor
 
 

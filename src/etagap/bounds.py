@@ -100,8 +100,35 @@ LEMMA31_TOL = 1e-12  # absolute slack of the conclusion; tight two-level rows si
 
 
 def _fsum_rows(x: np.ndarray) -> np.ndarray:
-    """The correctly rounded sum of each row (``math.fsum``)."""
-    return np.fromiter(map(math.fsum, x.tolist()), dtype=float, count=x.shape[0])
+    """The correctly rounded sum of each row, bit for bit ``math.fsum``.
+
+    Each row is summed in extended precision and rounded to the nearest
+    double s.  Any order of the m - 1 additions errs by less than
+    (m - 1) u sum|x|, u the longdouble unit roundoff; e = m u sum|x| also
+    covers the rounding of e and of the test below.  The residual d of
+    the rounding to s is exact, so the exact sum lies within e of s + d.
+    Where that interval sits strictly inside s's rounding interval, s is
+    the correct rounding.  The other rows, near a tie, a zero or an
+    overflow, go to ``math.fsum``, which also raises where it would; so
+    does every row where longdouble is plain double, as e is then at
+    least half an ulp of s.  Below 32 rows the array passes cost more
+    than ``math.fsum`` on every row.
+    """
+    if x.shape[0] < 32:
+        return np.fromiter(map(math.fsum, x.tolist()), dtype=float, count=x.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite sums are never certified
+        ext = np.sum(x, axis=1, dtype=np.longdouble)
+        s = ext.astype(float)
+        d = ext - s
+        total = np.sum(np.abs(x), axis=1, dtype=np.longdouble)
+        err = x.shape[1] * np.finfo(np.longdouble).epsneg * total
+        up = (np.nextafter(s, np.inf) - s).astype(np.longdouble) / 2
+        down = (s - np.nextafter(s, -np.inf)).astype(np.longdouble) / 2
+        # below the largest double no partial sum overflows, which math.fsum raises on
+        certified = (d + err < up) & (err - d < down) & (s != 0.0) & (total + err < np.finfo(float).max)
+    for i in np.flatnonzero(~certified):
+        s[i] = math.fsum(x[i].tolist())
+    return s
 
 
 def _lemma31_rows(mu: np.ndarray, r: np.ndarray, m1: np.ndarray) -> tuple:
@@ -603,7 +630,7 @@ class Lemma32Row:
     k: int
     lhs: float
     rhs: float
-    cross_term: float
+    cross_term: float  # norm of g u_j's projection onto the multiplet of l_{k+1}, >= 0
     projection_residual: float
     status: str  # checked | skipped
     reason: str = ""
@@ -627,10 +654,14 @@ def lemma32_check(
 
     Row k reads only l_j, l_{k+1}, l_{k+2}, u_j, u_1..u_{k+1}, so any
     spectrum that reaches l_{k+2} serves.  A row is skipped unless
-    l_j < l_{k+1} < l_{k+2} strictly, the cross term int g u_j u_{k+1} dm
-    exceeds 1e-10 ||g u_j|| and g u_j lies outside the span of
-    u_1..u_{k+1} (nodal B-projection residual above 1e-8 ||g u_j||_B).
-    Both thresholds scale with g, as both sides of the inequality do.
+    l_j < l_{k+1} < l_{k+2} strictly, the cross term exceeds
+    1e-10 ||g u_j|| and g u_j lies outside the span of u_1..u_{k+1} (nodal
+    B-projection residual above 1e-8 ||g u_j||_B).  The cross term is the
+    nonnegative norm sqrt(sum_i (int g u_j u_i dm)^2) over the multiplet
+    of l_{k+1}: it does not depend on which orthonormal basis of that
+    eigenspace, or which signs, the solver returned, where the single
+    int g u_j u_{k+1} dm would.  Both thresholds scale with g, as both
+    sides of the inequality do.
     """
     lam = spectrum.eigenvalues
     labels = multiplet_labels(lam)
@@ -662,14 +693,15 @@ def lemma32_check(
         if not lam_j < l_k1 or labels[j - 1] == labels[k]:
             rows.append(Lemma32Row(k, 0.0, 0.0, 0.0, 0.0, "skipped", "lambda_j >= lambda_{k+1}"))
             continue
-        uk1 = _mode_at_quadrature(spectrum, pair, k + 1)[0]
-        cross = float(np.sum(gv * uj * uk1 * dm))
+        # the norm of g u_j's projection onto the whole multiplet of l_{k+1}, whatever its basis
+        members = np.flatnonzero(labels == labels[k]) + 1
+        cross = math.hypot(*(float(np.sum(gv * uj * _mode_at_quadrature(spectrum, pair, i)[0] * dm)) for i in members))
         basis = spectrum.eigenvectors[:, : k + 1]
         resid_vec = w - basis @ (basis.T @ bw)
         resid = float(np.sqrt(max(resid_vec @ (pair.B @ resid_vec), 0.0)))
         lhs = ((l_k1 - lam_j) + (l_k2 - lam_j)) * igg
         rhs = ib + (l_k2 - lam_j) * (l_k1 - lam_j) * igu
-        if abs(cross) <= 1e-10 * math.sqrt(igu):
+        if cross <= 1e-10 * math.sqrt(igu):
             reason = "cross term int g u_j u_{k+1} dm vanishes"
         elif resid <= 1e-8 * w_norm:
             reason = "g u_j lies in the span of u_1..u_{k+1}"

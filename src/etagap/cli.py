@@ -139,6 +139,7 @@ SOLVER_FIELDS = (
     ("ordering", lambda v: type(v) is str, str),
     ("axis_ndof", lambda v: type(v) is list and all(map(_integer, v)), lambda v: " x ".join(map(str, v))),
     ("factor_nnz", _integer, str),
+    ("band", _integer, str),
     ("ncv", _integer, str),
     ("op_applications", _integer, str),
     ("max_residual", lambda v: type(v) in (int, float), "{:.3e}".format),

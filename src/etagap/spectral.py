@@ -15,11 +15,14 @@ spectral transformation of Ericsson-Ruhe 1980, whitened by C).  Otherwise
 it runs generalized mode 3 on (A, B) with one SuperLU factor of A in the
 symmetric A + A^T minimum-degree ordering.  ``"dense"`` and
 ``"shift_invert"`` force their solver; the dense path doubles as the
-oracle for small problems.  It runs LAPACK's sygvd in place on
-Fortran-order copies of A and B, so it holds four ndof x ndof arrays
-(A, B and the 2 ndof^2 workspace) and, for a full spectrum, at most three
-after it: the residuals and the Gram defect are formed in place.  Every
-path's vectors are B-normalised and checked against the assembled pair.
+oracle for small problems.  It factors B = L L^T in LAPACK band storage
+(a Q1 mass couples only grid neighbours, so B's half-bandwidth is one
+grid row plus one in 2-D), whitens A in place to
+C = L^-1 A L^-T with two banded triangular solves, and runs syevd on C:
+three ndof x ndof arrays (C and the 2 ndof^2 workspace) where sygvd on
+dense A and B held four, and for a full spectrum at most three after it:
+the residuals and the Gram defect are formed in place.  Every path's
+vectors are B-normalised and checked against the assembled pair.
 Eigenvectors are B-orthonormal, eigenvalues ascending with multiplicities
 repeated.
 """
@@ -32,10 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .assembly import AxisFactors, OperatorPair, axis_factors
-from .errors import ConvergenceFailure, DimensionMismatch
+from .errors import ConvergenceFailure, DimensionMismatch, NotPositiveDefinite
 
 DEFAULT_SOLVE_TOL = 1e-9
 DEFAULT_ORTHO_TOL = 1e-8
@@ -160,6 +165,37 @@ def _whitened_inverse(factors: AxisFactors):
     return apply, back
 
 
+def _dense(pair: OperatorPair) -> tuple[np.ndarray, np.ndarray, int]:
+    """All eigenpairs of (A, B), ascending, and the half-bandwidth kd of B.
+
+    B = L L^T with L lower triangular of B's half-bandwidth kd, factored in
+    LAPACK band storage (dpbtrf).  C = L^-1 A L^-T is formed in A's dense
+    Fortran-order array by two banded triangular solves (dtbtrs) with one
+    transposed copy between them; syevd overwrites C with its eigenvectors
+    v, and u = L^-T v in place.  A nonzero LAPACK info raises.
+    """
+    lower = sp.tril(pair.B, format="coo")
+    band = int(np.max(lower.row - lower.col))
+    stored = np.zeros((band + 1, pair.ndof), order="F")
+    stored[lower.row - lower.col, lower.col] = lower.data
+    factor, info = lapack.dpbtrf(stored, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"B is not positive definite (dpbtrf info {info})")
+
+    def solve(x, trans="N"):
+        x, info = lapack.dtbtrs(factor, x, uplo="L", trans=trans, overwrite_b=1)
+        if info != 0:
+            raise ConvergenceFailure(f"banded triangular solve failed (dtbtrs info {info})")
+        return x
+
+    c = solve(np.asfortranarray(solve(pair.A.toarray(order="F")).T))
+    try:
+        lam, vecs = sla.eigh(c, overwrite_a=True, driver="evd", check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
+    return lam, solve(vecs, trans="T"), band
+
+
 def _lanczos(apply, ndof: int, k: int, seed: int, shift_invert: OperatorPair | None = None):
     """ARPACK's k extreme eigenpairs of the operator x -> apply(x), and its diagnostics.
 
@@ -218,9 +254,9 @@ def solve_lowest(
         # ARPACK needs k < ncv, and ncv is at most ndof - 1
         raise DimensionMismatch(f"shift_invert needs k <= ndof - 2 = {ndof - 2}, got k={k}")
     if ndof > 2000 and (path == "dense" or k >= ndof - 1):
-        # dense: four ndof x ndof arrays in eigh (A, B and sygvd's 2 ndof^2
-        # workspace), 122 MiB and about 2 s at 2000 DOFs; a full spectrum on
-        # any path: the eigenvectors, then three such arrays in the checks
+        # dense: three ndof x ndof arrays (C and syevd's 2 ndof^2 workspace),
+        # 92 MiB and about 2.3 s at 2000 DOFs; a full spectrum on any path:
+        # the eigenvectors, then three such arrays in the checks
         raise DimensionMismatch(
             f"{path} solve of k={k} limited to 2000 DOFs (have {ndof}); lower k or refine less"
         )
@@ -229,18 +265,10 @@ def solve_lowest(
         lam, vecs = _separable(factors, k)
         meta = {"method": path, "axis_ndof": factors.axis_ndof}
     elif path == "dense":
-        # Fortran-order inputs with the overwrite flags reach sygvd uncopied,
-        # and the eigenvectors land in A's array
-        lam, vecs = sla.eigh(
-            pair.A.toarray(order="F"),
-            pair.B.toarray(order="F"),
-            overwrite_a=True,
-            overwrite_b=True,
-            check_finite=False,
-        )
+        lam, vecs, band = _dense(pair)
         # C order once, so that no later sparse-times-dense product copies it
         lam, vecs = lam[:k], np.ascontiguousarray(vecs[:, :k])
-        meta = {"method": path}
+        meta = {"method": path, "band": band}
     else:
         if factors is not None:
             apply, back = _whitened_inverse(factors)

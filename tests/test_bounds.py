@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etagap import bounds
 from etagap.assembly import assemble
@@ -161,6 +163,51 @@ class TestLemma31Suite:
             suite = lemma31_suite(np.random.default_rng(seed), 10_000)
             assert suite.counterexamples == []
             assert suite.hypothesis_satisfied > 9_000
+
+
+def _fsum_each(x):
+    return np.array([math.fsum(row) for row in x.tolist()])
+
+
+@st.composite
+def _row_blocks(draw):
+    """1..8 rows of one length 1..50, nonnegative or signed, with subnormals and exponents up to 1e300.
+
+    They repeat to 32 rows, the fewest that take the array passes.
+    """
+    length, count = draw(st.integers(1, 50)), draw(st.integers(1, 8))
+    low = 0.0 if draw(st.booleans()) else -1e300
+    entry = st.floats(min_value=low, max_value=1e300, allow_subnormal=True)
+    rows = draw(st.lists(st.lists(entry, min_size=length, max_size=length), min_size=count, max_size=count))
+    return np.resize(np.array(rows), (32, length))
+
+
+class TestFsumRows:
+    @given(_row_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_math_fsum(self, x):
+        assert np.array_equal(bounds._fsum_rows(x).view(np.int64), _fsum_each(x).view(np.int64))
+
+    def test_half_way_rows(self):
+        ties = [[1.0, 2.0**-53, 0.0], [1.0, 2.0**-53, 2.0**-110], [1.0 + 2.0**-52, 2.0**-53, 0.0]]
+        # enough ordinary rows around them that the array passes run
+        x = np.vstack([np.random.default_rng(0).uniform(-1.0, 1.0, (40, 3)), ties])
+        got = bounds._fsum_rows(x)
+        assert np.array_equal(got.view(np.int64), _fsum_each(x).view(np.int64))
+        assert got[-3:].tolist() == [1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51]
+
+    def test_intermediate_overflow_raises_like_math_fsum(self):
+        x = np.ones((40, 3))
+        x[7] = [1e308, 1e308, -1e308]  # sums to 1e308, but math.fsum overflows on the way
+        with pytest.raises(OverflowError):
+            math.fsum(x[7])
+        with pytest.raises(OverflowError):
+            bounds._fsum_rows(x)
+
+    def test_lemma31_rows_bit_identical(self):
+        mu, r, _, _ = bounds._draw_lemma31(np.random.default_rng(0), LEMMA31_CHUNK)
+        for x in (mu * r * r, mu * mu * r * r, r * r):
+            assert np.array_equal(bounds._fsum_rows(x).view(np.int64), _fsum_each(x).view(np.int64))
 
 
 class TestTheorem11:
@@ -666,6 +713,21 @@ class TestLemma32:
         g = QuadraticScalar(np.diag([1.0, 0.4]), [0.3, 0.0])
         checked = [r for r in lemma32_check(spectrum, pair, g) if r.status == "checked"]
         assert len(checked) >= 2 and all(r.ok for r in checked)
+
+    def test_rows_invariant_under_rotation_in_a_multiplet(self, lemma32_setup):
+        pair, spectrum = lemma32_setup
+        assert spectrum.multiplicity_groups()[1] == spectrum.multiplicity_groups()[2]  # lambda_2 = lambda_3
+        c, s = math.cos(0.7), math.sin(0.7)
+        vecs = spectrum.eigenvectors.copy()
+        vecs[:, 1:3] = vecs[:, 1:3] @ np.array([[c, -s], [s, c]])
+        rotated = SpectrumResult(spectrum.eigenvalues, vecs, spectrum.residuals, dict(spectrum.meta))
+        g = lemma32_test_function(2)
+        base, rows = lemma32_check(spectrum, pair, g), lemma32_check(rotated, pair, g)
+        assert [r.status for r in rows] == [r.status for r in base]
+        assert base[1].status == "checked" and base[1].cross_term > 1.0
+        for a, b in zip(rows, base):
+            assert a.cross_term >= 0.0
+            assert a.cross_term == pytest.approx(b.cross_term, rel=1e-10, abs=1e-14)
 
     def test_rows_reach_k_equal_K_minus_2(self, lemma32_setup):
         pair, _ = lemma32_setup

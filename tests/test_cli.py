@@ -135,6 +135,26 @@ class TestVerifyCommand:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert abs(summary["parseval_defect"]) <= 1e-10
 
+    @pytest.mark.parametrize("slope", ["800", "-800"])
+    @pytest.mark.parametrize(
+        "solver",
+        [{"k": "full", "method": "dense"}, {"k": 6}, {"k": 6, "method": "shift_invert"}],
+        ids=["dense", "auto", "shift_invert"],
+    )
+    def test_out_of_range_measure_weight_run_failed(self, tmp_path, capsys, slope, solver):
+        # e^(-800 x_1) underflows and e^(800 x_1) overflows on [0, pi]^2
+        cfg = small_square_config(
+            tmp_path,
+            domain={"bounds": [["0", "3.141592653589793"], ["0", "3.141592653589793"]], "resolution": [12, 12]},
+            drift={"kind": "affine", "coeffs": [slope, "0"]},
+            solver=solver,
+            bounds={},
+            verify=[],
+        )
+        assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "run failed: NonFiniteValue: measure weight" in err and "Traceback" not in err
+
 
 class TestLemma31Command:
     def test_seeded_run_exit_zero(self, capsys):
@@ -199,8 +219,12 @@ class TestReportCommand:
                 {"metric": "hyperbolic", "domain": {"bounds": [["0", "1"], ["1", "2"]], "resolution": [24, 24]}},
                 "solver: method = shift_invert, inverse = fast_diagonalization, axis_ndof = 23 x 23, ncv = 28, op_applications = ",
             ),
+            (
+                {"domain": {"bounds": [["0", "1"], ["0", "1"]], "resolution": [12, 12]}, "solver": {"k": 6, "method": "dense"}},
+                "solver: method = dense, band = 12, max_residual = ",
+            ),
         ],
-        ids=["separable", "superlu", "fast_diagonalization"],
+        ids=["separable", "superlu", "fast_diagonalization", "dense"],
     )
     def test_render_solver_block(self, tmp_path, capsys, over, expected):
         cfg = small_square_config(tmp_path, bounds={}, **over)
@@ -228,6 +252,7 @@ class TestReportCommand:
             {"counts": {"pass": 1}, "solver": {"method": "separable", "axis_ndof": [47, 4.5]}},
             {"counts": {"pass": 1}, "solver": {"method": "dense", "max_residual": "small"}},
             {"counts": {"pass": 1}, "solver": {"method": "shift_invert", "ncv": True}},
+            {"counts": {"pass": 1}, "solver": {"method": "dense", "band": 12.5}},
         ],
         ids=[
             "top_level_list",
@@ -242,6 +267,7 @@ class TestReportCommand:
             "fractional_axis_ndof",
             "word_max_residual",
             "bool_ncv",
+            "fractional_band",
         ],
     )
     def test_malformed_summary_exit_3(self, tmp_path, capsys, summary):

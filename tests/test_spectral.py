@@ -1,5 +1,6 @@
 """Eigensolver: oracle spectra, validation identities, Parseval."""
 
+import dataclasses
 import functools
 import tracemalloc
 
@@ -11,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 from etagap import spectral
 from etagap.assembly import assemble, axis_factors
-from etagap.errors import ConvergenceFailure, DimensionMismatch
+from etagap.errors import ConvergenceFailure, DimensionMismatch, NotPositiveDefinite
 from etagap.fields import (
     AffineScalar,
     ConstantScalar,
@@ -22,7 +23,7 @@ from etagap.fields import (
     tensor_preset,
 )
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
-from etagap.scenario import build_problem, builtin_config
+from etagap.scenario import apply_overrides, build_problem, builtin_config
 from etagap.spectral import (
     SpectrumResult,
     _normalise,
@@ -213,8 +214,26 @@ class TestShiftInvert:
     def test_dense_meta_has_no_factor(self):
         res = solve_lowest(square_pair(8), 4, method="dense")
         assert res.meta["method"] == "dense"
+        # B couples DOF r with r +- (7 + 1) on the 7 x 7 interior grid, and no further
+        assert res.meta["band"] == 8
         assert "max_residual" in res.meta
         assert not {"ordering", "factor_nnz", "ncv", "op_applications"} & set(res.meta)
+
+    def test_dense_full_spectrum_matches_separable(self):
+        cfg = apply_overrides(builtin_config("lemma32_square"), {"resolution": 40})
+        _, domain, tensor, drift = build_problem(cfg)
+        pair = assemble(domain, tensor, drift)
+        assert pair.ndof == 1521
+        dense = solve_lowest(pair, pair.ndof, method="dense", solve_tol=cfg.solver.solve_tol)
+        sep = solve_lowest(pair, pair.ndof, solve_tol=cfg.solver.solve_tol)
+        assert (dense.meta["method"], dense.meta["band"], sep.meta["method"]) == ("dense", 40, "separable")
+        rel = np.abs(dense.eigenvalues - sep.eigenvalues) / sep.eigenvalues
+        assert np.max(rel) <= 1e-10
+
+    def test_dense_indefinite_mass_raises(self):
+        pair = square_pair(8)
+        with pytest.raises(NotPositiveDefinite, match="dpbtrf"):
+            solve_lowest(dataclasses.replace(pair, B=-pair.B), 4, method="dense")
 
 
 SEPARABLE_CASES = {
@@ -568,7 +587,7 @@ class TestInPlaceBitwise:
 
 
 def test_dense_working_set():
-    """sygvd needs A, B and 2 ndof^2 of workspace; each check after it, three ndof^2 blocks with the eigenvectors."""
+    """The whitened solve needs C and syevd's 2 ndof^2 workspace; each check after it, three ndof^2 blocks with the eigenvectors."""
     cfg = builtin_config("lemma32_square")
     _, domain, tensor, drift = build_problem(cfg)
     pair = assemble(domain, tensor, drift)
@@ -588,6 +607,6 @@ def test_dense_working_set():
     finally:
         tracemalloc.stop()
     solve_peak, residuals_peak, validate_peak = peaks
-    assert solve_peak <= 4.5
+    assert solve_peak <= 3.5
     assert residuals_peak <= 3.5
     assert validate_peak <= 3.5

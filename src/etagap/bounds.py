@@ -15,9 +15,13 @@ against a spectrum (computed or analytic):
     real-test-function inequality (``lemma32_check``), each a list of rows
     k = 1, 2, ... read off any computed low spectrum.
 
-Checks never hide numerical error: a gap row that exceeds its bound by
-less than three times the estimated discretization error is flagged
-``inconclusive`` rather than ``fail``.
+Every row carries its verdict in one ``status`` field, set here through
+``holds``: pass or fail, info for the k = 1 gap row, and skipped for a
+cor32 or lemma32 row outside the one admissibility rule of ``_rows``
+(lambda_{k+1} and lambda_{k+2} in different multiplets, lambda_j strictly
+below the multiplet of lambda_{k+1}).  Checks never hide numerical error:
+a gap row that exceeds its bound by less than three times the estimated
+discretization error is ``inconclusive`` rather than ``fail``.
 """
 
 from __future__ import annotations
@@ -351,7 +355,7 @@ class YangRow:
     k: int
     upsilon_next: float
     rhs: float
-    ok: bool
+    status: str  # pass | fail
 
 
 @dataclass(frozen=True)
@@ -359,10 +363,6 @@ class YangReport:
     shift: float
     upsilon1: float
     rows: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(row.ok for row in self.rows)
 
 
 def yang_check(spectrum, consts: OperatorConstants) -> YangReport:
@@ -380,7 +380,7 @@ def yang_check(spectrum, consts: OperatorConstants) -> YangReport:
     rows = []
     for k in range(1, lam.size):
         rhs = fac * k**expo * ups[0]
-        rows.append(YangRow(k, float(ups[k]), float(rhs), holds(ups[k], rhs)))
+        rows.append(YangRow(k, float(ups[k]), float(rhs), "pass" if holds(ups[k], rhs) else "fail"))
     return YangReport(shift, float(ups[0]), tuple(rows))
 
 
@@ -420,10 +420,6 @@ class GapReport:
         for row in self.rows:
             out[row.status] += 1
         return out
-
-    @property
-    def ok(self) -> bool:
-        return self.counts()["fail"] == 0
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -525,15 +521,26 @@ class Cor32Row:
     rhs_314: float
     lhs_315: float
     rhs_315: float
-    ok_314: bool
-    ok_315: bool
-    implication_ok: bool
-    status: str  # checked | skipped
+    status: str  # pass | fail | skipped
     reason: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.ok_314 and self.ok_315 and self.implication_ok
+
+def _rows(lam: np.ndarray, j: int, count: int):
+    """(k, l_{k+1}, l_{k+2}, skip reason) for k = 1..count: the row rule of cor32 and lemma32.
+
+    A row is admissible, with an empty reason, only when l_{k+1} and
+    l_{k+2} lie in different multiplets and l_j lies strictly below the
+    multiplet of l_{k+1}.
+    """
+    labels = multiplet_labels(lam)
+    for k in range(1, count + 1):
+        if labels[k] == labels[k + 1]:
+            reason = "degenerate gap"
+        elif not labels[j - 1] < labels[k]:  # labels ascend with lambda
+            reason = "lambda_j >= lambda_{k+1}"
+        else:
+            reason = ""
+        yield k, float(lam[k]), float(lam[k + 1]), reason
 
 
 def _mode_at_quadrature(spectrum: SpectrumResult, pair: assembly.OperatorPair, j: int):
@@ -554,17 +561,17 @@ def cor32_check(
 ) -> list:
     """Gap-squared and gap bounds from a unit-gradient test function.
 
-    For every admissible k (strict gap between lambda_{k+1} and
-    lambda_{k+2}), evaluates
+    For every row k that ``_rows`` admits, evaluates
 
-      (l_{k+2}-l_{k+1})^2 <= 16/s (I1 - I2/4 - I3/2) l_{k+2}         (square)
-      l_{k+2}-l_{k+1} <= 4/sqrt(s) (d l_j - I2/4 - I3/2)^0.5 l_{k+2}^0.5
+      (l_{k+2}-l_{k+1})^2 <= 16/s (I1 - I2/4 - I3/2) l_{k+2}         (3.14)
+      l_{k+2}-l_{k+1} <= 4/sqrt(s) (d l_j - I2/4 - I3/2)^0.5 l_{k+2}^0.5   (3.15)
 
     with I1 = int <T grad u_j, grad f>^2 dm, I2 = int (Lf)^2 u_j^2 dm,
-    I3 = int <grad(Lf), T grad f> u_j^2 dm, and asserts the row-wise
-    implication I1 <= delta * lambda_j that links the two.  The pipeline's
-    f is fields.axis_test_function, df = e_a / rho, whose L f and grad(L f)
-    are closed-form; a structurally zero one contributes 0 to I2 or I3.
+    I3 = int <grad(Lf), T grad f> u_j^2 dm.  A row passes when both hold
+    and so does I1 <= delta * lambda_j, which links the two.  The
+    pipeline's f is fields.axis_test_function, df = e_a / rho, whose L f
+    and grad(L f) are closed-form; a structurally zero one contributes 0
+    to I2 or I3.
     """
     lam = spectrum.eigenvalues
     pts, dm, grad_factor, sample = pair.pts, pair.dm, pair.grad_factor, pair.sample
@@ -590,24 +597,15 @@ def cor32_check(
 
     sig, dlt = consts.sigma, consts.delta
     lam_j = float(lam[j - 1])
-    implication_base = i1 <= dlt * lam_j * (1.0 + 1e-10)
+    linked = i1 <= dlt * lam_j * (1.0 + 1e-10)
+    bracket_314 = i1 - 0.25 * i2 - 0.5 * i3
+    bracket_315 = dlt * lam_j - 0.25 * i2 - 0.5 * i3
 
-    labels = multiplet_labels(lam)
     rows = []
-    for k in range(1, lam.size - 1):
-        l_k1, l_k2 = float(lam[k]), float(lam[k + 1])
-        if labels[k] == labels[k + 1]:
-            rows.append(
-                Cor32Row(k, 0, 0, 0, 0, False, False, implication_base, "skipped", "degenerate gap")
-            )
+    for k, l_k1, l_k2, reason in _rows(lam, j, lam.size - 2):
+        if reason:
+            rows.append(Cor32Row(k, 0, 0, 0, 0, "skipped", reason))
             continue
-        if not lam_j < l_k1:
-            rows.append(
-                Cor32Row(k, 0, 0, 0, 0, False, False, implication_base, "skipped", "lambda_j >= lambda_{k+1}")
-            )
-            continue
-        bracket_314 = i1 - 0.25 * i2 - 0.5 * i3
-        bracket_315 = dlt * lam_j - 0.25 * i2 - 0.5 * i3
         lhs_314 = (l_k2 - l_k1) ** 2
         rhs_314 = 16.0 / sig * bracket_314 * l_k2
         lhs_315 = l_k2 - l_k1
@@ -616,9 +614,8 @@ def cor32_check(
             if bracket_315 > 0.0
             else math.nan
         )
-        ok_314, ok_315 = holds(lhs_314, rhs_314), holds(lhs_315, rhs_315)
-        implication_ok = implication_base and (not ok_314 or ok_315)
-        rows.append(Cor32Row(k, lhs_314, rhs_314, lhs_315, rhs_315, ok_314, ok_315, bool(implication_ok), "checked"))
+        ok = linked and holds(lhs_314, rhs_314) and holds(lhs_315, rhs_315)
+        rows.append(Cor32Row(k, lhs_314, rhs_314, lhs_315, rhs_315, "pass" if ok else "fail"))
     return rows
 
 
@@ -632,12 +629,8 @@ class Lemma32Row:
     rhs: float
     cross_term: float  # norm of g u_j's projection onto the multiplet of l_{k+1}, >= 0
     projection_residual: float
-    status: str  # checked | skipped
+    status: str  # pass | fail | skipped
     reason: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return holds(self.lhs, self.rhs)
 
 
 def lemma32_check(
@@ -653,8 +646,8 @@ def lemma32_check(
              + (l_{k+2}-l_j)(l_{k+1}-l_j) int g^2 u_j^2 dm
 
     Row k reads only l_j, l_{k+1}, l_{k+2}, u_j, u_1..u_{k+1}, so any
-    spectrum that reaches l_{k+2} serves.  A row is skipped unless
-    l_j < l_{k+1} < l_{k+2} strictly, the cross term exceeds
+    spectrum that reaches l_{k+2} serves.  Besides the rows ``_rows``
+    skips, a row is skipped unless the cross term exceeds
     1e-10 ||g u_j|| and g u_j lies outside the span of u_1..u_{k+1} (nodal
     B-projection residual above 1e-8 ||g u_j||_B).  The cross term is the
     nonnegative norm sqrt(sum_i (int g u_j u_i dm)^2) over the multiplet
@@ -685,13 +678,9 @@ def lemma32_check(
 
     lam_j = float(lam[j - 1])
     rows = []
-    for k in range(1, min(LEMMA32_ROWS, lam.size - 2) + 1):
-        l_k1, l_k2 = float(lam[k]), float(lam[k + 1])
-        if labels[k] == labels[k + 1]:
-            rows.append(Lemma32Row(k, 0.0, 0.0, 0.0, 0.0, "skipped", "degenerate gap"))
-            continue
-        if not lam_j < l_k1 or labels[j - 1] == labels[k]:
-            rows.append(Lemma32Row(k, 0.0, 0.0, 0.0, 0.0, "skipped", "lambda_j >= lambda_{k+1}"))
+    for k, l_k1, l_k2, reason in _rows(lam, j, min(LEMMA32_ROWS, lam.size - 2)):
+        if reason:
+            rows.append(Lemma32Row(k, 0.0, 0.0, 0.0, 0.0, "skipped", reason))
             continue
         # the norm of g u_j's projection onto the whole multiplet of l_{k+1}, whatever its basis
         members = np.flatnonzero(labels == labels[k]) + 1
@@ -705,7 +694,6 @@ def lemma32_check(
             reason = "cross term int g u_j u_{k+1} dm vanishes"
         elif resid <= 1e-8 * w_norm:
             reason = "g u_j lies in the span of u_1..u_{k+1}"
-        else:
-            reason = ""
-        rows.append(Lemma32Row(k, lhs, rhs, cross, resid, "skipped" if reason else "checked", reason))
+        status = "skipped" if reason else "pass" if holds(lhs, rhs) else "fail"
+        rows.append(Lemma32Row(k, lhs, rhs, cross, resid, status, reason))
     return rows

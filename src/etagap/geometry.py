@@ -3,11 +3,11 @@
 Both metric models are conformally flat, g = rho^-2 delta with an affine
 conformal factor rho: flat Euclidean space (rho = 1) and the upper-half-space
 model of hyperbolic space (curvature -1, rho = x_n on x_n > 0).  The volume
-weight, the inverse metric, gradient norms and the domain checks derive from
-rho alone; only the geodesics keep one closed form per model.  Domains are
-axis-aligned boxes carrying a per-cell inside-mask; curved shapes are
-approximated by staircase masks.  All objects are immutable after
-construction and safe for concurrent reads.
+weight, the inverse metric, gradient norms, the radial direction and the
+domain checks derive from rho alone; only the geodesic distance keeps one
+closed form per model.  Domains are axis-aligned boxes carrying a per-cell
+inside-mask; curved shapes are approximated by staircase masks.  All objects
+are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -129,44 +129,26 @@ def geodesic_distance(metric: MetricModel, x, y):
 
 
 def radial_unit_vector(metric: MetricModel, origin, p):
-    """Coordinate components of the unit tangent (away from `origin`).
+    """Coordinate components of the metric-unit direction of increasing distance from `origin`.
 
-    The returned vector v has |v|_g = 1 and points along the geodesic from
-    the origin through p, in the direction of increasing distance.
+    v = rho grad A / |grad A| is the metric gradient of A = |x - o|^2 / (rho(x) rho(o)),
+    normalised.  The distance d grows with A in both models (d = sqrt(A)
+    flat, cosh d = 1 + A / 2 in the half-space), so v = grad d, the tangent
+    at p of the geodesic from the origin through p.
     """
     pts, single = _as_points(p)
     o = np.asarray(origin, dtype=float)
-    _rho(metric, pts)
+    rho = _rho(metric, pts)
     _rho(metric, o[None, :])
-    if metric.is_hyperbolic:
-        out = np.empty_like(pts)
-        hdiff = pts[:, :-1] - o[:-1]
-        s = np.linalg.norm(hdiff, axis=1)
-        xn = pts[:, -1]
-        vertical = s < 1e-14
-        # vertical geodesic: tangent +-x_n e_n
-        sign_v = np.where(xn >= o[-1], 1.0, -1.0)
-        out[vertical, :-1] = 0.0
-        out[vertical, -1] = (sign_v * xn)[vertical]
-        if not np.all(vertical):
-            idx = ~vertical
-            si, xni, hi = s[idx], xn[idx], hdiff[idx]
-            u = hi / si[:, None]
-            # semicircle geodesic centred at offset c on the boundary
-            c = (si**2 + xni**2 - o[-1] ** 2) / (2.0 * si)
-            r = np.sqrt(c**2 + o[-1] ** 2)
-            theta_o = np.arctan2(o[-1], -c)
-            theta_x = np.arctan2(xni, si - c)
-            sgn = np.where(theta_x >= theta_o, 1.0, -1.0)
-            scale = sgn * xni / r
-            out[idx, :-1] = (scale * (-xni))[:, None] * u
-            out[idx, -1] = scale * (si - c)
-        return out[0] if single else out
-    diff = pts - o[None, :]
-    norms = np.linalg.norm(diff, axis=1)
+    # grad A over its positive factor 2 / (rho(x) rho(o)): (x - o) - |x - o|^2 b / (2 rho)
+    w = pts - o[None, :]
+    b = metric.grad_rho
+    if b is not None:
+        w = w - (np.sum(w * w, axis=1) / (2.0 * rho))[:, None] * b
+    norms = np.linalg.norm(w, axis=1)
     if np.any(norms == 0.0):
         raise OutOfDomain("radial direction undefined at the origin itself")
-    out = diff / norms[:, None]
+    out = rho[:, None] * (w / norms[:, None])
     return out[0] if single else out
 
 
@@ -235,7 +217,6 @@ class GridDomain:
         for off in itertools.product((0, 1), repeat=n):
             sl = tuple(slice(o, o + s) for o, s in zip(off, self.node_shape))
             interior &= padded[sl]
-        self._interior_mask = interior
         self.interior_flat = np.flatnonzero(interior.ravel())
         if self.interior_flat.size == 0:
             raise EmptyDomain("mask leaves no interior node")

@@ -334,17 +334,13 @@ class ScenarioReport:
 
     def counts(self) -> dict:
         out = {"pass": 0, "fail": 0, "inconclusive": 0, "info": 0, "skipped": 0, "errors": len(self.errors)}
-        for name, (ok, _margin) in self.validation.checks.items():
+        for ok, _margin in self.validation.checks.values():
             out["pass" if ok else "fail"] += 1
-        for rep in self.gap_reports.values():
-            for status, cnt in rep.counts().items():
-                out[status] += cnt
-        if self.yang_report is not None:
-            for row in self.yang_report.rows:
-                out["pass" if row.ok else "fail"] += 1
-        for rows in (*self.cor32_rows.values(), self.lemma32_rows):
+        gap = [row for rep in self.gap_reports.values() for row in rep.rows]
+        yang = () if self.yang_report is None else self.yang_report.rows
+        for rows in (gap, yang, *self.cor32_rows.values(), self.lemma32_rows):
             for row in rows:
-                out["skipped" if row.status == "skipped" else "pass" if row.ok else "fail"] += 1
+                out[row.status] += 1
         if self.parseval is not None:
             out["pass" if self.parseval >= -1e-10 else "fail"] += 1
         if self.oracle_error is not None and self.config.oracle_rtol is not None:
@@ -463,12 +459,11 @@ def run_scenario(
         for tag in cfg.theorems:
             try:
                 gc = bounds.THEOREMS[tag](lam1, consts)
-                k_range = cfg.k_range or (2, spectrum.k - 1)
                 rep = bounds.gap_check(
                     spectrum,
                     gc.value * cfg.c_scale,
                     gc.exponent,
-                    k_range=k_range,
+                    k_range=cfg.k_range,
                     tag=tag,
                     h=h_eff,
                     constants_used=_consts_dict(consts, lam1),

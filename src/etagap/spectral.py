@@ -293,7 +293,7 @@ def solve_lowest(
 
     vecs = _normalise(pair, vecs)
     res = _residuals(pair, lam, vecs)
-    if np.any(res > solve_tol):
+    if not np.all(res <= solve_tol):  # a nan residual fails too
         raise ConvergenceFailure(
             f"residuals up to {np.max(res):.3e} exceed tol {solve_tol:.1e}",
             residuals=res,

@@ -103,7 +103,7 @@ def test_criterion_4_drift_oracle(drift_run):
     assert rep.constants.c0 == pytest.approx(-0.25, abs=1e-6)
     rows = {r.k: r for r in rep.yang_report.rows}
     for k in range(1, 9):
-        assert rows[k].ok
+        assert rows[k].status == "pass"
         assert rows[k].upsilon_next == pytest.approx((k + 1) ** 2, rel=2e-3)
         assert rows[k].rhs == pytest.approx(5.0 * k**2, rel=2e-3)
     print(f"\nPASS criterion 4: drift oracle (C0 = {rep.constants.c0:.9f})")
@@ -148,8 +148,7 @@ def test_criterion_6_growth_bound_everywhere(
         "hyperbolic": hyperbolic_run,
     }.items():
         yang = rep.yang_report or yang_check(rep.spectrum, rep.constants)
-        assert yang.ok, f"growth bound failed on {name}"
-        assert yang.rows[0].ok  # the k = 1 reduction holds on every spectrum
+        assert all(row.status == "pass" for row in yang.rows), f"growth bound failed on {name}"
     print("\nPASS criterion 6: growth bound holds on all five spectra")
 
 
@@ -157,14 +156,12 @@ def test_criterion_7_test_function_inequalities(square_run):
     rep, _ = square_run
     assert set(rep.cor32_rows) == {"x1", "x2"}
     for label, rows in rep.cor32_rows.items():
-        checked = {r.k: r for r in rows if r.status == "checked"}
+        checked = {r.k: r for r in rows if r.status != "skipped"}
         valid_up_to_8 = [k for k in checked if k <= 8]
         assert sorted(valid_up_to_8) == [2, 3, 5, 7], f"admissible rows changed for {label}"
         for k in valid_up_to_8:
             row = checked[k]
-            assert row.ok_314, f"{label} k={k}: squared inequality failed"
-            assert row.ok_315, f"{label} k={k}: gap inequality failed"
-            assert row.implication_ok, f"{label} k={k}: implication failed"
+            assert row.status == "pass", f"{label} k={k}: {row.status}"
             assert row.rhs_314 - row.lhs_314 > 0 and row.rhs_315 - row.lhs_315 > 0
     print("\nPASS criterion 7: test-function inequalities for f = x1, x2 (j = 1, k <= 8)")
 

@@ -200,16 +200,27 @@ class TestRadialUnitVector:
         norms = np.linalg.norm(v, axis=1) / pts[:, -1]
         assert norms == pytest.approx(np.ones(40), abs=1e-12)
 
-    def test_hyperbolic_direction_matches_distance_growth(self):
+    @pytest.mark.parametrize(
+        "o, p",
+        [
+            ([0.1, 1.3], [0.9, 0.7]),
+            ([0.1, 1.3], [0.4, 2.2]),
+            ([0.1, 1.3], [0.1, 2.0]),
+            ([0.1, 1.3], [0.1, 0.6]),  # straight below the origin
+            ([0.0, 4.0], [0.0, 6.5]),  # straight above the origin
+            ([0.2, -0.3, 1.1], [0.7, 0.4, 0.5]),  # a 3-D half-space point
+        ],
+    )
+    def test_hyperbolic_direction_matches_distance_growth(self, o, p):
         # walking a small step along d_r increases the distance to o at unit rate
-        o = np.array([0.1, 1.3])
-        pts = np.array([[0.9, 0.7], [0.4, 2.2], [0.1, 2.0]])
-        v = radial_unit_vector(HYP2, o, pts)
+        metric = hyperbolic_half_plane(len(o))
+        o, p = np.array(o), np.array(p)
+        t = radial_unit_vector(metric, o, p)
+        assert np.linalg.norm(t) / p[-1] == pytest.approx(1.0, abs=1e-12)
         eps = 1e-6
-        for p, t in zip(pts, v):
-            d0 = geodesic_distance(HYP2, o, p)
-            d1 = geodesic_distance(HYP2, o, p + eps * t)
-            assert (d1 - d0) / eps == pytest.approx(1.0, abs=1e-4)
+        d0 = geodesic_distance(metric, o, p)
+        d1 = geodesic_distance(metric, o, p + eps * t)
+        assert (d1 - d0) / eps == pytest.approx(1.0, abs=1e-4)
 
 
 class TestWeightedVolume:

@@ -337,6 +337,13 @@ class TestSeparable:
         with pytest.raises(ConvergenceFailure):  # the same factors as the shift-invert inverse
             solve_lowest(pair, 4, method="shift_invert")
 
+    def test_nan_residual_fails_the_gate(self):
+        # the separable path never reads A, so only the residuals see the nan
+        pair = square_pair(12)
+        pair.A.data[0] = np.nan
+        with pytest.raises(ConvergenceFailure):
+            solve_lowest(pair, 4)
+
     def test_full_spectrum_limit_holds(self):
         pair = square_pair(48)  # 2209 DOFs
         with pytest.raises(DimensionMismatch):

@@ -119,6 +119,9 @@ def _stencil_csr(domain: GridDomain, vals) -> list[sp.csr_matrix]:
     # (r, r + o) in the node arrays stacked by |o| sits at r if o >= 0, else at r + o
     src = rows[:, None] + np.abs(np.arange(len(stencil)) - half) * nnode + np.minimum(flat_off, 0)
     src[cols < 0] = -1  # Dirichlet columns read the zero after the node arrays
+    # scipy's own index type, made once: it would downcast int64 arrays for every matrix
+    indices = cols.clip(0).ravel().astype(np.int32 if cols.size < 2**31 else np.int64)
+    indptr = np.arange(0, cols.size + 1, len(stencil), dtype=indices.dtype)
     out = []
     for v in vals:
         cell = np.zeros((v.shape[1],) + res)
@@ -128,9 +131,9 @@ def _stencil_csr(domain: GridDomain, vals) -> list[sp.csr_matrix]:
         for p, (i, j) in enumerate(zip(*np.triu_indices(len(corners)))):
             k = np.ravel_multi_index(corners[j] - corners[i] + 1, (3,) * n) - half
             node_arrays[k][tuple(slice(c, c + r) for c, r in zip(corners[i], res))] += cell[p]
-        indptr = np.arange(0, cols.size + 1, len(stencil))
-        out.append(sp.csr_matrix((upper[src].ravel(), cols.clip(0).ravel(), indptr), shape=(rows.size,) * 2))
-        out[-1].eliminate_zeros()  # in place, on this matrix's own arrays
+        # copies: eliminate_zeros works in place on this matrix's own arrays
+        out.append(sp.csr_matrix((upper[src].ravel(), indices.copy(), indptr.copy()), shape=(rows.size,) * 2))
+        out[-1].eliminate_zeros()
     return out
 
 

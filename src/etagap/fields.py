@@ -72,6 +72,7 @@ class ScalarField:
         raise NotImplementedError
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
+        """grad f at pts; the result may be a read-only view, so callers do not write to it."""
         raise NotImplementedError
 
     def hess(self, pts: np.ndarray) -> np.ndarray:
@@ -106,7 +107,8 @@ class AffineScalar(ScalarField):
         return self.c0 + pts @ self.b
 
     def grad(self, pts):
-        return np.broadcast_to(self.b, (pts.shape[0], self.dim)).copy()
+        # a read-only view, as ConstantTensor.matrix
+        return np.broadcast_to(self.b, (pts.shape[0], self.dim))
 
     def hess(self, pts):
         return np.zeros((pts.shape[0], self.dim, self.dim))

@@ -108,7 +108,9 @@ def gradient_norm(metric: MetricModel, p, coordinate_gradient):
     cov = np.asarray(coordinate_gradient, dtype=float)
     if cov.ndim == 1:
         cov = cov[None, :]
-    norms = np.linalg.norm(cov, axis=1) * rho
+    # one pass, no squares array; for n >= 3 it can move the last bit against
+    # np.linalg.norm, which only the 1e-10 unit-gradient gate in bounds reads
+    norms = np.sqrt(np.einsum("ij,ij->i", cov, cov)) * rho
     return float(norms[0]) if single else norms
 
 
@@ -248,13 +250,14 @@ class GridDomain:
         return self.node_coords(self.interior_flat)
 
     def cell_corner_nodes(self) -> np.ndarray:
-        """(ncell, 2^n) flat node indices of each masked cell's corners."""
-        n = self.dim
-        offsets = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
-        corners = self.masked_cells[:, None, :] + offsets[None, :, :]
-        return np.ravel_multi_index(
-            tuple(corners[..., d] for d in range(n)), self.node_shape
-        )
+        """(ncell, 2^n) flat node indices of each masked cell's corners.
+
+        Corner c of the cell at multi-index m has flat index (m + c) . s for
+        the node strides s: the cell's first corner plus a constant offset.
+        """
+        strides = np.cumprod((1,) + self.node_shape[:0:-1])[::-1]
+        offsets = np.array(list(itertools.product((0, 1), repeat=self.dim))) @ strides
+        return (self.masked_cells @ strides)[:, None] + offsets
 
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
@@ -268,10 +271,10 @@ class GridDomain:
         """
         if self._quad_cache is None:
             nodes, w = gauss_rule(self.dim)
-            lo = np.array([b[0] for b in self.bounds])
-            h = np.array(self.h)
-            base = lo[None, :] + self.masked_cells * h[None, :]
-            pts = base[:, None, :] + nodes[None, :, :] * h[None, None, :]
+            pts = np.empty((len(self.masked_cells), len(w), self.dim))
+            # per axis, in place: (lo + c h) + node h, the cell's low corner plus the node's offset
+            for d, ((lo, _), h) in enumerate(zip(self.bounds, self.h)):
+                np.add((lo + self.masked_cells[:, d] * h)[:, None], nodes[:, d] * h, out=pts[:, :, d])
             self._quad_cache = (pts, w)
         return self._quad_cache
 

@@ -108,15 +108,17 @@ def _separable(factors: AxisFactors, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Its eigenpairs are sums and tensor products of those of the 1-D
     pencils (K_a, M_a).  Axis a needs at most its lowest min(k, ndof_a)
-    pairs: each of its lower modes gives a smaller sum.  A stable sort
-    keeps the C order of the mode tuples within ties, so multiplets come
-    out in a fixed order.
+    pairs: each of its lower modes gives a smaller sum, and equal pencils
+    (both axes of a square) are solved once.  A stable sort keeps the C
+    order of the mode tuples within ties, so multiplets come out in a
+    fixed order.
     """
-    lams, vecs = [], []
-    for K, M in zip(factors.stiffness, factors.mass):
-        lam, vec = sla.eigh(K, M, subset_by_index=[0, min(k, M.shape[0]) - 1])
-        lams.append(lam)
-        vecs.append(vec)
+    pencils = list(zip(factors.stiffness, factors.mass))
+    eigs = []
+    for a, (K, M) in enumerate(pencils):
+        twin = next((b for b in range(a) if all(map(np.array_equal, pencils[b], (K, M)))), None)
+        eigs.append(sla.eigh(K, M, subset_by_index=[0, min(k, M.shape[0]) - 1]) if twin is None else eigs[twin])
+    lams, vecs = zip(*eigs)
     sums = functools.reduce(np.add.outer, lams)
     order = np.argsort(sums, axis=None, kind="stable")[:k]
     out = np.ones((1, k))

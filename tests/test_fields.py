@@ -344,6 +344,14 @@ def diag_affine_tensor():
     )
 
 
+def test_affine_grad_is_a_read_only_view():
+    pts = np.random.default_rng(5).standard_normal((6, 2))
+    grad = AffineScalar([1, 0]).grad(pts)
+    assert grad.shape == (6, 2) and np.array_equal(grad, np.tile([1.0, 0.0], (6, 1)))
+    with pytest.raises(ValueError):
+        grad[0, 0] = 2.0
+
+
 class TestTensorBounds:
     def test_identity(self, square_domain):
         assert tensor_bounds(identity_tensor(2), square_domain) == (1.0, 1.0)

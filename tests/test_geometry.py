@@ -1,5 +1,7 @@
 """Geometry: metrics, grids, distances, and their invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from etagap.geometry import (
     OriginPoint,
     domain_origin_distance,
     euclidean,
+    gauss_rule,
     geodesic_distance,
     gradient_norm,
     hyperbolic_half_plane,
@@ -237,3 +240,67 @@ class TestWeightedVolume:
             errs.append(abs(total - exact))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] < 1e-3
+
+
+# The general formulas that GridDomain and gradient_norm replaced with
+# closed forms on the uniform grid, kept as bitwise references.
+def corner_nodes_reference(dom):
+    offsets = np.array(list(itertools.product((0, 1), repeat=dom.dim)), dtype=np.int64)
+    corners = dom.masked_cells[:, None, :] + offsets[None, :, :]
+    return np.ravel_multi_index(tuple(corners[..., d] for d in range(dom.dim)), dom.node_shape)
+
+
+def quadrature_reference(dom):
+    nodes, _ = gauss_rule(dom.dim)
+    lo, h = np.array([b[0] for b in dom.bounds]), np.array(dom.h)
+    base = lo[None, :] + dom.masked_cells * h[None, :]
+    return base[:, None, :] + nodes[None, :, :] * h[None, None, :]
+
+
+def row_norms_reference(cov):
+    return np.linalg.norm(cov, axis=1)
+
+
+GRID_CASES = {
+    "interval": lambda: make_box_domain([(0.1, np.pi)], [7], euclidean(1)),
+    "square_256": lambda: make_box_domain([(0, np.pi), (0, np.pi)], [256, 256], EUC2),
+    "ball_box_3d": lambda: make_box_domain(
+        [(-1.0, 1.0), (-1.3, 0.7), (0.2, 2.3)],
+        [9, 10, 11],
+        euclidean(3),
+        lambda c: np.linalg.norm(c - np.array([0.0, -0.3, 1.25]), axis=1) <= 0.95,
+    ),
+    "half_space": lambda: make_box_domain([(-0.3, 1.7), (0.5, 2.25)], [13, 17], HYP2),
+}
+
+
+@pytest.fixture(scope="module", params=GRID_CASES)
+def grid(request):
+    dom = GRID_CASES[request.param]()
+    assert request.param != "ball_box_3d" or 0 < dom.masked_cells.shape[0] < np.prod(dom.resolution)
+    return dom
+
+
+class TestClosedFormGrid:
+    def test_corner_nodes(self, grid):
+        got, expected = grid.cell_corner_nodes(), corner_nodes_reference(grid)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_quadrature_points(self, grid):
+        pts, w = grid.quadrature()
+        assert np.array_equal(pts, quadrature_reference(grid))
+        assert np.array_equal(w, gauss_rule(grid.dim)[1])
+
+    def test_gradient_norm(self, grid):
+        pts = grid.quad_points_flat()
+        cov = np.random.default_rng(grid.dim).standard_normal(pts.shape)
+        rho = grid.metric.rho(pts)
+        got, expected = gradient_norm(grid.metric, pts, cov), row_norms_reference(cov) * rho
+        if grid.dim <= 2:
+            assert np.array_equal(got, expected)
+        else:
+            # In 3-D the einsum adds a row's squares in another order than
+            # np.linalg.norm, so the last bit can move.  compute_T0,
+            # geodesic_distance and radial_unit_vector keep np.linalg.norm:
+            # their values reach the written outputs, which stay bit-identical.
+            assert np.all(np.abs(got - expected) <= 2 * np.spacing(np.maximum(got, expected)))

@@ -272,6 +272,19 @@ def box_pair(bounds, resolution, tensor=None, drift=None, metric=None, mask_rule
     return assemble(dom, tensor or identity_tensor(dim), drift or ConstantScalar(dim))
 
 
+def separable_reference(factors, k):
+    """spectral._separable with one eigh per axis, equal pencils or not."""
+    lams, vecs = zip(
+        *(sla.eigh(K, M, subset_by_index=[0, min(k, M.shape[0]) - 1]) for K, M in zip(factors.stiffness, factors.mass))
+    )
+    sums = functools.reduce(np.add.outer, lams)
+    order = np.argsort(sums, axis=None, kind="stable")[:k]
+    out = np.ones((1, k))
+    for vec, modes in zip(vecs, np.unravel_index(order, sums.shape)):
+        out = (out[:, None, :] * vec[None, :, modes]).reshape(-1, k)
+    return sums.ravel()[order], out
+
+
 class TestSeparable:
     @pytest.mark.parametrize("case", SEPARABLE_CASES)
     def test_matches_dense(self, case):
@@ -343,6 +356,25 @@ class TestSeparable:
         pair.A.data[0] = np.nan
         with pytest.raises(ConvergenceFailure):
             solve_lowest(pair, 4)
+
+    def test_equal_axes_solved_once(self, monkeypatch):
+        # axes 0 and 1 are equal, axis 2 is not: two eigh calls, not three
+        pair = box_pair([(0, 1), (0, 1), (0, 1.5)], [7, 7, 5])
+        factors, k = axis_factors(pair), 15
+        expected = separable_reference(factors, k)
+        calls, eigh = [], spectral.sla.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.sla, "eigh", counted)
+        lam, vecs = spectral._separable(factors, k)
+        assert len(calls) == 2
+        assert np.array_equal(lam, expected[0]) and np.array_equal(vecs, expected[1])
+        sep, dense = solve_lowest(pair, k), solve_lowest(pair, k, method="dense")
+        assert sep.meta["method"] == "separable" and np.array_equal(sep.eigenvalues, lam)
+        assert np.max(np.abs(sep.eigenvalues - dense.eigenvalues) / dense.eigenvalues) <= 1e-10
 
     def test_full_spectrum_limit_holds(self):
         pair = square_pair(48)  # 2209 DOFs

@@ -20,9 +20,12 @@ oracle for small problems.  It factors B = L L^T in LAPACK band storage
 grid row plus one in 2-D), whitens A in place to
 C = L^-1 A L^-T with two banded triangular solves, and runs syevd on C:
 three ndof x ndof arrays (C and the 2 ndof^2 workspace) where sygvd on
-dense A and B held four, and for a full spectrum at most three after it:
-the residuals and the Gram defect are formed in place.  Every path's
-vectors are B-normalised and checked against the assembled pair.
+dense A and B held four.  The k kept eigenvectors of C are mapped back
+with the upper band factor L^T, a third of the time of the transposed
+solve with L.  Every path's vectors are then B-normalised, and one
+identity pass (one B U and one A U, at most three blocks the size of U)
+gives their residuals, Rayleigh quotients and Gram defect against the
+assembled pair; the Gram is formed over its upper block triangle only.
 Eigenvectors are B-orthonormal, eigenvalues ascending with multiplicities
 repeated.
 """
@@ -46,6 +49,7 @@ DEFAULT_SOLVE_TOL = 1e-9
 DEFAULT_ORTHO_TOL = 1e-8
 MULTIPLET_REL_TOL = 1e-6
 METHODS = ("auto", "dense", "shift_invert")
+GRAM_BLOCK = 256
 
 
 @dataclass
@@ -56,9 +60,14 @@ class SpectrumResult:
     eigenvectors: np.ndarray
     residuals: np.ndarray
     meta: dict = field(default_factory=dict)
-    # column j -> (pair, u_j, grad u_j, T grad u_j) at the pair's quadrature
-    # points, filled on first use by the checks in bounds
-    at_quadrature: dict = field(default_factory=dict, repr=False, compare=False)
+    # Caches of values of the eigenvectors.  init=False, so neither
+    # SpectrumResult(...) nor dataclasses.replace carries them over to other
+    # vectors.  Column j -> (pair, u_j, grad u_j, T grad u_j) at the pair's
+    # quadrature points, filled on first use by the checks in bounds:
+    at_quadrature: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (pair, Rayleigh quotients, Gram defect) from solve_lowest's identity
+    # pass, for validate_spectrum:
+    identities: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -73,27 +82,40 @@ def multiplet_labels(lam: np.ndarray) -> np.ndarray:
 
     Neighbours within MULTIPLET_REL_TOL relative distance share a label.
     """
+    prev, cur = lam[:-1], lam[1:]
+    scale = np.maximum(np.maximum(np.abs(cur), np.abs(prev)), 1e-300)
+    same = np.abs(cur - prev) <= MULTIPLET_REL_TOL * scale
     labels = np.zeros(lam.size, dtype=int)
-    for j in range(1, lam.size):
-        scale = max(abs(lam[j]), abs(lam[j - 1]), 1e-300)
-        same = abs(lam[j] - lam[j - 1]) <= MULTIPLET_REL_TOL * scale
-        labels[j] = labels[j - 1] if same else labels[j - 1] + 1
+    labels[1:] = np.cumsum(~same)
     return labels
 
 
-def _residuals(pair: OperatorPair, lam: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """||A u - lambda B u|| / ||u||_B for every column u at once.
+def _identities(pair: OperatorPair, lam: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Residuals, Rayleigh quotients and Gram defect of every column u, from one B U and one A U.
 
-    In place on two blocks the size of ``vecs``: the same IEEE operations
-    as ``np.linalg.norm(A @ vecs - bv * lam, axis=0)``, so the same bits.
+    The residual is ||A u - lambda B u|| / ||u||_B, the Rayleigh quotient
+    u^T A u, and the Gram defect max |U^T B U - I|.  In the order B U, the
+    Gram, A U, the residual, so the pass holds at most three blocks the
+    size of ``vecs``.  The Gram is symmetric, so only its upper block
+    triangle is formed, ``GRAM_BLOCK`` rows at a time: for k <= GRAM_BLOCK
+    one product ``vecs.T @ (B vecs)``, and for a full spectrum about 5/8 of
+    its flops.  The residuals take the same IEEE operations as
+    ``np.linalg.norm(A @ vecs - bv * lam, axis=0)``, so the same bits.
     """
     bv = pair.B @ vecs
+    block_defects = []
+    for a in range(0, lam.size, GRAM_BLOCK):
+        gram = vecs[:, a : a + GRAM_BLOCK].T @ bv[:, a:]
+        gram.flat[:: gram.shape[1] + 1] -= 1.0
+        block_defects.append(np.max(np.abs(gram, out=gram)))
     bnorm = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs, bv)))
     r = pair.A @ vecs
+    rayleigh = np.einsum("ij,ij->j", vecs, r)
     bv *= lam
     r -= bv
     np.square(r, out=r)
-    return np.sqrt(np.add.reduce(r, axis=0)) / bnorm
+    # np.max, not max, so that a nan block fails the check
+    return np.sqrt(np.add.reduce(r, axis=0)) / bnorm, rayleigh, float(np.max(block_defects))
 
 
 def _normalise(pair: OperatorPair, vecs: np.ndarray) -> np.ndarray:
@@ -167,35 +189,51 @@ def _whitened_inverse(factors: AxisFactors):
     return apply, back
 
 
-def _dense(pair: OperatorPair) -> tuple[np.ndarray, np.ndarray, int]:
-    """All eigenpairs of (A, B), ascending, and the half-bandwidth kd of B.
+def _band_cholesky(B: sp.spmatrix) -> tuple[int, dict]:
+    """B's half-bandwidth kd and its Cholesky factor in both LAPACK band storages.
 
-    B = L L^T with L lower triangular of B's half-bandwidth kd, factored in
-    LAPACK band storage (dpbtrf).  C = L^-1 A L^-T is formed in A's dense
-    Fortran-order array by two banded triangular solves (dtbtrs) with one
-    transposed copy between them; syevd overwrites C with its eigenvectors
-    v, and u = L^-T v in place.  A nonzero LAPACK info raises.
+    dpbtrf on B's lower band gives L with B = L L^T, and on its upper band
+    U = L^T; ``{"L": L, "U": U}``, each (kd + 1, ndof).  B[i, j] sits at
+    [i - j, j] of the lower storage and at [kd + i - j, j] of the upper one.
     """
-    lower = sp.tril(pair.B, format="coo")
-    band = int(np.max(lower.row - lower.col))
-    stored = np.zeros((band + 1, pair.ndof), order="F")
-    stored[lower.row - lower.col, lower.col] = lower.data
-    factor, info = lapack.dpbtrf(stored, lower=1, overwrite_ab=1)
-    if info != 0:
-        raise NotPositiveDefinite(f"B is not positive definite (dpbtrf info {info})")
+    lower = sp.tril(B, format="coo")
+    below = lower.row - lower.col
+    band = int(np.max(below))
+    factors = {}
+    for uplo, rows, cols in (("L", below, lower.col), ("U", band - below, lower.row)):
+        stored = np.zeros((band + 1, B.shape[0]), order="F")
+        stored[rows, cols] = lower.data
+        factors[uplo], info = lapack.dpbtrf(stored, lower=int(uplo == "L"), overwrite_ab=1)
+        if info != 0:
+            raise NotPositiveDefinite(f"B is not positive definite (dpbtrf info {info})")
+    return band, factors
 
-    def solve(x, trans="N"):
-        x, info = lapack.dtbtrs(factor, x, uplo="L", trans=trans, overwrite_b=1)
+
+def _dense(pair: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The lowest k eigenpairs of (A, B) from all of them, ascending, and the half-bandwidth kd of B.
+
+    With B = L L^T from ``_band_cholesky``, C = L^-1 A L^-T is formed in A's
+    dense Fortran-order array by two banded triangular solves (dtbtrs) with
+    L and one transposed copy between them; syevd overwrites C with its
+    eigenvectors v, and u = L^-T v for the k kept columns only, in place, as
+    one solve with the upper factor U = L^T: the same result as the
+    transposed solve with L to rounding, at about a third of its time.
+    A nonzero LAPACK info raises.
+    """
+    band, factors = _band_cholesky(pair.B)
+
+    def solve(x, uplo):
+        x, info = lapack.dtbtrs(factors[uplo], x, uplo=uplo, overwrite_b=1)
         if info != 0:
             raise ConvergenceFailure(f"banded triangular solve failed (dtbtrs info {info})")
         return x
 
-    c = solve(np.asfortranarray(solve(pair.A.toarray(order="F")).T))
+    c = solve(np.asfortranarray(solve(pair.A.toarray(order="F"), "L").T), "L")
     try:
         lam, vecs = sla.eigh(c, overwrite_a=True, driver="evd", check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-    return lam, solve(vecs, trans="T"), band
+    return lam[:k], solve(vecs[:, :k], "U"), band
 
 
 def _lanczos(apply, ndof: int, k: int, seed: int, shift_invert: OperatorPair | None = None):
@@ -257,8 +295,8 @@ def solve_lowest(
         raise DimensionMismatch(f"shift_invert needs k <= ndof - 2 = {ndof - 2}, got k={k}")
     if ndof > 2000 and (path == "dense" or k >= ndof - 1):
         # dense: three ndof x ndof arrays (C and syevd's 2 ndof^2 workspace),
-        # 92 MiB and about 2.3 s at 2000 DOFs; a full spectrum on any path:
-        # the eigenvectors, then three such arrays in the checks
+        # 92 MiB and 2.5-2.9 s at 2000 DOFs; a full spectrum on any path:
+        # the eigenvectors, then three such arrays in the identity pass
         raise DimensionMismatch(
             f"{path} solve of k={k} limited to 2000 DOFs (have {ndof}); lower k or refine less"
         )
@@ -267,9 +305,9 @@ def solve_lowest(
         lam, vecs = _separable(factors, k)
         meta = {"method": path, "axis_ndof": factors.axis_ndof}
     elif path == "dense":
-        lam, vecs, band = _dense(pair)
+        lam, vecs, band = _dense(pair, k)
         # C order once, so that no later sparse-times-dense product copies it
-        lam, vecs = lam[:k], np.ascontiguousarray(vecs[:, :k])
+        vecs = np.ascontiguousarray(vecs)
         meta = {"method": path, "band": band}
     else:
         if factors is not None:
@@ -294,14 +332,16 @@ def solve_lowest(
         meta.update(diag)
 
     vecs = _normalise(pair, vecs)
-    res = _residuals(pair, lam, vecs)
+    res, rayleigh, gram_defect = _identities(pair, lam, vecs)
     if not np.all(res <= solve_tol):  # a nan residual fails too
         raise ConvergenceFailure(
             f"residuals up to {np.max(res):.3e} exceed tol {solve_tol:.1e}",
             residuals=res,
         )
     meta.update(solve_tol=solve_tol, seed=seed, k=k, max_residual=float(np.max(res)))
-    return SpectrumResult(lam, vecs, res, meta)
+    result = SpectrumResult(lam, vecs, res, meta)
+    result.identities = (pair, rayleigh, gram_defect)
+    return result
 
 
 @dataclass
@@ -318,18 +358,21 @@ def validate_spectrum(
     pair: OperatorPair,
     ortho_tol: float = DEFAULT_ORTHO_TOL,
 ) -> ValidationReport:
-    """Identity checks: Rayleigh quotient, B-orthonormality, order, positivity."""
-    lam, vecs = result.eigenvalues, result.eigenvectors
+    """Identity checks: Rayleigh quotient, B-orthonormality, order, positivity.
+
+    The Rayleigh quotients and the Gram defect come from solve_lowest's
+    identity pass on this pair when the result holds it; a result built
+    any other way is checked from its own vectors by the same pass.
+    """
+    lam = result.eigenvalues
     solve_tol = result.meta.get("solve_tol", DEFAULT_SOLVE_TOL)
 
-    rayleigh = np.einsum("ij,ij->j", vecs, pair.A @ vecs)
+    if result.identities is not None and result.identities[0] is pair:
+        _, rayleigh, ortho_defect = result.identities
+    else:
+        _, rayleigh, ortho_defect = _identities(pair, lam, result.eigenvectors)
     ray_defect = float(np.max(np.abs(rayleigh - lam) / np.maximum(lam, 1e-300)))
     ray_ok = bool(np.all(np.abs(rayleigh - lam) <= 10.0 * solve_tol * lam))
-
-    # |gram - I| in place: one k x k array
-    gram = vecs.T @ (pair.B @ vecs)
-    gram.flat[:: lam.size + 1] -= 1.0
-    ortho_defect = float(np.max(np.abs(gram, out=gram)))
     ortho_ok = ortho_defect <= ortho_tol
 
     ascending = bool(np.all(np.diff(lam) >= -1e-12 * np.abs(lam[:-1])))

@@ -9,8 +9,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 
-from etagap import spectral
+from etagap import bounds, spectral
 from etagap.assembly import assemble, axis_factors
 from etagap.errors import ConvergenceFailure, DimensionMismatch, NotPositiveDefinite
 from etagap.fields import (
@@ -23,11 +26,16 @@ from etagap.fields import (
     tensor_preset,
 )
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
-from etagap.scenario import apply_overrides, build_problem, builtin_config
+from etagap.scenario import apply_overrides, build_problem, builtin_config, lemma32_test_function
 from etagap.spectral import (
+    GRAM_BLOCK,
+    MULTIPLET_REL_TOL,
     SpectrumResult,
+    _band_cholesky,
+    _dense,
+    _identities,
     _normalise,
-    _residuals,
+    multiplet_labels,
     parseval_defect,
     solve_lowest,
     validate_spectrum,
@@ -179,7 +187,7 @@ class TestShiftInvert:
         perturbed = res.eigenvectors + 1e-3 * rng.standard_normal(res.eigenvectors.shape)
         for vecs in (res.eigenvectors, perturbed):
             looped = residuals_per_vector(pair, res.eigenvalues, vecs)
-            assert np.allclose(_residuals(pair, res.eigenvalues, vecs), looped, rtol=1e-12, atol=0)
+            assert np.allclose(_identities(pair, res.eigenvalues, vecs)[0], looped, rtol=1e-12, atol=0)
 
     def test_batched_normalisation_matches_per_vector(self):
         pair = ball_square_pair(24)
@@ -604,7 +612,7 @@ class TestInPlaceBitwise:
         perturbed = res.eigenvectors + 1e-3 * np.random.default_rng(7).standard_normal(res.eigenvectors.shape)
         for vecs in (res.eigenvectors, perturbed, np.asfortranarray(perturbed)):
             expected = residuals_reference(pair, res.eigenvalues, vecs)
-            assert np.array_equal(_residuals(pair, res.eigenvalues, vecs), expected)
+            assert np.array_equal(_identities(pair, res.eigenvalues, vecs)[0], expected)
         assert np.array_equal(res.residuals, residuals_reference(pair, res.eigenvalues, res.eigenvectors))
 
     def test_normalise(self, path_result):
@@ -626,7 +634,11 @@ class TestInPlaceBitwise:
 
 
 def test_dense_working_set():
-    """The whitened solve needs C and syevd's 2 ndof^2 workspace; each check after it, three ndof^2 blocks with the eigenvectors."""
+    """The whitened solve needs C and syevd's 2 ndof^2 workspace.
+
+    The identity pass needs three ndof^2 blocks with the eigenvectors, and
+    validating a solver result not one.
+    """
     cfg = builtin_config("lemma32_square")
     _, domain, tensor, drift = build_problem(cfg)
     pair = assemble(domain, tensor, drift)
@@ -634,18 +646,172 @@ def test_dense_working_set():
     tracemalloc.start()
     try:
         res = solve_lowest(pair, pair.ndof, method="dense", solve_tol=cfg.solver.solve_tol)
-        peaks = [tracemalloc.get_traced_memory()[1] / unit]
-        checks = (
-            lambda: _residuals(pair, res.eigenvalues, res.eigenvectors),
-            lambda: validate_spectrum(res, pair),
-        )
-        for check in checks:
-            tracemalloc.reset_peak()
-            check()
-            peaks.append(tracemalloc.get_traced_memory()[1] / unit)
+        solve_peak = tracemalloc.get_traced_memory()[1] / unit
+        tracemalloc.reset_peak()
+        _identities(pair, res.eigenvalues, res.eigenvectors)
+        identities_peak = tracemalloc.get_traced_memory()[1] / unit
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert validate_spectrum(res, pair).ok
+        validate_growth = (tracemalloc.get_traced_memory()[1] - held) / unit
     finally:
         tracemalloc.stop()
-    solve_peak, residuals_peak, validate_peak = peaks
     assert solve_peak <= 3.5
-    assert residuals_peak <= 3.5
-    assert validate_peak <= 3.5
+    assert identities_peak <= 3.5
+    assert validate_growth < 0.1
+
+
+def lemma32_pair(resolution=20):
+    cfg = apply_overrides(builtin_config("lemma32_square"), {"resolution": resolution})
+    _, domain, tensor, drift = build_problem(cfg)
+    return assemble(domain, tensor, drift)
+
+
+def dense_lower_reference(pair):
+    """spectral._dense before the upper factor: every column back-transformed by the transposed solve with L."""
+    _, factors = _band_cholesky(pair.B)
+
+    def solve(x, trans="N"):
+        return lapack.dtbtrs(factors["L"], x, uplo="L", trans=trans, overwrite_b=1)[0]
+
+    c = solve(np.asfortranarray(solve(pair.A.toarray(order="F")).T))
+    lam, vecs = sla.eigh(c, overwrite_a=True, driver="evd", check_finite=False)
+    return lam, solve(vecs, trans="T")
+
+
+@pytest.fixture(scope="module")
+def dense_full():
+    pair = lemma32_pair()  # 361 DOFs, half-bandwidth 20
+    return pair, _dense(pair, pair.ndof)
+
+
+class TestDenseBackTransform:
+    @pytest.mark.parametrize(
+        "build, exact",
+        [
+            (lambda: lemma32_pair(40), True),
+            (lambda: ball_square_pair(24), True),
+            # kd = 65: here the two factorisations round differently
+            (lambda: box_pair([(0, 1), (0, 1.5), (1, 2)], [7, 8, 9], metric=hyperbolic_half_plane(3)), False),
+        ],
+        ids=["square_40", "ball_24", "halfspace_3d"],
+    )
+    def test_upper_factor_is_the_transposed_lower_one(self, build, exact):
+        pair = build()
+        band, factors = _band_cholesky(pair.B)
+        lower, upper = factors["L"], factors["U"]
+        tol = 0.0 if exact else 4 * np.finfo(float).eps * np.max(np.abs(lower))
+        for o in range(band + 1):
+            # L[j + o, j] sits at [o, j], and U[j, j + o] at [band - o, j + o]
+            assert np.max(np.abs(upper[band - o, o:] - lower[o, : pair.ndof - o])) <= tol
+
+    def test_eigenpairs_match_the_lower_only_path(self, dense_full):
+        pair, (lam, vecs, _) = dense_full
+        ref_lam, ref_vecs = dense_lower_reference(pair)
+        assert np.array_equal(lam, ref_lam)
+        assert np.max(np.abs(vecs - ref_vecs)) <= 1e-14 * np.max(np.abs(ref_vecs))
+
+    @pytest.mark.parametrize("k", [1, 12, 200])
+    def test_only_kept_columns_back_transformed(self, dense_full, k):
+        pair, (lam, vecs, band) = dense_full
+        part = _dense(pair, k)
+        assert part[1].shape == (pair.ndof, k) and part[2] == band
+        assert np.array_equal(part[0], lam[:k]) and np.array_equal(part[1], vecs[:, :k])
+
+    def test_partial_solve_rows_match_the_full_solve(self, dense_full):
+        pair, _ = dense_full
+        full = solve_lowest(pair, pair.ndof, method="dense", solve_tol=1e-8)
+        part = solve_lowest(pair, 12, method="dense", solve_tol=1e-8)
+        assert np.array_equal(part.eigenvalues, full.eigenvalues[:12])
+        assert np.array_equal(part.residuals, full.residuals[:12])
+
+
+@pytest.fixture(scope="module")
+def full_spectrum():
+    pair = lemma32_pair()
+    res = solve_lowest(pair, pair.ndof, method="dense", solve_tol=1e-8)
+    assert res.k > GRAM_BLOCK
+    return pair, res
+
+
+class TestIdentityPass:
+    def test_block_gram_matches_the_full_gram(self, full_spectrum):
+        pair, res = full_spectrum
+        _, ortho_defect = defects_reference(res, pair)
+        for result in (res, dataclasses.replace(res)):
+            checks = validate_spectrum(result, pair).checks
+            assert abs(checks["b_orthonormal"][1] - ortho_defect) <= 4 * np.finfo(float).eps
+
+    def test_cache_matches_a_fresh_pass(self, full_spectrum):
+        pair, res = full_spectrum
+        rebuilt = dataclasses.replace(res)
+        assert res.identities is not None and rebuilt.identities is None
+        assert SpectrumResult(res.eigenvalues, res.eigenvectors, res.residuals, res.meta).identities is None
+        assert validate_spectrum(rebuilt, pair) == validate_spectrum(res, pair)
+
+    def test_replaced_vectors_take_no_cached_modes(self, full_spectrum):
+        pair, res = full_spectrum
+        g = lemma32_test_function(2)
+        bounds.lemma32_check(res, pair, g)
+        assert res.at_quadrature
+        scaled = dataclasses.replace(res, eigenvectors=2.0 * res.eigenvectors)
+        assert scaled.at_quadrature == {}
+        fresh = SpectrumResult(res.eigenvalues, 2.0 * res.eigenvectors, res.residuals, res.meta)
+        assert bounds.lemma32_check(scaled, pair, g) == bounds.lemma32_check(fresh, pair, g)
+
+    def test_cache_is_for_its_own_pair(self, full_spectrum):
+        pair, res = full_spectrum
+        assert not validate_spectrum(res, dataclasses.replace(pair, B=2.0 * pair.B)).checks["b_orthonormal"][0]
+
+    @pytest.mark.parametrize("tamper", ["scale_column", "mix_columns", "unit_shear_across_blocks"])
+    def test_tamper_beyond_the_first_block_fails(self, full_spectrum, tamper):
+        pair, res = full_spectrum
+        bad = res.eigenvectors.copy()
+        if tamper == "scale_column":
+            bad[:, 300] *= 1.01
+        elif tamper == "mix_columns":
+            bad[:, 300] += 1e-3 * bad[:, 10]
+        else:
+            # unit B-norm kept: only the Gram entries (10, 300) and (300, 10) move
+            bad[:, 300] = (bad[:, 300] + 1e-3 * bad[:, 10]) / np.sqrt(1.0 + 1e-6)
+        tampered = SpectrumResult(res.eigenvalues, bad, res.residuals, dict(res.meta))
+        assert not validate_spectrum(tampered, pair).checks["b_orthonormal"][0]
+
+
+def multiplet_labels_reference(lam):
+    """The loop form of spectral.multiplet_labels, kept as its reference."""
+    labels = np.zeros(lam.size, dtype=int)
+    for j in range(1, lam.size):
+        scale = max(abs(lam[j]), abs(lam[j - 1]), 1e-300)
+        same = abs(lam[j] - lam[j - 1]) <= MULTIPLET_REL_TOL * scale
+        labels[j] = labels[j - 1] if same else labels[j - 1] + 1
+    return labels
+
+
+@st.composite
+def near_tied_values(draw):
+    """Values where each may repeat its predecessor up to a relative step near MULTIPLET_REL_TOL."""
+    fresh = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300]),
+    )
+    steps = st.sampled_from([0.0, 1e-7, 1e-6 * (1 - 1e-9), 1e-6, 1e-6 * (1 + 1e-9), 2e-6, -1e-6, -1e-6 * (1 + 1e-9)])
+    out = []
+    for tie, value, step in draw(st.lists(st.tuples(st.booleans(), fresh, steps), max_size=30)):
+        out.append(out[-1] * (1.0 + step) if tie and out else value)
+    return np.array(out, dtype=float)
+
+
+class TestMultipletLabels:
+    @given(near_tied_values())
+    @example(np.zeros(0))
+    @example(np.array([-2.5]))
+    @example(np.array([0.0, -0.0, 5e-324, 1.0, 1.0 + 1e-6, -3.0, -3.0 * (1 + 1e-6)]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop(self, lam):
+        # a tie step can overflow to inf, and inf - inf is a nan that both forms read as a new group
+        with np.errstate(invalid="ignore"):
+            for values in (lam, np.sort(lam)):
+                labels = multiplet_labels(values)
+                assert labels.shape == values.shape
+                assert np.array_equal(labels, multiplet_labels_reference(values))

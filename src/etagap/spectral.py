@@ -119,9 +119,19 @@ def _identities(pair: OperatorPair, lam: np.ndarray, vecs: np.ndarray) -> tuple[
 
 
 def _normalise(pair: OperatorPair, vecs: np.ndarray) -> np.ndarray:
-    """Scale every column in place to unit B-norm with its largest-magnitude entry positive."""
+    """Scale every column in place to unit B-norm with its largest-magnitude entry positive.
+
+    The largest |u_i| is max(u) or -min(u), so two column reductions give
+    the sign; only where they tie does the first index of the largest
+    |u_i| decide, as ``argmax(abs(u))`` would, without an ndof x k
+    temporary or a transposed argmax over every column.
+    """
     vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, pair.B @ vecs))
-    vecs *= np.where(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
+    top, bottom = vecs.max(axis=0), -vecs.min(axis=0)
+    sign = np.where(bottom > top, -1.0, 1.0)
+    tie = np.flatnonzero(bottom == top)
+    sign[tie] = np.where(vecs[np.argmax(np.abs(vecs[:, tie]), axis=0), tie] < 0, -1.0, 1.0)
+    vecs *= sign
     return vecs
 
 

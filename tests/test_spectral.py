@@ -623,6 +623,21 @@ class TestInPlaceBitwise:
             expected = normalise_reference(pair, np.array(scaled, order=order))
             assert np.array_equal(_normalise(pair, np.array(scaled, order=order)), expected)
 
+    def test_normalise_ties(self):
+        # columns whose largest |u_i| is taken with both signs, or is nan
+        pair = square_pair(8)
+        cols = np.zeros((pair.ndof, 5))
+        cols[[3, 10], 0] = 1.0, -1.0
+        cols[[3, 10], 1] = -1.0, 1.0
+        cols[[3, 10, 20], 2] = 0.5, -2.0, 2.0
+        cols[:, 3] = -1.0
+        cols[[0, 5], 4] = np.nan, -1.0
+        for order in "CF":
+            expected = normalise_reference(pair, np.array(cols, order=order))
+            got = _normalise(pair, np.array(cols, order=order))
+            assert np.array_equal(got, expected, equal_nan=True)
+        assert got[3, 0] > 0 and got[3, 1] > 0 and got[10, 2] > 0 and got[0, 3] > 0
+
     def test_validate_defects_and_inputs_untouched(self, path_result):
         pair, res = path_result
         vecs, residuals = res.eigenvectors.copy(), res.residuals.copy()

@@ -4,8 +4,10 @@ Everything here evaluates closed-form constants or checks inequalities
 against a spectrum (computed or analytic):
 
   * the sequence inequality for nondecreasing positive sequences
-    (``lemma31_check``), with a seeded random-instance generator and a
-    chunked property suite (``lemma31_suite``) over both;
+    (``lemma31_check``) in its termwise form, every term of
+    sum r_i^2 (mu_i - mu_m1)(mu_i - mu_{m1+1}) >= 0, and its hypothesis as
+    the exact strict case of Cauchy-Schwarz, with a seeded random-instance
+    generator and a chunked property suite (``lemma31_suite``) over both;
   * the three gap-constant families, tagged thm11 (Euclidean), thm12
     (hyperbolic half-space) and thm13 (pinched Cartan-Hadamard), each with
     its corollary specializations;
@@ -75,6 +77,8 @@ class Lemma31Instance:
         r = np.asarray(self.r, dtype=float)
         if mu.size != r.size or mu.size < 2:
             raise InvalidInstance("mu and r need equal length >= 2")
+        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(r))):
+            raise InvalidInstance("mu and r must be finite")
         if mu[0] <= 0.0 or np.any(np.diff(mu) < 0.0):
             raise InvalidInstance("mu must be positive and nondecreasing")
         m1 = int(np.sum(mu == mu[0]))
@@ -100,63 +104,44 @@ class Lemma31Result:
 
 
 LEMMA31_CHUNK = 4096  # trials per array pass, so memory stays bounded for any trial count
-LEMMA31_TOL = 1e-12  # absolute slack of the conclusion; tight two-level rows sit within it
-
-
-def _fsum_rows(x: np.ndarray) -> np.ndarray:
-    """The correctly rounded sum of each row, bit for bit ``math.fsum``.
-
-    Each row is summed in extended precision and rounded to the nearest
-    double s.  Any order of the m - 1 additions errs by less than
-    (m - 1) u sum|x|, u the longdouble unit roundoff; e = m u sum|x| also
-    covers the rounding of e and of the test below.  The residual d of
-    the rounding to s is exact, so the exact sum lies within e of s + d.
-    Where that interval sits strictly inside s's rounding interval, s is
-    the correct rounding.  The other rows, near a tie, a zero or an
-    overflow, go to ``math.fsum``, which also raises where it would; so
-    does every row where longdouble is plain double, as e is then at
-    least half an ulp of s.  Below 32 rows the array passes cost more
-    than ``math.fsum`` on every row.
-    """
-    if x.shape[0] < 32:
-        return np.fromiter(map(math.fsum, x.tolist()), dtype=float, count=x.shape[0])
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite sums are never certified
-        ext = np.sum(x, axis=1, dtype=np.longdouble)
-        s = ext.astype(float)
-        d = ext - s
-        total = np.sum(np.abs(x), axis=1, dtype=np.longdouble)
-        err = x.shape[1] * np.finfo(np.longdouble).epsneg * total
-        up = (np.nextafter(s, np.inf) - s).astype(np.longdouble) / 2
-        down = (s - np.nextafter(s, -np.inf)).astype(np.longdouble) / 2
-        # below the largest double no partial sum overflows, which math.fsum raises on
-        certified = (d + err < up) & (err - d < down) & (s != 0.0) & (total + err < np.finfo(float).max)
-    for i in np.flatnonzero(~certified):
-        s[i] = math.fsum(x[i].tolist())
-    return s
 
 
 def _lemma31_rows(mu: np.ndarray, r: np.ndarray, m1: np.ndarray) -> tuple:
-    """(s, a, b, bound, hypothesis_ok, conclusion_ok) arrays, one entry per row.
+    """(hypothesis_ok, conclusion_ok) arrays, one entry per row, both exact.
 
-    Each row is one instance, padded on the right with r = 0: padding adds
-    exact zeros to every sum, so a padded row gives the unpadded result.
+    Times mu_{m1} + mu_{m1+1} > 0 the lemma reads
+    sum r_i^2 (mu_i - mu_{m1})(mu_i - mu_{m1+1}) >= 0; a row passes when
+    every term is >= 0.  A term's sign is the product of its factors'
+    signs, 0 where r_i = 0, so no product is formed that could overflow
+    or meet inf * 0.  The hypothesis S < sqrt(A) sqrt(B) is the strict
+    case of Cauchy-Schwarz: it holds exactly when r is nonzero at some
+    mu_i != mu_1.  Each row is one instance, padded on the right with
+    r = 0, which adds only zero terms.
     """
-    r2 = r * r
-    s, a, b = _fsum_rows(mu * r2), _fsum_rows(mu * mu * r2), _fsum_rows(r2)
     rows = np.arange(mu.shape[0])
-    mu1, mu2 = mu[rows, m1 - 1], mu[rows, m1]
-    bound = (a + mu1 * mu2 * b) / (mu1 + mu2)
-    # sqrt(a)*sqrt(b) rather than sqrt(a*b): the product under/overflows first
-    hypothesis_ok = s < np.sqrt(a) * np.sqrt(b)
-    conclusion_ok = s <= bound + LEMMA31_TOL
-    return s, a, b, bound, hypothesis_ok, conclusion_ok
+    mu1, mu2 = mu[rows, m1 - 1, None], mu[rows, m1, None]
+    nonzero = r != 0.0
+    conclusion_ok = np.all(np.sign(mu - mu1) * np.sign(mu - mu2) * nonzero >= 0.0, axis=1)
+    hypothesis_ok = np.any(nonzero & (mu != mu1), axis=1)
+    return hypothesis_ok, conclusion_ok
+
+
+def _lemma31_sums(inst: Lemma31Instance) -> tuple:
+    """(s, a, b, bound) of one instance, each sum correctly rounded by ``math.fsum``."""
+    mu, r = (np.asarray(v, dtype=float).tolist() for v in (inst.mu, inst.r))
+    r2 = [x * x for x in r]
+    s = math.fsum(m * x for m, x in zip(mu, r2))
+    a = math.fsum(m * m * x for m, x in zip(mu, r2))
+    b = math.fsum(r2)
+    mu1, mu2 = mu[inst.m1 - 1], mu[inst.m1]
+    return s, a, b, (a + mu1 * mu2 * b) / (mu1 + mu2)
 
 
 def lemma31_check(inst: Lemma31Instance) -> Lemma31Result:
     """Weighted-mean bound: S <= (A + mu_m1 mu_{m1+1} B)/(mu_m1 + mu_{m1+1})."""
     mu, r = (np.asarray(v, dtype=float)[None] for v in (inst.mu, inst.r))
-    s, a, b, bound, hyp, concl = (v[0] for v in _lemma31_rows(mu, r, np.array([inst.m1])))
-    return Lemma31Result(float(s), float(a), float(b), float(bound), bool(hyp), bool(concl))
+    hyp, concl = (bool(v[0]) for v in _lemma31_rows(mu, r, np.array([inst.m1])))
+    return Lemma31Result(*_lemma31_sums(inst), hyp, concl)
 
 
 def _draw_lemma31(rng: np.random.Generator, count: int) -> tuple:
@@ -215,11 +200,11 @@ def lemma31_suite(rng: np.random.Generator, trials: int) -> Lemma31Suite:
     satisfied, counterexamples = 0, []
     for start in range(0, trials, LEMMA31_CHUNK):
         mu, r, length, m1 = _draw_lemma31(rng, min(LEMMA31_CHUNK, trials - start))
-        *sums, hyp, concl = _lemma31_rows(mu, r, m1)
+        hyp, concl = _lemma31_rows(mu, r, m1)
         satisfied += int(np.count_nonzero(hyp))
         for i in np.flatnonzero(hyp & ~concl):
-            res = Lemma31Result(*(float(v[i]) for v in sums), True, False)
-            counterexamples.append((_instance(mu, r, length, i), res))
+            inst = _instance(mu, r, length, i)
+            counterexamples.append((inst, Lemma31Result(*_lemma31_sums(inst), True, False)))
     return Lemma31Suite(satisfied, counterexamples)
 
 

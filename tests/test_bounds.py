@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from etagap import bounds
 from etagap.assembly import assemble
@@ -109,6 +107,30 @@ class TestLemma31:
             Lemma31Instance((1.0, 1.0), (1.0, 1.0))  # no second distinct value
         with pytest.raises(InvalidInstance):
             Lemma31Instance((1.0, 2.0), (0.0, 1.0))  # r_m1 = 0
+        with pytest.raises(InvalidInstance):
+            Lemma31Instance((1.0, math.nan), (1.0, 1.0))  # non-finite mu
+        with pytest.raises(InvalidInstance):
+            Lemma31Instance((1.0, 2.0), (math.nan, 1.0))  # non-finite r, which passes r_m1 != 0
+
+    @pytest.mark.parametrize(
+        "mu, r",
+        [
+            ((1.0, 2.0), (1e200, 1e200)),  # r^2 overflows to inf where a mu factor is exactly 0
+            ((1.0, 2.0, 1e200), (1.0, 1.0, 0.0)),  # the mu factors' product overflows where r = 0
+        ],
+    )
+    def test_huge_entries_give_no_inf_times_zero(self, mu, r):
+        res = lemma31_check(Lemma31Instance(mu, r))
+        assert res.hypothesis_ok
+        assert res.conclusion_ok
+
+    def test_hypothesis_is_exact(self):
+        # s, a and b all round to 1.0, yet r is nonzero at a second distinct value
+        res = lemma31_check(Lemma31Instance((1.0, 1.0 + 2.0**-50), (1.0, 1e-10)))
+        assert (res.s, res.a, res.b) == (1.0, 1.0, 1.0)
+        assert res.hypothesis_ok
+        # r vanishes past the leading multiplet: Cauchy-Schwarz holds with equality
+        assert not lemma31_check(Lemma31Instance((0.1, 0.1, 0.3), (0.3, 0.7, 0.0))).hypothesis_ok
 
     def test_two_term_equality_random(self):
         rng = np.random.default_rng(6)
@@ -138,16 +160,12 @@ class TestLemma31:
             res = lemma31_check(Lemma31Instance(mu, tuple(r)))
             assert res.conclusion_ok
             assert abs(res.s - res.bound) <= 1e-12
-
-
-def _every_conclusion_fails(monkeypatch):
-    """Make every trial whose hypothesis holds a counterexample."""
-    monkeypatch.setattr(bounds, "LEMMA31_TOL", -np.inf)
+            mu = np.array(mu)
+            assert np.all(r**2 * (mu - mu[m1 - 1]) * (mu - mu[m1]) == 0.0)
 
 
 class TestLemma31Suite:
-    def test_one_trial_matches_the_single_instance_path(self, monkeypatch):
-        _every_conclusion_fails(monkeypatch)
+    def test_one_trial_matches_the_single_instance_path(self, every_conclusion_fails):
         for seed in range(20):
             suite = lemma31_suite(np.random.default_rng(seed), 1)
             inst = random_lemma31_instance(np.random.default_rng(seed))
@@ -155,7 +173,7 @@ class TestLemma31Suite:
             assert suite.hypothesis_satisfied == int(res.hypothesis_ok)
             assert suite.counterexamples == ([(inst, res)] if res.hypothesis_ok else [])
 
-    def test_chunk_boundary_checks_every_trial_once(self, monkeypatch):
+    def test_chunk_boundary_checks_every_trial_once(self, monkeypatch, every_conclusion_fails):
         rows_checked = []
         check_rows = bounds._lemma31_rows
 
@@ -164,7 +182,6 @@ class TestLemma31Suite:
             return check_rows(mu, r, m1)
 
         monkeypatch.setattr(bounds, "_lemma31_rows", counting)
-        _every_conclusion_fails(monkeypatch)
         suite = lemma31_suite(np.random.default_rng(2), LEMMA31_CHUNK + 1)
         assert rows_checked == [LEMMA31_CHUNK, 1]
         assert len(suite.counterexamples) == suite.hypothesis_satisfied > 0.9 * LEMMA31_CHUNK
@@ -174,51 +191,6 @@ class TestLemma31Suite:
             suite = lemma31_suite(np.random.default_rng(seed), 10_000)
             assert suite.counterexamples == []
             assert suite.hypothesis_satisfied > 9_000
-
-
-def _fsum_each(x):
-    return np.array([math.fsum(row) for row in x.tolist()])
-
-
-@st.composite
-def _row_blocks(draw):
-    """1..8 rows of one length 1..50, nonnegative or signed, with subnormals and exponents up to 1e300.
-
-    They repeat to 32 rows, the fewest that take the array passes.
-    """
-    length, count = draw(st.integers(1, 50)), draw(st.integers(1, 8))
-    low = 0.0 if draw(st.booleans()) else -1e300
-    entry = st.floats(min_value=low, max_value=1e300, allow_subnormal=True)
-    rows = draw(st.lists(st.lists(entry, min_size=length, max_size=length), min_size=count, max_size=count))
-    return np.resize(np.array(rows), (32, length))
-
-
-class TestFsumRows:
-    @given(_row_blocks())
-    @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_math_fsum(self, x):
-        assert np.array_equal(bounds._fsum_rows(x).view(np.int64), _fsum_each(x).view(np.int64))
-
-    def test_half_way_rows(self):
-        ties = [[1.0, 2.0**-53, 0.0], [1.0, 2.0**-53, 2.0**-110], [1.0 + 2.0**-52, 2.0**-53, 0.0]]
-        # enough ordinary rows around them that the array passes run
-        x = np.vstack([np.random.default_rng(0).uniform(-1.0, 1.0, (40, 3)), ties])
-        got = bounds._fsum_rows(x)
-        assert np.array_equal(got.view(np.int64), _fsum_each(x).view(np.int64))
-        assert got[-3:].tolist() == [1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51]
-
-    def test_intermediate_overflow_raises_like_math_fsum(self):
-        x = np.ones((40, 3))
-        x[7] = [1e308, 1e308, -1e308]  # sums to 1e308, but math.fsum overflows on the way
-        with pytest.raises(OverflowError):
-            math.fsum(x[7])
-        with pytest.raises(OverflowError):
-            bounds._fsum_rows(x)
-
-    def test_lemma31_rows_bit_identical(self):
-        mu, r, _, _ = bounds._draw_lemma31(np.random.default_rng(0), LEMMA31_CHUNK)
-        for x in (mu * r * r, mu * mu * r * r, r * r):
-            assert np.array_equal(bounds._fsum_rows(x).view(np.int64), _fsum_each(x).view(np.int64))
 
 
 class TestTheorem11:

@@ -170,11 +170,10 @@ class TestLemma31Command:
         assert main(["lemma31", "--seed", "-1"]) == 3
         assert "usage error:" in capsys.readouterr().err
 
-    def test_counterexample_lines_are_unpadded(self, capsys, monkeypatch):
-        monkeypatch.setattr(bounds, "LEMMA31_TOL", -np.inf)  # every conclusion fails
+    def test_counterexample_lines_are_unpadded(self, capsys, every_conclusion_fails):
         assert main(["lemma31", "--trials", "40", "--seed", "3"]) == 1
         mu, r, length, m1 = bounds._draw_lemma31(np.random.default_rng(3), 40)
-        hypothesis_ok = bounds._lemma31_rows(mu, r, m1)[4]
+        hypothesis_ok = bounds._lemma31_rows(mu, r, m1)[0]
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [len(line["mu"]) for line in lines] == list(length[hypothesis_ok])
         assert [len(line["r"]) for line in lines] == list(length[hypothesis_ok])

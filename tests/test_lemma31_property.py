@@ -1,5 +1,7 @@
 """Property suite for the sequence inequality: search for counterexamples."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,18 @@ def test_hypothesis_implies_conclusion(inst):
     res = lemma31_check(inst)
     if res.hypothesis_ok:
         assert res.conclusion_ok, (inst, res)
+
+
+@given(instances())
+@settings(max_examples=300, deadline=None)
+def test_quotient_form_is_the_sum_of_terms(inst):
+    # A + mu_m1 mu_{m1+1} B - (mu_m1 + mu_{m1+1}) S = sum r_i^2 (mu_i - mu_m1)(mu_i - mu_{m1+1})
+    res = lemma31_check(inst)
+    mu, r = np.array(inst.mu), np.array(inst.r)
+    mu1, mu2 = mu[inst.m1 - 1], mu[inst.m1]
+    terms = r**2 * (mu - mu1) * (mu - mu2)
+    parts = (res.a, mu1 * mu2 * res.b, (mu1 + mu2) * res.s)
+    assert abs(parts[0] + parts[1] - parts[2] - math.fsum(terms)) <= 8 * np.finfo(float).eps * sum(parts)
 
 
 @given(instances())

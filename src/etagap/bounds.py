@@ -126,13 +126,25 @@ def _lemma31_rows(mu: np.ndarray, r: np.ndarray, m1: np.ndarray) -> tuple:
     return hypothesis_ok, conclusion_ok
 
 
+def _fsum(terms) -> float:
+    """``math.fsum`` of nonnegative terms, inf where their exact sum exceeds the double range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def _lemma31_sums(inst: Lemma31Instance) -> tuple:
-    """(s, a, b, bound) of one instance, each sum correctly rounded by ``math.fsum``."""
+    """(s, a, b, bound) of one instance, each sum correctly rounded by ``math.fsum``.
+
+    A term whose r_i^2 is 0 is an exact zero and is skipped, so mu_i^2 * 0
+    is never formed, and a sum past the double range reads inf.
+    """
     mu, r = (np.asarray(v, dtype=float).tolist() for v in (inst.mu, inst.r))
-    r2 = [x * x for x in r]
-    s = math.fsum(m * x for m, x in zip(mu, r2))
-    a = math.fsum(m * m * x for m, x in zip(mu, r2))
-    b = math.fsum(r2)
+    terms = [(m, x2) for m, x in zip(mu, r) if (x2 := x * x) != 0.0]
+    s = _fsum(m * x2 for m, x2 in terms)
+    a = _fsum(m * m * x2 for m, x2 in terms)
+    b = _fsum(x2 for _, x2 in terms)
     mu1, mu2 = mu[inst.m1 - 1], mu[inst.m1]
     return s, a, b, (a + mu1 * mu2 * b) / (mu1 + mu2)
 

@@ -2,17 +2,21 @@
 
 ``method="auto"`` picks the solver from the pencil.  Where the
 coefficients are products over the axes (see ``assembly.axis_factors``),
-A is a Kronecker sum of 1-D factors.  If B is the product of the same 1-D
-masses, the pencil is separable and its exact discrete eigenpairs are sums
-and tensor products of 1-D ones (fast diagonalization, Lynch-Rice-Thomas
-1964).  Other pencils take dense LAPACK when small and ARPACK shift-invert
-around zero otherwise, with a seeded start vector.  Where the 1-D factors
-exist, B = C C^T with C the Kronecker product of the Cholesky factors of
-the 1-D masses, and shift-invert runs standard-mode Lanczos on the
-symmetric S = C^T A^-1 C, applied by fast diagonalization: its largest
-eigenvalues are 1 / lambda, and ARPACK needs no product with B (the
-spectral transformation of Ericsson-Ruhe 1980, whitened by C).  Otherwise
-it runs generalized mode 3 on (A, B) with one SuperLU factor of A in the
+A is a Kronecker sum of 1-D factors and B a Kronecker product of 1-D
+masses, and both paths work in one basis: the Kronecker product V of the
+1-D modes K_a V_a = M_a V_a D_a of each distinct 1-D pencil (fast
+diagonalization, Lynch-Rice-Thomas 1964).  There A is the diagonal
+D = sum_a D_a and B is G = G_0 (x) .. (x) G_{n-1}, G_a = V_a^T B_a V_a.
+If B's masses are A's, G = I: the pencil is separable and its exact
+discrete eigenpairs are sums and tensor products of 1-D ones.  Other
+pencils take dense LAPACK when small and ARPACK shift-invert around zero
+otherwise, with a seeded start vector.  Where the 1-D factors exist,
+shift-invert runs standard-mode Lanczos on the symmetric
+S = D^-1/2 G D^-1/2, A^-1 B in the mode basis, one small product per
+axis: its largest eigenvalues are 1 / lambda, u = V D^-1/2 y maps its
+eigenvectors back, and ARPACK needs no factor and no product with B (the
+spectral transformation of Ericsson-Ruhe 1980).  Otherwise it runs
+generalized mode 3 on (A, B) with one SuperLU factor of A in the
 symmetric A + A^T minimum-degree ordering.  ``"dense"`` and
 ``"shift_invert"`` force their solver; the dense path doubles as the
 oracle for small problems.  It factors B = L L^T in LAPACK band storage
@@ -135,68 +139,52 @@ def _normalise(pair: OperatorPair, vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _separable(factors: AxisFactors, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of the separable pencil with these factors.
-
-    Its eigenpairs are sums and tensor products of those of the 1-D
-    pencils (K_a, M_a).  Axis a needs at most its lowest min(k, ndof_a)
-    pairs: each of its lower modes gives a smaller sum, and equal pencils
-    (both axes of a square) are solved once.  A stable sort keeps the C
-    order of the mode tuples within ties, so multiplets come out in a
-    fixed order.
-    """
-    pencils = list(zip(factors.stiffness, factors.mass))
-    eigs = []
-    for a, (K, M) in enumerate(pencils):
-        twin = next((b for b in range(a) if all(map(np.array_equal, pencils[b], (K, M)))), None)
-        eigs.append(sla.eigh(K, M, subset_by_index=[0, min(k, M.shape[0]) - 1]) if twin is None else eigs[twin])
-    lams, vecs = zip(*eigs)
-    sums = functools.reduce(np.add.outer, lams)
-    order = np.argsort(sums, axis=None, kind="stable")[:k]
-    out = np.ones((1, k))
-    for vec, modes in zip(vecs, np.unravel_index(order, sums.shape)):
-        # axis 0 slowest, the C order of the DOF numbering
-        out = (out[:, None, :] * vec[None, :, modes]).reshape(-1, k)
-    return sums.ravel()[order], out
-
-
 def _along_axes(mats, x: np.ndarray) -> np.ndarray:
     """(mats[0] (x) .. (x) mats[n-1]) x for x in the C order of the grid, axis 0 slowest.
 
     Each step multiplies the leading axis and moves it to the back, so the
-    result is a (N / m_{n-1}, m_{n-1}) array in the C order again.
+    result is a (N / m_{n-1}, m_{n-1}) array in the C order again; a
+    trailing block axis of x ends up leading.
     """
     for m in mats:
         x = (m @ x.reshape(m.shape[1], -1)).T
     return x
 
 
-def _whitened_inverse(factors: AxisFactors):
-    """S = C^T A^-1 C and the back map w -> A^-1 C w, with B = C C^T.
+def _product_pencil(factors: AxisFactors, k: int, seed: int, read_off: bool):
+    """Lowest k eigenpairs of the pencil with these factors, in its basis of 1-D modes, and diagnostics.
 
-    C = C_0 (x) .. (x) C_{n-1} holds the Cholesky factors B_a = C_a C_a^T
-    of the 1-D masses.  With K_a V_a = M_a V_a D_a and V_a^T M_a V_a = I,
-    A^-1 = V (sum_a D_a)^-1 V^T for V = V_0 (x) .. (x) V_{n-1}, so
-    S = W^T (sum_a D_a)^-1 W with W = (x)_a V_a^T C_a: one small product
-    per axis in each direction and no factor.  S w = w / lambda exactly
-    when u = A^-1 C w solves A u = lambda B u.  The back map takes an
-    (N, k) block of vectors.
+    With K_a V_a = M_a V_a D_a and V_a^T M_a V_a = I on each axis, the
+    basis V = V_0 (x) .. (x) V_{n-1} takes A to the diagonal D = sum_a D_a
+    and B to G = G_0 (x) .. (x) G_{n-1}, G_a = V_a^T B_a V_a.  Equal 1-D
+    pencils (both axes of a square) are solved once.  ``read_off`` (a
+    separable pencil, G = I) takes the k smallest sums and their Kronecker
+    vectors from the lowest min(k, ndof_a) modes of each axis: each lower
+    mode gives a smaller sum, and a stable sort keeps the C order of the
+    mode tuples within ties, so multiplets come out in a fixed order.
+    Otherwise Lanczos runs on the symmetric S = D^-1/2 G D^-1/2, one small
+    product per axis and no factor: S y = y / lambda exactly when
+    u = V D^-1/2 y solves A u = lambda B u.
     """
-    lams, vecs = zip(*(sla.eigh(K, M) for K, M in zip(factors.stiffness, factors.mass)))
-    inv = 1.0 / functools.reduce(np.add.outer, lams).ravel()
-    ws = [v.T @ np.linalg.cholesky(B) for v, B in zip(vecs, factors.b_mass)]
-    wts = [w.T for w in ws]
-
-    def apply(x):
-        return _along_axes(wts, _along_axes(ws, x).ravel() * inv).ravel()
-
-    def back(w):
-        # a trailing block axis ends up leading after _along_axes
-        k = w.shape[1]
-        y = _along_axes(ws, w).reshape(k, -1) * inv
-        return _along_axes(vecs, y.T).reshape(k, -1).T
-
-    return apply, back
+    pencils = list(zip(factors.stiffness, factors.mass))
+    modes = []
+    for a, (K, M) in enumerate(pencils):
+        twin = next((b for b in range(a) if all(map(np.array_equal, pencils[b], (K, M)))), None)
+        subset = [0, min(k, M.shape[0]) - 1] if read_off else None
+        modes.append(sla.eigh(K, M, subset_by_index=subset) if twin is None else modes[twin])
+    lams, vecs = zip(*modes)
+    sums = functools.reduce(np.add.outer, lams)
+    if read_off:
+        order = np.argsort(sums, axis=None, kind="stable")[:k]
+        out = np.ones((1, k))
+        for vec, idx in zip(vecs, np.unravel_index(order, sums.shape)):
+            # axis 0 slowest, the C order of the DOF numbering
+            out = (out[:, None, :] * vec[None, :, idx]).reshape(-1, k)
+        return sums.ravel()[order], out, {}
+    scale = 1.0 / np.sqrt(sums.ravel())  # D^-1/2
+    grams = [v.T @ B @ v for v, B in zip(vecs, factors.b_mass)]
+    theta, y, diag = _lanczos(lambda x: scale * _along_axes(grams, scale * x).ravel(), scale.size, k, seed)
+    return 1.0 / theta, _along_axes(vecs, y * scale[:, None]).reshape(k, -1).T, diag
 
 
 def _band_cholesky(B: sp.spmatrix) -> tuple[int, dict]:
@@ -312,7 +300,7 @@ def solve_lowest(
         )
 
     if path == "separable":
-        lam, vecs = _separable(factors, k)
+        lam, vecs, _ = _product_pencil(factors, k, seed, read_off=True)
         meta = {"method": path, "axis_ndof": factors.axis_ndof}
     elif path == "dense":
         lam, vecs, band = _dense(pair, k)
@@ -321,9 +309,7 @@ def solve_lowest(
         meta = {"method": path, "band": band}
     else:
         if factors is not None:
-            apply, back = _whitened_inverse(factors)
-            theta, w, diag = _lanczos(apply, ndof, k, seed)
-            lam, vecs = 1.0 / theta, back(w)
+            lam, vecs, diag = _product_pencil(factors, k, seed, read_off=False)
             meta = {"method": path, "inverse": "fast_diagonalization", "axis_ndof": factors.axis_ndof}
         else:
             # A is symmetric, so A.T is the CSC form of the CSR A without a copy;

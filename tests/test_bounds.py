@@ -124,6 +124,17 @@ class TestLemma31:
         assert res.hypothesis_ok
         assert res.conclusion_ok
 
+    def test_zero_weight_term_is_skipped_in_the_sums(self):
+        # mu_3^2 overflows to inf, but r_3 = 0, so the term is an exact zero, not nan
+        res = lemma31_check(Lemma31Instance((1.0, 2.0, 1e200), (1.0, 1.0, 0.0)))
+        assert (res.s, res.a, res.b, res.bound) == (3.0, 5.0, 2.0, 3.0)
+
+    def test_sums_past_the_double_range_read_inf(self):
+        # every r_i^2 = 1e308 is finite, but the sums are not
+        res = lemma31_check(Lemma31Instance((1.0, 2.0), (1e154, 1e154)))
+        assert (res.s, res.a, res.b, res.bound) == (math.inf,) * 4
+        assert res.hypothesis_ok and res.conclusion_ok
+
     def test_hypothesis_is_exact(self):
         # s, a and b all round to 1.0, yet r is nonzero at a second distinct value
         res = lemma31_check(Lemma31Instance((1.0, 1.0 + 2.0**-50), (1.0, 1e-10)))
@@ -224,6 +235,17 @@ class TestTheorem11:
         flat = math.sqrt(0.5 * 3.0)
         assert res.corollaries["drifted_laplacian"] == pytest.approx(24.0 * flat)
         assert res.corollaries["laplacian"] == pytest.approx(20.0 * flat)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "fields",
+        [{}, {"epsilon": 0.5, "delta": 2.0, "t0": 1.3, "c0": 0.7}, {"epsilon": 3.0, "delta": 3.0, "c0": -0.4, "eta1": 2.0}],
+    )
+    def test_laplacian_corollary_closed_form(self, n, fields):
+        # T = I and no drift fix every constant the formula reads, so any consts give
+        # 4 lambda1 sqrt((1/n)(1 + 4/n)); the bound is that times k^(1/n)
+        res = theorem11_constant(2.5, trivial_consts(n, **fields))
+        assert res.corollaries["laplacian"] == pytest.approx(4.0 * 2.5 * math.sqrt((1.0 + 4.0 / n) / n), rel=1e-15)
 
     def test_conformal_scaling_consistency(self):
         # for T = c id the operator is c times the drifted flat one, so the

@@ -280,8 +280,20 @@ def box_pair(bounds, resolution, tensor=None, drift=None, metric=None, mask_rule
     return assemble(dom, tensor or identity_tensor(dim), drift or ConstantScalar(dim))
 
 
+def counted_eigh(monkeypatch):
+    """The argument tuples of every later scipy.linalg.eigh call in spectral, in a list."""
+    calls, eigh = [], spectral.sla.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.sla, "eigh", counted)
+    return calls
+
+
 def separable_reference(factors, k):
-    """spectral._separable with one eigh per axis, equal pencils or not."""
+    """spectral._product_pencil's read-off with one eigh per axis, equal pencils or not."""
     lams, vecs = zip(
         *(sla.eigh(K, M, subset_by_index=[0, min(k, M.shape[0]) - 1]) for K, M in zip(factors.stiffness, factors.mass))
     )
@@ -370,15 +382,9 @@ class TestSeparable:
         pair = box_pair([(0, 1), (0, 1), (0, 1.5)], [7, 7, 5])
         factors, k = axis_factors(pair), 15
         expected = separable_reference(factors, k)
-        calls, eigh = [], spectral.sla.eigh
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(spectral.sla, "eigh", counted)
-        lam, vecs = spectral._separable(factors, k)
-        assert len(calls) == 2
+        calls = counted_eigh(monkeypatch)
+        lam, vecs, diag = spectral._product_pencil(factors, k, 0, read_off=True)
+        assert len(calls) == 2 and diag == {}
         assert np.array_equal(lam, expected[0]) and np.array_equal(vecs, expected[1])
         sep, dense = solve_lowest(pair, k), solve_lowest(pair, k, method="dense")
         assert sep.meta["method"] == "separable" and np.array_equal(sep.eigenvalues, lam)
@@ -446,21 +452,38 @@ class TestFastDiagonalization:
         assert np.array_equal(res.multiplicity_groups(), dense.multiplicity_groups())
 
     @pytest.mark.parametrize("case", FAST_DIAGONALIZATION_CASES)
-    def test_inverse_undoes_A(self, case):
-        """S = C^T A^-1 C is symmetric and inverts C^-1 A C^-T; the back map solves A u = C w."""
+    def test_inverse_undoes_A(self, case, monkeypatch):
+        """S = D^-1/2 G D^-1/2 is symmetric and is A^-1 B in the mode basis: A V D^-1/2 S y = B V D^-1/2 y."""
         pair = FAST_DIAGONALIZATION_CASES[case]()
         factors = axis_factors(pair)
-        apply, back = spectral._whitened_inverse(factors)
-        C = functools.reduce(np.kron, [np.linalg.cholesky(B) for B in factors.b_mass])
-        A = pair.A.toarray()
-        S = np.column_stack([apply(e) for e in np.eye(pair.ndof)])
+
+        def solve(block):
+            """S as a dense matrix, and the back map V D^-1/2 of ``block`` taken as the Lanczos vectors."""
+            seen = []
+
+            def lanczos(apply, ndof, k, seed):
+                seen.append(np.column_stack([apply(e) for e in np.eye(ndof)]))
+                return np.ones(k), block, {}
+
+            monkeypatch.setattr(spectral, "_lanczos", lanczos)
+            lam, u, _ = spectral._product_pencil(factors, block.shape[1], 0, read_off=False)
+            assert np.array_equal(lam, np.ones(block.shape[1]))
+            return seen[0], u
+
+        y = np.random.default_rng(6).standard_normal((pair.ndof, 3))
+        S, u = solve(y)
         assert np.max(np.abs(S - S.T)) <= 1e-10 * np.max(np.abs(S))
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(pair.ndof)
-        whitened_A_x = sla.solve_triangular(C, A @ sla.solve_triangular(C.T, x), lower=True)
-        assert np.linalg.norm(apply(whitened_A_x) - x) <= 1e-10 * np.linalg.norm(x)
-        w = rng.standard_normal((pair.ndof, 3))
-        assert np.linalg.norm(A @ back(w) - C @ w) <= 1e-10 * np.linalg.norm(C @ w)
+        A_side = pair.A @ solve(S @ y)[1]
+        assert np.linalg.norm(A_side - pair.B @ u) <= 1e-10 * np.linalg.norm(pair.B @ u)
+
+    def test_equal_axes_solved_once(self, monkeypatch):
+        # x1 and x2 give equal 1-D pencils, x3 does not: two eigh calls, not three
+        pair = FAST_DIAGONALIZATION_CASES["halfspace_3d_multiplets"]()
+        dense = solve_lowest(pair, 10, method="dense")
+        calls = counted_eigh(monkeypatch)
+        res = solve_lowest(pair, 10)
+        assert res.meta["inverse"] == "fast_diagonalization" and len(calls) == 2
+        assert np.max(np.abs(res.eigenvalues - dense.eigenvalues) / dense.eigenvalues) <= 1e-10
 
     @pytest.mark.parametrize("case", [*FAST_DIAGONALIZATION_CASES, *SEPARABLE_CASES])
     def test_kronecker_sum_rebuilds_the_pencil(self, case):

@@ -38,7 +38,6 @@ from .fields import (
 from .geometry import (
     GridDomain,
     MetricModel,
-    OriginPoint,
     domain_origin_distance,
     euclidean,
     geodesic_distance,
@@ -69,7 +68,6 @@ __all__ = [
     "OperatorConstants",
     "OperatorPair",
     "OracleSpectrum",
-    "OriginPoint",
     "ScalarField",
     "ScenarioConfig",
     "SpectrumResult",

@@ -7,9 +7,14 @@ The discrete problem is the generalized pencil A u = lambda B u with
 
 over multilinear (Q1) nodal elements on the masked-in cells, 2-point Gauss
 quadrature per axis, and Dirichlet conditions imposed by removing boundary
-rows/columns.  Both are built straight into CSR from the grid's 3^n node
-stencil: each unordered index pair is summed once and read from both
-sides, so A == A^T and B == B^T exactly (see ``_stencil_csr``).
+rows/columns.  The quadrature data has one layout: the Gauss points are
+the domain's (m, n) batch, cell by cell (m = ncell nq), and every quantity
+at them (measure weights, metric factor, interpolated modes) is (m,) or
+(m, n) in the same order.  Only ``assemble`` views them as (ncell, ...)
+blocks, for its per-cell products.  Both matrices are built straight into
+CSR from the grid's 3^n node stencil: each unordered index pair is summed
+once and read from both sides, so A == A^T and B == B^T exactly (see
+``_stencil_csr``).
 """
 
 from __future__ import annotations
@@ -60,15 +65,15 @@ def _reference_elements(n: int, h):
 @dataclass
 class OperatorPair:
     """Assembled (A, B), the DOF bookkeeping, and the quadrature data the
-    pair was built from: the quad_data triple, the field sample at those
-    points and T's extreme eigenvalues epsilon <= delta there.  The
-    constants and checks read the same sample."""
+    pair was built from: the field sample at the domain's Gauss points
+    (``sample.pts``), the (m,) measure weights and metric factor of
+    quad_data there, and T's extreme eigenvalues epsilon <= delta there.
+    The constants and checks read the same sample."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     domain: GridDomain
     sample: FieldSample
-    pts: np.ndarray
     dm: np.ndarray
     grad_factor: np.ndarray
     epsilon: float
@@ -80,18 +85,16 @@ class OperatorPair:
 
 
 def quad_data(domain: GridDomain, drift: ScalarField):
-    """Points, measure weights e^(-eta) W_g, and metric gradient factor.
+    """The (m, n) Gauss points, their (m,) measure weights e^(-eta) W_g and metric gradient factor.
 
     Raises NonFiniteValue unless every weight is finite and positive.
     """
     pts, w = domain.quadrature()
-    ncell, nq, n = pts.shape
-    flat = pts.reshape(-1, n)
-    eta = drift.value(flat).reshape(ncell, nq)
-    wg = volume_weight(domain.metric, flat).reshape(ncell, nq)
-    grad_factor = inverse_metric_factor(domain.metric, flat).reshape(ncell, nq)
     with np.errstate(over="ignore"):
-        dm = w[None, :] * domain.cell_volume() * np.exp(-eta) * wg
+        # each cell's nq Gauss weights times the cell volume, point by point
+        dm = (np.exp(-drift.value(pts)).reshape(-1, w.size) * (w * domain.cell_volume())).ravel()
+        dm *= volume_weight(domain.metric, pts)
+    grad_factor = inverse_metric_factor(domain.metric, pts)
     # an under- or overflowing weight would leave B singular or non-finite
     if not np.all((dm > 0.0) & np.isfinite(dm)):
         raise NonFiniteValue("measure weight e^(-eta) W_g is not finite and positive at every quadrature point")
@@ -139,23 +142,22 @@ def _stencil_csr(domain: GridDomain, vals) -> list[sp.csr_matrix]:
 
 def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> OperatorPair:
     """Build the stiffness/mass pair over the interior DOFs."""
-    n = domain.dim
     pts, dm, grad_factor = quad_data(domain, drift)
-    ncell, nq, _ = pts.shape
-    sample = FieldSample(field, drift, domain.metric, pts.reshape(-1, n))
+    sample = FieldSample(field, drift, domain.metric, pts)
     epsilon, delta = tensor_eigen_range(sample.theta)  # raises NotPositiveDefinite early
-    theta = sample.theta.reshape(ncell, nq, n, n)
 
     N, dN = _reference_elements(domain.dim, domain.h)
+    nq, nloc, n = dN.shape
     # every unordered local pair (i <= j) of every cell in one product with a
-    # constant table, one column per pair in triu order:
+    # constant table, one column per pair in triu order; the point data is
+    # viewed by cells here, (ncell, nq ...), and nowhere else:
     # A_c[i, j] = sum_qab (dm grad_factor T)[c, q, a, b] dN[q, i, a] dN[q, j, b]
-    iu, ju = np.triu_indices(N.shape[1])
+    iu, ju = np.triu_indices(nloc)
     grad_pairs = np.einsum("qia,qjb->qabij", dN, dN)[..., iu, ju].reshape(nq * n * n, -1)
-    a_vals = ((dm * grad_factor)[:, :, None, None] * theta).reshape(ncell, -1) @ grad_pairs
-    b_vals = dm @ (N[:, iu] * N[:, ju])
+    a_vals = ((dm * grad_factor)[:, None, None] * sample.theta).reshape(-1, nq * n * n) @ grad_pairs
+    b_vals = dm.reshape(-1, nq) @ (N[:, iu] * N[:, ju])
     A, B = _stencil_csr(domain, (a_vals, b_vals))
-    return OperatorPair(A, B, domain, sample, pts, dm, grad_factor, epsilon, delta)
+    return OperatorPair(A, B, domain, sample, dm, grad_factor, epsilon, delta)
 
 
 @dataclass
@@ -265,10 +267,9 @@ def axis_factors(pair: OperatorPair) -> AxisFactors | None:
     return AxisFactors(stiffness, mass, b_mass, separable)
 
 
-def project_function(domain: GridDomain, f) -> np.ndarray:
+def project_function(domain: GridDomain, f: ScalarField) -> np.ndarray:
     """Nodal interpolation: values of f at the interior nodes."""
-    coords = domain.interior_coords()
-    values = f.value(coords) if isinstance(f, ScalarField) else np.asarray(f(coords), dtype=float)
+    values = f.value(domain.interior_coords())
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue("function not finite at some interior node")
     return values
@@ -277,10 +278,10 @@ def project_function(domain: GridDomain, f) -> np.ndarray:
 def interpolate_at_quadrature(pair: OperatorPair, u) -> tuple[np.ndarray, np.ndarray]:
     """Q1 interpolant of a DOF vector at the quadrature points.
 
-    Returns (values, gradients) shaped (ncell, nq) and (ncell, nq, n);
-    gradients are coordinate partials.  Both come from one product of the
-    corner values with the (2^n, nq (1 + n)) table of shape values and
-    gradients.
+    Returns (values, gradients) shaped (m,) and (m, n), in the order of
+    the domain's Gauss points; gradients are coordinate partials.  Both
+    come from one product of the corner values with the (2^n, nq (1 + n))
+    table of shape values and gradients.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[0] != pair.ndof:
@@ -290,8 +291,8 @@ def interpolate_at_quadrature(pair: OperatorPair, u) -> tuple[np.ndarray, np.nda
     full[domain.interior_flat] = u
     corner_vals = full[domain.cell_corner_nodes()]
     N, dN = _reference_elements(domain.dim, domain.h)
-    nq, nloc, n = dN.shape
+    nloc, n = dN.shape[1:]
     table = np.concatenate([N.T[:, :, None], dN.transpose(1, 0, 2)], axis=2).reshape(nloc, -1)
-    out = (corner_vals @ table).reshape(-1, nq, 1 + n)
-    return out[:, :, 0], out[:, :, 1:]
+    out = (corner_vals @ table).reshape(-1, 1 + n)
+    return out[:, 0], out[:, 1:]
 

@@ -137,16 +137,18 @@ def _fsum(terms) -> float:
 def _lemma31_sums(inst: Lemma31Instance) -> tuple:
     """(s, a, b, bound) of one instance, each sum correctly rounded by ``math.fsum``.
 
-    A term whose r_i^2 is 0 is an exact zero and is skipped, so mu_i^2 * 0
-    is never formed, and a sum past the double range reads inf.
+    The terms are mu_i r_i^2, (mu_i r_i)^2 and r_i^2: each overflows only
+    where its exact value leaves the double range, and none forms inf * 0,
+    so a sum past that range reads inf and never nan.  The bound halves
+    its numerator and denominator, which is exact for normal numbers, so
+    that mu_m1 + mu_{m1+1} overflows only where the bound does.
     """
     mu, r = (np.asarray(v, dtype=float).tolist() for v in (inst.mu, inst.r))
-    terms = [(m, x2) for m, x in zip(mu, r) if (x2 := x * x) != 0.0]
-    s = _fsum(m * x2 for m, x2 in terms)
-    a = _fsum(m * m * x2 for m, x2 in terms)
-    b = _fsum(x2 for _, x2 in terms)
+    s = _fsum(m * (x * x) for m, x in zip(mu, r))
+    a = _fsum((m * x) * (m * x) for m, x in zip(mu, r))
+    b = _fsum(x * x for x in r)
     mu1, mu2 = mu[inst.m1 - 1], mu[inst.m1]
-    return s, a, b, (a + mu1 * mu2 * b) / (mu1 + mu2)
+    return s, a, b, (0.5 * a + 0.5 * (mu1 * mu2 * b)) / (0.5 * mu1 + 0.5 * mu2)
 
 
 def lemma31_check(inst: Lemma31Instance) -> Lemma31Result:
@@ -571,8 +573,7 @@ def cor32_check(
     to I2 or I3.
     """
     lam = spectrum.eigenvalues
-    pts, dm, grad_factor, sample = pair.pts, pair.dm, pair.grad_factor, pair.sample
-    cells = pts.shape[:2]
+    dm, grad_factor, sample = pair.dm, pair.grad_factor, pair.sample
 
     gf = test_fn.f.grad(sample.pts)
     norms = gradient_norm(pair.domain.metric, sample.pts, gf)
@@ -581,20 +582,18 @@ def cor32_check(
         raise UnitGradientViolation(f"|grad f|_g deviates from 1 by {defect:.3e}")
 
     uj, _, t_guj = _mode_at_quadrature(spectrum, pair, j)
-    gf_c = gf.reshape(pts.shape)
     lf, glf = test_fn.lf_and_grad(sample)
 
-    pair_ujf = grad_factor * np.einsum("cqa,cqa->cq", t_guj, gf_c)
+    pair_ujf = grad_factor * np.einsum("qa,qa->q", t_guj, gf)
     i1 = float(np.sum(pair_ujf**2 * dm))
-    i2 = 0.0 if lf is None else float(np.sum(lf.reshape(cells) ** 2 * uj**2 * dm))
+    i2 = 0.0 if lf is None else float(np.sum(lf**2 * uj**2 * dm))
     i3 = 0.0
     if glf is not None:
-        t_gf = sample.apply_T(gf_c)
-        i3 = float(np.sum(grad_factor * np.einsum("cqa,cqa->cq", glf.reshape(pts.shape), t_gf) * uj**2 * dm))
+        i3 = float(np.sum(grad_factor * np.einsum("qa,qa->q", glf, sample.apply_T(gf)) * uj**2 * dm))
 
     sig, dlt = consts.sigma, consts.delta
     lam_j = float(lam[j - 1])
-    linked = i1 <= dlt * lam_j * (1.0 + 1e-10)
+    linked = holds(i1, dlt * lam_j)
     bracket_314 = i1 - 0.25 * i2 - 0.5 * i3
     bracket_315 = dlt * lam_j - 0.25 * i2 - 0.5 * i3
 
@@ -655,16 +654,14 @@ def lemma32_check(
     """
     lam = spectrum.eigenvalues
     labels = multiplet_labels(lam)
-    pts, dm, grad_factor, sample = pair.pts, pair.dm, pair.grad_factor, pair.sample
-    cells = pts.shape[:2]
+    dm, grad_factor, sample = pair.dm, pair.grad_factor, pair.sample
     uj, _, t_guj = _mode_at_quadrature(spectrum, pair, j)
-    gv = g.value(sample.pts).reshape(cells)
-    gg = g.grad(sample.pts).reshape(pts.shape)
-    lg = apply_operator_L(sample, g).reshape(cells)
+    gv = g.value(sample.pts)
+    gg = g.grad(sample.pts)
+    lg = apply_operator_L(sample, g)
 
-    t_gg = sample.apply_T(gg)
-    igg = float(np.sum(grad_factor * np.einsum("cqa,cqa->cq", gg, t_gg) * uj**2 * dm))
-    cross_grad = grad_factor * np.einsum("cqa,cqa->cq", t_guj, gg)
+    igg = float(np.sum(grad_factor * np.einsum("qa,qa->q", gg, sample.apply_T(gg)) * uj**2 * dm))
+    cross_grad = grad_factor * np.einsum("qa,qa->q", t_guj, gg)
     ib = float(np.sum((2.0 * cross_grad + uj * lg) ** 2 * dm))
     igu = float(np.sum((gv * uj) ** 2 * dm))
 

@@ -43,20 +43,21 @@ def _k_override(text):
 
 
 def _overrides_from(args) -> dict:
+    checks = getattr(args, "checks", None)  # verify's --checks; the config validates the names
     ov = {
         "resolution": args.resolution,
         "k": _k_override(args.k),
         "solve_tol": args.solve_tol,
         "ortho_tol": args.ortho_tol,
         "seed": args.seed,
-        "output_dir": args.out,
+        "verify": [c.strip() for c in checks.split(",") if c.strip()] if checks else None,
     }
     if args.dense:
         ov["method"] = "dense"
     return ov
 
 
-def _run(args, adjust):
+def _run(args, adjust=lambda cfg: None):
     """Load, override, adjust and run the scenario; an int is a failure's exit code."""
     from .errors import ConfigError, DimensionMismatch, EtagapError
     from .scenario import apply_overrides, load_config, run_scenario
@@ -87,18 +88,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .errors import ConfigError
-    from .scenario import CHECK_NAMES
-
-    def select_checks(cfg):
-        if args.checks:
-            wanted = [c.strip() for c in args.checks.split(",") if c.strip()]
-            for c in wanted:
-                if c not in CHECK_NAMES:
-                    raise ConfigError(f"unknown check {c!r}")
-            cfg.verify = wanted
-
-    report = _run(args, select_checks)
+    report = _run(args)
     if isinstance(report, int):
         return report
     counts = report.counts()

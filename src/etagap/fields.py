@@ -44,12 +44,7 @@ from .errors import (
     NotPositiveDefinite,
     OutOfDomain,
 )
-from .geometry import (
-    GridDomain,
-    MetricModel,
-    OriginPoint,
-    radial_unit_vector,
-)
+from .geometry import GridDomain, MetricModel, radial_unit_vector
 
 # ---------------------------------------------------------------------------
 # scalar fields (drift functions and closed-form test functions)
@@ -408,7 +403,7 @@ def tensor_eigen_range(mats: np.ndarray) -> tuple[float, float]:
 
 def tensor_bounds(field: TensorField, domain: GridDomain) -> tuple[float, float]:
     """(epsilon, delta): extreme tensor eigenvalues over quadrature points."""
-    return tensor_eigen_range(field.matrix(domain.quad_points_flat()))
+    return tensor_eigen_range(field.matrix(domain.quadrature()[0]))
 
 
 def _christoffel_part(mats: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -513,13 +508,10 @@ class FieldSample:
         )
 
     def apply_T(self, v: np.ndarray) -> np.ndarray:
-        """T v at every point, for v of shape (..., n) holding m vectors."""
-        flat = v.reshape(-1, self.pts.shape[1])
+        """T v at every point, for v of shape (m, n)."""
         if self.field.degree == 0:
-            out = flat @ self.theta[0].T
-        else:
-            out = np.einsum("qab,qb->qa", self.theta, flat)
-        return out.reshape(v.shape)
+            return v @ self.theta[0].T
+        return np.einsum("qab,qb->qa", self.theta, v)
 
 
 def trace_nabla_T(sample: FieldSample) -> np.ndarray | None:
@@ -574,15 +566,16 @@ def compute_C0(sample: FieldSample) -> float:
     return 0.0 if val is None else float(np.max(val)) + 0.0
 
 
-def compute_eta_radial_constants(sample: FieldSample, origin: OriginPoint) -> tuple[float, float]:
+def compute_eta_radial_constants(sample: FieldSample, origin: np.ndarray) -> tuple[float, float]:
     """(eta1, eta_r): radial Hessian and radial derivative bounds of eta.
 
     eta1 = max |Hess eta (d_r, d_r)|, eta_r = max |<grad eta, d_r>| over the
     sample points, with d_r the metric-unit radial direction from the
-    origin, which must lie outside the sampled domain (validate_origin).
+    origin (n,), which must lie outside the sampled domain
+    (geometry.domain_origin_distance checks that).
     """
-    pts, ge, he, b = sample.pts, sample.ge, sample.he, sample.b
-    v = radial_unit_vector(sample.metric, origin.array(), pts)
+    ge, he, b = sample.ge, sample.he, sample.b
+    v = radial_unit_vector(sample.metric, origin, sample.pts)
     if b is not None and ge is not None:
         # covariant Hessian he - Gamma(d eta) = he + b_i g_j + b_j g_i - d_ij <b, g>, g = d eta / rho
         g = (1.0 / sample.rho)[:, None] * ge
@@ -658,7 +651,8 @@ def validate_radially_constant(values_func, domain: GridDomain) -> None:
     values_func maps an (m, n) point array to an (m, ...) value array.
     """
     (lo, hi) = domain.bounds[-1]
-    pts = domain.quad_points_flat()[:: max(1, domain.quad_points_flat().shape[0] // 64)]
+    pts, _ = domain.quadrature()
+    pts = pts[:: max(1, pts.shape[0] // 64)]
     shifted = pts.copy()
     shifted[:, -1] = lo + (hi - lo) * 0.37
     base = pts.copy()

@@ -5,16 +5,19 @@ conformal factor rho: flat Euclidean space (rho = 1) and the upper-half-space
 model of hyperbolic space (curvature -1, rho = x_n on x_n > 0).  The volume
 weight, the inverse metric, gradient norms, the radial direction and the
 domain checks derive from rho alone; only the geodesic distance keeps one
-closed form per model.  Domains are axis-aligned boxes carrying a per-cell
-inside-mask; curved shapes are approximated by staircase masks.  All objects
-are immutable after construction and safe for concurrent reads.
+closed form per model.  Points travel in one layout: every pointwise
+function takes an (m, n) batch and returns one value or vector per row,
+and a reference point such as the origin is an (n,) array.  Domains are
+axis-aligned boxes carrying a per-cell inside-mask; curved shapes are
+approximated by staircase masks.  Their Gauss points are one (m, n) batch,
+cell by cell.  All objects are immutable after construction and safe for
+concurrent reads.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,11 +29,6 @@ from .errors import (
 )
 
 
-class MetricKind(Enum):
-    EUCLIDEAN = "euclidean"
-    HYPERBOLIC = "hyperbolic"
-
-
 @dataclass(frozen=True)
 class MetricModel:
     """Ambient metric g = rho^-2 delta: Euclidean R^n or the hyperbolic upper half-space.
@@ -39,18 +37,14 @@ class MetricModel:
     metric formulas in this module and in ``fields`` rely on that.
     """
 
-    kind: MetricKind
     dim: int
+    is_hyperbolic: bool
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.kind is MetricKind.HYPERBOLIC and self.dim < 2:
+        if self.is_hyperbolic and self.dim < 2:
             raise ValueError("hyperbolic model needs dimension >= 2")
-
-    @property
-    def is_hyperbolic(self) -> bool:
-        return self.kind is MetricKind.HYPERBOLIC
 
     @property
     def grad_rho(self) -> np.ndarray | None:
@@ -64,19 +58,11 @@ class MetricModel:
 
 
 def euclidean(dim: int) -> MetricModel:
-    return MetricModel(MetricKind.EUCLIDEAN, dim)
+    return MetricModel(dim, False)
 
 
 def hyperbolic_half_plane(dim: int) -> MetricModel:
-    return MetricModel(MetricKind.HYPERBOLIC, dim)
-
-
-def _as_points(p) -> tuple[np.ndarray, bool]:
-    """Normalize a point or batch of points to shape (m, n)."""
-    arr = np.asarray(p, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
+    return MetricModel(dim, True)
 
 
 def _rho(metric: MetricModel, pts: np.ndarray) -> np.ndarray:
@@ -87,81 +73,55 @@ def _rho(metric: MetricModel, pts: np.ndarray) -> np.ndarray:
     return rho
 
 
-def volume_weight(metric: MetricModel, p):
-    """Riemannian volume density sqrt(det g) = rho^-n against coordinate measure."""
-    pts, single = _as_points(p)
-    w = _rho(metric, pts) ** (-float(metric.dim))
-    return float(w[0]) if single else w
+def volume_weight(metric: MetricModel, pts: np.ndarray) -> np.ndarray:
+    """Riemannian volume density sqrt(det g) = rho^-n against coordinate measure, (m,)."""
+    return _rho(metric, pts) ** (-float(metric.dim))
 
 
-def inverse_metric_factor(metric: MetricModel, p):
-    """Conformal factor of the inverse metric, g^ij = rho^2 delta^ij."""
-    pts, single = _as_points(p)
-    f = _rho(metric, pts) ** 2
-    return float(f[0]) if single else f
+def inverse_metric_factor(metric: MetricModel, pts: np.ndarray) -> np.ndarray:
+    """Conformal factor of the inverse metric, g^ij = rho^2 delta^ij, (m,)."""
+    return _rho(metric, pts) ** 2
 
 
-def gradient_norm(metric: MetricModel, p, coordinate_gradient):
-    """Metric norm |grad f|_g = rho |df| of the gradient raised from a covector df."""
-    pts, single = _as_points(p)
-    rho = _rho(metric, pts)
-    cov = np.asarray(coordinate_gradient, dtype=float)
-    if cov.ndim == 1:
-        cov = cov[None, :]
+def gradient_norm(metric: MetricModel, pts: np.ndarray, coordinate_gradient: np.ndarray) -> np.ndarray:
+    """Metric norms |grad f|_g = rho |df| of the (m, n) gradients raised from covectors df."""
+    cov = coordinate_gradient
     # one pass, no squares array; for n >= 3 it can move the last bit against
     # np.linalg.norm, which only the 1e-10 unit-gradient gate in bounds reads
-    norms = np.sqrt(np.einsum("ij,ij->i", cov, cov)) * rho
-    return float(norms[0]) if single else norms
+    return np.sqrt(np.einsum("ij,ij->i", cov, cov)) * _rho(metric, pts)
 
 
-def geodesic_distance(metric: MetricModel, x, y):
-    """Geodesic distance from x (a point or an (m, n) batch) to the point y."""
-    xs, single = _as_points(x)
-    ys, _ = _as_points(y)
-    _rho(metric, xs)
-    _rho(metric, ys)
+def geodesic_distance(metric: MetricModel, pts: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Geodesic distances (m,) from the (m, n) points to the point y (n,)."""
+    _rho(metric, pts)
+    _rho(metric, y[None, :])
     if metric.is_hyperbolic:
-        diff2 = np.sum((xs - ys) ** 2, axis=1)
-        arg = 1.0 + diff2 / (2.0 * xs[:, -1] * ys[:, -1])
+        diff2 = np.sum((pts - y) ** 2, axis=1)
+        arg = 1.0 + diff2 / (2.0 * pts[:, -1] * y[-1])
         # clamp against roundoff just below 1
-        d = np.arccosh(np.maximum(arg, 1.0))
-    else:
-        d = np.linalg.norm(xs - ys, axis=1)
-    return float(d[0]) if single else d
+        return np.arccosh(np.maximum(arg, 1.0))
+    return np.linalg.norm(pts - y, axis=1)
 
 
-def radial_unit_vector(metric: MetricModel, origin, p):
-    """Coordinate components of the metric-unit direction of increasing distance from `origin`.
+def radial_unit_vector(metric: MetricModel, origin: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Coordinate components (m, n) of the metric-unit direction of increasing distance from `origin`.
 
     v = rho grad A / |grad A| is the metric gradient of A = |x - o|^2 / (rho(x) rho(o)),
     normalised.  The distance d grows with A in both models (d = sqrt(A)
     flat, cosh d = 1 + A / 2 in the half-space), so v = grad d, the tangent
     at p of the geodesic from the origin through p.
     """
-    pts, single = _as_points(p)
-    o = np.asarray(origin, dtype=float)
     rho = _rho(metric, pts)
-    _rho(metric, o[None, :])
+    _rho(metric, origin[None, :])
     # grad A over its positive factor 2 / (rho(x) rho(o)): (x - o) - |x - o|^2 b / (2 rho)
-    w = pts - o[None, :]
+    w = pts - origin
     b = metric.grad_rho
     if b is not None:
         w = w - (np.sum(w * w, axis=1) / (2.0 * rho))[:, None] * b
     norms = np.linalg.norm(w, axis=1)
     if np.any(norms == 0.0):
         raise OutOfDomain("radial direction undefined at the origin itself")
-    out = rho[:, None] * (w / norms[:, None])
-    return out[0] if single else out
-
-
-@dataclass(frozen=True)
-class OriginPoint:
-    """Reference point o outside the closed domain, for radial quantities."""
-
-    coords: tuple[float, ...]
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float)
+    return rho[:, None] * (w / norms[:, None])
 
 
 def gauss_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -265,9 +225,10 @@ class GridDomain:
     def quadrature(self):
         """Tensor-product 2-point Gauss rule on every masked cell.
 
-        Returns (points, weights) with points of shape (ncell, nq, n) and
-        weights of shape (nq,) summing to 1; multiply by cell_volume() for
-        coordinate-measure integration.
+        Returns (points, weights): the (m, n) points cell by cell, so the
+        nq = 2^n points of cell c are rows c nq .. c nq + nq - 1
+        (m = ncell nq), and the (nq,) weights of one cell, summing to 1;
+        multiply by cell_volume() for coordinate-measure integration.
         """
         if self._quad_cache is None:
             nodes, w = gauss_rule(self.dim)
@@ -275,12 +236,8 @@ class GridDomain:
             # per axis, in place: (lo + c h) + node h, the cell's low corner plus the node's offset
             for d, ((lo, _), h) in enumerate(zip(self.bounds, self.h)):
                 np.add((lo + self.masked_cells[:, d] * h)[:, None], nodes[:, d] * h, out=pts[:, :, d])
-            self._quad_cache = (pts, w)
+            self._quad_cache = (pts.reshape(-1, self.dim), w)
         return self._quad_cache
-
-    def quad_points_flat(self) -> np.ndarray:
-        pts, _ = self.quadrature()
-        return pts.reshape(-1, self.dim)
 
     def contains_point(self, p) -> bool:
         """Whether p lies in the closure of some masked-in cell."""
@@ -310,22 +267,17 @@ def make_box_domain(bounds, resolution, metric: MetricModel, mask_rule=None) -> 
     return GridDomain(bounds, resolution, metric, mask)
 
 
-def validate_origin(domain: GridDomain, origin: OriginPoint) -> None:
-    o = origin.array()
-    if o.shape != (domain.dim,):
-        raise ValueError("origin dimension mismatch")
-    _rho(domain.metric, o[None, :])
-    if domain.contains_point(o):
-        raise OriginInsideDomain("origin lies in the closed masked region")
-
-
-def domain_origin_distance(domain: GridDomain, origin: OriginPoint) -> float:
-    """Grid approximation (from above) of dist(domain, origin).
+def domain_origin_distance(domain: GridDomain, origin: np.ndarray) -> float:
+    """Grid approximation (from above) of dist(domain, origin) for an origin (n,) outside the closed domain.
 
     Minimizes the geodesic distance over the corner nodes of masked-in
     cells; since nodes lie in the closed domain this never undershoots the
     true distance.
     """
-    validate_origin(domain, origin)
+    if origin.shape != (domain.dim,):
+        raise ValueError("origin dimension mismatch")
+    _rho(domain.metric, origin[None, :])
+    if domain.contains_point(origin):
+        raise OriginInsideDomain("origin lies in the closed masked region")
     nodes = np.unique(domain.cell_corner_nodes().ravel())
-    return float(np.min(geodesic_distance(domain.metric, domain.node_coords(nodes), origin.array())))
+    return float(np.min(geodesic_distance(domain.metric, domain.node_coords(nodes), origin)))

@@ -200,7 +200,7 @@ _OVERRIDES = {
     "ortho_tol": ("solver", "ortho_tol"),
     "seed": ("solver", "seed"),
     "method": ("solver", "method"),
-    "output_dir": (None, "output_dir"),
+    "verify": (None, "verify"),
 }
 
 
@@ -341,8 +341,8 @@ class ScenarioReport:
         for rows in (gap, yang, *self.cor32_rows.values(), self.lemma32_rows):
             for row in rows:
                 out[row.status] += 1
-        if self.parseval is not None:
-            out["pass" if self.parseval >= -1e-10 else "fail"] += 1
+        if self.parseval is not None:  # Bessel's inequality, captured / total <= 1
+            out["pass" if bounds.holds(1.0 - self.parseval, 1.0) else "fail"] += 1
         if self.oracle_error is not None and self.config.oracle_rtol is not None:
             out["pass" if self.oracle_error <= self.config.oracle_rtol else "fail"] += 1
         return out
@@ -386,7 +386,7 @@ def build_problem(cfg: ScenarioConfig):
             lambda p: tensor.matrix(p).reshape(p.shape[0], -1), domain
         )
         # T must send the vertical direction to a multiple of itself
-        pts = domain.quad_points_flat()[:16]
+        pts = domain.quadrature()[0][:16]
         theta = tensor.matrix(pts)
         off = np.abs(theta[:, :-1, -1])
         if np.max(off) > 1e-12:
@@ -410,7 +410,7 @@ def collect_constants(cfg, pair: assembly.OperatorPair) -> fields.OperatorConsta
             kwargs["kappa2"] = cfg.kappa2 if cfg.kappa2 is not None else cfg.kappa1
             prov["kappa1"] = prov["kappa2"] = "config"
         if cfg.origin is not None:
-            origin = geometry.OriginPoint(tuple(cfg.origin))
+            origin = np.array(cfg.origin)
             kwargs["d"] = geometry.domain_origin_distance(domain, origin)
             prov["d"] = "computed (grid approximation from above)"
             eta1, eta_r = fields.compute_eta_radial_constants(sample, origin)

@@ -190,21 +190,23 @@ def _product_pencil(factors: AxisFactors, k: int, seed: int, read_off: bool):
 def _band_cholesky(B: sp.spmatrix) -> tuple[int, dict]:
     """B's half-bandwidth kd and its Cholesky factor in both LAPACK band storages.
 
-    dpbtrf on B's lower band gives L with B = L L^T, and on its upper band
-    U = L^T; ``{"L": L, "U": U}``, each (kd + 1, ndof).  B[i, j] sits at
-    [i - j, j] of the lower storage and at [kd + i - j, j] of the upper one.
+    dpbtrf on B's lower band gives L with B = L L^T; ``{"L": L, "U": U}``
+    holds it and U = L^T, each (kd + 1, ndof).  M[i, j] sits at [i - j, j]
+    of the lower storage and at [kd + i - j, j] of the upper one, so
+    diagonal d of L^T is row d of L's storage shifted right by d.
     """
     lower = sp.tril(B, format="coo")
     below = lower.row - lower.col
     band = int(np.max(below))
-    factors = {}
-    for uplo, rows, cols in (("L", below, lower.col), ("U", band - below, lower.row)):
-        stored = np.zeros((band + 1, B.shape[0]), order="F")
-        stored[rows, cols] = lower.data
-        factors[uplo], info = lapack.dpbtrf(stored, lower=int(uplo == "L"), overwrite_ab=1)
-        if info != 0:
-            raise NotPositiveDefinite(f"B is not positive definite (dpbtrf info {info})")
-    return band, factors
+    stored = np.zeros((band + 1, B.shape[0]), order="F")
+    stored[below, lower.col] = lower.data
+    factor, info = lapack.dpbtrf(stored, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"B is not positive definite (dpbtrf info {info})")
+    upper = np.zeros_like(factor)
+    for d in range(band + 1):
+        upper[band - d, d:] = factor[d, : factor.shape[1] - d]
+    return band, {"L": factor, "U": upper}
 
 
 def _dense(pair: OperatorPair, k: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from etagap.assembly import assemble, interpolate_at_quadrature, project_function, quad_data
 from etagap.errors import NonFiniteValue
-from etagap.fields import AffineScalar, ConstantScalar, LogAxisScalar, identity_tensor, tensor_preset
+from etagap.fields import AffineScalar, ConstantScalar, LogAxisScalar, ScalarField, identity_tensor, tensor_preset
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
 from etagap.spectral import solve_lowest
 
@@ -109,9 +109,15 @@ class TestProjectFunction:
         assert vals == pytest.approx(np.log(coords[:, 1]))
 
     def test_nonfinite_rejected(self):
+        class NanRight(ScalarField):
+            dim = 1
+
+            def value(self, pts):
+                return np.where(pts[:, 0] > 0.3, np.nan, 1.0)
+
         dom = make_box_domain([(0, 1)], [4], EUC1)
         with pytest.raises(NonFiniteValue):
-            project_function(dom, lambda pts: np.where(pts[:, 0] > 0.3, np.nan, 1.0))
+            project_function(dom, NanRight())
 
 
 class TestDiscreteBilinearForm:
@@ -133,9 +139,8 @@ class TestDiscreteBilinearForm:
         _, gu = interpolate_at_quadrature(pair, u)
         _, gv = interpolate_at_quadrature(pair, v)
         pts, dm, factor = quad_data(pair.domain, pair.sample.drift)
-        flat = pts.reshape(-1, 2)
-        theta = field.matrix(flat).reshape(pts.shape[0], pts.shape[1], 2, 2)
-        form = float(np.sum(factor * np.einsum("cqa,cqab,cqb->cq", gv, theta, gu) * dm))
+        theta = field.matrix(pts)
+        form = float(np.sum(factor * np.einsum("qa,qab,qb->q", gv, theta, gu) * dm))
         assert v @ (pair.A @ u) == pytest.approx(form, rel=1e-12)
 
     def test_mass_equals_quadrature_form(self):
@@ -217,6 +222,7 @@ class TestInterpolateAtQuadrature:
         u = np.random.default_rng(dim).standard_normal(pair.ndof)
         vals, grads = interpolate_at_quadrature(pair, u)
         ref_vals, ref_grads = einsum_interpolant(pair, u)
+        ref_vals, ref_grads = ref_vals.reshape(-1), ref_grads.reshape(-1, dim)  # cell by cell, as the Gauss points
         assert vals.shape == ref_vals.shape and grads.shape == ref_grads.shape
         assert np.max(np.abs(vals - ref_vals)) <= 1e-14 * np.max(np.abs(ref_vals))
         assert np.max(np.abs(grads - ref_grads)) <= 1e-14 * np.max(np.abs(ref_grads))
@@ -232,13 +238,15 @@ def coo_mirror_reference(pair):
 
     domain = pair.domain
     n = domain.dim
-    ncell, nq = pair.dm.shape
+    nq = 2**n
+    ncell = pair.dm.size // nq
+    dm, grad_factor = pair.dm.reshape(ncell, nq), pair.grad_factor.reshape(ncell, nq)
     theta = pair.sample.theta.reshape(ncell, nq, n, n)
     N, dN = _reference_elements(n, domain.h)
     iu, ju = np.triu_indices(N.shape[1])
     grad_pairs = np.einsum("qia,qjb->qabij", dN, dN)[..., iu, ju].reshape(nq * n * n, -1)
-    a_vals = ((pair.dm * pair.grad_factor)[:, :, None, None] * theta).reshape(ncell, -1) @ grad_pairs
-    b_vals = pair.dm @ (N[:, iu] * N[:, ju])
+    a_vals = ((dm * grad_factor)[:, :, None, None] * theta).reshape(ncell, -1) @ grad_pairs
+    b_vals = dm @ (N[:, iu] * N[:, ju])
 
     dof = domain.dof_index()[domain.cell_corner_nodes()]
     ri, rj = dof[:, iu].T, dof[:, ju].T

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from etagap import bounds
-from etagap.assembly import assemble
+from etagap.assembly import assemble, interpolate_at_quadrature
 from etagap.bounds import (
     LEMMA31_CHUNK,
     Lemma31Instance,
@@ -125,7 +125,7 @@ class TestLemma31:
         assert res.conclusion_ok
 
     def test_zero_weight_term_is_skipped_in_the_sums(self):
-        # mu_3^2 overflows to inf, but r_3 = 0, so the term is an exact zero, not nan
+        # mu_3^2 would overflow to inf, but r_3 = 0, so the term (mu_3 r_3)^2 is an exact zero, not nan
         res = lemma31_check(Lemma31Instance((1.0, 2.0, 1e200), (1.0, 1.0, 0.0)))
         assert (res.s, res.a, res.b, res.bound) == (3.0, 5.0, 2.0, 3.0)
 
@@ -134,6 +134,18 @@ class TestLemma31:
         res = lemma31_check(Lemma31Instance((1.0, 2.0), (1e154, 1e154)))
         assert (res.s, res.a, res.b, res.bound) == (math.inf,) * 4
         assert res.hypothesis_ok and res.conclusion_ok
+
+    def test_a_term_whose_mu_squared_overflows_stays_finite(self):
+        # mu_3^2 = 1e400 leaves the double range, but (mu_3 r_3)^2 = 1e100 does not
+        res = lemma31_check(Lemma31Instance((1.0, 2.0, 1e200), (1.0, 1.0, 1e-150)))
+        assert (res.s, res.b) == (3.0, 2.0)
+        assert res.a == pytest.approx(1e100, rel=1e-15)
+        assert res.bound == pytest.approx(1e100 / 3.0, rel=1e-15)
+
+    def test_bound_past_the_double_range_reads_inf(self):
+        # mu_1 + mu_2 = 2.5e308 overflows; the true bound, 2.5e308, is past the range too
+        res = lemma31_check(Lemma31Instance((1e308, 1.5e308), (1.0, 1.0)))
+        assert (res.s, res.a, res.b, res.bound) == (math.inf, math.inf, 2.0, math.inf)
 
     def test_hypothesis_is_exact(self):
         # s, a and b all round to 1.0, yet r is nonzero at a second distinct value
@@ -665,6 +677,17 @@ class TestCor32:
                 continue
             assert r2.rhs_314 == pytest.approx(4.0 * r1.rhs_314, rel=1e-12)
             assert holds(r2.lhs_314, r2.rhs_314) == holds(r1.lhs_314, r1.rhs_314)
+
+    @pytest.mark.parametrize("ratio, status", [(1.0 - 1e-11, "pass"), (1.0 + 1e-11, "fail")])
+    def test_link_takes_the_one_pass_rule(self, square_setup, ratio, status):
+        # I1 <= delta lambda_j at the relative tolerance of holds, 1e-12
+        pair, spectrum = square_setup
+        _, gu = interpolate_at_quadrature(pair, spectrum.eigenvectors[:, 0])
+        i1 = float(np.sum((pair.grad_factor * gu[:, 0]) ** 2 * pair.dm))  # T = id and f = x1
+        delta = i1 / (ratio * spectrum.eigenvalues[0])
+        consts = trivial_consts(2, epsilon=delta, delta=delta)
+        rows = cor32_check(spectrum, pair, axis_test_function(EUC2, 0), consts, j=1)
+        assert {r.status for r in rows if r.status != "skipped"} == {status}
 
     def test_hyperbolic_log_reduction(self):
         # T = id, eta = 0, f = ln x2: Lf = -1, grad Lf = 0, so (3.15) has

@@ -115,6 +115,11 @@ class TestVerifyCommand:
         cfg = small_square_config(tmp_path)
         assert main(["verify", str(cfg), "--checks", "nonsense"]) == 3
 
+    def test_out_wins_over_the_config_output_dir(self, tmp_path):
+        cfg = small_square_config(tmp_path, output_dir=str(tmp_path / "from_config"))
+        assert main(["verify", str(cfg), "--checks", "gap", "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "summary.json").is_file() and not (tmp_path / "from_config").exists()
+
     def test_degenerate_rows_skipped_exit_zero(self, tmp_path):
         # cor32 on the square skips multiplet rows but still exits 0
         cfg = small_square_config(tmp_path, verify=["gap", "cor32"])

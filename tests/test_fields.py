@@ -29,18 +29,17 @@ from etagap.fields import (
     _sum,
 )
 from etagap.geometry import (
-    OriginPoint,
+    domain_origin_distance,
     euclidean,
     hyperbolic_half_plane,
     make_box_domain,
     radial_unit_vector,
-    validate_origin,
 )
 
 
 def sample_at(field, drift, metric, where) -> FieldSample:
     """A FieldSample at a domain's quadrature points or at an (m, n) point array."""
-    pts = where.quad_points_flat() if hasattr(where, "quad_points_flat") else np.asarray(where, float)
+    pts = where.quadrature()[0] if hasattr(where, "quadrature") else np.asarray(where, float)
     return FieldSample(field, drift, metric, pts)
 
 
@@ -107,7 +106,7 @@ def _christoffel_part(mats):
 
 
 def ref_compute_T0(field, metric, domain) -> float:
-    pts = domain.quad_points_flat()
+    pts = domain.quadrature()[0]
     theta, dT, _, _, _ = _field_arrays(field, zero(metric.dim), pts)
     vec = np.einsum("qjij->qi", dT)
     if metric.is_hyperbolic:
@@ -116,7 +115,7 @@ def ref_compute_T0(field, metric, domain) -> float:
 
 
 def ref_compute_C0(field, drift, metric, domain) -> float:
-    pts = domain.quad_points_flat()
+    pts = domain.quadrature()[0]
     theta, dT, d2T, ge, he = _field_arrays(field, drift, pts)
     div = np.einsum("qjij->qi", dT)
     dV = -np.einsum("qkmim->qki", d2T)  # d_k sum_m d_m T_im
@@ -137,9 +136,9 @@ def ref_compute_C0(field, drift, metric, domain) -> float:
 
 
 def ref_compute_eta_radial_constants(drift, metric, domain, origin) -> tuple:
-    validate_origin(domain, origin)
-    pts = domain.quad_points_flat()
-    v = radial_unit_vector(metric, origin.array(), pts)
+    domain_origin_distance(domain, origin)  # validates the origin
+    pts = domain.quadrature()[0]
+    v = radial_unit_vector(metric, origin, pts)
     n = metric.dim
     ge = _array(drift.grad, pts, (n,))
     he = _array(drift.hess, pts, (n, n))
@@ -281,7 +280,7 @@ def fd_hyperbolic_C0(field: TensorField, drift: ScalarField, metric, domain) -> 
     are x_n w, so div W = sum_i d_i(x_n w_i) - n w_n.  The step is 1e-5
     times the box diagonal, at most a quarter of the smallest x_n.
     """
-    pts = domain.quad_points_flat()
+    pts = domain.quadrature()[0]
 
     def w_orth(p):
         th = field.matrix(p)
@@ -371,7 +370,7 @@ class TestTensorBounds:
                 {"profile": "const", "c0": 3.0},
             ],
         )
-        pts = square_domain.quad_points_flat()
+        pts = square_domain.quadrature()[0]
         entry = 2.0 + np.sin(pts[:, 0]) ** 2
         eps, dlt = tensor_bounds(field, square_domain)
         assert eps == pytest.approx(float(np.min(entry)), abs=1e-14)
@@ -417,7 +416,7 @@ class TestTensorBounds:
         rng = np.random.default_rng(17)
         field = diag_affine_tensor()
         eps, dlt = tensor_bounds(field, square_domain)
-        pts = square_domain.quad_points_flat()
+        pts = square_domain.quadrature()[0]
         idx = rng.integers(0, pts.shape[0], size=1000)
         theta = field.matrix(pts[idx])
         v = rng.standard_normal((1000, 2))
@@ -431,7 +430,7 @@ class TestTensorBounds:
         rng = np.random.default_rng(23)
         field = diag_affine_tensor()
         eps, dlt = tensor_bounds(field, square_domain)
-        pts = square_domain.quad_points_flat()
+        pts = square_domain.quadrature()[0]
         idx = rng.integers(0, pts.shape[0], size=500)
         theta = field.matrix(pts[idx])
         y = rng.standard_normal((500, 2))
@@ -476,7 +475,7 @@ class TestTraceNablaT:
                     {"profile": "sin", "c0": 2.5, "c1": 0.9, "axis": axis},
                 ],
             )
-        pts = dom.quad_points_flat()
+        pts = dom.quadrature()[0]
         theta = field.matrix(pts)
         gamma = _christoffel(pts, metric.dim)
         corr1 = np.einsum("qajm,qmj->qa", gamma, theta)
@@ -549,7 +548,7 @@ class TestComputeT0:
             ],
         )
         # oracle: sup |cos x1| over the same sample grid
-        pts = square_domain.quad_points_flat()
+        pts = square_domain.quadrature()[0]
         expected = float(np.max(np.abs(np.cos(pts[:, 0]))))
         t0 = compute_T0(sample_at(field, zero(2), EUC2, square_domain))
         assert t0 == pytest.approx(expected, abs=1e-14)
@@ -568,7 +567,7 @@ class TestComputeC0:
     def test_quadratic_drift_sup(self, square_domain):
         # pointwise oracle: 1/2 div(grad eta) - 1/4 |grad eta|^2 = n/2 - |x|^2/4
         eta = QuadraticScalar(np.eye(2))
-        pts = square_domain.quad_points_flat()
+        pts = square_domain.quadrature()[0]
         oracle = float(np.max(1.0 - 0.25 * np.sum(pts * pts, axis=1)))
         val = compute_C0(sample_at(identity_tensor(2), eta, EUC2, square_domain))
         assert val == pytest.approx(oracle, abs=1e-12)
@@ -584,7 +583,7 @@ class TestComputeC0:
         #                           = x2^2 (eta''/2 - eta'^2/4) for n = 2
         dom = make_box_domain([(0, 1), (1, 2)], [16, 16], HYP2)
         eta = QuadraticScalar(np.diag([1.0, 0.0]))
-        pts = dom.quad_points_flat()
+        pts = dom.quadrature()[0]
         oracle = float(np.max(pts[:, 1] ** 2 * (0.5 - 0.25 * pts[:, 0] ** 2)))
         val = compute_C0(sample_at(identity_tensor(2), eta, HYP2, dom))
         assert val == pytest.approx(oracle, rel=1e-12)
@@ -627,15 +626,15 @@ class TestComputeC0:
 class TestEtaRadialConstants:
     def test_constant_drift(self):
         dom = make_box_domain([(0, 1), (0, 1)], [20, 20], EUC2)
-        out = compute_eta_radial_constants(sample_at(identity_tensor(2), ConstantScalar(2, 3.0), EUC2, dom), OriginPoint((-1.0, 0.0)))
+        out = compute_eta_radial_constants(sample_at(identity_tensor(2), ConstantScalar(2, 3.0), EUC2, dom), np.array((-1.0, 0.0)))
         assert out == (0.0, 0.0)
 
     def test_affine_drift_radial_slope(self):
         dom = make_box_domain([(0, 1), (0, 1)], [60, 60], EUC2)
-        o = OriginPoint((-1.0, 0.0))
+        o = np.array((-1.0, 0.0))
         eta1, eta_r = compute_eta_radial_constants(sample_at(identity_tensor(2), AffineScalar([1.0, 0.0]), EUC2, dom), o)
         # oracle: max of (x1 + 1)/|x - o| over the sample grid
-        pts = dom.quad_points_flat()
+        pts = dom.quadrature()[0]
         diff = pts - np.array([-1.0, 0.0])
         oracle = float(np.max(np.abs(diff[:, 0]) / np.linalg.norm(diff, axis=1)))
         assert eta1 == 0.0
@@ -644,7 +643,7 @@ class TestEtaRadialConstants:
 
     def test_quadratic_drift_unit_hessian(self):
         dom = make_box_domain([(0, 1), (0, 1)], [30, 30], EUC2)
-        o = OriginPoint((-0.5, -0.5))
+        o = np.array((-0.5, -0.5))
         eta1, _ = compute_eta_radial_constants(sample_at(identity_tensor(2), QuadraticScalar(np.eye(2)), EUC2, dom), o)
         assert eta1 == pytest.approx(1.0, abs=1e-12)
 
@@ -652,11 +651,11 @@ class TestEtaRadialConstants:
         # Hess(ln x2) = -(g - d ln x2 (x) d ln x2), so along any unit v:
         # Hess(ln x2)(v, v) = -(1 - <grad ln x2, v>_g^2)
         dom = make_box_domain([(0, 1), (1, 2)], [24, 24], HYP2)
-        o = OriginPoint((0.3, 4.0))
+        o = np.array((0.3, 4.0))
         eta = LogAxisScalar(2)
         eta1, eta_r = compute_eta_radial_constants(sample_at(identity_tensor(2), eta, HYP2, dom), o)
-        pts = dom.quad_points_flat()
-        v = radial_unit_vector(HYP2, o.array(), pts)
+        pts = dom.quadrature()[0]
+        v = radial_unit_vector(HYP2, o, pts)
         slope = np.sum(eta.grad(pts) * v, axis=1)
         oracle_eta1 = float(np.max(np.abs(1.0 - slope**2)))
         oracle_eta_r = float(np.max(np.abs(slope)))
@@ -713,7 +712,7 @@ def axis_case(model, n, axis, tensor, drift):
     metric = (hyperbolic_half_plane if model == "hyperbolic" else euclidean)(n)
     field = CoupledQuadraticTensor() if tensor == "coupled" else diag_profile_tensor(n)
     eta = sample_drift(drift, n)
-    pts = sample_domain(metric).quad_points_flat()[::7]
+    pts = sample_domain(metric).quadrature()[0][::7]
     return axis_test_function(metric, axis), lambda p: sample_at(field, eta, metric, p), pts
 
 
@@ -909,7 +908,7 @@ class TestFieldSample:
         metric = (hyperbolic_half_plane if hyperbolic else euclidean)(n)
         dom = sample_domain(metric)
         drift = sample_drift(drift_kind, n)
-        origin = OriginPoint((0.3,) * (n - 1) + (4.0,))
+        origin = np.array((0.3,) * (n - 1) + (4.0,))
         s = sample_at(field, drift, metric, dom)
         # repr tells -0.0 from 0.0 and prints every bit of a float
         assert repr(compute_T0(s)) == repr(ref_compute_T0(field, metric, dom))
@@ -937,7 +936,7 @@ class TestFieldSample:
     def test_constant_tensor_builds_no_derivative(self, metric):
         mat = [[2.0, 0.5], [0.5, 3.0]]
         dom = sample_domain(metric)
-        origin = OriginPoint((0.3, 4.0))
+        origin = np.array((0.3, 4.0))
         tfs = [axis_test_function(metric, axis) for axis in ((1,) if metric.is_hyperbolic else (0, 1))]
         for drift in (ConstantScalar(2), AffineScalar([0.8, 0.0]), GaussianScalar(2, 0.7, [0.4, 1.6], 0.5)):
             strict = sample_at(StrictConstantTensor(mat), drift, metric, dom)
@@ -958,10 +957,10 @@ class TestFieldSample:
         s = sample_at(field, drift, metric, dom)
         compute_T0(s)
         compute_C0(s)
-        compute_eta_radial_constants(s, OriginPoint((0.3, 0.3, 4.0)))
+        compute_eta_radial_constants(s, np.array((0.3, 0.3, 4.0)))
         axis_test_function(metric, 2).lf_and_grad(s)
         apply_operator_L(s, LogAxisScalar(3))
-        s.apply_T(np.ones((dom.quad_points_flat().shape[0], 3)))
+        s.apply_T(np.ones((dom.quadrature()[0].shape[0], 3)))
         assert field.calls == {"matrix": 1, "d_matrix": 1, "grad_div": 1, "grad": 0, "hess": 0}
         assert drift.calls == {"matrix": 0, "d_matrix": 0, "grad_div": 0, "grad": 1, "hess": 1}
 
@@ -979,7 +978,7 @@ class TestFieldSample:
     @pytest.mark.parametrize("field", [ConstantTensor([[2.0, 0.5], [0.5, 3.0]]), diag_affine_tensor()], ids=["constant", "variable"])
     def test_apply_T_matches_einsum(self, field):
         pts = np.random.default_rng(4).uniform(0.5, 1.5, size=(12, 2))
-        v = np.random.default_rng(5).standard_normal((3, 4, 2))
+        v = np.random.default_rng(5).standard_normal((12, 2))
         got = sample_at(field, ConstantScalar(2), EUC2, pts).apply_T(v)
-        want = np.einsum("qab,qb->qa", field.matrix(pts), v.reshape(-1, 2)).reshape(v.shape)
+        want = np.einsum("qab,qb->qa", field.matrix(pts), v)
         assert np.allclose(got, want, rtol=1e-15, atol=0)

@@ -7,7 +7,6 @@ import pytest
 
 from etagap.errors import EmptyDomain, InvalidHalfPlane, OriginInsideDomain, OutOfDomain
 from etagap.geometry import (
-    OriginPoint,
     domain_origin_distance,
     euclidean,
     gauss_rule,
@@ -23,6 +22,11 @@ from etagap.geometry import (
 EUC2 = euclidean(2)
 HYP2 = hyperbolic_half_plane(2)
 HYP3 = hyperbolic_half_plane(3)
+
+
+def row(*x):
+    """One point as a one-row (1, n) batch."""
+    return np.array([x], dtype=float)
 
 
 class TestMakeBoxDomain:
@@ -55,17 +59,17 @@ class TestMakeBoxDomain:
 
 class TestVolumeWeight:
     def test_euclidean_is_one(self):
-        assert volume_weight(EUC2, [0.3, 0.7]) == 1.0
+        assert volume_weight(EUC2, row(0.3, 0.7))[0] == 1.0
 
     def test_half_plane_n2(self):
-        assert volume_weight(HYP2, [1.0, 2.0]) == pytest.approx(0.25, abs=0)
+        assert volume_weight(HYP2, row(1.0, 2.0))[0] == pytest.approx(0.25, abs=0)
 
     def test_half_plane_n3_unit_height(self):
-        assert volume_weight(HYP3, [0.0, 5.0, 1.0]) == 1.0
+        assert volume_weight(HYP3, row(0.0, 5.0, 1.0))[0] == 1.0
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            volume_weight(HYP2, [0.0, -1.0])
+            volume_weight(HYP2, row(0.0, -1.0))
 
 
 class TestConformalFactor:
@@ -92,10 +96,10 @@ class TestConformalFactor:
 
     def test_rho_must_be_positive(self):
         with pytest.raises(OutOfDomain):
-            inverse_metric_factor(HYP3, [0.5, 0.5, 0.0])
+            inverse_metric_factor(HYP3, row(0.5, 0.5, 0.0))
         with pytest.raises(InvalidHalfPlane):
             make_box_domain([(0, 1), (0, 1), (0, 2)], [2, 2, 2], HYP3)
-        assert inverse_metric_factor(EUC2, [0.5, -3.0]) == 1.0
+        assert inverse_metric_factor(EUC2, row(0.5, -3.0))[0] == 1.0
 
 
 def raise_gradient(metric, p, coordinate_gradient):
@@ -120,7 +124,7 @@ class TestRaiseGradient:
         # f = ln x2 at x2 = 3: covector (0, 1/3) raises to (0, 3), unit norm
         vec = raise_gradient(HYP2, [0.0, 3.0], [0.0, 1.0 / 3.0])
         assert vec == pytest.approx([0.0, 3.0])
-        assert gradient_norm(HYP2, [0.0, 3.0], [0.0, 1.0 / 3.0]) == pytest.approx(1.0)
+        assert gradient_norm(HYP2, row(0.0, 3.0), row(0.0, 1.0 / 3.0))[0] == pytest.approx(1.0)
 
     def test_euclidean_identity(self):
         assert raise_gradient(EUC2, [0.1, 0.2], [1.0, 0.0]) == pytest.approx([1.0, 0.0])
@@ -138,29 +142,29 @@ class TestRaiseGradient:
             rhs = a * raise_gradient(HYP2, p, u) + b * raise_gradient(HYP2, p, v)
             assert lhs == pytest.approx(rhs, abs=1e-14)
             # gradient_norm is the metric norm of the raised gradient
-            assert gradient_norm(HYP2, p, u) == pytest.approx(metric_norm(HYP2, p, raise_gradient(HYP2, p, u)), rel=1e-14)
+            assert gradient_norm(HYP2, p[None], u[None])[0] == pytest.approx(metric_norm(HYP2, p, raise_gradient(HYP2, p, u)), rel=1e-14)
 
 
 class TestGeodesicDistance:
     def test_vertical_unit_distance(self):
         # cosh(1) = (e^2 + 1)/(2e) matches the closed-form identity
-        assert geodesic_distance(HYP2, [0.0, 1.0], [0.0, np.e]) == pytest.approx(1.0)
+        assert geodesic_distance(HYP2, row(0.0, 1.0), np.array([0.0, np.e]))[0] == pytest.approx(1.0)
 
     def test_coincident_points(self):
-        assert geodesic_distance(HYP2, [0.3, 1.1], [0.3, 1.1]) == 0.0
+        assert geodesic_distance(HYP2, row(0.3, 1.1), np.array([0.3, 1.1]))[0] == 0.0
 
     def test_euclidean_345(self):
-        assert geodesic_distance(EUC2, [0.0, 0.0], [3.0, 4.0]) == 5.0
+        assert geodesic_distance(EUC2, row(0.0, 0.0), np.array([3.0, 4.0]))[0] == 5.0
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(11)
         for metric in (EUC2, HYP2):
             for _ in range(200):
                 pts = rng.uniform(0.2, 3.0, size=(3, 2))
-                d01 = geodesic_distance(metric, pts[0], pts[1])
-                d10 = geodesic_distance(metric, pts[1], pts[0])
-                d02 = geodesic_distance(metric, pts[0], pts[2])
-                d12 = geodesic_distance(metric, pts[1], pts[2])
+                d01 = geodesic_distance(metric, pts[[0]], pts[1])[0]
+                d10 = geodesic_distance(metric, pts[[1]], pts[0])[0]
+                d02 = geodesic_distance(metric, pts[[0]], pts[2])[0]
+                d12 = geodesic_distance(metric, pts[[1]], pts[2])[0]
                 assert abs(d01 - d10) <= 1e-10
                 assert d01 <= d02 + d12 + 1e-10
 
@@ -169,24 +173,24 @@ class TestGeodesicDistance:
         for _ in range(50):
             x1 = rng.uniform(-2, 2)
             a, b = rng.uniform(0.1, 5.0, size=2)
-            d = geodesic_distance(HYP2, [x1, a], [x1, b])
+            d = geodesic_distance(HYP2, row(x1, a), np.array([x1, b]))[0]
             assert d == pytest.approx(abs(np.log(b / a)), abs=1e-12)
 
 
 class TestDomainOriginDistance:
     def test_euclidean_square_corner(self):
         dom = make_box_domain([(1, 2), (1, 2)], [4, 4], EUC2)
-        d = domain_origin_distance(dom, OriginPoint((0.0, 0.0)))
+        d = domain_origin_distance(dom, np.array([0.0, 0.0]))
         assert d == pytest.approx(np.sqrt(2.0))
 
     def test_origin_on_domain_corner_rejected(self):
         dom = make_box_domain([(1, 2), (1, 2)], [4, 4], EUC2)
         with pytest.raises(OriginInsideDomain):
-            domain_origin_distance(dom, OriginPoint((1.0, 1.0)))
+            domain_origin_distance(dom, np.array([1.0, 1.0]))
 
     def test_hyperbolic_strip_vertical(self):
         dom = make_box_domain([(0, 1), (1, 2)], [6, 6], HYP2)
-        d = domain_origin_distance(dom, OriginPoint((0.0, np.e**2)))
+        d = domain_origin_distance(dom, np.array([0.0, np.e**2]))
         assert d == pytest.approx(np.log(np.e**2 / 2.0))
 
 
@@ -218,11 +222,11 @@ class TestRadialUnitVector:
         # walking a small step along d_r increases the distance to o at unit rate
         metric = hyperbolic_half_plane(len(o))
         o, p = np.array(o), np.array(p)
-        t = radial_unit_vector(metric, o, p)
+        t = radial_unit_vector(metric, o, p[None])[0]
         assert np.linalg.norm(t) / p[-1] == pytest.approx(1.0, abs=1e-12)
         eps = 1e-6
-        d0 = geodesic_distance(metric, o, p)
-        d1 = geodesic_distance(metric, o, p + eps * t)
+        d0 = geodesic_distance(metric, o[None], p)[0]
+        d1 = geodesic_distance(metric, o[None], p + eps * t)[0]
         assert (d1 - d0) / eps == pytest.approx(1.0, abs=1e-4)
 
 
@@ -288,11 +292,11 @@ class TestClosedFormGrid:
 
     def test_quadrature_points(self, grid):
         pts, w = grid.quadrature()
-        assert np.array_equal(pts, quadrature_reference(grid))
+        assert np.array_equal(pts, quadrature_reference(grid).reshape(-1, grid.dim))
         assert np.array_equal(w, gauss_rule(grid.dim)[1])
 
     def test_gradient_norm(self, grid):
-        pts = grid.quad_points_flat()
+        pts, _ = grid.quadrature()
         cov = np.random.default_rng(grid.dim).standard_normal(pts.shape)
         rho = grid.metric.rho(pts)
         got, expected = gradient_norm(grid.metric, pts, cov), row_norms_reference(cov) * rho

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from etagap.errors import ConfigError
+from etagap.spectral import ValidationReport
 from etagap.scenario import (
     OracleSpectrum,
     ScenarioConfig,
+    ScenarioReport,
     apply_overrides,
     build_problem,
     builtin_config,
@@ -91,6 +93,14 @@ class TestConfigValidation:
         assert cfg.resolution == [16]  # original untouched
         with pytest.raises(ConfigError):
             apply_overrides(cfg, {"tensor": {"kind": "identity"}})
+
+    def test_checks_override_meets_the_config_validation(self):
+        cfg = ScenarioConfig.from_dict(minimal_config())
+        assert apply_overrides(cfg, {"verify": ["gap", "yang"]}).verify == ["gap", "yang"]
+        with pytest.raises(ConfigError, match="unknown verification 'nonsense'"):
+            apply_overrides(cfg, {"verify": ["gap", "nonsense"]})
+        with pytest.raises(ConfigError):  # an output directory goes to run_scenario, not into the config
+            apply_overrides(cfg, {"output_dir": "elsewhere"})
 
 
 class TestOracles:
@@ -290,7 +300,7 @@ class TestBuiltins:
         consts = run_scenario(cfg, write=False).constants
         metric, domain, tensor, drift = build_problem(cfg)
         assert (consts.epsilon, consts.delta) == tensor_bounds(tensor, domain)
-        fresh = FieldSample(tensor, drift, metric, domain.quad_points_flat())
+        fresh = FieldSample(tensor, drift, metric, domain.quadrature()[0])
         assert consts.t0 == compute_T0(fresh)
         assert consts.c0 == compute_C0(fresh)
         assert consts.t0 > 0.0 and consts.c0 != 0.0
@@ -363,3 +373,11 @@ class TestBuiltins:
         rep = run_scenario(ScenarioConfig.from_dict(raw), write=False)
         assert rep.counts()["fail"] > 0
         assert rep.exit_code() == 1
+
+
+@pytest.mark.parametrize("defect, verdict", [(-1e-13, "pass"), (0.0, "pass"), (-1e-11, "fail"), (float("nan"), "fail")])
+def test_parseval_counts_by_the_one_pass_rule(defect, verdict):
+    # Bessel's inequality, captured <= total, at the relative tolerance of holds, 1e-12
+    rep = ScenarioReport("p", builtin_config("square_laplacian"), None, ValidationReport({}), None, parseval=defect)
+    counts = rep.counts()
+    assert (counts["pass"], counts["fail"]) == ((1, 0) if verdict == "pass" else (0, 1))

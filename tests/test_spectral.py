@@ -723,25 +723,43 @@ def dense_full():
     return pair, _dense(pair, pair.ndof)
 
 
+BAND_PENCILS = pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lemma32_pair(40),
+        lambda: ball_square_pair(24),
+        lambda: box_pair([(0, 1), (0, 1.5), (1, 2)], [7, 8, 9], metric=hyperbolic_half_plane(3)),  # kd = 65
+    ],
+    ids=["square_40", "ball_24", "halfspace_3d"],
+)
+
+
+def band_to_dense(stored, band, lower):
+    """The triangular matrix held in LAPACK band storage, as a dense array."""
+    n = stored.shape[1]
+    if lower:  # M[j + o, j] sits at [o, j]
+        return sum(np.diag(stored[o, : n - o], -o) for o in range(band + 1))
+    return sum(np.diag(stored[band - o, o:], o) for o in range(band + 1))  # M[j, j + o] at [band - o, j + o]
+
+
 class TestDenseBackTransform:
-    @pytest.mark.parametrize(
-        "build, exact",
-        [
-            (lambda: lemma32_pair(40), True),
-            (lambda: ball_square_pair(24), True),
-            # kd = 65: here the two factorisations round differently
-            (lambda: box_pair([(0, 1), (0, 1.5), (1, 2)], [7, 8, 9], metric=hyperbolic_half_plane(3)), False),
-        ],
-        ids=["square_40", "ball_24", "halfspace_3d"],
-    )
-    def test_upper_factor_is_the_transposed_lower_one(self, build, exact):
+    @BAND_PENCILS
+    def test_upper_factor_is_the_transposed_lower_one(self, build):
         pair = build()
         band, factors = _band_cholesky(pair.B)
         lower, upper = factors["L"], factors["U"]
-        tol = 0.0 if exact else 4 * np.finfo(float).eps * np.max(np.abs(lower))
         for o in range(band + 1):
             # L[j + o, j] sits at [o, j], and U[j, j + o] at [band - o, j + o]
-            assert np.max(np.abs(upper[band - o, o:] - lower[o, : pair.ndof - o])) <= tol
+            assert np.max(np.abs(upper[band - o, o:] - lower[o, : pair.ndof - o])) == 0.0
+
+    @BAND_PENCILS
+    def test_storages_describe_one_factor_of_B(self, build):
+        pair = build()
+        band, factors = _band_cholesky(pair.B)
+        lower, upper = band_to_dense(factors["L"], band, True), band_to_dense(factors["U"], band, False)
+        assert np.array_equal(lower.T, upper)
+        dense_b = pair.B.toarray()
+        assert np.max(np.abs(upper.T @ upper - dense_b)) <= 1e-14 * np.max(np.abs(dense_b))
 
     def test_eigenpairs_match_the_lower_only_path(self, dense_full):
         pair, (lam, vecs, _) = dense_full

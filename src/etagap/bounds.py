@@ -13,9 +13,11 @@ against a spectrum (computed or analytic):
     its corollary specializations;
   * the eigenvalue growth bound (``yang_check``);
   * the consecutive-gap verification ``gap_check`` producing a GapReport;
-  * the two-sided test-function inequalities (``cor32_check``) and the
-    real-test-function inequality (``lemma32_check``), each a list of rows
-    k = 1, 2, ... read off any computed low spectrum.
+  * the two-sided test-function inequalities (``cor32_check``, for a
+    mapping from label to test function, one list of rows each carrying
+    its test function's label) and the real-test-function inequality
+    (``lemma32_check``), each a list of rows k = 1, 2, ... read off any
+    computed low spectrum.
 
 Every row carries its verdict in one ``status`` field, set here through
 ``holds``: pass or fail, info for the k = 1 gap row, and skipped for a
@@ -515,6 +517,7 @@ def gap_check(
 
 @dataclass(frozen=True)
 class Cor32Row:
+    test_function: str
     k: int
     lhs_314: float
     rhs_314: float
@@ -542,76 +545,66 @@ def _rows(lam: np.ndarray, j: int, count: int):
         yield k, float(lam[k]), float(lam[k + 1]), reason
 
 
-def _mode_at_quadrature(spectrum: SpectrumResult, pair: assembly.OperatorPair, j: int):
-    """(u_j, grad u_j, T grad u_j) at the pair's quadrature points, computed once per spectrum."""
-    hit = spectrum.at_quadrature.get(j)
-    if hit is None or hit[0] is not pair:
-        u, gu = assembly.interpolate_at_quadrature(pair, spectrum.eigenvectors[:, j - 1])
-        hit = spectrum.at_quadrature[j] = (pair, u, gu, pair.sample.apply_T(gu))
-    return hit[1:]
+def _interpolate_mode(spectrum: SpectrumResult, pair: assembly.OperatorPair, j: int):
+    """(u_j, T grad u_j) at the pair's quadrature points."""
+    u, gu = assembly.interpolate_at_quadrature(pair, spectrum.eigenvectors[:, j - 1])
+    return u, pair.sample.apply_T(gu)
 
 
 def cor32_check(
     spectrum: SpectrumResult,
     pair: assembly.OperatorPair,
-    test_fn: OperatorTestFunction,
+    test_fns: dict,
     consts: OperatorConstants,
     j: int = 1,
 ) -> list:
-    """Gap-squared and gap bounds from a unit-gradient test function.
+    """Gap-squared and gap bounds from unit-gradient test functions, one list of labelled rows.
 
-    For every row k that ``_rows`` admits, evaluates
+    ``test_fns`` maps a label to an ``OperatorTestFunction`` f.  For each f
+    in turn and every row k that ``_rows`` admits, evaluates
 
       (l_{k+2}-l_{k+1})^2 <= 16/s (I1 - I2/4 - I3/2) l_{k+2}         (3.14)
       l_{k+2}-l_{k+1} <= 4/sqrt(s) (d l_j - I2/4 - I3/2)^0.5 l_{k+2}^0.5   (3.15)
 
     with I1 = int <T grad u_j, grad f>^2 dm, I2 = int (Lf)^2 u_j^2 dm,
-    I3 = int <grad(Lf), T grad f> u_j^2 dm.  A row passes when both hold
-    and so does I1 <= delta * lambda_j, which links the two.  The
-    pipeline's f is fields.axis_test_function, df = e_a / rho, whose L f
-    and grad(L f) are closed-form; a structurally zero one contributes 0
-    to I2 or I3.
+    I3 = int <grad(Lf), T grad f> u_j^2 dm, and returns a row
+    ``Cor32Row(label, k, ...)`` per (f, k), label by label.  u_j is
+    interpolated once for all of them.  A row passes when both hold and
+    so does I1 <= delta * lambda_j, which links the two.  The pipeline's
+    f are fields.axis_test_function, df = e_a / rho, whose L f and
+    grad(L f) are closed-form; a structurally zero one contributes 0 to
+    I2 or I3.
     """
     lam = spectrum.eigenvalues
     dm, grad_factor, sample = pair.dm, pair.grad_factor, pair.sample
-
-    gf = test_fn.f.grad(sample.pts)
-    norms = gradient_norm(pair.domain.metric, sample.pts, gf)
-    defect = float(np.max(np.abs(norms - 1.0)))
-    if defect > 1e-10:
-        raise UnitGradientViolation(f"|grad f|_g deviates from 1 by {defect:.3e}")
-
-    uj, _, t_guj = _mode_at_quadrature(spectrum, pair, j)
-    lf, glf = test_fn.lf_and_grad(sample)
-
-    pair_ujf = grad_factor * np.einsum("qa,qa->q", t_guj, gf)
-    i1 = float(np.sum(pair_ujf**2 * dm))
-    i2 = 0.0 if lf is None else float(np.sum(lf**2 * uj**2 * dm))
-    i3 = 0.0
-    if glf is not None:
-        i3 = float(np.sum(grad_factor * np.einsum("qa,qa->q", glf, sample.apply_T(gf)) * uj**2 * dm))
-
-    sig, dlt = consts.sigma, consts.delta
-    lam_j = float(lam[j - 1])
-    linked = holds(i1, dlt * lam_j)
-    bracket_314 = i1 - 0.25 * i2 - 0.5 * i3
-    bracket_315 = dlt * lam_j - 0.25 * i2 - 0.5 * i3
-
+    uj, t_guj = _interpolate_mode(spectrum, pair, j)
+    sig, lam_j = consts.sigma, float(lam[j - 1])
     rows = []
-    for k, l_k1, l_k2, reason in _rows(lam, j, lam.size - 2):
-        if reason:
-            rows.append(Cor32Row(k, 0, 0, 0, 0, "skipped", reason))
-            continue
-        lhs_314 = (l_k2 - l_k1) ** 2
-        rhs_314 = 16.0 / sig * bracket_314 * l_k2
-        lhs_315 = l_k2 - l_k1
-        rhs_315 = (
-            4.0 / math.sqrt(sig) * math.sqrt(bracket_315) * math.sqrt(l_k2)
-            if bracket_315 > 0.0
-            else math.nan
-        )
-        ok = linked and holds(lhs_314, rhs_314) and holds(lhs_315, rhs_315)
-        rows.append(Cor32Row(k, lhs_314, rhs_314, lhs_315, rhs_315, "pass" if ok else "fail"))
+    for label, test_fn in test_fns.items():
+        gf = test_fn.f.grad(sample.pts)
+        defect = float(np.max(np.abs(gradient_norm(pair.domain.metric, sample.pts, gf) - 1.0)))
+        if defect > 1e-10:
+            raise UnitGradientViolation(f"{label}: |grad f|_g deviates from 1 by {defect:.3e}")
+        lf, glf = test_fn.lf_and_grad(sample)
+        i1 = float(np.sum((grad_factor * np.einsum("qa,qa->q", t_guj, gf)) ** 2 * dm))
+        i2 = 0.0 if lf is None else float(np.sum(lf**2 * uj**2 * dm))
+        i3 = 0.0
+        if glf is not None:
+            i3 = float(np.sum(grad_factor * np.einsum("qa,qa->q", glf, sample.apply_T(gf)) * uj**2 * dm))
+        linked = holds(i1, consts.delta * lam_j)
+        bracket_314 = i1 - 0.25 * i2 - 0.5 * i3
+        bracket_315 = consts.delta * lam_j - 0.25 * i2 - 0.5 * i3
+        for k, l_k1, l_k2, reason in _rows(lam, j, lam.size - 2):
+            if reason:
+                rows.append(Cor32Row(label, k, 0, 0, 0, 0, "skipped", reason))
+                continue
+            lhs_314, lhs_315 = (l_k2 - l_k1) ** 2, l_k2 - l_k1
+            rhs_314 = 16.0 / sig * bracket_314 * l_k2
+            rhs_315 = math.nan
+            if bracket_315 > 0.0:
+                rhs_315 = 4.0 / math.sqrt(sig) * math.sqrt(bracket_315) * math.sqrt(l_k2)
+            ok = linked and holds(lhs_314, rhs_314) and holds(lhs_315, rhs_315)
+            rows.append(Cor32Row(label, k, lhs_314, rhs_314, lhs_315, rhs_315, "pass" if ok else "fail"))
     return rows
 
 
@@ -655,7 +648,7 @@ def lemma32_check(
     lam = spectrum.eigenvalues
     labels = multiplet_labels(lam)
     dm, grad_factor, sample = pair.dm, pair.grad_factor, pair.sample
-    uj, _, t_guj = _mode_at_quadrature(spectrum, pair, j)
+    uj, t_guj = _interpolate_mode(spectrum, pair, j)
     gv = g.value(sample.pts)
     gg = g.grad(sample.pts)
     lg = apply_operator_L(sample, g)
@@ -678,7 +671,8 @@ def lemma32_check(
             continue
         # the norm of g u_j's projection onto the whole multiplet of l_{k+1}, whatever its basis
         members = np.flatnonzero(labels == labels[k]) + 1
-        cross = math.hypot(*(float(np.sum(gv * uj * _mode_at_quadrature(spectrum, pair, i)[0] * dm)) for i in members))
+        modes = (assembly.interpolate_at_quadrature(pair, spectrum.eigenvectors[:, i - 1])[0] for i in members)
+        cross = math.hypot(*(float(np.sum(gv * uj * u * dm)) for u in modes))
         basis = spectrum.eigenvectors[:, : k + 1]
         resid_vec = w - basis @ (basis.T @ bw)
         resid = float(np.sqrt(max(resid_vec @ (pair.B @ resid_vec), 0.0)))

@@ -40,10 +40,6 @@ class NonFiniteValue(EtagapError):
 class ConvergenceFailure(EtagapError):
     """Eigensolver did not reach the requested residual tolerance."""
 
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
-
 
 class NonpositiveRadicand(EtagapError):
     """A gap-bound constant has a nonpositive expression under its square root."""

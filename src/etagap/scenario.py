@@ -39,6 +39,17 @@ def _config_errors():
         raise ConfigError(str(exc)) from exc
 
 
+# the keys each config block may hold; a misspelled key exits 3 rather than leave its default in force
+KNOWN_KEYS = {
+    "config": ("name", "metric", "domain", "tensor", "drift", "solver", "bounds", "constants", "verify", "oracle", "output_dir"),
+    "domain": ("bounds", "resolution", "mask"),
+    "solver": ("k", "solve_tol", "ortho_tol", "method", "seed"),
+    "bounds": ("theorems", "k_range", "c_scale"),
+    "constants": ("H0", "kappa1", "kappa2", "origin"),
+    "oracle": ("kind", "lengths", "coeffs", "drift_slope", "rtol"),
+}
+
+
 def _block(raw: dict, key: str, kind: type = dict, default=None):
     """raw[key] (or ``default`` when absent), which must be a JSON object or, for kind list, an array."""
     value = raw[key] if default is None else raw.get(key, default)
@@ -88,8 +99,13 @@ class ScenarioConfig:
         with _config_errors():
             domain, solver = _block(raw, "domain"), _block(raw, "solver", default={})
             bounds_raw, consts = _block(raw, "bounds", default={}), _block(raw, "constants", default={})
+            oracle = None if raw.get("oracle") is None else _block(raw, "oracle")
+            for where, block in zip(KNOWN_KEYS, (raw, domain, solver, bounds_raw, consts, oracle or {})):
+                unknown = sorted(set(block) - set(KNOWN_KEYS[where]))
+                if unknown:
+                    raise ConfigError(f"unknown {where} key(s) {unknown}; known: {', '.join(KNOWN_KEYS[where])}")
             box = [(_num(lo), _num(hi)) for lo, hi in domain["bounds"]]
-            k_range, oracle = bounds_raw.get("k_range"), raw.get("oracle")
+            k_range = bounds_raw.get("k_range")
             cfg = ScenarioConfig(
                 name=raw["name"],
                 metric_tag=raw["metric"],
@@ -112,9 +128,9 @@ class ScenarioConfig:
                 h0=_num(consts["H0"]) if "H0" in consts else None,
                 kappa1=_num(consts["kappa1"]) if "kappa1" in consts else None,
                 kappa2=_num(consts["kappa2"]) if "kappa2" in consts else None,
-                origin=_nums(consts["origin"]) if "origin" in consts else None,
+                origin=fields.axis_reals(consts["origin"], len(box), "origin") if "origin" in consts else None,
                 verify=_block(raw, "verify", list, default=[]),
-                oracle=None if oracle is None else OracleSpectrum.from_dict(_block(raw, "oracle")),
+                oracle=None if oracle is None else OracleSpectrum.from_dict(oracle),
                 oracle_rtol=_num(oracle["rtol"]) if oracle and "rtol" in oracle else None,
                 output_dir=raw.get("output_dir"),
                 raw=raw,
@@ -285,27 +301,26 @@ class OracleSpectrum:
 
 
 def oracle_eigenvalues(oracle: OracleSpectrum, k: int, dim: int) -> np.ndarray:
-    """First k closed-form eigenvalues in dim dimensions, ascending with multiplicity; lengths default to pi."""
+    """First k closed-form eigenvalues in dim dimensions, ascending with multiplicity.
+
+    Every kind is sum_a c_a ((g_a pi / L_a)^2 + s_a^2 / 4) over the mode
+    numbers g_a >= 1, for T = diag(c) and the drift slope s on axis 0 only
+    (u = e^(s x_0 / 2) v turns that drift into a shift of s^2 / 4 before
+    c_0 scales both terms).  Lengths default to pi and coefficients to 1.
+    The k smallest sums need modes 1..k of each axis; the axes are added
+    one at a time, keeping the k smallest partial sums, so at most k^2
+    sums are held whatever the dimension.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    pi = np.pi
-    if oracle.kind in ("interval", "drifted_interval"):
-        # T = c and drift slope s: u = e^(s x / 2) v turns the drift into a
-        # shift of s^2 / 4 before the coefficient scales both terms
-        length = oracle.lengths[0] if oracle.lengths else pi
-        coeff = oracle.coeffs[0] if oracle.coeffs else 1.0
-        modes = np.arange(1, k + 1)
-        return coeff * ((modes * pi / length) ** 2 + oracle.drift_slope**2 / 4.0)
-    if oracle.kind in ("box", "anisotropic"):
-        lengths = oracle.lengths if oracle.lengths else (pi,) * dim
-        coeffs = oracle.coeffs if oracle.coeffs else (1.0,) * dim
-        per_axis = int(np.ceil(np.sqrt(k) )) + k  # generous mode cap
-        grids = np.meshgrid(*[np.arange(1, per_axis + 1)] * dim, indexing="ij")
-        lam = np.zeros(grids[0].shape)
-        for c, g, length in zip(coeffs, grids, lengths):
-            lam = lam + c * (g * pi / length) ** 2
-        return np.sort(lam.ravel())[:k]
-    raise ConfigError(f"unknown oracle kind {oracle.kind!r}")
+    lengths = oracle.lengths or (np.pi,) * dim
+    coeffs = oracle.coeffs or (1.0,) * dim
+    modes = np.arange(1, k + 1)
+    lam = np.zeros(1)
+    for a, (c, length) in enumerate(zip(coeffs, lengths)):
+        slope = oracle.drift_slope if a == 0 else 0.0
+        lam = np.sort(np.add.outer(lam, c * ((modes * np.pi / length) ** 2 + slope**2 / 4.0)), axis=None)[:k]
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +339,7 @@ class ScenarioReport:
     constants: fields.OperatorConstants | None
     gap_reports: dict = field(default_factory=dict)
     yang_report: bounds.YangReport | None = None
-    cor32_rows: dict = field(default_factory=dict)
+    cor32_rows: list = field(default_factory=list)
     lemma32_rows: list = field(default_factory=list)
     parseval: float | None = None
     oracle_error: float | None = None
@@ -338,7 +353,7 @@ class ScenarioReport:
             out["pass" if ok else "fail"] += 1
         gap = [row for rep in self.gap_reports.values() for row in rep.rows]
         yang = () if self.yang_report is None else self.yang_report.rows
-        for rows in (gap, yang, *self.cor32_rows.values(), self.lemma32_rows):
+        for rows in (gap, yang, self.cor32_rows, self.lemma32_rows):
             for row in rows:
                 out[row.status] += 1
         if self.parseval is not None:  # Bessel's inequality, captured / total <= 1
@@ -483,11 +498,11 @@ def run_scenario(
 
     if "cor32" in cfg.verify:
         try:
-            n = metric.dim
-            labels = {n - 1: "ln_xn"} if metric.is_hyperbolic else {axis: f"x{axis + 1}" for axis in range(n)}
-            for axis, label in labels.items():
-                tf = fields.axis_test_function(metric, axis)
-                report.cor32_rows[label] = bounds.cor32_check(spectrum, pair, tf, consts, j=1)
+            if metric.is_hyperbolic:  # ln x_n on the half-space, x_a in Euclidean space
+                test_fns = {"ln_xn": fields.axis_test_function(metric, metric.dim - 1)}
+            else:
+                test_fns = {f"x{a + 1}": fields.axis_test_function(metric, a) for a in range(metric.dim)}
+            report.cor32_rows = bounds.cor32_check(spectrum, pair, test_fns, consts, j=1)
         except (EtagapError, ValueError) as exc:
             report.errors.append(f"cor32: {type(exc).__name__}: {exc}")
 

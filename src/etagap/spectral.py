@@ -1,6 +1,6 @@
 """Lowest eigenpairs of the pencil A u = lambda B u and their validation.
 
-``method="auto"`` picks the solver from the pencil.  Where the
+``solve_lowest`` picks the solver from the pencil.  Where the
 coefficients are products over the axes (see ``assembly.axis_factors``),
 A is a Kronecker sum of 1-D factors and B a Kronecker product of 1-D
 masses, and both paths work in one basis: the Kronecker product V of the
@@ -17,9 +17,9 @@ axis: its largest eigenvalues are 1 / lambda, u = V D^-1/2 y maps its
 eigenvectors back, and ARPACK needs no factor and no product with B (the
 spectral transformation of Ericsson-Ruhe 1980).  Otherwise it runs
 generalized mode 3 on (A, B) with one SuperLU factor of A in the
-symmetric A + A^T minimum-degree ordering.  ``"dense"`` and
-``"shift_invert"`` force their solver; the dense path doubles as the
-oracle for small problems.  It factors B = L L^T in LAPACK band storage
+symmetric A + A^T minimum-degree ordering.  ``method="dense"`` forces
+the dense path, which doubles as the oracle for small problems.  It
+factors B = L L^T in LAPACK band storage
 (a Q1 mass couples only grid neighbours, so B's half-bandwidth is one
 grid row plus one in 2-D), whitens A in place to
 C = L^-1 A L^-T with two banded triangular solves, and runs syevd on C:
@@ -52,7 +52,7 @@ from .errors import ConvergenceFailure, DimensionMismatch, NotPositiveDefinite
 DEFAULT_SOLVE_TOL = 1e-9
 DEFAULT_ORTHO_TOL = 1e-8
 MULTIPLET_REL_TOL = 1e-6
-METHODS = ("auto", "dense", "shift_invert")
+METHODS = ("auto", "dense")
 GRAM_BLOCK = 256
 
 
@@ -64,21 +64,14 @@ class SpectrumResult:
     eigenvectors: np.ndarray
     residuals: np.ndarray
     meta: dict = field(default_factory=dict)
-    # Caches of values of the eigenvectors.  init=False, so neither
-    # SpectrumResult(...) nor dataclasses.replace carries them over to other
-    # vectors.  Column j -> (pair, u_j, grad u_j, T grad u_j) at the pair's
-    # quadrature points, filled on first use by the checks in bounds:
-    at_quadrature: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (pair, Rayleigh quotients, Gram defect) from solve_lowest's identity
-    # pass, for validate_spectrum:
+    # pass, for validate_spectrum; init=False, so neither SpectrumResult(...)
+    # nor dataclasses.replace carries it over to other vectors
     identities: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:
         return int(self.eigenvalues.size)
-
-    def multiplicity_groups(self) -> np.ndarray:
-        return multiplet_labels(self.eigenvalues)
 
 
 def multiplet_labels(lam: np.ndarray) -> np.ndarray:
@@ -151,40 +144,44 @@ def _along_axes(mats, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _product_pencil(factors: AxisFactors, k: int, seed: int, read_off: bool):
-    """Lowest k eigenpairs of the pencil with these factors, in its basis of 1-D modes, and diagnostics.
+def _product_pencil(factors: AxisFactors, k: int, seed: int):
+    """Lowest k eigenpairs of the pencil with these factors, ascending, in its basis of 1-D modes, and its meta.
 
     With K_a V_a = M_a V_a D_a and V_a^T M_a V_a = I on each axis, the
     basis V = V_0 (x) .. (x) V_{n-1} takes A to the diagonal D = sum_a D_a
     and B to G = G_0 (x) .. (x) G_{n-1}, G_a = V_a^T B_a V_a.  Equal 1-D
-    pencils (both axes of a square) are solved once.  ``read_off`` (a
-    separable pencil, G = I) takes the k smallest sums and their Kronecker
-    vectors from the lowest min(k, ndof_a) modes of each axis: each lower
-    mode gives a smaller sum, and a stable sort keeps the C order of the
-    mode tuples within ties, so multiplets come out in a fixed order.
-    Otherwise Lanczos runs on the symmetric S = D^-1/2 G D^-1/2, one small
-    product per axis and no factor: S y = y / lambda exactly when
-    u = V D^-1/2 y solves A u = lambda B u.
+    pencils (both axes of a square) are solved once.  A separable pencil
+    (G = I) reads off the k smallest sums and their Kronecker vectors from
+    the lowest min(k, ndof_a) modes of each axis: each lower mode gives a
+    smaller sum, and a stable sort keeps the C order of the mode tuples
+    within ties, so multiplets come out in a fixed order.  Otherwise
+    Lanczos runs on the symmetric S = D^-1/2 G D^-1/2, one small product
+    per axis and no factor: S y = y / lambda exactly when u = V D^-1/2 y
+    solves A u = lambda B u.
     """
+    separable = factors.separable
     pencils = list(zip(factors.stiffness, factors.mass))
     modes = []
     for a, (K, M) in enumerate(pencils):
         twin = next((b for b in range(a) if all(map(np.array_equal, pencils[b], (K, M)))), None)
-        subset = [0, min(k, M.shape[0]) - 1] if read_off else None
+        subset = [0, min(k, M.shape[0]) - 1] if separable else None
         modes.append(sla.eigh(K, M, subset_by_index=subset) if twin is None else modes[twin])
     lams, vecs = zip(*modes)
     sums = functools.reduce(np.add.outer, lams)
-    if read_off:
+    if separable:
         order = np.argsort(sums, axis=None, kind="stable")[:k]
         out = np.ones((1, k))
         for vec, idx in zip(vecs, np.unravel_index(order, sums.shape)):
             # axis 0 slowest, the C order of the DOF numbering
             out = (out[:, None, :] * vec[None, :, idx]).reshape(-1, k)
-        return sums.ravel()[order], out, {}
+        return sums.ravel()[order], out, {"method": "separable", "axis_ndof": factors.axis_ndof}
     scale = 1.0 / np.sqrt(sums.ravel())  # D^-1/2
     grams = [v.T @ B @ v for v, B in zip(vecs, factors.b_mass)]
     theta, y, diag = _lanczos(lambda x: scale * _along_axes(grams, scale * x).ravel(), scale.size, k, seed)
-    return 1.0 / theta, _along_axes(vecs, y * scale[:, None]).reshape(k, -1).T, diag
+    lam, u = 1.0 / theta, _along_axes(vecs, y * scale[:, None]).reshape(k, -1).T
+    order = np.argsort(lam)
+    meta = {"method": "shift_invert", "inverse": "fast_diagonalization", "axis_ndof": factors.axis_ndof}
+    return lam[order], u[:, order], {**meta, **diag}
 
 
 def _band_cholesky(B: sp.spmatrix) -> tuple[int, dict]:
@@ -277,65 +274,59 @@ def solve_lowest(
     method: str = "auto",
     seed: int = 0,
 ) -> SpectrumResult:
-    """Lowest-k eigenpairs of (A, B), ascending, B-orthonormal."""
+    """Lowest-k eigenpairs of (A, B), ascending, B-orthonormal.
+
+    ``"auto"`` takes the product-pencil path for a separable pencil, dense
+    LAPACK for at most 128 DOFs or k >= ndof - 1 (where ARPACK's basis of
+    at most ndof - 1 vectors cannot hold k + 1), and otherwise shift-invert
+    Lanczos, on the mode basis where the 1-D factors exist and with a
+    SuperLU factor where they do not.  ``"dense"`` takes dense LAPACK.
+    """
     ndof = pair.ndof
     if not 1 <= k <= ndof:
         raise DimensionMismatch(f"k={k} outside 1..{ndof}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    factors = axis_factors(pair) if method != "dense" else None
-    if method == "auto" and factors is not None and factors.separable:
-        path = "separable"
-    elif method == "dense" or (method == "auto" and (ndof <= 128 or k >= ndof - 1)):
-        path = "dense"
-    else:
-        path = "shift_invert"
-    if path == "shift_invert" and k >= ndof - 1:
-        # ARPACK needs k < ncv, and ncv is at most ndof - 1
-        raise DimensionMismatch(f"shift_invert needs k <= ndof - 2 = {ndof - 2}, got k={k}")
-    if ndof > 2000 and (path == "dense" or k >= ndof - 1):
+    small = ndof <= 128 or k >= ndof - 1
+    factors = axis_factors(pair) if method == "auto" else None
+    product = factors is not None and (factors.separable or not small)
+    dense = not product and (method == "dense" or small)
+    if ndof > 2000 and (dense or k >= ndof - 1):
         # dense: three ndof x ndof arrays (C and syevd's 2 ndof^2 workspace),
         # 92 MiB and 2.5-2.9 s at 2000 DOFs; a full spectrum on any path:
         # the eigenvectors, then three such arrays in the identity pass
         raise DimensionMismatch(
-            f"{path} solve of k={k} limited to 2000 DOFs (have {ndof}); lower k or refine less"
+            f"{'dense' if dense else 'separable'} solve of k={k} limited to 2000 DOFs (have {ndof}); "
+            "lower k or refine less"
         )
 
-    if path == "separable":
-        lam, vecs, _ = _product_pencil(factors, k, seed, read_off=True)
-        meta = {"method": path, "axis_ndof": factors.axis_ndof}
-    elif path == "dense":
+    if dense:
         lam, vecs, band = _dense(pair, k)
         # C order once, so that no later sparse-times-dense product copies it
         vecs = np.ascontiguousarray(vecs)
-        meta = {"method": path, "band": band}
+        meta = {"method": "dense", "band": band}
+    elif product:
+        lam, vecs, meta = _product_pencil(factors, k, seed)
     else:
-        if factors is not None:
-            lam, vecs, diag = _product_pencil(factors, k, seed, read_off=False)
-            meta = {"method": path, "inverse": "fast_diagonalization", "axis_ndof": factors.axis_ndof}
-        else:
-            # A is symmetric, so A.T is the CSC form of the CSR A without a copy;
-            # an ordering of A + A^T keeps the fill of the one factor small.
-            ordering = "MMD_AT_PLUS_A"
-            lu = spla.splu(pair.A.T, permc_spec=ordering)
-            lam, vecs, diag = _lanczos(lu.solve, ndof, k, seed, shift_invert=pair)
-            meta = {
-                "method": path,
-                "inverse": "superlu",
-                "ordering": ordering,
-                "factor_nnz": int(lu.L.nnz + lu.U.nnz),
-            }
+        # A is symmetric, so A.T is the CSC form of the CSR A without a copy;
+        # an ordering of A + A^T keeps the fill of the one factor small.
+        ordering = "MMD_AT_PLUS_A"
+        lu = spla.splu(pair.A.T, permc_spec=ordering)
+        lam, vecs, diag = _lanczos(lu.solve, ndof, k, seed, shift_invert=pair)
         order = np.argsort(lam)
         lam, vecs = lam[order], vecs[:, order]
-        meta.update(diag)
+        meta = {
+            "method": "shift_invert",
+            "inverse": "superlu",
+            "ordering": ordering,
+            "factor_nnz": int(lu.L.nnz + lu.U.nnz),
+            **diag,
+        }
 
     vecs = _normalise(pair, vecs)
     res, rayleigh, gram_defect = _identities(pair, lam, vecs)
     if not np.all(res <= solve_tol):  # a nan residual fails too
-        raise ConvergenceFailure(
-            f"residuals up to {np.max(res):.3e} exceed tol {solve_tol:.1e}",
-            residuals=res,
-        )
+        raise ConvergenceFailure(f"residuals up to {np.max(res):.3e} exceed tol {solve_tol:.1e}")
     meta.update(solve_tol=solve_tol, seed=seed, k=k, max_residual=float(np.max(res)))
     result = SpectrumResult(lam, vecs, res, meta)
     result.identities = (pair, rayleigh, gram_defect)
@@ -400,7 +391,7 @@ def parseval_defect(result: SpectrumResult, pair: OperatorPair, f) -> float:
 
 
 def export_spectrum_csv(result: SpectrumResult, path) -> None:
-    groups = result.multiplicity_groups()
+    groups = multiplet_labels(result.eigenvalues)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["j", "lambda", "residual", "multiplicity_group"])

@@ -369,7 +369,7 @@ class TestModeCache:
 
         seen = self._count(monkeypatch)
         rep = run_scenario(self._config(), write=False)
-        assert set(rep.cor32_rows) == {"x1", "x2"}
+        assert {r.test_function for r in rep.cor32_rows} == {"x1", "x2"}
         assert seen == [rep.spectrum.eigenvectors[:, 0].tobytes()]
 
     def test_lemma32_interpolates_each_vector_at_most_once(self, monkeypatch):

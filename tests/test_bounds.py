@@ -39,7 +39,7 @@ from etagap.fields import (
 )
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
 from etagap.scenario import apply_overrides, build_problem, builtin_config, lemma32_test_function
-from etagap.spectral import SpectrumResult, solve_lowest
+from etagap.spectral import SpectrumResult, multiplet_labels, solve_lowest
 
 EUC2 = euclidean(2)
 HYP2 = hyperbolic_half_plane(2)
@@ -625,7 +625,7 @@ class TestCor32:
         pair, spectrum = square_setup
         consts = trivial_consts(2)
         tf = axis_test_function(EUC2, 0)
-        rows = cor32_check(spectrum, pair, tf, consts, j=1)
+        rows = cor32_check(spectrum, pair, {"x1": tf}, consts, j=1)
         lam = spectrum.eigenvalues
         checked = [r for r in rows if r.status != "skipped"]
         assert checked, "no admissible rows"
@@ -642,7 +642,7 @@ class TestCor32:
         pair, spectrum = square_setup
         consts = trivial_consts(2)
         tf = axis_test_function(EUC2, 1)
-        rows = {r.k: r for r in cor32_check(spectrum, pair, tf, consts, j=1)}
+        rows = {r.k: r for r in cor32_check(spectrum, pair, {"x2": tf}, consts, j=1)}
         row = rows[2]
         # analytic values: gap = 3, bound = 4 sqrt(2 * 8) = 16
         assert row.lhs_315 == pytest.approx(3.0, rel=2e-2)
@@ -655,8 +655,8 @@ class TestCor32:
         from etagap.fields import OperatorTestFunction
 
         tampered = OperatorTestFunction(AffineScalar([2.0, 0.0]), bad.lf_and_grad)
-        with pytest.raises(UnitGradientViolation):
-            cor32_check(spectrum, pair, tampered, consts, j=1)
+        with pytest.raises(UnitGradientViolation, match="x1"):
+            cor32_check(spectrum, pair, {"x2": axis_test_function(EUC2, 1), "x1": tampered}, consts, j=1)
 
     def test_homogeneity_negative_control(self, square_setup):
         # doubling u_j multiplies every u_j-integral by 4 and cannot flip
@@ -664,14 +664,14 @@ class TestCor32:
         pair, spectrum = square_setup
         consts = trivial_consts(2)
         tf = axis_test_function(EUC2, 0)
-        rows1 = cor32_check(spectrum, pair, tf, consts, j=1)
+        rows1 = cor32_check(spectrum, pair, {"x1": tf}, consts, j=1)
         scaled = SpectrumResult(
             spectrum.eigenvalues,
             spectrum.eigenvectors * 2.0,
             spectrum.residuals,
             dict(spectrum.meta),
         )
-        rows2 = cor32_check(scaled, pair, tf, consts, j=1)
+        rows2 = cor32_check(scaled, pair, {"x1": tf}, consts, j=1)
         for r1, r2 in zip(rows1, rows2):
             if r1.status == "skipped":
                 continue
@@ -686,8 +686,19 @@ class TestCor32:
         i1 = float(np.sum((pair.grad_factor * gu[:, 0]) ** 2 * pair.dm))  # T = id and f = x1
         delta = i1 / (ratio * spectrum.eigenvalues[0])
         consts = trivial_consts(2, epsilon=delta, delta=delta)
-        rows = cor32_check(spectrum, pair, axis_test_function(EUC2, 0), consts, j=1)
+        rows = cor32_check(spectrum, pair, {"x1": axis_test_function(EUC2, 0)}, consts, j=1)
         assert {r.status for r in rows if r.status != "skipped"} == {status}
+
+    def test_rows_of_each_test_function_in_turn(self, square_setup):
+        # one call over a mapping: each function's rows, label by label, as a call of its own gives them
+        pair, spectrum = square_setup
+        consts = trivial_consts(2)
+        fns = {"x2": axis_test_function(EUC2, 1), "x1": axis_test_function(EUC2, 0)}
+        rows = cor32_check(spectrum, pair, fns, consts, j=1)
+        singles = [row for label, tf in fns.items() for row in cor32_check(spectrum, pair, {label: tf}, consts, j=1)]
+        assert rows == singles
+        assert [r.test_function for r in rows] == ["x2"] * (spectrum.k - 2) + ["x1"] * (spectrum.k - 2)
+        assert cor32_check(spectrum, pair, {}, consts, j=1) == []
 
     def test_hyperbolic_log_reduction(self):
         # T = id, eta = 0, f = ln x2: Lf = -1, grad Lf = 0, so (3.15) has
@@ -697,7 +708,7 @@ class TestCor32:
         spectrum = solve_lowest(pair, 6)
         consts = trivial_consts(2)
         tf = axis_test_function(HYP2, 1)
-        rows = [r for r in cor32_check(spectrum, pair, tf, consts, j=1) if r.status != "skipped"]
+        rows = [r for r in cor32_check(spectrum, pair, {"ln_xn": tf}, consts, j=1) if r.status != "skipped"]
         assert rows
         lam = spectrum.eigenvalues
         for r in rows:
@@ -736,7 +747,7 @@ class TestLemma32:
         # lambda_j and lambda_3 share a multiplet, so row k = 2 is skipped by either check
         pair, spectrum = request.getfixturevalue(setup)
         if check == "cor32":
-            rows = cor32_check(spectrum, pair, axis_test_function(EUC2, 0), trivial_consts(2), j=j)
+            rows = cor32_check(spectrum, pair, {"x1": axis_test_function(EUC2, 0)}, trivial_consts(2), j=j)
         else:
             rows = lemma32_check(spectrum, pair, AffineScalar([1.0, 0.0]), j=j)
         row = _by_k(rows)[2]
@@ -751,7 +762,7 @@ class TestLemma32:
 
     def test_rows_invariant_under_rotation_in_a_multiplet(self, lemma32_setup):
         pair, spectrum = lemma32_setup
-        assert spectrum.multiplicity_groups()[1] == spectrum.multiplicity_groups()[2]  # lambda_2 = lambda_3
+        assert multiplet_labels(spectrum.eigenvalues)[1] == multiplet_labels(spectrum.eigenvalues)[2]  # lambda_2 = lambda_3
         c, s = math.cos(0.7), math.sin(0.7)
         vecs = spectrum.eigenvectors.copy()
         vecs[:, 1:3] = vecs[:, 1:3] @ np.array([[c, -s], [s, c]])

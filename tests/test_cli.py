@@ -143,8 +143,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("slope", ["800", "-800"])
     @pytest.mark.parametrize(
         "solver",
-        [{"k": "full", "method": "dense"}, {"k": 6}, {"k": 6, "method": "shift_invert"}],
-        ids=["dense", "auto", "shift_invert"],
+        [{"k": "full", "method": "dense"}, {"k": 6}],
+        ids=["dense", "auto"],
     )
     def test_out_of_range_measure_weight_run_failed(self, tmp_path, capsys, slope, solver):
         # e^(-800 x_1) underflows and e^(800 x_1) overflows on [0, pi]^2
@@ -324,6 +324,21 @@ MALFORMED_CONFIGS = {
     "quadratic_coeffs_long": {"drift": {"kind": "quadratic", "coeffs": ["1", "0", "0"]}},
     "affine_coeffs_as_string": {"drift": {"kind": "affine", "coeffs": "10"}},
     "unknown_solver_method": {"solver": {"k": 10, "method": "lanczos"}},
+    # the pencil picks shift-invert; no config forces it
+    "solver_method_shift_invert": {"solver": {"k": 10, "method": "shift_invert"}},
+    # a misspelled key would otherwise leave its default in force
+    **{
+        f"unknown_key_{label}": over
+        for label, over in {
+            "top_level": {"verfy": ["gap"]},
+            "domain": {"domain": {"bounds": [["0", "1"], ["0", "1"]], "resolution": [16, 16], "masks": {}}},
+            "solver": {"solver": {"K": 3}},
+            "bounds": {"bounds": {"theorems": ["thm11"], "krange": [2, 8]}},
+            "constants": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa": "1"}},
+            "oracle": {"oracle": {"kind": "box", "rtool": "0.01"}},
+        }.items()
+    },
+    "origin_three_entries_in_2d": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "origin": ["0", "4", "1"]}},
     "kappa_pins_above_curvature": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa1": "0.2", "kappa2": "0.1"}},
     "kappa_pins_below_curvature": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa1": "3", "kappa2": "3"}},
     "kappa2_above_kappa1": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa1": "0.1", "kappa2": "0.2"}},
@@ -425,7 +440,7 @@ MALFORMED_FLAGS = {
 
 @pytest.mark.parametrize(
     "case",
-    [*MALFORMED_CONFIGS, *WRONG_TYPE_BLOCKS, *MALFORMED_FLAGS, "resolution_one", "shift_invert_k_too_large"],
+    [*MALFORMED_CONFIGS, *WRONG_TYPE_BLOCKS, *MALFORMED_FLAGS, "resolution_one"],
 )
 def test_malformed_input_exit_3(tmp_path, capsys, monkeypatch, case):
     if case in MALFORMED_CONFIGS or case in WRONG_TYPE_BLOCKS or case in MALFORMED_FLAGS:
@@ -438,11 +453,6 @@ def test_malformed_input_exit_3(tmp_path, capsys, monkeypatch, case):
         argv = ["verify", "hyperbolic_cy", *MALFORMED_FLAGS[case]]
     elif case == "resolution_one":
         argv = ["verify", "square_laplacian", "--resolution", "1"]
-    elif case == "shift_invert_k_too_large":
-        # 9 interior DOFs: ARPACK cannot take k = 8
-        domain = {"bounds": [["0", "3.141592653589793"]], "resolution": [10]}
-        solver = {"k": 8, "method": "shift_invert"}
-        argv = ["spectrum", str(small_square_config(tmp_path, domain=domain, solver=solver))]
     elif case in WRONG_TYPE_BLOCKS:
         argv = ["verify", str(small_square_config(tmp_path, **WRONG_TYPE_BLOCKS[case][1]))]
     else:

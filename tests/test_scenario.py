@@ -1,6 +1,7 @@
 """Scenario configs, oracles, builtin runs, and determinism."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,8 +54,8 @@ class TestConfigValidation:
             ScenarioConfig.from_dict(minimal_config(constants={"H0": "1"}))
 
     def test_thm11_origin_rejected(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict(minimal_config(constants={"origin": ["-1", "0"]}))
+        with pytest.raises(ConfigError, match="thm11 scenarios take no curvature/origin inputs"):
+            ScenarioConfig.from_dict(minimal_config(constants={"origin": ["-1"]}))
 
     def test_thm13_needs_identity_tensor(self):
         raw = minimal_config(
@@ -66,6 +67,32 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(raw)
+
+    def test_origin_needs_one_entry_per_axis(self):
+        raw = minimal_config(
+            metric="hyperbolic",
+            domain={"bounds": [["0", "1"], ["1", "2"]], "resolution": [8, 8]},
+            bounds={"theorems": ["thm13"], "k_range": [2, 2]},
+            constants={"H0": "1", "kappa1": "1", "kappa2": "1", "origin": ["0", "4", "1"]},
+        )
+        with pytest.raises(ConfigError, match="origin needs 2 entries, got 3"):
+            ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "over, where, key",
+        [
+            ({"verfy": ["gap"]}, "config", "verfy"),
+            ({"domain": {"bounds": [["0", "1"]], "resolution": [16], "Mask": {}}}, "domain", "Mask"),
+            ({"solver": {"K": 3}}, "solver", "K"),
+            ({"bounds": {"theorems": ["thm11"], "k_rang": [2, 2]}}, "bounds", "k_rang"),
+            ({"constants": {"h0": "1"}}, "constants", "h0"),
+            ({"oracle": {"kind": "interval", "rtool": "0.01"}}, "oracle", "rtool"),
+        ],
+    )
+    def test_unknown_key_rejected(self, over, where, key):
+        # a misspelled key is an error, not a silent default
+        with pytest.raises(ConfigError, match=f"unknown {where} key\\(s\\) \\['{key}'\\]"):
+            ScenarioConfig.from_dict(minimal_config(**over))
 
     def test_hyperbolic_needs_h0(self):
         raw = minimal_config(
@@ -134,6 +161,33 @@ class TestOracles:
     def test_ascending(self):
         out = oracle_eigenvalues(OracleSpectrum("box", (np.pi, 1.0)), 30, 2)
         assert np.all(np.diff(out) >= 0.0)
+
+    def test_box_drift_slope_shifts_axis_0(self):
+        # e^(s x_1 / 2) takes the drift to a shift s^2 / 4, scaled by T_11 = 2 only
+        plain = oracle_eigenvalues(OracleSpectrum("anisotropic", (np.pi, np.pi), (2.0, 3.0)), 5, 2)
+        drifted = oracle_eigenvalues(OracleSpectrum("anisotropic", (np.pi, np.pi), (2.0, 3.0), 1.0), 5, 2)
+        assert drifted == pytest.approx(plain + 0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    def test_matches_every_mode_tuple(self, dim, k):
+        # the k smallest of all sums over modes 1..k per axis, formed on a full meshgrid
+        oracle = OracleSpectrum("anisotropic", (np.pi, 1.0, 2.5)[:dim], (2.0, 3.0, 0.5)[:dim], 0.7)
+        grids = np.meshgrid(*[np.arange(1, k + 1)] * dim, indexing="ij")
+        lam = np.zeros(grids[0].shape)
+        for a, (c, g, length) in enumerate(zip(oracle.coeffs, grids, oracle.lengths)):
+            lam = lam + c * ((g * np.pi / length) ** 2 + (oracle.drift_slope if a == 0 else 0.0) ** 2 / 4.0)
+        assert np.array_equal(oracle_eigenvalues(oracle, k, dim), np.sort(lam, axis=None)[:k])
+
+    def test_memory_stays_bounded_in_3d(self):
+        # k^2 partial sums per axis, not a grid of (sqrt(k) + k)^3 mode tuples (165 MiB at k = 150)
+        tracemalloc.start()
+        try:
+            out = oracle_eigenvalues(OracleSpectrum("box"), 150, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (150,) and peak < 4 * 2**20
 
 
 # the eigensolver path of each builtin: the CI runs of the builtins are the only
@@ -250,8 +304,8 @@ class TestBuiltins:
         rep = run_scenario(ScenarioConfig.from_dict(raw), write=False)
         assert rep.counts()["fail"] == 0 and not rep.errors
         assert 2.5 <= rep.constants.epsilon <= rep.constants.delta <= 3.5
-        for rows in rep.cor32_rows.values():
-            assert {row.status for row in rows} <= {"pass", "skipped"}
+        assert {row.test_function for row in rep.cor32_rows} == {"ln_xn"}
+        assert {row.status for row in rep.cor32_rows} <= {"pass", "skipped"}
 
     @pytest.mark.parametrize("k", ["full", 12])
     def test_lemma32_square_checks_two_rows(self, k):

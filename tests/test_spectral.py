@@ -87,9 +87,10 @@ class TestSolveLowest:
             solve_lowest(pair, pair.ndof + 1)
 
     def test_iterative_matches_dense(self):
-        pair = interval_pair(400)  # 399 DOFs
+        pair = interval_pair(400)  # 399 DOFs, no 1-D factors: auto takes SuperLU
         dense = solve_lowest(pair, 6, method="dense")
-        arpack = solve_lowest(pair, 6, method="shift_invert")
+        arpack = solve_lowest(pair, 6)
+        assert arpack.meta["inverse"] == "superlu"
         rel = np.abs(dense.eigenvalues - arpack.eigenvalues) / dense.eigenvalues
         assert np.max(rel) < 1e-8
 
@@ -116,7 +117,7 @@ class TestSolveLowest:
 
     def test_multiplicity_groups_square(self):
         res = solve_lowest(square_pair(40), 6)
-        groups = res.multiplicity_groups()
+        groups = multiplet_labels(res.eigenvalues)
         # spectrum 2, 5, 5, 8, 10, 10
         assert list(groups) == [0, 1, 1, 2, 3, 3]
 
@@ -176,13 +177,25 @@ class TestShiftInvert:
     def test_matches_dense(self, build):
         pair = build(32)
         dense = solve_lowest(pair, 8, method="dense")
-        sparse = solve_lowest(pair, 8, method="shift_invert")
+        sparse = solve_lowest(pair, 8)
         rel = np.abs(sparse.eigenvalues - dense.eigenvalues) / dense.eigenvalues
+        assert np.max(rel) <= 1e-10
+
+    def test_auto_takes_dense_only_where_arpack_cannot_hold_k(self):
+        # ARPACK needs k < ncv <= ndof - 1, so k = ndof - 1 goes dense and k = ndof - 2 still takes SuperLU
+        pair = ball_square_pair(16)
+        assert pair.ndof == 137 and axis_factors(pair) is None
+        full = solve_lowest(pair, pair.ndof - 1)
+        part = solve_lowest(pair, pair.ndof - 2)
+        assert full.meta["method"] == "dense"
+        assert part.meta["inverse"] == "superlu" and part.meta["ncv"] == pair.ndof - 1
+        assert validate_spectrum(full, pair).ok and validate_spectrum(part, pair).ok
+        rel = np.abs(part.eigenvalues - full.eigenvalues[:-1]) / full.eigenvalues[:-1]
         assert np.max(rel) <= 1e-10
 
     def test_batched_residuals_match_per_vector(self):
         pair = halfspace_profile_pair(24)
-        res = solve_lowest(pair, 6, method="shift_invert")
+        res = solve_lowest(pair, 6)
         rng = np.random.default_rng(3)
         perturbed = res.eigenvectors + 1e-3 * rng.standard_normal(res.eigenvectors.shape)
         for vecs in (res.eigenvectors, perturbed):
@@ -198,7 +211,7 @@ class TestShiftInvert:
 
     def test_batched_rayleigh_matches_per_vector(self):
         pair = halfspace_profile_pair(24)
-        res = solve_lowest(pair, 6, method="shift_invert")
+        res = solve_lowest(pair, 6)
         rng = np.random.default_rng(5)
         vecs = res.eigenvectors + 1e-3 * rng.standard_normal(res.eigenvectors.shape)
         lam = res.eigenvalues
@@ -209,7 +222,7 @@ class TestShiftInvert:
 
     def test_meta_diagnostics(self):
         pair = ball_square_pair(64)
-        res = solve_lowest(pair, 6, method="shift_invert")
+        res = solve_lowest(pair, 6)
         meta = res.meta
         assert meta["method"] == "shift_invert" and meta["inverse"] == "superlu"
         assert meta["ordering"] == "MMD_AT_PLUS_A"
@@ -345,11 +358,10 @@ class TestSeparable:
         assert factors is None or not factors.separable
         assert solve_lowest(pair, 4).meta["method"] == "dense"
 
-    @pytest.mark.parametrize("method", ["dense", "shift_invert"])
-    def test_explicit_method_honoured(self, method):
+    def test_explicit_method_honoured(self):
         pair = square_pair(16)
-        res = solve_lowest(pair, 6, method=method)
-        assert res.meta["method"] == method
+        res = solve_lowest(pair, 6, method="dense")
+        assert res.meta["method"] == "dense"
         sep = solve_lowest(pair, 6)
         assert np.max(np.abs(res.eigenvalues - sep.eigenvalues) / sep.eigenvalues) <= 1e-10
 
@@ -362,13 +374,17 @@ class TestSeparable:
         assert np.array_equal(res.eigenvectors, solve_lowest(square_pair(20), 3).eigenvectors)
 
     def test_wrong_factors_fail_the_residual_gate(self, monkeypatch):
-        pair = square_pair(16)
-        stretched = box_pair([(0, np.pi), (0, 1.1 * np.pi)], [16, 16])
-        monkeypatch.setattr(spectral, "axis_factors", lambda p: axis_factors(stretched))
-        with pytest.raises(ConvergenceFailure):
-            solve_lowest(pair, 4)
-        with pytest.raises(ConvergenceFailure):  # the same factors as the shift-invert inverse
-            solve_lowest(pair, 4, method="shift_invert")
+        # separable read-off and whitened Lanczos, each on a stretched box's factors
+        half = hyperbolic_half_plane(2)
+        cases = [
+            (square_pair(16), box_pair([(0, np.pi), (0, 1.1 * np.pi)], [16, 16])),
+            (box_pair([(0, 1), (1, 2)], [16, 16], metric=half), box_pair([(0, 1.1), (1, 2.2)], [16, 16], metric=half)),
+        ]
+        for pair, stretched in cases:
+            wrong = axis_factors(stretched)
+            monkeypatch.setattr(spectral, "axis_factors", lambda p, wrong=wrong: wrong)
+            with pytest.raises(ConvergenceFailure):
+                solve_lowest(pair, 4)
 
     def test_nan_residual_fails_the_gate(self):
         # the separable path never reads A, so only the residuals see the nan
@@ -383,8 +399,8 @@ class TestSeparable:
         factors, k = axis_factors(pair), 15
         expected = separable_reference(factors, k)
         calls = counted_eigh(monkeypatch)
-        lam, vecs, diag = spectral._product_pencil(factors, k, 0, read_off=True)
-        assert len(calls) == 2 and diag == {}
+        lam, vecs, meta = spectral._product_pencil(factors, k, 0)
+        assert len(calls) == 2 and meta == {"method": "separable", "axis_ndof": [6, 6, 4]}
         assert np.array_equal(lam, expected[0]) and np.array_equal(vecs, expected[1])
         sep, dense = solve_lowest(pair, k), solve_lowest(pair, k, method="dense")
         assert sep.meta["method"] == "separable" and np.array_equal(sep.eigenvalues, lam)
@@ -449,7 +465,7 @@ class TestFastDiagonalization:
         assert np.max(res.residuals) <= meta["solve_tol"]
         rel = np.abs(res.eigenvalues - dense.eigenvalues) / dense.eigenvalues
         assert np.max(rel) <= 1e-10
-        assert np.array_equal(res.multiplicity_groups(), dense.multiplicity_groups())
+        assert np.array_equal(multiplet_labels(res.eigenvalues), multiplet_labels(dense.eigenvalues))
 
     @pytest.mark.parametrize("case", FAST_DIAGONALIZATION_CASES)
     def test_inverse_undoes_A(self, case, monkeypatch):
@@ -466,7 +482,7 @@ class TestFastDiagonalization:
                 return np.ones(k), block, {}
 
             monkeypatch.setattr(spectral, "_lanczos", lanczos)
-            lam, u, _ = spectral._product_pencil(factors, block.shape[1], 0, read_off=False)
+            lam, u, _ = spectral._product_pencil(factors, block.shape[1], 0)
             assert np.array_equal(lam, np.ones(block.shape[1]))
             return seen[0], u
 
@@ -809,9 +825,7 @@ class TestIdentityPass:
         pair, res = full_spectrum
         g = lemma32_test_function(2)
         bounds.lemma32_check(res, pair, g)
-        assert res.at_quadrature
         scaled = dataclasses.replace(res, eigenvectors=2.0 * res.eigenvectors)
-        assert scaled.at_quadrature == {}
         fresh = SpectrumResult(res.eigenvalues, 2.0 * res.eigenvectors, res.residuals, res.meta)
         assert bounds.lemma32_check(scaled, pair, g) == bounds.lemma32_check(fresh, pair, g)
 

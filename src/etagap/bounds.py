@@ -14,17 +14,19 @@ against a spectrum (computed or analytic):
   * the eigenvalue growth bound (``yang_check``);
   * the consecutive-gap verification ``gap_check`` producing a GapReport;
   * the two-sided test-function inequalities (``cor32_check``, for a
-    mapping from label to test function, one list of rows each carrying
-    its test function's label) and the real-test-function inequality
-    (``lemma32_check``), each a list of rows k = 1, 2, ... read off any
-    computed low spectrum.
+    mapping from label to test function) and the real-test-function
+    inequality (``lemma32_check``), each a list of rows k = 1, 2, ...
+    read off any computed low spectrum.
 
-Every row carries its verdict in one ``status`` field, set here through
-``holds``: pass or fail, info for the k = 1 gap row, and skipped for a
-cor32 or lemma32 row outside the one admissibility rule of ``_rows``
-(lambda_{k+1} and lambda_{k+2} in different multiplets, lambda_j strictly
-below the multiplet of lambda_{k+1}).  Checks never hide numerical error:
-a gap row that exceeds its bound by less than three times the estimated
+Every check returns rows of one shape, ``VerdictRow``: k, a ``status``,
+the ``claims`` lhs <= rhs it rests on as (claim, lhs, rhs) triples, a
+skip ``reason``, and the values it reports beside them in ``extra``.  A
+row passes when every claim ``holds``; ``tally`` counts rows by status.
+The k = 1 gap row is info, and a cor32 or lemma32 row outside the one
+admissibility rule of ``_rows`` (lambda_{k+1} and lambda_{k+2} in
+different multiplets, lambda_j strictly below the multiplet of
+lambda_{k+1}) is skipped.  Checks never hide numerical error: a gap row
+that exceeds its bound by less than three times the estimated
 discretization error is ``inconclusive`` rather than ``fail``.
 """
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,6 +58,29 @@ SCHEMA_VERSION = 1
 def holds(lhs: float, rhs: float) -> bool:
     """The pass rule of every inequality check: lhs <= rhs up to PASS_REL_TOL (False for a nan side)."""
     return bool(lhs <= rhs * (1.0 + PASS_REL_TOL))
+
+
+@dataclass(frozen=True)
+class VerdictRow:
+    """One row of a check: k, its status, and the claims lhs <= rhs it rests on."""
+
+    k: int
+    status: str  # pass | fail | inconclusive | info | skipped
+    claims: tuple = ()  # (claim, lhs, rhs) triples; none on a row skipped before any integral
+    reason: str = ""  # why a row is skipped
+    extra: dict = field(default_factory=dict)  # what the check reports beside its claims
+
+
+def verdict(claims) -> str:
+    """pass when every (claim, lhs, rhs) holds, fail otherwise."""
+    return "pass" if all(holds(lhs, rhs) for _claim, lhs, rhs in claims) else "fail"
+
+
+def tally(rows, out: dict) -> dict:
+    """``out`` with one added under each row's status."""
+    for row in rows:
+        out[row.status] += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +376,8 @@ def _eigs(spectrum) -> np.ndarray:
     return np.asarray(spectrum, dtype=float)
 
 
-@dataclass(frozen=True)
-class YangRow:
-    k: int
-    upsilon_next: float
-    rhs: float
-    status: str  # pass | fail
-
-
-@dataclass(frozen=True)
-class YangReport:
-    shift: float
-    upsilon1: float
-    rows: tuple
-
-
-def yang_check(spectrum, consts: OperatorConstants) -> YangReport:
-    """Shifted growth bound: ups_{k+1} <= (1 + 4d/(ne)) k^(2d/(ne)) ups_1."""
+def yang_check(spectrum, consts: OperatorConstants) -> list:
+    """Shifted growth bound: ups_{k+1} <= (1 + 4d/(ne)) k^(2d/(ne)) ups_1, one "growth" row per k."""
     lam = _eigs(spectrum)
     if lam.size < 2:
         raise InsufficientSpectrum("growth check needs at least two eigenvalues")
@@ -380,9 +390,9 @@ def yang_check(spectrum, consts: OperatorConstants) -> YangReport:
     expo = 2.0 * dlt / (n * eps)
     rows = []
     for k in range(1, lam.size):
-        rhs = fac * k**expo * ups[0]
-        rows.append(YangRow(k, float(ups[k]), float(rhs), "pass" if holds(ups[k], rhs) else "fail"))
-    return YangReport(shift, float(ups[0]), tuple(rows))
+        claims = (("growth", float(ups[k]), float(fac * k**expo * ups[0])),)
+        rows.append(VerdictRow(k, verdict(claims), claims))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +400,13 @@ def yang_check(spectrum, consts: OperatorConstants) -> YangReport:
 # ---------------------------------------------------------------------------
 
 
-# the CSV header and JSON row keys, one per GapRow field in order
+# the CSV header and JSON row keys of a gap row, in the order of _gap_columns
 GAP_COLUMNS = ("k", "lambda_k", "lambda_k1", "gap", "bound", "margin", "status", "error_estimate")
 
 
-@dataclass(frozen=True)
-class GapRow:
-    k: int
-    lam_k: float
-    lam_k1: float
-    gap: float
-    bound: float
-    margin: float
-    status: str  # pass | fail | inconclusive | info
-    error_estimate: float
+def _gap_columns(row: VerdictRow) -> tuple:
+    (_claim, gap, bound), x = row.claims[0], row.extra
+    return row.k, x["lambda_k"], x["lambda_k1"], gap, bound, bound - gap, row.status, x["error_estimate"]
 
 
 @dataclass
@@ -417,17 +420,14 @@ class GapReport:
     notes: dict = field(default_factory=dict)
 
     def counts(self) -> dict:
-        out = {"pass": 0, "fail": 0, "inconclusive": 0, "info": 0}
-        for row in self.rows:
-            out[row.status] += 1
-        return out
+        return tally(self.rows, dict.fromkeys(("pass", "fail", "inconclusive", "info"), 0))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(GAP_COLUMNS)
             for r in self.rows:
-                writer.writerow([v if isinstance(v, (int, str)) else repr(v) for v in astuple(r)])
+                writer.writerow([v if isinstance(v, (int, str)) else repr(v) for v in _gap_columns(r)])
 
     def to_json_dict(self) -> dict:
         return {
@@ -439,7 +439,7 @@ class GapReport:
             "corollaries": self.corollaries,
             "notes": self.notes,
             "counts": self.counts(),
-            "rows": [dict(zip(GAP_COLUMNS, astuple(r))) for r in self.rows],
+            "rows": [dict(zip(GAP_COLUMNS, _gap_columns(r))) for r in self.rows],
         }
 
     def to_json(self, path) -> None:
@@ -463,16 +463,13 @@ def gap_check(
     Gaps inside a numerical multiplet count as zero.  When a violation is
     within 3x the estimated numerical error (FEM rate lambda^2 h^2 plus
     eigensolver residuals) the row is flagged inconclusive, not failed.
-    The k = 1 row is informational only.
+    The k = 1 row is informational only.  Each row claims "gap" <= bound.
     """
     lam = _eigs(spectrum)
     residuals = spectrum.residuals if isinstance(spectrum, SpectrumResult) else None
     if constant <= 0.0:
         raise ValueError("bound constant must be positive")
-    kmax_avail = lam.size - 1
-    if k_range is None:
-        k_range = (2, kmax_avail)
-    klo, khi = int(k_range[0]), int(k_range[1])
+    klo, khi = (2, lam.size - 1) if k_range is None else (int(k_range[0]), int(k_range[1]))
     if not 2 <= klo <= khi:
         raise ValueError(f"k_range needs 2 <= lo <= hi (k = 1 is info only), got ({klo}, {khi})")
     if khi + 1 > lam.size:
@@ -496,35 +493,15 @@ def gap_check(
             status = "inconclusive"
         else:
             status = "fail"
-        rows.append(
-            GapRow(k, float(lam[k - 1]), float(lam[k]), gap, bound, bound - gap, status, float(err))
-        )
-    return GapReport(
-        tag,
-        constant,
-        exponent,
-        rows,
-        constants_used or {},
-        corollaries or {},
-        notes={"k_range": [klo, khi], "pass_rel_tol": PASS_REL_TOL, "h": h},
-    )
+        extra = {"lambda_k": float(lam[k - 1]), "lambda_k1": float(lam[k]), "error_estimate": float(err)}
+        rows.append(VerdictRow(k, status, (("gap", gap, bound),), extra=extra))
+    notes = {"k_range": [klo, khi], "pass_rel_tol": PASS_REL_TOL, "h": h}
+    return GapReport(tag, constant, exponent, rows, constants_used or {}, corollaries or {}, notes)
 
 
 # ---------------------------------------------------------------------------
 # test-function inequalities
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cor32Row:
-    test_function: str
-    k: int
-    lhs_314: float
-    rhs_314: float
-    lhs_315: float
-    rhs_315: float
-    status: str  # pass | fail | skipped
-    reason: str = ""
 
 
 def _rows(lam: np.ndarray, j: int, count: int):
@@ -567,13 +544,13 @@ def cor32_check(
       l_{k+2}-l_{k+1} <= 4/sqrt(s) (d l_j - I2/4 - I3/2)^0.5 l_{k+2}^0.5   (3.15)
 
     with I1 = int <T grad u_j, grad f>^2 dm, I2 = int (Lf)^2 u_j^2 dm,
-    I3 = int <grad(Lf), T grad f> u_j^2 dm, and returns a row
-    ``Cor32Row(label, k, ...)`` per (f, k), label by label.  u_j is
-    interpolated once for all of them.  A row passes when both hold and
-    so does I1 <= delta * lambda_j, which links the two.  The pipeline's
-    f are fields.axis_test_function, df = e_a / rho, whose L f and
-    grad(L f) are closed-form; a structurally zero one contributes 0 to
-    I2 or I3.
+    I3 = int <grad(Lf), T grad f> u_j^2 dm, and returns a row per (f, k),
+    label by label, with the label as its ``extra["test_function"]``.
+    u_j is interpolated once for all of them.  A row claims "3.14",
+    "3.15" and "link", I1 <= delta * lambda_j, which links the two, and
+    passes when all three hold.  The pipeline's f are
+    fields.axis_test_function, df = e_a / rho, whose L f and grad(L f)
+    are closed-form; a structurally zero one contributes 0 to I2 or I3.
     """
     lam = spectrum.eigenvalues
     dm, grad_factor, sample = pair.dm, pair.grad_factor, pair.sample
@@ -591,35 +568,26 @@ def cor32_check(
         i3 = 0.0
         if glf is not None:
             i3 = float(np.sum(grad_factor * np.einsum("qa,qa->q", glf, sample.apply_T(gf)) * uj**2 * dm))
-        linked = holds(i1, consts.delta * lam_j)
+        link = ("link", i1, consts.delta * lam_j)
         bracket_314 = i1 - 0.25 * i2 - 0.5 * i3
         bracket_315 = consts.delta * lam_j - 0.25 * i2 - 0.5 * i3
         for k, l_k1, l_k2, reason in _rows(lam, j, lam.size - 2):
             if reason:
-                rows.append(Cor32Row(label, k, 0, 0, 0, 0, "skipped", reason))
+                rows.append(VerdictRow(k, "skipped", reason=reason, extra={"test_function": label}))
                 continue
-            lhs_314, lhs_315 = (l_k2 - l_k1) ** 2, l_k2 - l_k1
-            rhs_314 = 16.0 / sig * bracket_314 * l_k2
             rhs_315 = math.nan
             if bracket_315 > 0.0:
                 rhs_315 = 4.0 / math.sqrt(sig) * math.sqrt(bracket_315) * math.sqrt(l_k2)
-            ok = linked and holds(lhs_314, rhs_314) and holds(lhs_315, rhs_315)
-            rows.append(Cor32Row(label, k, lhs_314, rhs_314, lhs_315, rhs_315, "pass" if ok else "fail"))
+            claims = (
+                ("3.14", (l_k2 - l_k1) ** 2, 16.0 / sig * bracket_314 * l_k2),
+                ("3.15", l_k2 - l_k1, rhs_315),
+                link,
+            )
+            rows.append(VerdictRow(k, verdict(claims), claims, extra={"test_function": label}))
     return rows
 
 
 LEMMA32_ROWS = 8  # rows k = 1..8 at most, as far as the spectrum reaches lambda_{k+2}
-
-
-@dataclass(frozen=True)
-class Lemma32Row:
-    k: int
-    lhs: float
-    rhs: float
-    cross_term: float  # norm of g u_j's projection onto the multiplet of l_{k+1}, >= 0
-    projection_residual: float
-    status: str  # pass | fail | skipped
-    reason: str = ""
 
 
 def lemma32_check(
@@ -643,7 +611,9 @@ def lemma32_check(
     of l_{k+1}: it does not depend on which orthonormal basis of that
     eigenspace, or which signs, the solver returned, where the single
     int g u_j u_{k+1} dm would.  Both thresholds scale with g, as both
-    sides of the inequality do.
+    sides of the inequality do.  A row claims "lemma32" and carries its
+    ``cross_term`` and ``projection_residual`` in ``extra``; a row
+    skipped on these two keeps its claim.
     """
     lam = spectrum.eigenvalues
     labels = multiplet_labels(lam)
@@ -667,7 +637,7 @@ def lemma32_check(
     rows = []
     for k, l_k1, l_k2, reason in _rows(lam, j, min(LEMMA32_ROWS, lam.size - 2)):
         if reason:
-            rows.append(Lemma32Row(k, 0.0, 0.0, 0.0, 0.0, "skipped", reason))
+            rows.append(VerdictRow(k, "skipped", reason=reason))
             continue
         # the norm of g u_j's projection onto the whole multiplet of l_{k+1}, whatever its basis
         members = np.flatnonzero(labels == labels[k]) + 1
@@ -677,11 +647,11 @@ def lemma32_check(
         resid_vec = w - basis @ (basis.T @ bw)
         resid = float(np.sqrt(max(resid_vec @ (pair.B @ resid_vec), 0.0)))
         lhs = ((l_k1 - lam_j) + (l_k2 - lam_j)) * igg
-        rhs = ib + (l_k2 - lam_j) * (l_k1 - lam_j) * igu
+        claims = (("lemma32", lhs, ib + (l_k2 - lam_j) * (l_k1 - lam_j) * igu),)
         if cross <= 1e-10 * math.sqrt(igu):
             reason = "cross term int g u_j u_{k+1} dm vanishes"
         elif resid <= 1e-8 * w_norm:
             reason = "g u_j lies in the span of u_1..u_{k+1}"
-        status = "skipped" if reason else "pass" if holds(lhs, rhs) else "fail"
-        rows.append(Lemma32Row(k, lhs, rhs, cross, resid, status, reason))
+        extra = {"cross_term": cross, "projection_residual": resid}
+        rows.append(VerdictRow(k, "skipped" if reason else verdict(claims), claims, reason, extra))
     return rows

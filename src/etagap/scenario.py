@@ -10,7 +10,9 @@ one per bound family, so the acceptance story is "run all builtins".
 from __future__ import annotations
 
 import copy
+import functools
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -89,7 +91,6 @@ class ScenarioConfig:
     origin: list | None
     verify: list
     oracle: OracleSpectrum | None
-    oracle_rtol: float | None
     output_dir: str | None
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -131,7 +132,6 @@ class ScenarioConfig:
                 origin=fields.axis_reals(consts["origin"], len(box), "origin") if "origin" in consts else None,
                 verify=_block(raw, "verify", list, default=[]),
                 oracle=None if oracle is None else OracleSpectrum.from_dict(oracle),
-                oracle_rtol=_num(oracle["rtol"]) if oracle and "rtol" in oracle else None,
                 output_dir=raw.get("output_dir"),
                 raw=raw,
             )
@@ -152,6 +152,9 @@ class ScenarioConfig:
             raise ConfigError(f"solver seed must be an integer >= 0, got {self.solver.seed!r}")
         if self.solver.method not in spectral.METHODS:
             raise ConfigError(f"solver method must be {'|'.join(spectral.METHODS)}, got {self.solver.method!r}")
+        for name, value in (("solve_tol", self.solver.solve_tol), ("ortho_tol", self.solver.ortho_tol), ("c_scale", self.c_scale)):
+            if not 0.0 < value < math.inf:  # also refuses nan
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
         for tag in self.theorems:
             if tag not in bounds.THEOREMS:
                 raise ConfigError(f"unknown bound family {tag!r}")
@@ -174,6 +177,10 @@ class ScenarioConfig:
             for name, given in (("lengths", self.oracle.lengths), ("coeffs", self.oracle.coeffs)):
                 if given and len(given) != self.dim:
                     raise ConfigError(f"oracle {name} needs {self.dim} entries, got {len(given)}")
+                if not all(0.0 < v < math.inf for v in given):
+                    raise ConfigError(f"oracle {name} must be finite and > 0, got {list(given)}")
+            if self.oracle.rtol is not None and not 0.0 <= self.oracle.rtol < math.inf:
+                raise ConfigError(f"oracle rtol must be finite and >= 0, got {self.oracle.rtol}")
         euclid = self.metric_tag == "euclidean"
         if euclid:
             if self.h0 not in (None, 0.0):
@@ -281,12 +288,13 @@ def _preset(build, spec: dict, dim: int, default_kind=None):
 
 @dataclass(frozen=True)
 class OracleSpectrum:
-    """Closed-form eigenvalue generators for separable references."""
+    """Closed-form eigenvalue generators for separable references, and the rtol that scores them."""
 
     kind: str
     lengths: tuple = ()
     coeffs: tuple = ()
     drift_slope: float = 0.0
+    rtol: float | None = None  # without it the error is reported and scored nowhere
 
     @staticmethod
     def from_dict(raw: dict) -> "OracleSpectrum":
@@ -297,7 +305,8 @@ class OracleSpectrum:
             lengths = tuple(_nums(raw.get("lengths", [])))
             coeffs = tuple(_nums(raw.get("coeffs", [])))
             slope = _num(raw.get("drift_slope", "0"))
-        return OracleSpectrum(kind, lengths, coeffs, slope)
+            rtol = _num(raw["rtol"]) if "rtol" in raw else None
+        return OracleSpectrum(kind, lengths, coeffs, slope, rtol)
 
 
 def oracle_eigenvalues(oracle: OracleSpectrum, k: int, dim: int) -> np.ndarray:
@@ -330,7 +339,11 @@ def oracle_eigenvalues(oracle: OracleSpectrum, k: int, dim: int) -> np.ndarray:
 
 @dataclass
 class ScenarioReport:
-    """Everything a scenario run produced, plus aggregated counts."""
+    """Everything a scenario run produced, plus aggregated counts.
+
+    ``rows`` maps the name of each check that ran (``checks``) to its rows;
+    a check that raised has one line in ``errors`` instead.
+    """
 
     name: str
     config: ScenarioConfig
@@ -338,11 +351,7 @@ class ScenarioReport:
     validation: spectral.ValidationReport
     constants: fields.OperatorConstants | None
     gap_reports: dict = field(default_factory=dict)
-    yang_report: bounds.YangReport | None = None
-    cor32_rows: list = field(default_factory=list)
-    lemma32_rows: list = field(default_factory=list)
-    parseval: float | None = None
-    oracle_error: float | None = None
+    rows: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
     elapsed: float = 0.0
     written: list = field(default_factory=list)
@@ -351,16 +360,7 @@ class ScenarioReport:
         out = {"pass": 0, "fail": 0, "inconclusive": 0, "info": 0, "skipped": 0, "errors": len(self.errors)}
         for ok, _margin in self.validation.checks.values():
             out["pass" if ok else "fail"] += 1
-        gap = [row for rep in self.gap_reports.values() for row in rep.rows]
-        yang = () if self.yang_report is None else self.yang_report.rows
-        for rows in (gap, yang, self.cor32_rows, self.lemma32_rows):
-            for row in rows:
-                out[row.status] += 1
-        if self.parseval is not None:  # Bessel's inequality, captured / total <= 1
-            out["pass" if bounds.holds(1.0 - self.parseval, 1.0) else "fail"] += 1
-        if self.oracle_error is not None and self.config.oracle_rtol is not None:
-            out["pass" if self.oracle_error <= self.config.oracle_rtol else "fail"] += 1
-        return out
+        return bounds.tally((row for rows in self.rows.values() for row in rows), out)
 
     def exit_code(self) -> int:
         c = self.counts()
@@ -371,6 +371,10 @@ class ScenarioReport:
         return 0
 
     def summary_dict(self) -> dict:
+        parseval, oracle = self.rows.get("parseval"), self.rows.get("oracle")
+        oracle_err = oracle[0].claims[0][1] if oracle else None
+        if self.config.oracle is not None and self.config.oracle.rtol is None:  # reported, never scored
+            oracle_err = oracle_error(self.config, self.spectrum)
         return {
             "schema_version": bounds.SCHEMA_VERSION,
             "name": self.name,
@@ -378,8 +382,8 @@ class ScenarioReport:
             "exit_code": self.exit_code(),
             "validation": {k: [bool(v[0]), float(v[1])] for k, v in self.validation.checks.items()},
             "eigenvalues": [float(v) for v in self.spectrum.eigenvalues],
-            "oracle_error": self.oracle_error,
-            "parseval_defect": self.parseval,
+            "oracle_error": oracle_err,
+            "parseval_defect": parseval[0].extra["defect"] if parseval else None,
             "errors": self.errors,
             "gap_reports": {tag: rep.to_json_dict() for tag, rep in self.gap_reports.items()},
             "solver": self.spectrum.meta,
@@ -447,6 +451,75 @@ def lemma32_test_function(n: int) -> fields.ScalarField:
     return fields.QuadraticScalar(quad, coeffs)
 
 
+# The check registry.  An entry(cfg, pair, spectrum, consts) returns rows, or a GapReport holding
+# them, and looks its bounds or spectral callee up through the module when it runs.
+
+
+def _gap(tag, cfg, pair, spectrum, consts) -> bounds.GapReport:
+    lam1 = float(spectrum.eigenvalues[0])
+    gc = bounds.THEOREMS[tag](lam1, consts)
+    used = {**asdict(consts), "sigma": consts.sigma, "d": consts.d if consts.d != math.inf else "inf", "lambda1": lam1}
+    rep = bounds.gap_check(
+        spectrum,
+        gc.value * cfg.c_scale,
+        gc.exponent,
+        k_range=cfg.k_range,
+        tag=tag,
+        h=max(pair.domain.h),
+        constants_used=used,
+        corollaries=gc.corollaries,
+    )
+    if cfg.c_scale != 1.0:
+        rep.notes["c_scale"] = cfg.c_scale
+    return rep
+
+
+def _cor32(cfg, pair, spectrum, consts) -> list:
+    metric = pair.domain.metric
+    if metric.is_hyperbolic:  # ln x_n on the half-space, x_a in Euclidean space
+        test_fns = {"ln_xn": fields.axis_test_function(metric, metric.dim - 1)}
+    else:
+        test_fns = {f"x{a + 1}": fields.axis_test_function(metric, a) for a in range(metric.dim)}
+    return bounds.cor32_check(spectrum, pair, test_fns, consts, j=1)
+
+
+def _parseval(cfg, pair, spectrum, consts) -> list:
+    """Bessel's inequality for f = x_1: the captured share 1 - defect is at most 1."""
+    f_vec = assembly.project_function(pair.domain, fields.AffineScalar(np.eye(cfg.dim)[0]))
+    defect = spectral.parseval_defect(spectrum, pair, f_vec)
+    claims = (("bessel", 1.0 - defect, 1.0),)
+    return [bounds.VerdictRow(spectrum.k, bounds.verdict(claims), claims, extra={"defect": defect})]
+
+
+def oracle_error(cfg: ScenarioConfig, spectrum: spectral.SpectrumResult) -> float:
+    """The largest relative error of the computed eigenvalues against the config's closed form."""
+    ref = oracle_eigenvalues(cfg.oracle, spectrum.k, cfg.dim)
+    return float(np.max(np.abs(spectrum.eigenvalues - ref) / np.abs(ref)))
+
+
+def _oracle(cfg, pair, spectrum, consts) -> list:
+    """error <= rtol, compared as is rather than through bounds.holds."""
+    err, rtol = oracle_error(cfg, spectrum), cfg.oracle.rtol
+    return [bounds.VerdictRow(spectrum.k, "pass" if err <= rtol else "fail", (("oracle", err, rtol),))]
+
+
+# the checks after the gap entries, in report order
+CHECKS = {
+    "yang": lambda cfg, pair, spectrum, consts: bounds.yang_check(spectrum, consts),
+    "cor32": _cor32,
+    "lemma32": lambda cfg, pair, spectrum, consts: bounds.lemma32_check(spectrum, pair, lemma32_test_function(cfg.dim)),
+    "parseval": _parseval,
+}
+
+
+def checks(cfg: ScenarioConfig) -> list:
+    """(name, entry) of each selected check in report order, whatever the order of ``verify``: one gap
+    entry per theorem tag, named by the tag, then yang, cor32, lemma32, parseval, and the oracle when it sets rtol."""
+    entries = [(tag, functools.partial(_gap, tag)) for tag in cfg.theorems] if "gap" in cfg.verify else []
+    entries += [(name, entry) for name, entry in CHECKS.items() if name in cfg.verify]
+    return entries + ([("oracle", _oracle)] if cfg.oracle is not None and cfg.oracle.rtol is not None else [])
+
+
 def run_scenario(
     cfg: ScenarioConfig,
     output_dir: str | None = None,
@@ -454,7 +527,7 @@ def run_scenario(
 ) -> ScenarioReport:
     """Assemble, solve, validate, run the selected checks, write reports."""
     t_start = time.perf_counter()
-    metric, domain, tensor, drift = build_problem(cfg)
+    _metric, domain, tensor, drift = build_problem(cfg)
     pair = assembly.assemble(domain, tensor, drift)
     k = pair.ndof if cfg.solver.k == "full" else cfg.solver.k
     spectrum = spectral.solve_lowest(
@@ -462,62 +535,19 @@ def run_scenario(
     )
     validation = spectral.validate_spectrum(spectrum, pair, ortho_tol=cfg.solver.ortho_tol)
 
-    report = ScenarioReport(cfg.name, cfg, spectrum, validation, None)
-    consts = None
-    if cfg.theorems or "yang" in cfg.verify or "cor32" in cfg.verify:
-        consts = collect_constants(cfg, pair)
-        report.constants = consts
+    needs_constants = cfg.theorems or "yang" in cfg.verify or "cor32" in cfg.verify
+    consts = collect_constants(cfg, pair) if needs_constants else None
+    report = ScenarioReport(cfg.name, cfg, spectrum, validation, consts)
 
-    lam1 = float(spectrum.eigenvalues[0])
-    h_eff = max(domain.h)
-    if "gap" in cfg.verify:
-        for tag in cfg.theorems:
-            try:
-                gc = bounds.THEOREMS[tag](lam1, consts)
-                rep = bounds.gap_check(
-                    spectrum,
-                    gc.value * cfg.c_scale,
-                    gc.exponent,
-                    k_range=cfg.k_range,
-                    tag=tag,
-                    h=h_eff,
-                    constants_used=_consts_dict(consts, lam1),
-                    corollaries=gc.corollaries,
-                )
-                if cfg.c_scale != 1.0:
-                    rep.notes["c_scale"] = cfg.c_scale
-                report.gap_reports[tag] = rep
-            except (EtagapError, ValueError) as exc:
-                report.errors.append(f"{tag}: {type(exc).__name__}: {exc}")
-
-    if "yang" in cfg.verify:
+    for name, check in checks(cfg):
         try:
-            report.yang_report = bounds.yang_check(spectrum, consts)
-        except EtagapError as exc:
-            report.errors.append(f"yang: {type(exc).__name__}: {exc}")
-
-    if "cor32" in cfg.verify:
-        try:
-            if metric.is_hyperbolic:  # ln x_n on the half-space, x_a in Euclidean space
-                test_fns = {"ln_xn": fields.axis_test_function(metric, metric.dim - 1)}
-            else:
-                test_fns = {f"x{a + 1}": fields.axis_test_function(metric, a) for a in range(metric.dim)}
-            report.cor32_rows = bounds.cor32_check(spectrum, pair, test_fns, consts, j=1)
+            result = check(cfg, pair, spectrum, consts)
         except (EtagapError, ValueError) as exc:
-            report.errors.append(f"cor32: {type(exc).__name__}: {exc}")
-
-    if "lemma32" in cfg.verify:
-        report.lemma32_rows = bounds.lemma32_check(spectrum, pair, lemma32_test_function(metric.dim))
-
-    if "parseval" in cfg.verify:
-        f_vec = assembly.project_function(domain, fields.AffineScalar(np.eye(metric.dim)[0]))
-        report.parseval = spectral.parseval_defect(spectrum, pair, f_vec)
-
-    if cfg.oracle is not None:
-        ref = oracle_eigenvalues(cfg.oracle, spectrum.k, cfg.dim)
-        report.oracle_error = float(
-            np.max(np.abs(spectrum.eigenvalues - ref) / np.abs(ref))
-        )
+            report.errors.append(f"{name}: {type(exc).__name__}: {exc}")
+            continue
+        if isinstance(result, bounds.GapReport):
+            report.gap_reports[name] = result
+        report.rows[name] = getattr(result, "rows", result)
 
     report.elapsed = time.perf_counter() - t_start
     if write:
@@ -537,11 +567,6 @@ def run_scenario(
             fh.write("\n")
         report.written.append(str(sumpath))
     return report
-
-
-def _consts_dict(consts: fields.OperatorConstants, lam1: float) -> dict:
-    d = consts.d if consts.d != float("inf") else "inf"
-    return {**asdict(consts), "sigma": consts.sigma, "d": d, "lambda1": lam1}
 
 
 # ---------------------------------------------------------------------------

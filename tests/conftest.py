@@ -16,3 +16,8 @@ def every_conclusion_fails(monkeypatch):
         return hyp, np.zeros_like(hyp)
 
     monkeypatch.setattr(bounds, "_lemma31_rows", failing)
+
+
+def sides(row, claim):
+    """(lhs, rhs) of the named claim of a ``bounds.VerdictRow``."""
+    return next((lhs, rhs) for name, lhs, rhs in row.claims if name == claim)

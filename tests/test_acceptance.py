@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import sides
 
 from etagap.bounds import lemma31_check, random_lemma31_instance, yang_check
 from etagap.cli import main as cli_main
@@ -68,7 +69,8 @@ def test_criterion_1_interval_oracle(interval_run):
 
 def test_criterion_2_square_oracle(square_run):
     rep, elapsed = square_run
-    assert rep.oracle_error < 0.01, f"eigenvalue error {rep.oracle_error:.2e} exceeds 1%"
+    oracle_error, rtol = sides(*rep.rows["oracle"], "oracle")
+    assert rtol == 0.01 and oracle_error < 0.01, f"eigenvalue error {oracle_error:.2e} exceeds 1%"
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds 60s"
     rows = {r.k: r for r in rep.gap_reports["thm11"].rows}
     for k in range(2, 11):
@@ -78,12 +80,13 @@ def test_criterion_2_square_oracle(square_run):
     assert groups[1] == groups[2], "multiplet (5, 5) not detected"
     assert groups[4] == groups[5], "multiplet (10, 10) not detected"
     assert groups[0] != groups[1] and groups[3] != groups[4]
-    print(f"\nPASS criterion 2: square oracle (max rel err {rep.oracle_error:.2e}, {elapsed:.2f}s)")
+    print(f"\nPASS criterion 2: square oracle (max rel err {oracle_error:.2e}, {elapsed:.2f}s)")
 
 
 def test_criterion_3_anisotropic_oracle(anisotropic_run):
     rep, elapsed = anisotropic_run
-    assert rep.oracle_error < 0.01, f"eigenvalue error {rep.oracle_error:.2e} exceeds 1%"
+    oracle_error, rtol = sides(*rep.rows["oracle"], "oracle")
+    assert rtol == 0.01 and oracle_error < 0.01, f"eigenvalue error {oracle_error:.2e} exceeds 1%"
     consts = rep.constants
     assert (consts.epsilon, consts.delta) == (2.0, 3.0), "tensor bounds not exactly (2, 3)"
     assert consts.sigma == 4.0
@@ -101,11 +104,12 @@ def test_criterion_4_drift_oracle(drift_run):
     rel = np.abs(rep.spectrum.eigenvalues - modes) / modes
     assert np.max(rel) < 2e-3, f"eigenvalue error {np.max(rel):.2e} exceeds 0.2%"
     assert rep.constants.c0 == pytest.approx(-0.25, abs=1e-6)
-    rows = {r.k: r for r in rep.yang_report.rows}
+    rows = {r.k: r for r in rep.rows["yang"]}
     for k in range(1, 9):
+        ups_next, rhs = sides(rows[k], "growth")
         assert rows[k].status == "pass"
-        assert rows[k].upsilon_next == pytest.approx((k + 1) ** 2, rel=2e-3)
-        assert rows[k].rhs == pytest.approx(5.0 * k**2, rel=2e-3)
+        assert ups_next == pytest.approx((k + 1) ** 2, rel=2e-3)
+        assert rhs == pytest.approx(5.0 * k**2, rel=2e-3)
     print(f"\nPASS criterion 4: drift oracle (C0 = {rep.constants.c0:.9f})")
 
 
@@ -147,22 +151,24 @@ def test_criterion_6_growth_bound_everywhere(
         "drift": drift_run,
         "hyperbolic": hyperbolic_run,
     }.items():
-        yang = rep.yang_report or yang_check(rep.spectrum, rep.constants)
-        assert all(row.status == "pass" for row in yang.rows), f"growth bound failed on {name}"
+        yang = rep.rows.get("yang") or yang_check(rep.spectrum, rep.constants)
+        assert all(row.status == "pass" for row in yang), f"growth bound failed on {name}"
     print("\nPASS criterion 6: growth bound holds on all five spectra")
 
 
 def test_criterion_7_test_function_inequalities(square_run):
     rep, _ = square_run
-    assert [r.test_function for r in rep.cor32_rows] == ["x1"] * 10 + ["x2"] * 10
+    cor32 = rep.rows["cor32"]
+    assert [r.extra["test_function"] for r in cor32] == ["x1"] * 10 + ["x2"] * 10
     for label in ("x1", "x2"):
-        checked = {r.k: r for r in rep.cor32_rows if r.test_function == label and r.status != "skipped"}
+        checked = {r.k: r for r in cor32 if r.extra["test_function"] == label and r.status != "skipped"}
         valid_up_to_8 = [k for k in checked if k <= 8]
         assert sorted(valid_up_to_8) == [2, 3, 5, 7], f"admissible rows changed for {label}"
         for k in valid_up_to_8:
             row = checked[k]
             assert row.status == "pass", f"{label} k={k}: {row.status}"
-            assert row.rhs_314 - row.lhs_314 > 0 and row.rhs_315 - row.lhs_315 > 0
+            (lhs_314, rhs_314), (lhs_315, rhs_315) = sides(row, "3.14"), sides(row, "3.15")
+            assert rhs_314 - lhs_314 > 0 and rhs_315 - lhs_315 > 0
     print("\nPASS criterion 7: test-function inequalities for f = x1, x2 (j = 1, k <= 8)")
 
 

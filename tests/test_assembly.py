@@ -369,7 +369,7 @@ class TestModeCache:
 
         seen = self._count(monkeypatch)
         rep = run_scenario(self._config(), write=False)
-        assert {r.test_function for r in rep.cor32_rows} == {"x1", "x2"}
+        assert {r.extra["test_function"] for r in rep.rows["cor32"]} == {"x1", "x2"}
         assert seen == [rep.spectrum.eigenvectors[:, 0].tobytes()]
 
     def test_lemma32_interpolates_each_vector_at_most_once(self, monkeypatch):
@@ -382,5 +382,5 @@ class TestModeCache:
             verify=["lemma32"],
         )
         rep = run_scenario(cfg, write=False)
-        assert len(rep.lemma32_rows) > 2
+        assert len(rep.rows["lemma32"]) > 2
         assert len(seen) == len(set(seen)) > 2

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from etagap import assembly, bounds
+from etagap import assembly, bounds, scenario, spectral
 from etagap.cli import main
+from etagap.errors import InsufficientSpectrum
 
 
 def small_square_config(tmp_path, **over):
@@ -382,6 +383,25 @@ MALFORMED_CONFIGS = {
             "decimal_strings": ["2", "5"],
         }.items()
     },
+    # tolerances and the bound scale are finite and > 0; an oracle's rtol is finite and >= 0,
+    # its lengths and coefficients finite and > 0
+    **{
+        f"{key}_{label}": {"solver": {"k": 10, "seed": 1, key: value}}
+        for key in ("solve_tol", "ortho_tol")
+        for label, value in {"negative": "-1", "zero": "0", "nan": "nan", "inf": "inf"}.items()
+    },
+    **{
+        f"c_scale_{label}": {"bounds": {"theorems": ["thm11"], "k_range": [2, 8], "c_scale": value}}
+        for label, value in {"zero": "0", "negative": "-1e-6", "nan": "nan", "inf": "inf"}.items()
+    },
+    **{
+        f"oracle_rtol_{label}": {"oracle": {"kind": "box", "rtol": value}}
+        for label, value in {"negative": "-1", "nan": "nan", "inf": "inf"}.items()
+    },
+    "oracle_length_zero": {"oracle": {"kind": "box", "lengths": ["0", "3.141592653589793"], "rtol": "0.01"}},
+    "oracle_length_inf": {"oracle": {"kind": "box", "lengths": ["inf", "3.141592653589793"], "rtol": "0.01"}},
+    "oracle_coeff_negative": {"oracle": {"kind": "anisotropic", "coeffs": ["-2", "3"], "rtol": "0.01"}},
+    "oracle_coeff_nan": {"oracle": {"kind": "anisotropic", "coeffs": ["nan", "3"], "rtol": "0.01"}},
     # an oracle must match the domain: one length and coefficient per axis, intervals in 1-D only
     "anisotropic_oracle_one_coeff": {"oracle": {"kind": "anisotropic", "coeffs": ["2"], "rtol": "0.01"}},
     "box_oracle_one_length": {"oracle": {"kind": "box", "lengths": ["3.141592653589793"], "rtol": "0.01"}},
@@ -435,6 +455,8 @@ MALFORMED_FLAGS = {
     "k_flag_negative": ["--k", "-2"],
     "k_flag_zero": ["--k", "0"],
     "seed_flag_negative": ["--seed", "-1"],
+    "solve_tol_flag_negative": ["--solve-tol", "-1"],
+    "ortho_tol_flag_nan": ["--ortho-tol", "nan"],
 }
 
 
@@ -472,3 +494,36 @@ def test_malformed_oracle_exit_3_before_assembly(tmp_path, capsys, monkeypatch):
     cfg = small_square_config(tmp_path, oracle={"kind": "box", "lengths": ["x", "y"]})
     assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "config error:" in capsys.readouterr().err
+
+
+# each entry of the check registry, in report order, and the function it calls when it runs
+ENTRY_CALLEES = {
+    "thm11": (bounds, "gap_check"),
+    "yang": (bounds, "yang_check"),
+    "cor32": (bounds, "cor32_check"),
+    "lemma32": (bounds, "lemma32_check"),
+    "parseval": (spectral, "parseval_defect"),
+    "oracle": (scenario, "oracle_eigenvalues"),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_CALLEES)
+def test_a_raising_check_is_one_error_line(tmp_path, capsys, monkeypatch, entry):
+    # every entry runs under one error rule: its error is one line, and the other checks' rows still count
+    oracle = {"kind": "box", "lengths": ["3.141592653589793"] * 2, "rtol": "0.05"}
+    path = small_square_config(tmp_path, verify=["gap", "yang", "cor32", "lemma32", "parseval"], oracle=oracle)
+    clean = scenario.run_scenario(scenario.load_config(str(path)), write=False)
+    assert [name for name, _ in scenario.checks(clean.config)] == list(ENTRY_CALLEES)
+    assert not clean.errors and all(clean.rows[name] for name in ENTRY_CALLEES)
+
+    def raising(*args, **kwargs):
+        raise InsufficientSpectrum("patched")
+
+    monkeypatch.setattr(*ENTRY_CALLEES[entry], raising)
+    assert main(["verify", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"ERROR {entry}: InsufficientSpectrum: patched" in capsys.readouterr().err.splitlines()
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    expected = bounds.tally(clean.rows[entry], dict.fromkeys(("pass", "fail", "inconclusive", "info", "skipped"), 0))
+    counts = clean.counts()
+    assert summary["counts"] == {**{key: counts[key] - expected[key] for key in expected}, "errors": 1}
+    assert summary["errors"] == [f"{entry}: InsufficientSpectrum: patched"]

@@ -5,7 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import sides
 
+from etagap import spectral
 from etagap.errors import ConfigError
 from etagap.spectral import ValidationReport
 from etagap.scenario import (
@@ -260,7 +262,7 @@ class TestBuiltins:
         rep = run_scenario(cfg, output_dir=str(tmp_path / "out"))
         counts = rep.counts()
         assert counts["fail"] == 0 and counts["errors"] == 0
-        assert rep.oracle_error < 0.01
+        assert sides(*rep.rows["oracle"], "oracle")[0] < 0.01
         assert (tmp_path / "out" / "spectrum.csv").exists()
         assert (tmp_path / "out" / "gap_thm11.csv").exists()
         assert (tmp_path / "out" / "summary.json").exists()
@@ -304,22 +306,22 @@ class TestBuiltins:
         rep = run_scenario(ScenarioConfig.from_dict(raw), write=False)
         assert rep.counts()["fail"] == 0 and not rep.errors
         assert 2.5 <= rep.constants.epsilon <= rep.constants.delta <= 3.5
-        assert {row.test_function for row in rep.cor32_rows} == {"ln_xn"}
-        assert {row.status for row in rep.cor32_rows} <= {"pass", "skipped"}
+        assert {row.extra["test_function"] for row in rep.rows["cor32"]} == {"ln_xn"}
+        assert {row.status for row in rep.rows["cor32"]} <= {"pass", "skipped"}
 
     @pytest.mark.parametrize("k", ["full", 12])
     def test_lemma32_square_checks_two_rows(self, k):
         # the dense full spectrum and the separable partial one give the same row statuses
         rep = run_scenario(apply_overrides(builtin_config("lemma32_square"), {"k": k}), write=False)
         assert not rep.errors and rep.exit_code() == 0
-        assert [(r.k, r.status) for r in rep.lemma32_rows if r.status != "skipped"] == [(2, "pass"), (3, "pass")]
+        assert [(r.k, r.status) for r in rep.rows["lemma32"] if r.status != "skipped"] == [(2, "pass"), (3, "pass")]
 
     def test_halfspace_profile_builtin(self):
         # the builtin with a variable tensor: t0 and c0 read dT, div T, grad div T and dv
         rep = run_scenario(builtin_config("halfspace_profile"), write=False)
         counts = rep.counts()
         assert (counts["pass"], counts["fail"], counts["inconclusive"]) == (29, 0, 0) and not rep.errors
-        assert [(r.k, r.status) for r in rep.lemma32_rows] == [(k, "pass") for k in range(1, 7)]
+        assert [(r.k, r.status) for r in rep.rows["lemma32"]] == [(k, "pass") for k in range(1, 7)]
         assert rep.constants.t0 == pytest.approx(1.12761, rel=1e-5)
         assert rep.constants.c0 == pytest.approx(-1.75736, rel=1e-5)
 
@@ -403,7 +405,7 @@ class TestBuiltins:
             cfg.verify = []
             cfg.theorems = []
             rep = run_scenario(cfg, write=False)
-            errs.append(rep.oracle_error)
+            errs.append(sides(*rep.rows["oracle"], "oracle")[0])
         assert errs[2] < errs[1] < errs[0]
 
     def test_negative_control_c_scale(self, tmp_path):
@@ -430,8 +432,12 @@ class TestBuiltins:
 
 
 @pytest.mark.parametrize("defect, verdict", [(-1e-13, "pass"), (0.0, "pass"), (-1e-11, "fail"), (float("nan"), "fail")])
-def test_parseval_counts_by_the_one_pass_rule(defect, verdict):
+def test_parseval_counts_by_the_one_pass_rule(monkeypatch, defect, verdict):
     # Bessel's inequality, captured <= total, at the relative tolerance of holds, 1e-12
-    rep = ScenarioReport("p", builtin_config("square_laplacian"), None, ValidationReport({}), None, parseval=defect)
-    counts = rep.counts()
+    monkeypatch.setattr(spectral, "parseval_defect", lambda spectrum, pair, f: defect)
+    cfg = ScenarioConfig.from_dict(minimal_config(verify=["parseval"]))
+    rep = run_scenario(cfg, write=False)
+    (row,) = rep.rows["parseval"]
+    assert row.status == verdict and row.extra["defect"] is defect
+    counts = ScenarioReport("p", cfg, None, ValidationReport({}), None, rows=rep.rows).counts()
     assert (counts["pass"], counts["fail"]) == ((1, 0) if verdict == "pass" else (0, 1))

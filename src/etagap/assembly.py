@@ -13,7 +13,8 @@ at them (measure weights, metric factor, interpolated modes) is (m,) or
 (m, n) in the same order.  Only ``assemble`` views them as (ncell, ...)
 blocks, for its per-cell products.  Both matrices are built straight into
 CSR from the grid's 3^n node stencil: each unordered index pair is summed
-once and read from both sides, so A == A^T and B == B^T exactly (see
+once and read from both sides, so A == A^T and B == B^T exactly.  They
+share one read-only int32 sparsity pattern without Dirichlet columns (see
 ``_stencil_csr``).
 """
 
@@ -101,42 +102,67 @@ def quad_data(domain: GridDomain, drift: ScalarField):
     return pts, dm, grad_factor
 
 
-def _stencil_csr(domain: GridDomain, vals) -> list[sp.csr_matrix]:
-    """Symmetric CSR matrices over the interior DOFs from per-cell pair values.
+def _node_arrays(domain: GridDomain, v: np.ndarray, half: int) -> np.ndarray:
+    """Per-cell pair values v (ncell, npair) summed into one node array per stencil offset o >= 0.
 
-    Pair (i, j) of a cell joins nodes r and r + o, o a 3^n stencil offset
-    with flat offset >= 0.  Its values are added by slices over the cell
-    grid into o's node array at r; masked-out cells add zeros.  Entry
-    (r, r - o) reads that array at r - o, so the matrix equals its transpose
-    bit for bit.  A row takes the stencil in increasing flat offset, which
-    sorts its columns, as DOF numbers increase with the flat node index.
-    Dirichlet columns read an exact zero, dropped with the exact zeros.
+    Pair (i, j) of a cell joins nodes r and r + o, o with flat offset >= 0;
+    its values are added by slices over the cell grid into o's node array
+    at r, and masked-out cells add zeros.  The arrays come stacked by |o|
+    and flat; the cell array lives only in this call.
     """
-    n, res, nnode = domain.dim, domain.resolution, domain.dof_index().size
+    n, res = domain.dim, domain.resolution
     corners = np.array(list(itertools.product((0, 1), repeat=n)))
-    stencil = np.array(list(itertools.product((-1, 0, 1), repeat=n)))  # stencil[-1 - k] == -stencil[k]
+    cell = np.zeros((v.shape[1],) + res)
+    cell.reshape(v.shape[1], -1)[:, np.flatnonzero(domain.mask)] = v.T
+    stacked = np.zeros((half + 1) * domain.dof_index().size)
+    node_arrays = stacked.reshape((half + 1,) + domain.node_shape)
+    for p, (i, j) in enumerate(zip(*np.triu_indices(len(corners)))):
+        k = np.ravel_multi_index(corners[j] - corners[i] + 1, (3,) * n) - half
+        node_arrays[k][tuple(slice(c, c + r) for c, r in zip(corners[i], res))] += cell[p]
+    return stacked
+
+
+def _stencil_csr(domain: GridDomain, vals) -> list[sp.csr_matrix]:
+    """Symmetric CSR matrices over the interior DOFs from per-cell pair values, on one shared pattern.
+
+    Each matrix reads its entries from ``_node_arrays``: entry (r, r + o),
+    o a 3^n stencil offset with flat offset >= 0, at r in o's array, and
+    entry (r, r - o) from the same array at r - o, so the matrix equals its
+    transpose bit for bit.  A row takes the stencil in increasing flat
+    offset, which sorts its columns, as DOF numbers increase with the flat
+    node index.  Dirichlet columns are left out of the pattern.  The
+    pattern (``indices``, ``indptr``) and the gather index into the node
+    arrays are built once, in scipy's own index type (int32 up to 2^31
+    entries, so scipy copies neither), and every matrix shares the pattern
+    read-only; only a matrix with an exactly zero value gets a private
+    copy, with those entries dropped.
+    """
+    nnode = domain.dof_index().size
+    stencil = np.array(list(itertools.product((-1, 0, 1), repeat=domain.dim)))  # stencil[-1 - k] == -stencil[k]
     half = len(stencil) // 2  # the zero offset
-    flat_off = stencil @ np.cumprod((1,) + domain.node_shape[:0:-1])[::-1]
-    rows = domain.interior_flat  # never on the box boundary, so every stencil node exists
-    cols = domain.dof_index()[rows[:, None] + flat_off]
+    itype = np.int32 if len(stencil) * nnode < 2**31 else np.int64
+    flat_off = (stencil @ np.cumprod((1,) + domain.node_shape[:0:-1])[::-1]).astype(itype)
+    rows = domain.interior_flat.astype(itype)  # never on the box boundary, so every stencil node exists
+    cols = domain.dof_index().astype(itype)[rows[:, None] + flat_off]
+    keep = cols >= 0
+    indices = cols[keep]
+    del cols
+    indptr = np.zeros(rows.size + 1, dtype=itype)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
     # (r, r + o) in the node arrays stacked by |o| sits at r if o >= 0, else at r + o
-    src = rows[:, None] + np.abs(np.arange(len(stencil)) - half) * nnode + np.minimum(flat_off, 0)
-    src[cols < 0] = -1  # Dirichlet columns read the zero after the node arrays
-    # scipy's own index type, made once: it would downcast int64 arrays for every matrix
-    indices = cols.clip(0).ravel().astype(np.int32 if cols.size < 2**31 else np.int64)
-    indptr = np.arange(0, cols.size + 1, len(stencil), dtype=indices.dtype)
+    shift = (np.abs(np.arange(len(stencil)) - half) * nnode + np.minimum(flat_off, 0)).astype(itype)
+    src = (rows[:, None] + shift)[keep]
+    del keep
+    indices.setflags(write=False)
+    indptr.setflags(write=False)
     out = []
     for v in vals:
-        cell = np.zeros((v.shape[1],) + res)
-        cell.reshape(v.shape[1], -1)[:, np.flatnonzero(domain.mask)] = v.T
-        upper = np.zeros((half + 1) * nnode + 1)
-        node_arrays = upper[:-1].reshape((half + 1,) + domain.node_shape)
-        for p, (i, j) in enumerate(zip(*np.triu_indices(len(corners)))):
-            k = np.ravel_multi_index(corners[j] - corners[i] + 1, (3,) * n) - half
-            node_arrays[k][tuple(slice(c, c + r) for c, r in zip(corners[i], res))] += cell[p]
-        # copies: eliminate_zeros works in place on this matrix's own arrays
-        out.append(sp.csr_matrix((upper[src].ravel(), indices.copy(), indptr.copy()), shape=(rows.size,) * 2))
-        out[-1].eliminate_zeros()
+        data = _node_arrays(domain, v, half)[src]
+        if data.all():
+            out.append(sp.csr_matrix((data, indices, indptr), shape=(rows.size,) * 2))
+        else:  # eliminate_zeros works in place, on this matrix's own pattern
+            out.append(sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(rows.size,) * 2))
+            out[-1].eliminate_zeros()
     return out
 
 

@@ -125,7 +125,6 @@ def _integer(value) -> bool:
 
 # the "solver" keys that report renders after the method, in order: (key, type check, format)
 SOLVER_FIELDS = (
-    ("inverse", lambda v: type(v) is str, str),
     ("ordering", lambda v: type(v) is str, str),
     ("axis_ndof", lambda v: type(v) is list and all(map(_integer, v)), lambda v: " x ".join(map(str, v))),
     ("factor_nnz", _integer, str),

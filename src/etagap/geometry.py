@@ -271,13 +271,17 @@ def domain_origin_distance(domain: GridDomain, origin: np.ndarray) -> float:
     """Grid approximation (from above) of dist(domain, origin) for an origin (n,) outside the closed domain.
 
     Minimizes the geodesic distance over the corner nodes of masked-in
-    cells; since nodes lie in the closed domain this never undershoots the
-    true distance.
+    cells, in flat node order; since nodes lie in the closed domain this
+    never undershoots the true distance.  Those nodes are the OR of the
+    cell mask shifted by each of the 2^n corner offsets.
     """
     if origin.shape != (domain.dim,):
         raise ValueError("origin dimension mismatch")
     _rho(domain.metric, origin[None, :])
     if domain.contains_point(origin):
         raise OriginInsideDomain("origin lies in the closed masked region")
-    nodes = np.unique(domain.cell_corner_nodes().ravel())
+    corner = np.zeros(domain.node_shape, dtype=bool)
+    for off in itertools.product((0, 1), repeat=domain.dim):
+        corner[tuple(slice(o, o + r) for o, r in zip(off, domain.resolution))] |= domain.mask
+    nodes = np.flatnonzero(corner)
     return float(np.min(geodesic_distance(domain.metric, domain.node_coords(nodes), origin)))

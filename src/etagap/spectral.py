@@ -26,10 +26,16 @@ C = L^-1 A L^-T with two banded triangular solves, and runs syevd on C:
 three ndof x ndof arrays (C and the 2 ndof^2 workspace) where sygvd on
 dense A and B held four.  The k kept eigenvectors of C are mapped back
 with the upper band factor L^T, a third of the time of the transposed
-solve with L.  Every path's vectors are then B-normalised, and one
-identity pass (one B U and one A U, at most three blocks the size of U)
-gives their residuals, Rayleigh quotients and Gram defect against the
-assembled pair; the Gram is formed over its upper block triangle only.
+solve with L.  ``meta["method"]`` names the path: "separable",
+"fast_diagonalization", "superlu" or "dense".  Every path's vectors are
+then put in C order, once and in ``solve_lowest``: scipy ravels the dense
+operand of a sparse product, which copies a Fortran-ordered one.  The
+separable read-off builds them in C order, so that step copies nothing
+there; the Lanczos and dense paths give Fortran order and are copied
+once.  They are B-normalised, and one identity pass (one B U and one
+A U, at most three blocks the size of U) gives their residuals, Rayleigh
+quotients and Gram defect against the assembled pair; the Gram is formed
+over its upper block triangle only.
 Eigenvectors are B-orthonormal, eigenvalues ascending with multiplicities
 repeated.
 """
@@ -172,15 +178,16 @@ def _product_pencil(factors: AxisFactors, k: int, seed: int):
         order = np.argsort(sums, axis=None, kind="stable")[:k]
         out = np.ones((1, k))
         for vec, idx in zip(vecs, np.unravel_index(order, sums.shape)):
-            # axis 0 slowest, the C order of the DOF numbering
-            out = (out[:, None, :] * vec[None, :, idx]).reshape(-1, k)
+            # axis 0 slowest, the C order of the DOF numbering, in a C-ordered array,
+            # so that solve_lowest's C-order step copies nothing
+            out = np.multiply(out[:, None, :], vec[None, :, idx], order="C").reshape(-1, k)
         return sums.ravel()[order], out, {"method": "separable", "axis_ndof": factors.axis_ndof}
     scale = 1.0 / np.sqrt(sums.ravel())  # D^-1/2
     grams = [v.T @ B @ v for v, B in zip(vecs, factors.b_mass)]
     theta, y, diag = _lanczos(lambda x: scale * _along_axes(grams, scale * x).ravel(), scale.size, k, seed)
     lam, u = 1.0 / theta, _along_axes(vecs, y * scale[:, None]).reshape(k, -1).T
     order = np.argsort(lam)
-    meta = {"method": "shift_invert", "inverse": "fast_diagonalization", "axis_ndof": factors.axis_ndof}
+    meta = {"method": "fast_diagonalization", "axis_ndof": factors.axis_ndof}
     return lam[order], u[:, order], {**meta, **diag}
 
 
@@ -302,8 +309,6 @@ def solve_lowest(
 
     if dense:
         lam, vecs, band = _dense(pair, k)
-        # C order once, so that no later sparse-times-dense product copies it
-        vecs = np.ascontiguousarray(vecs)
         meta = {"method": "dense", "band": band}
     elif product:
         lam, vecs, meta = _product_pencil(factors, k, seed)
@@ -316,14 +321,16 @@ def solve_lowest(
         order = np.argsort(lam)
         lam, vecs = lam[order], vecs[:, order]
         meta = {
-            "method": "shift_invert",
-            "inverse": "superlu",
+            "method": "superlu",
             "ordering": ordering,
             "factor_nnz": int(lu.L.nnz + lu.U.nnz),
             **diag,
         }
 
-    vecs = _normalise(pair, vecs)
+    # C order once, so that no sparse-times-dense product (scipy ravels its
+    # dense operand) copies the vectors: no copy on the separable path, one
+    # of the other paths' Fortran-ordered vectors
+    vecs = _normalise(pair, np.ascontiguousarray(vecs))
     res, rayleigh, gram_defect = _identities(pair, lam, vecs)
     if not np.all(res <= solve_tol):  # a nan residual fails too
         raise ConvergenceFailure(f"residuals up to {np.max(res):.3e} exceed tol {solve_tol:.1e}")

@@ -336,6 +336,22 @@ class TestStencilBuild:
             assert pair.A.nnz < pair.B.nnz
 
 
+class TestSharedPattern:
+    @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+    def test_one_read_only_int32_pattern(self, case):
+        pair = assemble(*STENCIL_CASES[case]())
+        A, B = pair.A, pair.B
+        for arr in (B.indices, B.indptr):
+            assert arr.dtype == np.int32
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+        if case == "box_exact_zeros":  # A drops its exact zeros from its own copy
+            assert not np.shares_memory(A.indices, B.indices) and not np.shares_memory(A.indptr, B.indptr)
+            assert A.nnz < B.nnz
+        else:
+            assert np.shares_memory(A.indices, B.indices) and np.shares_memory(A.indptr, B.indptr)
+
+
 class TestModeCache:
     def _config(self, **over):
         from etagap.scenario import ScenarioConfig

@@ -86,7 +86,7 @@ class TestVerifyCommand:
         code = main(["verify", str(cfg), "--checks", "gap,yang", "--out", str(tmp_path / "o")])
         assert code == 0
         solver = json.loads((tmp_path / "o" / "summary.json").read_text())["solver"]
-        assert solver["method"] == "shift_invert" and solver["inverse"] == "superlu"
+        assert solver["method"] == "superlu" and "inverse" not in solver
         assert solver["ordering"] == "MMD_AT_PLUS_A"
         assert solver["max_residual"] <= solver["solve_tol"]
 
@@ -218,11 +218,11 @@ class TestReportCommand:
                         "mask": {"kind": "ball", "center": ["1.5707963267948966", "1.5707963267948966"], "radius": "1.4"},
                     }
                 },
-                "solver: method = shift_invert, inverse = superlu, ordering = MMD_AT_PLUS_A, factor_nnz = ",
+                "solver: method = superlu, ordering = MMD_AT_PLUS_A, factor_nnz = ",
             ),
             (
                 {"metric": "hyperbolic", "domain": {"bounds": [["0", "1"], ["1", "2"]], "resolution": [24, 24]}},
-                "solver: method = shift_invert, inverse = fast_diagonalization, axis_ndof = 23 x 23, ncv = 28, op_applications = ",
+                "solver: method = fast_diagonalization, axis_ndof = 23 x 23, ncv = 28, op_applications = ",
             ),
             (
                 {"domain": {"bounds": [["0", "1"], ["0", "1"]], "resolution": [12, 12]}, "solver": {"k": 6, "method": "dense"}},
@@ -253,10 +253,10 @@ class TestReportCommand:
             "{not json",
             {"counts": {"pass": 1}, "solver": [1]},
             {"counts": {"pass": 1}, "solver": {"ncv": 20}},
-            {"counts": {"pass": 1}, "solver": {"method": "shift_invert", "factor_nnz": "12"}},
+            {"counts": {"pass": 1}, "solver": {"method": "superlu", "factor_nnz": "12"}},
             {"counts": {"pass": 1}, "solver": {"method": "separable", "axis_ndof": [47, 4.5]}},
             {"counts": {"pass": 1}, "solver": {"method": "dense", "max_residual": "small"}},
-            {"counts": {"pass": 1}, "solver": {"method": "shift_invert", "ncv": True}},
+            {"counts": {"pass": 1}, "solver": {"method": "fast_diagonalization", "ncv": True}},
             {"counts": {"pass": 1}, "solver": {"method": "dense", "band": 12.5}},
         ],
         ids=[

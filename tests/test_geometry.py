@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from etagap import geometry
 from etagap.errors import EmptyDomain, InvalidHalfPlane, OriginInsideDomain, OutOfDomain
 from etagap.geometry import (
     domain_origin_distance,
@@ -192,6 +193,36 @@ class TestDomainOriginDistance:
         dom = make_box_domain([(0, 1), (1, 2)], [6, 6], HYP2)
         d = domain_origin_distance(dom, np.array([0.0, np.e**2]))
         assert d == pytest.approx(np.log(np.e**2 / 2.0))
+
+    @pytest.mark.parametrize(
+        "dom, origin",
+        [
+            (make_box_domain([(1, 2), (0.5, 2)], [9, 7], EUC2), [0.0, -0.3]),
+            (make_box_domain([(-1, 1), (-1, 1)], [30, 30], EUC2, lambda c: np.linalg.norm(c, axis=1) < 0.9), [1.0, 1.0]),
+            (make_box_domain([(0, 1), (1, 3)], [24, 24], HYP2), [0.0, 4.0]),
+            (make_box_domain([(0, 1), (0, 1.5), (1, 2)], [5, 6, 7], HYP3), [-0.5, 2.0, 2.5]),
+            (
+                make_box_domain(
+                    [(-1, 1), (-1, 1), (-1, 1)], [10, 9, 11], euclidean(3), lambda c: np.linalg.norm(c, axis=1) < 0.8
+                ),
+                [0.9, 0.9, 0.9],
+            ),
+        ],
+        ids=["box_2d", "ball_2d", "half_space_2d", "half_space_3d", "ball_3d"],
+    )
+    def test_nodes_and_distance_match_unique_reference(self, monkeypatch, dom, origin):
+        origin = np.array(origin)
+        nodes = np.unique(dom.cell_corner_nodes().ravel())
+        expected = float(np.min(geodesic_distance(dom.metric, dom.node_coords(nodes), origin)))
+        seen = []
+
+        def spy(metric, pts, y):
+            seen.append(pts)
+            return geodesic_distance(metric, pts, y)
+
+        monkeypatch.setattr(geometry, "geodesic_distance", spy)
+        assert domain_origin_distance(dom, origin) == expected
+        assert len(seen) == 1 and np.array_equal(seen[0], dom.node_coords(nodes))
 
 
 class TestRadialUnitVector:

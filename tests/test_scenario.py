@@ -240,8 +240,7 @@ class TestBuiltins:
     @pytest.mark.parametrize("name", sorted(BUILTIN_SOLVER_PATHS))
     def test_builtin_solver_path(self, name):
         rep = run_scenario(builtin_config(name), write=False)
-        meta = rep.spectrum.meta
-        assert meta.get("inverse", meta["method"]) == BUILTIN_SOLVER_PATHS[name]
+        assert rep.spectrum.meta["method"] == BUILTIN_SOLVER_PATHS[name]
         passed, info, skipped = BUILTIN_COUNTS[name]
         assert rep.counts() == {
             "pass": passed, "fail": 0, "inconclusive": 0, "info": info, "skipped": skipped, "errors": 0

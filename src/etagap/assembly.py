@@ -39,6 +39,18 @@ from .fields import (
 )
 from .geometry import GridDomain, gauss_rule, inverse_metric_factor, volume_weight
 
+CHUNK_ROWS = 2**13  # rows per product in the stiffness values (cells) and in T grad u (points)
+
+
+def even_chunks(count: int) -> list[slice]:
+    """Near-equal slices of range(count), at most ``CHUNK_ROWS`` long and at least half that when there are two or more.
+
+    BLAS rounds a product of a few rows differently (one row is a gemv),
+    so a product taken chunk by chunk keeps the bits of the whole.
+    """
+    cuts = np.linspace(0, count, -(-count // CHUNK_ROWS) + 1).astype(int)
+    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+
 
 def _reference_elements(n: int, h):
     """Shape values and physical gradients at the Gauss points of a cell with sides h.
@@ -103,29 +115,32 @@ def quad_data(domain: GridDomain, drift: ScalarField):
 
 
 def _node_arrays(domain: GridDomain, v: np.ndarray, half: int) -> np.ndarray:
-    """Per-cell pair values v (ncell, npair) summed into one node array per stencil offset o >= 0.
+    """Per-cell pair values v (npair, ncell) summed into one node array per stencil offset o >= 0.
 
     Pair (i, j) of a cell joins nodes r and r + o, o with flat offset >= 0;
     its values are added by slices over the cell grid into o's node array
-    at r, and masked-out cells add zeros.  The arrays come stacked by |o|
-    and flat; the cell array lives only in this call.
+    at r.  One grid array takes one pair's values at a time, and its
+    masked-out cells stay zero.  The arrays come stacked by |o| and flat.
     """
     n, res = domain.dim, domain.resolution
     corners = np.array(list(itertools.product((0, 1), repeat=n)))
-    cell = np.zeros((v.shape[1],) + res)
-    cell.reshape(v.shape[1], -1)[:, np.flatnonzero(domain.mask)] = v.T
+    cell = np.zeros(res)
+    inside = np.flatnonzero(domain.mask)
     stacked = np.zeros((half + 1) * domain.dof_index().size)
     node_arrays = stacked.reshape((half + 1,) + domain.node_shape)
     for p, (i, j) in enumerate(zip(*np.triu_indices(len(corners)))):
         k = np.ravel_multi_index(corners[j] - corners[i] + 1, (3,) * n) - half
-        node_arrays[k][tuple(slice(c, c + r) for c, r in zip(corners[i], res))] += cell[p]
+        cell.reshape(-1)[inside] = v[p]
+        node_arrays[k][tuple(slice(c, c + r) for c, r in zip(corners[i], res))] += cell
     return stacked
 
 
-def _stencil_csr(domain: GridDomain, vals) -> list[sp.csr_matrix]:
+def _stencil_csr(domain: GridDomain, makers) -> list[sp.csr_matrix]:
     """Symmetric CSR matrices over the interior DOFs from per-cell pair values, on one shared pattern.
 
-    Each matrix reads its entries from ``_node_arrays``: entry (r, r + o),
+    Each maker returns one matrix's (npair, ncell) values when called, so
+    that they live only while that matrix is built.  Each matrix reads its
+    entries from ``_node_arrays``: entry (r, r + o),
     o a 3^n stencil offset with flat offset >= 0, at r in o's array, and
     entry (r, r - o) from the same array at r - o, so the matrix equals its
     transpose bit for bit.  A row takes the stencil in increasing flat
@@ -156,8 +171,8 @@ def _stencil_csr(domain: GridDomain, vals) -> list[sp.csr_matrix]:
     indices.setflags(write=False)
     indptr.setflags(write=False)
     out = []
-    for v in vals:
-        data = _node_arrays(domain, v, half)[src]
+    for make in makers:
+        data = _node_arrays(domain, make(), half)[src]
         if data.all():
             out.append(sp.csr_matrix((data, indices, indptr), shape=(rows.size,) * 2))
         else:  # eliminate_zeros works in place, on this matrix's own pattern
@@ -174,15 +189,31 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
 
     N, dN = _reference_elements(domain.dim, domain.h)
     nq, nloc, n = dN.shape
-    # every unordered local pair (i <= j) of every cell in one product with a
+    # every unordered local pair (i <= j) of every cell from products with a
     # constant table, one column per pair in triu order; the point data is
     # viewed by cells here, (ncell, nq ...), and nowhere else:
     # A_c[i, j] = sum_qab (dm grad_factor T)[c, q, a, b] dN[q, i, a] dN[q, j, b]
     iu, ju = np.triu_indices(nloc)
     grad_pairs = np.einsum("qia,qjb->qabij", dN, dN)[..., iu, ju].reshape(nq * n * n, -1)
-    a_vals = ((dm * grad_factor)[:, None, None] * sample.theta).reshape(-1, nq * n * n) @ grad_pairs
-    b_vals = dm.reshape(-1, nq) @ (N[:, iu] * N[:, ju])
-    A, B = _stencil_csr(domain, (a_vals, b_vals))
+
+    def pair_values(rows, table):
+        # (npair, ncell), one contiguous row per pair, by chunks of cells, so
+        # that the (m, n, n) weighted tensor never exists at full size
+        out = np.empty((table.shape[1], dm.size // nq))
+        for cells in even_chunks(out.shape[1]):
+            out[:, cells] = (rows(slice(cells.start * nq, cells.stop * nq)) @ table).T
+        return out
+
+    def a_rows(q):
+        return ((dm[q] * grad_factor[q])[:, None, None] * sample.theta[q]).reshape(-1, nq * n * n)
+
+    A, B = _stencil_csr(
+        domain,
+        (
+            lambda: pair_values(a_rows, grad_pairs),
+            lambda: pair_values(lambda q: dm[q].reshape(-1, nq), N[:, iu] * N[:, ju]),
+        ),
+    )
     return OperatorPair(A, B, domain, sample, dm, grad_factor, epsilon, delta)
 
 

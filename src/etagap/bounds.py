@@ -523,9 +523,18 @@ def _rows(lam: np.ndarray, j: int, count: int):
 
 
 def _interpolate_mode(spectrum: SpectrumResult, pair: assembly.OperatorPair, j: int):
-    """(u_j, T grad u_j) at the pair's quadrature points."""
+    """(u_j, T grad u_j) at the pair's quadrature points.
+
+    A constant T is applied over grad u_j by ``assembly.even_chunks`` of
+    points, so that no second (m, n) array exists; each chunk takes the
+    product of ``apply_T``, with the same bits.
+    """
     u, gu = assembly.interpolate_at_quadrature(pair, spectrum.eigenvectors[:, j - 1])
-    return u, pair.sample.apply_T(gu)
+    if pair.sample.field.degree != 0:
+        return u, pair.sample.apply_T(gu)
+    for q in assembly.even_chunks(gu.shape[0]):
+        gu[q] = pair.sample.apply_T(gu[q])
+    return u, gu
 
 
 def cor32_check(
@@ -559,11 +568,18 @@ def cor32_check(
     rows = []
     for label, test_fn in test_fns.items():
         gf = test_fn.f.grad(sample.pts)
-        defect = float(np.max(np.abs(gradient_norm(pair.domain.metric, sample.pts, gf) - 1.0)))
+        # the unit-gradient defect and I1 in place, each in one (m,) array
+        defect = gradient_norm(pair.domain.metric, sample.pts, gf)
+        defect -= 1.0
+        defect = float(np.max(np.abs(defect, out=defect)))
         if defect > 1e-10:
             raise UnitGradientViolation(f"{label}: |grad f|_g deviates from 1 by {defect:.3e}")
         lf, glf = test_fn.lf_and_grad(sample)
-        i1 = float(np.sum((grad_factor * np.einsum("qa,qa->q", t_guj, gf)) ** 2 * dm))
+        i1 = np.einsum("qa,qa->q", t_guj, gf)
+        i1 *= grad_factor
+        np.square(i1, out=i1)
+        i1 *= dm
+        i1 = float(np.sum(i1))
         i2 = 0.0 if lf is None else float(np.sum(lf**2 * uj**2 * dm))
         i3 = 0.0
         if glf is not None:

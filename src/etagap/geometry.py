@@ -86,9 +86,12 @@ def inverse_metric_factor(metric: MetricModel, pts: np.ndarray) -> np.ndarray:
 def gradient_norm(metric: MetricModel, pts: np.ndarray, coordinate_gradient: np.ndarray) -> np.ndarray:
     """Metric norms |grad f|_g = rho |df| of the (m, n) gradients raised from covectors df."""
     cov = coordinate_gradient
-    # one pass, no squares array; for n >= 3 it can move the last bit against
-    # np.linalg.norm, which only the 1e-10 unit-gradient gate in bounds reads
-    return np.sqrt(np.einsum("ij,ij->i", cov, cov)) * _rho(metric, pts)
+    # one pass, no squares array, then in place; for n >= 3 it can move the last
+    # bit against np.linalg.norm, which only the 1e-10 unit-gradient gate in bounds reads
+    norm = np.einsum("ij,ij->i", cov, cov)
+    np.sqrt(norm, out=norm)
+    norm *= _rho(metric, pts)
+    return norm
 
 
 def geodesic_distance(metric: MetricModel, pts: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -240,12 +243,23 @@ class GridDomain:
         return self._quad_cache
 
     def contains_point(self, p) -> bool:
-        """Whether p lies in the closure of some masked-in cell."""
+        """Whether p lies in the closure of some masked-in cell, to within eps per axis.
+
+        Only a cell within one index of p's own cell on every axis can hold
+        p (eps is far below a cell side), so only those up to 3^n masked-in
+        cells are tested, each with the full closed-cell test.
+        """
         p = np.asarray(p, dtype=float)
         lo = np.array([b[0] for b in self.bounds])
         h = np.array(self.h)
-        eps = 1e-12 * np.maximum(np.abs(lo) + np.abs(h) * np.array(self.resolution), 1.0)
-        corner_lo = lo[None, :] + self.masked_cells * h[None, :]
+        res = np.array(self.resolution)
+        eps = 1e-12 * np.maximum(np.abs(lo) + np.abs(h) * res, 1.0)
+        own = np.floor((p - lo) / h)
+        if not np.all(np.isfinite(own)):  # no cell holds an inf or nan coordinate
+            return False
+        near = [np.arange(max(c - 1, 0), min(c + 2, r)) for c, r in zip(np.clip(own, 0, res - 1).astype(int), res)]
+        cells = np.stack(np.meshgrid(*near, indexing="ij"), axis=-1).reshape(-1, self.dim)
+        corner_lo = lo[None, :] + cells[self.mask[tuple(cells.T)]] * h[None, :]
         corner_hi = corner_lo + h[None, :]
         inside = np.all(p >= corner_lo - eps, axis=1) & np.all(p <= corner_hi + eps, axis=1)
         return bool(np.any(inside))

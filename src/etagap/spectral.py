@@ -32,10 +32,14 @@ then put in C order, once and in ``solve_lowest``: scipy ravels the dense
 operand of a sparse product, which copies a Fortran-ordered one.  The
 separable read-off builds them in C order, so that step copies nothing
 there; the Lanczos and dense paths give Fortran order and are copied
-once.  They are B-normalised, and one identity pass (one B U and one
-A U, at most three blocks the size of U) gives their residuals, Rayleigh
-quotients and Gram defect against the assembled pair; the Gram is formed
-over its upper block triangle only.
+once.  They are B-normalised, and one identity pass gives their
+residuals, Rayleigh quotients and Gram defect against the assembled
+pair; the Gram is formed over its upper block triangle only.  Both walk
+U by row chunks of ``_row_chunks``, each with its own rows of B U and
+A U, so they hold U and a few chunks: at 512^2 with k = 300 a run took
+1981 MiB with B U and A U at full size and takes 786 MiB, and 3.1-3.6 s
+against 3.8-4.5 s.  Column sums carry from chunk to chunk in row order,
+which keeps their bits (``_column_sums``); a single column is one chunk.
 Eigenvectors are B-orthonormal, eigenvalues ascending with multiplicities
 repeated.
 """
@@ -60,6 +64,7 @@ DEFAULT_ORTHO_TOL = 1e-8
 MULTIPLET_REL_TOL = 1e-6
 METHODS = ("auto", "dense")
 GRAM_BLOCK = 256
+CHUNK_ENTRIES = 2**16  # entries of U per row chunk in _normalise and _identities
 
 
 @dataclass
@@ -93,44 +98,118 @@ def multiplet_labels(lam: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _row_chunks(ndof: int, k: int) -> list[slice]:
+    """Row slices of an ndof x k block, ``CHUNK_ENTRIES`` entries but at least ``GRAM_BLOCK`` rows each.
+
+    A single column is one slice: numpy sums it pairwise, so a split
+    would change its bits.  Wider blocks sum their rows one after another
+    (see ``_column_sums``), which a split keeps.
+    """
+    rows = ndof if k == 1 else max(CHUNK_ENTRIES // k, GRAM_BLOCK)
+    return [slice(lo, min(lo + rows, ndof)) for lo in range(0, ndof, rows)]
+
+
+def _rows_times(mat: sp.csr_matrix, rows: slice, vecs: np.ndarray) -> np.ndarray:
+    """(mat @ vecs)[rows], from those rows of the CSR ``mat`` on views of its arrays; the same bits."""
+    if rows.stop - rows.start == mat.shape[0]:
+        return mat @ vecs
+    start, stop = mat.indptr[rows.start], mat.indptr[rows.stop]
+    part = sp.csr_matrix(
+        (mat.data[start:stop], mat.indices[start:stop], mat.indptr[rows.start : rows.stop + 1] - start),
+        shape=(rows.stop - rows.start, mat.shape[1]),
+    )
+    return part @ vecs
+
+
+def _column_sums(block: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
+    """``add.reduce(block, axis=0)`` continued from ``carry``, the column sums of the rows above.
+
+    Over axis 0 of a C-ordered block of two or more columns, numpy's
+    ``add.reduce`` and ``einsum`` both add the rows one after another, so
+    adding the carry into the first row and summing on gives the bits of
+    one pass over all rows; ``einsum`` takes a quarter of the time here.
+    It overwrites that first row.
+    """
+    if carry is None:
+        return np.add.reduce(block, axis=0)
+    block[0] += carry
+    return np.einsum("ij->j", block)
+
+
+def _dot_columns(x: np.ndarray, y: np.ndarray, carry: np.ndarray | None) -> np.ndarray:
+    """Column dot products of the C-ordered x and y continued from ``carry``: einsum on the first chunk."""
+    if carry is None:
+        return np.einsum("ij,ij->j", x, y)
+    return _column_sums(x * y, carry)
+
+
 def _identities(pair: OperatorPair, lam: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Residuals, Rayleigh quotients and Gram defect of every column u, from one B U and one A U.
+    """Residuals, Rayleigh quotients and Gram defect of every column u, from B U and A U by row chunks.
 
     The residual is ||A u - lambda B u|| / ||u||_B, the Rayleigh quotient
-    u^T A u, and the Gram defect max |U^T B U - I|.  In the order B U, the
-    Gram, A U, the residual, so the pass holds at most three blocks the
-    size of ``vecs``.  The Gram is symmetric, so only its upper block
-    triangle is formed, ``GRAM_BLOCK`` rows at a time: for k <= GRAM_BLOCK
-    one product ``vecs.T @ (B vecs)``, and for a full spectrum about 5/8 of
-    its flops.  The residuals take the same IEEE operations as
-    ``np.linalg.norm(A @ vecs - bv * lam, axis=0)``, so the same bits.
+    u^T A u, and the Gram defect max |U^T B U - I|.  Each chunk of
+    ``_row_chunks`` forms its rows of B U and A U and adds its part of the
+    Gram, so the pass holds U, the Gram's upper block triangle and a few
+    chunks.  The Gram is symmetric, so only that triangle is formed, in
+    blocks of ``GRAM_BLOCK`` rows: for k <= GRAM_BLOCK one product
+    ``U^T (B U)``, and for a full spectrum about 5/8 of its flops.  The
+    squared B-norms, Rayleigh quotients and squared residuals carry from
+    chunk to chunk in row order (``_column_sums``), so they take the same
+    IEEE operations as one pass over all rows, and the residuals the same
+    as ``np.linalg.norm(A @ vecs - bv * lam, axis=0)``: the same bits.  The
+    Gram is summed chunk by chunk, which moves its defect at rounding
+    level against one product over all rows.
     """
-    bv = pair.B @ vecs
+    vecs = np.ascontiguousarray(vecs)  # the carried sums need C order, and no product then copies it
+    starts = range(0, lam.size, GRAM_BLOCK)
+    grams = [np.zeros((min(GRAM_BLOCK, lam.size - a), lam.size - a)) for a in starts]
+    bsq = rayleigh = rsq = None
+    for rows in _row_chunks(*vecs.shape):
+        u, bu = vecs[rows], _rows_times(pair.B, rows, vecs)
+        for a, gram in zip(starts, grams):
+            gram += u[:, a : a + GRAM_BLOCK].T @ bu[:, a:]
+        bsq = _dot_columns(u, bu, bsq)
+        r = _rows_times(pair.A, rows, vecs)
+        rayleigh = _dot_columns(u, r, rayleigh)
+        bu *= lam
+        r -= bu
+        np.square(r, out=r)
+        rsq = _column_sums(r, rsq)
+        del bu, r  # before the next chunk's, not after
     block_defects = []
-    for a in range(0, lam.size, GRAM_BLOCK):
-        gram = vecs[:, a : a + GRAM_BLOCK].T @ bv[:, a:]
+    for gram in grams:
         gram.flat[:: gram.shape[1] + 1] -= 1.0
         block_defects.append(np.max(np.abs(gram, out=gram)))
-    bnorm = np.sqrt(np.abs(np.einsum("ij,ij->j", vecs, bv)))
-    r = pair.A @ vecs
-    rayleigh = np.einsum("ij,ij->j", vecs, r)
-    bv *= lam
-    r -= bv
-    np.square(r, out=r)
     # np.max, not max, so that a nan block fails the check
-    return np.sqrt(np.add.reduce(r, axis=0)) / bnorm, rayleigh, float(np.max(block_defects))
+    return np.sqrt(rsq) / np.sqrt(np.abs(bsq)), rayleigh, float(np.max(block_defects))
 
 
 def _normalise(pair: OperatorPair, vecs: np.ndarray) -> np.ndarray:
     """Scale every column in place to unit B-norm with its largest-magnitude entry positive.
 
-    The largest |u_i| is max(u) or -min(u), so two column reductions give
-    the sign; only where they tie does the first index of the largest
-    |u_i| decide, as ``argmax(abs(u))`` would, without an ndof x k
-    temporary or a transposed argmax over every column.
+    The squared B-norms are summed over ``_row_chunks`` as in
+    ``_identities``, each chunk with its own rows of B U, so they keep the
+    bits of ``einsum("ij,ij->j", vecs, B @ vecs)``.  A second pass scales
+    each chunk and takes its column max and min.  The largest |u_i| is
+    max(u) or -min(u), so these give the sign; only where they tie does
+    the first index of the largest |u_i| decide, as ``argmax(abs(u))``
+    would, without an ndof x k temporary or a transposed argmax over every
+    column.
     """
-    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, pair.B @ vecs))
-    top, bottom = vecs.max(axis=0), -vecs.min(axis=0)
+    chunks = _row_chunks(*vecs.shape)
+    c_order = np.ascontiguousarray(vecs)  # vecs itself unless Fortran-ordered
+    bsq = None
+    for rows in chunks:
+        bsq = _dot_columns(c_order[rows], _rows_times(pair.B, rows, c_order), bsq)
+    del c_order
+    norm = np.sqrt(bsq)
+    top, low = np.full(norm.size, -np.inf), np.full(norm.size, np.inf)
+    for rows in chunks:
+        block = vecs[rows]
+        block /= norm
+        np.maximum(top, block.max(axis=0), out=top)
+        np.minimum(low, block.min(axis=0), out=low)
+    bottom = -low
     sign = np.where(bottom > top, -1.0, 1.0)
     tie = np.flatnonzero(bottom == top)
     sign[tie] = np.where(vecs[np.argmax(np.abs(vecs[:, tie]), axis=0), tie] < 0, -1.0, 1.0)
@@ -301,7 +380,7 @@ def solve_lowest(
     if ndof > 2000 and (dense or k >= ndof - 1):
         # dense: three ndof x ndof arrays (C and syevd's 2 ndof^2 workspace),
         # 92 MiB and 2.5-2.9 s at 2000 DOFs; a full spectrum on any path:
-        # the eigenvectors, then three such arrays in the identity pass
+        # the eigenvectors, then with them the Gram's upper triangle and row chunks in the identity pass
         raise DimensionMismatch(
             f"{'dense' if dense else 'separable'} solve of k={k} limited to 2000 DOFs (have {ndof}); "
             "lower k or refine less"

@@ -1,5 +1,7 @@
 """Stiffness/mass assembly: exact values, symmetry, convergence, adjoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -9,6 +11,7 @@ from etagap.assembly import assemble, interpolate_at_quadrature, project_functio
 from etagap.errors import NonFiniteValue
 from etagap.fields import AffineScalar, ConstantScalar, LogAxisScalar, ScalarField, identity_tensor, tensor_preset
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
+from etagap.scenario import apply_overrides, build_problem, builtin_config
 from etagap.spectral import solve_lowest
 
 EUC1 = euclidean(1)
@@ -334,6 +337,24 @@ class TestStencilBuild:
             assert np.all(mat.data != 0.0)
         if case == "box_exact_zeros":
             assert pair.A.nnz < pair.B.nnz
+
+
+def test_assemble_working_set():
+    """A's cell values are formed by cell chunks and freed before B's, and each
+    pair's values reach the node arrays through one grid array: at most 14.5
+    doubles per quadrature point, the Gauss points, weights and T included
+    (13.2 measured; 15.5 with A's values in one product, 17.7 with every
+    (ncell, npair) block at once).
+    """
+    cfg = apply_overrides(builtin_config("square_laplacian"), {"resolution": 128})
+    _, domain, tensor, drift = build_problem(cfg)
+    tracemalloc.start()
+    try:
+        pair = assemble(domain, tensor, drift)
+        peak = tracemalloc.get_traced_memory()[1] / (8.0 * pair.dm.size)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14.5
 
 
 class TestSharedPattern:

@@ -1,6 +1,7 @@
 """Bound constants, growth/gap checks, and the test-function inequalities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -726,6 +727,27 @@ def _by_k(rows):
 
 def _rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def test_cor32_working_set():
+    """u_j is interpolated once, a constant T grad u_j is written over grad u_j, and the
+    unit-gradient defect and I1 are formed in place: at most 6 doubles per quadrature point.
+
+    The interpolation holds u_j and grad u_j in one (m, 1 + n) array; a
+    separate T grad u_j would add n doubles per point.
+    """
+    cfg = apply_overrides(builtin_config("square_laplacian"), {"resolution": 128})
+    pair = assemble(*build_problem(cfg)[1:])
+    spectrum = solve_lowest(pair, 12)
+    test_fns = {f"x{a + 1}": axis_test_function(EUC2, a) for a in range(2)}
+    tracemalloc.start()
+    try:
+        rows = cor32_check(spectrum, pair, test_fns, trivial_consts(2), j=1)
+        peak = tracemalloc.get_traced_memory()[1] / (8.0 * pair.dm.size)
+    finally:
+        tracemalloc.stop()
+    assert {r.status for r in rows} == {"pass", "skipped"}
+    assert peak <= 6.0
 
 
 class TestLemma32:

@@ -225,6 +225,65 @@ class TestDomainOriginDistance:
         assert len(seen) == 1 and np.array_equal(seen[0], dom.node_coords(nodes))
 
 
+def contains_point_reference(dom, p):
+    """GridDomain.contains_point before it looked at p's neighbouring cells only: every masked cell."""
+    lo, h = np.array([b[0] for b in dom.bounds]), np.array(dom.h)
+    eps = 1e-12 * np.maximum(np.abs(lo) + np.abs(h) * np.array(dom.resolution), 1.0)
+    corner_lo = lo[None, :] + dom.masked_cells * h[None, :]
+    corner_hi = corner_lo + h[None, :]
+    return bool(np.any(np.all(p >= corner_lo - eps, axis=1) & np.all(p <= corner_hi + eps, axis=1)))
+
+
+def _ball_mask(center, radius):
+    return lambda c: np.linalg.norm(c - np.asarray(center), axis=1) < radius
+
+
+CONTAINS_CASES = {
+    "box_2d": lambda: make_box_domain([(1, 2), (0.5, 2)], [9, 7], EUC2),
+    "ball_2d": lambda: make_box_domain([(-1, 1), (-1.3, 0.7)], [13, 11], EUC2, _ball_mask([0, -0.3], 0.85)),
+    "box_3d": lambda: make_box_domain([(0, 1), (0, 1.5), (1, 2)], [4, 5, 6], HYP3),
+    "ball_3d": lambda: make_box_domain(
+        [(-1, 1), (-1, 1), (-1, 1)], [6, 5, 7], euclidean(3), _ball_mask([0.1, 0, -0.1], 0.8)
+    ),
+}
+
+
+class TestContainsPoint:
+    @pytest.mark.parametrize("case", sorted(CONTAINS_CASES))
+    def test_matches_every_cell_reference(self, case):
+        dom = CONTAINS_CASES[case]()
+        lo, h = np.array([b[0] for b in dom.bounds]), np.array(dom.h)
+        eps = 1e-12 * np.maximum(np.abs(lo) + np.abs(h) * np.array(dom.resolution), 1.0)
+        # the half-step lattice from a cell before the box to a cell after: cell
+        # centres (masked in and out), face centres, edges and corners, and outside points
+        steps = [np.arange(-2, 2 * r + 3) for r in dom.resolution]
+        lattice = lo + np.stack(np.meshgrid(*steps, indexing="ij"), axis=-1).reshape(-1, dom.dim) * (h / 2)
+        rng = np.random.default_rng(5)
+        near = lattice[rng.choice(len(lattice), 300)]
+        points = [
+            lattice,
+            # within eps of a face, edge or corner, and just beyond it
+            near + rng.choice([-0.5, 0.5], size=near.shape) * eps,
+            near + rng.choice([-3.0, 3.0], size=near.shape) * eps,
+            lo + rng.uniform(-0.2, 1.2, size=(300, dom.dim)) * h * dom.resolution,
+        ]
+        seen = set()
+        for p in np.concatenate(points):
+            got = dom.contains_point(p)
+            assert got == contains_point_reference(dom, p), p
+            seen.add(got)
+        assert seen == {True, False}
+        masked_out = np.argwhere(~dom.mask)
+        if masked_out.size:  # half a cell from every other cell's closure
+            centre = lo + (masked_out[0] + 0.5) * h
+            assert not dom.contains_point(centre)
+
+    def test_non_finite_points_are_outside(self):
+        dom = CONTAINS_CASES["box_2d"]()
+        for p in ([np.nan, 1.0], [np.inf, 1.0], [1.5, -np.inf]):
+            assert not dom.contains_point(p) and not contains_point_reference(dom, np.array(p))
+
+
 class TestRadialUnitVector:
     def test_euclidean_unit(self):
         v = radial_unit_vector(EUC2, np.zeros(2), np.array([[3.0, 4.0]]))

@@ -9,13 +9,14 @@ over multilinear (Q1) nodal elements on the masked-in cells, 2-point Gauss
 quadrature per axis, and Dirichlet conditions imposed by removing boundary
 rows/columns.  The quadrature data has one layout: the Gauss points are
 the domain's (m, n) batch, cell by cell (m = ncell nq), and every quantity
-at them (measure weights, metric factor, interpolated modes) is (m,) or
-(m, n) in the same order.  Only ``assemble`` views them as (ncell, ...)
-blocks, for its per-cell products.  Both matrices are built straight into
-CSR from the grid's 3^n node stencil: each unordered index pair is summed
-once and read from both sides, so A == A^T and B == B^T exactly.  They
-share one read-only int32 sparsity pattern without Dirichlet columns (see
-``_stencil_csr``).
+at them (measure weights, metric factor) is (m,) or (m, n) in the same
+order.  Only ``assemble`` views them as (ncell, ...) blocks, for its
+per-cell products.  A DOF vector is read at the Gauss points by chunks
+of cells (``at_quadrature``), never at all of them at once.  Both
+matrices are built straight into CSR from the grid's 3^n node stencil:
+each unordered index pair is summed once and read from both sides, so
+A == A^T and B == B^T exactly.  They share one read-only int32 sparsity
+pattern without Dirichlet columns (see ``_stencil_csr``).
 """
 
 from __future__ import annotations
@@ -39,16 +40,18 @@ from .fields import (
 )
 from .geometry import GridDomain, gauss_rule, inverse_metric_factor, volume_weight
 
-CHUNK_ROWS = 2**13  # rows per product in the stiffness values (cells) and in T grad u (points)
+CHUNK_ROWS = 2**13  # cells per product in the stiffness values
+QUAD_CELLS = 2**9  # cells per chunk of at_quadrature; at least 3, so that even_chunks makes no one-cell chunk
 
 
-def even_chunks(count: int) -> list[slice]:
-    """Near-equal slices of range(count), at most ``CHUNK_ROWS`` long and at least half that when there are two or more.
+def even_chunks(count: int, size: int) -> list[slice]:
+    """Near-equal slices of range(count), at most ``size`` long and at least half that when there are two or more.
 
-    BLAS rounds a product of a few rows differently (one row is a gemv),
-    so a product taken chunk by chunk keeps the bits of the whole.
+    BLAS rounds a product of one row differently (numpy makes it a gemv),
+    so a product taken chunk by chunk keeps the bits of the whole as long
+    as no chunk is one row where the whole is more.
     """
-    cuts = np.linspace(0, count, -(-count // CHUNK_ROWS) + 1).astype(int)
+    cuts = np.linspace(0, count, -(-count // size) + 1).astype(int)
     return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
@@ -81,7 +84,9 @@ class OperatorPair:
     pair was built from: the field sample at the domain's Gauss points
     (``sample.pts``), the (m,) measure weights and metric factor of
     quad_data there, and T's extreme eigenvalues epsilon <= delta there.
-    The constants and checks read the same sample."""
+    Where rho = 1 the metric factor ``grad_factor`` is a read-only
+    broadcast view of 1.0, not an array of ones.  The constants and checks
+    read the same sample."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
@@ -100,14 +105,18 @@ class OperatorPair:
 def quad_data(domain: GridDomain, drift: ScalarField):
     """The (m, n) Gauss points, their (m,) measure weights e^(-eta) W_g and metric gradient factor.
 
+    Where rho = 1 both metric factors are 1: the weights skip that exact
+    multiply and the gradient factor is a read-only broadcast 1.0.
     Raises NonFiniteValue unless every weight is finite and positive.
     """
     pts, w = domain.quadrature()
+    rho_one = domain.metric.grad_rho is None
     with np.errstate(over="ignore"):
         # each cell's nq Gauss weights times the cell volume, point by point
         dm = (np.exp(-drift.value(pts)).reshape(-1, w.size) * (w * domain.cell_volume())).ravel()
-        dm *= volume_weight(domain.metric, pts)
-    grad_factor = inverse_metric_factor(domain.metric, pts)
+        if not rho_one:
+            dm *= volume_weight(domain.metric, pts)
+    grad_factor = np.broadcast_to(1.0, dm.shape) if rho_one else inverse_metric_factor(domain.metric, pts)
     # an under- or overflowing weight would leave B singular or non-finite
     if not np.all((dm > 0.0) & np.isfinite(dm)):
         raise NonFiniteValue("measure weight e^(-eta) W_g is not finite and positive at every quadrature point")
@@ -200,7 +209,7 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
         # (npair, ncell), one contiguous row per pair, by chunks of cells, so
         # that the (m, n, n) weighted tensor never exists at full size
         out = np.empty((table.shape[1], dm.size // nq))
-        for cells in even_chunks(out.shape[1]):
+        for cells in even_chunks(out.shape[1], CHUNK_ROWS):
             out[:, cells] = (rows(slice(cells.start * nq, cells.stop * nq)) @ table).T
         return out
 
@@ -332,24 +341,31 @@ def project_function(domain: GridDomain, f: ScalarField) -> np.ndarray:
     return values
 
 
-def interpolate_at_quadrature(pair: OperatorPair, u) -> tuple[np.ndarray, np.ndarray]:
-    """Q1 interpolant of a DOF vector at the quadrature points.
+def at_quadrature(pair: OperatorPair, u):
+    """The Q1 interpolant of a DOF vector at the quadrature points, chunk by chunk of cells.
 
-    Returns (values, gradients) shaped (m,) and (m, n), in the order of
-    the domain's Gauss points; gradients are coordinate partials.  Both
-    come from one product of the corner values with the (2^n, nq (1 + n))
-    table of shape values and gradients.
+    Yields (q, values, gradients) for ``even_chunks`` of at most
+    ``QUAD_CELLS`` cells: q slices the chunk's rows of the domain's Gauss
+    points, and values (len,) and gradients (len, n), coordinate partials,
+    are views of one buffer that the next chunk overwrites.  Each chunk
+    gathers its cells' corner values and multiplies them by the
+    (2^n, nq (1 + n)) table of shape values and gradients; the chunks are
+    never one cell where the domain has more, so every value has the bits
+    of one product over all cells.  It holds one chunk and no copy of u.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[0] != pair.ndof:
         raise DimensionMismatch(f"expected {pair.ndof} entries, got {u.shape[0]}")
     domain = pair.domain
-    full = np.zeros(int(np.prod(domain.node_shape)))
-    full[domain.interior_flat] = u
-    corner_vals = full[domain.cell_corner_nodes()]
     N, dN = _reference_elements(domain.dim, domain.h)
-    nloc, n = dN.shape[1:]
+    nq, nloc, n = dN.shape
     table = np.concatenate([N.T[:, :, None], dN.transpose(1, 0, 2)], axis=2).reshape(nloc, -1)
-    out = (corner_vals @ table).reshape(-1, 1 + n)
-    return out[:, 0], out[:, 1:]
-
+    chunks = even_chunks(len(domain.masked_cells), QUAD_CELLS)
+    buffer = np.empty((max(c.stop - c.start for c in chunks), table.shape[1]))
+    for cells in chunks:
+        dof = domain.dof_index()[domain.cell_corner_nodes(cells)]
+        corner_vals = u[dof]
+        corner_vals[dof < 0] = 0.0  # a Dirichlet corner
+        out = np.matmul(corner_vals, table, out=buffer[: cells.stop - cells.start]).reshape(-1, 1 + n)
+        del dof, corner_vals  # no gathered array lives beside the caller's work
+        yield slice(cells.start * nq, cells.stop * nq), out[:, 0], out[:, 1:]

@@ -522,19 +522,52 @@ def _rows(lam: np.ndarray, j: int, count: int):
         yield k, float(lam[k]), float(lam[k + 1]), reason
 
 
-def _interpolate_mode(spectrum: SpectrumResult, pair: assembly.OperatorPair, j: int):
-    """(u_j, T grad u_j) at the pair's quadrature points.
+def _cor32_integrals(spectrum: SpectrumResult, pair: assembly.OperatorPair, test_fns: dict, j: int) -> dict:
+    """(I1, I2, I3) of each test function, by label.
 
-    A constant T is applied over grad u_j by ``assembly.even_chunks`` of
-    points, so that no second (m, n) array exists; each chunk takes the
-    product of ``apply_T``, with the same bits.
+    Raises UnitGradientViolation, for the first label in order, where
+    |grad f|_g deviates from 1 by more than 1e-10 at some point.
+
+    u_j is read once, chunk by chunk (``assembly.at_quadrature``), for all
+    test functions.  Each chunk fills its rows of every integral's (m,)
+    integrand, and each integral is one ``np.sum`` of its whole integrand,
+    so it has the bits of the same sum over whole-array products.  Only
+    the integrands exist at full size: grad f, T grad u_j, L f and
+    grad(L f) are taken per chunk.  A structurally zero L f or grad(L f)
+    has no integrand and gives 0.
     """
-    u, gu = assembly.interpolate_at_quadrature(pair, spectrum.eigenvectors[:, j - 1])
-    if pair.sample.field.degree != 0:
-        return u, pair.sample.apply_T(gu)
-    for q in assembly.even_chunks(gu.shape[0]):
-        gu[q] = pair.sample.apply_T(gu[q])
-    return u, gu
+    dm, grad_factor, sample = pair.dm, pair.grad_factor, pair.sample
+    # each label's three integrands; one stays None where L f or grad(L f) is a structural zero
+    integrands = {label: [np.empty(dm.size), None, None] for label in test_fns}
+    defects = dict.fromkeys(test_fns, 0.0)
+
+    def put(terms, t, q, values):
+        if terms[t] is None:
+            terms[t] = np.empty(dm.size)
+        terms[t][q] = values
+
+    for q, uj, t_guj in assembly.at_quadrature(pair, spectrum.eigenvectors[:, j - 1]):
+        pts = sample.pts[q]
+        t_guj[...] = sample.apply_T(t_guj, q)  # T grad u_j, over grad u_j
+        for label, test_fn in test_fns.items():
+            gf = test_fn.f.grad(pts)
+            defect = np.max(np.abs(gradient_norm(pair.domain.metric, pts, gf) - 1.0))
+            defects[label] = np.maximum(defects[label], defect)  # a nan stays
+            terms = integrands[label]
+            i1 = terms[0][q]
+            np.einsum("qa,qa->q", t_guj, gf, out=i1)
+            i1 *= grad_factor[q]
+            np.square(i1, out=i1)
+            i1 *= dm[q]
+            lf, glf = test_fn.lf_and_grad(sample, q)
+            if lf is not None:
+                put(terms, 1, q, lf**2 * uj**2 * dm[q])
+            if glf is not None:
+                put(terms, 2, q, grad_factor[q] * np.einsum("qa,qa->q", glf, sample.apply_T(gf, q)) * uj**2 * dm[q])
+    for label, defect in defects.items():
+        if defect > 1e-10:
+            raise UnitGradientViolation(f"{label}: |grad f|_g deviates from 1 by {float(defect):.3e}")
+    return {label: tuple(0.0 if x is None else float(np.sum(x)) for x in terms) for label, terms in integrands.items()}
 
 
 def cor32_check(
@@ -555,35 +588,16 @@ def cor32_check(
     with I1 = int <T grad u_j, grad f>^2 dm, I2 = int (Lf)^2 u_j^2 dm,
     I3 = int <grad(Lf), T grad f> u_j^2 dm, and returns a row per (f, k),
     label by label, with the label as its ``extra["test_function"]``.
-    u_j is interpolated once for all of them.  A row claims "3.14",
+    u_j is read once for all of them (``_cor32_integrals``).  A row claims "3.14",
     "3.15" and "link", I1 <= delta * lambda_j, which links the two, and
     passes when all three hold.  The pipeline's f are
     fields.axis_test_function, df = e_a / rho, whose L f and grad(L f)
     are closed-form; a structurally zero one contributes 0 to I2 or I3.
     """
     lam = spectrum.eigenvalues
-    dm, grad_factor, sample = pair.dm, pair.grad_factor, pair.sample
-    uj, t_guj = _interpolate_mode(spectrum, pair, j)
     sig, lam_j = consts.sigma, float(lam[j - 1])
     rows = []
-    for label, test_fn in test_fns.items():
-        gf = test_fn.f.grad(sample.pts)
-        # the unit-gradient defect and I1 in place, each in one (m,) array
-        defect = gradient_norm(pair.domain.metric, sample.pts, gf)
-        defect -= 1.0
-        defect = float(np.max(np.abs(defect, out=defect)))
-        if defect > 1e-10:
-            raise UnitGradientViolation(f"{label}: |grad f|_g deviates from 1 by {defect:.3e}")
-        lf, glf = test_fn.lf_and_grad(sample)
-        i1 = np.einsum("qa,qa->q", t_guj, gf)
-        i1 *= grad_factor
-        np.square(i1, out=i1)
-        i1 *= dm
-        i1 = float(np.sum(i1))
-        i2 = 0.0 if lf is None else float(np.sum(lf**2 * uj**2 * dm))
-        i3 = 0.0
-        if glf is not None:
-            i3 = float(np.sum(grad_factor * np.einsum("qa,qa->q", glf, sample.apply_T(gf)) * uj**2 * dm))
+    for label, (i1, i2, i3) in _cor32_integrals(spectrum, pair, test_fns, j).items():
         link = ("link", i1, consts.delta * lam_j)
         bracket_314 = i1 - 0.25 * i2 - 0.5 * i3
         bracket_315 = consts.delta * lam_j - 0.25 * i2 - 0.5 * i3
@@ -604,6 +618,38 @@ def cor32_check(
 
 
 LEMMA32_ROWS = 8  # rows k = 1..8 at most, as far as the spectrum reaches lambda_{k+2}
+
+
+def _lemma32_integrals(pair: assembly.OperatorPair, uj_vec: np.ndarray, g: ScalarField) -> tuple:
+    """int |grad g|_T^2 u_j^2 dm, int (2 <T grad u_j, grad g> + u_j L g)^2 dm, int g^2 u_j^2 dm and g u_j.
+
+    u_j is read chunk by chunk (``assembly.at_quadrature``) and every
+    quantity at the points is taken per chunk; each integral is one
+    ``np.sum`` of its whole (m,) integrand, as in ``_cor32_integrals``.
+    g u_j (m,) is kept for ``_cross_integral``.
+    """
+    dm, grad_factor, sample = pair.dm, pair.grad_factor, pair.sample
+    igg, ib, guj = (np.empty(dm.size) for _ in range(3))
+    for q, uj, grad_uj in assembly.at_quadrature(pair, uj_vec):
+        pts = sample.pts[q]
+        gg = g.grad(pts)
+        igg[q] = grad_factor[q] * np.einsum("qa,qa->q", gg, sample.apply_T(gg, q)) * uj**2 * dm[q]
+        cross_grad = grad_factor[q] * np.einsum("qa,qa->q", sample.apply_T(grad_uj, q), gg)
+        ib[q] = (2.0 * cross_grad + uj * apply_operator_L(sample, g, q)) ** 2 * dm[q]
+        np.multiply(g.value(pts), uj, out=guj[q])
+    igg, ib = float(np.sum(igg)), float(np.sum(ib))
+    igu = np.square(guj)
+    igu *= dm
+    return igg, ib, float(np.sum(igu)), guj
+
+
+def _cross_integral(pair: assembly.OperatorPair, guj: np.ndarray, vec: np.ndarray) -> float:
+    """int g u_j u dm for the DOF vector u, from g u_j at the points; u read chunk by chunk, one np.sum."""
+    integrand = np.empty(guj.size)
+    for q, u, _ in assembly.at_quadrature(pair, vec):
+        np.multiply(guj[q], u, out=integrand[q])
+        integrand[q] *= pair.dm[q]
+    return float(np.sum(integrand))
 
 
 def lemma32_check(
@@ -633,16 +679,7 @@ def lemma32_check(
     """
     lam = spectrum.eigenvalues
     labels = multiplet_labels(lam)
-    dm, grad_factor, sample = pair.dm, pair.grad_factor, pair.sample
-    uj, t_guj = _interpolate_mode(spectrum, pair, j)
-    gv = g.value(sample.pts)
-    gg = g.grad(sample.pts)
-    lg = apply_operator_L(sample, g)
-
-    igg = float(np.sum(grad_factor * np.einsum("qa,qa->q", gg, sample.apply_T(gg)) * uj**2 * dm))
-    cross_grad = grad_factor * np.einsum("qa,qa->q", t_guj, gg)
-    ib = float(np.sum((2.0 * cross_grad + uj * lg) ** 2 * dm))
-    igu = float(np.sum((gv * uj) ** 2 * dm))
+    igg, ib, igu, guj = _lemma32_integrals(pair, spectrum.eigenvectors[:, j - 1], g)
 
     # the span check runs on the nodal product vector, in the B inner product
     w = assembly.project_function(pair.domain, g) * spectrum.eigenvectors[:, j - 1]
@@ -657,8 +694,7 @@ def lemma32_check(
             continue
         # the norm of g u_j's projection onto the whole multiplet of l_{k+1}, whatever its basis
         members = np.flatnonzero(labels == labels[k]) + 1
-        modes = (assembly.interpolate_at_quadrature(pair, spectrum.eigenvectors[:, i - 1])[0] for i in members)
-        cross = math.hypot(*(float(np.sum(gv * uj * u * dm)) for u in modes))
+        cross = math.hypot(*(_cross_integral(pair, guj, spectrum.eigenvectors[:, i - 1]) for i in members))
         basis = spectrum.eigenvectors[:, : k + 1]
         resid_vec = w - basis @ (basis.T @ bw)
         resid = float(np.sqrt(max(resid_vec @ (pair.B @ resid_vec), 0.0)))

@@ -507,11 +507,11 @@ class FieldSample:
             None if self.dT is None or self.ge is None else np.einsum("qijm,qm->qij", self.dT, self.ge),
         )
 
-    def apply_T(self, v: np.ndarray) -> np.ndarray:
-        """T v at every point, for v of shape (m, n)."""
+    def apply_T(self, v: np.ndarray, q: slice = slice(None)) -> np.ndarray:
+        """T v at the points q (all by default), for v with one row per point."""
         if self.field.degree == 0:
             return v @ self.theta[0].T
-        return np.einsum("qab,qb->qa", self.theta, v)
+        return np.einsum("qab,qb->qa", self.theta[q], v)
 
 
 def trace_nabla_T(sample: FieldSample) -> np.ndarray | None:
@@ -586,9 +586,15 @@ def compute_eta_radial_constants(sample: FieldSample, origin: np.ndarray) -> tup
     return eta1, eta_r
 
 
-def apply_operator_L(sample: FieldSample, f: ScalarField) -> np.ndarray:
-    """Pointwise L f = div(T(grad f)) - <grad eta, T(grad f)> at the sample points."""
-    pts, theta, v, rho, b = sample.pts, sample.theta, sample.v, sample.rho, sample.b
+def _take_rows(x: np.ndarray | None, q: slice) -> np.ndarray | None:
+    """The rows q of a sampled array; None, a structural zero, stays None."""
+    return None if x is None else x[q]
+
+
+def apply_operator_L(sample: FieldSample, f: ScalarField, q: slice = slice(None)) -> np.ndarray:
+    """Pointwise L f = div(T(grad f)) - <grad eta, T(grad f)> at the sample points q (all by default)."""
+    pts, theta, b = sample.pts[q], sample.theta[q], sample.b
+    v, rho = _take_rows(sample.v, q), _take_rows(sample.rho, q)
     gf = f.grad(pts)
     hf = None if _vanishes(f, 2) else f.hess(pts)
     # div_0(T df) - <d eta, T df> = <div T, df> + T : Hess_0 f - <T d eta, df> = T : Hess_0 f - <v, df>
@@ -610,8 +616,9 @@ def apply_operator_L(sample: FieldSample, f: ScalarField) -> np.ndarray:
 class OperatorTestFunction:
     """A closed-form f bundled with analytic L f and grad(L f).
 
-    lf_and_grad(sample) returns (L f, grad(L f)) shaped (m,) and (m, n) at
-    the points of a FieldSample, with None for a structural zero.
+    lf_and_grad(sample, q) returns (L f, grad(L f)), one value and one
+    n-vector per point, at the points q of a FieldSample (all by default),
+    with None for a structural zero.
     """
 
     f: ScalarField
@@ -630,15 +637,16 @@ def axis_test_function(metric: MetricModel, axis: int) -> OperatorTestFunction:
         raise ValueError(f"no unit-gradient test function along axis {axis}: rho varies along another axis")
     f = AffineScalar(unit) if b is None else LogAxisScalar(n, axis)
 
-    def lf_and_grad(s: FieldSample):
-        u = None if s.v is None else -s.v[:, axis]
-        du = None if s.dv is None else -s.dv[:, :, axis]
-        lf = _sum(_scaled(s.rho, u), None if b is None else (1 - n) * (s.theta[:, axis, :] @ b))
+    def lf_and_grad(s: FieldSample, q: slice = slice(None)):
+        rho = _take_rows(s.rho, q)
+        u = None if s.v is None else -s.v[q, axis]
+        du = None if s.dv is None else -s.dv[q, :, axis]
+        lf = _sum(_scaled(rho, u), None if b is None else (1 - n) * (s.theta[q, axis, :] @ b))
         grad = _sum(
             None if b is None or u is None else np.tensordot(u, b, axes=0),
-            _scaled(s.rho, du),
+            _scaled(rho, du),
             # an einsum, not @: dT[:, :, axis, :] is a strided view
-            None if b is None or s.dT is None else (1 - n) * np.einsum("qkm,m->qk", s.dT[:, :, axis, :], b),
+            None if b is None or s.dT is None else (1 - n) * np.einsum("qkm,m->qk", s.dT[q, :, axis, :], b),
         )
         return lf, grad
 

@@ -90,7 +90,8 @@ def gradient_norm(metric: MetricModel, pts: np.ndarray, coordinate_gradient: np.
     # bit against np.linalg.norm, which only the 1e-10 unit-gradient gate in bounds reads
     norm = np.einsum("ij,ij->i", cov, cov)
     np.sqrt(norm, out=norm)
-    norm *= _rho(metric, pts)
+    if metric.grad_rho is not None:  # else rho = 1
+        norm *= _rho(metric, pts)
     return norm
 
 
@@ -190,6 +191,9 @@ class GridDomain:
 
         cells = np.argwhere(mask)
         self.masked_cells = np.ascontiguousarray(cells)
+        strides = np.cumprod((1,) + self.node_shape[:0:-1])[::-1]
+        # (node strides, flat offsets of the 2^n corners from a cell's first corner), for cell_corner_nodes
+        self._corners = (strides, np.array(list(itertools.product((0, 1), repeat=n))) @ strides)
         self._quad_cache = None
 
     @property
@@ -212,15 +216,14 @@ class GridDomain:
     def interior_coords(self) -> np.ndarray:
         return self.node_coords(self.interior_flat)
 
-    def cell_corner_nodes(self) -> np.ndarray:
-        """(ncell, 2^n) flat node indices of each masked cell's corners.
+    def cell_corner_nodes(self, cells: slice = slice(None)) -> np.ndarray:
+        """(ncell, 2^n) flat node indices of the corners of the masked cells ``cells`` (all by default).
 
         Corner c of the cell at multi-index m has flat index (m + c) . s for
         the node strides s: the cell's first corner plus a constant offset.
         """
-        strides = np.cumprod((1,) + self.node_shape[:0:-1])[::-1]
-        offsets = np.array(list(itertools.product((0, 1), repeat=self.dim))) @ strides
-        return (self.masked_cells @ strides)[:, None] + offsets
+        strides, offsets = self._corners
+        return (self.masked_cells[cells] @ strides)[:, None] + offsets
 
     def cell_volume(self) -> float:
         return float(np.prod(self.h))

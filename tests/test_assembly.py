@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.sparse as sp
+from quadrature_reference import interpolate_at_quadrature
 
-from etagap.assembly import assemble, interpolate_at_quadrature, project_function, quad_data
-from etagap.errors import NonFiniteValue
+from etagap.assembly import assemble, project_function, quad_data
+from etagap.errors import DimensionMismatch, NonFiniteValue
 from etagap.fields import AffineScalar, ConstantScalar, LogAxisScalar, ScalarField, identity_tensor, tensor_preset
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
 from etagap.scenario import apply_overrides, build_problem, builtin_config
@@ -212,16 +213,19 @@ def einsum_interpolant(pair, u):
     return np.einsum("qa,ca->cq", N, corner_vals), np.einsum("qad,ca->cqd", dN, corner_vals)
 
 
+def _interp_domain(dim):
+    """A masked 2-D half-space disk or a 3-D box."""
+    if dim == 2:
+        return make_box_domain(
+            [(0, 1), (1, 2)], [14, 11], HYP2, mask_rule=lambda c: np.linalg.norm(c - [0.5, 1.5], axis=1) < 0.45
+        )
+    return make_box_domain([(0, 1), (0, 2), (1, 2)], [5, 6, 4], euclidean(3))
+
+
 class TestInterpolateAtQuadrature:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_einsum_reference(self, dim):
-        if dim == 2:
-            dom = make_box_domain(
-                [(0, 1), (1, 2)], [14, 11], HYP2, mask_rule=lambda c: np.linalg.norm(c - [0.5, 1.5], axis=1) < 0.45
-            )
-        else:
-            dom = make_box_domain([(0, 1), (0, 2), (1, 2)], [5, 6, 4], euclidean(3))
-        pair = assemble(dom, identity_tensor(dim), ConstantScalar(dim))
+        pair = assemble(_interp_domain(dim), identity_tensor(dim), ConstantScalar(dim))
         u = np.random.default_rng(dim).standard_normal(pair.ndof)
         vals, grads = interpolate_at_quadrature(pair, u)
         ref_vals, ref_grads = einsum_interpolant(pair, u)
@@ -229,6 +233,62 @@ class TestInterpolateAtQuadrature:
         assert vals.shape == ref_vals.shape and grads.shape == ref_grads.shape
         assert np.max(np.abs(vals - ref_vals)) <= 1e-14 * np.max(np.abs(ref_vals))
         assert np.max(np.abs(grads - ref_grads)) <= 1e-14 * np.max(np.abs(ref_grads))
+
+
+class TestChunkedReader:
+    """``assembly.at_quadrature`` against the one-product ``interpolate_at_quadrature``, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("cells", [3, 7, 8, 64, 10**6])
+    def test_chunks_equal_one_product(self, dim, cells, monkeypatch):
+        from etagap import assembly
+
+        monkeypatch.setattr(assembly, "QUAD_CELLS", cells)
+        pair = assemble(_interp_domain(dim), identity_tensor(dim), ConstantScalar(dim))
+        u = np.random.default_rng(dim).standard_normal(pair.ndof)
+        vals, grads = interpolate_at_quadrature(pair, u)
+        seen, stop = 0, 0
+        for q, v, g in assembly.at_quadrature(pair, u):
+            assert q.start == stop and v.shape == (q.stop - q.start,) and g.shape == (v.size, dim)
+            assert np.array_equal(v, vals[q]) and np.array_equal(g, grads[q])
+            seen, stop = seen + 1, q.stop
+        assert stop == pair.dm.size
+        assert seen == -(-len(pair.domain.masked_cells) // cells)
+
+    @pytest.mark.parametrize("size", [3, 4, 7, 512, 8192])
+    def test_no_chunk_is_one_row(self, size):
+        # numpy makes a one-row product a gemv, which can round otherwise than the rows of a larger product
+        from etagap.assembly import even_chunks
+
+        for count in [*range(2, 40), size - 1, size, size + 1, 2 * size + 1, 3 * size + 1]:
+            chunks = even_chunks(count, size)
+            assert chunks[0].start == 0 and chunks[-1].stop == count
+            assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+            assert 2 <= min(c.stop - c.start for c in chunks) <= max(c.stop - c.start for c in chunks) <= size
+
+    def test_rejects_a_vector_of_another_length(self):
+        from etagap import assembly
+
+        pair = assemble(_interp_domain(2), identity_tensor(2), ConstantScalar(2))
+        with pytest.raises(DimensionMismatch):
+            next(assembly.at_quadrature(pair, np.zeros(pair.ndof + 1)))
+
+
+def test_quad_data_holds_no_ones_where_rho_is_one():
+    """rho = 1: grad_factor is a read-only broadcast 1.0 and the weights skip the exact multiply by rho^-n = 1."""
+    from etagap.geometry import volume_weight
+
+    dom = make_box_domain([(0, 1), (0, 2)], [6, 5], EUC2, mask_rule=lambda c: c[:, 0] + c[:, 1] < 2.2)
+    drift = AffineScalar([0.5, -0.25])
+    pts, dm, grad_factor = quad_data(dom, drift)
+    assert grad_factor.shape == dm.shape and grad_factor.strides == (0,) and not grad_factor.flags.writeable
+    assert np.all(grad_factor == 1.0)
+    _, w = dom.quadrature()
+    old = (np.exp(-drift.value(pts)).reshape(-1, w.size) * (w * dom.cell_volume())).ravel()
+    old *= volume_weight(dom.metric, pts)
+    assert np.array_equal(dm, old)
+    _, _, hyp_factor = quad_data(make_box_domain([(0, 1), (1, 2)], [4, 4], HYP2), drift)
+    assert hyp_factor.flags.writeable and np.all(hyp_factor > 1.0)
 
 
 def coo_mirror_reference(pair):
@@ -389,19 +449,21 @@ class TestModeCache:
         return ScenarioConfig.from_dict(raw)
 
     def _count(self, monkeypatch):
+        """The DOF vectors that ``assembly.at_quadrature`` is asked to read, as bytes, in call order."""
         from etagap import assembly
 
         seen = []
-        inner = assembly.interpolate_at_quadrature
+        inner = assembly.at_quadrature
 
         def counting(pair, u):
             seen.append(np.asarray(u).tobytes())
             return inner(pair, u)
 
-        monkeypatch.setattr(assembly, "interpolate_at_quadrature", counting)
+        monkeypatch.setattr(assembly, "at_quadrature", counting)
         return seen
 
     def test_cor32_interpolates_u1_once(self, monkeypatch):
+        # the chunked reader takes u_1 once, for both test functions
         from etagap.scenario import run_scenario
 
         seen = self._count(monkeypatch)

@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import sides
+from quadrature_reference import interpolate_at_quadrature
 
 from etagap import bounds
-from etagap.assembly import assemble, interpolate_at_quadrature
+from etagap.assembly import assemble
 from etagap.bounds import (
     LEMMA31_CHUNK,
     Lemma31Instance,
@@ -729,25 +730,133 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
-def test_cor32_working_set():
-    """u_j is interpolated once, a constant T grad u_j is written over grad u_j, and the
-    unit-gradient defect and I1 are formed in place: at most 6 doubles per quadrature point.
-
-    The interpolation holds u_j and grad u_j in one (m, 1 + n) array; a
-    separate T grad u_j would add n doubles per point.
-    """
+@pytest.fixture(scope="module")
+def square128():
     cfg = apply_overrides(builtin_config("square_laplacian"), {"resolution": 128})
     pair = assemble(*build_problem(cfg)[1:])
-    spectrum = solve_lowest(pair, 12)
-    test_fns = {f"x{a + 1}": axis_test_function(EUC2, a) for a in range(2)}
+    return pair, solve_lowest(pair, 12)
+
+
+def _traced_peak(pair, call):
+    """(result, tracemalloc peak of call() in doubles per quadrature point)."""
     tracemalloc.start()
     try:
-        rows = cor32_check(spectrum, pair, test_fns, trivial_consts(2), j=1)
+        out = call()
         peak = tracemalloc.get_traced_memory()[1] / (8.0 * pair.dm.size)
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_cor32_working_set(square128):
+    """u_j is read by chunks of cells, so cor32 holds one (m,) I1 integrand per test function
+    (two here; L f = 0) and one chunk: at most 2.5 doubles per quadrature point.
+
+    The whole-array interpolation held an (m, 1 + n) mode array beside its
+    corner index and values, 5.14 doubles per point in all.
+    """
+    pair, spectrum = square128
+    test_fns = {f"x{a + 1}": axis_test_function(EUC2, a) for a in range(2)}
+    rows, peak = _traced_peak(pair, lambda: cor32_check(spectrum, pair, test_fns, trivial_consts(2), j=1))
     assert {r.status for r in rows} == {"pass", "skipped"}
-    assert peak <= 6.0
+    assert peak <= 2.5
+
+
+def test_lemma32_working_set(square128):
+    """lemma32 holds three (m,) arrays, two integrands and g u_j for the cross terms, and one chunk:
+    at most 4 doubles per quadrature point (16.0 with whole-array modes, grad g, L g and T grad g)."""
+    pair, spectrum = square128
+    rows, peak = _traced_peak(pair, lambda: lemma32_check(spectrum, pair, lemma32_test_function(2)))
+    assert {r.status for r in rows} == {"pass", "skipped"}
+    assert peak <= 4.0
+
+
+def _hex(v):
+    return float(v).hex() if isinstance(v, float) else v
+
+
+def _bits(rows):
+    """Every row's k, status, reason, and its claims and float extras as hex."""
+    return [
+        (r.k, r.status, r.reason, [tuple(map(_hex, c)) for c in r.claims], {k: _hex(v) for k, v in r.extra.items()})
+        for r in rows
+    ]
+
+
+def _halfspace_pencil():
+    from etagap.fields import tensor_preset
+
+    dom = make_box_domain([(0, 1), (1, 2)], [15, 14], HYP2)
+    field = tensor_preset(
+        "diag_profile",
+        2,
+        entries=[
+            {"profile": "sin", "c0": 3.0, "c1": 0.5, "axis": 0},
+            {"profile": "sin", "c0": 2.5, "c1": 0.7, "axis": 0},
+        ],
+    )
+    return assemble(dom, field, AffineScalar([0.3, 0.0])), {"ln_xn": axis_test_function(HYP2, 1)}
+
+
+def _disk_pencil():
+    dom = make_box_domain([(-1, 1), (-1, 1)], [17, 17], EUC2, lambda c: np.linalg.norm(c, axis=1) <= 1.0)
+    pair = assemble(dom, identity_tensor(2), ConstantScalar(2))
+    return pair, {f"x{a + 1}": axis_test_function(EUC2, a) for a in range(2)}
+
+
+def _square_pencil():
+    pair = assemble(make_box_domain([(0, np.pi), (0, np.pi)], [16, 16], EUC2), identity_tensor(2), ConstantScalar(2))
+    return pair, {f"x{a + 1}": axis_test_function(EUC2, a) for a in range(2)}
+
+
+def _box3_pencil():
+    from etagap.fields import tensor_preset
+
+    box = euclidean(3)
+    field = tensor_preset(
+        "diag_profile",
+        3,
+        entries=[{"profile": "sin", "c0": 3.0, "c1": 0.5, "axis": a} for a in range(3)],
+    )
+    pair = assemble(make_box_domain([(0, np.pi)] * 3, [7, 6, 5], box), field, AffineScalar([0.3, 0.1, 0.2]))
+    return pair, {f"x{a + 1}": axis_test_function(box, a) for a in range(3)}
+
+
+@pytest.mark.parametrize(
+    "make", [_square_pencil, _halfspace_pencil, _disk_pencil, _box3_pencil], ids=["square", "halfspace", "disk", "box3"]
+)
+def test_chunked_integrals_equal_whole_array_bits(make, monkeypatch):
+    """Read by chunks of a few cells, cor32 and lemma32 keep every claim of the whole-array integrals bit for bit.
+
+    The references in ``quadrature_reference`` form the integrals from
+    whole (m,) and (m, n) arrays; each chunked integrand is summed whole,
+    so every lhs, rhs and lemma32 cross term is the same double.  Chunks
+    of 2 or 3 cells make many chunks of unequal length.
+    """
+    import quadrature_reference as ref
+
+    from etagap import assembly
+
+    pair, test_fns = make()
+    n = pair.domain.dim
+    spectrum = solve_lowest(pair, 12)
+    consts = trivial_consts(n, epsilon=pair.epsilon, delta=pair.delta)
+    g = lemma32_test_function(n)
+
+    def rows():
+        return _bits(cor32_check(spectrum, pair, test_fns, consts, j=1)), _bits(lemma32_check(spectrum, pair, g))
+
+    default = rows()
+    monkeypatch.setattr(assembly, "QUAD_CELLS", 3)
+    assert len(assembly.even_chunks(len(pair.domain.masked_cells), assembly.QUAD_CELLS)) > 50
+    chunked = rows()
+    monkeypatch.setattr(bounds, "_cor32_integrals", ref.cor32_integrals)
+    monkeypatch.setattr(bounds, "_lemma32_integrals", ref.lemma32_integrals)
+    monkeypatch.setattr(bounds, "_cross_integral", ref.cross_integral)
+    whole = rows()
+    cor32_rows, lemma32_rows = whole
+    assert any(r[1] != "skipped" for r in cor32_rows) and any("cross_term" in r[4] for r in lemma32_rows)
+    assert chunked == whole and default == whole
 
 
 class TestLemma32:

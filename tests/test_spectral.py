@@ -708,6 +708,14 @@ class TestInPlaceBitwise:
     def test_chunked_normalise_ties(self, small_chunks):
         self.test_normalise_ties()
 
+    def test_chunked_normalise_wide(self, small_chunks):
+        # more than 32 columns: each chunk is reduced in place, not from a transposed copy
+        pair = square_pair(8)
+        res = solve_lowest(pair, pair.ndof, method="dense")
+        assert res.k > 32 and len(spectral._row_chunks(*res.eigenvectors.shape)) > 2
+        scaled = res.eigenvectors * np.random.default_rng(10).choice([-3.0, 0.2], size=res.k)
+        assert np.array_equal(_normalise(pair, scaled.copy()), normalise_reference(pair, scaled.copy()))
+
     def test_chunked_solve_lowest(self, path_result, small_chunks):
         pair, res = path_result
         again = solve_lowest(pair, res.k, method=PATH_CASES[res.meta["method"]][2])
@@ -953,8 +961,8 @@ class TestMultipletLabels:
     @example(np.array([0.0, -0.0, 5e-324, 1.0, 1.0 + 1e-6, -3.0, -3.0 * (1 + 1e-6)]))
     @settings(max_examples=300, deadline=None)
     def test_matches_the_loop(self, lam):
-        # a tie step can overflow to inf, and inf - inf is a nan that both forms read as a new group
-        with np.errstate(invalid="ignore"):
+        # a tie step can overflow to inf in both forms, and inf - inf is a nan that both read as a new group
+        with np.errstate(invalid="ignore", over="ignore"):
             for values in (lam, np.sort(lam)):
                 labels = multiplet_labels(values)
                 assert labels.shape == values.shape

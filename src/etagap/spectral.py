@@ -92,7 +92,10 @@ def multiplet_labels(lam: np.ndarray) -> np.ndarray:
     """
     prev, cur = lam[:-1], lam[1:]
     scale = np.maximum(np.maximum(np.abs(cur), np.abs(prev)), 1e-300)
-    same = np.abs(cur - prev) <= MULTIPLET_REL_TOL * scale
+    # a step between finite values of opposite sign near the float range
+    # overflows to inf, which is rightly read as a new group
+    with np.errstate(over="ignore"):
+        same = np.abs(cur - prev) <= MULTIPLET_REL_TOL * scale
     labels = np.zeros(lam.size, dtype=int)
     labels[1:] = np.cumsum(~same)
     return labels
@@ -191,10 +194,14 @@ def _normalise(pair: OperatorPair, vecs: np.ndarray) -> np.ndarray:
     ``_identities``, each chunk with its own rows of B U, so they keep the
     bits of ``einsum("ij,ij->j", vecs, B @ vecs)``.  A second pass scales
     each chunk and takes its column max and min.  Over a C-ordered chunk
-    of at most 32 columns numpy reduces slowly, row after short row (a
-    (5461, 12) chunk: 270 us), so such a chunk is copied, transposed, into
-    one reused buffer and reduced along its rows (59 us); a wider chunk
-    is reduced in place, where the copy would cost more.  The largest |u_i| is
+    of 2 to 32 columns numpy reduces slowly, row after short row, so such
+    a chunk is copied, transposed, into one reused buffer and reduced
+    along its rows.  Timed on the chunks ``_row_chunks`` makes (one Xeon
+    core), the copy wins at every width up to 56 columns (2 columns: 43
+    against 1550 us; 12: 75 against 335; 32: 110 against 130-190) and
+    loses from 64 on (115 against 75 at 64, 147 against 39 at 256); 32
+    keeps clear of that crossover.  One column is a contiguous row
+    already and is reduced in place, not copied whole.  The largest |u_i| is
     max(u) or -min(u), so these give the sign; only where they tie does
     the first index of the largest |u_i| decide, as ``argmax(abs(u))``
     would, without an ndof x k temporary or a transposed argmax over every
@@ -208,7 +215,7 @@ def _normalise(pair: OperatorPair, vecs: np.ndarray) -> np.ndarray:
     del c_order
     norm = np.sqrt(bsq)
     top, low = np.full(norm.size, -np.inf), np.full(norm.size, np.inf)
-    columns = np.empty((norm.size, chunks[0].stop)) if norm.size <= 32 else None
+    columns = np.empty((norm.size, chunks[0].stop)) if 1 < norm.size <= 32 else None
     for rows in chunks:
         block = vecs[rows]
         block /= norm

@@ -7,12 +7,11 @@ The discrete problem is the generalized pencil A u = lambda B u with
 
 over multilinear (Q1) nodal elements on the masked-in cells, 2-point Gauss
 quadrature per axis, and Dirichlet conditions imposed by removing boundary
-rows/columns.  The quadrature data has one layout: the Gauss points are
-the domain's (m, n) batch, cell by cell (m = ncell nq), and every quantity
-at them (measure weights, metric factor) is (m,) or (m, n) in the same
-order.  Only ``assemble`` views them as (ncell, ...) blocks, for its
-per-cell products.  A DOF vector is read at the Gauss points by chunks
-of cells (``at_quadrature``), never at all of them at once.  Both
+rows/columns.  The Gauss points are numbered cell by cell (m = ncell nq),
+and so is every quantity at them; the points, measure weights and metric
+factor are formed from the grid per chunk of cells (``quad_data``), as is
+a DOF vector at the points (``at_quadrature``), and never held whole.
+Only ``assemble`` views a chunk as (ncell, ...) blocks.  Both
 matrices are built straight into CSR from the grid's 3^n node stencil:
 each unordered index pair is summed once and read from both sides, so
 A == A^T and B == B^T exactly.  They share one read-only int32 sparsity
@@ -21,6 +20,7 @@ pattern without Dirichlet columns (see ``_stencil_csr``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -55,7 +55,8 @@ def even_chunks(count: int, size: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
-def _reference_elements(n: int, h):
+@functools.lru_cache(maxsize=16)  # every reader pass of a pair asks for the same tables
+def _reference_elements(n: int, h: tuple):
     """Shape values and physical gradients at the Gauss points of a cell with sides h.
 
     Returns (N, dN) with N of shape (nq, nloc) and dN of shape
@@ -75,25 +76,22 @@ def _reference_elements(n: int, h):
             parts[:, d] = 1.0
             sgn = 1.0 if corner[d] == 1 else -1.0
             dN[:, a, d] = sgn * np.prod(parts, axis=1) / h[d]
+    for table in (N, dN):  # every caller shares them through the cache
+        table.setflags(write=False)
     return N, dN
 
 
 @dataclass
 class OperatorPair:
-    """Assembled (A, B), the DOF bookkeeping, and the quadrature data the
-    pair was built from: the field sample at the domain's Gauss points
-    (``sample.pts``), the (m,) measure weights and metric factor of
-    quad_data there, and T's extreme eigenvalues epsilon <= delta there.
-    Where rho = 1 the metric factor ``grad_factor`` is a read-only
-    broadcast view of 1.0, not an array of ones.  The constants and checks
-    read the same sample."""
+    """Assembled (A, B), the DOF bookkeeping, the field sample at the
+    domain's Gauss points and T's extreme eigenvalues epsilon <= delta
+    there; the constants and checks read the same sample.  The points,
+    weights and metric factor come per chunk of cells (``quad_data``)."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     domain: GridDomain
     sample: FieldSample
-    dm: np.ndarray
-    grad_factor: np.ndarray
     epsilon: float
     delta: float
 
@@ -101,26 +99,24 @@ class OperatorPair:
     def ndof(self) -> int:
         return self.A.shape[0]
 
+    def quad_data(self, cells: slice = slice(None)):  # quad_data of the pair's domain and drift
+        return quad_data(self.domain, self.sample.drift, cells)
 
-def quad_data(domain: GridDomain, drift: ScalarField):
-    """The (m, n) Gauss points, their (m,) measure weights e^(-eta) W_g and metric gradient factor.
+
+def quad_data(domain: GridDomain, drift: ScalarField, cells: slice = slice(None)):
+    """The (len, n) Gauss points of the masked cells ``cells``, their measure weights e^(-eta) W_g and metric factor.
 
     Where rho = 1 both metric factors are 1: the weights skip that exact
-    multiply and the gradient factor is a read-only broadcast 1.0.
-    Raises NonFiniteValue unless every weight is finite and positive.
+    multiply and the gradient factor is the float 1.0, not an array of ones.
     """
-    pts, w = domain.quadrature()
-    rho_one = domain.metric.grad_rho is None
+    pts, w = domain.quadrature(cells)
+    rho = domain.metric.rho(pts) if domain.metric.is_hyperbolic else None  # > 0 on the box: read once, unchecked
     with np.errstate(over="ignore"):
         # each cell's nq Gauss weights times the cell volume, point by point
         dm = (np.exp(-drift.value(pts)).reshape(-1, w.size) * (w * domain.cell_volume())).ravel()
-        if not rho_one:
-            dm *= volume_weight(domain.metric, pts)
-    grad_factor = np.broadcast_to(1.0, dm.shape) if rho_one else inverse_metric_factor(domain.metric, pts)
-    # an under- or overflowing weight would leave B singular or non-finite
-    if not np.all((dm > 0.0) & np.isfinite(dm)):
-        raise NonFiniteValue("measure weight e^(-eta) W_g is not finite and positive at every quadrature point")
-    return pts, dm, grad_factor
+        if rho is not None:
+            dm *= rho ** (-float(domain.dim))  # volume_weight
+    return pts, dm, 1.0 if rho is None else rho**2  # inverse_metric_factor
 
 
 def _node_arrays(domain: GridDomain, v: np.ndarray, half: int) -> np.ndarray:
@@ -156,18 +152,18 @@ def _stencil_csr(domain: GridDomain, makers) -> list[sp.csr_matrix]:
     offset, which sorts its columns, as DOF numbers increase with the flat
     node index.  Dirichlet columns are left out of the pattern.  The
     pattern (``indices``, ``indptr``) and the gather index into the node
-    arrays are built once, in scipy's own index type (int32 up to 2^31
-    entries, so scipy copies neither), and every matrix shares the pattern
-    read-only; only a matrix with an exactly zero value gets a private
+    arrays are built once, in the domain's index type, scipy's own (int32 up
+    to 2^31 entries, so scipy copies neither), and every matrix shares the
+    pattern read-only; only a matrix with an exactly zero value gets a private
     copy, with those entries dropped.
     """
     nnode = domain.dof_index().size
     stencil = np.array(list(itertools.product((-1, 0, 1), repeat=domain.dim)))  # stencil[-1 - k] == -stencil[k]
     half = len(stencil) // 2  # the zero offset
-    itype = np.int32 if len(stencil) * nnode < 2**31 else np.int64
+    rows = domain.interior_flat  # never on the box boundary, so every stencil node exists
+    itype = rows.dtype
     flat_off = (stencil @ np.cumprod((1,) + domain.node_shape[:0:-1])[::-1]).astype(itype)
-    rows = domain.interior_flat.astype(itype)  # never on the box boundary, so every stencil node exists
-    cols = domain.dof_index().astype(itype)[rows[:, None] + flat_off]
+    cols = domain.dof_index()[rows[:, None] + flat_off]
     keep = cols >= 0
     indices = cols[keep]
     del cols
@@ -191,9 +187,8 @@ def _stencil_csr(domain: GridDomain, makers) -> list[sp.csr_matrix]:
 
 
 def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> OperatorPair:
-    """Build the stiffness/mass pair over the interior DOFs."""
-    pts, dm, grad_factor = quad_data(domain, drift)
-    sample = FieldSample(field, drift, domain.metric, pts)
+    """Build the stiffness/mass pair over the interior DOFs; NonFiniteValue unless every weight is finite and > 0."""
+    sample = FieldSample(field, drift, domain.metric, domain)
     epsilon, delta = tensor_eigen_range(sample.theta)  # raises NotPositiveDefinite early
 
     N, dN = _reference_elements(domain.dim, domain.h)
@@ -207,23 +202,30 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
 
     def pair_values(rows, table):
         # (npair, ncell), one contiguous row per pair, by chunks of cells, so
-        # that the (m, n, n) weighted tensor never exists at full size
-        out = np.empty((table.shape[1], dm.size // nq))
+        # that no per-point array exists at full size
+        out = np.empty((table.shape[1], domain.n_cells))
         for cells in even_chunks(out.shape[1], CHUNK_ROWS):
-            out[:, cells] = (rows(slice(cells.start * nq, cells.stop * nq)) @ table).T
+            out[:, cells] = (rows(cells) @ table).T
         return out
 
-    def a_rows(q):
-        return ((dm[q] * grad_factor[q])[:, None, None] * sample.theta[q]).reshape(-1, nq * n * n)
+    weights = []  # each chunk's weights, from A's pass to B's, which takes them in the same order
+
+    def a_rows(cells):
+        _, dm, grad_factor = quad_data(domain, drift, cells)
+        if not np.all((dm > 0.0) & np.isfinite(dm)):  # else B would be singular or non-finite
+            raise NonFiniteValue("measure weight e^(-eta) W_g is not finite and positive at every quadrature point")
+        weights.append(dm)
+        theta = sample.theta[cells.start * nq : cells.stop * nq]
+        return ((dm * grad_factor)[:, None, None] * theta).reshape(-1, nq * n * n)
 
     A, B = _stencil_csr(
         domain,
         (
             lambda: pair_values(a_rows, grad_pairs),
-            lambda: pair_values(lambda q: dm[q].reshape(-1, nq), N[:, iu] * N[:, ju]),
+            lambda: pair_values(lambda cells: weights.pop(0).reshape(-1, nq), N[:, iu] * N[:, ju]),
         ),
     )
-    return OperatorPair(A, B, domain, sample, dm, grad_factor, epsilon, delta)
+    return OperatorPair(A, B, domain, sample, epsilon, delta)
 
 
 @dataclass
@@ -344,14 +346,14 @@ def project_function(domain: GridDomain, f: ScalarField) -> np.ndarray:
 def at_quadrature(pair: OperatorPair, u):
     """The Q1 interpolant of a DOF vector at the quadrature points, chunk by chunk of cells.
 
-    Yields (q, values, gradients) for ``even_chunks`` of at most
-    ``QUAD_CELLS`` cells: q slices the chunk's rows of the domain's Gauss
+    Yields (q, pair.quad_data(cells), values, gradients) for ``even_chunks``
+    of at most ``QUAD_CELLS`` cells: q slices the chunk's rows of the Gauss
     points, and values (len,) and gradients (len, n), coordinate partials,
-    are views of one buffer that the next chunk overwrites.  Each chunk
-    gathers its cells' corner values and multiplies them by the
-    (2^n, nq (1 + n)) table of shape values and gradients; the chunks are
-    never one cell where the domain has more, so every value has the bits
-    of one product over all cells.  It holds one chunk and no copy of u.
+    are contiguous views of two buffers that the next chunk overwrites.
+    Each chunk gathers its cells' corner values and multiplies them by the
+    tables of shape values and of shape gradients; the chunks are never
+    one cell where the domain has more, so every value has the bits of one
+    product over all cells.  It holds one chunk and no copy of u.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[0] != pair.ndof:
@@ -359,13 +361,13 @@ def at_quadrature(pair: OperatorPair, u):
     domain = pair.domain
     N, dN = _reference_elements(domain.dim, domain.h)
     nq, nloc, n = dN.shape
-    table = np.concatenate([N.T[:, :, None], dN.transpose(1, 0, 2)], axis=2).reshape(nloc, -1)
-    chunks = even_chunks(len(domain.masked_cells), QUAD_CELLS)
-    buffer = np.empty((max(c.stop - c.start for c in chunks), table.shape[1]))
+    tables = np.ascontiguousarray(N.T), dN.transpose(1, 0, 2).reshape(nloc, -1)
+    chunks = even_chunks(domain.n_cells, QUAD_CELLS)
+    buffers = [np.empty((max(c.stop - c.start for c in chunks), t.shape[1])) for t in tables]
     for cells in chunks:
         dof = domain.dof_index()[domain.cell_corner_nodes(cells)]
         corner_vals = u[dof]
         corner_vals[dof < 0] = 0.0  # a Dirichlet corner
-        out = np.matmul(corner_vals, table, out=buffer[: cells.stop - cells.start]).reshape(-1, 1 + n)
+        vals, grads = (np.matmul(corner_vals, t, out=b[: len(dof)]) for t, b in zip(tables, buffers))
         del dof, corner_vals  # no gathered array lives beside the caller's work
-        yield slice(cells.start * nq, cells.stop * nq), out[:, 0], out[:, 1:]
+        yield slice(cells.start * nq, cells.stop * nq), pair.quad_data(cells), vals.reshape(-1), grads.reshape(-1, n)

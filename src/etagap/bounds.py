@@ -532,38 +532,39 @@ def _cor32_integrals(spectrum: SpectrumResult, pair: assembly.OperatorPair, test
     test functions.  Each chunk fills its rows of every integral's (m,)
     integrand, and each integral is one ``np.sum`` of its whole integrand,
     so it has the bits of the same sum over whole-array products.  Only
-    the integrands exist at full size: grad f, T grad u_j, L f and
-    grad(L f) are taken per chunk.  A structurally zero L f or grad(L f)
-    has no integrand and gives 0.
+    the integrands exist at full size: the points, weights, grad f, T grad
+    u_j, L f and grad(L f) are per chunk.  A structurally zero L f or
+    grad(L f) has no integrand and gives 0.
     """
-    dm, grad_factor, sample = pair.dm, pair.grad_factor, pair.sample
+    sample = pair.sample
     # each label's three integrands; one stays None where L f or grad(L f) is a structural zero
-    integrands = {label: [np.empty(dm.size), None, None] for label in test_fns}
+    integrands = {label: [np.empty(sample.size), None, None] for label in test_fns}
     defects = dict.fromkeys(test_fns, 0.0)
 
     def put(terms, t, q, values):
         if terms[t] is None:
-            terms[t] = np.empty(dm.size)
+            terms[t] = np.empty(sample.size)
         terms[t][q] = values
 
-    for q, uj, t_guj in assembly.at_quadrature(pair, spectrum.eigenvectors[:, j - 1]):
-        pts = sample.pts[q]
+    for q, (pts, dm, grad_factor), uj, t_guj in assembly.at_quadrature(pair, spectrum.eigenvectors[:, j - 1]):
         t_guj[...] = sample.apply_T(t_guj, q)  # T grad u_j, over grad u_j
         for label, test_fn in test_fns.items():
             gf = test_fn.f.grad(pts)
-            defect = np.max(np.abs(gradient_norm(pair.domain.metric, pts, gf) - 1.0))
+            some = slice(1) if gf.strides[0] == 0 and np.ndim(grad_factor) == 0 else slice(None)  # rho = 1, one row
+            defect = np.max(np.abs(gradient_norm(pair.domain.metric, pts[some], gf[some]) - 1.0))
             defects[label] = np.maximum(defects[label], defect)  # a nan stays
             terms = integrands[label]
             i1 = terms[0][q]
             np.einsum("qa,qa->q", t_guj, gf, out=i1)
-            i1 *= grad_factor[q]
+            if np.ndim(grad_factor):  # else rho = 1
+                i1 *= grad_factor
             np.square(i1, out=i1)
-            i1 *= dm[q]
+            i1 *= dm
             lf, glf = test_fn.lf_and_grad(sample, q)
             if lf is not None:
-                put(terms, 1, q, lf**2 * uj**2 * dm[q])
+                put(terms, 1, q, lf**2 * uj**2 * dm)
             if glf is not None:
-                put(terms, 2, q, grad_factor[q] * np.einsum("qa,qa->q", glf, sample.apply_T(gf, q)) * uj**2 * dm[q])
+                put(terms, 2, q, grad_factor * np.einsum("qa,qa->q", glf, sample.apply_T(gf, q)) * uj**2 * dm)
     for label, defect in defects.items():
         if defect > 1e-10:
             raise UnitGradientViolation(f"{label}: |grad f|_g deviates from 1 by {float(defect):.3e}")
@@ -626,29 +627,30 @@ def _lemma32_integrals(pair: assembly.OperatorPair, uj_vec: np.ndarray, g: Scala
     u_j is read chunk by chunk (``assembly.at_quadrature``) and every
     quantity at the points is taken per chunk; each integral is one
     ``np.sum`` of its whole (m,) integrand, as in ``_cor32_integrals``.
-    g u_j (m,) is kept for ``_cross_integral``.
+    g u_j (m,) is kept for ``_cross_integral``; the third integrand's weights come once the first two are summed.
     """
-    dm, grad_factor, sample = pair.dm, pair.grad_factor, pair.sample
-    igg, ib, guj = (np.empty(dm.size) for _ in range(3))
-    for q, uj, grad_uj in assembly.at_quadrature(pair, uj_vec):
-        pts = sample.pts[q]
+    sample = pair.sample
+    igg, ib, guj = (np.empty(sample.size) for _ in range(3))
+    for q, (pts, dm, grad_factor), uj, grad_uj in assembly.at_quadrature(pair, uj_vec):
         gg = g.grad(pts)
-        igg[q] = grad_factor[q] * np.einsum("qa,qa->q", gg, sample.apply_T(gg, q)) * uj**2 * dm[q]
-        cross_grad = grad_factor[q] * np.einsum("qa,qa->q", sample.apply_T(grad_uj, q), gg)
-        ib[q] = (2.0 * cross_grad + uj * apply_operator_L(sample, g, q)) ** 2 * dm[q]
+        igg[q] = grad_factor * np.einsum("qa,qa->q", gg, sample.apply_T(gg, q)) * uj**2 * dm
+        cross_grad = grad_factor * np.einsum("qa,qa->q", sample.apply_T(grad_uj, q), gg)
+        ib[q] = (2.0 * cross_grad + uj * apply_operator_L(sample, g, q)) ** 2 * dm
         np.multiply(g.value(pts), uj, out=guj[q])
     igg, ib = float(np.sum(igg)), float(np.sum(ib))
     igu = np.square(guj)
-    igu *= dm
+    nq = 2**pair.domain.dim
+    for cells in assembly.even_chunks(pair.domain.n_cells, assembly.QUAD_CELLS):
+        igu[cells.start * nq : cells.stop * nq] *= pair.quad_data(cells)[1]
     return igg, ib, float(np.sum(igu)), guj
 
 
 def _cross_integral(pair: assembly.OperatorPair, guj: np.ndarray, vec: np.ndarray) -> float:
     """int g u_j u dm for the DOF vector u, from g u_j at the points; u read chunk by chunk, one np.sum."""
     integrand = np.empty(guj.size)
-    for q, u, _ in assembly.at_quadrature(pair, vec):
+    for q, (_, dm, _), u, _ in assembly.at_quadrature(pair, vec):
         np.multiply(guj[q], u, out=integrand[q])
-        integrand[q] *= pair.dm[q]
+        integrand[q] *= dm
     return float(np.sum(integrand))
 
 

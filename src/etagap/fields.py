@@ -438,9 +438,11 @@ def _sum(*terms):
 
 
 class FieldSample:
-    """T, eta and their derivatives at one (m, n) point set, each evaluated at most once.
+    """T, eta and their derivatives at m points, each evaluated at most once.
 
-    Every array is computed on its first read: theta (m, n, n), dT
+    The points are an (m, n) array or a GridDomain's Gauss points, formed
+    from its grid for each evaluation and not kept (``points``).  Every
+    array is computed on its first read: theta (m, n, n), dT
     (m, n, n, n), grad_div (m, n, n), ge (m, n), he (m, n, n), rho (m,) and the
     shared contractions div (m, n), tge = T d eta, v = tge - div and dv with
     [q, i, j] = d_i v_j; b = grad rho (n,) is the metric's.  A derivative that
@@ -450,21 +452,32 @@ class FieldSample:
     Every reader skips the terms with such a factor.
     """
 
-    def __init__(self, field: TensorField, drift: ScalarField, metric: MetricModel, pts: np.ndarray):
-        self.field, self.drift, self.metric, self.pts = field, drift, metric, pts
+    def __init__(self, field: TensorField, drift: ScalarField, metric: MetricModel, points):
+        self.field, self.drift, self.metric, self._points = field, drift, metric, points
         self.b = metric.grad_rho
+        self.size = points.n_cells * 2**metric.dim if isinstance(points, GridDomain) else len(points)
+
+    def points(self, q: slice = slice(None)) -> np.ndarray:
+        """The (len, n) points at rows q (all by default); on a domain, q spans whole cells."""
+        if isinstance(self._points, GridDomain):  # q spans whole cells of nq = 2^n points
+            start, stop, _ = q.indices(self.size)
+            return self._points.quadrature(slice(start // 2**self.metric.dim, stop // 2**self.metric.dim))[0]
+        return self._points[q]
 
     def _derivative(self, f, order: int, evaluate):
         if _vanishes(f, order):
             return None
         try:
-            return evaluate(self.pts)
+            return evaluate(self.points())
         except NotImplementedError as exc:
             raise DerivativeUnavailable(f"{type(f).__name__} has no order-{order} derivatives") from exc
 
     @cached_property
     def theta(self) -> np.ndarray:
-        return self.field.matrix(self.pts)
+        if self.field.degree == 0:  # one matrix, read at the first cell and broadcast over every point
+            mat = self.field.matrix(self.points(slice(2**self.metric.dim)))[0]
+            return np.broadcast_to(mat, (self.size,) + mat.shape)
+        return self.field.matrix(self.points())
 
     @cached_property
     def dT(self) -> np.ndarray | None:
@@ -484,7 +497,7 @@ class FieldSample:
 
     @cached_property
     def rho(self) -> np.ndarray | None:
-        return None if self.b is None else self.metric.rho(self.pts)
+        return None if self.b is None else self.metric.rho(self.points())
 
     @cached_property
     def div(self) -> np.ndarray | None:
@@ -511,6 +524,8 @@ class FieldSample:
         """T v at the points q (all by default), for v with one row per point."""
         if self.field.degree == 0:
             return v @ self.theta[0].T
+        if isinstance(self.field, DiagonalTensor):  # its exactly zero off-diagonal terms add nothing
+            return np.diagonal(self.theta[q], axis1=1, axis2=2) * v
         return np.einsum("qab,qb->qa", self.theta[q], v)
 
 
@@ -575,7 +590,7 @@ def compute_eta_radial_constants(sample: FieldSample, origin: np.ndarray) -> tup
     (geometry.domain_origin_distance checks that).
     """
     ge, he, b = sample.ge, sample.he, sample.b
-    v = radial_unit_vector(sample.metric, origin, sample.pts)
+    v = radial_unit_vector(sample.metric, origin, sample.points())
     if b is not None and ge is not None:
         # covariant Hessian he - Gamma(d eta) = he + b_i g_j + b_j g_i - d_ij <b, g>, g = d eta / rho
         g = (1.0 / sample.rho)[:, None] * ge
@@ -593,7 +608,7 @@ def _take_rows(x: np.ndarray | None, q: slice) -> np.ndarray | None:
 
 def apply_operator_L(sample: FieldSample, f: ScalarField, q: slice = slice(None)) -> np.ndarray:
     """Pointwise L f = div(T(grad f)) - <grad eta, T(grad f)> at the sample points q (all by default)."""
-    pts, theta, b = sample.pts[q], sample.theta[q], sample.b
+    pts, theta, b = sample.points(q), sample.theta[q], sample.b
     v, rho = _take_rows(sample.v, q), _take_rows(sample.rho, q)
     gf = f.grad(pts)
     hf = None if _vanishes(f, 2) else f.hess(pts)
@@ -659,11 +674,9 @@ def validate_radially_constant(values_func, domain: GridDomain) -> None:
     values_func maps an (m, n) point array to an (m, ...) value array.
     """
     (lo, hi) = domain.bounds[-1]
-    pts, _ = domain.quadrature()
-    pts = pts[:: max(1, pts.shape[0] // 64)]
-    shifted = pts.copy()
+    shifted, _ = domain.quadrature(slice(None, None, max(1, domain.n_cells // 64)))  # every s-th cell, about 64
+    base = shifted.copy()
     shifted[:, -1] = lo + (hi - lo) * 0.37
-    base = pts.copy()
     base[:, -1] = lo + (hi - lo) * 0.81
     defect = np.max(np.abs(np.asarray(values_func(shifted)) - np.asarray(values_func(base))))
     if defect > 1e-12:

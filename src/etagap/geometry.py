@@ -9,9 +9,9 @@ closed form per model.  Points travel in one layout: every pointwise
 function takes an (m, n) batch and returns one value or vector per row,
 and a reference point such as the origin is an (n,) array.  Domains are
 axis-aligned boxes carrying a per-cell inside-mask; curved shapes are
-approximated by staircase masks.  Their Gauss points are one (m, n) batch,
-cell by cell.  All objects are immutable after construction and safe for
-concurrent reads.
+approximated by staircase masks.  Their Gauss points, cell by cell, are
+formed from the grid for any run of cells and never held.  All objects
+are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ class MetricModel:
         return np.eye(self.dim)[-1] if self.is_hyperbolic else None
 
     def rho(self, pts: np.ndarray) -> np.ndarray:
-        """The conformal factor at an (m, n) point array: 1, or <b, x> (= x_n)."""
-        b = self.grad_rho
-        return np.ones(pts.shape[0]) if b is None else pts @ b
+        """The conformal factor at an (m, n) point array: 1, or <b, x> = x_n, read off as the last coordinate."""
+        return pts[:, -1].copy() if self.is_hyperbolic else np.ones(pts.shape[0])
 
 
 def euclidean(dim: int) -> MetricModel:
@@ -90,7 +89,7 @@ def gradient_norm(metric: MetricModel, pts: np.ndarray, coordinate_gradient: np.
     # bit against np.linalg.norm, which only the 1e-10 unit-gradient gate in bounds reads
     norm = np.einsum("ij,ij->i", cov, cov)
     np.sqrt(norm, out=norm)
-    if metric.grad_rho is not None:  # else rho = 1
+    if metric.is_hyperbolic:  # else rho = 1
         norm *= _rho(metric, pts)
     return norm
 
@@ -171,6 +170,7 @@ class GridDomain:
         self.mask = mask
         self.mask.setflags(write=False)
         self.h = tuple((hi - lo) / r for (lo, hi), r in zip(bounds, resolution))
+        self._cell_volume = float(np.prod(self.h))
         self.node_shape = tuple(r + 1 for r in resolution)
         self.node_axes = tuple(
             np.linspace(lo, hi, r + 1) for (lo, hi), r in zip(bounds, resolution)
@@ -183,18 +183,23 @@ class GridDomain:
         for off in itertools.product((0, 1), repeat=n):
             sl = tuple(slice(o, o + s) for o, s in zip(off, self.node_shape))
             interior &= padded[sl]
-        self.interior_flat = np.flatnonzero(interior.ravel())
+        # scipy's index type for a CSR over every node's 3^n stencil (assembly._stencil_csr), so no copies
+        itype = np.int32 if 3**n * interior.size < 2**31 else np.int64
+        self.interior_flat = np.flatnonzero(interior.ravel()).astype(itype, copy=False)
         if self.interior_flat.size == 0:
             raise EmptyDomain("mask leaves no interior node")
-        self._dof_of_node = np.full(int(np.prod(self.node_shape)), -1, dtype=np.int64)
-        self._dof_of_node[self.interior_flat] = np.arange(self.interior_flat.size)
+        self._dof_of_node = np.full(interior.size, -1, dtype=itype)
+        self._dof_of_node[self.interior_flat] = np.arange(self.interior_flat.size, dtype=itype)
 
-        cells = np.argwhere(mask)
-        self.masked_cells = np.ascontiguousarray(cells)
+        self.n_cells = int(np.count_nonzero(mask))  # a box with masked-out cells keeps the flat indices of the rest
+        self._cell_flat = None if self.n_cells == mask.size else np.flatnonzero(mask).astype(itype, copy=False)
+        # flat offsets of the 2^n corners from a cell's first corner, for cell_corner_nodes
         strides = np.cumprod((1,) + self.node_shape[:0:-1])[::-1]
-        # (node strides, flat offsets of the 2^n corners from a cell's first corner), for cell_corner_nodes
-        self._corners = (strides, np.array(list(itertools.product((0, 1), repeat=n))) @ strides)
-        self._quad_cache = None
+        self._corner_offsets = np.array(list(itertools.product((0, 1), repeat=n))) @ strides
+        nodes, self._weights = gauss_rule(n)
+        # per axis, (lo + c h) + node h: coordinate d of each Gauss node of every cell c along the axis
+        lows = [lo + np.arange(r) * h for (lo, _), r, h in zip(bounds, resolution, self.h)]
+        self._axis_points = [low[:, None] + x * h for low, h, x in zip(lows, self.h, nodes.T)]
 
     @property
     def dim(self) -> int:
@@ -216,34 +221,36 @@ class GridDomain:
     def interior_coords(self) -> np.ndarray:
         return self.node_coords(self.interior_flat)
 
+    def _cell_index(self, cells: slice) -> tuple:
+        """Multi-index, one array per axis, of the masked cells ``cells`` (on a full box, their flat indices)."""
+        flat = np.arange(*cells.indices(self.n_cells)) if self._cell_flat is None else self._cell_flat[cells]
+        return np.unravel_index(flat, self.resolution)
+
     def cell_corner_nodes(self, cells: slice = slice(None)) -> np.ndarray:
         """(ncell, 2^n) flat node indices of the corners of the masked cells ``cells`` (all by default).
 
         Corner c of the cell at multi-index m has flat index (m + c) . s for
         the node strides s: the cell's first corner plus a constant offset.
         """
-        strides, offsets = self._corners
-        return (self.masked_cells[cells] @ strides)[:, None] + offsets
+        first = np.ravel_multi_index(self._cell_index(cells), self.node_shape)
+        return (self._corner_offsets[:, None] + first).T
 
     def cell_volume(self) -> float:
-        return float(np.prod(self.h))
+        return self._cell_volume
 
-    def quadrature(self):
-        """Tensor-product 2-point Gauss rule on every masked cell.
+    def quadrature(self, cells: slice = slice(None)):
+        """Tensor-product 2-point Gauss rule on the masked cells ``cells`` (all by default).
 
-        Returns (points, weights): the (m, n) points cell by cell, so the
-        nq = 2^n points of cell c are rows c nq .. c nq + nq - 1
-        (m = ncell nq), and the (nq,) weights of one cell, summing to 1;
-        multiply by cell_volume() for coordinate-measure integration.
+        Returns (points, weights): the (len(cells) nq, n) points, formed from
+        the grid cell by cell, so the nq = 2^n points of the i-th cell are
+        rows i nq .. i nq + nq - 1, and the (nq,) weights of one cell,
+        summing to 1; multiply by cell_volume() for coordinate-measure integration.
         """
-        if self._quad_cache is None:
-            nodes, w = gauss_rule(self.dim)
-            pts = np.empty((len(self.masked_cells), len(w), self.dim))
-            # per axis, in place: (lo + c h) + node h, the cell's low corner plus the node's offset
-            for d, ((lo, _), h) in enumerate(zip(self.bounds, self.h)):
-                np.add((lo + self.masked_cells[:, d] * h)[:, None], nodes[:, d] * h, out=pts[:, :, d])
-            self._quad_cache = (pts.reshape(-1, self.dim), w)
-        return self._quad_cache
+        multi = self._cell_index(cells)
+        pts = np.empty((multi[0].size * self._weights.size, self.dim))
+        for d, table in enumerate(self._axis_points):
+            pts[:, d] = np.take(table, multi[d], axis=0).ravel()
+        return pts, self._weights
 
     def contains_point(self, p) -> bool:
         """Whether p lies in the closure of some masked-in cell, to within eps per axis.

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.sparse as sp
+import quadrature_reference as ref
 from quadrature_reference import interpolate_at_quadrature
 
-from etagap.assembly import assemble, project_function, quad_data
+from etagap.assembly import assemble, even_chunks, project_function, quad_data
 from etagap.errors import DimensionMismatch, NonFiniteValue
 from etagap.fields import AffineScalar, ConstantScalar, LogAxisScalar, ScalarField, identity_tensor, tensor_preset
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
@@ -142,7 +143,7 @@ class TestDiscreteBilinearForm:
         u, v = rng.standard_normal(pair.ndof), rng.standard_normal(pair.ndof)
         _, gu = interpolate_at_quadrature(pair, u)
         _, gv = interpolate_at_quadrature(pair, v)
-        pts, dm, factor = quad_data(pair.domain, pair.sample.drift)
+        pts, dm, factor = ref.quad_data(pair.domain, pair.sample.drift)
         theta = field.matrix(pts)
         form = float(np.sum(factor * np.einsum("qa,qab,qb->q", gv, theta, gu) * dm))
         assert v @ (pair.A @ u) == pytest.approx(form, rel=1e-12)
@@ -154,7 +155,7 @@ class TestDiscreteBilinearForm:
         u, v = rng.standard_normal(pair.ndof), rng.standard_normal(pair.ndof)
         uu, _ = interpolate_at_quadrature(pair, u)
         vv, _ = interpolate_at_quadrature(pair, v)
-        _, dm, _ = quad_data(pair.domain, pair.sample.drift)
+        _, dm, _ = ref.quad_data(pair.domain, pair.sample.drift)
         assert v @ (pair.B @ u) == pytest.approx(float(np.sum(vv * uu * dm)), rel=1e-12)
 
 
@@ -247,13 +248,17 @@ class TestChunkedReader:
         pair = assemble(_interp_domain(dim), identity_tensor(dim), ConstantScalar(dim))
         u = np.random.default_rng(dim).standard_normal(pair.ndof)
         vals, grads = interpolate_at_quadrature(pair, u)
+        whole = ref.quad_data(pair.domain, pair.sample.drift)
         seen, stop = 0, 0
-        for q, v, g in assembly.at_quadrature(pair, u):
+        for q, quad, v, g in assembly.at_quadrature(pair, u):
             assert q.start == stop and v.shape == (q.stop - q.start,) and g.shape == (v.size, dim)
             assert np.array_equal(v, vals[q]) and np.array_equal(g, grads[q])
+            assert v.flags.c_contiguous and g.flags.c_contiguous
+            assert np.array_equal(quad[0], whole[0][q]) and np.array_equal(quad[1], whole[1][q])
+            assert quad[2] == 1.0 if dim == 3 else np.array_equal(quad[2], whole[2][q])
             seen, stop = seen + 1, q.stop
-        assert stop == pair.dm.size
-        assert seen == -(-len(pair.domain.masked_cells) // cells)
+        assert stop == pair.sample.size == whole[1].size
+        assert seen == -(-pair.domain.n_cells // cells)
 
     @pytest.mark.parametrize("size", [3, 4, 7, 512, 8192])
     def test_no_chunk_is_one_row(self, size):
@@ -275,14 +280,13 @@ class TestChunkedReader:
 
 
 def test_quad_data_holds_no_ones_where_rho_is_one():
-    """rho = 1: grad_factor is a read-only broadcast 1.0 and the weights skip the exact multiply by rho^-n = 1."""
+    """rho = 1: grad_factor is the float 1.0, not an array of ones, and the weights skip the exact multiply by rho^-n = 1."""
     from etagap.geometry import volume_weight
 
     dom = make_box_domain([(0, 1), (0, 2)], [6, 5], EUC2, mask_rule=lambda c: c[:, 0] + c[:, 1] < 2.2)
     drift = AffineScalar([0.5, -0.25])
     pts, dm, grad_factor = quad_data(dom, drift)
-    assert grad_factor.shape == dm.shape and grad_factor.strides == (0,) and not grad_factor.flags.writeable
-    assert np.all(grad_factor == 1.0)
+    assert type(grad_factor) is float and grad_factor == 1.0
     _, w = dom.quadrature()
     old = (np.exp(-drift.value(pts)).reshape(-1, w.size) * (w * dom.cell_volume())).ravel()
     old *= volume_weight(dom.metric, pts)
@@ -302,8 +306,9 @@ def coo_mirror_reference(pair):
     domain = pair.domain
     n = domain.dim
     nq = 2**n
-    ncell = pair.dm.size // nq
-    dm, grad_factor = pair.dm.reshape(ncell, nq), pair.grad_factor.reshape(ncell, nq)
+    ncell = domain.n_cells
+    _, dm, grad_factor = ref.quad_data(domain, pair.sample.drift)
+    dm, grad_factor = dm.reshape(ncell, nq), grad_factor.reshape(ncell, nq)
     theta = pair.sample.theta.reshape(ncell, nq, n, n)
     N, dN = _reference_elements(n, domain.h)
     iu, ju = np.triu_indices(N.shape[1])
@@ -402,19 +407,77 @@ class TestStencilBuild:
 def test_assemble_working_set():
     """A's cell values are formed by cell chunks and freed before B's, and each
     pair's values reach the node arrays through one grid array: at most 14.5
-    doubles per quadrature point, the Gauss points, weights and T included
-    (13.2 measured; 15.5 with A's values in one product, 17.7 with every
-    (ncell, npair) block at once).
+    doubles per quadrature point, the weights and T included (9.3 measured;
+    12.2 with every Gauss point held, 15.5 with A's values in one product,
+    17.7 with every (ncell, npair) block at once).
     """
     cfg = apply_overrides(builtin_config("square_laplacian"), {"resolution": 128})
     _, domain, tensor, drift = build_problem(cfg)
     tracemalloc.start()
     try:
         pair = assemble(domain, tensor, drift)
-        peak = tracemalloc.get_traced_memory()[1] / (8.0 * pair.dm.size)
+        peak = tracemalloc.get_traced_memory()[1] / (8.0 * pair.sample.size)
     finally:
         tracemalloc.stop()
     assert peak <= 14.5
+
+
+def test_pair_holds_no_per_point_array():
+    """After assemble on a constant-coefficient square, the pair and its domain hold at
+    most 1 double per quadrature point beyond A and B (0.31 measured: the mask and
+    the int32 node index arrays).  Holding the Gauss points, the weights and an
+    int64 multi-index of the cells came to about 4.
+    """
+    tracemalloc.start()
+    try:
+        cfg = apply_overrides(builtin_config("square_laplacian"), {"resolution": 128})
+        _, domain, tensor, drift = build_problem(cfg)
+        pair = assemble(domain, tensor, drift)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # by address: B's pattern arrays are other views of A's
+    matrices = {a.ctypes.data: a.nbytes for m in (pair.A, pair.B) for a in (m.data, m.indices, m.indptr)}
+    points = np.count_nonzero(domain.mask) * 2**domain.dim
+    assert (held - sum(matrices.values())) / (8.0 * points) <= 1.0
+
+
+class TestPerChunkQuadrature:
+    """The points, weights and corners of a run of cells, formed from the grid, against the whole-array reference."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("size", [3, 7, 10**6])
+    def test_chunks_equal_whole_arrays(self, dim, size):
+        domain = _interp_domain(dim)
+        drift = AffineScalar([0.4, -0.3, 0.2][:dim], 0.1)
+        pts, w = ref.quadrature(domain)
+        whole = ref.quad_data(domain, drift)
+        corners = domain.cell_corner_nodes()
+        nq = 2**dim
+        assert 0 < domain.n_cells < np.prod(domain.resolution) or dim == 3
+        chunks = even_chunks(domain.n_cells, size)
+        assert chunks[-1].stop == domain.n_cells and (len(chunks) == 1) == (size > domain.n_cells)
+        for cells in chunks:
+            q = slice(cells.start * nq, cells.stop * nq)
+            got_pts, got_w = domain.quadrature(cells)
+            assert np.array_equal(got_pts, pts[q]) and np.array_equal(got_w, w)
+            got = quad_data(domain, drift, cells)
+            assert np.array_equal(got[0], whole[0][q]) and np.array_equal(got[1], whole[1][q])
+            assert got[2] == 1.0 if dim == 3 else np.array_equal(got[2], whole[2][q])
+            assert np.array_equal(domain.cell_corner_nodes(cells), corners[cells])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_strided_cells(self, dim):
+        domain = _interp_domain(dim)
+        pts = ref.quadrature(domain)[0].reshape(domain.n_cells, -1, dim)
+        for cells in (slice(None, None, 5), slice(3, None, 7), slice(domain.n_cells - 1, None)):
+            assert np.array_equal(domain.quadrature(cells)[0], pts[cells].reshape(-1, dim))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_index_arrays_take_scipys_type(self, dim):
+        domain = _interp_domain(dim)
+        assert domain.interior_flat.dtype == domain.dof_index().dtype == np.int32
+        assert np.array_equal(domain.interior_flat, np.flatnonzero(domain.dof_index() >= 0))
 
 
 class TestSharedPattern:

@@ -688,7 +688,8 @@ class TestCor32:
         # I1 <= delta lambda_j at the relative tolerance of holds, 1e-12
         pair, spectrum = square_setup
         _, gu = interpolate_at_quadrature(pair, spectrum.eigenvectors[:, 0])
-        i1 = float(np.sum((pair.grad_factor * gu[:, 0]) ** 2 * pair.dm))  # T = id and f = x1
+        _, dm, _ = pair.quad_data()
+        i1 = float(np.sum(gu[:, 0] ** 2 * dm))  # T = id, f = x1 and rho = 1
         delta = i1 / (ratio * spectrum.eigenvalues[0])
         consts = trivial_consts(2, epsilon=delta, delta=delta)
         rows = cor32_check(spectrum, pair, {"x1": axis_test_function(EUC2, 0)}, consts, j=1)
@@ -742,7 +743,7 @@ def _traced_peak(pair, call):
     tracemalloc.start()
     try:
         out = call()
-        peak = tracemalloc.get_traced_memory()[1] / (8.0 * pair.dm.size)
+        peak = tracemalloc.get_traced_memory()[1] / (8.0 * pair.sample.size)
     finally:
         tracemalloc.stop()
     return out, peak
@@ -848,7 +849,7 @@ def test_chunked_integrals_equal_whole_array_bits(make, monkeypatch):
 
     default = rows()
     monkeypatch.setattr(assembly, "QUAD_CELLS", 3)
-    assert len(assembly.even_chunks(len(pair.domain.masked_cells), assembly.QUAD_CELLS)) > 50
+    assert len(assembly.even_chunks(pair.domain.n_cells, assembly.QUAD_CELLS)) > 50
     chunked = rows()
     monkeypatch.setattr(bounds, "_cor32_integrals", ref.cor32_integrals)
     monkeypatch.setattr(bounds, "_lemma32_integrals", ref.lemma32_integrals)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import quadrature_reference
 
 from etagap.errors import NotPositiveDefinite, OutOfDomain
 from etagap.fields import (
@@ -29,6 +30,7 @@ from etagap.fields import (
     _sum,
 )
 from etagap.geometry import (
+    GridDomain,
     domain_origin_distance,
     euclidean,
     hyperbolic_half_plane,
@@ -38,9 +40,8 @@ from etagap.geometry import (
 
 
 def sample_at(field, drift, metric, where) -> FieldSample:
-    """A FieldSample at a domain's quadrature points or at an (m, n) point array."""
-    pts = where.quadrature()[0] if hasattr(where, "quadrature") else np.asarray(where, float)
-    return FieldSample(field, drift, metric, pts)
+    """A FieldSample at a domain's quadrature points, formed from its grid, or at an (m, n) point array."""
+    return FieldSample(field, drift, metric, where if isinstance(where, GridDomain) else np.asarray(where, float))
 
 
 def zero(dim: int) -> ConstantScalar:
@@ -155,7 +156,7 @@ def ref_trace_nabla_T(s: FieldSample):
     if not s.metric.is_hyperbolic:
         return flat
     part = _christoffel_part(s.theta)
-    return part if flat is None else s.pts[:, -1][:, None] * flat + part
+    return part if flat is None else s.points()[:, -1][:, None] * flat + part
 
 
 def ref_apply_operator_L(s: FieldSample, f: ScalarField) -> np.ndarray:
@@ -163,7 +164,7 @@ def ref_apply_operator_L(s: FieldSample, f: ScalarField) -> np.ndarray:
 
     div_0(T df) - <d eta, T df> is T : Hess_0 f - <v, df> with v = T d eta - div T.
     """
-    pts, theta, dT, ge = s.pts, s.theta, s.dT, s.ge
+    pts, theta, dT, ge = s.points(), s.theta, s.dT, s.ge
     gf = f.grad(pts)
     hf = None if f.degree is not None and f.degree < 2 else f.hess(pts)
     tge = None if ge is None else np.einsum("qij,qj->qi", theta, ge)
@@ -819,6 +820,17 @@ class TestRadiallyConstantValidation:
         with pytest.raises(OutOfDomain):
             validate_radially_constant(AffineScalar([0.0, 1.0]).value, dom)
 
+    @pytest.mark.parametrize("res", [[8, 8], [13, 9], [2, 2]])
+    def test_reads_every_sth_cell_at_two_heights(self, res):
+        # the Gauss points of about 64 cells, every s-th, their x_n moved to two heights
+        dom = make_box_domain([(0, 1), (1, 2)], res, HYP2, lambda c: c[:, 0] + c[:, 1] < 2.6)
+        pts = quadrature_reference.quadrature(dom)[0].reshape(dom.n_cells, 4, 2)
+        seen = []
+        validate_radially_constant(lambda p: seen.append(p.copy()) or np.zeros(len(p)), dom)
+        want = pts[:: max(1, dom.n_cells // 64)].reshape(-1, 2)
+        for got, height in zip(seen, (0.37, 0.81)):
+            assert np.array_equal(got[:, 0], want[:, 0]) and np.all(got[:, 1] == 1.0 + height)
+
 
 # ---------------------------------------------------------------------------
 # the field sample: structural zeros, one evaluation each, and the same bits
@@ -975,10 +987,44 @@ class TestFieldSample:
         assert {"dT", "grad_div", "div", "v", "dv"} <= set(cached)
         assert max(a.ndim for a in cached.values()) <= 4
 
-    @pytest.mark.parametrize("field", [ConstantTensor([[2.0, 0.5], [0.5, 3.0]]), diag_affine_tensor()], ids=["constant", "variable"])
+    def test_grid_points_by_rows(self):
+        # any run of whole cells' rows of a domain's Gauss points, formed from its grid, equals the whole-array rows
+        dom = make_box_domain([(0, 1), (1, 2)], [9, 7], HYP2, lambda c: np.linalg.norm(c - [0.5, 1.5], axis=1) < 0.45)
+        pts = quadrature_reference.quadrature(dom)[0]
+        s = sample_at(identity_tensor(2), ConstantScalar(2), HYP2, dom)
+        m = len(pts)
+        assert s.size == m
+        for q in (slice(None), slice(0, 4), slice(4, 16), slice(8, 16), slice(m - 8, None), slice(8, 8)):
+            assert np.array_equal(s.points(q), pts[q])
+
+    @pytest.mark.parametrize("metric", [EUC2, HYP2], ids=["euclidean", "hyperbolic"])
+    def test_grid_sample_keeps_no_points(self, metric):
+        dom = sample_domain(metric)
+        s = sample_at(diag_affine_tensor(), sample_drift("gaussian", 2), metric, dom)
+        compute_T0(s)
+        compute_C0(s)
+        compute_eta_radial_constants(s, np.array((0.3, 4.0)))
+        axis_test_function(metric, 1).lf_and_grad(s)
+        pts = quadrature_reference.quadrature(dom)[0]
+        cached = [a for a in vars(s).values() if isinstance(a, np.ndarray)]
+        assert len(cached) >= 6 and not any(a.shape == pts.shape and np.array_equal(a, pts) for a in cached)
+        constant = sample_at(identity_tensor(2), ConstantScalar(2), metric, dom)
+        assert constant.theta.shape == (len(pts), 2, 2) and constant.theta.strides[0] == 0
+
+    @pytest.mark.parametrize(
+        "field",
+        [ConstantTensor([[2.0, 0.5], [0.5, 3.0]]), diag_affine_tensor(), diag_profile_tensor(3), CoupledQuadraticTensor()],
+        ids=["constant", "variable", "diagonal_3d", "coupled_3d"],
+    )
     def test_apply_T_matches_einsum(self, field):
-        pts = np.random.default_rng(4).uniform(0.5, 1.5, size=(12, 2))
-        v = np.random.default_rng(5).standard_normal((12, 2))
-        got = sample_at(field, ConstantScalar(2), EUC2, pts).apply_T(v)
-        want = np.einsum("qab,qb->qa", field.matrix(pts), v)
-        assert np.allclose(got, want, rtol=1e-15, atol=0)
+        n = field.dim
+        pts = np.random.default_rng(4).uniform(0.5, 1.5, size=(12, n))
+        v = np.random.default_rng(5).standard_normal((12, n))
+        v[3] = 0.0  # a zero gradient
+        s = sample_at(field, ConstantScalar(n), euclidean(n), pts)
+        got, want = s.apply_T(v), np.einsum("qab,qb->qa", field.matrix(pts), v)
+        if field.degree == 0:
+            assert np.allclose(got, want, rtol=1e-15, atol=0)
+        else:  # a diagonal T as an elementwise product: its zero off-diagonal terms add nothing
+            assert np.array_equal(got, want)
+        assert np.array_equal(s.apply_T(v[4:9], slice(4, 9)), got[4:9])

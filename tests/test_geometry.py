@@ -229,7 +229,7 @@ def contains_point_reference(dom, p):
     """GridDomain.contains_point before it looked at p's neighbouring cells only: every masked cell."""
     lo, h = np.array([b[0] for b in dom.bounds]), np.array(dom.h)
     eps = 1e-12 * np.maximum(np.abs(lo) + np.abs(h) * np.array(dom.resolution), 1.0)
-    corner_lo = lo[None, :] + dom.masked_cells * h[None, :]
+    corner_lo = lo[None, :] + np.argwhere(dom.mask) * h[None, :]
     corner_hi = corner_lo + h[None, :]
     return bool(np.any(np.all(p >= corner_lo - eps, axis=1) & np.all(p <= corner_hi + eps, axis=1)))
 
@@ -329,7 +329,7 @@ class TestWeightedVolume:
             dom = make_box_domain([(0, 1), (1, 2)], [res, res], HYP2)
             lo = np.array([b[0] for b in dom.bounds])
             h = np.array(dom.h)
-            centers = lo + (dom.masked_cells + 0.5) * h
+            centers = lo + (np.argwhere(dom.mask) + 0.5) * h
             total = np.sum(volume_weight(HYP2, centers)) * dom.cell_volume()
             errs.append(abs(total - exact))
         assert errs[2] < errs[1] < errs[0]
@@ -340,14 +340,14 @@ class TestWeightedVolume:
 # closed forms on the uniform grid, kept as bitwise references.
 def corner_nodes_reference(dom):
     offsets = np.array(list(itertools.product((0, 1), repeat=dom.dim)), dtype=np.int64)
-    corners = dom.masked_cells[:, None, :] + offsets[None, :, :]
+    corners = np.argwhere(dom.mask)[:, None, :] + offsets[None, :, :]
     return np.ravel_multi_index(tuple(corners[..., d] for d in range(dom.dim)), dom.node_shape)
 
 
 def quadrature_reference(dom):
     nodes, _ = gauss_rule(dom.dim)
     lo, h = np.array([b[0] for b in dom.bounds]), np.array(dom.h)
-    base = lo[None, :] + dom.masked_cells * h[None, :]
+    base = lo[None, :] + np.argwhere(dom.mask) * h[None, :]
     return base[:, None, :] + nodes[None, :, :] * h[None, None, :]
 
 
@@ -371,7 +371,7 @@ GRID_CASES = {
 @pytest.fixture(scope="module", params=GRID_CASES)
 def grid(request):
     dom = GRID_CASES[request.param]()
-    assert request.param != "ball_box_3d" or 0 < dom.masked_cells.shape[0] < np.prod(dom.resolution)
+    assert request.param != "ball_box_3d" or 0 < dom.n_cells < np.prod(dom.resolution)
     return dom
 
 

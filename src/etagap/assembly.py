@@ -8,14 +8,15 @@ The discrete problem is the generalized pencil A u = lambda B u with
 over multilinear (Q1) nodal elements on the masked-in cells, 2-point Gauss
 quadrature per axis, and Dirichlet conditions imposed by removing boundary
 rows/columns.  The Gauss points are numbered cell by cell (m = ncell nq),
-and so is every quantity at them; the points, measure weights and metric
-factor are formed from the grid per chunk of cells (``quad_data``), as is
-a DOF vector at the points (``at_quadrature``), and never held whole.
-Only ``assemble`` views a chunk as (ncell, ...) blocks.  Both
-matrices are built straight into CSR from the grid's 3^n node stencil:
-each unordered index pair is summed once and read from both sides, so
-A == A^T and B == B^T exactly.  They share one read-only int32 sparsity
-pattern without Dirichlet columns (see ``_stencil_csr``).
+and so is every quantity at them.  Each is formed per chunk of cells and
+never held whole: the points, weights and metric factor (``quad_data``),
+the fields and DOF vectors there (``at_quadrature``), and sums over the
+points (``pairwise_sums``).  Only ``assemble`` views a chunk as
+(ncell, ...) blocks.  Both matrices are built straight into CSR from the
+grid's 3^n node stencil: each unordered index pair is summed once and read
+from both sides, so A == A^T and B == B^T exactly.  They share one
+read-only int32 sparsity pattern without Dirichlet columns (see
+``_stencil_csr``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .fields import (
 from .geometry import GridDomain, gauss_rule, inverse_metric_factor, volume_weight
 
 CHUNK_ROWS = 2**13  # cells per product in the stiffness values
-QUAD_CELLS = 2**9  # cells per chunk of at_quadrature; at least 3, so that even_chunks makes no one-cell chunk
+QUAD_CELLS = 2**10  # cells per chunk of at_quadrature; at least 3, so that even_chunks makes no one-cell chunk
 
 
 def even_chunks(count: int, size: int) -> list[slice]:
@@ -83,24 +84,22 @@ def _reference_elements(n: int, h: tuple):
 
 @dataclass
 class OperatorPair:
-    """Assembled (A, B), the DOF bookkeeping, the field sample at the
-    domain's Gauss points and T's extreme eigenvalues epsilon <= delta
-    there; the constants and checks read the same sample.  The points,
-    weights and metric factor come per chunk of cells (``quad_data``)."""
+    """Assembled (A, B), the DOF bookkeeping, the fields T and eta, and T's
+    extreme eigenvalues epsilon <= delta at the domain's Gauss points.  The
+    points, weights, metric factor and fields there come per chunk of cells
+    (``quad_data``, ``at_quadrature``)."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
     domain: GridDomain
-    sample: FieldSample
+    field: TensorField
+    drift: ScalarField
     epsilon: float
     delta: float
 
     @property
     def ndof(self) -> int:
         return self.A.shape[0]
-
-    def quad_data(self, cells: slice = slice(None)):  # quad_data of the pair's domain and drift
-        return quad_data(self.domain, self.sample.drift, cells)
 
 
 def quad_data(domain: GridDomain, drift: ScalarField, cells: slice = slice(None)):
@@ -187,10 +186,11 @@ def _stencil_csr(domain: GridDomain, makers) -> list[sp.csr_matrix]:
 
 
 def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> OperatorPair:
-    """Build the stiffness/mass pair over the interior DOFs; NonFiniteValue unless every weight is finite and > 0."""
-    sample = FieldSample(field, drift, domain.metric, domain)
-    epsilon, delta = tensor_eigen_range(sample.theta)  # raises NotPositiveDefinite early
+    """Build the stiffness/mass pair over the interior DOFs; NonFiniteValue unless every weight is finite and > 0.
 
+    T's extreme eigenvalues come from its chunks in the A pass, each read
+    by ``tensor_eigen_range``, which raises NotPositiveDefinite.
+    """
     N, dN = _reference_elements(domain.dim, domain.h)
     nq, nloc, n = dN.shape
     # every unordered local pair (i <= j) of every cell from products with a
@@ -209,13 +209,15 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
         return out
 
     weights = []  # each chunk's weights, from A's pass to B's, which takes them in the same order
+    eigen_ranges = []  # each chunk's (smallest, largest) eigenvalue of T
 
     def a_rows(cells):
-        _, dm, grad_factor = quad_data(domain, drift, cells)
+        pts, dm, grad_factor = quad_data(domain, drift, cells)
+        theta = field.matrix(pts)
+        eigen_ranges.append(tensor_eigen_range(theta))
         if not np.all((dm > 0.0) & np.isfinite(dm)):  # else B would be singular or non-finite
             raise NonFiniteValue("measure weight e^(-eta) W_g is not finite and positive at every quadrature point")
         weights.append(dm)
-        theta = sample.theta[cells.start * nq : cells.stop * nq]
         return ((dm * grad_factor)[:, None, None] * theta).reshape(-1, nq * n * n)
 
     A, B = _stencil_csr(
@@ -225,7 +227,8 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
             lambda: pair_values(lambda cells: weights.pop(0).reshape(-1, nq), N[:, iu] * N[:, ju]),
         ),
     )
-    return OperatorPair(A, B, domain, sample, epsilon, delta)
+    lows, highs = zip(*eigen_ranges)
+    return OperatorPair(A, B, domain, field, drift, min(lows), max(highs))
 
 
 @dataclass
@@ -286,7 +289,7 @@ def axis_factors(pair: OperatorPair) -> AxisFactors | None:
     they always do.  The constant of eta goes to axis 0, a constant T_aa to
     K_a and a profile to the axis it varies along.
     """
-    domain, field, drift = pair.domain, pair.sample.field, pair.sample.drift
+    domain, field, drift = pair.domain, pair.field, pair.drift
     n, metric = domain.dim, domain.metric
     entries = _diagonal_entries(field)
     if n < 2 or not domain.mask.all() or entries is None:
@@ -343,31 +346,77 @@ def project_function(domain: GridDomain, f: ScalarField) -> np.ndarray:
     return values
 
 
-def at_quadrature(pair: OperatorPair, u):
-    """The Q1 interpolant of a DOF vector at the quadrature points, chunk by chunk of cells.
+def at_quadrature(pair: OperatorPair, u, *others):
+    """The fields and the Q1 interpolants of DOF vectors at the quadrature points, chunk by chunk of cells.
 
-    Yields (q, pair.quad_data(cells), values, gradients) for ``even_chunks``
-    of at most ``QUAD_CELLS`` cells: q slices the chunk's rows of the Gauss
-    points, and values (len,) and gradients (len, n), coordinate partials,
-    are contiguous views of two buffers that the next chunk overwrites.
-    Each chunk gathers its cells' corner values and multiplies them by the
-    tables of shape values and of shape gradients; the chunks are never
-    one cell where the domain has more, so every value has the bits of one
-    product over all cells.  It holds one chunk and no copy of u.
+    Yields (sample, dm, grad_factor, values, gradients) for ``even_chunks``
+    of at most ``QUAD_CELLS`` cells: the FieldSample at the chunk's Gauss
+    points, their ``quad_data`` weights and metric factor, the values
+    (k, len) of u and the others, one contiguous row each, and the
+    coordinate gradients (len, n) of u, in buffers that the next chunk
+    overwrites.  Each vector's corner values are multiplied by the tables
+    of shape values (and gradients); no chunk is one cell where the domain
+    has more, so every value has the bits of one product over all cells.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != pair.ndof:
-        raise DimensionMismatch(f"expected {pair.ndof} entries, got {u.shape[0]}")
+    vectors = [np.asarray(v, dtype=float) for v in (u, *others)]
+    for v in vectors:
+        if v.shape[0] != pair.ndof:
+            raise DimensionMismatch(f"expected {pair.ndof} entries, got {v.shape[0]}")
     domain = pair.domain
     N, dN = _reference_elements(domain.dim, domain.h)
     nq, nloc, n = dN.shape
-    tables = np.ascontiguousarray(N.T), dN.transpose(1, 0, 2).reshape(nloc, -1)
+    value_table, grad_table = np.ascontiguousarray(N.T), dN.transpose(1, 0, 2).reshape(nloc, -1)
     chunks = even_chunks(domain.n_cells, QUAD_CELLS)
-    buffers = [np.empty((max(c.stop - c.start for c in chunks), t.shape[1])) for t in tables]
+    longest = max(c.stop - c.start for c in chunks)
+    values, grads = np.empty((len(vectors), longest * nq)), np.empty((longest, nq * n))
     for cells in chunks:
         dof = domain.dof_index()[domain.cell_corner_nodes(cells)]
-        corner_vals = u[dof]
-        corner_vals[dof < 0] = 0.0  # a Dirichlet corner
-        vals, grads = (np.matmul(corner_vals, t, out=b[: len(dof)]) for t, b in zip(tables, buffers))
+        ncell = len(dof)
+        for i, v in enumerate(vectors):
+            corner_vals = v[dof]
+            corner_vals[dof < 0] = 0.0  # a Dirichlet corner
+            np.matmul(corner_vals, value_table, out=values[i, : ncell * nq].reshape(ncell, nq))
+            if i == 0:
+                np.matmul(corner_vals, grad_table, out=grads[:ncell])
         del dof, corner_vals  # no gathered array lives beside the caller's work
-        yield slice(cells.start * nq, cells.stop * nq), pair.quad_data(cells), vals.reshape(-1), grads.reshape(-1, n)
+        pts, dm, grad_factor = quad_data(domain, pair.drift, cells)
+        sample = FieldSample(pair.field, pair.drift, domain.metric, pts)
+        yield sample, dm, grad_factor, values[:, : ncell * nq], grads[:ncell].reshape(-1, n)
+
+
+PAIRWISE_RUN = 2**11  # values per stream that pairwise_sums sums with one np.sum, at least numpy's 128-value block
+
+
+def pairwise_sums(chunks, m: int) -> list:
+    """The sums of k streams of m doubles, each with the bits of one np.sum over the whole stream.
+
+    ``chunks`` yields the next values of every stream, k fresh (len,)
+    arrays at a time.  np.sum adds to 0.0 the pairwise sum of a contiguous
+    array, which halves a run of n > 128 values at n // 2 rounded down to
+    a multiple of 8.  The same halving runs here down to runs of at most
+    ``PAIRWISE_RUN`` values, each summed by np.sum once its chunks are in,
+    so less than one run and one chunk per stream is held.  A run's own 0.0
+    changes at most the sign of a zero, which the last 0.0 undoes.
+    """
+    chunks, held = iter(chunks), []
+
+    def run(n: int) -> np.ndarray:
+        nonlocal held
+        while not held or len(held[0]) < n:
+            held = [h.copy() for h in held]  # the values left, without the buffers they view
+            new = next(chunks, None)
+            if new is None:
+                raise DimensionMismatch(f"expected {m} values per stream, got fewer")
+            held = [np.concatenate(pair) for pair in zip(held, new)] if held else list(new)
+        sums, held = [np.sum(h[:n]) for h in held], [h[n:] for h in held]
+        return np.array(sums)
+
+    return [float(x) for x in 0.0 + _pairwise(m, run)]
+
+
+def _pairwise(n: int, run) -> np.ndarray:
+    """run(length) of each run of the halving of n values, in order, added up the same tree."""
+    if n <= PAIRWISE_RUN:
+        return run(n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(half, run) + _pairwise(n - half, run)

@@ -529,46 +529,46 @@ def _cor32_integrals(spectrum: SpectrumResult, pair: assembly.OperatorPair, test
     |grad f|_g deviates from 1 by more than 1e-10 at some point.
 
     u_j is read once, chunk by chunk (``assembly.at_quadrature``), for all
-    test functions.  Each chunk fills its rows of every integral's (m,)
-    integrand, and each integral is one ``np.sum`` of its whole integrand,
-    so it has the bits of the same sum over whole-array products.  Only
-    the integrands exist at full size: the points, weights, grad f, T grad
-    u_j, L f and grad(L f) are per chunk.  A structurally zero L f or
-    grad(L f) has no integrand and gives 0.
+    test functions, and every quantity at the points is taken per chunk.
+    Each integral is summed chunk by chunk with the bits of one ``np.sum``
+    of its whole integrand (``assembly.pairwise_sums``).  A structurally zero
+    L f or grad(L f) has no integrand and gives 0.
     """
-    sample = pair.sample
-    # each label's three integrands; one stays None where L f or grad(L f) is a structural zero
-    integrands = {label: [np.empty(sample.size), None, None] for label in test_fns}
+    if not test_fns:
+        return {}
     defects = dict.fromkeys(test_fns, 0.0)
+    keys = []  # (label, 0, 1 or 2) of each integrand, I1, I2 or I3; I2 and I3 are absent where structurally zero
 
-    def put(terms, t, q, values):
-        if terms[t] is None:
-            terms[t] = np.empty(sample.size)
-        terms[t][q] = values
+    def integrands():
+        for sample, dm, grad_factor, (uj,), t_guj in assembly.at_quadrature(pair, spectrum.eigenvectors[:, j - 1]):
+            pts = sample.pts
+            t_guj[...] = sample.apply_T(t_guj)  # T grad u_j, over grad u_j
+            terms = {}
+            for label, test_fn in test_fns.items():
+                gf = test_fn.f.grad(pts)
+                some = slice(1) if gf.strides[0] == 0 and np.ndim(grad_factor) == 0 else slice(None)  # rho = 1, one row
+                defect = np.max(np.abs(gradient_norm(pair.domain.metric, pts[some], gf[some]) - 1.0))
+                defects[label] = np.maximum(defects[label], defect)  # a nan stays
+                i1 = np.einsum("qa,qa->q", t_guj, gf)
+                if np.ndim(grad_factor):  # else rho = 1
+                    i1 *= grad_factor
+                np.square(i1, out=i1)
+                i1 *= dm
+                terms[label, 0] = i1
+                lf, glf = test_fn.lf_and_grad(sample)
+                if lf is not None:
+                    terms[label, 1] = lf**2 * uj**2 * dm
+                if glf is not None:
+                    terms[label, 2] = grad_factor * np.einsum("qa,qa->q", glf, sample.apply_T(gf)) * uj**2 * dm
+            keys[:] = terms
+            yield list(terms.values())
 
-    for q, (pts, dm, grad_factor), uj, t_guj in assembly.at_quadrature(pair, spectrum.eigenvectors[:, j - 1]):
-        t_guj[...] = sample.apply_T(t_guj, q)  # T grad u_j, over grad u_j
-        for label, test_fn in test_fns.items():
-            gf = test_fn.f.grad(pts)
-            some = slice(1) if gf.strides[0] == 0 and np.ndim(grad_factor) == 0 else slice(None)  # rho = 1, one row
-            defect = np.max(np.abs(gradient_norm(pair.domain.metric, pts[some], gf[some]) - 1.0))
-            defects[label] = np.maximum(defects[label], defect)  # a nan stays
-            terms = integrands[label]
-            i1 = terms[0][q]
-            np.einsum("qa,qa->q", t_guj, gf, out=i1)
-            if np.ndim(grad_factor):  # else rho = 1
-                i1 *= grad_factor
-            np.square(i1, out=i1)
-            i1 *= dm
-            lf, glf = test_fn.lf_and_grad(sample, q)
-            if lf is not None:
-                put(terms, 1, q, lf**2 * uj**2 * dm)
-            if glf is not None:
-                put(terms, 2, q, grad_factor * np.einsum("qa,qa->q", glf, sample.apply_T(gf, q)) * uj**2 * dm)
+    sums = assembly.pairwise_sums(integrands(), pair.domain.n_cells * 2**pair.domain.dim)
     for label, defect in defects.items():
         if defect > 1e-10:
             raise UnitGradientViolation(f"{label}: |grad f|_g deviates from 1 by {float(defect):.3e}")
-    return {label: tuple(0.0 if x is None else float(np.sum(x)) for x in terms) for label, terms in integrands.items()}
+    totals = dict(zip(keys, sums))
+    return {label: tuple(totals.get((label, t), 0.0) for t in range(3)) for label in test_fns}
 
 
 def cor32_check(
@@ -621,37 +621,26 @@ def cor32_check(
 LEMMA32_ROWS = 8  # rows k = 1..8 at most, as far as the spectrum reaches lambda_{k+2}
 
 
-def _lemma32_integrals(pair: assembly.OperatorPair, uj_vec: np.ndarray, g: ScalarField) -> tuple:
-    """int |grad g|_T^2 u_j^2 dm, int (2 <T grad u_j, grad g> + u_j L g)^2 dm, int g^2 u_j^2 dm and g u_j.
+def _lemma32_integrals(pair: assembly.OperatorPair, uj_vec: np.ndarray, g: ScalarField, others) -> list:
+    """int |grad g|_T^2 u_j^2 dm, int (2 <T grad u_j, grad g> + u_j L g)^2 dm and int g^2 u_j^2 dm,
+    then the cross term int g u_j u dm of each DOF vector u in ``others``.
 
-    u_j is read chunk by chunk (``assembly.at_quadrature``) and every
-    quantity at the points is taken per chunk; each integral is one
-    ``np.sum`` of its whole (m,) integrand, as in ``_cor32_integrals``.
-    g u_j (m,) is kept for ``_cross_integral``; the third integrand's weights come once the first two are summed.
+    u_j and the others are read in one pass, chunk by chunk
+    (``assembly.at_quadrature``), every quantity at the points is taken
+    per chunk, and each integral is summed as in ``_cor32_integrals``.
     """
-    sample = pair.sample
-    igg, ib, guj = (np.empty(sample.size) for _ in range(3))
-    for q, (pts, dm, grad_factor), uj, grad_uj in assembly.at_quadrature(pair, uj_vec):
-        gg = g.grad(pts)
-        igg[q] = grad_factor * np.einsum("qa,qa->q", gg, sample.apply_T(gg, q)) * uj**2 * dm
-        cross_grad = grad_factor * np.einsum("qa,qa->q", sample.apply_T(grad_uj, q), gg)
-        ib[q] = (2.0 * cross_grad + uj * apply_operator_L(sample, g, q)) ** 2 * dm
-        np.multiply(g.value(pts), uj, out=guj[q])
-    igg, ib = float(np.sum(igg)), float(np.sum(ib))
-    igu = np.square(guj)
-    nq = 2**pair.domain.dim
-    for cells in assembly.even_chunks(pair.domain.n_cells, assembly.QUAD_CELLS):
-        igu[cells.start * nq : cells.stop * nq] *= pair.quad_data(cells)[1]
-    return igg, ib, float(np.sum(igu)), guj
 
+    def integrands():
+        for sample, dm, grad_factor, (uj, *modes), grad_uj in assembly.at_quadrature(pair, uj_vec, *others):
+            pts = sample.pts
+            gg = g.grad(pts)
+            igg = grad_factor * np.einsum("qa,qa->q", gg, sample.apply_T(gg)) * uj**2 * dm
+            cross_grad = grad_factor * np.einsum("qa,qa->q", sample.apply_T(grad_uj), gg)
+            ib = (2.0 * cross_grad + uj * apply_operator_L(sample, g)) ** 2 * dm
+            guj = g.value(pts) * uj
+            yield [igg, ib, np.square(guj) * dm, *(guj * u * dm for u in modes)]
 
-def _cross_integral(pair: assembly.OperatorPair, guj: np.ndarray, vec: np.ndarray) -> float:
-    """int g u_j u dm for the DOF vector u, from g u_j at the points; u read chunk by chunk, one np.sum."""
-    integrand = np.empty(guj.size)
-    for q, (_, dm, _), u, _ in assembly.at_quadrature(pair, vec):
-        np.multiply(guj[q], u, out=integrand[q])
-        integrand[q] *= dm
-    return float(np.sum(integrand))
+    return assembly.pairwise_sums(integrands(), pair.domain.n_cells * 2**pair.domain.dim)
 
 
 def lemma32_check(
@@ -681,7 +670,14 @@ def lemma32_check(
     """
     lam = spectrum.eigenvalues
     labels = multiplet_labels(lam)
-    igg, ib, igu, guj = _lemma32_integrals(pair, spectrum.eigenvectors[:, j - 1], g)
+    rows_k = list(_rows(lam, j, min(LEMMA32_ROWS, lam.size - 2)))
+    # the index of each admissible row's multiplet members; each eigenvector is read once, beside u_j
+    members = {k: np.flatnonzero(labels == labels[k]) for k, _, _, reason in rows_k if not reason}
+    read = sorted(set().union(*members.values()))
+    igg, ib, igu, *cross_terms = _lemma32_integrals(
+        pair, spectrum.eigenvectors[:, j - 1], g, [spectrum.eigenvectors[:, i] for i in read]
+    )
+    cross_of = dict(zip(read, cross_terms))
 
     # the span check runs on the nodal product vector, in the B inner product
     w = assembly.project_function(pair.domain, g) * spectrum.eigenvectors[:, j - 1]
@@ -690,13 +686,12 @@ def lemma32_check(
 
     lam_j = float(lam[j - 1])
     rows = []
-    for k, l_k1, l_k2, reason in _rows(lam, j, min(LEMMA32_ROWS, lam.size - 2)):
+    for k, l_k1, l_k2, reason in rows_k:
         if reason:
             rows.append(VerdictRow(k, "skipped", reason=reason))
             continue
         # the norm of g u_j's projection onto the whole multiplet of l_{k+1}, whatever its basis
-        members = np.flatnonzero(labels == labels[k]) + 1
-        cross = math.hypot(*(_cross_integral(pair, guj, spectrum.eigenvectors[:, i - 1]) for i in members))
+        cross = math.hypot(*(cross_of[i] for i in members[k]))
         basis = spectrum.eigenvectors[:, : k + 1]
         resid_vec = w - basis @ (basis.T @ bw)
         resid = float(np.sqrt(max(resid_vec @ (pair.B @ resid_vec), 0.0)))

@@ -438,46 +438,34 @@ def _sum(*terms):
 
 
 class FieldSample:
-    """T, eta and their derivatives at m points, each evaluated at most once.
+    """T, eta and their derivatives at the (m, n) points ``pts``, such as one chunk of Gauss points.
 
-    The points are an (m, n) array or a GridDomain's Gauss points, formed
-    from its grid for each evaluation and not kept (``points``).  Every
-    array is computed on its first read: theta (m, n, n), dT
-    (m, n, n, n), grad_div (m, n, n), ge (m, n), he (m, n, n), rho (m,) and the
-    shared contractions div (m, n), tge = T d eta, v = tge - div and dv with
-    [q, i, j] = d_i v_j; b = grad rho (n,) is the metric's.  A derivative that
-    the field's degree makes zero is None, a structural zero, not an array: dT
-    and grad_div of a constant tensor, ge of a constant drift, he of a constant
-    or affine one, rho and b where rho = 1, and a contraction of such zeros.
-    Every reader skips the terms with such a factor.
+    Every array is computed once, on its first read: theta (m, n, n), dT
+    (m, n, n, n), grad_div (m, n, n), ge (m, n), he (m, n, n), rho (m,) and
+    the shared contractions christoffel (m, n), div (m, n), tge = T d eta,
+    v = tge - div and dv with [q, i, j] = d_i v_j; b = grad rho (n,) is the
+    metric's.  A derivative that the field's degree makes zero is None, a
+    structural zero, not an array: dT and grad_div of a constant tensor, ge
+    of a constant drift, he of a constant or affine one, rho and b where
+    rho = 1, and a contraction of such zeros.  Every reader skips the terms
+    with such a factor.
     """
 
-    def __init__(self, field: TensorField, drift: ScalarField, metric: MetricModel, points):
-        self.field, self.drift, self.metric, self._points = field, drift, metric, points
+    def __init__(self, field: TensorField, drift: ScalarField, metric: MetricModel, pts: np.ndarray):
+        self.field, self.drift, self.metric, self.pts = field, drift, metric, pts
         self.b = metric.grad_rho
-        self.size = points.n_cells * 2**metric.dim if isinstance(points, GridDomain) else len(points)
-
-    def points(self, q: slice = slice(None)) -> np.ndarray:
-        """The (len, n) points at rows q (all by default); on a domain, q spans whole cells."""
-        if isinstance(self._points, GridDomain):  # q spans whole cells of nq = 2^n points
-            start, stop, _ = q.indices(self.size)
-            return self._points.quadrature(slice(start // 2**self.metric.dim, stop // 2**self.metric.dim))[0]
-        return self._points[q]
 
     def _derivative(self, f, order: int, evaluate):
         if _vanishes(f, order):
             return None
         try:
-            return evaluate(self.points())
+            return evaluate(self.pts)
         except NotImplementedError as exc:
             raise DerivativeUnavailable(f"{type(f).__name__} has no order-{order} derivatives") from exc
 
     @cached_property
     def theta(self) -> np.ndarray:
-        if self.field.degree == 0:  # one matrix, read at the first cell and broadcast over every point
-            mat = self.field.matrix(self.points(slice(2**self.metric.dim)))[0]
-            return np.broadcast_to(mat, (self.size,) + mat.shape)
-        return self.field.matrix(self.points())
+        return self.field.matrix(self.pts)
 
     @cached_property
     def dT(self) -> np.ndarray | None:
@@ -497,7 +485,12 @@ class FieldSample:
 
     @cached_property
     def rho(self) -> np.ndarray | None:
-        return None if self.b is None else self.metric.rho(self.points())
+        return None if self.b is None else self.metric.rho(self.pts)
+
+    @cached_property
+    def christoffel(self) -> np.ndarray | None:
+        """tr(T) b - n T b, rho times the Christoffel part of tr(nabla T); None where rho = 1."""
+        return None if self.b is None else _christoffel_part(self.theta, self.b)
 
     @cached_property
     def div(self) -> np.ndarray | None:
@@ -520,13 +513,13 @@ class FieldSample:
             None if self.dT is None or self.ge is None else np.einsum("qijm,qm->qij", self.dT, self.ge),
         )
 
-    def apply_T(self, v: np.ndarray, q: slice = slice(None)) -> np.ndarray:
-        """T v at the points q (all by default), for v with one row per point."""
+    def apply_T(self, v: np.ndarray) -> np.ndarray:
+        """T v, for v with one row per point."""
         if self.field.degree == 0:
             return v @ self.theta[0].T
         if isinstance(self.field, DiagonalTensor):  # its exactly zero off-diagonal terms add nothing
-            return np.diagonal(self.theta[q], axis1=1, axis2=2) * v
-        return np.einsum("qab,qb->qa", self.theta[q], v)
+            return np.diagonal(self.theta, axis1=1, axis2=2) * v
+        return np.einsum("qab,qb->qa", self.theta, v)
 
 
 def trace_nabla_T(sample: FieldSample) -> np.ndarray | None:
@@ -535,10 +528,7 @@ def trace_nabla_T(sample: FieldSample) -> np.ndarray | None:
     That is rho sum_j d_j T_.j + tr(T) b - n T b.  None where it vanishes
     structurally: a constant T in Euclidean space.
     """
-    return _sum(
-        _scaled(sample.rho, sample.div),
-        None if sample.b is None else _christoffel_part(sample.theta, sample.b),
-    )
+    return _sum(_scaled(sample.rho, sample.div), sample.christoffel)
 
 
 def compute_T0(sample: FieldSample) -> float:
@@ -562,7 +552,7 @@ def compute_C0(sample: FieldSample) -> float:
         None if b is None or dT is None else -_christoffel_part(dT, b),
         None if b is None or v is None else np.tensordot(v, b, axes=0).swapaxes(1, 2),  # b_i v_j
     )
-    V = _sum(_scaled(rho, v), None if b is None else -_christoffel_part(theta, b))
+    V = _sum(_scaled(rho, v), None if b is None else -sample.christoffel)
     div_w = _sum(
         None if div is None else np.einsum("qj,qj->q", div, V),
         None if dV is None else np.einsum("qij,qij->q", theta, dV),
@@ -590,7 +580,7 @@ def compute_eta_radial_constants(sample: FieldSample, origin: np.ndarray) -> tup
     (geometry.domain_origin_distance checks that).
     """
     ge, he, b = sample.ge, sample.he, sample.b
-    v = radial_unit_vector(sample.metric, origin, sample.points())
+    v = radial_unit_vector(sample.metric, origin, sample.pts)
     if b is not None and ge is not None:
         # covariant Hessian he - Gamma(d eta) = he + b_i g_j + b_j g_i - d_ij <b, g>, g = d eta / rho
         g = (1.0 / sample.rho)[:, None] * ge
@@ -601,15 +591,9 @@ def compute_eta_radial_constants(sample: FieldSample, origin: np.ndarray) -> tup
     return eta1, eta_r
 
 
-def _take_rows(x: np.ndarray | None, q: slice) -> np.ndarray | None:
-    """The rows q of a sampled array; None, a structural zero, stays None."""
-    return None if x is None else x[q]
-
-
-def apply_operator_L(sample: FieldSample, f: ScalarField, q: slice = slice(None)) -> np.ndarray:
-    """Pointwise L f = div(T(grad f)) - <grad eta, T(grad f)> at the sample points q (all by default)."""
-    pts, theta, b = sample.points(q), sample.theta[q], sample.b
-    v, rho = _take_rows(sample.v, q), _take_rows(sample.rho, q)
+def apply_operator_L(sample: FieldSample, f: ScalarField) -> np.ndarray:
+    """Pointwise L f = div(T(grad f)) - <grad eta, T(grad f)> at the sample points."""
+    pts, theta, b, v, rho = sample.pts, sample.theta, sample.b, sample.v, sample.rho
     gf = f.grad(pts)
     hf = None if _vanishes(f, 2) else f.hess(pts)
     # div_0(T df) - <d eta, T df> = <div T, df> + T : Hess_0 f - <T d eta, df> = T : Hess_0 f - <v, df>
@@ -631,9 +615,8 @@ def apply_operator_L(sample: FieldSample, f: ScalarField, q: slice = slice(None)
 class OperatorTestFunction:
     """A closed-form f bundled with analytic L f and grad(L f).
 
-    lf_and_grad(sample, q) returns (L f, grad(L f)), one value and one
-    n-vector per point, at the points q of a FieldSample (all by default),
-    with None for a structural zero.
+    lf_and_grad(sample) returns (L f, grad(L f)), one value and one
+    n-vector per point of a FieldSample, with None for a structural zero.
     """
 
     f: ScalarField
@@ -652,16 +635,15 @@ def axis_test_function(metric: MetricModel, axis: int) -> OperatorTestFunction:
         raise ValueError(f"no unit-gradient test function along axis {axis}: rho varies along another axis")
     f = AffineScalar(unit) if b is None else LogAxisScalar(n, axis)
 
-    def lf_and_grad(s: FieldSample, q: slice = slice(None)):
-        rho = _take_rows(s.rho, q)
-        u = None if s.v is None else -s.v[q, axis]
-        du = None if s.dv is None else -s.dv[q, :, axis]
-        lf = _sum(_scaled(rho, u), None if b is None else (1 - n) * (s.theta[q, axis, :] @ b))
+    def lf_and_grad(s: FieldSample):
+        u = None if s.v is None else -s.v[:, axis]
+        du = None if s.dv is None else -s.dv[:, :, axis]
+        lf = _sum(_scaled(s.rho, u), None if b is None else (1 - n) * (s.theta[:, axis, :] @ b))
         grad = _sum(
             None if b is None or u is None else np.tensordot(u, b, axes=0),
-            _scaled(rho, du),
+            _scaled(s.rho, du),
             # an einsum, not @: dT[:, :, axis, :] is a strided view
-            None if b is None or s.dT is None else (1 - n) * np.einsum("qkm,m->qk", s.dT[q, :, axis, :], b),
+            None if b is None or s.dT is None else (1 - n) * np.einsum("qkm,m->qk", s.dT[:, :, axis, :], b),
         )
         return lf, grad
 

@@ -146,6 +146,8 @@ class ScenarioConfig:
         # type() is int, not int(): int() truncates 16.7 and accepts "16"; bool is an int subclass
         if not all(type(r) is int for r in self.resolution):
             raise ConfigError(f"resolution must be integers, got {self.resolution}")
+        if not all(r >= 2 for r in self.resolution):
+            raise ConfigError(f"resolution must be >= 2 per axis, got {self.resolution}")
         if self.solver.k != "full" and not (type(self.solver.k) is int and self.solver.k >= 1):
             raise ConfigError(f"solver k must be 'full' or an integer >= 1, got {self.solver.k!r}")
         if type(self.solver.seed) is not int or self.solver.seed < 0:
@@ -414,13 +416,16 @@ def build_problem(cfg: ScenarioConfig):
 
 
 def collect_constants(cfg, pair: assembly.OperatorPair) -> fields.OperatorConstants:
-    """The bound constants, from the quadrature sample the pair was assembled on."""
-    domain, sample = pair.domain, pair.sample
+    """The bound constants; each supremum is the largest of its values on the chunks of the pair's Gauss points.
+
+    Where T and eta are constant and rho = 1, every term of t0 and c0 is a
+    structural zero: both are 0 and no point is formed.
+    """
+    domain, field, drift = pair.domain, pair.field, pair.drift
     metric = domain.metric
-    t0 = fields.compute_T0(sample)
-    c0 = fields.compute_C0(sample)
-    prov = {"epsilon": "computed", "delta": "computed", "t0": "computed", "c0": "computed"}
-    kwargs = {"n": metric.dim, "epsilon": pair.epsilon, "delta": pair.delta, "t0": t0, "c0": c0}
+    kwargs = {"n": metric.dim, "epsilon": pair.epsilon, "delta": pair.delta, "h0": 0.0}
+    prov = {"epsilon": "computed", "delta": "computed", "t0": "computed", "c0": "computed", "h0": "forced 0 (Euclidean)"}
+    origin = None
     if metric.is_hyperbolic:
         kwargs["h0"] = cfg.h0 if cfg.h0 is not None else 0.0
         prov["h0"] = "config"
@@ -430,14 +435,18 @@ def collect_constants(cfg, pair: assembly.OperatorPair) -> fields.OperatorConsta
             prov["kappa1"] = prov["kappa2"] = "config"
         if cfg.origin is not None:
             origin = np.array(cfg.origin)
-            kwargs["d"] = geometry.domain_origin_distance(domain, origin)
+            kwargs["d"] = geometry.domain_origin_distance(domain, origin)  # checks the origin before eta1 reads it
             prov["d"] = "computed (grid approximation from above)"
-            eta1, eta_r = fields.compute_eta_radial_constants(sample, origin)
-            kwargs["eta1"], kwargs["eta_r"] = eta1, eta_r
             prov["eta1"] = prov["eta_r"] = "computed"
-    else:
-        kwargs["h0"] = 0.0
-        prov["h0"] = "forced 0 (Euclidean)"
+    vanish = field.degree == 0 and drift.degree == 0 and not metric.is_hyperbolic
+    sups = []  # per chunk: t0, c0 and, with an origin, eta1 and eta_r
+    for cells in [] if vanish else assembly.even_chunks(domain.n_cells, assembly.QUAD_CELLS):
+        sample = fields.FieldSample(field, drift, metric, domain.quadrature(cells)[0])
+        sups.append((fields.compute_T0(sample), fields.compute_C0(sample)))
+        if origin is not None:
+            sups[-1] += fields.compute_eta_radial_constants(sample, origin)
+    # np.max, not max: a nan on any chunk stays
+    kwargs.update(zip(("t0", "c0", "eta1", "eta_r"), np.max(sups, axis=0).tolist() if sups else (0.0, 0.0)))
     return fields.OperatorConstants(provenance=prov, **kwargs)
 
 

@@ -6,17 +6,18 @@ its masked cells, as the package did before it formed them per chunk of
 cells.  ``interpolate_at_quadrature`` reads a DOF vector at every Gauss
 point in one product, and the integral functions form the cor32 and
 lemma32 integrals from whole (m,) and (m, n) arrays, as the package did
-before it read the eigenvectors by chunks of cells.  They take the
-arguments and return the values of ``bounds._cor32_integrals``,
-``bounds._lemma32_integrals`` and ``bounds._cross_integral``, so a test can
-put them in their place.
+before it read the eigenvectors by chunks of cells, and sum each integrand
+with one ``np.sum``.  They take the arguments and return the values of
+``bounds._cor32_integrals`` and ``bounds._lemma32_integrals``, so a test can
+put them in their place; ``cross_integrals`` forms the lemma32 cross terms
+of a block of vectors.
 """
 
 import numpy as np
 
 from etagap import assembly
 from etagap.errors import DimensionMismatch, NonFiniteValue, UnitGradientViolation
-from etagap.fields import apply_operator_L
+from etagap.fields import FieldSample, apply_operator_L
 from etagap.geometry import gauss_rule, gradient_norm, inverse_metric_factor, volume_weight
 
 
@@ -60,21 +61,27 @@ def interpolate_at_quadrature(pair, u):
     return out[:, 0], out[:, 1:]
 
 
-def _mode(pair, u):
+def _sample(pair):
+    """The FieldSample at every Gauss point, their (m,) measure weights and metric gradient factor."""
+    pts, dm, grad_factor = quad_data(pair.domain, pair.drift)
+    return FieldSample(pair.field, pair.drift, pair.domain.metric, pts), dm, grad_factor
+
+
+def _mode(sample, pair, u):
     """(u, T grad u) at all Gauss points; a constant T written over grad u by chunks of points."""
     u, gu = interpolate_at_quadrature(pair, u)
-    if pair.sample.field.degree != 0:
-        return u, pair.sample.apply_T(gu)
+    if pair.field.degree != 0:
+        return u, sample.apply_T(gu)
     for q in assembly.even_chunks(gu.shape[0], assembly.CHUNK_ROWS):
-        gu[q] = pair.sample.apply_T(gu[q])
+        gu[q] = sample.apply_T(gu[q])
     return u, gu
 
 
 def cor32_integrals(spectrum, pair, test_fns, j):
     """(I1, I2, I3) of each test function, by label, from whole arrays."""
-    pts, dm, grad_factor = quad_data(pair.domain, pair.sample.drift)
-    sample = pair.sample
-    uj, t_guj = _mode(pair, spectrum.eigenvectors[:, j - 1])
+    sample, dm, grad_factor = _sample(pair)
+    pts = sample.pts
+    uj, t_guj = _mode(sample, pair, spectrum.eigenvectors[:, j - 1])
     out = {}
     for label, test_fn in test_fns.items():
         gf = test_fn.f.grad(pts)
@@ -94,19 +101,20 @@ def cor32_integrals(spectrum, pair, test_fns, j):
     return out
 
 
-def lemma32_integrals(pair, uj_vec, g):
-    """The three lemma32 integrals and g u_j at the points, from whole arrays."""
-    pts, dm, grad_factor = quad_data(pair.domain, pair.sample.drift)
-    sample = pair.sample
-    uj, t_guj = _mode(pair, uj_vec)
+def lemma32_integrals(pair, uj_vec, g, others):
+    """The three lemma32 integrals, then the cross term of each vector in ``others``, from whole arrays."""
+    sample, dm, grad_factor = _sample(pair)
+    pts = sample.pts
+    uj, t_guj = _mode(sample, pair, uj_vec)
     gv, gg, lg = g.value(pts), g.grad(pts), apply_operator_L(sample, g)
     igg = float(np.sum(grad_factor * np.einsum("qa,qa->q", gg, sample.apply_T(gg)) * uj**2 * dm))
     cross_grad = grad_factor * np.einsum("qa,qa->q", t_guj, gg)
     ib = float(np.sum((2.0 * cross_grad + uj * lg) ** 2 * dm))
     igu = float(np.sum((gv * uj) ** 2 * dm))
-    return igg, ib, igu, gv * uj
+    return [igg, ib, igu, *cross_integrals(pair, gv * uj, others)]
 
 
-def cross_integral(pair, guj, vec):
-    """int g u_j u dm from whole arrays."""
-    return float(np.sum(guj * interpolate_at_quadrature(pair, vec)[0] * quad_data(pair.domain, pair.sample.drift)[1]))
+def cross_integrals(pair, guj, vectors):
+    """int g u_j u dm for each DOF vector u of a block, from g u_j at every point and whole arrays."""
+    dm = quad_data(pair.domain, pair.drift)[1]
+    return [float(np.sum(guj * interpolate_at_quadrature(pair, u)[0] * dm)) for u in vectors]

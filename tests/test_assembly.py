@@ -143,7 +143,7 @@ class TestDiscreteBilinearForm:
         u, v = rng.standard_normal(pair.ndof), rng.standard_normal(pair.ndof)
         _, gu = interpolate_at_quadrature(pair, u)
         _, gv = interpolate_at_quadrature(pair, v)
-        pts, dm, factor = ref.quad_data(pair.domain, pair.sample.drift)
+        pts, dm, factor = ref.quad_data(pair.domain, pair.drift)
         theta = field.matrix(pts)
         form = float(np.sum(factor * np.einsum("qa,qab,qb->q", gv, theta, gu) * dm))
         assert v @ (pair.A @ u) == pytest.approx(form, rel=1e-12)
@@ -155,7 +155,7 @@ class TestDiscreteBilinearForm:
         u, v = rng.standard_normal(pair.ndof), rng.standard_normal(pair.ndof)
         uu, _ = interpolate_at_quadrature(pair, u)
         vv, _ = interpolate_at_quadrature(pair, v)
-        _, dm, _ = ref.quad_data(pair.domain, pair.sample.drift)
+        _, dm, _ = ref.quad_data(pair.domain, pair.drift)
         assert v @ (pair.B @ u) == pytest.approx(float(np.sum(vv * uu * dm)), rel=1e-12)
 
 
@@ -246,18 +246,20 @@ class TestChunkedReader:
 
         monkeypatch.setattr(assembly, "QUAD_CELLS", cells)
         pair = assemble(_interp_domain(dim), identity_tensor(dim), ConstantScalar(dim))
-        u = np.random.default_rng(dim).standard_normal(pair.ndof)
+        u, w = np.random.default_rng(dim).standard_normal((2, pair.ndof))
         vals, grads = interpolate_at_quadrature(pair, u)
-        whole = ref.quad_data(pair.domain, pair.sample.drift)
+        w_vals, _ = interpolate_at_quadrature(pair, w)
+        whole = ref.quad_data(pair.domain, pair.drift)
         seen, stop = 0, 0
-        for q, quad, v, g in assembly.at_quadrature(pair, u):
-            assert q.start == stop and v.shape == (q.stop - q.start,) and g.shape == (v.size, dim)
-            assert np.array_equal(v, vals[q]) and np.array_equal(g, grads[q])
-            assert v.flags.c_contiguous and g.flags.c_contiguous
-            assert np.array_equal(quad[0], whole[0][q]) and np.array_equal(quad[1], whole[1][q])
-            assert quad[2] == 1.0 if dim == 3 else np.array_equal(quad[2], whole[2][q])
+        for sample, dm, grad_factor, v, g in assembly.at_quadrature(pair, u, w):
+            q = slice(stop, stop + dm.size)
+            assert v.shape == (2, dm.size) and g.shape == (dm.size, dim)
+            assert np.array_equal(v[0], vals[q]) and np.array_equal(v[1], w_vals[q]) and np.array_equal(g, grads[q])
+            assert v[0].flags.c_contiguous and v[1].flags.c_contiguous and g.flags.c_contiguous
+            assert np.array_equal(sample.pts, whole[0][q]) and np.array_equal(dm, whole[1][q])
+            assert grad_factor == 1.0 if dim == 3 else np.array_equal(grad_factor, whole[2][q])
             seen, stop = seen + 1, q.stop
-        assert stop == pair.sample.size == whole[1].size
+        assert stop == whole[1].size
         assert seen == -(-pair.domain.n_cells // cells)
 
     @pytest.mark.parametrize("size", [3, 4, 7, 512, 8192])
@@ -277,6 +279,35 @@ class TestChunkedReader:
         pair = assemble(_interp_domain(2), identity_tensor(2), ConstantScalar(2))
         with pytest.raises(DimensionMismatch):
             next(assembly.at_quadrature(pair, np.zeros(pair.ndof + 1)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 136, 257, 1000, 2048, 2049, 4099, 20000, 70001, 300007])
+def test_pairwise_sum_has_the_bits_of_np_sum(m):
+    """Fed in chunks of random length, every stream sums to the double np.sum gives over it whole, -0.0, inf and nan included."""
+    from etagap.assembly import pairwise_sums
+
+    rng = np.random.default_rng(m)
+    rows = rng.standard_normal((4, m)) * np.exp(rng.uniform(-30.0, 30.0, (4, m)))
+    rows[1] = -0.0
+    rows[2, m // 2] = np.inf
+    rows[3, [m // 4, m // 2, 3 * m // 4]] = np.inf, -np.inf, np.nan
+
+    def chunks():
+        start = 0
+        while start < m:
+            stop = start + int(rng.integers(1, 6000))
+            yield list(rows[:, start:stop])
+            start = stop
+
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and overflow, as np.sum meets them too
+        assert [v.hex() for v in pairwise_sums(chunks(), m)] == [float(np.sum(r)).hex() for r in rows]
+
+
+def test_pairwise_sum_needs_every_value():
+    from etagap.assembly import pairwise_sums
+
+    with pytest.raises(DimensionMismatch):
+        pairwise_sums([np.ones((2, 299))], 300)
 
 
 def test_quad_data_holds_no_ones_where_rho_is_one():
@@ -307,9 +338,9 @@ def coo_mirror_reference(pair):
     n = domain.dim
     nq = 2**n
     ncell = domain.n_cells
-    _, dm, grad_factor = ref.quad_data(domain, pair.sample.drift)
+    pts, dm, grad_factor = ref.quad_data(domain, pair.drift)
     dm, grad_factor = dm.reshape(ncell, nq), grad_factor.reshape(ncell, nq)
-    theta = pair.sample.theta.reshape(ncell, nq, n, n)
+    theta = pair.field.matrix(pts).reshape(ncell, nq, n, n)
     N, dN = _reference_elements(n, domain.h)
     iu, ju = np.triu_indices(N.shape[1])
     grad_pairs = np.einsum("qia,qjb->qabij", dN, dN)[..., iu, ju].reshape(nq * n * n, -1)
@@ -416,7 +447,7 @@ def test_assemble_working_set():
     tracemalloc.start()
     try:
         pair = assemble(domain, tensor, drift)
-        peak = tracemalloc.get_traced_memory()[1] / (8.0 * pair.sample.size)
+        peak = tracemalloc.get_traced_memory()[1] / (8.0 * domain.n_cells * 4)
     finally:
         tracemalloc.stop()
     assert peak <= 14.5
@@ -512,15 +543,15 @@ class TestModeCache:
         return ScenarioConfig.from_dict(raw)
 
     def _count(self, monkeypatch):
-        """The DOF vectors that ``assembly.at_quadrature`` is asked to read, as bytes, in call order."""
+        """The DOF vectors that each call of ``assembly.at_quadrature`` is asked to read, as bytes, in call order."""
         from etagap import assembly
 
         seen = []
         inner = assembly.at_quadrature
 
-        def counting(pair, u):
-            seen.append(np.asarray(u).tobytes())
-            return inner(pair, u)
+        def counting(pair, *vectors):
+            seen.append([np.asarray(u).tobytes() for u in vectors])
+            return inner(pair, *vectors)
 
         monkeypatch.setattr(assembly, "at_quadrature", counting)
         return seen
@@ -532,10 +563,12 @@ class TestModeCache:
         seen = self._count(monkeypatch)
         rep = run_scenario(self._config(), write=False)
         assert {r.extra["test_function"] for r in rep.rows["cor32"]} == {"x1", "x2"}
-        assert seen == [rep.spectrum.eigenvectors[:, 0].tobytes()]
+        assert seen == [[rep.spectrum.eigenvectors[:, 0].tobytes()]]
 
-    def test_lemma32_interpolates_each_vector_at_most_once(self, monkeypatch):
+    def test_lemma32_reads_every_vector_in_one_pass(self, monkeypatch):
+        # one call: u_1, then each eigenvector of the multiplet of l_{k+1} of an admissible row k, once
         from etagap.scenario import run_scenario
+        from etagap.spectral import multiplet_labels
 
         seen = self._count(monkeypatch)
         cfg = self._config(
@@ -544,5 +577,8 @@ class TestModeCache:
             verify=["lemma32"],
         )
         rep = run_scenario(cfg, write=False)
-        assert len(rep.rows["lemma32"]) > 2
-        assert len(seen) == len(set(seen)) > 2
+        rows, vecs = rep.rows["lemma32"], rep.spectrum.eigenvectors
+        labels = multiplet_labels(rep.spectrum.eigenvalues)
+        members = sorted({i for r in rows if r.claims for i in np.flatnonzero(labels == labels[r.k])})
+        assert len(rows) > 2 and len(members) > 2
+        assert seen == [[vecs[:, 0].tobytes()] + [vecs[:, i].tobytes() for i in members]]

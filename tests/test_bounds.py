@@ -9,7 +9,7 @@ from conftest import sides
 from quadrature_reference import interpolate_at_quadrature
 
 from etagap import bounds
-from etagap.assembly import assemble
+from etagap.assembly import assemble, quad_data
 from etagap.bounds import (
     LEMMA31_CHUNK,
     Lemma31Instance,
@@ -688,7 +688,7 @@ class TestCor32:
         # I1 <= delta lambda_j at the relative tolerance of holds, 1e-12
         pair, spectrum = square_setup
         _, gu = interpolate_at_quadrature(pair, spectrum.eigenvectors[:, 0])
-        _, dm, _ = pair.quad_data()
+        _, dm, _ = quad_data(pair.domain, pair.drift)
         i1 = float(np.sum(gu[:, 0] ** 2 * dm))  # T = id, f = x1 and rho = 1
         delta = i1 / (ratio * spectrum.eigenvalues[0])
         consts = trivial_consts(2, epsilon=delta, delta=delta)
@@ -743,17 +743,18 @@ def _traced_peak(pair, call):
     tracemalloc.start()
     try:
         out = call()
-        peak = tracemalloc.get_traced_memory()[1] / (8.0 * pair.sample.size)
+        peak = tracemalloc.get_traced_memory()[1] / (8.0 * pair.domain.n_cells * 2**pair.domain.dim)
     finally:
         tracemalloc.stop()
     return out, peak
 
 
 def test_cor32_working_set(square128):
-    """u_j is read by chunks of cells, so cor32 holds one (m,) I1 integrand per test function
-    (two here; L f = 0) and one chunk: at most 2.5 doubles per quadrature point.
+    """u_j is read and every integral summed by chunks of cells, so cor32 holds no per-point array:
+    at most 2.5 doubles per quadrature point (0.83 measured, with chunks of 1024 of the 16384 cells).
 
-    The whole-array interpolation held an (m, 1 + n) mode array beside its
+    Holding one (m,) I1 integrand per test function took 2.4; the
+    whole-array interpolation held an (m, 1 + n) mode array beside its
     corner index and values, 5.14 doubles per point in all.
     """
     pair, spectrum = square128
@@ -764,8 +765,10 @@ def test_cor32_working_set(square128):
 
 
 def test_lemma32_working_set(square128):
-    """lemma32 holds three (m,) arrays, two integrands and g u_j for the cross terms, and one chunk:
-    at most 4 doubles per quadrature point (16.0 with whole-array modes, grad g, L g and T grad g)."""
+    """lemma32 reads u_j and the multiplet members in one pass of chunks and sums every integral by chunks:
+    at most 4 doubles per quadrature point (2.3 measured, most of it one chunk's arrays, with chunks of
+    1024 of the 16384 cells; 3.6 holding two integrands and g u_j whole, 16.0 with whole-array modes,
+    grad g, L g and T grad g)."""
     pair, spectrum = square128
     rows, peak = _traced_peak(pair, lambda: lemma32_check(spectrum, pair, lemma32_test_function(2)))
     assert {r.status for r in rows} == {"pass", "skipped"}
@@ -830,9 +833,11 @@ def test_chunked_integrals_equal_whole_array_bits(make, monkeypatch):
     """Read by chunks of a few cells, cor32 and lemma32 keep every claim of the whole-array integrals bit for bit.
 
     The references in ``quadrature_reference`` form the integrals from
-    whole (m,) and (m, n) arrays; each chunked integrand is summed whole,
-    so every lhs, rhs and lemma32 cross term is the same double.  Chunks
-    of 2 or 3 cells make many chunks of unequal length.
+    whole (m,) and (m, n) arrays and sum each with one ``np.sum``; the
+    chunked integrands are summed by ``assembly.pairwise_sums`` with the same
+    bits, so every lhs, rhs and lemma32 cross term is the same double.
+    Chunks of 2 or 3 cells make many chunks of unequal length, each
+    straddling runs of 128 values.
     """
     import quadrature_reference as ref
 
@@ -849,11 +854,11 @@ def test_chunked_integrals_equal_whole_array_bits(make, monkeypatch):
 
     default = rows()
     monkeypatch.setattr(assembly, "QUAD_CELLS", 3)
+    monkeypatch.setattr(assembly, "PAIRWISE_RUN", 128)  # numpy's smallest run: many runs, summed up a deep tree
     assert len(assembly.even_chunks(pair.domain.n_cells, assembly.QUAD_CELLS)) > 50
     chunked = rows()
     monkeypatch.setattr(bounds, "_cor32_integrals", ref.cor32_integrals)
     monkeypatch.setattr(bounds, "_lemma32_integrals", ref.lemma32_integrals)
-    monkeypatch.setattr(bounds, "_cross_integral", ref.cross_integral)
     whole = rows()
     cor32_rows, lemma32_rows = whole
     assert any(r[1] != "skipped" for r in cor32_rows) and any("cross_term" in r[4] for r in lemma32_rows)

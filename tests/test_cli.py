@@ -349,7 +349,7 @@ MALFORMED_CONFIGS = {
         f"resolution_{label}": {
             "domain": {"bounds": [["0", "3.141592653589793"], ["0", "3.141592653589793"]], "resolution": resolution}
         }
-        for label, resolution in {"fraction": [16.7, 16], "string": ["16", 16], "bool": [True, 16]}.items()
+        for label, resolution in {"fraction": [16.7, 16], "string": ["16", 16], "bool": [True, 16], "negative": [-3, 16]}.items()
     },
     **{
         f"solver_{key}_{label}": {"solver": {"k": 10, "seed": 1, key: value}}
@@ -482,6 +482,8 @@ def test_malformed_input_exit_3(tmp_path, capsys, monkeypatch, case):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "config error:" in err
+    if case in ("resolution_negative", "resolution_one"):  # the validator's range check, not numpy's array error
+        assert "resolution must be >= 2 per axis" in err
     if case in WRONG_TYPE_BLOCKS:
         assert f"{WRONG_TYPE_BLOCKS[case][0]} must be a" in err
 

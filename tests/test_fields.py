@@ -30,7 +30,6 @@ from etagap.fields import (
     _sum,
 )
 from etagap.geometry import (
-    GridDomain,
     domain_origin_distance,
     euclidean,
     hyperbolic_half_plane,
@@ -39,9 +38,9 @@ from etagap.geometry import (
 )
 
 
-def sample_at(field, drift, metric, where) -> FieldSample:
-    """A FieldSample at a domain's quadrature points, formed from its grid, or at an (m, n) point array."""
-    return FieldSample(field, drift, metric, where if isinstance(where, GridDomain) else np.asarray(where, float))
+def sample_at(field, drift, metric, pts) -> FieldSample:
+    """A FieldSample at an (m, n) point array, such as a domain's Gauss points."""
+    return FieldSample(field, drift, metric, np.asarray(pts, float))
 
 
 def zero(dim: int) -> ConstantScalar:
@@ -156,7 +155,7 @@ def ref_trace_nabla_T(s: FieldSample):
     if not s.metric.is_hyperbolic:
         return flat
     part = _christoffel_part(s.theta)
-    return part if flat is None else s.points()[:, -1][:, None] * flat + part
+    return part if flat is None else s.pts[:, -1][:, None] * flat + part
 
 
 def ref_apply_operator_L(s: FieldSample, f: ScalarField) -> np.ndarray:
@@ -164,7 +163,7 @@ def ref_apply_operator_L(s: FieldSample, f: ScalarField) -> np.ndarray:
 
     div_0(T df) - <d eta, T df> is T : Hess_0 f - <v, df> with v = T d eta - div T.
     """
-    pts, theta, dT, ge = s.points(), s.theta, s.dT, s.ge
+    pts, theta, dT, ge = s.pts, s.theta, s.dT, s.ge
     gf = f.grad(pts)
     hf = None if f.degree is not None and f.degree < 2 else f.hess(pts)
     tge = None if ge is None else np.einsum("qij,qj->qi", theta, ge)
@@ -534,10 +533,10 @@ class TestTraceNablaT:
 
 class TestComputeT0:
     def test_constant_exact_zero(self, square_domain):
-        assert compute_T0(sample_at(ConstantTensor(np.diag([2.0, 3.0])), zero(2), EUC2, square_domain)) == 0.0
+        assert compute_T0(sample_at(ConstantTensor(np.diag([2.0, 3.0])), zero(2), EUC2, square_domain.quadrature()[0])) == 0.0
 
     def test_diag_affine_is_one(self, square_domain):
-        assert compute_T0(sample_at(diag_affine_tensor(), zero(2), EUC2, square_domain)) == pytest.approx(1.0, abs=1e-14)
+        assert compute_T0(sample_at(diag_affine_tensor(), zero(2), EUC2, square_domain.quadrature()[0])) == pytest.approx(1.0, abs=1e-14)
 
     def test_sin_profile_sup_cos(self, square_domain):
         field = tensor_preset(
@@ -551,18 +550,18 @@ class TestComputeT0:
         # oracle: sup |cos x1| over the same sample grid
         pts = square_domain.quadrature()[0]
         expected = float(np.max(np.abs(np.cos(pts[:, 0]))))
-        t0 = compute_T0(sample_at(field, zero(2), EUC2, square_domain))
+        t0 = compute_T0(sample_at(field, zero(2), EUC2, square_domain.quadrature()[0]))
         assert t0 == pytest.approx(expected, abs=1e-14)
         assert t0 == pytest.approx(1.0, abs=1e-3)
 
 
 class TestComputeC0:
     def test_constant_everything_exact_zero(self, square_domain):
-        val = compute_C0(sample_at(ConstantTensor(np.diag([2.0, 3.0])), ConstantScalar(2, 5.0), EUC2, square_domain))
+        val = compute_C0(sample_at(ConstantTensor(np.diag([2.0, 3.0])), ConstantScalar(2, 5.0), EUC2, square_domain.quadrature()[0]))
         assert val == 0.0
 
     def test_affine_drift_quarter(self, square_domain):
-        val = compute_C0(sample_at(identity_tensor(2), AffineScalar([1.0, 0.0]), EUC2, square_domain))
+        val = compute_C0(sample_at(identity_tensor(2), AffineScalar([1.0, 0.0]), EUC2, square_domain.quadrature()[0]))
         assert val == pytest.approx(-0.25, abs=1e-14)
 
     def test_quadratic_drift_sup(self, square_domain):
@@ -570,13 +569,13 @@ class TestComputeC0:
         eta = QuadraticScalar(np.eye(2))
         pts = square_domain.quadrature()[0]
         oracle = float(np.max(1.0 - 0.25 * np.sum(pts * pts, axis=1)))
-        val = compute_C0(sample_at(identity_tensor(2), eta, EUC2, square_domain))
+        val = compute_C0(sample_at(identity_tensor(2), eta, EUC2, square_domain.quadrature()[0]))
         assert val == pytest.approx(oracle, abs=1e-12)
         assert 0.99 < val < 1.0
 
     def test_hyperbolic_identity_zero_drift(self):
         dom = make_box_domain([(0, 1), (1, 2)], [12, 12], HYP2)
-        val = compute_C0(sample_at(identity_tensor(2), ConstantScalar(2), HYP2, dom))
+        val = compute_C0(sample_at(identity_tensor(2), ConstantScalar(2), HYP2, dom.quadrature()[0]))
         assert val == 0.0
 
     def test_hyperbolic_radial_drift_against_closed_form(self):
@@ -586,7 +585,7 @@ class TestComputeC0:
         eta = QuadraticScalar(np.diag([1.0, 0.0]))
         pts = dom.quadrature()[0]
         oracle = float(np.max(pts[:, 1] ** 2 * (0.5 - 0.25 * pts[:, 0] ** 2)))
-        val = compute_C0(sample_at(identity_tensor(2), eta, HYP2, dom))
+        val = compute_C0(sample_at(identity_tensor(2), eta, HYP2, dom.quadrature()[0]))
         assert val == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -619,7 +618,7 @@ class TestComputeC0:
                     {"profile": "sin", "c0": 2.5, "c1": 0.9, "axis": axis},
                 ],
             )
-        val = compute_C0(sample_at(field, drift, metric, dom))
+        val = compute_C0(sample_at(field, drift, metric, dom.quadrature()[0]))
         ref = fd_hyperbolic_C0(field, drift, metric, dom)
         assert abs(val - ref) <= 1e-8 * max(1.0, abs(ref))
 
@@ -627,13 +626,13 @@ class TestComputeC0:
 class TestEtaRadialConstants:
     def test_constant_drift(self):
         dom = make_box_domain([(0, 1), (0, 1)], [20, 20], EUC2)
-        out = compute_eta_radial_constants(sample_at(identity_tensor(2), ConstantScalar(2, 3.0), EUC2, dom), np.array((-1.0, 0.0)))
+        out = compute_eta_radial_constants(sample_at(identity_tensor(2), ConstantScalar(2, 3.0), EUC2, dom.quadrature()[0]), np.array((-1.0, 0.0)))
         assert out == (0.0, 0.0)
 
     def test_affine_drift_radial_slope(self):
         dom = make_box_domain([(0, 1), (0, 1)], [60, 60], EUC2)
         o = np.array((-1.0, 0.0))
-        eta1, eta_r = compute_eta_radial_constants(sample_at(identity_tensor(2), AffineScalar([1.0, 0.0]), EUC2, dom), o)
+        eta1, eta_r = compute_eta_radial_constants(sample_at(identity_tensor(2), AffineScalar([1.0, 0.0]), EUC2, dom.quadrature()[0]), o)
         # oracle: max of (x1 + 1)/|x - o| over the sample grid
         pts = dom.quadrature()[0]
         diff = pts - np.array([-1.0, 0.0])
@@ -645,7 +644,7 @@ class TestEtaRadialConstants:
     def test_quadratic_drift_unit_hessian(self):
         dom = make_box_domain([(0, 1), (0, 1)], [30, 30], EUC2)
         o = np.array((-0.5, -0.5))
-        eta1, _ = compute_eta_radial_constants(sample_at(identity_tensor(2), QuadraticScalar(np.eye(2)), EUC2, dom), o)
+        eta1, _ = compute_eta_radial_constants(sample_at(identity_tensor(2), QuadraticScalar(np.eye(2)), EUC2, dom.quadrature()[0]), o)
         assert eta1 == pytest.approx(1.0, abs=1e-12)
 
     def test_hyperbolic_log_hessian_identity(self):
@@ -654,7 +653,7 @@ class TestEtaRadialConstants:
         dom = make_box_domain([(0, 1), (1, 2)], [24, 24], HYP2)
         o = np.array((0.3, 4.0))
         eta = LogAxisScalar(2)
-        eta1, eta_r = compute_eta_radial_constants(sample_at(identity_tensor(2), eta, HYP2, dom), o)
+        eta1, eta_r = compute_eta_radial_constants(sample_at(identity_tensor(2), eta, HYP2, dom.quadrature()[0]), o)
         pts = dom.quadrature()[0]
         v = radial_unit_vector(HYP2, o, pts)
         slope = np.sum(eta.grad(pts) * v, axis=1)
@@ -921,7 +920,7 @@ class TestFieldSample:
         dom = sample_domain(metric)
         drift = sample_drift(drift_kind, n)
         origin = np.array((0.3,) * (n - 1) + (4.0,))
-        s = sample_at(field, drift, metric, dom)
+        s = sample_at(field, drift, metric, dom.quadrature()[0])
         # repr tells -0.0 from 0.0 and prints every bit of a float
         assert repr(compute_T0(s)) == repr(ref_compute_T0(field, metric, dom))
         assert repr(compute_C0(s)) == repr(ref_compute_C0(field, drift, metric, dom))
@@ -951,8 +950,8 @@ class TestFieldSample:
         origin = np.array((0.3, 4.0))
         tfs = [axis_test_function(metric, axis) for axis in ((1,) if metric.is_hyperbolic else (0, 1))]
         for drift in (ConstantScalar(2), AffineScalar([0.8, 0.0]), GaussianScalar(2, 0.7, [0.4, 1.6], 0.5)):
-            strict = sample_at(StrictConstantTensor(mat), drift, metric, dom)
-            plain = sample_at(ConstantTensor(mat), drift, metric, dom)
+            strict = sample_at(StrictConstantTensor(mat), drift, metric, dom.quadrature()[0])
+            plain = sample_at(ConstantTensor(mat), drift, metric, dom.quadrature()[0])
             assert compute_T0(strict) == compute_T0(plain) == ref_compute_T0(ConstantTensor(mat), metric, dom)
             assert compute_C0(strict) == compute_C0(plain) == ref_compute_C0(ConstantTensor(mat), drift, metric, dom)
             assert compute_eta_radial_constants(strict, origin) == compute_eta_radial_constants(plain, origin)
@@ -966,7 +965,7 @@ class TestFieldSample:
         dom = sample_domain(metric)
         field = Counting(CoupledQuadraticTensor())
         drift = Counting(GaussianScalar(3, 0.7, [0.4, 0.5, 1.6], 0.5))
-        s = sample_at(field, drift, metric, dom)
+        s = sample_at(field, drift, metric, dom.quadrature()[0])
         compute_T0(s)
         compute_C0(s)
         compute_eta_radial_constants(s, np.array((0.3, 0.3, 4.0)))
@@ -979,7 +978,7 @@ class TestFieldSample:
     @pytest.mark.parametrize("metric", [euclidean(3), hyperbolic_half_plane(3)], ids=["euclidean", "hyperbolic"])
     def test_no_cached_array_has_more_than_four_axes(self, metric):
         # T's derivatives are dT (m, n, n, n) and grad div T (m, n, n), never the (m, n, n, n, n) second partials
-        s = sample_at(diag_profile_tensor(3), sample_drift("quadratic", 3), metric, sample_domain(metric))
+        s = sample_at(diag_profile_tensor(3), sample_drift("quadratic", 3), metric, sample_domain(metric).quadrature()[0])
         compute_T0(s)
         compute_C0(s)
         axis_test_function(metric, 2).lf_and_grad(s)
@@ -987,28 +986,29 @@ class TestFieldSample:
         assert {"dT", "grad_div", "div", "v", "dv"} <= set(cached)
         assert max(a.ndim for a in cached.values()) <= 4
 
-    def test_grid_points_by_rows(self):
-        # any run of whole cells' rows of a domain's Gauss points, formed from its grid, equals the whole-array rows
-        dom = make_box_domain([(0, 1), (1, 2)], [9, 7], HYP2, lambda c: np.linalg.norm(c - [0.5, 1.5], axis=1) < 0.45)
+    @pytest.mark.parametrize("metric", [EUC2, HYP2], ids=["euclidean", "hyperbolic"])
+    def test_chunk_samples_keep_the_bits_of_the_whole(self, metric):
+        # a sample on any run of whole cells' Gauss points has the rows of the whole sample, and so the largest of
+        # its chunks' constants is the whole sample's constant
+        dom = make_box_domain([(0, 1), (1, 2)], [9, 7], metric, lambda c: np.linalg.norm(c - [0.5, 1.5], axis=1) < 0.45)
+        field, drift, origin = diag_affine_tensor(), sample_drift("gaussian", 2), np.array((0.3, 4.0))
         pts = quadrature_reference.quadrature(dom)[0]
-        s = sample_at(identity_tensor(2), ConstantScalar(2), HYP2, dom)
-        m = len(pts)
-        assert s.size == m
-        for q in (slice(None), slice(0, 4), slice(4, 16), slice(8, 16), slice(m - 8, None), slice(8, 8)):
-            assert np.array_equal(s.points(q), pts[q])
+        whole = sample_at(field, drift, metric, pts)
+        cuts = (0, 1, 4, 5, 17, dom.n_cells)
+        chunks = [sample_at(field, drift, metric, dom.quadrature(slice(lo, hi))[0]) for lo, hi in zip(cuts, cuts[1:])]
+        for name in ("pts", "theta", "dT", "v", "dv", "rho"):
+            rows = [getattr(c, name) for c in chunks]
+            want = getattr(whole, name)
+            assert all(r is None for r in rows) if want is None else np.array_equal(np.concatenate(rows), want)
+        for constant in (compute_T0, compute_C0):
+            assert repr(max(constant(c) for c in chunks)) == repr(constant(whole))
+        by_chunk = np.max([compute_eta_radial_constants(c, origin) for c in chunks], axis=0)
+        assert repr(tuple(map(float, by_chunk))) == repr(compute_eta_radial_constants(whole, origin))
 
     @pytest.mark.parametrize("metric", [EUC2, HYP2], ids=["euclidean", "hyperbolic"])
-    def test_grid_sample_keeps_no_points(self, metric):
-        dom = sample_domain(metric)
-        s = sample_at(diag_affine_tensor(), sample_drift("gaussian", 2), metric, dom)
-        compute_T0(s)
-        compute_C0(s)
-        compute_eta_radial_constants(s, np.array((0.3, 4.0)))
-        axis_test_function(metric, 1).lf_and_grad(s)
-        pts = quadrature_reference.quadrature(dom)[0]
-        cached = [a for a in vars(s).values() if isinstance(a, np.ndarray)]
-        assert len(cached) >= 6 and not any(a.shape == pts.shape and np.array_equal(a, pts) for a in cached)
-        constant = sample_at(identity_tensor(2), ConstantScalar(2), metric, dom)
+    def test_constant_tensor_is_one_broadcast_matrix(self, metric):
+        pts = sample_domain(metric).quadrature()[0]
+        constant = sample_at(identity_tensor(2), ConstantScalar(2), metric, pts)
         assert constant.theta.shape == (len(pts), 2, 2) and constant.theta.strides[0] == 0
 
     @pytest.mark.parametrize(
@@ -1027,4 +1027,4 @@ class TestFieldSample:
             assert np.allclose(got, want, rtol=1e-15, atol=0)
         else:  # a diagonal T as an elementwise product: its zero off-diagonal terms add nothing
             assert np.array_equal(got, want)
-        assert np.array_equal(s.apply_T(v[4:9], slice(4, 9)), got[4:9])
+        assert np.array_equal(sample_at(field, ConstantScalar(n), euclidean(n), pts[4:9]).apply_T(v[4:9]), got[4:9])

@@ -440,3 +440,38 @@ def test_parseval_counts_by_the_one_pass_rule(monkeypatch, defect, verdict):
     assert row.status == verdict and row.extra["defect"] is defect
     counts = ScenarioReport("p", cfg, None, ValidationReport({}), None, rows=rep.rows).counts()
     assert (counts["pass"], counts["fail"]) == ((1, 0) if verdict == "pass" else (0, 1))
+
+
+def test_collect_constants_working_set():
+    """t0 and c0 are suprema over chunks of cells, so collect_constants holds one chunk's fields and keeps none.
+
+    On a 24^3 box (110592 Gauss points) with three entries varying along
+    x1 and an affine drift, its peak above the start is at most 6.08 MiB,
+    a tenth of the 60.8 MiB of a field sample over every point, of which
+    45.6 MiB stayed held with the pair (5.1 MiB peak measured).  Afterwards
+    it holds less than a tenth of a double per point.
+    """
+    from etagap.assembly import assemble
+    from etagap.scenario import collect_constants
+
+    pi = "3.141592653589793"
+    entries = [{"profile": "sin", "c0": c0, "c1": "0.5", "axis": 0} for c0 in ("3", "2.5", "3.5")]
+    cfg = ScenarioConfig.from_dict(
+        minimal_config(
+            domain={"bounds": [["0", pi]] * 3, "resolution": [24, 24, 24]},
+            tensor={"kind": "diag_profile", "entries": entries},
+            drift={"kind": "affine", "coeffs": ["0.3", "0.1", "0.2"]},
+        )
+    )
+    pair = assemble(*build_problem(cfg)[1:])
+    points = pair.domain.n_cells * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        consts = collect_constants(cfg, pair)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert consts.t0 > 0.0 and consts.c0 > 0.0
+    assert peak - start <= 60.8 / 10 * 2**20
+    assert held - start <= 0.1 * 8 * points

@@ -285,15 +285,20 @@ COROLLARIES = {
 def _gap_constant(tag, formula, lambda1, consts, corollaries=tuple(COROLLARIES)) -> GapConstant:
     """formula(lambda1, consts) -> (value, details), and the formula on each corollary's constants.
 
-    A corollary whose radicand is nonpositive reads nan.
+    A corollary whose radicand is nonpositive reads nan.  A constant that overflows or is not finite raises ValueError.
     """
-    value, details = formula(lambda1, consts)
-    cor = {}
-    for name in corollaries:
-        try:
-            cor[name] = formula(lambda1, replace(consts, **COROLLARIES[name]))[0]
-        except NonpositiveRadicand:
-            cor[name] = math.nan
+    try:
+        value, details = formula(lambda1, consts)
+        cor = {}
+        for name in corollaries:
+            try:
+                cor[name] = formula(lambda1, replace(consts, **COROLLARIES[name]))[0]
+            except NonpositiveRadicand:
+                cor[name] = math.nan
+    except OverflowError as exc:
+        raise ValueError(f"the {tag} constant overflows: {exc}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"the {tag} constant is {value}")
     return GapConstant(tag, value, consts.exponent, cor, details)
 
 
@@ -467,8 +472,8 @@ def gap_check(
     """
     lam = _eigs(spectrum)
     residuals = spectrum.residuals if isinstance(spectrum, SpectrumResult) else None
-    if constant <= 0.0:
-        raise ValueError("bound constant must be positive")
+    if not 0.0 < constant < math.inf:
+        raise ValueError(f"bound constant must be finite and positive, got {constant}")
     klo, khi = (2, lam.size - 1) if k_range is None else (int(k_range[0]), int(k_range[1]))
     if not 2 <= klo <= khi:
         raise ValueError(f"k_range needs 2 <= lo <= hi (k = 1 is info only), got ({klo}, {khi})")

@@ -21,49 +21,27 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _add_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--resolution", type=int, nargs="+", help="cells per axis override")
-    parser.add_argument("--k", help="eigenpair count override (or 'full')")
-    parser.add_argument("--solve-tol", dest="solve_tol", help="residual tolerance override")
-    parser.add_argument("--ortho-tol", dest="ortho_tol", help="orthonormality tolerance override")
-    parser.add_argument("--seed", type=int, help="solver seed override")
-    parser.add_argument("--dense", action="store_true", help="force the dense fallback solver")
+def _add_scenario_command(sub, command: str, summary: str, func, *skip: str) -> None:
+    """A subcommand that runs a scenario: its config, the config table's override flags less ``skip``, and --out."""
+    from .scenario import OVERRIDES, SCHEMA
+
+    parser = sub.add_parser(command, help=summary)
+    parser.add_argument("config", help="config file path or builtin scenario name")
+    for name, block in OVERRIDES.items():
+        if name not in skip:
+            option, kwargs = SCHEMA[block][name].flag
+            parser.add_argument(option, dest=name, **kwargs)
     parser.add_argument("--out", help="output directory")
-
-
-def _k_override(text):
-    """``--k`` as "full" or a decimal integer; anything else is a config error."""
-    from .errors import ConfigError
-
-    if text is None or text == "full":
-        return text
-    if not (text.isascii() and text.isdigit()):
-        raise ConfigError(f"--k must be 'full' or a decimal integer, got {text!r}")
-    return int(text)
-
-
-def _overrides_from(args) -> dict:
-    checks = getattr(args, "checks", None)  # verify's --checks; the config validates the names
-    ov = {
-        "resolution": args.resolution,
-        "k": _k_override(args.k),
-        "solve_tol": args.solve_tol,
-        "ortho_tol": args.ortho_tol,
-        "seed": args.seed,
-        "verify": [c.strip() for c in checks.split(",") if c.strip()] if checks else None,
-    }
-    if args.dense:
-        ov["method"] = "dense"
-    return ov
+    parser.set_defaults(func=func)
 
 
 def _run(args, adjust=lambda cfg: None):
     """Load, override, adjust and run the scenario; an int is a failure's exit code."""
     from .errors import ConfigError, DimensionMismatch, EtagapError
-    from .scenario import apply_overrides, load_config, run_scenario
+    from .scenario import OVERRIDES, apply_overrides, load_config, run_scenario
 
     try:
-        cfg = apply_overrides(load_config(args.config), _overrides_from(args))
+        cfg = apply_overrides(load_config(args.config), {name: getattr(args, name, None) for name in OVERRIDES})
         adjust(cfg)
         return run_scenario(cfg, output_dir=args.out)
     except (ConfigError, DimensionMismatch, FileNotFoundError, json.JSONDecodeError) as exc:
@@ -174,16 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="etagap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_spec = sub.add_parser("spectrum", help="solve and validate the low spectrum")
-    p_spec.add_argument("config", help="config file path or builtin scenario name")
-    _add_overrides(p_spec)
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_ver = sub.add_parser("verify", help="run the full verification pipeline")
-    p_ver.add_argument("config", help="config file path or builtin scenario name")
-    p_ver.add_argument("--checks", help="comma list from gap,yang,cor32,lemma32,parseval")
-    _add_overrides(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
+    _add_scenario_command(sub, "spectrum", "solve and validate the low spectrum", cmd_spectrum, "verify")
+    _add_scenario_command(sub, "verify", "run the full verification pipeline", cmd_verify)
 
     p_l31 = sub.add_parser("lemma31", help="seeded property run of the sequence inequality")
     p_l31.add_argument("--trials", type=int, default=10000)

@@ -14,10 +14,10 @@ import functools
 import json
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,46 +27,160 @@ from .errors import ConfigError, EtagapError
 CHECK_NAMES = ("gap", "yang", "cor32", "lemma32", "parseval")
 
 
-_num, _nums = fields.real, fields.reals
+def _real(value) -> float:
+    """A number or decimal string as fields.real reads it, which must be finite: no config real is inf or nan."""
+    value = fields.real(value)
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return value
 
 
-@contextmanager
-def _config_errors():
-    """Report a malformed config value as ConfigError, the CLI's exit code 3."""
+def _array(item, kind=list):
+    """The parser of a JSON array whose entries ``item`` parses, built as ``kind``."""
+
+    def parse(values):
+        if not isinstance(values, (list, tuple)):
+            raise TypeError(values)
+        return kind(map(item, values))
+
+    return parse
+
+
+def _flag_integer(text: str):
+    """A flag's text as an int where it is one; other text stays, for the table to refuse."""
     try:
-        yield
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        return int(text)
+    except ValueError:
+        return text
 
 
-# the keys each config block may hold; a misspelled key exits 3 rather than leave its default in force
-KNOWN_KEYS = {
-    "config": ("name", "metric", "domain", "tensor", "drift", "solver", "bounds", "constants", "verify", "oracle", "output_dir"),
-    "domain": ("bounds", "resolution", "mask"),
-    "solver": ("k", "solve_tol", "ortho_tol", "method", "seed"),
-    "bounds": ("theorems", "k_range", "c_scale"),
-    "constants": ("H0", "kappa1", "kappa2", "origin"),
-    "oracle": ("kind", "lengths", "coeffs", "drift_slope", "rtol"),
+def _flag_names(text: str):
+    return [name.strip() for name in text.split(",") if name.strip()] if text else None
+
+
+class Key(NamedTuple):
+    """One config value: the parser of its JSON value (None: kept as given), its admissible range as
+    (words, test of the parsed value or None), its parsed value when absent (``...``: it is required)
+    and its CLI override flag."""
+
+    parse: object
+    range: tuple
+    default: object = ...
+    flag: tuple = ()  # (option, argparse keywords); the flag's dest is the key's name
+
+
+# Admissible ranges, as (the words an error shows, a test of the parsed value or None for any).  An integer is
+# tested by type(), not int(): int() truncates 16.7 and accepts "16", and bool is an int subclass.
+STRING, OBJECT = ("a string", lambda v: type(v) is str), ("a JSON object", lambda v: type(v) is dict)
+POSITIVE, NONNEGATIVE = ("finite and > 0", lambda v: v > 0.0), ("finite and >= 0", lambda v: v >= 0.0)
+POSITIVE_EACH = ("finite and > 0 each", lambda v: all(x > 0.0 for x in v))
+PAIRS = ("[lo, hi] pairs of finite reals", lambda v: all(len(p) == 2 for p in v))
+CELLS = (">= 2 per axis, each a JSON integer", lambda v: all(type(r) is int and r >= 2 for r in v))
+EIGENPAIRS = ("'full' or an integer >= 1", lambda v: v == "full" or (type(v) is int and v >= 1))
+SEED = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+GAP_ROWS = ("two integers 2 <= lo <= hi", lambda v: len(v) == 2 and all(type(k) is int for k in v) and 2 <= v[0] <= v[1])
+
+
+def _one_of(options) -> tuple:
+    return "|".join(options), lambda v: type(v) is str and v in options
+
+
+def _names(options) -> tuple:
+    return f"an array of {'|'.join(options)}", lambda v: type(v) is list and all(name in options for name in v)
+
+
+# Every config value by block ("" is the top level) and key: the one place a key is defined.
+# Presets (tensor, drift, mask) parse their own parameters; the rules across keys are validate's.
+SCHEMA = {
+    "": {
+        "name": Key(None, STRING),
+        "metric": Key(None, _one_of(("euclidean", "hyperbolic"))),
+        "tensor": Key(None, OBJECT),
+        "drift": Key(None, OBJECT, {"kind": "zero"}),
+        "verify": Key(
+            None, _names(CHECK_NAMES), [],
+            ("--checks", {"type": _flag_names, "metavar": "CHECKS", "help": "comma list of checks"}),
+        ),
+        "output_dir": Key(None, STRING, None),
+    },
+    "domain": {
+        "bounds": Key(_array(_array(_real, tuple)), PAIRS),
+        "resolution": Key(list, CELLS, flag=("--resolution", {"type": _flag_integer, "nargs": "+", "help": "cells per axis"})),
+        "mask": Key(None, OBJECT, {"kind": "all"}),
+    },
+    "solver": {
+        "k": Key(None, EIGENPAIRS, 8, ("--k", {"type": _flag_integer, "help": "eigenpair count (or 'full')"})),
+        "solve_tol": Key(_real, POSITIVE, spectral.DEFAULT_SOLVE_TOL, ("--solve-tol", {"help": "residual tolerance"})),
+        "ortho_tol": Key(_real, POSITIVE, spectral.DEFAULT_ORTHO_TOL, ("--ortho-tol", {"help": "orthonormality tolerance"})),
+        "method": Key(
+            None, _one_of(spectral.METHODS), "auto",
+            ("--dense", {"action": "store_const", "const": "dense", "help": "force the dense solver"}),
+        ),
+        "seed": Key(None, SEED, 0, ("--seed", {"type": _flag_integer, "help": "solver seed"})),
+    },
+    "bounds": {
+        "theorems": Key(None, _names(tuple(bounds.THEOREMS)), []),
+        "k_range": Key(list, GAP_ROWS, None),
+        "c_scale": Key(_real, POSITIVE, 1.0),
+    },
+    "constants": {
+        "H0": Key(_real, NONNEGATIVE, None),
+        "kappa1": Key(_real, NONNEGATIVE, None),
+        "kappa2": Key(_real, NONNEGATIVE, None),
+        "origin": Key(_array(_real), ("an array of finite reals", None), None),
+    },
+    "oracle": {  # the block itself may be left out or null: the config has no oracle
+        "kind": Key(None, _one_of(("interval", "box", "anisotropic", "drifted_interval"))),
+        "lengths": Key(_array(_real, tuple), POSITIVE_EACH, ()),
+        "coeffs": Key(_array(_real, tuple), POSITIVE_EACH, ()),
+        "drift_slope": Key(_real, ("a finite real", None), 0.0),
+        "rtol": Key(_real, NONNEGATIVE, None),
+    },
 }
 
+# CLI override -> the block of the key it replaces
+OVERRIDES = {name: block for block, keys in SCHEMA.items() for name, key in keys.items() if key.flag}
 
-def _block(raw: dict, key: str, kind: type = dict, default=None):
-    """raw[key] (or ``default`` when absent), which must be a JSON object or, for kind list, an array."""
-    value = raw[key] if default is None else raw.get(key, default)
-    if not isinstance(value, kind):
-        raise ConfigError(f"{key} must be a JSON {'object' if kind is dict else 'array'}, got {value!r}")
-    return value
+
+def _read(raw: dict) -> dict:
+    """{block: {key: value}} of a raw config by the table, absent keys at their defaults; no oracle: None."""
+    values = {}
+    for block, keys in SCHEMA.items():
+        given = raw.get(block, {}) if block else raw  # the top level comes first: raw is a dict from here on
+        if block == "oracle" and raw.get(block) is None:
+            values[block] = None
+            continue
+        if not isinstance(given, dict):
+            raise ConfigError(f"{block or 'config'} must be a JSON object, got {given!r}")
+        known = [*keys, *(b for b in SCHEMA if b and not block)]
+        unknown = sorted(set(given) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown {block or 'config'} key(s) {unknown}; known: {', '.join(known)}")
+        values[block] = parsed = {}
+        for name, (parse, (words, admits), default, _flag) in keys.items():
+            path = f"{block}.{name}".lstrip(".")
+            if name not in given:
+                if default is ...:
+                    raise ConfigError(f"missing config key {path!r}")
+                parsed[name] = copy.deepcopy(default)
+                continue
+            try:
+                parsed[name] = given[name] if parse is None else parse(given[name])
+                if admits is None or admits(parsed[name]):
+                    continue
+            except (TypeError, ValueError):
+                pass
+            raise ConfigError(f"{path} must be {words}, got {given[name]!r}")
+    return values
 
 
 @dataclass
 class SolverSettings:
-    k: int | str = 8
-    solve_tol: float = spectral.DEFAULT_SOLVE_TOL
-    ortho_tol: float = spectral.DEFAULT_ORTHO_TOL
-    method: str = "auto"
-    seed: int = 0
+    k: int | str
+    solve_tol: float
+    ortho_tol: float
+    method: str
+    seed: int
 
 
 @dataclass
@@ -96,81 +210,22 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
-        """Parse and validate a raw config dict (kept as ``raw``)."""
-        with _config_errors():
-            domain, solver = _block(raw, "domain"), _block(raw, "solver", default={})
-            bounds_raw, consts = _block(raw, "bounds", default={}), _block(raw, "constants", default={})
-            oracle = None if raw.get("oracle") is None else _block(raw, "oracle")
-            for where, block in zip(KNOWN_KEYS, (raw, domain, solver, bounds_raw, consts, oracle or {})):
-                unknown = sorted(set(block) - set(KNOWN_KEYS[where]))
-                if unknown:
-                    raise ConfigError(f"unknown {where} key(s) {unknown}; known: {', '.join(KNOWN_KEYS[where])}")
-            box = [(_num(lo), _num(hi)) for lo, hi in domain["bounds"]]
-            k_range = bounds_raw.get("k_range")
-            cfg = ScenarioConfig(
-                name=raw["name"],
-                metric_tag=raw["metric"],
-                dim=len(box),
-                box=box,
-                resolution=list(domain["resolution"]),
-                mask=_block(domain, "mask", default={"kind": "all"}),
-                tensor=_block(raw, "tensor"),
-                drift=_block(raw, "drift", default={"kind": "zero"}),
-                solver=SolverSettings(
-                    k=solver.get("k", 8),
-                    solve_tol=_num(solver.get("solve_tol", spectral.DEFAULT_SOLVE_TOL)),
-                    ortho_tol=_num(solver.get("ortho_tol", spectral.DEFAULT_ORTHO_TOL)),
-                    method=solver.get("method", "auto"),
-                    seed=solver.get("seed", 0),
-                ),
-                theorems=_block(bounds_raw, "theorems", list, default=[]),
-                k_range=None if k_range is None else list(k_range),
-                c_scale=_num(bounds_raw.get("c_scale", "1")),
-                h0=_num(consts["H0"]) if "H0" in consts else None,
-                kappa1=_num(consts["kappa1"]) if "kappa1" in consts else None,
-                kappa2=_num(consts["kappa2"]) if "kappa2" in consts else None,
-                origin=fields.axis_reals(consts["origin"], len(box), "origin") if "origin" in consts else None,
-                verify=_block(raw, "verify", list, default=[]),
-                oracle=None if oracle is None else OracleSpectrum.from_dict(oracle),
-                output_dir=raw.get("output_dir"),
-                raw=raw,
-            )
+        """Parse a raw config dict (kept as ``raw``) by the table, then check the rules across keys."""
+        values = _read(raw)
+        renamed = {"metric": "metric_tag", "bounds": "box", "H0": "h0"}  # the fields not named by their key
+        kwargs = {renamed.get(k, k): v for block in ("", "domain", "bounds", "constants") for k, v in values[block].items()}
+        oracle = None if values["oracle"] is None else OracleSpectrum(**values["oracle"])
+        cfg = ScenarioConfig(**kwargs, dim=len(kwargs["box"]), solver=SolverSettings(**values["solver"]), oracle=oracle, raw=raw)
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        if self.metric_tag not in ("euclidean", "hyperbolic"):
-            raise ConfigError(f"metric must be euclidean|hyperbolic, got {self.metric_tag!r}")
+        """The rules across keys: sizes against the dimension, the pins, the metric against the bound families."""
         if len(self.resolution) != self.dim:
             raise ConfigError("resolution length must match bounds")
-        # type() is int, not int(): int() truncates 16.7 and accepts "16"; bool is an int subclass
-        if not all(type(r) is int for r in self.resolution):
-            raise ConfigError(f"resolution must be integers, got {self.resolution}")
-        if not all(r >= 2 for r in self.resolution):
-            raise ConfigError(f"resolution must be >= 2 per axis, got {self.resolution}")
-        if self.solver.k != "full" and not (type(self.solver.k) is int and self.solver.k >= 1):
-            raise ConfigError(f"solver k must be 'full' or an integer >= 1, got {self.solver.k!r}")
-        if type(self.solver.seed) is not int or self.solver.seed < 0:
-            raise ConfigError(f"solver seed must be an integer >= 0, got {self.solver.seed!r}")
-        if self.solver.method not in spectral.METHODS:
-            raise ConfigError(f"solver method must be {'|'.join(spectral.METHODS)}, got {self.solver.method!r}")
-        for name, value in (("solve_tol", self.solver.solve_tol), ("ortho_tol", self.solver.ortho_tol), ("c_scale", self.c_scale)):
-            if not 0.0 < value < math.inf:  # also refuses nan
-                raise ConfigError(f"{name} must be finite and > 0, got {value}")
-        for tag in self.theorems:
-            if tag not in bounds.THEOREMS:
-                raise ConfigError(f"unknown bound family {tag!r}")
-        for chk in self.verify:
-            if chk not in CHECK_NAMES:
-                raise ConfigError(f"unknown verification {chk!r}")
-        kr = self.k_range
-        if kr is not None and not (len(kr) == 2 and all(type(k) is int for k in kr) and 2 <= kr[0] <= kr[1]):
-            raise ConfigError(f"k_range must be two integers 2 <= lo <= hi, got {kr}")
-        if self.h0 is not None and not self.h0 >= 0.0:
-            raise ConfigError(f"H0 bounds a norm and must be >= 0, got {self.h0}")
+        if self.origin is not None and len(self.origin) != self.dim:
+            raise ConfigError(f"constants.origin needs {self.dim} entries, got {len(self.origin)}")
         pins = [k for k in (self.kappa1, self.kappa2) if k is not None]
-        if not all(k >= 0.0 for k in pins):
-            raise ConfigError(f"curvature pins must be >= 0, got {pins}")
         if len(pins) == 2 and self.kappa2 > self.kappa1:
             raise ConfigError(f"need kappa2 <= kappa1, got kappa1={self.kappa1}, kappa2={self.kappa2}")
         if self.oracle is not None:
@@ -179,12 +234,7 @@ class ScenarioConfig:
             for name, given in (("lengths", self.oracle.lengths), ("coeffs", self.oracle.coeffs)):
                 if given and len(given) != self.dim:
                     raise ConfigError(f"oracle {name} needs {self.dim} entries, got {len(given)}")
-                if not all(0.0 < v < math.inf for v in given):
-                    raise ConfigError(f"oracle {name} must be finite and > 0, got {list(given)}")
-            if self.oracle.rtol is not None and not 0.0 <= self.oracle.rtol < math.inf:
-                raise ConfigError(f"oracle rtol must be finite and >= 0, got {self.oracle.rtol}")
-        euclid = self.metric_tag == "euclidean"
-        if euclid:
+        if self.metric_tag == "euclidean":
             if self.h0 not in (None, 0.0):
                 raise ConfigError("Euclidean scenarios force H0 = 0")
             for tag in ("thm12", "thm13"):
@@ -217,35 +267,17 @@ class ScenarioConfig:
                     )
 
 
-# CLI override -> (section, key) of the raw config it replaces
-_OVERRIDES = {
-    "resolution": ("domain", "resolution"),
-    "k": ("solver", "k"),
-    "solve_tol": ("solver", "solve_tol"),
-    "ortho_tol": ("solver", "ortho_tol"),
-    "seed": ("solver", "seed"),
-    "method": ("solver", "method"),
-    "verify": (None, "verify"),
-}
-
-
 def apply_overrides(cfg: ScenarioConfig, overrides: dict | None) -> ScenarioConfig:
     """A new config: the CLI-allowed overrides merged into the raw dict, parsed again."""
     overrides = {key: val for key, val in (overrides or {}).items() if val is not None}
-    if not overrides:
-        return cfg
     raw = copy.deepcopy(cfg.raw)
     for key, val in overrides.items():
-        if key not in _OVERRIDES:
+        if key not in OVERRIDES:
             raise ConfigError(f"override {key!r} not permitted")
-        if key == "resolution":
+        if key == "resolution":  # one entry serves every axis
             val = list(val) if isinstance(val, (list, tuple)) else [val]
-            if len(val) == 1:
-                val = val * cfg.dim
-            if len(val) != cfg.dim:
-                raise ConfigError("resolution override length mismatch")
-        section, name = _OVERRIDES[key]
-        (raw.setdefault(section, {}) if section else raw)[name] = val
+            val = val * cfg.dim if len(val) == 1 else val
+        (raw.setdefault(OVERRIDES[key], {}) if OVERRIDES[key] else raw)[key] = val
     return ScenarioConfig.from_dict(raw)
 
 
@@ -260,7 +292,7 @@ def _mask_rule(mask: dict, dim: int):
         return None
     if kind == "ball":
         center = np.asarray(fields.axis_reals(mask["center"], dim, "ball mask center"))
-        radius = _num(mask["radius"])
+        radius = fields.real(mask["radius"])
 
         def rule(centers):
             return np.linalg.norm(centers - center[None, :], axis=1) <= radius
@@ -297,18 +329,6 @@ class OracleSpectrum:
     coeffs: tuple = ()
     drift_slope: float = 0.0
     rtol: float | None = None  # without it the error is reported and scored nowhere
-
-    @staticmethod
-    def from_dict(raw: dict) -> "OracleSpectrum":
-        with _config_errors():
-            kind = raw["kind"]
-            if kind not in ("interval", "box", "anisotropic", "drifted_interval"):
-                raise ConfigError(f"unknown oracle kind {kind!r}")
-            lengths = tuple(_nums(raw.get("lengths", [])))
-            coeffs = tuple(_nums(raw.get("coeffs", [])))
-            slope = _num(raw.get("drift_slope", "0"))
-            rtol = _num(raw["rtol"]) if "rtol" in raw else None
-        return OracleSpectrum(kind, lengths, coeffs, slope, rtol)
 
 
 def oracle_eigenvalues(oracle: OracleSpectrum, k: int, dim: int) -> np.ndarray:
@@ -396,11 +416,15 @@ class ScenarioReport:
 def build_problem(cfg: ScenarioConfig):
     """Metric, domain, tensor and drift objects for a validated config."""
     hyperbolic = cfg.metric_tag == "hyperbolic"
-    with _config_errors():
+    try:  # a malformed preset or mask parameter is a config error, the CLI's exit code 3
         metric = (geometry.hyperbolic_half_plane if hyperbolic else geometry.euclidean)(cfg.dim)
         domain = geometry.make_box_domain(cfg.box, cfg.resolution, metric, _mask_rule(cfg.mask, cfg.dim))
         tensor = _preset(fields.tensor_preset, cfg.tensor, cfg.dim)
         drift = _preset(fields.drift_preset, cfg.drift, cfg.dim, default_kind="zero")
+    except KeyError as exc:
+        raise ConfigError(f"missing config key: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     if "thm12" in cfg.theorems or "thm13" in cfg.theorems:  # validate keeps them on the half-space
         fields.validate_radially_constant(drift.value, domain)
         fields.validate_radially_constant(
@@ -551,7 +575,7 @@ def run_scenario(
     for name, check in checks(cfg):
         try:
             result = check(cfg, pair, spectrum, consts)
-        except (EtagapError, ValueError) as exc:
+        except (EtagapError, ValueError, ArithmeticError) as exc:  # an overflow too is one error line
             report.errors.append(f"{name}: {type(exc).__name__}: {exc}")
             continue
         if isinstance(result, bounds.GapReport):

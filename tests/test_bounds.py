@@ -286,6 +286,12 @@ class TestTheorem12:
         with pytest.raises(NonpositiveRadicand):
             theorem12_constant(0.25, trivial_consts(2, h0=1.0))
 
+    @pytest.mark.parametrize("h0, error", [(1e300, "overflows"), (math.inf, "is inf"), (math.nan, "is nan")])
+    def test_a_constant_that_is_not_finite_raises(self, h0, error):
+        # 1e300^2 overflows a float, and an infinite or nan constant would pass every gap
+        with pytest.raises(ValueError, match=f"the thm12 constant {error}"):
+            theorem12_constant(3.0, trivial_consts(2, h0=h0))
+
     def test_anisotropic_arithmetic(self):
         res = theorem12_constant(1.0, OperatorConstants(n=2, epsilon=1.0, delta=2.0))
         assert res.value == pytest.approx(4.0 / math.sqrt(3.0) * math.sqrt(8.75), rel=1e-15)
@@ -568,6 +574,12 @@ class TestGapCheck:
         assert sides(row, "gap")[0] == 3.0
         assert sides(row, "gap")[1] == pytest.approx(c * 2.0**0.75)
         assert row.status == "pass"
+
+    @pytest.mark.parametrize("constant", [0.0, -1.0, math.inf, math.nan])
+    def test_constant_must_be_finite_and_positive(self, constant):
+        # against an infinite or nan constant every gap row would pass
+        with pytest.raises(ValueError, match="bound constant must be finite and positive"):
+            gap_check(np.array([1.0, 100.0, 101.0]), constant, 1.0)
 
     def test_k1_row_is_informational(self):
         lam = np.array([1.0, 100.0, 101.0])

@@ -345,6 +345,16 @@ MALFORMED_CONFIGS = {
     "kappa2_above_kappa1": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa1": "0.1", "kappa2": "0.2"}},
     "negative_kappa2": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa2": "-1"}},
     "negative_H0": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "H0": "-1"}},
+    # the name and the output directory are strings
+    "name_number": {"name": 5},
+    "output_dir_number": {"output_dir": 3},
+    # every config real is finite
+    "bounds_inf": {"domain": {"bounds": [["0", "inf"], ["0", "3.141592653589793"]], "resolution": [16, 16]}},
+    "oracle_drift_slope_nan": {"oracle": {"kind": "box", "drift_slope": "nan", "rtol": "0.01"}},
+    "oracle_drift_slope_inf": {"oracle": {"kind": "box", "drift_slope": "inf", "rtol": "0.01"}},
+    "H0_inf": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "H0": "inf"}},
+    "kappa1_inf": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "kappa1": "inf"}},
+    "origin_nan": {**HALF_PLANE_THM13, "constants": {**THM13_INPUTS, "origin": ["0", "nan"]}},
     **{
         f"resolution_{label}": {
             "domain": {"bounds": [["0", "3.141592653589793"], ["0", "3.141592653589793"]], "resolution": resolution}
@@ -486,6 +496,18 @@ def test_malformed_input_exit_3(tmp_path, capsys, monkeypatch, case):
         assert "resolution must be >= 2 per axis" in err
     if case in WRONG_TYPE_BLOCKS:
         assert f"{WRONG_TYPE_BLOCKS[case][0]} must be a" in err
+
+
+@pytest.mark.parametrize("verify", [["gap"], ["gap", "yang"]])
+def test_an_overflowing_bound_constant_is_one_error_line(tmp_path, capsys, verify):
+    # H0 = 1e300 is finite, but H0^2 overflows: the gap and yang checks each give one error line, not a traceback
+    over = {**HALF_PLANE_THM13, "bounds": {"theorems": ["thm12"], "k_range": [2, 6]}, "constants": {"H0": "1e300"}}
+    cfg = small_square_config(tmp_path, **over, verify=verify)
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == len(verify) and errors[0].startswith("ERROR thm12: ValueError: the thm12 constant overflows: ")
+    assert all(line.startswith("ERROR yang: OverflowError: ") for line in errors[1:])
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["gap_reports"] == {}
 
 
 def test_malformed_oracle_exit_3_before_assembly(tmp_path, capsys, monkeypatch):

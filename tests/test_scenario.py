@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ class TestConfigValidation:
     def test_checks_override_meets_the_config_validation(self):
         cfg = ScenarioConfig.from_dict(minimal_config())
         assert apply_overrides(cfg, {"verify": ["gap", "yang"]}).verify == ["gap", "yang"]
-        with pytest.raises(ConfigError, match="unknown verification 'nonsense'"):
+        with pytest.raises(ConfigError, match=r"verify must be an array of .*, got \['gap', 'nonsense'\]"):
             apply_overrides(cfg, {"verify": ["gap", "nonsense"]})
         with pytest.raises(ConfigError):  # an output directory goes to run_scenario, not into the config
             apply_overrides(cfg, {"output_dir": "elsewhere"})
@@ -217,6 +218,16 @@ BUILTIN_COUNTS = {
     "lemma32_square": (8, 0, 6),
     "square_laplacian": (39, 1, 8),
 }
+
+
+# the 3-D configs that CI runs through the CLI, one per solver path
+CI_CONFIGS = Path(__file__).resolve().parent / "configs"
+
+
+@pytest.mark.parametrize("name", ["ball3_superlu", "box3_separable", "halfspace3_fastdiag"])
+def test_ci_3d_config_loads(name):
+    cfg = load_config(str(CI_CONFIGS / f"{name}.json"))
+    assert cfg.name == name and cfg.dim == 3
 
 
 class TestBuiltins:

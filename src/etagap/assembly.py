@@ -272,7 +272,7 @@ def _diagonal_entries(field: TensorField) -> list | None:
         mat = field.mat
         return [float(v) for v in np.diag(mat)] if np.array_equal(mat, np.diag(np.diag(mat))) else None
     if isinstance(field, DiagonalTensor):
-        return [c.c0 if c.kind == "const" or c.c1 == 0.0 else c for c in field.coefs]
+        return [c.c0 if c.profile == "const" or c.c1 == 0.0 else c for c in field.coefs]
     return None
 
 

@@ -33,7 +33,6 @@ degree makes zero or b where rho = 1 (Euclidean), skips the terms it multiplies.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -177,60 +176,22 @@ class LogAxisScalar(ScalarField):
         return h
 
 
-def real(value) -> float:
-    """A number, or a decimal string such as "1e-9" or "inf", as a float.
-
-    Bools are rejected although float(True) is 1.0.
-    """
-    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
-        raise ValueError(f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"bad decimal string {value!r}") from None
-
-
-def reals(values) -> list:
-    if isinstance(values, str):  # a string would iterate as its characters
-        raise ValueError(f"expected a list of numbers, got {values!r}")
-    return [real(v) for v in values]
-
-
-def axis_reals(values, dim: int, what: str) -> list:
-    """The decimal entries of a parameter that must have one per axis."""
-    vals = reals(values)
-    if len(vals) != dim:
-        raise ValueError(f"{what} needs {dim} entries, got {len(vals)}")
-    return vals
-
-
-def axis_matrix(rows, dim: int, what: str) -> list:
-    """The decimal rows of a parameter that must be a dim x dim matrix."""
-    if len(rows) != dim:
-        raise ValueError(f"{what} needs {dim} rows, got {len(rows)}")
-    return [axis_reals(row, dim, f"{what} row") for row in rows]
-
-
 def drift_preset(kind: str, dim: int, **params) -> ScalarField:
-    """Named drift families: zero/constant, affine, quadratic, gaussian.
+    """Named drift families: zero/constant {c}, affine {coeffs, c0}, quadratic {quad, coeffs, c0}, gaussian
+    {amplitude, center, width}.
 
-    Numeric parameters are numbers or decimal strings; a malformed or
-    missing parameter, or a vector or matrix whose size is not ``dim``,
-    raises ValueError, TypeError or KeyError.
+    The parameters are as the config table parses them (numbers or decimal strings, vectors with one entry
+    per axis) and are not checked again; without ``quad`` a quadratic's matrix is the identity.
     """
     if kind == "constant" or kind == "zero":
-        return ConstantScalar(dim, real(params.get("c", 0.0)))
+        return ConstantScalar(dim, **params)
     if kind == "affine":
-        return AffineScalar(axis_reals(params["coeffs"], dim, "affine coeffs"), real(params.get("c0", 0.0)))
+        return AffineScalar(**params)
     if kind == "quadratic":
-        quad, coeffs = params.get("quad"), params.get("coeffs")
-        scale = real(params.get("scale", 1.0))
-        quad = np.eye(dim) * scale if quad is None else axis_matrix(quad, dim, "quadratic quad")
-        coeffs = None if coeffs is None else axis_reals(coeffs, dim, "quadratic coeffs")
-        return QuadraticScalar(quad, coeffs, real(params.get("c0", 0.0)))
+        quad = params.pop("quad", None)
+        return QuadraticScalar(np.eye(dim) if quad is None else quad, **params)
     if kind == "gaussian":
-        center = axis_reals(params["center"], dim, "gaussian center")
-        return GaussianScalar(dim, real(params["amplitude"]), center, real(params["width"]))
+        return GaussianScalar(dim, **params)
     raise ValueError(f"unknown drift preset {kind!r}")
 
 
@@ -240,7 +201,7 @@ def drift_preset(kind: str, dim: int, **params) -> ScalarField:
 
 
 # profile phi -> (phi, phi', phi'') of one coordinate, one callable per order
-_PROFILES = {
+PROFILES = {
     "const": (np.zeros_like,) * 3,
     "linear": (lambda x: x, np.ones_like, np.zeros_like),
     "sin": (np.sin, np.cos, lambda x: -np.sin(x)),
@@ -252,16 +213,16 @@ _PROFILES = {
 class _Coef:
     """Univariate diagonal-entry profile c0 + c1 * phi(x_axis)."""
 
-    def __init__(self, kind: str, c0: float, c1: float = 0.0, axis: int = 0):
-        if kind not in _PROFILES:
-            raise ValueError(f"unknown coefficient profile {kind!r}")
-        self.kind = kind
+    def __init__(self, profile: str = "const", c0: float = 0.0, c1: float = 0.0, axis: int = 0):
+        if profile not in PROFILES:
+            raise ValueError(f"unknown coefficient profile {profile!r}")
+        self.profile = profile
         self.c0 = float(c0)
         self.c1 = float(c1)
         self.axis = int(axis)
 
     def _phi(self, pts, order: int):
-        return _PROFILES[self.kind][order](pts[:, self.axis])
+        return PROFILES[self.profile][order](pts[:, self.axis])
 
     def value(self, pts):
         return self.c0 + self.c1 * self._phi(pts, 0)
@@ -345,36 +306,19 @@ class DiagonalTensor(TensorField):
 
 
 def tensor_preset(kind: str, dim: int, **params) -> TensorField:
-    """Named tensor families used by scenario configs.
+    """Named tensor families: identity {scale}, constant {matrix}, constant_diag {entries}, diag_profile
+    {entries}, each diag_profile entry {profile, c0, c1, axis}.
 
-    Parameters are checked as for drift_preset: a matrix or entry list whose
-    size is not ``dim`` raises ValueError like any malformed parameter.
+    The parameters are as for drift_preset: parsed by the config table, not checked again.
     """
     if kind == "identity":
-        return identity_tensor(dim, real(params.get("scale", 1.0)))
+        return identity_tensor(dim, **params)
     if kind == "constant":
-        return ConstantTensor(axis_matrix(params["matrix"], dim, "constant matrix"))
+        return ConstantTensor(params["matrix"])
     if kind == "constant_diag":
-        return ConstantTensor(np.diag(axis_reals(params["entries"], dim, "constant_diag entries")))
+        return ConstantTensor(np.diag(np.asarray(params["entries"], dtype=float)))
     if kind == "diag_profile":
-        entries = params["entries"]
-        if not (isinstance(entries, list) and all(isinstance(spec, dict) for spec in entries)):
-            raise TypeError(f"diag_profile entries must be a list of JSON objects, got {entries!r}")
-        axes = [spec.get("axis", 0) for spec in entries]
-        if not all(type(a) is int and 0 <= a < dim for a in axes):  # int() would take 1.7, "1" and True
-            raise ValueError(f"diag_profile axes must be integers in 0..{dim - 1}, got {axes}")
-        coefs = [
-            _Coef(
-                spec.get("profile", "const"),
-                real(spec.get("c0", 0.0)),
-                real(spec.get("c1", 0.0)),
-                spec.get("axis", 0),
-            )
-            for spec in entries
-        ]
-        if len(coefs) != dim:
-            raise ValueError("diag_profile needs one entry per axis")
-        return DiagonalTensor(coefs)
+        return DiagonalTensor([_Coef(**entry) for entry in params["entries"]])
     raise ValueError(f"unknown tensor preset {kind!r}")
 
 

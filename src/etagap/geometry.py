@@ -205,10 +205,6 @@ class GridDomain:
     def dim(self) -> int:
         return self.metric.dim
 
-    @property
-    def n_interior(self) -> int:
-        return int(self.interior_flat.size)
-
     def dof_index(self) -> np.ndarray:
         """Flat node index -> DOF index (-1 for Dirichlet nodes)."""
         return self._dof_of_node

@@ -13,6 +13,7 @@ import copy
 import functools
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -28,8 +29,10 @@ CHECK_NAMES = ("gap", "yang", "cor32", "lemma32", "parseval")
 
 
 def _real(value) -> float:
-    """A number or decimal string as fields.real reads it, which must be finite: no config real is inf or nan."""
-    value = fields.real(value)
+    """A number (not a bool) or decimal string such as "1e-9" as a float; no config real is inf or nan."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        raise TypeError(value)
+    value = float(value)
     if not math.isfinite(value):
         raise ValueError(value)
     return value
@@ -58,6 +61,17 @@ def _flag_names(text: str):
     return [name.strip() for name in text.split(",") if name.strip()] if text else None
 
 
+@dataclass(frozen=True)
+class OracleSpectrum:
+    """Closed-form eigenvalue generators for separable references, and the rtol that scores them."""
+
+    kind: str
+    lengths: tuple = ()
+    coeffs: tuple = ()
+    drift_slope: float = 0.0
+    rtol: float | None = None  # without it the error is reported and scored nowhere
+
+
 class Key(NamedTuple):
     """One config value: the parser of its JSON value (None: kept as given), its admissible range as
     (words, test of the parsed value or None), its parsed value when absent (``...``: it is required)
@@ -72,12 +86,14 @@ class Key(NamedTuple):
 # Admissible ranges, as (the words an error shows, a test of the parsed value or None for any).  An integer is
 # tested by type(), not int(): int() truncates 16.7 and accepts "16", and bool is an int subclass.
 STRING, OBJECT = ("a string", lambda v: type(v) is str), ("a JSON object", lambda v: type(v) is dict)
+FINITE, REALS = ("a finite real", None), ("an array of finite reals", None)
 POSITIVE, NONNEGATIVE = ("finite and > 0", lambda v: v > 0.0), ("finite and >= 0", lambda v: v >= 0.0)
 POSITIVE_EACH = ("finite and > 0 each", lambda v: all(x > 0.0 for x in v))
-PAIRS = ("[lo, hi] pairs of finite reals", lambda v: all(len(p) == 2 for p in v))
+SQUARE = ("a square array of rows of finite reals", lambda v: all(len(row) == len(v) for row in v))
+PAIRS = ("one or more [lo, hi] pairs of finite reals, lo < hi", lambda v: v != [] and all(len(p) == 2 and p[0] < p[1] for p in v))
 CELLS = (">= 2 per axis, each a JSON integer", lambda v: all(type(r) is int and r >= 2 for r in v))
 EIGENPAIRS = ("'full' or an integer >= 1", lambda v: v == "full" or (type(v) is int and v >= 1))
-SEED = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
+NATURAL = ("an integer >= 0", lambda v: type(v) is int and v >= 0)
 GAP_ROWS = ("two integers 2 <= lo <= hi", lambda v: len(v) == 2 and all(type(k) is int for k in v) and 2 <= v[0] <= v[1])
 
 
@@ -89,14 +105,88 @@ def _names(options) -> tuple:
     return f"an array of {'|'.join(options)}", lambda v: type(v) is list and all(name in options for name in v)
 
 
+def _parse(given, keys: dict, where: str, known=()) -> dict:
+    """{key: value} of the JSON object ``given`` at path ``where`` ("" is the top level) by a table of Keys,
+    absent keys at their defaults; ``known`` names the other keys it may hold."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object, got {given!r}")
+    unknown = sorted(set(given) - set(keys) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where or 'config'} key(s) {unknown}; known: {', '.join([*keys, *known])}")
+    parsed = {}
+    for name, (parse, (words, admits), default, _flag) in keys.items():
+        path = f"{where}.{name}".lstrip(".")
+        if name not in given:
+            if default is ...:
+                raise ConfigError(f"missing config key {path!r}")
+            parsed[name] = copy.deepcopy(default)
+            continue
+        try:  # a nested table's ConfigError, with its own path, passes through
+            parsed[name] = given[name] if parse is None else parse(given[name])
+            if admits is None or admits(parsed[name]):
+                continue
+        except (TypeError, ValueError):
+            pass
+        raise ConfigError(f"{path} must be {words}, got {given[name]!r}")
+    return parsed
+
+
+def _objects(keys: dict, where: str):
+    """The parser of a JSON array of objects at path ``where``, each read by the table ``keys``."""
+
+    def parse(values):
+        if not (isinstance(values, list) and all(isinstance(v, dict) for v in values)):
+            raise TypeError(values)
+        return [_parse(value, keys, f"{where}[{i}]") for i, value in enumerate(values)]
+
+    return parse
+
+
+def _preset(where: str, tables: dict, kind=...) -> Key:
+    """The Key of a preset block at path ``where``: its "kind" (``kind`` when absent) picks the table of its
+    other keys; the block's default is the default kind with its defaults."""
+    kinds = {"kind": Key(None, _one_of(tables), kind)}
+
+    def parse(given):
+        picked = _parse(given, kinds, where, known=given)["kind"]  # the kind alone, whatever else the block holds
+        return _parse(given, {**kinds, **tables[picked]}, where)
+
+    return Key(parse, OBJECT, ... if kind is ... else parse({}))
+
+
+# The parameters of each preset kind; fields builds the tensor and drift from their parsed values.  A vector
+# or matrix named in PER_AXIS, a preset's or constants.origin, has one entry or row per axis: validate checks it.
+PER_AXIS = ("matrix", "entries", "coeffs", "quad", "center", "lo", "hi", "origin")
+ZERO, VECTOR = Key(_real, FINITE, 0.0), Key(_array(_real), REALS)  # a real that defaults to 0; a required vector
+PROFILE_ENTRY = {
+    "profile": Key(None, _one_of(fields.PROFILES), "const"),
+    "c0": ZERO,
+    "c1": ZERO,
+    "axis": Key(None, NATURAL, 0),  # validate checks it against the dimension
+}
+TENSORS = {
+    "identity": {"scale": Key(_real, POSITIVE, 1.0)},
+    "constant": {"matrix": Key(_array(_array(_real)), SQUARE)},
+    "constant_diag": {"entries": Key(_array(_real), POSITIVE_EACH)},
+    "diag_profile": {"entries": Key(_objects(PROFILE_ENTRY, "tensor.entries"), ("an array of JSON objects", None))},
+}
+DRIFTS = {
+    "zero": {"c": ZERO},
+    "constant": {"c": ZERO},
+    "affine": {"coeffs": VECTOR, "c0": ZERO},
+    "quadratic": {"quad": Key(_array(_array(_real)), SQUARE, None), "coeffs": Key(_array(_real), REALS, None), "c0": ZERO},
+    "gaussian": {"amplitude": Key(_real, FINITE), "center": VECTOR, "width": Key(_real, POSITIVE)},
+}
+MASKS = {"all": {}, "ball": {"center": VECTOR, "radius": Key(_real, POSITIVE)}, "box": {"lo": VECTOR, "hi": VECTOR}}
+
 # Every config value by block ("" is the top level) and key: the one place a key is defined.
-# Presets (tensor, drift, mask) parse their own parameters; the rules across keys are validate's.
+# The rules across keys, sizes against the dimension among them, are validate's.
 SCHEMA = {
     "": {
         "name": Key(None, STRING),
         "metric": Key(None, _one_of(("euclidean", "hyperbolic"))),
-        "tensor": Key(None, OBJECT),
-        "drift": Key(None, OBJECT, {"kind": "zero"}),
+        "tensor": _preset("tensor", TENSORS),
+        "drift": _preset("drift", DRIFTS, "zero"),
         "verify": Key(
             None, _names(CHECK_NAMES), [],
             ("--checks", {"type": _flag_names, "metavar": "CHECKS", "help": "comma list of checks"}),
@@ -106,7 +196,7 @@ SCHEMA = {
     "domain": {
         "bounds": Key(_array(_array(_real, tuple)), PAIRS),
         "resolution": Key(list, CELLS, flag=("--resolution", {"type": _flag_integer, "nargs": "+", "help": "cells per axis"})),
-        "mask": Key(None, OBJECT, {"kind": "all"}),
+        "mask": _preset("domain.mask", MASKS, "all"),
     },
     "solver": {
         "k": Key(None, EIGENPAIRS, 8, ("--k", {"type": _flag_integer, "help": "eigenpair count (or 'full')"})),
@@ -116,7 +206,7 @@ SCHEMA = {
             None, _one_of(spectral.METHODS), "auto",
             ("--dense", {"action": "store_const", "const": "dense", "help": "force the dense solver"}),
         ),
-        "seed": Key(None, SEED, 0, ("--seed", {"type": _flag_integer, "help": "solver seed"})),
+        "seed": Key(None, NATURAL, 0, ("--seed", {"type": _flag_integer, "help": "solver seed"})),
     },
     "bounds": {
         "theorems": Key(None, _names(tuple(bounds.THEOREMS)), []),
@@ -127,14 +217,14 @@ SCHEMA = {
         "H0": Key(_real, NONNEGATIVE, None),
         "kappa1": Key(_real, NONNEGATIVE, None),
         "kappa2": Key(_real, NONNEGATIVE, None),
-        "origin": Key(_array(_real), ("an array of finite reals", None), None),
+        "origin": Key(_array(_real), REALS, None),
     },
-    "oracle": {  # the block itself may be left out or null: the config has no oracle
+    "oracle": {  # the block itself may be left out or null: the config has no oracle; defaults are the dataclass's
         "kind": Key(None, _one_of(("interval", "box", "anisotropic", "drifted_interval"))),
-        "lengths": Key(_array(_real, tuple), POSITIVE_EACH, ()),
-        "coeffs": Key(_array(_real, tuple), POSITIVE_EACH, ()),
-        "drift_slope": Key(_real, ("a finite real", None), 0.0),
-        "rtol": Key(_real, NONNEGATIVE, None),
+        "lengths": Key(_array(_real, tuple), POSITIVE_EACH, OracleSpectrum.lengths),
+        "coeffs": Key(_array(_real, tuple), POSITIVE_EACH, OracleSpectrum.coeffs),
+        "drift_slope": Key(_real, FINITE, OracleSpectrum.drift_slope),
+        "rtol": Key(_real, NONNEGATIVE, OracleSpectrum.rtol),
     },
 }
 
@@ -142,35 +232,13 @@ SCHEMA = {
 OVERRIDES = {name: block for block, keys in SCHEMA.items() for name, key in keys.items() if key.flag}
 
 
-def _read(raw: dict) -> dict:
+def _read(raw) -> dict:
     """{block: {key: value}} of a raw config by the table, absent keys at their defaults; no oracle: None."""
-    values = {}
-    for block, keys in SCHEMA.items():
-        given = raw.get(block, {}) if block else raw  # the top level comes first: raw is a dict from here on
-        if block == "oracle" and raw.get(block) is None:
-            values[block] = None
-            continue
-        if not isinstance(given, dict):
-            raise ConfigError(f"{block or 'config'} must be a JSON object, got {given!r}")
-        known = [*keys, *(b for b in SCHEMA if b and not block)]
-        unknown = sorted(set(given) - set(known))
-        if unknown:
-            raise ConfigError(f"unknown {block or 'config'} key(s) {unknown}; known: {', '.join(known)}")
-        values[block] = parsed = {}
-        for name, (parse, (words, admits), default, _flag) in keys.items():
-            path = f"{block}.{name}".lstrip(".")
-            if name not in given:
-                if default is ...:
-                    raise ConfigError(f"missing config key {path!r}")
-                parsed[name] = copy.deepcopy(default)
-                continue
-            try:
-                parsed[name] = given[name] if parse is None else parse(given[name])
-                if admits is None or admits(parsed[name]):
-                    continue
-            except (TypeError, ValueError):
-                pass
-            raise ConfigError(f"{path} must be {words}, got {given[name]!r}")
+    blocks = [block for block in SCHEMA if block]
+    values = {"": _parse(raw, SCHEMA[""], "", known=blocks)}  # raw is a dict from here on
+    for block in blocks:
+        no_oracle = block == "oracle" and raw.get(block) is None
+        values[block] = None if no_oracle else _parse(raw.get(block, {}), SCHEMA[block], block)
     return values
 
 
@@ -223,8 +291,14 @@ class ScenarioConfig:
         """The rules across keys: sizes against the dimension, the pins, the metric against the bound families."""
         if len(self.resolution) != self.dim:
             raise ConfigError("resolution length must match bounds")
-        if self.origin is not None and len(self.origin) != self.dim:
-            raise ConfigError(f"constants.origin needs {self.dim} entries, got {len(self.origin)}")
+        blocks = {"tensor": self.tensor, "drift": self.drift, "domain.mask": self.mask, "constants": {"origin": self.origin}}
+        for where, spec in blocks.items():
+            for name, given in spec.items():
+                if name in PER_AXIS and given is not None and len(given) != self.dim:
+                    raise ConfigError(f"{where}.{name} needs {self.dim} entries, got {len(given)}")
+        for i, entry in enumerate(self.tensor["entries"] if self.tensor["kind"] == "diag_profile" else ()):
+            if entry["axis"] >= self.dim:
+                raise ConfigError(f"tensor.entries[{i}].axis must be < {self.dim}, got {entry['axis']}")
         pins = [k for k in (self.kappa1, self.kappa2) if k is not None]
         if len(pins) == 2 and self.kappa2 > self.kappa1:
             raise ConfigError(f"need kappa2 <= kappa1, got kappa1={self.kappa1}, kappa2={self.kappa2}")
@@ -245,6 +319,8 @@ class ScenarioConfig:
             ):
                 raise ConfigError("thm11 scenarios take no curvature/origin inputs")
         else:
+            if self.dim < 2:
+                raise ConfigError("the hyperbolic metric needs a domain of dimension >= 2")
             if "thm11" in self.theorems:
                 raise ConfigError("thm11 requires the Euclidean metric")
             # the pinching -kappa1^2 <= K <= -kappa2^2 must hold for K = -1
@@ -261,7 +337,7 @@ class ScenarioConfig:
                     raise ConfigError("thm13 needs an origin outside the closed domain")
                 if self.kappa1 is None or self.kappa2 is None:
                     raise ConfigError("thm13 needs kappa1 and kappa2")
-                if self.tensor.get("kind") != "identity":
+                if self.tensor["kind"] != "identity":
                     raise ConfigError(
                         "thm13 requires a radially parallel tensor; only identity presets qualify"
                     )
@@ -286,49 +362,20 @@ def apply_overrides(cfg: ScenarioConfig, overrides: dict | None) -> ScenarioConf
 # ---------------------------------------------------------------------------
 
 
-def _mask_rule(mask: dict, dim: int):
-    kind = mask.get("kind", "all")
-    if kind == "all":
-        return None
-    if kind == "ball":
-        center = np.asarray(fields.axis_reals(mask["center"], dim, "ball mask center"))
-        radius = fields.real(mask["radius"])
-
-        def rule(centers):
-            return np.linalg.norm(centers - center[None, :], axis=1) <= radius
-
-        return rule
-    if kind == "box":
-        lo = np.asarray(fields.axis_reals(mask["lo"], dim, "box mask lo"))
-        hi = np.asarray(fields.axis_reals(mask["hi"], dim, "box mask hi"))
-
-        def rule(centers):
-            return np.all((centers >= lo[None, :]) & (centers <= hi[None, :]), axis=1)
-
-        return rule
-    raise ConfigError(f"unknown mask kind {kind!r}")
-
-
-def _preset(build, spec: dict, dim: int, default_kind=None):
-    """A field from a config spec {"kind": ..., params}; fields parses the params."""
-    params = dict(spec)
-    return build(params.pop("kind", default_kind), dim, **params)
+def _mask_rule(mask: dict):
+    """The cell-center rule of a parsed mask; None keeps every cell."""
+    if mask["kind"] == "ball":
+        center, radius = np.asarray(mask["center"]), mask["radius"]
+        return lambda centers: np.linalg.norm(centers - center[None, :], axis=1) <= radius
+    if mask["kind"] == "box":
+        lo, hi = np.asarray(mask["lo"]), np.asarray(mask["hi"])
+        return lambda centers: np.all((centers >= lo[None, :]) & (centers <= hi[None, :]), axis=1)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # oracle spectra
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OracleSpectrum:
-    """Closed-form eigenvalue generators for separable references, and the rtol that scores them."""
-
-    kind: str
-    lengths: tuple = ()
-    coeffs: tuple = ()
-    drift_slope: float = 0.0
-    rtol: float | None = None  # without it the error is reported and scored nowhere
 
 
 def oracle_eigenvalues(oracle: OracleSpectrum, k: int, dim: int) -> np.ndarray:
@@ -416,15 +463,10 @@ class ScenarioReport:
 def build_problem(cfg: ScenarioConfig):
     """Metric, domain, tensor and drift objects for a validated config."""
     hyperbolic = cfg.metric_tag == "hyperbolic"
-    try:  # a malformed preset or mask parameter is a config error, the CLI's exit code 3
-        metric = (geometry.hyperbolic_half_plane if hyperbolic else geometry.euclidean)(cfg.dim)
-        domain = geometry.make_box_domain(cfg.box, cfg.resolution, metric, _mask_rule(cfg.mask, cfg.dim))
-        tensor = _preset(fields.tensor_preset, cfg.tensor, cfg.dim)
-        drift = _preset(fields.drift_preset, cfg.drift, cfg.dim, default_kind="zero")
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    metric = (geometry.hyperbolic_half_plane if hyperbolic else geometry.euclidean)(cfg.dim)
+    domain = geometry.make_box_domain(cfg.box, cfg.resolution, metric, _mask_rule(cfg.mask))
+    tensor = fields.tensor_preset(dim=cfg.dim, **cfg.tensor)
+    drift = fields.drift_preset(dim=cfg.dim, **cfg.drift)
     if "thm12" in cfg.theorems or "thm13" in cfg.theorems:  # validate keeps them on the half-space
         fields.validate_radially_constant(drift.value, domain)
         fields.validate_radially_constant(

@@ -351,7 +351,7 @@ def coo_mirror_reference(pair):
     ri, rj = dof[:, iu].T, dof[:, ju].T
     keep = (ri >= 0) & (rj >= 0)
     rows, cols = np.minimum(ri, rj)[keep], np.maximum(ri, rj)[keep]
-    nd = domain.n_interior
+    nd = domain.interior_flat.size
 
     def mirror(vals):
         upper = sp.coo_matrix((vals, (rows, cols)), shape=(nd, nd)).tocsr()

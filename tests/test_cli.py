@@ -429,6 +429,33 @@ MALFORMED_CONFIGS = {
             "box": {"kind": "box", "lo": ["-0.5"], "hi": ["0.5"]},
         }.items()
     },
+    # a preset's kind picks the table of its parameters, read as every other key is: no unknown key, every real finite
+    "affine_misspelled_c0": {"drift": {"kind": "affine", "coeffs": ["1", "0"], "C0": "5"}},
+    "diag_profile_misspelled_c1": {
+        "tensor": {"kind": "diag_profile", "entries": [{"profile": "sin", "c0": "2", "c_1": "1"}, {"c0": "2"}]}
+    },
+    "identity_misspelled_scale": {"tensor": {"kind": "identity", "scal": "2"}},
+    "quadratic_scale": {"drift": {"kind": "quadratic", "scale": "2"}},
+    "constant_diag_inf": {"tensor": {"kind": "constant_diag", "entries": ["1", "inf"]}},
+    "diag_profile_c1_nan": {
+        "tensor": {"kind": "diag_profile", "entries": [{"profile": "sin", "c0": "2", "c1": "nan"}, {"c0": "2"}]}
+    },
+    "gaussian_width_zero": {"drift": {"kind": "gaussian", "amplitude": "1", "center": ["1", "1"], "width": "0"}},
+    "identity_scale_negative": {"tensor": {"kind": "identity", "scale": "-1"}},
+    **{
+        f"mask_{label}": {
+            "domain": {
+                "bounds": [["0", "3.141592653589793"], ["0", "3.141592653589793"]],
+                "resolution": [48, 48],
+                "mask": mask,
+            }
+        }
+        for label, mask in {
+            "ball_misspelled_radius": {"kind": "ball", "center": ["1.5", "1.5"], "radius": "1", "raduis": "2"},
+            "all_with_radius": {"kind": "all", "radius": "1"},
+            "ball_radius_inf": {"kind": "ball", "center": ["1.5", "1.5"], "radius": "inf"},
+        }.items()
+    },
 }
 
 

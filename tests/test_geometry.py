@@ -33,11 +33,11 @@ def row(*x):
 class TestMakeBoxDomain:
     def test_interior_count_square(self):
         dom = make_box_domain([(0, np.pi), (0, np.pi)], [4, 4], EUC2)
-        assert dom.n_interior == 9
+        assert dom.interior_flat.size == 9
 
     def test_interior_count_interval(self):
         dom = make_box_domain([(0, np.pi)], [2], euclidean(1))
-        assert dom.n_interior == 1
+        assert dom.interior_flat.size == 1
 
     def test_hyperbolic_box_below_axis_rejected(self):
         with pytest.raises(InvalidHalfPlane):
@@ -55,7 +55,7 @@ class TestMakeBoxDomain:
             return np.all(centers < 0.5, axis=1)
 
         dom = make_box_domain([(0, 1), (0, 1)], [4, 4], EUC2, mask_rule=rule)
-        assert dom.n_interior == 1
+        assert dom.interior_flat.size == 1
 
 
 class TestVolumeWeight:

@@ -1,6 +1,7 @@
 """Scenario configs, oracles, builtin runs, and determinism."""
 
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from etagap import spectral
 from etagap.errors import ConfigError
 from etagap.spectral import ValidationReport
 from etagap.scenario import (
+    SCHEMA,
     OracleSpectrum,
     ScenarioConfig,
     ScenarioReport,
@@ -23,6 +25,9 @@ from etagap.scenario import (
     oracle_eigenvalues,
     run_scenario,
 )
+
+
+ONE_D = {"bounds": [["0", "1"]], "resolution": [16]}
 
 
 def minimal_config(**over):
@@ -90,12 +95,39 @@ class TestConfigValidation:
             ({"bounds": {"theorems": ["thm11"], "k_rang": [2, 2]}}, "bounds", "k_rang"),
             ({"constants": {"h0": "1"}}, "constants", "h0"),
             ({"oracle": {"kind": "interval", "rtool": "0.01"}}, "oracle", "rtool"),
+            ({"tensor": {"kind": "identity", "scal": "2"}}, "tensor", "scal"),
+            ({"drift": {"kind": "affine", "coeffs": ["1"], "C0": "5"}}, "drift", "C0"),
+            ({"tensor": {"kind": "diag_profile", "entries": [{"c0": "2", "c_1": "1"}]}}, "tensor.entries[0]", "c_1"),
+            ({"domain": {**ONE_D, "mask": {"kind": "all", "radius": "1"}}}, "domain.mask", "radius"),
         ],
     )
     def test_unknown_key_rejected(self, over, where, key):
-        # a misspelled key is an error, not a silent default
-        with pytest.raises(ConfigError, match=f"unknown {where} key\\(s\\) \\['{key}'\\]"):
+        # a misspelled key is an error, not a silent default, in a preset block as in any other
+        with pytest.raises(ConfigError, match=re.escape(f"unknown {where} key(s) ['{key}']")):
             ScenarioConfig.from_dict(minimal_config(**over))
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            (
+                {"tensor": {"kind": "diag_profile", "entries": [{"profile": "sin", "c0": "2", "c1": "nan"}]}},
+                "tensor.entries[0].c1 must be a finite real, got 'nan'",
+            ),
+            (
+                {"domain": {**ONE_D, "mask": {"kind": "ball", "center": ["0.5"], "radius": "inf"}}},
+                "domain.mask.radius must be finite and > 0, got 'inf'",
+            ),
+            ({"tensor": {"kind": "diag_profile", "entries": [{"axis": 1}]}}, "tensor.entries[0].axis must be < 1, got 1"),
+            ({"drift": {"kind": "quadratic", "quad": [["1", "0"], ["0", "1"]]}}, "drift.quad needs 1 entries, got 2"),
+        ],
+    )
+    def test_a_preset_value_error_names_its_path(self, over, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ScenarioConfig.from_dict(minimal_config(**over))
+
+    @pytest.mark.parametrize("kind", SCHEMA["oracle"]["kind"].range[0].split("|"))
+    def test_oracle_defaults_are_the_dataclass_defaults(self, kind):
+        assert ScenarioConfig.from_dict(minimal_config(oracle={"kind": kind})).oracle == OracleSpectrum(kind)
 
     def test_hyperbolic_needs_h0(self):
         raw = minimal_config(

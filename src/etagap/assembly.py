@@ -12,8 +12,8 @@ and so is every quantity at them.  Each is formed per chunk of cells and
 never held whole: the points, weights and metric factor (``quad_data``),
 the fields and DOF vectors there (``at_quadrature``), and sums over the
 points (``pairwise_sums``).  Only ``assemble`` views a chunk as
-(ncell, ...) blocks.  Both matrices are built straight into CSR from the
-grid's 3^n node stencil: each unordered index pair is summed once and read
+(ncell, ...) blocks, whose values reach CSR through the grid's 3^n node
+stencil one chunk at a time: each unordered index pair is summed once and read
 from both sides, so A == A^T and B == B^T exactly.  They share one
 read-only int32 sparsity pattern without Dirichlet columns (see
 ``_stencil_csr``).
@@ -118,33 +118,34 @@ def quad_data(domain: GridDomain, drift: ScalarField, cells: slice = slice(None)
     return pts, dm, 1.0 if rho is None else rho**2  # inverse_metric_factor
 
 
-def _node_arrays(domain: GridDomain, v: np.ndarray, half: int) -> np.ndarray:
-    """Per-cell pair values v (npair, ncell) summed into one node array per stencil offset o >= 0.
+def _node_arrays(domain: GridDomain, chunks, half: int) -> np.ndarray:
+    """Per-cell pair values (len, npair) by chunks, the last first, summed into one node array per stencil offset o >= 0.
 
     Pair (i, j) of a cell joins nodes r and r + o, o with flat offset >= 0;
-    its values are added by slices over the cell grid into o's node array
-    at r.  One grid array takes one pair's values at a time, and its
-    masked-out cells stay zero.  The arrays come stacked by |o| and flat.
+    its column goes into o's node array at the chunk's corner-i nodes, pairs
+    in triu order.  Corner i's flat offset grows with i, so a node's terms of
+    one offset come from cells of decreasing number, in pair order, as one
+    pass per pair over the grid adds them.  The arrays come stacked by |o|, flat.
     """
-    n, res = domain.dim, domain.resolution
-    corners = np.array(list(itertools.product((0, 1), repeat=n)))
-    cell = np.zeros(res)
-    inside = np.flatnonzero(domain.mask)
+    corners = np.array(list(itertools.product((0, 1), repeat=domain.dim)))
+    iu, ju = np.triu_indices(len(corners))
+    offsets = np.ravel_multi_index((corners[ju] - corners[iu] + 1).T, (3,) * domain.dim) - half
     stacked = np.zeros((half + 1) * domain.dof_index().size)
-    node_arrays = stacked.reshape((half + 1,) + domain.node_shape)
-    for p, (i, j) in enumerate(zip(*np.triu_indices(len(corners)))):
-        k = np.ravel_multi_index(corners[j] - corners[i] + 1, (3,) * n) - half
-        cell.reshape(-1)[inside] = v[p]
-        node_arrays[k][tuple(slice(c, c + r) for c, r in zip(corners[i], res))] += cell
+    node_arrays = stacked.reshape(half + 1, -1)
+    for cells, values in chunks:
+        nodes = domain.cell_corner_nodes(cells)
+        for p, (i, k) in enumerate(zip(iu, offsets)):  # a chunk's corner-i nodes are distinct
+            node_arrays[k][nodes[:, i]] += values[:, p]
+        del nodes, values  # before the next chunk is formed
     return stacked
 
 
-def _stencil_csr(domain: GridDomain, makers) -> list[sp.csr_matrix]:
+def _stencil_csr(domain: GridDomain, values) -> list[sp.csr_matrix]:
     """Symmetric CSR matrices over the interior DOFs from per-cell pair values, on one shared pattern.
 
-    Each maker returns one matrix's (npair, ncell) values when called, so
-    that they live only while that matrix is built.  Each matrix reads its
-    entries from ``_node_arrays``: entry (r, r + o),
+    ``values`` holds one iterable per matrix of the chunks ``_node_arrays``
+    takes; a generator forms each chunk only when its turn there comes.
+    Each matrix reads its entries from those node arrays: entry (r, r + o),
     o a 3^n stencil offset with flat offset >= 0, at r in o's array, and
     entry (r, r - o) from the same array at r - o, so the matrix equals its
     transpose bit for bit.  A row takes the stencil in increasing flat
@@ -175,8 +176,8 @@ def _stencil_csr(domain: GridDomain, makers) -> list[sp.csr_matrix]:
     indices.setflags(write=False)
     indptr.setflags(write=False)
     out = []
-    for make in makers:
-        data = _node_arrays(domain, make(), half)[src]
+    for chunks in values:
+        data = _node_arrays(domain, chunks, half)[src]
         if data.all():
             out.append(sp.csr_matrix((data, indices, indptr), shape=(rows.size,) * 2))
         else:  # eliminate_zeros works in place, on this matrix's own pattern
@@ -201,12 +202,10 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
     grad_pairs = np.einsum("qia,qjb->qabij", dN, dN)[..., iu, ju].reshape(nq * n * n, -1)
 
     def pair_values(rows, table):
-        # (npair, ncell), one contiguous row per pair, by chunks of cells, so
-        # that no per-point array exists at full size
-        out = np.empty((table.shape[1], domain.n_cells))
-        for cells in even_chunks(out.shape[1], CHUNK_ROWS):
-            out[:, cells] = (rows(cells) @ table).T
-        return out
+        # (len, npair) per chunk of cells, last chunk first (see _node_arrays),
+        # so that no per-point or per-cell array exists at full size
+        for cells in reversed(even_chunks(domain.n_cells, CHUNK_ROWS)):
+            yield cells, rows(cells) @ table
 
     weights = []  # each chunk's weights, from A's pass to B's, which takes them in the same order
     eigen_ranges = []  # each chunk's (smallest, largest) eigenvalue of T
@@ -220,13 +219,8 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
         weights.append(dm)
         return ((dm * grad_factor)[:, None, None] * theta).reshape(-1, nq * n * n)
 
-    A, B = _stencil_csr(
-        domain,
-        (
-            lambda: pair_values(a_rows, grad_pairs),
-            lambda: pair_values(lambda cells: weights.pop(0).reshape(-1, nq), N[:, iu] * N[:, ju]),
-        ),
-    )
+    b_values = pair_values(lambda cells: weights.pop(0).reshape(-1, nq), N[:, iu] * N[:, ju])
+    A, B = _stencil_csr(domain, (pair_values(a_rows, grad_pairs), b_values))
     lows, highs = zip(*eigen_ranges)
     return OperatorPair(A, B, domain, field, drift, min(lows), max(highs))
 

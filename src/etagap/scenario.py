@@ -90,6 +90,8 @@ FINITE, REALS = ("a finite real", None), ("an array of finite reals", None)
 POSITIVE, NONNEGATIVE = ("finite and > 0", lambda v: v > 0.0), ("finite and >= 0", lambda v: v >= 0.0)
 POSITIVE_EACH = ("finite and > 0 each", lambda v: all(x > 0.0 for x in v))
 SQUARE = ("a square array of rows of finite reals", lambda v: all(len(row) == len(v) for row in v))
+SPD = ("a symmetric positive-definite square array of rows of finite reals",  # as tensor_eigen_range finds it
+       lambda v: SQUARE[1](v) and v != [] and np.array_equal(v, np.transpose(v)) and np.linalg.eigvalsh(v)[0] > 0.0)
 PAIRS = ("one or more [lo, hi] pairs of finite reals, lo < hi", lambda v: v != [] and all(len(p) == 2 and p[0] < p[1] for p in v))
 CELLS = (">= 2 per axis, each a JSON integer", lambda v: all(type(r) is int and r >= 2 for r in v))
 EIGENPAIRS = ("'full' or an integer >= 1", lambda v: v == "full" or (type(v) is int and v >= 1))
@@ -166,7 +168,7 @@ PROFILE_ENTRY = {
 }
 TENSORS = {
     "identity": {"scale": Key(_real, POSITIVE, 1.0)},
-    "constant": {"matrix": Key(_array(_array(_real)), SQUARE)},
+    "constant": {"matrix": Key(_array(_array(_real)), SPD)},
     "constant_diag": {"entries": Key(_array(_real), POSITIVE_EACH)},
     "diag_profile": {"entries": Key(_objects(PROFILE_ENTRY, "tensor.entries"), ("an array of JSON objects", None))},
 }
@@ -299,6 +301,10 @@ class ScenarioConfig:
         for i, entry in enumerate(self.tensor["entries"] if self.tensor["kind"] == "diag_profile" else ()):
             if entry["axis"] >= self.dim:
                 raise ConfigError(f"tensor.entries[{i}].axis must be < {self.dim}, got {entry['axis']}")
+            if (entry["profile"] == "const" or entry["c1"] == 0.0) and not entry["c0"] > 0.0:  # a varying one: assembly checks it
+                raise ConfigError(f"tensor.entries[{i}].c0 must be > 0 where the entry is constant, got {entry['c0']}")
+        if self.mask["kind"] == "box" and not all(lo < hi for lo, hi in zip(self.mask["lo"], self.mask["hi"])):
+            raise ConfigError(f"domain.mask must be a box with lo < hi on every axis, got {self.mask}")
         pins = [k for k in (self.kappa1, self.kappa2) if k is not None]
         if len(pins) == 2 and self.kappa2 > self.kappa1:
             raise ConfigError(f"need kappa2 <= kappa1, got kappa1={self.kappa1}, kappa2={self.kappa2}")

@@ -1,6 +1,7 @@
 """Stiffness/mass assembly: exact values, symmetry, convergence, adjoints."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from etagap.assembly import assemble, even_chunks, project_function, quad_data
 from etagap.errors import DimensionMismatch, NonFiniteValue
 from etagap.fields import AffineScalar, ConstantScalar, LogAxisScalar, ScalarField, identity_tensor, tensor_preset
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
-from etagap.scenario import apply_overrides, build_problem, builtin_config
+from etagap.scenario import apply_overrides, build_problem, builtin_config, load_config
 from etagap.spectral import solve_lowest
 
+CONFIGS = Path(__file__).resolve().parent / "configs"
 EUC1 = euclidean(1)
 EUC2 = euclidean(2)
 HYP2 = hyperbolic_half_plane(2)
@@ -416,8 +418,20 @@ STENCIL_CASES = {
 
 
 class TestStencilBuild:
-    @pytest.mark.parametrize("case", sorted(STENCIL_CASES))
-    def test_matches_coo_mirror_reference(self, case):
+    @pytest.mark.parametrize(
+        "case, chunk_rows",
+        [
+            pytest.param(case, rows, id=case if rows is None else f"{case}-rows{rows}")
+            for case in sorted(STENCIL_CASES)
+            for rows in (None, 5)
+        ],
+    )
+    def test_matches_coo_mirror_reference(self, case, chunk_rows, monkeypatch):
+        """Bit for bit in 1-D and 2-D, also with many chunks of cells: their order keeps each node's sum order."""
+        from etagap import assembly
+
+        if chunk_rows is not None:
+            monkeypatch.setattr(assembly, "CHUNK_ROWS", chunk_rows)
         pair = assemble(*STENCIL_CASES[case]())
         for mat, ref in zip((pair.A, pair.B), coo_mirror_reference(pair)):
             assert mat.nnz == ref.nnz
@@ -437,20 +451,26 @@ class TestStencilBuild:
 
 def test_assemble_working_set():
     """A's cell values are formed by cell chunks and freed before B's, and each
-    pair's values reach the node arrays through one grid array: at most 14.5
-    doubles per quadrature point, the weights and T included (9.3 measured;
-    12.2 with every Gauss point held, 15.5 with A's values in one product,
-    17.7 with every (ncell, npair) block at once).
+    chunk's values go into the node arrays before the next chunk is formed:
+    at most 9.0 doubles per quadrature point on a 128^2 square and 12.5 on a
+    32^3 box with a diag_profile T and an affine eta, the weights and T
+    included (8.36 and 11.40 measured; 9.59 and 13.98 with all (npair, ncell)
+    values of a matrix in one block, 17.7 on the square with every
+    (ncell, npair) block at once).
     """
-    cfg = apply_overrides(builtin_config("square_laplacian"), {"resolution": 128})
-    _, domain, tensor, drift = build_problem(cfg)
-    tracemalloc.start()
-    try:
-        pair = assemble(domain, tensor, drift)
-        peak = tracemalloc.get_traced_memory()[1] / (8.0 * domain.n_cells * 4)
-    finally:
-        tracemalloc.stop()
-    assert peak <= 14.5
+    cases = [
+        (apply_overrides(builtin_config("square_laplacian"), {"resolution": 128}), 9.0),
+        (apply_overrides(load_config(CONFIGS / "box3_separable.json"), {"resolution": 32}), 12.5),
+    ]
+    for cfg, bound in cases:
+        _, domain, tensor, drift = build_problem(cfg)
+        tracemalloc.start()
+        try:
+            pair = assemble(domain, tensor, drift)
+            peak = tracemalloc.get_traced_memory()[1] / (8.0 * domain.n_cells * 2**domain.dim)
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (domain.dim, peak)
 
 
 def test_pair_holds_no_per_point_array():

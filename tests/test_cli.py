@@ -454,6 +454,20 @@ MALFORMED_CONFIGS = {
             "ball_misspelled_radius": {"kind": "ball", "center": ["1.5", "1.5"], "radius": "1", "raduis": "2"},
             "all_with_radius": {"kind": "all", "radius": "1"},
             "ball_radius_inf": {"kind": "ball", "center": ["1.5", "1.5"], "radius": "inf"},
+            "box_lo_above_hi": {"kind": "box", "lo": ["2", "0.5"], "hi": ["1", "2.5"]},
+            "box_lo_equals_hi": {"kind": "box", "lo": ["0.5", "1.5"], "hi": ["2.5", "1.5"]},
+        }.items()
+    },
+    # preset values wrong on their face, which assembly would refuse
+    "constant_matrix_not_symmetric": {"tensor": {"kind": "constant", "matrix": [["1", "0.5"], ["0", "1"]]}},
+    "constant_matrix_indefinite": {"tensor": {"kind": "constant", "matrix": [["1", "2"], ["2", "1"]]}},
+    **{
+        f"diag_profile_constant_{label}": {
+            "tensor": {"kind": "diag_profile", "entries": [entry, {"profile": "sin", "c0": "2", "c1": "0.5"}]}
+        }
+        for label, entry in {
+            "c0_zero": {"profile": "const", "c0": "0"},
+            "c0_negative_c1_zero": {"profile": "sin", "c0": "-1", "c1": "0"},
         }.items()
     },
 }

@@ -57,51 +57,3 @@ from .scenario import (
 from .spectral import SpectrumResult, parseval_defect, solve_lowest, validate_spectrum
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "FieldSample",
-    "GapConstant",
-    "GapReport",
-    "GridDomain",
-    "Lemma31Instance",
-    "MetricModel",
-    "OperatorConstants",
-    "OperatorPair",
-    "OracleSpectrum",
-    "ScalarField",
-    "ScenarioConfig",
-    "SpectrumResult",
-    "TensorField",
-    "a_nT",
-    "apply_operator_L",
-    "assemble",
-    "builtin_config",
-    "compute_C0",
-    "compute_T0",
-    "compute_eta_radial_constants",
-    "cor32_check",
-    "domain_origin_distance",
-    "euclidean",
-    "gap_check",
-    "geodesic_distance",
-    "hyperbolic_half_plane",
-    "lemma31_check",
-    "lemma31_suite",
-    "lemma32_check",
-    "list_builtin_scenarios",
-    "load_config",
-    "make_box_domain",
-    "oracle_eigenvalues",
-    "parseval_defect",
-    "project_function",
-    "run_scenario",
-    "solve_lowest",
-    "tensor_bounds",
-    "theorem11_constant",
-    "theorem12_constant",
-    "theorem13_constant",
-    "trace_nabla_T",
-    "validate_spectrum",
-    "volume_weight",
-    "yang_check",
-]

@@ -9,12 +9,12 @@ over multilinear (Q1) nodal elements on the masked-in cells, 2-point Gauss
 quadrature per axis, and Dirichlet conditions imposed by removing boundary
 rows/columns.  The Gauss points are numbered cell by cell (m = ncell nq),
 and so is every quantity at them.  Each is formed per chunk of cells and
-never held whole: the points, weights and metric factor (``quad_data``),
-the fields and DOF vectors there (``at_quadrature``), and sums over the
-points (``pairwise_sums``).  Only ``assemble`` views a chunk as
-(ncell, ...) blocks, whose values reach CSR through the grid's 3^n node
-stencil one chunk at a time: each unordered index pair is summed once and read
-from both sides, so A == A^T and B == B^T exactly.  They share one
+never held whole: the fields, weights and metric factor (``gauss_sample``),
+the DOF vectors there (``at_quadrature``), and the sums over the points
+of the one pass after the solve (``gauss_pass``).  Only ``assemble`` views
+a chunk as (ncell, ...) blocks, whose values reach CSR through the grid's
+3^n node stencil one chunk at a time: each unordered index pair is summed
+once and read from both sides, so A == A^T and B == B^T exactly.  They share one
 read-only int32 sparsity pattern without Dirichlet columns (see
 ``_stencil_csr``).
 """
@@ -85,9 +85,7 @@ def _reference_elements(n: int, h: tuple):
 @dataclass
 class OperatorPair:
     """Assembled (A, B), the DOF bookkeeping, the fields T and eta, and T's
-    extreme eigenvalues epsilon <= delta at the domain's Gauss points.  The
-    points, weights, metric factor and fields there come per chunk of cells
-    (``quad_data``, ``at_quadrature``)."""
+    extreme eigenvalues epsilon <= delta at the domain's Gauss points."""
 
     A: sp.csr_matrix
     B: sp.csr_matrix
@@ -102,20 +100,10 @@ class OperatorPair:
         return self.A.shape[0]
 
 
-def quad_data(domain: GridDomain, drift: ScalarField, cells: slice = slice(None)):
-    """The (len, n) Gauss points of the masked cells ``cells``, their measure weights e^(-eta) W_g and metric factor.
-
-    Where rho = 1 both metric factors are 1: the weights skip that exact
-    multiply and the gradient factor is the float 1.0, not an array of ones.
-    """
+def gauss_sample(domain: GridDomain, field: TensorField, drift: ScalarField, cells: slice = slice(None)) -> FieldSample:
+    """The FieldSample at the (len, n) Gauss points of the masked cells ``cells``, with their measure weights."""
     pts, w = domain.quadrature(cells)
-    rho = domain.metric.rho(pts) if domain.metric.is_hyperbolic else None  # > 0 on the box: read once, unchecked
-    with np.errstate(over="ignore"):
-        # each cell's nq Gauss weights times the cell volume, point by point
-        dm = (np.exp(-drift.value(pts)).reshape(-1, w.size) * (w * domain.cell_volume())).ravel()
-        if rho is not None:
-            dm *= rho ** (-float(domain.dim))  # volume_weight
-    return pts, dm, 1.0 if rho is None else rho**2  # inverse_metric_factor
+    return FieldSample(field, drift, domain.metric, pts, w * domain.cell_volume())
 
 
 def _node_arrays(domain: GridDomain, chunks, half: int) -> np.ndarray:
@@ -211,13 +199,13 @@ def assemble(domain: GridDomain, field: TensorField, drift: ScalarField) -> Oper
     eigen_ranges = []  # each chunk's (smallest, largest) eigenvalue of T
 
     def a_rows(cells):
-        pts, dm, grad_factor = quad_data(domain, drift, cells)
-        theta = field.matrix(pts)
+        sample = gauss_sample(domain, field, drift, cells)
+        dm, theta = sample.dm, sample.theta
         eigen_ranges.append(tensor_eigen_range(theta))
         if not np.all((dm > 0.0) & np.isfinite(dm)):  # else B would be singular or non-finite
             raise NonFiniteValue("measure weight e^(-eta) W_g is not finite and positive at every quadrature point")
         weights.append(dm)
-        return ((dm * grad_factor)[:, None, None] * theta).reshape(-1, nq * n * n)
+        return ((dm * sample.grad_factor)[:, None, None] * theta).reshape(-1, nq * n * n)
 
     b_values = pair_values(lambda cells: weights.pop(0).reshape(-1, nq), N[:, iu] * N[:, ju])
     A, B = _stencil_csr(domain, (pair_values(a_rows, grad_pairs), b_values))
@@ -340,19 +328,16 @@ def project_function(domain: GridDomain, f: ScalarField) -> np.ndarray:
     return values
 
 
-def at_quadrature(pair: OperatorPair, u, *others):
-    """The fields and the Q1 interpolants of DOF vectors at the quadrature points, chunk by chunk of cells.
+def at_quadrature(pair: OperatorPair, *vectors):
+    """(sample, values, gradients) of each of the ``even_chunks`` of at most ``QUAD_CELLS`` cells, in turn.
 
-    Yields (sample, dm, grad_factor, values, gradients) for ``even_chunks``
-    of at most ``QUAD_CELLS`` cells: the FieldSample at the chunk's Gauss
-    points, their ``quad_data`` weights and metric factor, the values
-    (k, len) of u and the others, one contiguous row each, and the
-    coordinate gradients (len, n) of u, in buffers that the next chunk
-    overwrites.  Each vector's corner values are multiplied by the tables
-    of shape values (and gradients); no chunk is one cell where the domain
-    has more, so every value has the bits of one product over all cells.
+    The chunk's ``gauss_sample``, the values (k, len) of the k DOF vectors'
+    Q1 interpolants, a contiguous row each, and the coordinate gradients
+    (len, n) of the first, in buffers that the next chunk overwrites.  No
+    chunk is one cell where there are more, so every value has the bits of
+    one product over all cells.
     """
-    vectors = [np.asarray(v, dtype=float) for v in (u, *others)]
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
     for v in vectors:
         if v.shape[0] != pair.ndof:
             raise DimensionMismatch(f"expected {pair.ndof} entries, got {v.shape[0]}")
@@ -361,21 +346,78 @@ def at_quadrature(pair: OperatorPair, u, *others):
     nq, nloc, n = dN.shape
     value_table, grad_table = np.ascontiguousarray(N.T), dN.transpose(1, 0, 2).reshape(nloc, -1)
     chunks = even_chunks(domain.n_cells, QUAD_CELLS)
-    longest = max(c.stop - c.start for c in chunks)
+    longest = max(c.stop - c.start for c in chunks) if vectors else 0
     values, grads = np.empty((len(vectors), longest * nq)), np.empty((longest, nq * n))
     for cells in chunks:
-        dof = domain.dof_index()[domain.cell_corner_nodes(cells)]
-        ncell = len(dof)
-        for i, v in enumerate(vectors):
-            corner_vals = v[dof]
-            corner_vals[dof < 0] = 0.0  # a Dirichlet corner
-            np.matmul(corner_vals, value_table, out=values[i, : ncell * nq].reshape(ncell, nq))
-            if i == 0:
-                np.matmul(corner_vals, grad_table, out=grads[:ncell])
-        del dof, corner_vals  # no gathered array lives beside the caller's work
-        pts, dm, grad_factor = quad_data(domain, pair.drift, cells)
-        sample = FieldSample(pair.field, pair.drift, domain.metric, pts)
-        yield sample, dm, grad_factor, values[:, : ncell * nq], grads[:ncell].reshape(-1, n)
+        ncell = cells.stop - cells.start
+        if vectors:
+            dof = domain.dof_index()[domain.cell_corner_nodes(cells)]
+            for i, v in enumerate(vectors):
+                corner_vals = v[dof]
+                corner_vals[dof < 0] = 0.0  # a Dirichlet corner
+                np.matmul(corner_vals, value_table, out=values[i, : ncell * nq].reshape(ncell, nq))
+                if i == 0:
+                    np.matmul(corner_vals, grad_table, out=grads[:ncell])
+            del dof, corner_vals  # no gathered array lives beside the caller's work
+        yield gauss_sample(domain, pair.field, pair.drift, cells), values[:, : ncell * nq], grads[:ncell].reshape(-1, n)
+
+
+@dataclass
+class Reader:
+    """What one check reads in a ``gauss_pass``: its DOF vectors, u_j first, and its integrands by key.
+
+    terms(sample, uj, grad_uj, t_guj, modes) maps a chunk's FieldSample, u_j, grad u_j and T grad u_j
+    there and the (k, len) values of the other vectors to a (len,) integrand per key, the same on every chunk.
+    """
+
+    vectors: tuple
+    terms: object
+    sums: dict | None = None
+    error: Exception | None = None
+
+    def result(self, pair: OperatorPair) -> dict:
+        """The sums, from a pass of its own unless a pass has read it; raises the error ``terms`` raised."""
+        if self.sums is None and self.error is None:
+            gauss_pass(pair, [self])
+        if self.error is not None:
+            raise self.error
+        return self.sums
+
+
+def gauss_pass(pair: OperatorPair, readers) -> None:
+    """One ``at_quadrature`` pass that gives each chunk to every reader in turn and sums their integrands by key.
+
+    It reads the readers' u_j (they share it) and their other vectors once each, and forms a chunk's
+    FieldSample and T grad u_j once.  Each sum has the bits of one np.sum of its integrand
+    (``pairwise_sums``).  A reader whose ``terms`` raises keeps the error, and its integrands read 0.
+    A reader that has been read is left out; with none left no point is formed.
+    """
+    readers = [r for r in readers if r.sums is None and r.error is None]
+    vectors = [*next((r.vectors[:1] for r in readers if r.vectors), ()), *(v for r in readers for v in r.vectors[1:])]
+    cuts = np.cumsum([1] + [len(r.vectors[1:]) for r in readers])  # the rows of each reader's other vectors
+    keys = [[] for _ in readers]
+
+    def integrands():
+        for sample, values, grads in at_quadrature(pair, *vectors):
+            uj, t_guj = (values[0], sample.apply_T(grads)) if vectors else (None, None)  # T grad u_j
+            out = []
+            for i, r in enumerate(readers):
+                if r.error is None:
+                    try:
+                        terms = r.terms(sample, uj, grads, t_guj, values[cuts[i] : cuts[i + 1]])
+                        keys[i] = list(terms)
+                    except Exception as exc:  # the reader's own: its result() raises it
+                        r.error = exc
+                out += terms.values() if r.error is None else [np.zeros(len(sample.pts))] * len(keys[i])
+            yield out
+
+    chunks = integrands() if readers else iter(())
+    first = next(chunks, [])
+    sums = pairwise_sums(itertools.chain([first], chunks), pair.domain.n_cells * 2**pair.domain.dim) if first else []
+    for _ in chunks:  # no integrand: the readers took maxima only, or none got past the first chunk
+        pass
+    for r, k in zip(readers, keys):
+        r.sums, sums = dict(zip(k, sums)), sums[len(k) :]
 
 
 PAIRWISE_RUN = 2**11  # values per stream that pairwise_sums sums with one np.sum, at least numpy's 128-value block

@@ -16,18 +16,17 @@ against a spectrum (computed or analytic):
   * the two-sided test-function inequalities (``cor32_check``, for a
     mapping from label to test function) and the real-test-function
     inequality (``lemma32_check``), each a list of rows k = 1, 2, ...
-    read off any computed low spectrum.
+    read off any computed low spectrum, with integrals from a reader of the
+    one pass over the Gauss points (``cor32_reader``, ``lemma32_reader``).
 
 Every check returns rows of one shape, ``VerdictRow``: k, a ``status``,
 the ``claims`` lhs <= rhs it rests on as (claim, lhs, rhs) triples, a
 skip ``reason``, and the values it reports beside them in ``extra``.  A
 row passes when every claim ``holds``; ``tally`` counts rows by status.
 The k = 1 gap row is info, and a cor32 or lemma32 row outside the one
-admissibility rule of ``_rows`` (lambda_{k+1} and lambda_{k+2} in
-different multiplets, lambda_j strictly below the multiplet of
-lambda_{k+1}) is skipped.  Checks never hide numerical error: a gap row
-that exceeds its bound by less than three times the estimated
-discretization error is ``inconclusive`` rather than ``fail``.
+admissibility rule of ``_rows`` is skipped.  Checks never hide numerical
+error: a gap row that exceeds its bound by less than three times the
+estimated discretization error is ``inconclusive`` rather than ``fail``.
 """
 
 from __future__ import annotations
@@ -527,53 +526,37 @@ def _rows(lam: np.ndarray, j: int, count: int):
         yield k, float(lam[k]), float(lam[k + 1]), reason
 
 
-def _cor32_integrals(spectrum: SpectrumResult, pair: assembly.OperatorPair, test_fns: dict, j: int) -> dict:
-    """(I1, I2, I3) of each test function, by label.
+def cor32_reader(spectrum: SpectrumResult, pair: assembly.OperatorPair, test_fns: dict, j: int = 1) -> assembly.Reader:
+    """The reader (``assembly.gauss_pass``) of R_j = u_j^T A u_j, key "R", and I1, I2, I3, keys (label, 0, 1 or 2).
 
-    Raises UnitGradientViolation, for the first label in order, where
-    |grad f|_g deviates from 1 by more than 1e-10 at some point.
-
-    u_j is read once, chunk by chunk (``assembly.at_quadrature``), for all
-    test functions, and every quantity at the points is taken per chunk.
-    Each integral is summed chunk by chunk with the bits of one ``np.sum``
-    of its whole integrand (``assembly.pairwise_sums``).  A structurally zero
-    L f or grad(L f) has no integrand and gives 0.
+    R_j sums <T grad u_j, grad u_j>_g at the Gauss points, as A does, free of the cancellation in A u_j.
+    A structurally zero L f or grad(L f) has no I2 or I3.  A chunk where |grad f|_g deviates from 1 by
+    more than 1e-10 raises UnitGradientViolation, for the first such label.
     """
-    if not test_fns:
-        return {}
-    defects = dict.fromkeys(test_fns, 0.0)
-    keys = []  # (label, 0, 1 or 2) of each integrand, I1, I2 or I3; I2 and I3 are absent where structurally zero
 
-    def integrands():
-        for sample, dm, grad_factor, (uj,), t_guj in assembly.at_quadrature(pair, spectrum.eigenvectors[:, j - 1]):
-            pts = sample.pts
-            t_guj[...] = sample.apply_T(t_guj)  # T grad u_j, over grad u_j
-            terms = {}
-            for label, test_fn in test_fns.items():
-                gf = test_fn.f.grad(pts)
-                some = slice(1) if gf.strides[0] == 0 and np.ndim(grad_factor) == 0 else slice(None)  # rho = 1, one row
-                defect = np.max(np.abs(gradient_norm(pair.domain.metric, pts[some], gf[some]) - 1.0))
-                defects[label] = np.maximum(defects[label], defect)  # a nan stays
-                i1 = np.einsum("qa,qa->q", t_guj, gf)
-                if np.ndim(grad_factor):  # else rho = 1
-                    i1 *= grad_factor
-                np.square(i1, out=i1)
-                i1 *= dm
-                terms[label, 0] = i1
-                lf, glf = test_fn.lf_and_grad(sample)
-                if lf is not None:
-                    terms[label, 1] = lf**2 * uj**2 * dm
-                if glf is not None:
-                    terms[label, 2] = grad_factor * np.einsum("qa,qa->q", glf, sample.apply_T(gf)) * uj**2 * dm
-            keys[:] = terms
-            yield list(terms.values())
+    def terms(sample, uj, grad_uj, t_guj, _modes):
+        pts, dm, grad_factor = sample.pts, sample.dm, sample.grad_factor
+        out = {"R": grad_factor * np.einsum("qa,qa->q", t_guj, grad_uj) * dm}
+        for label, test_fn in test_fns.items():
+            gf = test_fn.f.grad(pts)
+            some = slice(1) if gf.strides[0] == 0 and np.ndim(grad_factor) == 0 else slice(None)  # rho = 1, one row
+            defect = np.max(np.abs(gradient_norm(pair.domain.metric, pts[some], gf[some]) - 1.0))
+            if defect > 1e-10:
+                raise UnitGradientViolation(f"{label}: |grad f|_g deviates from 1 by {float(defect):.3e}")
+            i1 = np.einsum("qa,qa->q", t_guj, gf)
+            if np.ndim(grad_factor):  # else rho = 1
+                i1 *= grad_factor
+            np.square(i1, out=i1)
+            i1 *= dm
+            out[label, 0] = i1
+            lf, glf = test_fn.lf_and_grad(sample)
+            if lf is not None:
+                out[label, 1] = lf**2 * uj**2 * dm
+            if glf is not None:
+                out[label, 2] = grad_factor * np.einsum("qa,qa->q", glf, sample.apply_T(gf)) * uj**2 * dm
+        return out
 
-    sums = assembly.pairwise_sums(integrands(), pair.domain.n_cells * 2**pair.domain.dim)
-    for label, defect in defects.items():
-        if defect > 1e-10:
-            raise UnitGradientViolation(f"{label}: |grad f|_g deviates from 1 by {float(defect):.3e}")
-    totals = dict(zip(keys, sums))
-    return {label: tuple(totals.get((label, t), 0.0) for t in range(3)) for label in test_fns}
+    return assembly.Reader((spectrum.eigenvectors[:, j - 1],), terms)
 
 
 def cor32_check(
@@ -582,6 +565,7 @@ def cor32_check(
     test_fns: dict,
     consts: OperatorConstants,
     j: int = 1,
+    reader: assembly.Reader | None = None,
 ) -> list:
     """Gap-squared and gap bounds from unit-gradient test functions, one list of labelled rows.
 
@@ -591,20 +575,22 @@ def cor32_check(
       (l_{k+2}-l_{k+1})^2 <= 16/s (I1 - I2/4 - I3/2) l_{k+2}         (3.14)
       l_{k+2}-l_{k+1} <= 4/sqrt(s) (d l_j - I2/4 - I3/2)^0.5 l_{k+2}^0.5   (3.15)
 
-    with I1 = int <T grad u_j, grad f>^2 dm, I2 = int (Lf)^2 u_j^2 dm,
-    I3 = int <grad(Lf), T grad f> u_j^2 dm, and returns a row per (f, k),
-    label by label, with the label as its ``extra["test_function"]``.
-    u_j is read once for all of them (``_cor32_integrals``).  A row claims "3.14",
-    "3.15" and "link", I1 <= delta * lambda_j, which links the two, and
-    passes when all three hold.  The pipeline's f are
-    fields.axis_test_function, df = e_a / rho, whose L f and grad(L f)
-    are closed-form; a structurally zero one contributes 0 to I2 or I3.
+    with I1 = int <T grad u_j, grad f>^2 dm, I2 = int (Lf)^2 u_j^2 dm and
+    I3 = int <grad(Lf), T grad f> u_j^2 dm, the sums of ``reader`` (this
+    call's ``cor32_reader``, read by a shared pass) or of a pass of its own.
+    Each row, labelled in ``extra["test_function"]``, claims "3.14", "3.15"
+    and "link", I1 <= delta R_j, and passes when all three hold; link is
+    Cauchy-Schwarz at each Gauss point, and R_j = u_j^T A u_j = l_j up to
+    solver error.  The pipeline's f are fields.axis_test_function,
+    df = e_a / rho, with closed-form L f and grad(L f).
     """
     lam = spectrum.eigenvalues
     sig, lam_j = consts.sigma, float(lam[j - 1])
     rows = []
-    for label, (i1, i2, i3) in _cor32_integrals(spectrum, pair, test_fns, j).items():
-        link = ("link", i1, consts.delta * lam_j)
+    sums = (reader or cor32_reader(spectrum, pair, test_fns, j)).result(pair)
+    for label in test_fns:
+        i1, i2, i3 = (sums.get((label, t), 0.0) for t in range(3))
+        link = ("link", i1, consts.delta * sums["R"])
         bracket_314 = i1 - 0.25 * i2 - 0.5 * i3
         bracket_315 = consts.delta * lam_j - 0.25 * i2 - 0.5 * i3
         for k, l_k1, l_k2, reason in _rows(lam, j, lam.size - 2):
@@ -626,26 +612,30 @@ def cor32_check(
 LEMMA32_ROWS = 8  # rows k = 1..8 at most, as far as the spectrum reaches lambda_{k+2}
 
 
-def _lemma32_integrals(pair: assembly.OperatorPair, uj_vec: np.ndarray, g: ScalarField, others) -> list:
-    """int |grad g|_T^2 u_j^2 dm, int (2 <T grad u_j, grad g> + u_j L g)^2 dm and int g^2 u_j^2 dm,
-    then the cross term int g u_j u dm of each DOF vector u in ``others``.
+def _lemma32_rows(lam: np.ndarray, j: int) -> tuple:
+    """The rows of ``_rows`` up to k = 8, and the indices of the multiplet of l_{k+1} of each admissible row k."""
+    labels = multiplet_labels(lam)
+    rows_k = list(_rows(lam, j, min(LEMMA32_ROWS, lam.size - 2)))
+    return rows_k, {k: np.flatnonzero(labels == labels[k]) for k, _, _, reason in rows_k if not reason}
 
-    u_j and the others are read in one pass, chunk by chunk
-    (``assembly.at_quadrature``), every quantity at the points is taken
-    per chunk, and each integral is summed as in ``_cor32_integrals``.
+
+def lemma32_reader(spectrum: SpectrumResult, pair: assembly.OperatorPair, g: ScalarField, j: int = 1) -> assembly.Reader:
+    """The reader (``assembly.gauss_pass``) of u_j and each multiplet member u_i that an admissible row reads.
+
+    Its sums: int |grad g|_T^2 u_j^2 dm "igg", int (2 <T grad u_j, grad g>
+    + u_j L g)^2 dm "ib", int g^2 u_j^2 dm "igu", int g u_j u_i dm keyed i.
     """
+    read = sorted(set().union(*_lemma32_rows(spectrum.eigenvalues, j)[1].values()))
 
-    def integrands():
-        for sample, dm, grad_factor, (uj, *modes), grad_uj in assembly.at_quadrature(pair, uj_vec, *others):
-            pts = sample.pts
-            gg = g.grad(pts)
-            igg = grad_factor * np.einsum("qa,qa->q", gg, sample.apply_T(gg)) * uj**2 * dm
-            cross_grad = grad_factor * np.einsum("qa,qa->q", sample.apply_T(grad_uj), gg)
-            ib = (2.0 * cross_grad + uj * apply_operator_L(sample, g)) ** 2 * dm
-            guj = g.value(pts) * uj
-            yield [igg, ib, np.square(guj) * dm, *(guj * u * dm for u in modes)]
+    def terms(sample, uj, _grad_uj, t_guj, modes):
+        pts, dm, grad_factor = sample.pts, sample.dm, sample.grad_factor
+        gg = g.grad(pts)
+        igg = grad_factor * np.einsum("qa,qa->q", gg, sample.apply_T(gg)) * uj**2 * dm
+        ib = (2.0 * (grad_factor * np.einsum("qa,qa->q", t_guj, gg)) + uj * apply_operator_L(sample, g)) ** 2 * dm
+        guj = g.value(pts) * uj
+        return {"igg": igg, "ib": ib, "igu": np.square(guj) * dm, **{i: guj * u * dm for i, u in zip(read, modes)}}
 
-    return assembly.pairwise_sums(integrands(), pair.domain.n_cells * 2**pair.domain.dim)
+    return assembly.Reader((spectrum.eigenvectors[:, j - 1], *(spectrum.eigenvectors[:, i] for i in read)), terms)
 
 
 def lemma32_check(
@@ -653,6 +643,7 @@ def lemma32_check(
     pair: assembly.OperatorPair,
     g: ScalarField,
     j: int = 1,
+    reader: assembly.Reader | None = None,
 ) -> list:
     """Real-test-function inequality, one row per k = 1..min(8, K - 2) for K eigenpairs.
 
@@ -660,29 +651,21 @@ def lemma32_check(
           <= int (2 <T grad u_j, grad g> + u_j L g)^2 dm
              + (l_{k+2}-l_j)(l_{k+1}-l_j) int g^2 u_j^2 dm
 
-    Row k reads only l_j, l_{k+1}, l_{k+2}, u_j, u_1..u_{k+1}, so any
-    spectrum that reaches l_{k+2} serves.  Besides the rows ``_rows``
-    skips, a row is skipped unless the cross term exceeds
-    1e-10 ||g u_j|| and g u_j lies outside the span of u_1..u_{k+1} (nodal
-    B-projection residual above 1e-8 ||g u_j||_B).  The cross term is the
-    nonnegative norm sqrt(sum_i (int g u_j u_i dm)^2) over the multiplet
-    of l_{k+1}: it does not depend on which orthonormal basis of that
-    eigenspace, or which signs, the solver returned, where the single
-    int g u_j u_{k+1} dm would.  Both thresholds scale with g, as both
-    sides of the inequality do.  A row claims "lemma32" and carries its
-    ``cross_term`` and ``projection_residual`` in ``extra``; a row
-    skipped on these two keeps its claim.
+    with the sums of ``reader`` (this call's ``lemma32_reader``, read by a
+    shared pass) or of a pass of its own.  Row k reads only l_j, l_{k+1},
+    l_{k+2}, u_j, u_1..u_{k+1}, so any spectrum that reaches l_{k+2} serves.
+    Besides the rows ``_rows`` skips, a row is skipped unless the cross term
+    exceeds 1e-10 ||g u_j|| and g u_j lies outside the span of u_1..u_{k+1}
+    (nodal B-projection residual above 1e-8 ||g u_j||_B); both thresholds
+    scale with g, as the inequality does.  The cross term is the norm
+    sqrt(sum_i (int g u_j u_i dm)^2) over the multiplet of l_{k+1}, which no
+    choice of basis or signs in that eigenspace changes.  A row claims
+    "lemma32" and carries ``cross_term`` and ``projection_residual`` in
+    ``extra``; a row skipped on these two keeps its claim.
     """
     lam = spectrum.eigenvalues
-    labels = multiplet_labels(lam)
-    rows_k = list(_rows(lam, j, min(LEMMA32_ROWS, lam.size - 2)))
-    # the index of each admissible row's multiplet members; each eigenvector is read once, beside u_j
-    members = {k: np.flatnonzero(labels == labels[k]) for k, _, _, reason in rows_k if not reason}
-    read = sorted(set().union(*members.values()))
-    igg, ib, igu, *cross_terms = _lemma32_integrals(
-        pair, spectrum.eigenvectors[:, j - 1], g, [spectrum.eigenvectors[:, i] for i in read]
-    )
-    cross_of = dict(zip(read, cross_terms))
+    rows_k, members = _lemma32_rows(lam, j)
+    sums = (reader or lemma32_reader(spectrum, pair, g, j)).result(pair)
 
     # the span check runs on the nodal product vector, in the B inner product
     w = assembly.project_function(pair.domain, g) * spectrum.eigenvectors[:, j - 1]
@@ -696,13 +679,13 @@ def lemma32_check(
             rows.append(VerdictRow(k, "skipped", reason=reason))
             continue
         # the norm of g u_j's projection onto the whole multiplet of l_{k+1}, whatever its basis
-        cross = math.hypot(*(cross_of[i] for i in members[k]))
+        cross = math.hypot(*(sums[i] for i in members[k]))
         basis = spectrum.eigenvectors[:, : k + 1]
         resid_vec = w - basis @ (basis.T @ bw)
         resid = float(np.sqrt(max(resid_vec @ (pair.B @ resid_vec), 0.0)))
-        lhs = ((l_k1 - lam_j) + (l_k2 - lam_j)) * igg
-        claims = (("lemma32", lhs, ib + (l_k2 - lam_j) * (l_k1 - lam_j) * igu),)
-        if cross <= 1e-10 * math.sqrt(igu):
+        lhs = ((l_k1 - lam_j) + (l_k2 - lam_j)) * sums["igg"]
+        claims = (("lemma32", lhs, sums["ib"] + (l_k2 - lam_j) * (l_k1 - lam_j) * sums["igu"]),)
+        if cross <= 1e-10 * math.sqrt(sums["igu"]):
             reason = "cross term int g u_j u_{k+1} dm vanishes"
         elif resid <= 1e-8 * w_norm:
             reason = "g u_j lies in the span of u_1..u_{k+1}"

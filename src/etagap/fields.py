@@ -25,10 +25,7 @@ Gamma^k_ij = -(d_ki b_j + d_kj b_i - d_ij b_k)/rho give one formula each:
 with v = T(d eta) - div T, div T = sum_j d_j T_.j, Hess_0 the coordinate
 Hessian and df_a = e_a / rho for the cor32 test function f_a.  Every
 derivative is closed-form; grad div T is the only second one of T read.
-The constants, L f and f_a read a FieldSample: T, its partials, the drift
-derivatives, rho and their shared contractions at one point set, each
-evaluated at most once.  A structural zero (None), a derivative that a field's
-degree makes zero or b where rho = 1 (Euclidean), skips the terms it multiplies.
+The constants, L f and f_a read a FieldSample (below).
 """
 
 from __future__ import annotations
@@ -392,11 +389,12 @@ class FieldSample:
     structural zero, not an array: dT and grad_div of a constant tensor, ge
     of a constant drift, he of a constant or affine one, rho and b where
     rho = 1, and a contraction of such zeros.  Every reader skips the terms
-    with such a factor.
+    with such a factor.  Given ``weights``, one cell's Gauss weights times its
+    volume, cell-by-cell points also give dm = e^(-eta) W_g and rho^2 (grad_factor).
     """
 
-    def __init__(self, field: TensorField, drift: ScalarField, metric: MetricModel, pts: np.ndarray):
-        self.field, self.drift, self.metric, self.pts = field, drift, metric, pts
+    def __init__(self, field: TensorField, drift: ScalarField, metric: MetricModel, pts: np.ndarray, weights=None):
+        self.field, self.drift, self.metric, self.pts, self.weights = field, drift, metric, pts, weights
         self.b = metric.grad_rho
 
     def _derivative(self, f, order: int, evaluate):
@@ -430,6 +428,16 @@ class FieldSample:
     @cached_property
     def rho(self) -> np.ndarray | None:
         return None if self.b is None else self.metric.rho(self.pts)
+
+    @cached_property
+    def dm(self) -> np.ndarray:
+        with np.errstate(over="ignore"):  # where rho varies, times rho^-n (geometry.volume_weight)
+            dm = (np.exp(-self.drift.value(self.pts)).reshape(-1, self.weights.size) * self.weights).ravel()
+            return dm if self.rho is None else dm * self.rho ** (-float(self.metric.dim))
+
+    @cached_property
+    def grad_factor(self):
+        return 1.0 if self.rho is None else self.rho**2  # geometry.inverse_metric_factor
 
     @cached_property
     def christoffel(self) -> np.ndarray | None:

@@ -4,7 +4,9 @@ A scenario binds a metric, a masked box domain, coefficient presets,
 solver settings, and the list of checks to run.  Configs are JSON with
 every real number written as a decimal string (locale-proof); resolutions
 and counts are plain integers.  Builtin scenarios ship with the package,
-one per bound family, so the acceptance story is "run all builtins".
+one per bound family, so the acceptance story is "run all builtins".  A
+run assembles, solves, and then makes one pass over the Gauss points for
+the constants and the checks that integrate there (cor32, lemma32).
 """
 
 from __future__ import annotations
@@ -487,11 +489,12 @@ def build_problem(cfg: ScenarioConfig):
     return metric, domain, tensor, drift
 
 
-def collect_constants(cfg, pair: assembly.OperatorPair) -> fields.OperatorConstants:
+def collect_constants(cfg, pair: assembly.OperatorPair, readers=()) -> fields.OperatorConstants:
     """The bound constants; each supremum is the largest of its values on the chunks of the pair's Gauss points.
 
+    One ``assembly.gauss_pass`` gives each chunk's FieldSample to the constants, then to each of ``readers``.
     Where T and eta are constant and rho = 1, every term of t0 and c0 is a
-    structural zero: both are 0 and no point is formed.
+    structural zero: both are 0 and the constants read no point.
     """
     domain, field, drift = pair.domain, pair.field, pair.drift
     metric = domain.metric
@@ -510,13 +513,18 @@ def collect_constants(cfg, pair: assembly.OperatorPair) -> fields.OperatorConsta
             kwargs["d"] = geometry.domain_origin_distance(domain, origin)  # checks the origin before eta1 reads it
             prov["d"] = "computed (grid approximation from above)"
             prov["eta1"] = prov["eta_r"] = "computed"
-    vanish = field.degree == 0 and drift.degree == 0 and not metric.is_hyperbolic
     sups = []  # per chunk: t0, c0 and, with an origin, eta1 and eta_r
-    for cells in [] if vanish else assembly.even_chunks(domain.n_cells, assembly.QUAD_CELLS):
-        sample = fields.FieldSample(field, drift, metric, domain.quadrature(cells)[0])
+
+    def suprema(sample, *_):
         sups.append((fields.compute_T0(sample), fields.compute_C0(sample)))
         if origin is not None:
             sups[-1] += fields.compute_eta_radial_constants(sample, origin)
+        return {}
+
+    vanish = field.degree == 0 and drift.degree == 0 and not metric.is_hyperbolic
+    constants = assembly.Reader((), suprema, {} if vanish else None)  # vanishing: already read, so no pass
+    assembly.gauss_pass(pair, [constants, *readers])
+    constants.result(pair)  # raises the constants' error
     # np.max, not max: a nan on any chunk stays
     kwargs.update(zip(("t0", "c0", "eta1", "eta_r"), np.max(sups, axis=0).tolist() if sups else (0.0, 0.0)))
     return fields.OperatorConstants(provenance=prov, **kwargs)
@@ -532,11 +540,11 @@ def lemma32_test_function(n: int) -> fields.ScalarField:
     return fields.QuadraticScalar(quad, coeffs)
 
 
-# The check registry.  An entry(cfg, pair, spectrum, consts) returns rows, or a GapReport holding
-# them, and looks its bounds or spectral callee up through the module when it runs.
+# The check registry.  An entry(cfg, pair, spectrum, consts, reader) returns rows, or a GapReport holding them, and
+# looks its bounds or spectral callee up through the module when it runs; ``reader`` is its READERS entry's, read.
 
 
-def _gap(tag, cfg, pair, spectrum, consts) -> bounds.GapReport:
+def _gap(tag, cfg, pair, spectrum, consts, reader) -> bounds.GapReport:
     lam1 = float(spectrum.eigenvalues[0])
     gc = bounds.THEOREMS[tag](lam1, consts)
     used = {**asdict(consts), "sigma": consts.sigma, "d": consts.d if consts.d != math.inf else "inf", "lambda1": lam1}
@@ -555,16 +563,13 @@ def _gap(tag, cfg, pair, spectrum, consts) -> bounds.GapReport:
     return rep
 
 
-def _cor32(cfg, pair, spectrum, consts) -> list:
-    metric = pair.domain.metric
+def _cor32_test_fns(metric) -> dict:
     if metric.is_hyperbolic:  # ln x_n on the half-space, x_a in Euclidean space
-        test_fns = {"ln_xn": fields.axis_test_function(metric, metric.dim - 1)}
-    else:
-        test_fns = {f"x{a + 1}": fields.axis_test_function(metric, a) for a in range(metric.dim)}
-    return bounds.cor32_check(spectrum, pair, test_fns, consts, j=1)
+        return {"ln_xn": fields.axis_test_function(metric, metric.dim - 1)}
+    return {f"x{a + 1}": fields.axis_test_function(metric, a) for a in range(metric.dim)}
 
 
-def _parseval(cfg, pair, spectrum, consts) -> list:
+def _parseval(cfg, pair, spectrum, consts, reader) -> list:
     """Bessel's inequality for f = x_1: the captured share 1 - defect is at most 1."""
     f_vec = assembly.project_function(pair.domain, fields.AffineScalar(np.eye(cfg.dim)[0]))
     defect = spectral.parseval_defect(spectrum, pair, f_vec)
@@ -578,7 +583,7 @@ def oracle_error(cfg: ScenarioConfig, spectrum: spectral.SpectrumResult) -> floa
     return float(np.max(np.abs(spectrum.eigenvalues - ref) / np.abs(ref)))
 
 
-def _oracle(cfg, pair, spectrum, consts) -> list:
+def _oracle(cfg, pair, spectrum, consts, reader) -> list:
     """error <= rtol, compared as is rather than through bounds.holds."""
     err, rtol = oracle_error(cfg, spectrum), cfg.oracle.rtol
     return [bounds.VerdictRow(spectrum.k, "pass" if err <= rtol else "fail", (("oracle", err, rtol),))]
@@ -586,10 +591,18 @@ def _oracle(cfg, pair, spectrum, consts) -> list:
 
 # the checks after the gap entries, in report order
 CHECKS = {
-    "yang": lambda cfg, pair, spectrum, consts: bounds.yang_check(spectrum, consts),
-    "cor32": _cor32,
-    "lemma32": lambda cfg, pair, spectrum, consts: bounds.lemma32_check(spectrum, pair, lemma32_test_function(cfg.dim)),
+    "yang": lambda cfg, pair, spectrum, consts, reader: bounds.yang_check(spectrum, consts),
+    "cor32": lambda cfg, pair, spectrum, consts, reader: bounds.cor32_check(
+        spectrum, pair, _cor32_test_fns(pair.domain.metric), consts, j=1, reader=reader
+    ),
+    "lemma32": lambda cfg, pair, spectrum, consts, reader: bounds.lemma32_check(
+        spectrum, pair, lemma32_test_function(cfg.dim), j=1, reader=reader
+    ),
     "parseval": _parseval,
+}
+READERS = {
+    "cor32": lambda cfg, pair, spectrum: bounds.cor32_reader(spectrum, pair, _cor32_test_fns(pair.domain.metric), j=1),
+    "lemma32": lambda cfg, pair, spectrum: bounds.lemma32_reader(spectrum, pair, lemma32_test_function(cfg.dim), j=1),
 }
 
 
@@ -606,7 +619,7 @@ def run_scenario(
     output_dir: str | None = None,
     write: bool = True,
 ) -> ScenarioReport:
-    """Assemble, solve, validate, run the selected checks, write reports."""
+    """Assemble, solve, validate, make one pass over the Gauss points, run the selected checks, write reports."""
     t_start = time.perf_counter()
     _metric, domain, tensor, drift = build_problem(cfg)
     pair = assembly.assemble(domain, tensor, drift)
@@ -616,13 +629,15 @@ def run_scenario(
     )
     validation = spectral.validate_spectrum(spectrum, pair, ortho_tol=cfg.solver.ortho_tol)
 
+    readers = {name: read(cfg, pair, spectrum) for name, read in READERS.items() if name in cfg.verify}
     needs_constants = cfg.theorems or "yang" in cfg.verify or "cor32" in cfg.verify
-    consts = collect_constants(cfg, pair) if needs_constants else None
+    consts = collect_constants(cfg, pair, readers.values()) if needs_constants else None
+    assembly.gauss_pass(pair, readers.values())  # reads the checks' readers unless the constants' pass has
     report = ScenarioReport(cfg.name, cfg, spectrum, validation, consts)
 
     for name, check in checks(cfg):
         try:
-            result = check(cfg, pair, spectrum, consts)
+            result = check(cfg, pair, spectrum, consts, readers.get(name))
         except (EtagapError, ValueError, ArithmeticError) as exc:  # an overflow too is one error line
             report.errors.append(f"{name}: {type(exc).__name__}: {exc}")
             continue

@@ -4,18 +4,18 @@
 and metric factor of a domain at once, from an (ncell, n) multi-index of
 its masked cells, as the package did before it formed them per chunk of
 cells.  ``interpolate_at_quadrature`` reads a DOF vector at every Gauss
-point in one product, and the integral functions form the cor32 and
-lemma32 integrals from whole (m,) and (m, n) arrays, as the package did
-before it read the eigenvectors by chunks of cells, and sum each integrand
-with one ``np.sum``.  They take the arguments and return the values of
-``bounds._cor32_integrals`` and ``bounds._lemma32_integrals``, so a test can
-put them in their place; ``cross_integrals`` forms the lemma32 cross terms
-of a block of vectors.
+point in one product, and the reader functions form the cor32 and lemma32
+integrals from whole (m,) and (m, n) arrays, as the package did before it
+read the eigenvectors by chunks of cells, and sum each integrand with one
+``np.sum``.  They take the arguments of ``bounds.cor32_reader`` and
+``bounds.lemma32_reader`` and return a reader that has been read, with
+those integrals as its sums, so a test can put them in their place;
+``cross_integrals`` forms the lemma32 cross terms of a block of vectors.
 """
 
 import numpy as np
 
-from etagap import assembly
+from etagap import assembly, bounds
 from etagap.errors import DimensionMismatch, NonFiniteValue, UnitGradientViolation
 from etagap.fields import FieldSample, apply_operator_L
 from etagap.geometry import gauss_rule, gradient_norm, inverse_metric_factor, volume_weight
@@ -68,21 +68,27 @@ def _sample(pair):
 
 
 def _mode(sample, pair, u):
-    """(u, T grad u) at all Gauss points; a constant T written over grad u by chunks of points."""
+    """(u, grad u, T grad u) at all Gauss points; a constant T applied by chunks of points."""
     u, gu = interpolate_at_quadrature(pair, u)
     if pair.field.degree != 0:
-        return u, sample.apply_T(gu)
+        return u, gu, sample.apply_T(gu)
+    t_gu = np.empty_like(gu)
     for q in assembly.even_chunks(gu.shape[0], assembly.CHUNK_ROWS):
-        gu[q] = sample.apply_T(gu[q])
-    return u, gu
+        t_gu[q] = sample.apply_T(gu[q])
+    return u, gu, t_gu
 
 
-def cor32_integrals(spectrum, pair, test_fns, j):
-    """(I1, I2, I3) of each test function, by label, from whole arrays."""
+def _given(sums):
+    """A reader that has been read, with these sums."""
+    return assembly.Reader((), None, sums)
+
+
+def cor32_reader(spectrum, pair, test_fns, j=1):
+    """The sums of ``bounds.cor32_reader``, from whole arrays."""
     sample, dm, grad_factor = _sample(pair)
     pts = sample.pts
-    uj, t_guj = _mode(sample, pair, spectrum.eigenvectors[:, j - 1])
-    out = {}
+    uj, guj, t_guj = _mode(sample, pair, spectrum.eigenvectors[:, j - 1])
+    out = {"R": float(np.sum(grad_factor * np.einsum("qa,qa->q", t_guj, guj) * dm))}
     for label, test_fn in test_fns.items():
         gf = test_fn.f.grad(pts)
         defect = float(np.max(np.abs(gradient_norm(pair.domain.metric, pts, gf) - 1.0)))
@@ -93,25 +99,27 @@ def cor32_integrals(spectrum, pair, test_fns, j):
         i1 *= grad_factor
         np.square(i1, out=i1)
         i1 *= dm
-        i2 = 0.0 if lf is None else float(np.sum(lf**2 * uj**2 * dm))
-        i3 = 0.0
+        out[label, 0] = float(np.sum(i1))
+        if lf is not None:
+            out[label, 1] = float(np.sum(lf**2 * uj**2 * dm))
         if glf is not None:
-            i3 = float(np.sum(grad_factor * np.einsum("qa,qa->q", glf, sample.apply_T(gf)) * uj**2 * dm))
-        out[label] = (float(np.sum(i1)), i2, i3)
-    return out
+            out[label, 2] = float(np.sum(grad_factor * np.einsum("qa,qa->q", glf, sample.apply_T(gf)) * uj**2 * dm))
+    return _given(out)
 
 
-def lemma32_integrals(pair, uj_vec, g, others):
-    """The three lemma32 integrals, then the cross term of each vector in ``others``, from whole arrays."""
+def lemma32_reader(spectrum, pair, g, j=1):
+    """The sums of ``bounds.lemma32_reader``, from whole arrays."""
+    read = sorted(set().union(*bounds._lemma32_rows(spectrum.eigenvalues, j)[1].values()))
     sample, dm, grad_factor = _sample(pair)
     pts = sample.pts
-    uj, t_guj = _mode(sample, pair, uj_vec)
+    uj, _, t_guj = _mode(sample, pair, spectrum.eigenvectors[:, j - 1])
     gv, gg, lg = g.value(pts), g.grad(pts), apply_operator_L(sample, g)
     igg = float(np.sum(grad_factor * np.einsum("qa,qa->q", gg, sample.apply_T(gg)) * uj**2 * dm))
     cross_grad = grad_factor * np.einsum("qa,qa->q", t_guj, gg)
     ib = float(np.sum((2.0 * cross_grad + uj * lg) ** 2 * dm))
     igu = float(np.sum((gv * uj) ** 2 * dm))
-    return [igg, ib, igu, *cross_integrals(pair, gv * uj, others)]
+    cross = cross_integrals(pair, gv * uj, [spectrum.eigenvectors[:, i] for i in read])
+    return _given({"igg": igg, "ib": ib, "igu": igu, **dict(zip(read, cross))})
 
 
 def cross_integrals(pair, guj, vectors):

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import quadrature_reference as ref
 from quadrature_reference import interpolate_at_quadrature
 
-from etagap.assembly import assemble, even_chunks, project_function, quad_data
+from etagap.assembly import assemble, even_chunks, gauss_sample, project_function
 from etagap.errors import DimensionMismatch, NonFiniteValue
 from etagap.fields import AffineScalar, ConstantScalar, LogAxisScalar, ScalarField, identity_tensor, tensor_preset
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
@@ -253,7 +253,8 @@ class TestChunkedReader:
         w_vals, _ = interpolate_at_quadrature(pair, w)
         whole = ref.quad_data(pair.domain, pair.drift)
         seen, stop = 0, 0
-        for sample, dm, grad_factor, v, g in assembly.at_quadrature(pair, u, w):
+        for sample, v, g in assembly.at_quadrature(pair, u, w):
+            dm, grad_factor = sample.dm, sample.grad_factor
             q = slice(stop, stop + dm.size)
             assert v.shape == (2, dm.size) and g.shape == (dm.size, dim)
             assert np.array_equal(v[0], vals[q]) and np.array_equal(v[1], w_vals[q]) and np.array_equal(g, grads[q])
@@ -312,19 +313,20 @@ def test_pairwise_sum_needs_every_value():
         pairwise_sums([np.ones((2, 299))], 300)
 
 
-def test_quad_data_holds_no_ones_where_rho_is_one():
+def test_gauss_sample_holds_no_ones_where_rho_is_one():
     """rho = 1: grad_factor is the float 1.0, not an array of ones, and the weights skip the exact multiply by rho^-n = 1."""
     from etagap.geometry import volume_weight
 
     dom = make_box_domain([(0, 1), (0, 2)], [6, 5], EUC2, mask_rule=lambda c: c[:, 0] + c[:, 1] < 2.2)
     drift = AffineScalar([0.5, -0.25])
-    pts, dm, grad_factor = quad_data(dom, drift)
-    assert type(grad_factor) is float and grad_factor == 1.0
+    sample = gauss_sample(dom, identity_tensor(2), drift)
+    pts, dm, grad_factor = sample.pts, sample.dm, sample.grad_factor
+    assert type(grad_factor) is float and grad_factor == 1.0 and sample.rho is None
     _, w = dom.quadrature()
     old = (np.exp(-drift.value(pts)).reshape(-1, w.size) * (w * dom.cell_volume())).ravel()
     old *= volume_weight(dom.metric, pts)
     assert np.array_equal(dm, old)
-    _, _, hyp_factor = quad_data(make_box_domain([(0, 1), (1, 2)], [4, 4], HYP2), drift)
+    hyp_factor = gauss_sample(make_box_domain([(0, 1), (1, 2)], [4, 4], HYP2), identity_tensor(2), drift).grad_factor
     assert hyp_factor.flags.writeable and np.all(hyp_factor > 1.0)
 
 
@@ -512,9 +514,9 @@ class TestPerChunkQuadrature:
             q = slice(cells.start * nq, cells.stop * nq)
             got_pts, got_w = domain.quadrature(cells)
             assert np.array_equal(got_pts, pts[q]) and np.array_equal(got_w, w)
-            got = quad_data(domain, drift, cells)
-            assert np.array_equal(got[0], whole[0][q]) and np.array_equal(got[1], whole[1][q])
-            assert got[2] == 1.0 if dim == 3 else np.array_equal(got[2], whole[2][q])
+            got = gauss_sample(domain, identity_tensor(dim), drift, cells)
+            assert np.array_equal(got.pts, whole[0][q]) and np.array_equal(got.dm, whole[1][q])
+            assert got.grad_factor == 1.0 if dim == 3 else np.array_equal(got.grad_factor, whole[2][q])
             assert np.array_equal(domain.cell_corner_nodes(cells), corners[cells])
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -602,3 +604,56 @@ class TestModeCache:
         members = sorted({i for r in rows if r.claims for i in np.flatnonzero(labels == labels[r.k])})
         assert len(rows) > 2 and len(members) > 2
         assert seen == [[vecs[:, 0].tobytes()] + [vecs[:, i].tobytes() for i in members]]
+
+    def _halfspace_config(self):
+        # variable T and an affine drift: t0 and c0 read every chunk, beside cor32 and lemma32
+        entries = [{"profile": "sin", "c0": c0, "c1": c1, "axis": 0} for c0, c1 in (("3", "0.5"), ("2.5", "0.7"))]
+        return self._config(
+            metric="hyperbolic",
+            domain={"bounds": [["0", "1"], ["1", "2"]], "resolution": [16, 16]},
+            tensor={"kind": "diag_profile", "entries": entries},
+            drift={"kind": "affine", "coeffs": ["0.6", "0"]},
+            bounds={"theorems": ["thm12"], "k_range": [2, 6]},
+            constants={"H0": "1"},
+            verify=["gap", "yang", "cor32", "lemma32"],
+        )
+
+    def test_one_pass_after_the_solve(self, monkeypatch):
+        # the constants, cor32 and lemma32 share one call: u_1 once, then each lemma32 multiplet member once
+        from etagap.scenario import run_scenario
+        from etagap.spectral import multiplet_labels
+
+        seen = self._count(monkeypatch)
+        rep = run_scenario(self._halfspace_config(), write=False)
+        assert not rep.errors and all(rep.rows[name] for name in ("thm12", "yang", "cor32", "lemma32"))
+        assert rep.constants.t0 > 0.0 and rep.constants.c0 != 0.0
+        vecs, labels = rep.spectrum.eigenvectors, multiplet_labels(rep.spectrum.eigenvalues)
+        members = sorted({i for r in rep.rows["lemma32"] if r.claims for i in np.flatnonzero(labels == labels[r.k])})
+        assert members
+        assert seen == [[vecs[:, 0].tobytes()] + [vecs[:, i].tobytes() for i in members]]
+
+    def test_each_chunk_sample_is_formed_once(self, monkeypatch):
+        # after the solve every chunk's FieldSample is formed once, for the constants, cor32 and lemma32 alike
+        from etagap import assembly, fields, spectral
+        from etagap.scenario import build_problem, run_scenario
+
+        formed, solved = [], []
+        init, validate = fields.FieldSample.__init__, spectral.validate_spectrum
+
+        def counting_init(sample, field, drift, metric, pts, *rest):
+            if solved:
+                formed.append(pts.tobytes())
+            init(sample, field, drift, metric, pts, *rest)
+
+        def marking_validate(*args, **kwargs):
+            solved.append(True)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(fields.FieldSample, "__init__", counting_init)
+        monkeypatch.setattr(spectral, "validate_spectrum", marking_validate)
+        monkeypatch.setattr(assembly, "QUAD_CELLS", 64)
+        cfg = self._halfspace_config()
+        rep = run_scenario(cfg, write=False)
+        assert not rep.errors and rep.rows["cor32"] and rep.rows["lemma32"]
+        chunks = assembly.even_chunks(build_problem(cfg)[1].n_cells, 64)
+        assert len(chunks) == 4 and (len(formed), len(set(formed))) == (4, 4)

@@ -5,11 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import quadrature_reference as ref
 from conftest import sides
 from quadrature_reference import interpolate_at_quadrature
 
 from etagap import bounds
-from etagap.assembly import assemble, quad_data
+from etagap.assembly import assemble
 from etagap.bounds import (
     LEMMA31_CHUNK,
     Lemma31Instance,
@@ -41,7 +42,7 @@ from etagap.fields import (
     identity_tensor,
 )
 from etagap.geometry import euclidean, hyperbolic_half_plane, make_box_domain
-from etagap.scenario import apply_overrides, build_problem, builtin_config, lemma32_test_function
+from etagap.scenario import apply_overrides, build_problem, builtin_config, lemma32_test_function, run_scenario
 from etagap.spectral import SpectrumResult, multiplet_labels, solve_lowest
 
 EUC2 = euclidean(2)
@@ -697,12 +698,13 @@ class TestCor32:
 
     @pytest.mark.parametrize("ratio, status", [(1.0 - 1e-11, "pass"), (1.0 + 1e-11, "fail")])
     def test_link_takes_the_one_pass_rule(self, square_setup, ratio, status):
-        # I1 <= delta lambda_j at the relative tolerance of holds, 1e-12
+        # I1 <= delta R_j at the relative tolerance of holds, 1e-12
         pair, spectrum = square_setup
         _, gu = interpolate_at_quadrature(pair, spectrum.eigenvectors[:, 0])
-        _, dm, _ = quad_data(pair.domain, pair.drift)
+        _, dm, _ = ref.quad_data(pair.domain, pair.drift)
         i1 = float(np.sum(gu[:, 0] ** 2 * dm))  # T = id, f = x1 and rho = 1
-        delta = i1 / (ratio * spectrum.eigenvalues[0])
+        rayleigh = float(np.sum(np.einsum("qa,qa->q", gu, gu) * dm))  # u_1^T A u_1
+        delta = i1 / (ratio * rayleigh)
         consts = trivial_consts(2, epsilon=delta, delta=delta)
         rows = cor32_check(spectrum, pair, {"x1": axis_test_function(EUC2, 0)}, consts, j=1)
         assert {r.status for r in rows if r.status != "skipped"} == {status}
@@ -717,6 +719,26 @@ class TestCor32:
         assert rows == singles
         assert [r.extra["test_function"] for r in rows] == ["x2"] * (spectrum.k - 2) + ["x1"] * (spectrum.k - 2)
         assert cor32_check(spectrum, pair, {}, consts, j=1) == []
+
+    @pytest.mark.parametrize(
+        "name, cells, method",
+        [
+            ("interval_laplacian", 410, "dense"),
+            ("interval_laplacian", 690, "dense"),
+            ("drifted_interval", 410, "dense"),
+            ("drifted_interval", 690, "dense"),
+            ("drifted_interval", 2000, "auto"),
+        ],
+    )
+    def test_link_holds_exactly_in_1d(self, name, cells, method):
+        # T = id and f = x1 on a line: <T grad u, grad f>^2 = <T grad u, grad u> at every Gauss point, so I1 and
+        # delta R_1 (delta = 1) sum the same doubles; against delta lambda_1 each of these runs failed all 8 rows
+        cfg = apply_overrides(builtin_config(name), {"resolution": cells, "method": method, "verify": ["gap", "cor32"]})
+        rep = run_scenario(cfg, write=False)
+        assert rep.spectrum.meta["method"] == ("superlu" if method == "auto" else method)
+        rows = rep.rows["cor32"]
+        assert len(rows) == 8 and {r.status for r in rows} == {"pass"} and rep.exit_code() == 0
+        assert all(sides(row, "link")[0] == sides(row, "link")[1] for row in rows)
 
     def test_hyperbolic_log_reduction(self):
         # T = id, eta = 0, f = ln x2: Lf = -1, grad Lf = 0, so (3.15) has
@@ -844,15 +866,14 @@ def _box3_pencil():
 def test_chunked_integrals_equal_whole_array_bits(make, monkeypatch):
     """Read by chunks of a few cells, cor32 and lemma32 keep every claim of the whole-array integrals bit for bit.
 
-    The references in ``quadrature_reference`` form the integrals from
-    whole (m,) and (m, n) arrays and sum each with one ``np.sum``; the
-    chunked integrands are summed by ``assembly.pairwise_sums`` with the same
-    bits, so every lhs, rhs and lemma32 cross term is the same double.
+    The reference readers in ``quadrature_reference`` form the integrals
+    from whole (m,) and (m, n) arrays and sum each with one ``np.sum``; the
+    chunked integrands of ``assembly.gauss_pass`` are summed by
+    ``assembly.pairwise_sums`` with the same bits, so every lhs, rhs and
+    lemma32 cross term is the same double.
     Chunks of 2 or 3 cells make many chunks of unequal length, each
     straddling runs of 128 values.
     """
-    import quadrature_reference as ref
-
     from etagap import assembly
 
     pair, test_fns = make()
@@ -869,8 +890,8 @@ def test_chunked_integrals_equal_whole_array_bits(make, monkeypatch):
     monkeypatch.setattr(assembly, "PAIRWISE_RUN", 128)  # numpy's smallest run: many runs, summed up a deep tree
     assert len(assembly.even_chunks(pair.domain.n_cells, assembly.QUAD_CELLS)) > 50
     chunked = rows()
-    monkeypatch.setattr(bounds, "_cor32_integrals", ref.cor32_integrals)
-    monkeypatch.setattr(bounds, "_lemma32_integrals", ref.lemma32_integrals)
+    monkeypatch.setattr(bounds, "cor32_reader", ref.cor32_reader)
+    monkeypatch.setattr(bounds, "lemma32_reader", ref.lemma32_reader)
     whole = rows()
     cor32_rows, lemma32_rows = whole
     assert any(r[1] != "skipped" for r in cor32_rows) and any("cross_term" in r[4] for r in lemma32_rows)

@@ -243,7 +243,7 @@ BUILTIN_SOLVER_PATHS = {
 BUILTIN_COUNTS = {
     "anisotropic_square": (30, 1, 4),
     "disk_laplacian": (43, 1, 11),
-    "drifted_interval": (23, 1, 0),
+    "drifted_interval": (31, 1, 0),
     "halfspace_profile": (29, 1, 0),
     "hyperbolic_cy": (30, 2, 0),
     "interval_laplacian": (24, 1, 0),
